@@ -24,7 +24,6 @@ from ..errors import (
     StaleReadBoundError,
     WriteIntentError,
 )
-from ..obs import NOOP_SPAN
 from ..sim.clock import Timestamp
 from ..sim.core import Future, all_of, with_timeout
 from ..sim.network import NetworkUnavailableError, RpcTimeoutError
@@ -97,6 +96,7 @@ class DistSender:
         self.rpc_max_attempts = max(1, rpc_max_attempts)
         self.auto_failover = auto_failover
         registry = cluster.sim.obs.registry
+        self._tracer = cluster.sim.obs.tracer
         # Half-open probe scheduling is seeded through the simulation
         # seed: a fleet of breakers tripped by the same fault re-probes
         # staggered instead of in lockstep, and every run of a given
@@ -304,7 +304,7 @@ class DistSender:
     # -- hardened leaseholder RPC ----------------------------------------------
 
     def _leaseholder_call(self, gateway, token, handler,
-                          span=None, op: str = "rpc",
+                          span=None, op: str = "kv.rpc",
                           deadline_ms: Optional[float] = None,
                           key: Any = None,
                           record_load: bool = False) -> Future:
@@ -321,24 +321,21 @@ class DistSender:
         next attempt to the new owner instead of failing the request.
 
         ``handler`` takes ``(rng, attempt_span)``: the resolved range
-        and the per-attempt span (or None) to thread into the serve-side
-        coroutine.  The call is traced as a ``kv.<op>`` span (child of
-        ``span``) with one ``rpc.attempt`` child per try, annotated with
-        breaker, backoff and failover decisions.
+        and the per-attempt span id (0 when untraced) to thread into the
+        serve-side coroutine.  The call is traced as a span named ``op``
+        (``kv.read``, ...; child of ``span``) with one ``rpc.attempt``
+        child per try, tagged with breaker, backoff and failover decisions.
         """
         sim = self.cluster.sim
-        tracer = sim.obs.tracer
-        # With observability off every span below is NOOP_SPAN anyway;
-        # skipping the calls (and the f-string label work) keeps this
-        # per-attempt loop off the profile.
-        obs_on = sim.obs.enabled
+        tracer = self._tracer
 
         def attempts() -> Generator:
             rng = self.resolve(token, key, gateway=gateway,
                                record_load=record_load)
-            op_span = (tracer.start_span(f"kv.{op}", parent=span,
-                                         range=rng.name)
-                       if obs_on else NOOP_SPAN)
+            # ``span`` is 0 for an untraced request (skip the calls) and
+            # None for a caller with no trace context (a client entry).
+            op_span = (tracer.start(op, span, ("range", rng.name))
+                       if span != 0 else 0)
             try:
                 # Constructed lazily: the zero-retry fast path never
                 # draws a backoff delay, so skip the allocation.
@@ -354,29 +351,29 @@ class DistSender:
                         # drop the RPC instead of spending an attempt
                         # (and server capacity) past the deadline.
                         self._c_deadline_drops.inc()
-                        op_span.annotate(error="deadline_exceeded")
-                        raise DeadlineExceededError(f"kv.{op}", deadline_ms,
+                        tracer.tag(op_span, "error", "deadline_exceeded")
+                        raise DeadlineExceededError(op, deadline_ms,
                                                     sim.now)
                     if self.network.node_is_dead(gateway.node_id):
                         # The client's own gateway store is down: fail fast
                         # instead of blaming (and failing over) a healthy
                         # leaseholder for our local outage.
-                        op_span.annotate(error="gateway_down")
+                        tracer.tag(op_span, "error", "gateway_down")
                         raise NetworkUnavailableError(
                             f"gateway node {gateway.node_id} is down")
                     dst = rng.leaseholder_node
                     breaker = self.breakers.for_node(dst.node_id)
-                    attempt_span = (tracer.start_span(
-                        "rpc.attempt", parent=op_span, attempt=attempt + 1,
-                        dst=dst.node_id) if obs_on else NOOP_SPAN)
+                    attempt_span = op_span and tracer.start(
+                        "rpc.attempt", op_span,
+                        ("attempt", attempt + 1, "dst", dst.node_id))
                     if not breaker.allow(sim.now):
                         # Known-bad leaseholder: try to move the lease right
                         # away rather than burning a timeout on it.
-                        attempt_span.annotate(breaker="open")
+                        tracer.tag(attempt_span, "breaker", "open")
                         if self.auto_failover and rng.maybe_failover(
                                 from_node=gateway, force=True):
                             self._c_failovers.inc()
-                            attempt_span.finish(failover=True)
+                            tracer.finish(attempt_span, "failover", True)
                             continue
                         last_error = NetworkUnavailableError(
                             f"node {dst.node_id}: circuit breaker open")
@@ -388,10 +385,11 @@ class DistSender:
                         if (deadline_ms is not None
                                 and sim.now + delay >= deadline_ms):
                             self._c_deadline_drops.inc()
-                            attempt_span.finish(error="deadline_exceeded")
+                            tracer.finish(attempt_span, "error",
+                                          "deadline_exceeded")
                             raise DeadlineExceededError(
-                                f"kv.{op}", deadline_ms, sim.now)
-                        attempt_span.finish(backoff_ms=round(delay, 3))
+                                op, deadline_ms, sim.now)
+                        tracer.finish(attempt_span, "backoff_ms", delay)
                         yield sim.sleep(delay)
                         continue
                     call = self.network.call(
@@ -418,13 +416,14 @@ class DistSender:
                         breaker.record_failure(sim.now)
                         last_error = err
                         self._c_retries.inc()
-                        attempt_span.annotate(error=type(err).__name__)
+                        tracer.tag(attempt_span, "error",
+                                   type(err).__name__)
                         if self.auto_failover and rng.maybe_failover(
                                 from_node=gateway,
                                 force=(breaker.is_open
                                        or isinstance(err, ClockFencedError))):
                             self._c_failovers.inc()
-                            attempt_span.annotate(failover=True)
+                            tracer.tag(attempt_span, "failover", True)
                         if backoff is None:
                             backoff = ExponentialBackoff(
                                 rng=self._retry_rng,
@@ -437,10 +436,11 @@ class DistSender:
                             # fire anyway, long after the client had
                             # given up.
                             self._c_deadline_drops.inc()
-                            attempt_span.finish(error="deadline_exceeded")
+                            tracer.finish(attempt_span, "error",
+                                          "deadline_exceeded")
                             raise DeadlineExceededError(
-                                f"kv.{op}", deadline_ms, sim.now)
-                        attempt_span.finish(backoff_ms=round(delay, 3))
+                                op, deadline_ms, sim.now)
+                        tracer.finish(attempt_span, "backoff_ms", delay)
                         yield sim.sleep(delay)
                         continue
                     except RangeKeyMismatchError as err:
@@ -452,20 +452,24 @@ class DistSender:
                         breaker.record_success()
                         last_error = err
                         self._c_retries.inc()
-                        attempt_span.finish(error="range_key_mismatch")
+                        tracer.finish(attempt_span, "error",
+                                      "range_key_mismatch")
                         self._invalidate_token(token)
                         continue
                     except Exception as err:
                         # The node answered; the failure is application-level.
                         breaker.record_success()
-                        attempt_span.finish(error=type(err).__name__)
+                        tracer.finish(attempt_span, "error",
+                                      type(err).__name__)
                         raise
                     breaker.record_success()
-                    attempt_span.finish()
+                    if attempt_span:
+                        tracer.finish(attempt_span)
                     return value
                 raise last_error
             finally:
-                op_span.finish()
+                if op_span:
+                    tracer.finish(op_span)
         names = self._retry_names
         name = names.get(gateway.node_id)
         if name is None:
@@ -512,7 +516,7 @@ class DistSender:
                                                      allow_server_side_bump,
                                                      span=_span,
                                                      deadline_ms=deadline_ms),
-            span=span, op="read", deadline_ms=deadline_ms, key=key,
+            span=span, op="kv.read", deadline_ms=deadline_ms, key=key,
             record_load=True)
 
     def _follower_read_with_fallback(self, gateway, token, replica,
@@ -520,9 +524,10 @@ class DistSender:
                                      allow_server_side_bump: bool,
                                      span=None) -> Future:
         result = Future(self.cluster.sim)
-        follower_span = self.cluster.sim.obs.tracer.start_span(
-            "kv.read.follower", parent=span, range=replica.range.name,
-            replica=replica.node.node_id)
+        tracer = self._tracer
+        follower_span = tracer.start(
+            "kv.read.follower", span,
+            ("range", replica.range.name, "replica", replica.node.node_id))
         if self.adaptive_follower_wait_ms > 0:
             handler = (lambda: replica.follower_read_waiting(
                 key, ts, txn_id=txn_id,
@@ -546,7 +551,7 @@ class DistSender:
                 if descriptor is not None:
                     descriptor.load.record(self.cluster.sim.now, key=key,
                                            region=gateway.locality.region)
-                follower_span.finish(served=True)
+                tracer.finish(follower_span, "served", True)
                 result.resolve(fut._value)
                 return
             if isinstance(error, (FollowerReadNotAvailableError,
@@ -561,7 +566,8 @@ class DistSender:
                         replica.node.node_id).record_failure(
                             self.cluster.sim.now)
                 self._c_fallbacks.inc()
-                follower_span.finish(fallback=type(error).__name__)
+                tracer.finish(follower_span, "fallback",
+                              type(error).__name__)
                 fallback = self._leaseholder_read(
                     gateway, token, key, ts, txn_id, uncertainty_limit,
                     allow_server_side_bump, span=span)
@@ -569,7 +575,7 @@ class DistSender:
                     lambda f: result.reject(f.error) if f.error is not None
                     else result.resolve(f._value))
                 return
-            follower_span.finish(error=type(error).__name__)
+            tracer.finish(follower_span, "error", type(error).__name__)
             result.reject(error)
 
         attempt.add_callback(on_done)
@@ -605,9 +611,10 @@ class DistSender:
         """
         rng = self.resolve(token, key)
         replica = self.nearest_replica(gateway, rng)
-        read_span = self.cluster.sim.obs.tracer.start_span(
-            "kv.read.bounded_staleness", parent=span, range=rng.name,
-            replica=replica.node.node_id)
+        tracer = self._tracer
+        read_span = tracer.start(
+            "kv.read.bounded_staleness", span,
+            ("range", rng.name, "replica", replica.node.node_id))
 
         def negotiate_and_read():
             servable = replica.max_servable_ts(key)
@@ -624,21 +631,21 @@ class DistSender:
         def on_done(fut: Future) -> None:
             error = fut.error
             if error is None:
-                read_span.finish()
+                tracer.finish(read_span)
                 result.resolve(fut._value)
                 return
             if isinstance(error, (StaleReadBoundError,
                                   NetworkUnavailableError)) and not nearest_only:
                 # Route to the leaseholder using the staleness bound as
                 # the read timestamp (paper §5.3.2).
-                read_span.finish(fallback=type(error).__name__)
+                tracer.finish(read_span, "fallback", type(error).__name__)
                 fallback = self._leaseholder_read(
                     gateway, token, key, min_ts, None, None, span=span)
                 fallback.add_callback(
                     lambda f: result.reject(f.error) if f.error is not None
                     else result.resolve(f._value))
                 return
-            read_span.finish(error=type(error).__name__)
+            tracer.finish(read_span, "error", type(error).__name__)
             result.reject(error)
 
         attempt.add_callback(on_done)
@@ -657,8 +664,9 @@ class DistSender:
         leaseholders at ``min_ts`` instead).
         """
         spans = list(spans)
-        negotiate_span = self.cluster.sim.obs.tracer.start_span(
-            "kv.negotiate_staleness", parent=span, spans=len(spans))
+        tracer = self._tracer
+        negotiate_span = tracer.start("kv.negotiate_staleness", span,
+                                      ("spans", len(spans)))
         futures = []
         for token, key in spans:
             replica = self.nearest_replica(gateway, self.resolve(token, key))
@@ -672,16 +680,17 @@ class DistSender:
 
         def on_done(fut: Future) -> None:
             if fut.error is not None:
-                negotiate_span.finish(error=type(fut.error).__name__)
+                tracer.finish(negotiate_span, "error",
+                              type(fut.error).__name__)
                 result.reject(fut.error)
                 return
             try:
                 negotiated = negotiated_timestamp(fut._value, min_ts)
             except StaleReadBoundError as err:
-                negotiate_span.finish(error="below_bound")
+                tracer.finish(negotiate_span, "error", "below_bound")
                 result.reject(err)
             else:
-                negotiate_span.finish()
+                tracer.finish(negotiate_span)
                 result.resolve(negotiated)
 
         gathered.add_callback(on_done)
@@ -701,7 +710,7 @@ class DistSender:
             lambda _rng, _span=None: _rng.serve_write(
                 key, ts, value, txn_id, anchor_node_id, span=_span,
                 deadline_ms=deadline_ms),
-            span=span, op="write", deadline_ms=deadline_ms, key=key,
+            span=span, op="kv.write", deadline_ms=deadline_ms, key=key,
             record_load=True)
 
     def locking_read(self, gateway, token, key: Any, ts: Timestamp,
@@ -713,7 +722,7 @@ class DistSender:
             lambda _rng, _span=None: _rng.serve_locking_read(
                 key, ts, txn_id, anchor_node_id, span=_span,
                 deadline_ms=deadline_ms),
-            span=span, op="locking_read", deadline_ms=deadline_ms, key=key,
+            span=span, op="kv.locking_read", deadline_ms=deadline_ms, key=key,
             record_load=True)
 
     def refresh(self, gateway, token, key: Any, lo: Timestamp,
@@ -723,7 +732,7 @@ class DistSender:
             gateway, token,
             lambda _rng, _span=None: _rng.serve_refresh(key, lo, hi, txn_id,
                                                         span=_span),
-            span=span, op="refresh", deadline_ms=deadline_ms, key=key)
+            span=span, op="kv.refresh", deadline_ms=deadline_ms, key=key)
 
     def write_txn_record(self, gateway, token, txn_id: int, status: str,
                          commit_ts: Optional[Timestamp], span=None) -> Future:
@@ -734,7 +743,7 @@ class DistSender:
             lambda _rng, _span=None: _rng.serve_txn_record(txn_id, status,
                                                            commit_ts,
                                                            span=_span),
-            span=span, op="txn_record")
+            span=span, op="kv.txn_record")
 
     def epoch_order(self, gateway, token, epoch: int, txn_ids,
                     span=None) -> Future:
@@ -749,7 +758,7 @@ class DistSender:
             gateway, token,
             lambda _rng, _span=None: _rng.serve_epoch_order(
                 epoch, tuple(txn_ids), span=_span),
-            span=span, op="epoch_order")
+            span=span, op="kv.epoch_order")
 
     def resolve_intent(self, gateway, token, key: Any, txn_id: int,
                        commit_ts: Optional[Timestamp], span=None) -> Future:
@@ -758,7 +767,7 @@ class DistSender:
             lambda _rng, _span=None: _rng.serve_resolve_intent(key, txn_id,
                                                                commit_ts,
                                                                span=_span),
-            span=span, op="resolve_intent", key=key)
+            span=span, op="kv.resolve_intent", key=key)
 
     def resolve_intents(self, gateway, spans: Iterable[Tuple[Any, Any]],
                         txn_id: int, commit_ts: Optional[Timestamp],

@@ -27,6 +27,7 @@ from ..errors import (
     WriteIntentError,
     WriteTooOldError,
 )
+from ..obs import DETACHED
 from ..raft.group import RaftGroup, ReplicaType
 from ..raft.membership import ConfigChangeError
 from ..sim.clock import TS_ZERO, Timestamp
@@ -160,9 +161,10 @@ class Range:
             entries = len(self.group.leader.log)
             transfer_ms = (self.SNAPSHOT_BASE_MS
                            + self.SNAPSHOT_PER_ENTRY_MS * entries)
-            snap_span = self.sim.obs.tracer.start_span(
-                "raft.snapshot", range=self.name, to=node_id,
-                entries=entries)
+            tracer = self.sim.obs.tracer
+            snap_span = tracer.start(
+                "raft.snapshot", DETACHED,
+                ("range", self.name, "to", node_id, "entries", entries))
 
             def install() -> Generator:
                 # Runs on the joining node after the request arrives;
@@ -178,7 +180,7 @@ class Range:
                                                 span=snap_span)
                 yield from self._wait_caught_up(node_id)
             finally:
-                snap_span.finish()
+                tracer.finish(snap_span)
             if replica_type == ReplicaType.VOTER:
                 # No sim time passes between the caught-up check and the
                 # promotion, so the learner still holds every committed
@@ -491,10 +493,11 @@ class Range:
         cluster's transaction registry — the simulation stand-in for
         CRDB's txn records + heartbeats."""
         from ..sim.core import any_of
-        obs = self.sim.obs
-        wait_span = obs.tracer.start_span(
-            "lock.wait", parent=span, range=self.name, key=str(key),
-            waiter=waiter_txn_id, holder=holder_txn_id)
+        tracer = self.sim.obs.tracer
+        wait_span = tracer.start(
+            "lock.wait", span,
+            ("range", self.name, "key", str(key),
+             "waiter", waiter_txn_id, "holder", holder_txn_id))
         started = self.sim.now
         try:
             fut = self.lock_table.wait_for(key, waiter_txn_id)
@@ -510,7 +513,7 @@ class Range:
                 if not final:
                     continue  # holder still pending: keep waiting
                 # Push succeeded: resolve the orphaned intent ourselves.
-                wait_span.annotate(pushed=True)
+                tracer.tag(wait_span, "pushed", True)
                 yield self._propose(ResolveIntentCommand(
                     key=key, txn_id=holder_txn_id, commit_ts=commit_ts),
                     span=wait_span)
@@ -522,10 +525,10 @@ class Range:
             yield fut  # propagate a deadlock rejection, or no-op if resolved
             return None
         finally:
-            obs.registry.histogram("lock.wait_ms",
-                                   range=self.name).observe(
-                                       self.sim.now - started)
-            wait_span.finish()
+            self.sim.obs.registry.histogram(
+                "lock.wait_ms", range=self.name).observe(
+                    self.sim.now - started)
+            tracer.finish(wait_span)
 
     def serve_write(self, key: Any, ts: Timestamp, value: Any, txn_id: int,
                     anchor_node_id: int, span=None,

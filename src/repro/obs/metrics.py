@@ -43,6 +43,8 @@ def format_key(name: str, labels: LabelItems) -> str:
 class Instrument:
     """Base class: a named, labelled measurement."""
 
+    __slots__ = ("name", "labels")
+
     kind = "instrument"
 
     def __init__(self, name: str, labels: LabelItems):
@@ -60,6 +62,8 @@ class Instrument:
 class Counter(Instrument):
     """Monotonic (by convention) accumulating value."""
 
+    __slots__ = ("value",)
+
     kind = "counter"
 
     def __init__(self, name: str, labels: LabelItems):
@@ -70,20 +74,15 @@ class Counter(Instrument):
         self.value += amount
 
 
-class Gauge(Instrument):
-    """Point-in-time value that can move both ways."""
+class Gauge(Counter):
+    """Point-in-time value that can also be set and move down."""
+
+    __slots__ = ()
 
     kind = "gauge"
 
-    def __init__(self, name: str, labels: LabelItems):
-        super().__init__(name, labels)
-        self.value: float = 0.0
-
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
 
     def dec(self, amount: float = 1) -> None:
         self.value -= amount
@@ -97,8 +96,10 @@ class Histogram(Instrument):
     min / max are tracked separately and stay exact even past the cap.
     The cap exists for high-volume instruments like per-hop network
     latency in long experiments; recorders that need every sample leave
-    it unset.
+    it unset.  ``min`` / ``max`` are +inf / -inf until the first sample.
     """
+
+    __slots__ = ("samples", "count", "sum", "min", "max", "max_samples")
 
     kind = "histogram"
 
@@ -107,18 +108,17 @@ class Histogram(Instrument):
         self.samples: List[float] = []
         self.count: int = 0
         self.sum: float = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
+        self.min: float = float("inf")
+        self.max: float = float("-inf")
         #: Raw-sample retention cap (None = unbounded).
         self.max_samples: Optional[int] = None
 
     def observe(self, value: float) -> None:
-        value = float(value)
         self.count += 1
         self.sum += value
-        if self.min is None or value < self.min:
+        if value < self.min:
             self.min = value
-        if self.max is None or value > self.max:
+        if value > self.max:
             self.max = value
         if self.max_samples is None or len(self.samples) < self.max_samples:
             self.samples.append(value)
@@ -127,25 +127,28 @@ class Histogram(Instrument):
     def truncated(self) -> bool:
         return self.count > len(self.samples)
 
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over the retained samples."""
-        if not self.samples:
+    def percentile(self, p: float, ordered: List[float] = None) -> float:
+        """Nearest-rank percentile over the retained samples (pass them
+        pre-sorted as ``ordered`` to sort once for several)."""
+        if ordered is None:
+            ordered = sorted(self.samples)
+        if not ordered:
             return 0.0
-        ordered = sorted(self.samples)
         rank = max(0, min(len(ordered) - 1,
                           int(round(p / 100.0 * (len(ordered) - 1)))))
-        return ordered[rank]
+        return float(ordered[rank])
 
     def summary(self) -> Dict[str, float]:
-        mean = self.sum / self.count if self.count else 0.0
-        out = {"count": self.count,
+        count = self.count
+        ordered = sorted(self.samples)
+        out = {"count": count,
                "sum": round(self.sum, 6),
-               "mean": round(mean, 6),
-               "min": round(self.min, 6) if self.min is not None else 0.0,
-               "max": round(self.max, 6) if self.max is not None else 0.0,
-               "p50": round(self.percentile(50), 6),
-               "p95": round(self.percentile(95), 6),
-               "p99": round(self.percentile(99), 6)}
+               "mean": round(self.sum / count, 6) if count else 0.0,
+               "min": round(float(self.min), 6) if count else 0.0,
+               "max": round(float(self.max), 6) if count else 0.0,
+               "p50": round(self.percentile(50, ordered), 6),
+               "p95": round(self.percentile(95, ordered), 6),
+               "p99": round(self.percentile(99, ordered), 6)}
         if self.truncated:
             out["truncated"] = True
         return out
@@ -176,7 +179,7 @@ class MetricsRegistry:
         if instrument is None:
             instrument = cls(name, items)
             self._instruments[key] = instrument
-        elif not isinstance(instrument, cls):
+        elif instrument.kind != cls.kind:
             raise TypeError(
                 f"{format_key(name, items)} already registered as "
                 f"{instrument.kind}, not {cls.kind}")

@@ -1,135 +1,38 @@
-"""No-op observability: zero-cost stand-ins for Tracer and MetricsRegistry.
+"""No-op metrics: zero-cost stand-ins for MetricsRegistry and its instruments.
 
-Selected per-run (``Simulator(obs_enabled=False)``), these make the
-entire observability spine cost approximately nothing: every component
-still calls ``sim.obs.registry.counter(...).inc()`` and
-``sim.obs.tracer.start_span(...)`` unconditionally, but with the no-op
-implementations those calls allocate nothing and record nothing.
-
-The contract — verified by the obs-equivalence regression tests — is
-that disabling observability never perturbs simulation behaviour:
-workload results (latency summaries, final KV state) are byte-identical
-between a traced run and a no-op run of the same seed.
+Selected per-run (``Simulator(obs_enabled=False)``): every component
+still calls ``sim.obs.registry.counter(...).inc()`` unconditionally, but
+these allocate nothing and record nothing.  (Tracing needs no stand-in:
+a disabled :class:`~repro.obs.trace.Tracer` hands out span id 0, which
+every recording call ignores.)  Disabling observability never perturbs
+simulation behaviour — results are byte-identical between a traced and
+a no-op run of the same seed (the obs-equivalence regression tests).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from .metrics import Histogram, MetricsRegistry
 
-__all__ = ["NOOP_SPAN", "NoopSpan", "NoopTracer", "NoopInstrument",
-           "NoopMetricsRegistry"]
-
-
-class NoopSpan:
-    """A single shared span that swallows every lifecycle call.
-
-    ``tags`` and ``children`` are immutable shared sentinels; ``annotate``
-    and ``finish`` intentionally do not touch them.
-    """
-
-    __slots__ = ()
-
-    span_id = 0
-    name = "noop"
-    parent = None
-    children = ()
-    start_ms = 0.0
-    end_ms = 0.0
-    tags: Dict[str, object] = {}
-
-    def annotate(self, **tags) -> "NoopSpan":
-        return self
-
-    def finish(self, **tags) -> "NoopSpan":
-        return self
-
-    @property
-    def done(self) -> bool:
-        return True
-
-    @property
-    def duration_ms(self) -> float:
-        return 0.0
-
-    def walk(self) -> Iterator["NoopSpan"]:
-        return iter(())
-
-    def root(self) -> "NoopSpan":
-        return self
-
-    def to_dict(self) -> Dict:
-        return {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "Span(noop)"
+__all__ = ["NoopInstrument", "NoopMetricsRegistry"]
 
 
-#: The one shared no-op span.  Identity checks (``span is NOOP_SPAN``)
-#: let the real Tracer refuse to attach real children to no-op parents
-#: (used by span sampling).
-NOOP_SPAN = NoopSpan()
+class NoopInstrument(Histogram):
+    """Counter/Gauge/Histogram stand-in: every recording call is accepted
+    and dropped, so reads see an empty histogram whose ``value`` is 0
+    (handle tuning lands on the shared instance, harmlessly)."""
 
+    __slots__ = ("kind",)
 
-class NoopTracer:
-    """Tracer stand-in: every ``start_span`` returns :data:`NOOP_SPAN`."""
-
-    def __init__(self, now_fn=None, max_roots: int = 0):
-        self._now_fn = now_fn
-        self.max_roots = max_roots
-        self.roots: List = []
-        self.dropped_roots = 0
-        self.sample_every = 0
-
-    def start_span(self, name: str, parent=None, **tags) -> NoopSpan:
-        return NOOP_SPAN
-
-    def spans(self) -> Iterator:
-        return iter(())
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return "[]"
-
-
-class NoopInstrument:
-    """Counter/Gauge/Histogram stand-in accepting every recording call."""
-
-    __slots__ = ("kind", "max_samples")
-
-    name = "noop"
-    labels = ()
-    key = "noop"
     value = 0.0
-    count = 0
-    sum = 0.0
-    min = None
-    max = None
-    samples: tuple = ()
-    truncated = False
 
-    def __init__(self, kind: str = "noop"):
+    def __init__(self, kind: str):
+        super().__init__("noop", ())
         self.kind = kind
-        #: Writable: code that tunes retention (``hist.max_samples = N``)
-        #: must keep working against the shared no-op instance.
-        self.max_samples: Optional[int] = None
 
     def inc(self, amount: float = 1) -> None:
         pass
 
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def percentile(self, p: float) -> float:
-        return 0.0
-
-    def summary(self) -> Dict[str, float]:
-        return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0,
-                "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
+    dec = set = observe = inc
 
 
 _NOOP_COUNTER = NoopInstrument("counter")
@@ -137,13 +40,10 @@ _NOOP_GAUGE = NoopInstrument("gauge")
 _NOOP_HISTOGRAM = NoopInstrument("histogram")
 
 
-class NoopMetricsRegistry:
-    """Registry stand-in: hands out shared no-op instruments.
-
-    ``snapshot``/``to_json`` return empty-but-well-formed structures so
-    export paths keep working (and make it obvious the run recorded
-    nothing, rather than crashing).
-    """
+class NoopMetricsRegistry(MetricsRegistry):
+    """A registry that never registers anything: it hands out shared
+    no-op instruments, so every read and export path sees the
+    empty-but-well-formed state of a fresh :class:`MetricsRegistry`."""
 
     def counter(self, name: str, **labels) -> NoopInstrument:
         return _NOOP_COUNTER
@@ -153,24 +53,3 @@ class NoopMetricsRegistry:
 
     def histogram(self, name: str, **labels) -> NoopInstrument:
         return _NOOP_HISTOGRAM
-
-    def instruments(self, name=None, kind=None) -> List:
-        return []
-
-    def value(self, name: str, **labels) -> float:
-        return 0.0
-
-    def snapshot(self) -> Dict[str, Dict]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    @staticmethod
-    def diff(before: Dict[str, Dict], after: Dict[str, Dict]) -> Dict[str, Dict]:
-        from .metrics import MetricsRegistry
-        return MetricsRegistry.diff(before, after)
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        import json
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def render(self, prefix: Optional[str] = None) -> str:
-        return "(observability disabled)"

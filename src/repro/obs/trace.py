@@ -1,67 +1,47 @@
-"""Request tracing: spans with deterministic, seed-stable IDs.
+"""Request tracing: a column-ring span store with deterministic IDs.
 
-A :class:`Span` is a named interval of *simulated* time with tags and a
-parent; a :class:`Tracer` mints them.  Span IDs come from a plain
-monotonic counter — because the simulation itself is deterministic, the
-N-th span of two same-seed runs is the same span, so traces (and their
-rendered trees) are byte-identical across runs.  No wall-clock, no
-randomness.
+Recording (:meth:`Tracer.start` / :meth:`~Tracer.tag` /
+:meth:`~Tracer.finish`) writes into tracer-owned parallel columns —
+start, end, parent id, name, one flat tag tuple — used as a
+fixed-capacity ring, and call sites hold a plain **int span id**.  Id 0
+means "not recorded" (observability off, request sampled out, or tree
+evicted): a child of 0 is 0 and tagging or finishing 0 does nothing, so
+an untraced request costs a few int tests.  Recording creates nothing
+the cyclic garbage collector tracks: the columns hold floats, ints,
+constant strings and tuples of plain values (untracked on their first
+collection).  They are lists because an indexed store into an
+``array('d')`` parses its argument: ~40 ns against ~6 ns.
 
-The tracer takes a ``now_fn`` callable rather than a Simulator so that
-``repro.sim.core`` can import this module without a cycle.
+Reading (:attr:`Tracer.roots`, :meth:`Tracer.spans`,
+:meth:`Tracer.to_json` and the helpers below) builds :class:`Span`
+views — children lists, tag dicts, rounded and stringified values —
+from the columns on demand.
+
+Span ids are a monotonic counter and the simulation is deterministic,
+so same-seed traces are byte-identical.  The tracer takes a ``now_fn``
+rather than a Simulator so ``repro.sim.core`` can import this module.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Dict, Iterator, List, Optional
 
-from .noop import NOOP_SPAN
-
-__all__ = ["Span", "Tracer", "render_tree", "critical_path",
+__all__ = ["DETACHED", "Span", "Tracer", "render_tree", "critical_path",
            "containment_violations", "spans_named"]
+
+SPANS_PER_ROOT = 16  # ring slots per retained root (knob: ``max_roots``)
+#: Parent of a background root: a tree of its own that no client asked
+#: for by name (``txn.cleanup``, ``raft.snapshot``), exempt from sampling.
+DETACHED = -1
 
 
 class Span:
-    """One traced operation over an interval of sim time."""
+    """Read-only view of one recorded span, built at export time."""
 
     __slots__ = ("span_id", "name", "parent", "children",
                  "start_ms", "end_ms", "tags", "_now_fn")
-
-    def __init__(self, span_id: int, name: str, parent: Optional["Span"],
-                 start_ms: float, tags: Dict[str, object],
-                 now_fn: Callable[[], float]):
-        self.span_id = span_id
-        self.name = name
-        self.parent = parent
-        self.children: List["Span"] = []
-        self.start_ms = start_ms
-        self.end_ms: Optional[float] = None
-        self.tags = tags
-        self._now_fn = now_fn
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def annotate(self, **tags) -> "Span":
-        """Attach tags; later values win."""
-        self.tags.update(tags)
-        return self
-
-    def finish(self, **tags) -> "Span":
-        """End the span at the current sim time.  Idempotent: only the
-        first call sets the end; late finishes (e.g. an ack arriving
-        after the proposal resolved) are no-ops."""
-        if tags:
-            self.tags.update(tags)
-        if self.end_ms is None:
-            self.end_ms = max(self.start_ms, self._now_fn())
-        return self
-
-    # -- derived -----------------------------------------------------------
-
-    @property
-    def done(self) -> bool:
-        return self.end_ms is not None
 
     @property
     def duration_ms(self) -> float:
@@ -97,54 +77,172 @@ class Span:
                 f"[{self.start_ms:.2f}→{self.end_ms}])")
 
 
+def _export_value(value):
+    """Tags are stored raw: round durations, stringify objects, here."""
+    if isinstance(value, float):
+        return round(value, 3)
+    if value is None or isinstance(value, (int, str)):
+        return value
+    return str(value)
+
+
 class Tracer:
-    """Mints spans; retains root spans for later rendering.
+    """Records spans into a ring of columns; builds views on demand.
 
-    ``max_roots`` bounds memory in long experiments: once exceeded the
-    oldest root (and its whole tree) is dropped, deterministically, and
-    ``dropped_roots`` counts how many went missing.
+    Names and tag keys are string literals at the call site; tags are
+    one flat ``(key, value, ...)`` tuple, extended by :meth:`tag`.
 
-    ``sample_every`` is the span-sampling knob: keep 1 of every N root
-    spans (1 = keep everything).  A sampled-out root is the shared
-    :data:`~repro.obs.noop.NOOP_SPAN`; children asked for under a no-op
-    parent are no-ops too, so an unsampled request tree costs no
-    allocation at all.  Sampling decisions depend only on the root
-    counter, so they are deterministic per seed.
+    ``max_roots`` bounds memory: at most that many trees are retained,
+    in a ring of ``max_roots * SPANS_PER_ROOT`` slots.  At either limit
+    the oldest *whole* trees are dropped (``dropped_roots`` counts
+    them) and their ids behave like 0.  ``max_roots=0`` is the disabled
+    tracer: no ring, every start returns 0.
+
+    ``sample_every`` keeps 1 of every N *requests*: only client-entry
+    roots (``parent=None``: ``sql.stmt``, an explicit ``txn``, a KV call
+    with no trace context) advance the counter.  Whatever a request
+    causes — :data:`DETACHED` background roots like ``txn.cleanup``
+    included — is only started when the request's own id is nonzero, and
+    so follows its decision.
     """
 
     def __init__(self, now_fn: Callable[[], float], max_roots: int = 4096,
                  sample_every: int = 1):
         self._now_fn = now_fn
-        self._next_span_id = 1
         self.max_roots = max_roots
         self.sample_every = max(1, int(sample_every))
-        self.roots: List[Span] = []
         self.dropped_roots = 0
         self.sampled_out_roots = 0
-        self._roots_seen = 0
+        self._requests_seen = 0
+        #: Ring capacity, fixed.  The columns double as the ring first
+        #: fills: a run pays for the spans it records, not the capacity.
+        self._cap = max_roots * SPANS_PER_ROOT
+        self._start: List[float] = []
+        self._end: List[Optional[float]] = []  # None until finished
+        self._parent: List[int] = []
+        self._name: List[str] = []
+        self._tags: List[Optional[tuple]] = []  # flat (key, value, ...)
+        self._next = 1
+        #: Eviction watermark: ids below it are gone.  It only ever
+        #: moves to a root's id (or past everything), so trees go whole.
+        self._low = 1
+        #: Highest id :meth:`start` can record before :meth:`_make_room`.
+        self._limit = 0
+        self._root_ids: deque = deque()
+        self._views: Dict[int, Span] = {}
 
-    def start_span(self, name: str, parent: Optional[Span] = None,
-                   **tags) -> Span:
-        if parent is not None:
-            if parent is NOOP_SPAN:
-                return NOOP_SPAN
-            span = Span(self._next_span_id, name, parent, self._now_fn(),
-                        dict(tags), self._now_fn)
-            self._next_span_id += 1
-            parent.children.append(span)
-            return span
-        self._roots_seen += 1
-        if self.sample_every > 1 and (self._roots_seen - 1) % self.sample_every:
-            self.sampled_out_roots += 1
-            return NOOP_SPAN
-        span = Span(self._next_span_id, name, None, self._now_fn(),
-                    dict(tags), self._now_fn)
-        self._next_span_id += 1
-        self.roots.append(span)
-        while len(self.roots) > self.max_roots:
-            del self.roots[0]
-            self.dropped_roots += 1
-        return span
+    # -- recording ---------------------------------------------------------
+
+    def start(self, name: str, parent: Optional[int] = None,
+              tags: Optional[tuple] = None) -> int:
+        """Start a child of ``parent`` (0 in, 0 out), a client-entry root
+        (None: counted by sampling) or a :data:`DETACHED` root."""
+        sid = self._next
+        if parent is None or parent < 0:
+            if not self._cap:
+                return 0
+            if parent is None:
+                self._requests_seen += 1
+                if (self._requests_seen - 1) % self.sample_every:
+                    self.sampled_out_roots += 1
+                    return 0
+            parent = 0
+            root_ids = self._root_ids
+            root_ids.append(sid)
+            if len(root_ids) > self.max_roots:
+                root_ids.popleft()
+                self.dropped_roots += 1
+                self._low = root_ids[0]
+        elif parent < self._low:
+            return 0
+        if sid > self._limit:
+            self._make_room()
+        slot = sid % self._cap
+        self._parent[slot] = parent
+        self._name[slot] = name
+        self._start[slot] = self._now_fn()
+        self._end[slot] = None
+        self._tags[slot] = tags
+        self._next = sid + 1
+        return sid
+
+    def _make_room(self) -> None:
+        """Slow path of :meth:`start`: back more of the ring, or once it
+        is full drop the oldest whole trees to free the next slots."""
+        cap, size = self._cap, len(self._start)
+        if size < cap:
+            add = min(max(size, 1024), cap - size)
+            for column in (self._start, self._end, self._parent, self._name,
+                           self._tags):
+                column.extend([None] * add)
+            self._limit = size + add - 1
+            if size + add < cap:
+                return
+        occupant = self._next - cap
+        if occupant >= self._low:
+            root_ids = self._root_ids
+            while root_ids and root_ids[0] <= occupant:
+                root_ids.popleft()
+                self.dropped_roots += 1
+            self._low = root_ids[0] if root_ids else self._next
+        self._limit = self._low + cap - 1
+
+    def tag(self, span: int, key: str, value) -> None:
+        """Attach a tag; later values win.  No-op on 0 or an evicted id."""
+        if span >= self._low:
+            slot = span % self._cap
+            old = self._tags[slot]
+            self._tags[slot] = ((key, value) if old is None
+                                else old + (key, value))
+
+    def finish(self, span: int, key: Optional[str] = None,
+               value=None) -> None:
+        """End the span now, optionally attaching one tag.  Idempotent:
+        only the first call sets the end, a late one only tags.  No-op on
+        0 or an evicted id."""
+        if span >= self._low:
+            slot = span % self._cap
+            if key is not None:
+                old = self._tags[slot]
+                self._tags[slot] = ((key, value) if old is None
+                                    else old + (key, value))
+            if self._end[slot] is None:
+                self._end[slot] = self._now_fn()
+
+    # -- export-time views -------------------------------------------------
+
+    @property
+    def roots(self) -> List[Span]:
+        """Retained root spans as :class:`Span` trees, oldest first:
+        rebuilt from the columns on every access, each span keeping the
+        same view object (``roots`` and ``spans()`` agree by identity)."""
+        old_views = self._views
+        views: Dict[int, Span] = {}
+        out: List[Span] = []
+        for sid in range(self._low, self._next):
+            slot = sid % self._cap
+            parent_id = self._parent[slot]
+            parent = views.get(parent_id)
+            if parent_id and parent is None:
+                continue  # a straggler of a tree whose root was dropped
+            span = old_views.get(sid) or Span()
+            views[sid] = span
+            span.span_id = sid
+            span.name = self._name[slot]
+            span.parent = parent
+            span.children = []
+            span.start_ms = self._start[slot]
+            span.end_ms = self._end[slot]
+            span._now_fn = self._now_fn
+            stored = self._tags[slot] or ()
+            span.tags = {stored[i]: _export_value(stored[i + 1])
+                         for i in range(0, len(stored), 2)}
+            if parent is None:
+                out.append(span)
+            else:
+                parent.children.append(span)
+        self._views = views
+        return out
 
     def spans(self) -> Iterator[Span]:
         """Every retained span, all trees, creation order within a tree."""
@@ -203,13 +301,6 @@ def critical_path(root: Span) -> List[Span]:
     return path
 
 
-def _format_tags(span: Span) -> str:
-    if not span.tags:
-        return ""
-    inner = " ".join(f"{k}={span.tags[k]}" for k in sorted(span.tags))
-    return f"  {{{inner}}}"
-
-
 def render_tree(root: Span) -> str:
     """ASCII tree of one span and its descendants with sim-time windows."""
     lines: List[str] = []
@@ -217,10 +308,11 @@ def render_tree(root: Span) -> str:
     def emit(span: Span, depth: int) -> None:
         indent = "  " * depth
         end = f"{span.end_ms:.2f}" if span.end_ms is not None else "…"
+        tags = " ".join(f"{k}={v}" for k, v in sorted(span.tags.items()))
         lines.append(
             f"{indent}{span.name} #{span.span_id} "
             f"[{span.start_ms:.2f} → {end} ms] "
-            f"({span.duration_ms:.2f} ms){_format_tags(span)}")
+            f"({span.duration_ms:.2f} ms)" + (f"  {{{tags}}}" if tags else ""))
         for child in span.children:
             emit(child, depth + 1)
 

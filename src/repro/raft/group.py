@@ -148,19 +148,23 @@ class RaftGroup:
         self.peers: Dict[int, PeerState] = {}
         self.commit_index = 0
         self._next_index = 1
-        #: index -> (future, acks set)
+        #: index -> [future, acks, entry, {peer: raft.append span id},
+        #: raft.propose span id, proposed-at ms (None: not instrumented)]
         self._inflight: Dict[int, Any] = {}
         self.proposals_committed = 0
         #: The entry at the current commit index (leader completeness).
         self._last_committed: Optional[Entry] = None
         #: One-at-a-time membership-change enforcement.
         self.config_guard = ConfigChangeGuard(range_id)
-        #: Per-range instrument handles, resolved lazily on first use so
-        #: the set of registered instruments matches lazy registration.
+        #: Per-range instrument handles, resolved lazily on first use:
+        #: binding them here would cost six registry lookups per range
+        #: at cluster build and export a zero row for every idle range.
         self._c_proposals = None
         self._c_rejected = None
         self._h_commit_ms = None
         self._c_commits = None
+        self._obs_on = sim.obs.enabled
+        self._tracer = sim.obs.tracer
 
     # -- membership --------------------------------------------------------
 
@@ -353,10 +357,9 @@ class RaftGroup:
                     and candidate.log[index - 1] is record[2]):
                 continue
             self._inflight.pop(index)
-            if not record[0].done:
-                record[0].reject(RangeUnavailableError(
-                    f"r{self.range_id}: proposal {index} lost in "
-                    f"failover to node {candidate.node.node_id}"))
+            self._settle(record, RangeUnavailableError(
+                f"r{self.range_id}: proposal {index} lost in "
+                f"failover to node {candidate.node.node_id}"))
         self._next_index = candidate.last_index + 1
         candidate.known_commit_index = max(candidate.known_commit_index,
                                            self.commit_index)
@@ -365,7 +368,8 @@ class RaftGroup:
         # copy as an ack and re-replicate to everyone else.
         for entry in candidate.log[self.commit_index:]:
             if entry.index not in self._inflight:
-                self._inflight[entry.index] = [Future(self.sim), {}, entry, {}]
+                self._inflight[entry.index] = [Future(self.sim), {}, entry,
+                                               None, 0, None]
             self.sim.call_after(self.DISK_APPEND_MS, self._on_ack,
                                 entry.index, candidate.node.node_id,
                                 entry.term)
@@ -498,7 +502,6 @@ class RaftGroup:
         stage → quorum ack → commit, with one ``raft.append`` child per
         follower stream.
         """
-        obs = self.sim.obs
         leader = self.leader
         if self.network.node_is_dead(leader.node.node_id):
             fut = Future(self.sim)
@@ -508,46 +511,26 @@ class RaftGroup:
                       command=command, closed_ts=closed_ts)
         self._next_index += 1
         fut = Future(self.sim)
-        #: index -> [future, acks, entry, per-peer append spans]
-        append_spans: Dict[int, Any] = {}
-        self._inflight[entry.index] = [fut, {leader.node.node_id: False},
-                                       entry, append_spans]
-        obs_on = obs.enabled
-        if obs_on:
-            # The whole span/metrics block is skipped with observability
-            # off: every call below would be a no-op anyway, and the
-            # proposal path is hot enough for the calls themselves to
-            # show up in profiles.
-            proposed_at = self.sim.now
+        record = [fut, {leader.node.node_id: False}, entry, None, 0, None]
+        self._inflight[entry.index] = record
+        prop_span = 0
+        if self._obs_on:
+            # Skipped when off: no-op calls show up on this hot path.
+            # ``span`` 0 is an untraced request; None (no trace context)
+            # makes the proposal a root of its own.
             if self._c_proposals is None:
-                self._c_proposals = obs.registry.counter(
+                self._c_proposals = self.sim.obs.registry.counter(
                     "raft.proposals", range=self.range_id)
             self._c_proposals.inc()
-            prop_span = obs.tracer.start_span(
-                "raft.propose", parent=span, range=self.range_id,
-                index=entry.index, term=entry.term)
-
-            def close_spans(done: Future) -> None:
-                # Append spans for acks that never arrived (or arrive
-                # after the proposal resolved) end with the proposal, so
-                # every child stays inside the raft.propose window.
-                for peer_id, append_span in sorted(append_spans.items()):
-                    append_span.finish(acked=False)
-                append_spans.clear()
-                error = done.error
-                if error is not None:
-                    prop_span.annotate(error=type(error).__name__)
-                    if self._c_rejected is None:
-                        self._c_rejected = obs.registry.counter(
-                            "raft.proposals_rejected", range=self.range_id)
-                    self._c_rejected.inc()
-                else:
-                    if self._h_commit_ms is None:
-                        self._h_commit_ms = obs.registry.histogram(
-                            "raft.commit_ms", range=self.range_id)
-                    self._h_commit_ms.observe(self.sim.now - proposed_at)
-                prop_span.finish()
-            fut.add_callback(close_spans)
+            record[5] = self.sim.now
+            if span != 0:
+                tracer = self._tracer
+                prop_span = record[4] = tracer.start(
+                    "raft.propose", span,
+                    ("range", self.range_id, "index", entry.index,
+                     "term", entry.term))
+                if prop_span:
+                    append_spans = record[3] = {}
 
         if self.proposal_timeout_ms is not None:
             self.sim.call_after(self.proposal_timeout_ms,
@@ -571,11 +554,44 @@ class RaftGroup:
         for peer in self.peers.values():
             if peer.node.node_id == leader.node.node_id:
                 continue
-            if obs_on:
-                append_spans[peer.node.node_id] = obs.tracer.start_span(
-                    "raft.append", parent=prop_span, peer=peer.node.node_id)
+            if prop_span:
+                peer_id = peer.node.node_id
+                append_spans[peer_id] = tracer.start(
+                    "raft.append", prop_span, ("peer", peer_id))
             self._send_append(leader, peer, entry)
         return fut
+
+    def _settle(self, record, error: Optional[BaseException] = None) -> None:
+        """Resolve a proposal's future with its entry, or reject it —
+        closing its spans and recording its metrics first."""
+        fut = record[0]
+        if fut.done:
+            return
+        if record[5] is not None:
+            tracer = self._tracer
+            if record[3]:
+                # Streams whose ack never arrived (or arrives after the
+                # proposal resolved) end with the proposal, so every
+                # child stays inside the raft.propose window.
+                for append_span in record[3].values():
+                    tracer.finish(append_span, "acked", False)
+                record[3].clear()
+            if error is not None:
+                tracer.tag(record[4], "error", type(error).__name__)
+                if self._c_rejected is None:
+                    self._c_rejected = self.sim.obs.registry.counter(
+                        "raft.proposals_rejected", range=self.range_id)
+                self._c_rejected.inc()
+            else:
+                if self._h_commit_ms is None:
+                    self._h_commit_ms = self.sim.obs.registry.histogram(
+                        "raft.commit_ms", range=self.range_id)
+                self._h_commit_ms.observe(self.sim.now - record[5])
+            tracer.finish(record[4])
+        if error is None:
+            fut.resolve(record[2])
+        else:
+            fut.reject(error)
 
     def _maybe_timeout(self, index: int) -> None:
         # Reject the waiting client but keep the ack tracking: the entry
@@ -583,8 +599,8 @@ class RaftGroup:
         # retransmission) must be able to commit it — otherwise every
         # later entry stalls behind the gap forever.
         inflight = self._inflight.get(index)
-        if inflight is not None and not inflight[0].done:
-            inflight[0].reject(RangeUnavailableError(
+        if inflight is not None:
+            self._settle(inflight, RangeUnavailableError(
                 f"r{self.range_id}: proposal {index} timed out (no quorum)"))
 
     # -- message coalescing --------------------------------------------------
@@ -751,10 +767,10 @@ class RaftGroup:
                 return
         acks = inflight[1]
         acks[from_node_id] = True
-        if len(inflight) > 3:
-            append_span = inflight[3].pop(from_node_id, None)
-            if append_span is not None:
-                append_span.finish(acked=True)
+        if inflight[3]:
+            append_span = inflight[3].pop(from_node_id, 0)
+            if append_span:
+                self._tracer.finish(append_span, "acked", True)
         if (self._live_quorum_acks(index, acks) >= self.quorum_size()
                 and index == self.commit_index + 1):
             self._advance_commit(index)
@@ -800,14 +816,13 @@ class RaftGroup:
             leader.known_commit_index = index
             self._apply_ready(leader)
             inflight = self._inflight.pop(index, None)
-            if inflight is not None and not inflight[0].done:
-                entry = leader.log[index - 1]
-                if inflight[2] is entry:
-                    inflight[0].resolve(entry)
+            if inflight is not None:
+                if inflight[2] is leader.log[index - 1]:
+                    self._settle(inflight)
                 else:
                     # A divergent branch's entry won this index; the
                     # original proposal was lost in a failover.
-                    inflight[0].reject(RangeUnavailableError(
+                    self._settle(inflight, RangeUnavailableError(
                         f"r{self.range_id}: proposal {index} superseded "
                         f"after failover"))
             # Broadcast the new commit index (enables follower application).

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from ..obs import Observability
@@ -282,7 +283,9 @@ class Simulator:
         #: Shared observability spine: every component that holds a
         #: ``sim`` reference records metrics and spans here.
         #: ``obs_enabled=False`` swaps in the no-op registry/tracer.
-        self.obs = Observability(lambda: self._now, enabled=obs_enabled,
+        #: The clock reads ``_now`` without a Python frame per span.
+        self.obs = Observability(partial(getattr, self, "_now"),
+                                 enabled=obs_enabled,
                                  trace_sample_every=trace_sample_every)
 
     @property

@@ -371,6 +371,7 @@ class Network:
         #: counter/histogram calls on it instead of calling into the
         #: no-op registry tens of thousands of times per run.
         self._obs_on = sim.obs.enabled
+        self._tag = sim.obs.tracer.tag
         self._c_sent = registry.counter("net.messages_sent")
         self._c_dropped = registry.counter("net.messages_dropped")
         self.bytes_by_region_pair: Dict[Tuple[str, str], int] = {}
@@ -401,14 +402,6 @@ class Network:
     def _drop(self, reason: str) -> None:
         self._c_dropped.inc()
         self.sim.obs.registry.counter("net.drops", reason=reason).inc()
-
-    def _record_hop(self, src, dst, latency_ms: float) -> None:
-        """Per-hop latency attribution: one histogram per region link."""
-        entry = self._hop_cache.get((src.node_id, dst.node_id))
-        if entry is None:
-            entry = self._make_hop_entry(src, dst)
-        if entry[1] is not None:
-            entry[1].observe(latency_ms)
 
     def _make_hop_entry(self, src, dst) -> tuple:
         """Build and cache the static per-link state consulted on every
@@ -461,12 +454,6 @@ class Network:
             entry[1].observe(delay)
         return delay
 
-    def _hop_delay(self, src, dst) -> float:
-        entry = self._hop_cache.get((src.node_id, dst.node_id))
-        if entry is None:
-            entry = self._make_hop_entry(src, dst)
-        return self._entry_delay(entry, src, dst)
-
     # -- failure injection ------------------------------------------------
 
     def partition_region(self, region: str) -> None:
@@ -518,7 +505,7 @@ class Network:
         return base * self.faults.latency_factor(src, dst)
 
     def call(self, src, dst, handler: Callable[[], Generator],
-             payload_size: int = 1, span=None) -> Future:
+             payload_size: int = 1, span: int = 0) -> Future:
         """RPC from node ``src`` to node ``dst``.
 
         ``handler`` is a zero-argument callable returning a generator; it
@@ -527,9 +514,9 @@ class Network:
         return value after the reply propagates back, or rejects if the
         handler raises or the destination is unreachable.
 
-        ``span``, when given, gets per-hop latency attribution tags
-        (``req_ms`` / ``reply_ms``) so a trace shows how much of an RPC
-        was wire time versus handler time.
+        ``span``, when a nonzero span id, gets per-hop latency
+        attribution tags (``req_ms`` / ``reply_ms``) so a trace shows how
+        much of an RPC was wire time versus handler time.
         """
         fut = Future(self.sim)
         faults = self.faults
@@ -538,8 +525,7 @@ class Network:
             # clean plane they could only return "deliver normally".
             if faults.blocked(src, dst):
                 self._drop("unreachable")
-                if span is not None:
-                    span.annotate(net="unreachable")
+                self._tag(span, "net", "unreachable")
                 self.sim._call_soon(
                     fut.reject,
                     NetworkUnavailableError(f"node {dst.node_id} unreachable from {src.node_id}"))
@@ -547,14 +533,13 @@ class Network:
             if faults.should_drop(src, dst):
                 # Request lost in flight: the caller only learns via timeout.
                 self._drop("request_loss")
-                if span is not None:
-                    span.annotate(net="request_lost")
+                self._tag(span, "net", "request_lost")
                 self.sim.call_after(self.LOSS_TIMEOUT_MS, self._reject_if_pending,
                                     fut, RpcTimeoutError(
                                         f"request to node {dst.node_id} lost"))
                 return fut
         if self._obs_on:
-            self._c_sent.inc()
+            self._c_sent.value += 1  # inc(), minus a frame per message
         entry = self._hop_cache.get((src.node_id, dst.node_id))
         if entry is None:
             entry = self._make_hop_entry(src, dst)
@@ -562,8 +547,8 @@ class Network:
         self.bytes_by_region_pair[pair] = (
             self.bytes_by_region_pair.get(pair, 0) + payload_size)
         request_delay = self._entry_delay(entry, src, dst)
-        if span is not None and self._obs_on:
-            span.annotate(req_ms=round(request_delay, 3))
+        if span:
+            self._tag(span, "req_ms", request_delay)
         self._schedule(request_delay, self._deliver_request,
                        src, dst, handler, fut, span, entry[3])
         return fut
@@ -601,13 +586,13 @@ class Network:
                     RpcTimeoutError(f"reply from node {dst.node_id} lost"))
                 return
         if self._obs_on:
-            self._c_sent.inc()
+            self._c_sent.value += 1  # inc(), minus a frame per message
         entry = self._hop_cache.get((dst.node_id, src.node_id))
         if entry is None:
             entry = self._make_hop_entry(dst, src)
         reply_delay = self._entry_delay(entry, dst, src)
-        if span is not None and self._obs_on:
-            span.annotate(reply_ms=round(reply_delay, 3))
+        if span:
+            self._tag(span, "reply_ms", reply_delay)
         error = process.error
         if error is not None:
             self._schedule(reply_delay, fut, None, error)
@@ -637,7 +622,7 @@ class Network:
             self._drop("send_blocked")
             return
         if self._obs_on:
-            self._c_sent.inc()
+            self._c_sent.value += 1  # inc(), minus a frame per message
         entry = self._hop_cache.get((src.node_id, dst.node_id))
         if entry is None:
             entry = self._make_hop_entry(src, dst)

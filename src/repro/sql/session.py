@@ -231,9 +231,10 @@ class Session:
         #: Statements executed, split by class (Table 2 accounting).
         self.ddl_statement_count = 0
         self.dml_statement_count = 0
-        #: Per-statement-kind counter handles (one registry lookup per
-        #: kind per session instead of one per statement).
-        self._stmt_counters = {}
+        #: Statement class -> (``sql.statements`` counter, ``sql.stmt``
+        #: span tags): resolved once per kind per session.
+        self._stmt_obs = {}
+        self._tracer = engine.cluster.sim.obs.tracer
         #: Open explicit transaction (BEGIN ... COMMIT), if any.
         self._open_txn = None
         #: Statement timeout: each auto-commit statement gets an
@@ -324,13 +325,15 @@ class Session:
             result = yield from self._explicit_txn_stmt(stmt)
             return result
         self.dml_statement_count += 1
-        obs = self.engine.cluster.sim.obs
-        kind = type(stmt).__name__.lower()
-        counter = self._stmt_counters.get(kind)
-        if counter is None:
-            counter = self._stmt_counters[kind] = obs.registry.counter(
+        stmt_obs = self._stmt_obs.get(type(stmt))
+        if stmt_obs is None:
+            kind = type(stmt).__name__.lower()
+            counter = self.engine.cluster.sim.obs.registry.counter(
                 "sql.statements", kind=kind, region=self.region)
-        counter.inc()
+            stmt_obs = self._stmt_obs[type(stmt)] = (
+                counter, ("kind", kind, "region", self.region))
+        stmt_obs[0].inc()
+        tracer = self._tracer
         # Gateway admission: every statement waits for (or is shed by)
         # its tenant/region admission queue before touching the cluster.
         admission = self.engine.cluster.admission
@@ -346,13 +349,13 @@ class Session:
             if self._open_txn is not None:
                 raise SchemaError(
                     "AS OF SYSTEM TIME not allowed inside a transaction")
-            stmt_span = obs.tracer.start_span(
-                "sql.stmt", kind="select", region=self.region,
-                stale=stmt.as_of.kind)
+            stmt_span = tracer.start(
+                "sql.stmt", None,
+                stmt_obs[1] + ("stale", stmt.as_of.kind))
             try:
                 result = yield from self._stale_select(stmt, stmt_span)
             finally:
-                stmt_span.finish()
+                tracer.finish(stmt_span)
             return result
 
         if self._open_txn is not None:
@@ -366,7 +369,7 @@ class Session:
             except Exception:
                 txn, self._open_txn = self._open_txn, None
                 yield from txn.rollback()
-                txn.span.finish(status=txn.status)
+                tracer.finish(txn.span, "status", txn.status)
                 raise
             return result
 
@@ -374,17 +377,12 @@ class Session:
             result = yield from handle.execute_stmt(stmt)
             return result
 
-        if obs.enabled:
-            stmt_span = obs.tracer.start_span(
-                "sql.stmt", kind=kind, region=self.region)
-        else:
-            stmt_span = None
+        stmt_span = tracer.start("sql.stmt", None, stmt_obs[1])
         try:
             result = yield from self.run_txn_co(body, parent_span=stmt_span,
                                                 deadline_ms=deadline_ms)
         finally:
-            if stmt_span is not None:
-                stmt_span.finish()
+            tracer.finish(stmt_span)
         return result
 
     def _explicit_txn_stmt(self, stmt: Any) -> Generator:
@@ -409,7 +407,7 @@ class Session:
             yield from txn.rollback()
             return None
         finally:
-            txn.span.finish(status=txn.status)
+            self._tracer.finish(txn.span, "status", txn.status)
 
     # -- DDL and other instantaneous statements ---------------------------------------------
 

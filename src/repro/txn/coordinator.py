@@ -109,6 +109,7 @@ class TransactionCoordinator:
         self.distsender = distsender or DistSender(cluster)
         self.spanner_style_commit_wait = spanner_style_commit_wait
         self.stats = TxnStats(cluster.sim.obs.registry)
+        self.tracer = cluster.sim.obs.tracer
         #: The transaction backend; defaults to the cluster's configured
         #: protocol (``Cluster(txn_protocol=...)``), else CRDB.
         if protocol is None:
@@ -178,6 +179,7 @@ class TransactionCoordinator:
         ``RetryBudgetExhaustedError`` once it is spent.
         """
         last_error: Optional[Exception] = None
+        tracer = self.tracer
         admission = getattr(self.cluster, "admission", None)
         budget = (admission.retry_budget(tenant or label or "default")
                   if admission is not None else None)
@@ -199,13 +201,14 @@ class TransactionCoordinator:
                 self.stats.committed += 1
                 if budget is not None:
                     budget.on_success()
-                txn.span.finish(status=txn.status)
+                tracer.finish(txn.span, "status", txn.status)
                 return result, commit_ts
             except AmbiguousCommitError:
                 # The commit may have applied: retrying could double-
                 # apply, rolling back could overwrite a committed
                 # record.  Surface as-is.
-                txn.span.finish(status=txn.status, ambiguous=True)
+                tracer.tag(txn.span, "ambiguous", True)
+                tracer.finish(txn.span, "status", txn.status)
                 raise
             except (TransactionRetryError, TransactionAbortedError,
                     NetworkUnavailableError) as err:
@@ -219,8 +222,9 @@ class TransactionCoordinator:
                 elif txn.abort_reason is None:
                     txn.abort_reason = "retry"
                 yield from self._rollback_best_effort(txn)
-                txn.span.finish(status=txn.status, retried=True,
-                                error=type(err).__name__)
+                tracer.tag(txn.span, "retried", True)
+                tracer.tag(txn.span, "error", type(err).__name__)
+                tracer.finish(txn.span, "status", txn.status)
                 if isinstance(err, NetworkUnavailableError):
                     delay = network_backoff.next_delay()
                 else:
@@ -240,8 +244,8 @@ class TransactionCoordinator:
                 if txn.abort_reason is None:
                     txn.abort_reason = "fatal"
                 yield from self._rollback_best_effort(txn)
-                txn.span.finish(status=txn.status,
-                                error=type(err).__name__)
+                tracer.tag(txn.span, "error", type(err).__name__)
+                tracer.finish(txn.span, "status", txn.status)
                 raise
         raise TransactionRetryError(
             f"transaction gave up after {max_attempts} attempts: {last_error}")

@@ -39,7 +39,7 @@ from ..sim.network import NetworkUnavailableError
 from ..kv.commands import TxnStatus
 from ..kv.distsender import DistSender, ReadRouting
 from ..kv.range import Range
-from ..obs import NOOP_SPAN
+from ..obs import DETACHED
 from ..sim.clock import Timestamp
 from ..sim.core import all_of, settle_all
 from .protocol import TxnProtocol
@@ -54,11 +54,11 @@ class Transaction:
         self.coordinator = coordinator
         self.gateway = gateway
         self.txn_id = txn_id
-        #: Root (or SQL-statement-child) span covering the whole attempt.
-        obs = coordinator.sim.obs
-        self.span = (obs.tracer.start_span(
-            "txn", parent=parent_span, txn_id=txn_id,
-            gateway=gateway.node_id) if obs.enabled else NOOP_SPAN)
+        #: Id of the root (or SQL-statement-child) span covering the
+        #: whole attempt; 0 when the request is not traced.
+        self.span = coordinator.tracer.start(
+            "txn", parent_span,
+            ("txn_id", txn_id, "gateway", gateway.node_id))
         start = gateway.clock.now()
         self.read_ts: Timestamp = start
         self.write_ts: Timestamp = start
@@ -304,10 +304,10 @@ class Transaction:
         """
         if self.status != TxnStatus.PENDING:
             raise TransactionAbortedError(f"txn {self.txn_id} not pending")
-        obs = self.coordinator.sim.obs
-        commit_span = (obs.tracer.start_span(
-            "txn.commit", parent=self.span, txn_id=self.txn_id,
-            writes=len(self.write_set)) if obs.enabled else NOOP_SPAN)
+        tracer = self.coordinator.tracer
+        commit_span = self.span and tracer.start(
+            "txn.commit", self.span,
+            ("txn_id", self.txn_id, "writes", len(self.write_set)))
         try:
             if not self.write_set:
                 self.status = TxnStatus.COMMITTED
@@ -345,7 +345,7 @@ class Transaction:
                         # ABORTED record over a possibly-committed one.
                         self.status = TxnStatus.ABORTED
                         self.coordinator.stats.ambiguous_commits += 1
-                        commit_span.annotate(ambiguous=True)
+                        tracer.tag(commit_span, "ambiguous", True)
                         self._record_outcome("indeterminate")
                         raise AmbiguousCommitError(self.txn_id, commit_ts)
 
@@ -371,7 +371,7 @@ class Transaction:
             self._record_outcome("commit")
             return commit_ts
         finally:
-            commit_span.finish(status=self.status)
+            tracer.finish(commit_span, "status", self.status)
 
     def _record_outcome(self, outcome: str) -> None:
         """History-recorder notification at the client-acknowledgement
@@ -404,21 +404,20 @@ class Transaction:
         spans = list(self.write_set.values())
         if not spans:
             return
-        # A root span of its own: cleanup outlives the transaction span
-        # (CRDB resolves intents asynchronously after the client ack).
-        obs = self.coordinator.sim.obs
-        if obs.enabled:
-            cleanup_span = obs.tracer.start_span(
-                "txn.cleanup", txn_id=self.txn_id, intents=len(spans))
-            fut = self._ds.resolve_intents(self.gateway, spans, self.txn_id,
-                                           commit_ts, span=cleanup_span)
-            # Intent resolution runs in the background; swallow benign
-            # races.
-            fut.add_callback(lambda f: cleanup_span.finish(
-                error=None if f.error is None else type(f.error).__name__))
-        else:
-            self._ds.resolve_intents(self.gateway, spans, self.txn_id,
-                                     commit_ts, span=NOOP_SPAN)
+        # A background root of its own, traced iff the transaction is:
+        # cleanup outlives the transaction span (CRDB resolves intents
+        # asynchronously after the client ack).
+        tracer = self.coordinator.tracer
+        cleanup_span = self.span and tracer.start(
+            "txn.cleanup", DETACHED,
+            ("txn_id", self.txn_id, "intents", len(spans)))
+        # Nobody waits on the future: benign races are swallowed.
+        fut = self._ds.resolve_intents(self.gateway, spans, self.txn_id,
+                                       commit_ts, span=cleanup_span)
+        if cleanup_span:
+            fut.add_callback(lambda f: tracer.finish(
+                cleanup_span, "error",
+                None if f.error is None else type(f.error).__name__))
 
     def _commit_wait_if_needed(self, target: Optional[Timestamp],
                                parent_span=None) -> Generator:
@@ -427,17 +426,18 @@ class Transaction:
         clock = self.gateway.clock
         if target.physical <= clock.physical_now():
             return
-        obs = self.coordinator.sim.obs
-        wait_span = obs.tracer.start_span(
-            "txn.commit_wait", parent=parent_span, txn_id=self.txn_id,
-            target=str(target))
-        stats = self.coordinator.stats
+        coordinator = self.coordinator
+        wait_span = coordinator.tracer.start(
+            "txn.commit_wait", parent_span,
+            ("txn_id", self.txn_id, "target", target))
+        stats = coordinator.stats
         stats.commit_waits += 1
         waited = yield clock.wait_until(target)
         waited = waited or 0.0
         stats.commit_wait_ms_total += waited
-        obs.registry.histogram("txn.commit_wait_ms").observe(waited)
-        wait_span.finish(waited_ms=round(waited, 3))
+        coordinator.sim.obs.registry.histogram(
+            "txn.commit_wait_ms").observe(waited)
+        coordinator.tracer.finish(wait_span, "waited_ms", waited)
 
     def rollback(self) -> Generator:
         """Abort: mark the record aborted and clean up intents."""

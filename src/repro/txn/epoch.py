@@ -56,7 +56,7 @@ from ..errors import (
 from ..sim.network import NetworkUnavailableError
 from ..kv.commands import TxnStatus
 from ..kv.distsender import ReadRouting
-from ..obs import NOOP_SPAN
+from ..obs import DETACHED
 from ..sim.clock import TS_MAX, TS_ZERO, Timestamp
 from ..sim.core import Future, all_of, settle_all
 from .protocol import TxnProtocol
@@ -196,8 +196,12 @@ class EpochService:
                                           anchor[1]).leaseholder_node
             if leaseholder is not None:
                 origin = leaseholder
+            # The ordering RPC belongs to the whole batch: a detached
+            # root, traced when any transaction in the batch is.
+            traced = any(txn.span for txn, _ack in batch)
             try:
-                yield self.ds.epoch_order(origin, anchor[0], epoch, txn_ids)
+                yield self.ds.epoch_order(origin, anchor[0], epoch, txn_ids,
+                                          span=DETACHED if traced else 0)
             except _EPOCH_RETRYABLE as err:
                 for txn, ack in batch:
                     txn.abort_reason = "retry"
@@ -423,11 +427,9 @@ class EpochTransaction:
         self.gateway = gateway
         self.txn_id = txn_id
         self.service = service
-        obs = coordinator.sim.obs
-        self.span = (obs.tracer.start_span(
-            "txn", parent=parent_span, txn_id=txn_id,
-            gateway=gateway.node_id, protocol="epoch-occ")
-            if obs.enabled else NOOP_SPAN)
+        self.span = coordinator.tracer.start(
+            "txn", parent_span, ("txn_id", txn_id, "gateway",
+                                 gateway.node_id, "protocol", "epoch-occ"))
         self.read_ts: Timestamp = gateway.clock.now()
         #: Read set for validation: [(token, key, observed version ts)].
         #: Duplicate reads keep every observation — two reads of one key
@@ -550,19 +552,19 @@ class EpochTransaction:
         epoch orders, validates, applies and acknowledges."""
         if self.status != TxnStatus.PENDING:
             raise TransactionAbortedError(f"txn {self.txn_id} not pending")
-        obs = self.coordinator.sim.obs
-        commit_span = (obs.tracer.start_span(
-            "txn.epoch_commit", parent=self.span, txn_id=self.txn_id,
-            writes=len(self.write_buffer)) if obs.enabled else NOOP_SPAN)
+        tracer = self.coordinator.tracer
+        commit_span = self.span and tracer.start(
+            "txn.epoch_commit", self.span,
+            ("txn_id", self.txn_id, "writes", len(self.write_buffer)))
         try:
             commit_ts = yield self.service.submit(self)
-            commit_span.annotate(epoch=self.epoch)
+            tracer.tag(commit_span, "epoch", self.epoch)
             recorder = self.coordinator.recorder
             if recorder is not None:
                 recorder.on_commit(self)
             return commit_ts
         finally:
-            commit_span.finish(status=self.status)
+            tracer.finish(commit_span, "status", self.status)
 
     def rollback(self) -> Generator:
         """Abort before (or after a failed) submission.  Purely local:

@@ -12,7 +12,8 @@ A transaction handle must duck-type the CRDB
 :class:`~repro.txn.crdb.Transaction` surface the SQL layer and the
 workload generators drive:
 
-* attributes: ``txn_id``, ``gateway``, ``coordinator``, ``span``,
+* attributes: ``txn_id``, ``gateway``, ``coordinator``, ``span`` (the
+  attempt's int span id from ``tracer.start``, 0 if untraced),
   ``status`` (a :class:`~repro.kv.commands.TxnStatus` value — the
   cluster txn registry and lock-table pushes consult it),
   ``commit_ts``, ``read_ts``, ``deadline_ms``, ``abort_reason``;

@@ -18,7 +18,10 @@ import pathlib
 
 import pytest
 
-from repro.harness.bench import _execute
+from repro.cluster import standard_cluster
+from repro.harness.bench import BENCH_REGIONS, _execute, _run_tpcc
+from repro.metrics.histogram import LatencyRecorder
+from repro.sql.session import Engine
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -97,6 +100,35 @@ class TestObsEquivalence:
         off_engine, off_rec, _ = _execute("movr", 0, "off", 0.2, None)
         assert (full_engine.cluster.sim.events_processed
                 == off_engine.cluster.sim.events_processed)
+        assert full_rec.samples() == off_rec.samples()
+        assert state_digest(full_engine) == state_digest(off_engine)
+
+
+    @pytest.mark.parametrize("protocol", ["crdb", "epoch-occ"])
+    def test_tpcc_identical_across_obs_modes(self, protocol):
+        """Multi-statement transactions through both backends' span
+        sites (``txn/crdb.py``, ``txn/epoch.py``): tracing them must not
+        move one event."""
+        def run(obs_enabled):
+            cluster = standard_cluster(
+                BENCH_REGIONS, max_clock_offset=250.0, skew_fraction=0.05,
+                jitter_fraction=0.02, seed=0, obs_enabled=obs_enabled,
+                txn_protocol=protocol)
+            engine = Engine(cluster, seed=0)
+            recorder = LatencyRecorder()
+            _run_tpcc(engine, BENCH_REGIONS, 6, recorder, 0)
+            return engine, recorder
+
+        full_engine, full_rec = run(True)
+        off_engine, off_rec = run(False)
+        tracer = full_engine.cluster.sim.obs.tracer
+        commit = ("txn.epoch_commit" if protocol == "epoch-occ"
+                  else "txn.commit")
+        assert any(s.name == commit for s in tracer.spans())
+        assert (full_engine.cluster.sim.events_processed
+                == off_engine.cluster.sim.events_processed)
+        assert full_engine.cluster.sim.now == off_engine.cluster.sim.now
+        assert full_rec.total_ops() == off_rec.total_ops()
         assert full_rec.samples() == off_rec.samples()
         assert state_digest(full_engine) == state_digest(off_engine)
 
