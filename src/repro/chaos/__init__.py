@@ -19,12 +19,13 @@ from .invariants import (
     InvariantReport,
     OK,
     OpRecord,
+    ScenarioResult,
     availability_timeline,
     check_history,
     render_timeline,
 )
 from .nemesis import FaultEvent, Nemesis
-from .scenarios import ChaosHarness, SCENARIOS, ScenarioResult, run_scenario
+from .scenarios import ChaosHarness, SCENARIOS, run_scenario
 
 __all__ = [
     "FAIL",

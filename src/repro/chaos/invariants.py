@@ -23,7 +23,11 @@ The checker is pure bookkeeping: it never touches the cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+# The outcome vocabulary is the attempt classifier's
+# (``Testbed.attempt``); re-exported here for history consumers.
+from ..harness.testbed import FAIL, INDETERMINATE, OK
 
 __all__ = [
     "OK",
@@ -35,11 +39,8 @@ __all__ = [
     "check_history",
     "availability_timeline",
     "render_timeline",
+    "ScenarioResult",
 ]
-
-OK = "ok"
-FAIL = "fail"
-INDETERMINATE = "indeterminate"
 
 
 @dataclass
@@ -219,3 +220,68 @@ def render_timeline(history: History, nemesis_timeline=(),
         lines.append(f"  {index * bucket_ms:8.0f}  (no ops)"
                      f"          <- {'; '.join(marks[index])}")
     return "\n".join(lines)
+
+
+@dataclass
+class ScenarioResult:
+    """Everything a chaos run produced, ready to render or assert on."""
+
+    name: str
+    seed: int
+    history: History
+    report: InvariantReport
+    nemesis_timeline: list
+    final_values: Dict[str, int]
+    duration_ms: float
+    stats: Dict[str, float] = field(default_factory=dict)
+    #: The harness that produced this result (liveness + repair metrics
+    #: live here for the ``repair`` CLI report); None for custom runs.
+    harness: Optional[Any] = None
+    #: Full registry snapshot taken at the end of the run.
+    metrics_snapshot: Optional[Dict[str, Dict[str, object]]] = None
+
+    def to_json(self) -> Dict[str, object]:
+        """Machine-readable summary for CI tooling."""
+        counts = self.history.counts()
+        return {
+            "scenario": self.name,
+            "seed": self.seed,
+            "ok": self.ok,
+            "duration_ms": round(self.duration_ms, 1),
+            "ops": {
+                "total": len(self.history.ops),
+                "ok": counts.get(OK, 0),
+                "fail": counts.get(FAIL, 0),
+                "indeterminate": counts.get(INDETERMINATE, 0),
+            },
+            "stats": dict(self.stats),
+            "final_values": dict(self.final_values),
+            "checks_run": list(self.report.checks_run),
+            "violations": list(self.report.violations),
+            "nemesis_timeline": [
+                {"at_ms": round(when, 1), "action": action, "fault": fault}
+                for when, action, fault in self.nemesis_timeline],
+        }
+
+    @property
+    def ok(self) -> bool:
+        return self.report.ok
+
+    def render(self) -> str:
+        counts = self.history.counts()
+        lines = [
+            f"chaos scenario {self.name!r} (seed={self.seed}) — "
+            f"{len(self.history.ops)} ops in {self.duration_ms:.0f}ms sim",
+            f"  ops: {counts.get(OK, 0)} ok, {counts.get(FAIL, 0)} failed, "
+            f"{counts.get(INDETERMINATE, 0)} indeterminate",
+            "  stats: " + ", ".join(
+                f"{key}={value}" for key, value in sorted(self.stats.items())),
+            f"  final: " + ", ".join(
+                f"{key}={value}"
+                for key, value in sorted(self.final_values.items())),
+            "timeline:",
+            render_timeline(self.history, self.nemesis_timeline),
+            "invariants:",
+            self.report.render(),
+        ]
+        return "\n".join(lines)

@@ -32,15 +32,13 @@ from __future__ import annotations
 from typing import Dict
 
 from ..harness.openloop import OpenLoopConfig, OpenLoopHarness, _pct
-from .invariants import FAIL, OK, History, InvariantReport, OpRecord
-from .scenarios import ScenarioResult
+from ..harness.scale import COLLAPSE_CEILING, GOODPUT_FLOOR
+from .invariants import (FAIL, OK, History, InvariantReport, OpRecord,
+                         ScenarioResult)
 
 __all__ = ["overload_global", "overload_hot_region",
            "GOODPUT_FLOOR", "COLLAPSE_CEILING", "PROBE_BOUND_MS"]
 
-#: Graceful-degradation thresholds (shared with harness.scale gates).
-GOODPUT_FLOOR = 0.80
-COLLAPSE_CEILING = 0.50
 #: A post-drain probe slower than this indicates residual livelock
 #: (the unloaded baseline read is single-digit milliseconds).
 PROBE_BOUND_MS = 100.0
@@ -86,11 +84,6 @@ def _check(report: InvariantReport, ok: bool, text: str) -> None:
         report.checks_run.append(text)
     else:
         report.violations.append(text)
-
-
-def _snapshot(harness: OpenLoopHarness):
-    registry = getattr(harness.sim.obs, "registry", None)
-    return registry.snapshot() if registry is not None else None
 
 
 def overload_global(seed: int = 0) -> ScenarioResult:
@@ -157,7 +150,7 @@ def overload_global(seed: int = 0) -> ScenarioResult:
         history=_history_from(on_harness), report=report,
         nemesis_timeline=timeline, final_values={},
         duration_ms=on.duration_ms, stats=stats,
-        metrics_snapshot=_snapshot(on_harness))
+        metrics_snapshot=on_harness.sim.obs.registry.snapshot())
 
 
 def overload_hot_region(seed: int = 0) -> ScenarioResult:
@@ -223,4 +216,4 @@ def overload_hot_region(seed: int = 0) -> ScenarioResult:
         history=_history_from(harness), report=report,
         nemesis_timeline=timeline, final_values={},
         duration_ms=result.duration_ms, stats=stats,
-        metrics_snapshot=_snapshot(harness))
+        metrics_snapshot=harness.sim.obs.registry.snapshot())

@@ -16,258 +16,84 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..cluster import StoreLiveness, install_clock_monitor, standard_cluster
-from ..errors import (
-    AmbiguousCommitError,
-    FollowerReadNotAvailableError,
-    RangeUnavailableError,
-    TransactionAbortedError,
-    TransactionRetryError,
-)
+from ..harness.testbed import HOME, REGIONS, Testbed
 from ..kv.distsender import ReadRouting
-from ..placement import (
-    RebalanceQueue,
-    ReplicateQueue,
-    SurvivalGoal,
-    placement_violations,
-    provision_range,
-    zone_config_for_home,
-)
-from ..sim.network import NetworkUnavailableError
-from ..txn import TransactionCoordinator
+from ..placement import placement_violations
 from .invariants import (
-    FAIL,
-    INDETERMINATE,
-    OK,
     History,
     InvariantReport,
     OpRecord,
+    ScenarioResult,
     check_history,
-    render_timeline,
 )
 from .nemesis import FaultEvent, Nemesis
+from .overload import overload_global, overload_hot_region
 
-__all__ = ["SCENARIOS", "ScenarioResult", "ChaosHarness", "run_scenario",
-           "FAULT_BUILDERS", "build_faults"]
+__all__ = ["SCENARIOS", "Scenario", "ScenarioResult", "ChaosHarness",
+           "run_scenario", "build_faults"]
 
-REGIONS = ["us-east1", "europe-west2", "asia-northeast1"]
-HOME = "us-east1"
 KEYS = ["acct0", "acct1", "acct2"]
 
-RETRYABLE = (TransactionRetryError, TransactionAbortedError,
-             RangeUnavailableError, NetworkUnavailableError,
-             FollowerReadNotAvailableError)
 
-
-@dataclass
-class ScenarioResult:
-    """Everything a chaos run produced, ready to render or assert on."""
-
-    name: str
-    seed: int
-    history: History
-    report: InvariantReport
-    nemesis_timeline: list
-    final_values: Dict[str, int]
-    duration_ms: float
-    stats: Dict[str, float] = field(default_factory=dict)
-    #: The harness that produced this result (liveness + repair metrics
-    #: live here for the ``repair`` CLI report); None for custom runs.
-    harness: Optional["ChaosHarness"] = None
-    #: Full registry snapshot taken at the end of the run.
-    metrics_snapshot: Optional[Dict[str, Dict[str, object]]] = None
-
-    def to_json(self) -> Dict[str, object]:
-        """Machine-readable summary for CI tooling."""
-        counts = self.history.counts()
-        return {
-            "scenario": self.name,
-            "seed": self.seed,
-            "ok": self.ok,
-            "duration_ms": round(self.duration_ms, 1),
-            "ops": {
-                "total": len(self.history.ops),
-                "ok": counts.get(OK, 0),
-                "fail": counts.get(FAIL, 0),
-                "indeterminate": counts.get(INDETERMINATE, 0),
-            },
-            "stats": dict(self.stats),
-            "final_values": dict(self.final_values),
-            "checks_run": list(self.report.checks_run),
-            "violations": list(self.report.violations),
-            "nemesis_timeline": [
-                {"at_ms": round(when, 1), "action": action, "fault": fault}
-                for when, action, fault in self.nemesis_timeline],
-        }
-
-    @property
-    def ok(self) -> bool:
-        return self.report.ok
-
-    def render(self) -> str:
-        counts = self.history.counts()
-        lines = [
-            f"chaos scenario {self.name!r} (seed={self.seed}) — "
-            f"{len(self.history.ops)} ops in {self.duration_ms:.0f}ms sim",
-            f"  ops: {counts.get(OK, 0)} ok, {counts.get(FAIL, 0)} failed, "
-            f"{counts.get(INDETERMINATE, 0)} indeterminate",
-            "  stats: " + ", ".join(
-                f"{key}={value}" for key, value in sorted(self.stats.items())),
-            f"  final: " + ", ".join(
-                f"{key}={value}"
-                for key, value in sorted(self.final_values.items())),
-            "timeline:",
-            render_timeline(self.history, self.nemesis_timeline),
-            "invariants:",
-            self.report.render(),
-        ]
-        return "\n".join(lines)
-
-
-class ChaosHarness:
+class ChaosHarness(Testbed):
     """One REGION-survivable range plus seeded clients and a nemesis."""
 
-    def __init__(self, seed: int, regions: Optional[List[str]] = None,
-                 home: str = HOME, goal: str = SurvivalGoal.REGION,
-                 proposal_timeout_ms: float = 1000.0,
-                 retransmit_interval_ms: float = 150.0,
-                 enable_repair: bool = False,
-                 heartbeat_interval_ms: float = 100.0,
-                 time_until_store_dead_ms: float = 600.0,
-                 repair_interval_ms: float = 200.0,
-                 clock_monitor: bool = False,
-                 fence_enabled: bool = True,
-                 elastic: bool = False,
+    def __init__(self, seed: int, enable_repair: bool = False,
+                 clock_monitor: bool = False, elastic: bool = False,
                  txn_protocol=None):
-        self.seed = seed
-        self.regions = list(regions or REGIONS)
-        self.home = home
-        self.cluster = standard_cluster(self.regions, seed=seed)
-        # txn_protocol=None keeps the CRDB default (and legacy event
-        # schedules byte-identical); "epoch-occ" runs the same nemesis
-        # schedules against the optimistic backend.
-        self.coord = TransactionCoordinator(self.cluster,
-                                            protocol=txn_protocol)
-        self.ds = self.coord.distsender
-        # Clock-safety monitor (off by default so legacy scenarios keep
-        # their exact event schedules); clock scenarios turn it on.
-        self.clock_monitor = None
+        super().__init__(seed, protocol=txn_protocol,
+                         rng_seed=(seed << 4) ^ 0xC4A05)
+        # Off by default so the other scenarios keep their exact event
+        # schedules; clock scenarios turn it on.
         if clock_monitor:
-            self.clock_monitor = install_clock_monitor(
-                self.cluster, fence_enabled=fence_enabled)
-        config = zone_config_for_home(home, self.cluster.regions(), goal)
-        self.config = config
-        # Chaos provisioning turns on the hardening that seed
-        # experiments leave off: bounded Raft proposals (writes fail
-        # cleanly instead of hanging without quorum) and leader
-        # retransmission (progress under packet loss).
-        self.range = provision_range(
-            self.cluster, config, name="chaos",
-            side_transport_interval_ms=100.0,
-            proposal_timeout_ms=proposal_timeout_ms,
-            retransmit_interval_ms=retransmit_interval_ms)
-        # Elastic mode adopts the chaos range into a span so the
-        # rebalance queue can split/merge it under fire; the routing
-        # token the clients use is the span.  Legacy scenarios keep the
-        # raw Range token (and never instantiate the keyspace), so
-        # their event schedules stay byte-identical.
-        self.span = None
+            self.enable_clock_monitor()
+        self.config = self.zone_config()
+        self.range = self.provision("chaos", self.config)
+        self.history = History()
+        #: What the clients route through: the raw Range, or — in
+        #: elastic mode — the span the rebalance queue splits and
+        #: merges under fire.  Fixed-range scenarios never instantiate
+        #: the keyspace, so their event schedules stay byte-identical.
         self.token = self.range
         if elastic:
-            self.span = self.cluster.keyspace.adopt(self.range,
-                                                    name="chaos")
-            self.token = self.span
-        self.history = History()
-        self.rng = random.Random((seed << 4) ^ 0xC4A05)
-        # Self-healing: store liveness + the replicate queue, watching
-        # the chaos range.  ``time_until_store_dead_ms`` is scaled to
-        # the scenario's compressed clock (CRDB's default is 5 min).
-        self.liveness: Optional[StoreLiveness] = None
-        self.repair_queue: Optional[ReplicateQueue] = None
-        if enable_repair or elastic:
-            self.liveness = StoreLiveness(
-                self.cluster,
-                heartbeat_interval_ms=heartbeat_interval_ms,
-                time_until_store_dead_ms=time_until_store_dead_ms)
-            if elastic:
-                # Thresholds scaled to the 3-key chaos workload: the
-                # seeded range size-splits immediately (3 > 2 keys) and
-                # the hot keys drive load splits during the run.
-                queue = RebalanceQueue(
-                    self.cluster, self.liveness,
-                    interval_ms=repair_interval_ms,
-                    split_max_keys=2, split_qps=8.0,
-                    merge_qps=0.5, merge_patience=3,
-                    replica_moves=False)
-                queue.manage_span(self.span, config)
-                self.repair_queue = queue
-            else:
-                self.repair_queue = ReplicateQueue(
-                    self.cluster, self.liveness,
-                    interval_ms=repair_interval_ms)
-                self.repair_queue.manage(self.range, config)
-            self.repair_queue.start()
-
-    @property
-    def sim(self):
-        return self.cluster.sim
+            # Thresholds scaled to the 3-key chaos workload: the seeded
+            # range size-splits immediately (3 > 2 keys) and the hot
+            # keys drive load splits during the run.
+            self.token = self.enable_elastic(
+                self.range, self.config, "chaos",
+                split_max_keys=2, split_qps=8.0, merge_qps=0.5,
+                merge_patience=3, replica_moves=False)
+        elif enable_repair:
+            self.enable_repair([(self.range, self.config)])
 
     # -- clients -----------------------------------------------------------
 
-    def inc_client(self, name: str, region: str, gateway_index: int,
-                   ops: int, think_ms=(10.0, 40.0)):
-        """Increment a random key per op; record ok/fail/indeterminate."""
+    def client(self, kind: str, region: str, gateway_index: int, ops: int,
+               routing: str = ReadRouting.LEASEHOLDER,
+               think_ms=(10.0, 40.0)):
+        """``kind`` "inc": increment a random key per op; "read": read
+        one (NEAREST routing marks reads stale — follower reads serve a
+        closed, slightly-past timestamp).  Every op is recorded
+        ok/fail/indeterminate."""
         gateway = self.cluster.gateway_for_region(region, gateway_index)
         rng = random.Random(self.rng.random())
         for _ in range(ops):
             key = rng.choice(KEYS)
             start = self.sim.now
-
-            def txn_fn(txn, key=key):
-                value = yield from txn.read(self.token, key)
-                yield from txn.write(self.token, key, value + 1)
-
-            status, error = OK, ""
-            try:
-                yield from self.coord.run(gateway, txn_fn, max_attempts=6)
-            except AmbiguousCommitError as err:
-                status, error = INDETERMINATE, type(err).__name__
-            except RETRYABLE as err:
-                status, error = FAIL, type(err).__name__
+            if kind == "inc":
+                txn_fn = self.increment(self.token, key)
+            else:
+                def txn_fn(txn, key=key):
+                    value = yield from txn.read(self.token, key,
+                                                routing=routing)
+                    return value
+            status, value, error = yield from self.attempt(
+                gateway, txn_fn, max_attempts=6)
             self.history.record(OpRecord(
-                client=name, kind="inc", key=key, start_ms=start,
-                end_ms=self.sim.now, status=status, error=error))
-            yield self.sim.sleep(rng.uniform(*think_ms))
-
-    def read_client(self, name: str, region: str, gateway_index: int,
-                    ops: int, routing: str = ReadRouting.LEASEHOLDER,
-                    think_ms=(10.0, 40.0)):
-        """Read a random key per op; NEAREST routing marks reads stale
-        (follower reads serve a closed, slightly-past timestamp)."""
-        gateway = self.cluster.gateway_for_region(region, gateway_index)
-        rng = random.Random(self.rng.random())
-        stale = routing != ReadRouting.LEASEHOLDER
-        for _ in range(ops):
-            key = rng.choice(KEYS)
-            start = self.sim.now
-
-            def txn_fn(txn, key=key):
-                value = yield from txn.read(self.token, key, routing=routing)
-                return value
-
-            status, error, value = OK, "", None
-            try:
-                result, _ts = yield from self.coord.run(
-                    gateway, txn_fn, max_attempts=6)
-                value = result
-            except AmbiguousCommitError as err:
-                status, error = INDETERMINATE, type(err).__name__
-            except RETRYABLE as err:
-                status, error = FAIL, type(err).__name__
-            self.history.record(OpRecord(
-                client=name, kind="read", key=key, start_ms=start,
-                end_ms=self.sim.now, status=status, value=value,
-                stale=stale, error=error))
+                client=f"{kind}-{region}", kind=kind, key=key,
+                start_ms=start, end_ms=self.sim.now, status=status,
+                value=value, stale=routing != ReadRouting.LEASEHOLDER,
+                error=error))
             yield self.sim.sleep(rng.uniform(*think_ms))
 
     # -- the run -----------------------------------------------------------
@@ -281,37 +107,28 @@ class ChaosHarness:
             expect_fences: Optional[bool] = None) -> ScenarioResult:
         sim = self.sim
         # Seed the counters before chaos starts.
+        gateway = self.cluster.gateway_for_region(self.home)
         for key in KEYS:
-            gateway = self.cluster.gateway_for_region(self.home)
 
             def init_fn(txn, key=key):
                 yield from txn.write(self.token, key, 0)
 
-            sim.run_until_future(sim.spawn(self.coord.run(gateway, init_fn)))
+            self.run_txn(gateway, init_fn)
         sim.run(until=sim.now + 200.0)  # settle replication
 
         start_ms = sim.now
-        nemesis = Nemesis(self.cluster, events)
-        nemesis.schedule(base_ms=start_ms)
-        regions = client_regions or self.regions
-        processes = []
-        for index, region in enumerate(regions):
-            processes.append(sim.spawn(self.inc_client(
-                f"inc-{region}", region, index % 2, inc_ops)))
-            processes.append(sim.spawn(self.read_client(
-                f"read-{region}", region, (index + 1) % 2, read_ops,
-                routing=read_routing)))
-        for process in processes:
-            sim.run_until_future(process)
+        nemesis = self.start_nemesis(events, base_ms=start_ms)
+        clients = []
+        for index, region in enumerate(client_regions or self.regions):
+            clients.append(self.client("inc", region, index % 2, inc_ops))
+            clients.append(self.client("read", region, (index + 1) % 2,
+                                       read_ops, routing=read_routing))
+        self.run_clients(clients)
         duration = sim.now - start_ms
 
-        # Heal the world (permanent losses stay lost), let replication
-        # and any in-flight repair catch up, then audit.
-        nemesis.heal_all(restart_dead=restart_dead_on_heal)
-        sim.run(until=sim.now + 2000.0)
+        self.heal_and_settle(nemesis, restart_dead=restart_dead_on_heal)
         final_values = self._audit(audit_regions)
         report = check_history(self.history, final_values)
-        group = self.range.group
         stats = {
             "failovers": self.range.failovers,
             "rpc_retries": self.ds.rpc_retries,
@@ -319,7 +136,7 @@ class ChaosHarness:
             "messages_dropped": self.cluster.network.messages_dropped,
             "ambiguous_commits": self.coord.stats.ambiguous_commits,
             "txn_retries": self.coord.stats.aborted_retries,
-            "raft_term": group.term,
+            "raft_term": self.range.group.term,
         }
         if self.repair_queue is not None:
             self._check_placement(report, stats)
@@ -337,6 +154,21 @@ class ChaosHarness:
             nemesis_timeline=nemesis.timeline, final_values=final_values,
             duration_ms=duration, stats=stats, harness=self,
             metrics_snapshot=sim.obs.registry.snapshot())
+
+    def _audit(self, audit_regions: Optional[List[str]] = None
+               ) -> Dict[str, int]:
+        """Strong-read every key from every auditable region; they must
+        agree.  A disagreement surfaces through the durability check as
+        a phantom / lost write: the worst (lowest) value is recorded."""
+        values: Dict[str, int] = {}
+        for key in KEYS:
+
+            def read_fn(txn, key=key):
+                value = yield from txn.read(self.token, key)
+                return value
+
+            values[key] = min(self.audit(read_fn, audit_regions).values())
+        return values
 
     def _check_placement(self, report: InvariantReport,
                          stats: Dict[str, float]) -> None:
@@ -451,71 +283,50 @@ class ChaosHarness:
                     f"clock: unexpected self-fence of node(s) {fenced} "
                     "under in-bounds clock faults")
 
-    def _audit(self, audit_regions: Optional[List[str]] = None
-               ) -> Dict[str, int]:
-        """Strong-read every key from every auditable region; they must
-        agree.  Regions with no live node (permanent loss) are skipped —
-        clients there no longer exist either."""
-        values: Dict[str, int] = {}
-        network = self.cluster.network
-        gateways = []
-        for region in (audit_regions or self.regions):
-            live = [n for n in self.cluster.nodes_in_region(region)
-                    if not network.node_is_dead(n.node_id)]
-            if live:
-                gateways.append(live[0])
-        for key in KEYS:
-            observed = []
-            for gateway in gateways:
-
-                def read_fn(txn, key=key):
-                    value = yield from txn.read(self.token, key)
-                    return value
-
-                result, _ts = self.sim.run_until_future(
-                    self.sim.spawn(self.coord.run(gateway, read_fn)))
-                observed.append(result)
-            values[key] = observed[0]
-            if len(set(observed)) != 1:
-                # Surfaced through the durability check as a phantom /
-                # lost write; record the worst value.
-                values[key] = min(observed)
-        return values
-
 
 # -- fault-schedule builders -------------------------------------------------
 #
 # Each builder takes any harness-like object exposing ``.cluster``,
 # ``.regions``, ``.home`` and ``.range`` (the range whose leaseholder /
 # followers the scenario targets) and returns the scenario's fault
-# schedule.  The chaos scenarios below and the transactional-consistency
+# schedule.  The scenario table below and the transactional-consistency
 # verifier (:mod:`repro.verify`) share these, so every nemesis schedule
 # doubles as an isolation-level test.
 
 
-def _blackout_faults(harness) -> List[FaultEvent]:
-    cluster = harness.cluster
-    victims = [n.node_id for n in cluster.nodes_in_region(harness.home)]
-    return [FaultEvent(
-        name=f"blackout:{harness.home}",
-        at_ms=250.0,
+def _crash(cluster, name: str, victims: List[int], at_ms: float,
+           heal_at_ms: Optional[float] = None) -> FaultEvent:
+    """Crash ``victims`` at ``at_ms``; restart them at ``heal_at_ms``
+    (None: the loss is permanent — only a final heal-all may revive)."""
+    def restart():
+        for node_id in victims:
+            cluster.restart_node(node_id)
+    return FaultEvent(
+        name=name, at_ms=at_ms,
         inject=lambda: [cluster.crash_node(n) for n in victims],
-        heal_at_ms=1600.0,
-        heal=lambda: [cluster.restart_node(n) for n in victims])]
+        heal_at_ms=heal_at_ms,
+        heal=restart if heal_at_ms is not None else None)
+
+
+def _home_nodes(harness) -> List[int]:
+    return [n.node_id
+            for n in harness.cluster.nodes_in_region(harness.home)]
+
+
+def _blackout_faults(harness) -> List[FaultEvent]:
+    return [_crash(harness.cluster, f"blackout:{harness.home}",
+                   _home_nodes(harness), 250.0, 1600.0)]
 
 
 def _rolling_zone_faults(harness) -> List[FaultEvent]:
     cluster = harness.cluster
     events = []
     for index, region in enumerate(harness.regions):
-        node_id = cluster.nodes_in_region(region)[-1].node_id
         start = 200.0 + 450.0 * index
-        events.append(FaultEvent(
-            name=f"zone-crash:{region}",
-            at_ms=start,
-            inject=lambda n=node_id: cluster.crash_node(n),
-            heal_at_ms=start + 400.0,
-            heal=lambda n=node_id: cluster.restart_node(n)))
+        events.append(_crash(
+            cluster, f"zone-crash:{region}",
+            [cluster.nodes_in_region(region)[-1].node_id],
+            start, start + 400.0))
     return events
 
 
@@ -562,104 +373,35 @@ def _asym_partition_faults(harness) -> List[FaultEvent]:
         heal_at_ms=1400.0)]
 
 
-def _partition_leaseholder_faults(harness) -> List[FaultEvent]:
-    """Symmetrically partition exactly the node holding the lease.
-
-    The victim stays up — it just can't talk to anyone: the lease must
-    fail over (the old leaseholder cannot heartbeat its liveness), the
-    deposed node must not serve stale reads or ack writes into the
-    void, and on heal it rejoins as a follower and catches up."""
+def _partition_leaseholder_faults(harness, at_ms: float = 250.0,
+                                 heal_at_ms: float = 1400.0
+                                 ) -> List[FaultEvent]:
+    """Symmetrically partition exactly the node holding the lease (it
+    stays up — it just can't talk to anyone)."""
     faults = harness.cluster.network.faults
     victim = harness.range.leaseholder_node_id
     peers = [n.node_id for n in harness.cluster.nodes
              if n.node_id != victim]
     return [FaultEvent(
         name=f"partition-lease:n{victim}",
-        at_ms=250.0,
+        at_ms=at_ms,
         inject=lambda: [faults.cut_link(victim, p, bidirectional=True)
                         for p in peers],
-        heal_at_ms=1400.0,
+        heal_at_ms=heal_at_ms,
         heal=lambda: [faults.heal_link(victim, p, bidirectional=True)
                       for p in peers])]
 
 
 def _crash_restart_faults(harness) -> List[FaultEvent]:
-    cluster = harness.cluster
     follower = _non_lease_follower(harness)
-    return [FaultEvent(
-        name=f"crash:{follower}",
-        at_ms=250.0,
-        inject=lambda: cluster.crash_node(follower),
-        heal_at_ms=1100.0,
-        heal=lambda: cluster.restart_node(follower))]
+    return [_crash(harness.cluster, f"crash:{follower}", [follower],
+                   250.0, 1100.0)]
 
 
-def _kill_node_faults(harness) -> List[FaultEvent]:
-    cluster = harness.cluster
-    lease_node = harness.range.leaseholder_node_id
-    candidates = [p.node for p in harness.range.group.voters()
-                  if p.node.node_id != lease_node]
-
-    def is_gateway(node) -> bool:
-        # Clients connect to the first two nodes of each region; prefer
-        # a victim that isn't someone's gateway so availability dips
-        # reflect the range, not a dead client connection.
-        peers = cluster.nodes_in_region(node.locality.region)
-        return node in peers[:2]
-
-    victim = sorted(candidates,
-                    key=lambda n: (is_gateway(n), n.node_id))[0].node_id
-    return [FaultEvent(
-        name=f"kill:{victim}",
-        at_ms=300.0,
-        inject=lambda: cluster.crash_node(victim))]
-
-
-def _split_under_fire_faults(harness) -> List[FaultEvent]:
-    """Crash the (initial) leaseholder while hot-key load is driving
-    the rebalance queue through splits, then restart it."""
-    cluster = harness.cluster
-    victim = harness.range.leaseholder_node_id
-    return [FaultEvent(
-        name=f"crash-lease:{victim}",
-        at_ms=250.0,
-        inject=lambda: cluster.crash_node(victim),
-        heal_at_ms=1100.0,
-        heal=lambda: cluster.restart_node(victim))]
-
-
-def _region_loss_faults(harness) -> List[FaultEvent]:
-    cluster = harness.cluster
-    victims = [n.node_id for n in cluster.nodes_in_region(harness.home)]
-    return [FaultEvent(
-        name=f"region-loss:{harness.home}",
-        at_ms=300.0,
-        inject=lambda: [cluster.crash_node(n) for n in victims])]
-
-
-def _clock_drift_faults(harness) -> List[FaultEvent]:
-    """Two non-leaseholder voters drift at +-3%/s — enough to smear the
-    MVCC timeline, never enough to leave the max-offset contract."""
-    clock = harness.cluster.clock
-    lease_node = harness.range.leaseholder_node_id
-    victims = [p.node.node_id for p in harness.range.group.voters()
-               if p.node.node_id != lease_node][:2]
-    events = []
-    for index, node_id in enumerate(victims):
-        rate = 0.03 if index % 2 == 0 else -0.03
-        events.append(FaultEvent(
-            name=f"clock-drift:n{node_id}",
-            at_ms=200.0,
-            inject=lambda n=node_id, r=rate: clock.set_drift(n, r),
-            heal_at_ms=1400.0,
-            heal=lambda n=node_id: clock.heal(n)))
-    return events
-
-
-def _clock_jump_victim(harness) -> int:
+def _quiet_follower(harness) -> int:
     """A non-leaseholder voter, preferring one that isn't a client
-    gateway (the fence kills it; availability should show the range's
-    story, not a dead client connection)."""
+    gateway (clients connect to the first two nodes of each region), so
+    availability dips reflect the range, not a dead client connection."""
     cluster = harness.cluster
     lease_node = harness.range.leaseholder_node_id
     candidates = [p.node for p in harness.range.group.voters()
@@ -673,14 +415,48 @@ def _clock_jump_victim(harness) -> int:
                   key=lambda n: (is_gateway(n), n.node_id))[0].node_id
 
 
-def _clock_jump_faults(harness) -> List[FaultEvent]:
-    """One voter's clock steps +800 ms — far beyond the 250 ms contract.
+def _kill_node_faults(harness) -> List[FaultEvent]:
+    victim = _quiet_follower(harness)
+    return [_crash(harness.cluster, f"kill:{victim}", [victim], 300.0)]
 
-    No heal ever comes: the monitor must fence the node and (with repair
-    enabled) the replicate queue must re-replicate around it, exactly as
-    if it had died — because for correctness purposes it has."""
+
+def _split_under_fire_faults(harness) -> List[FaultEvent]:
+    """Crash the (initial) leaseholder while hot-key load is driving
+    the rebalance queue through splits, then restart it."""
+    victim = harness.range.leaseholder_node_id
+    return [_crash(harness.cluster, f"crash-lease:{victim}", [victim],
+                   250.0, 1100.0)]
+
+
+def _region_loss_faults(harness) -> List[FaultEvent]:
+    return [_crash(harness.cluster, f"region-loss:{harness.home}",
+                   _home_nodes(harness), 300.0)]
+
+
+def _clock_drift_faults(harness,
+                        heal_at_ms: float = 1400.0) -> List[FaultEvent]:
+    """Two non-leaseholder voters drift at +-3%/s — enough to smear the
+    MVCC timeline, never enough to leave the max-offset contract."""
     clock = harness.cluster.clock
-    victim = _clock_jump_victim(harness)
+    lease_node = harness.range.leaseholder_node_id
+    victims = [p.node.node_id for p in harness.range.group.voters()
+               if p.node.node_id != lease_node][:2]
+    events = []
+    for index, node_id in enumerate(victims):
+        rate = 0.03 if index % 2 == 0 else -0.03
+        events.append(FaultEvent(
+            name=f"clock-drift:n{node_id}",
+            at_ms=200.0,
+            inject=lambda n=node_id, r=rate: clock.set_drift(n, r),
+            heal_at_ms=heal_at_ms,
+            heal=lambda n=node_id: clock.heal(n)))
+    return events
+
+
+def _clock_jump_faults(harness) -> List[FaultEvent]:
+    """One voter's clock steps +800 ms; no heal ever comes."""
+    clock = harness.cluster.clock
+    victim = _quiet_follower(harness)
     return [FaultEvent(
         name=f"clock-jump:n{victim}",
         at_ms=300.0,
@@ -688,11 +464,8 @@ def _clock_jump_faults(harness) -> List[FaultEvent]:
 
 
 def _clock_freeze_faults(harness) -> List[FaultEvent]:
-    """The leaseholder's clock freezes solid mid-run.
-
-    Peers march ahead at 1 ms/ms, so the victim's measured offsets grow
-    until it self-fences and the lease fails over; the heal step-syncs
-    the clock so the end-of-run restart rejoins it cleanly."""
+    """The leaseholder's clock freezes solid mid-run; the heal
+    step-syncs it."""
     clock = harness.cluster.clock
     victim = harness.range.leaseholder_node_id
     return [FaultEvent(
@@ -702,233 +475,156 @@ def _clock_freeze_faults(harness) -> List[FaultEvent]:
         heal_at_ms=1400.0,
         heal=lambda: clock.heal(victim))]
 
-
-#: Scenario name -> fault-schedule builder (shared with repro.verify).
-FAULT_BUILDERS: Dict[str, Callable[[Any], List[FaultEvent]]] = {
-    "region-blackout": _blackout_faults,
-    "rolling-zones": _rolling_zone_faults,
-    "flaky-wan": _flaky_wan_faults,
-    "gray-follower": _gray_follower_faults,
-    "asym-partition": _asym_partition_faults,
-    "partition-leaseholder": _partition_leaseholder_faults,
-    "crash-restart": _crash_restart_faults,
-    "split-under-fire": _split_under_fire_faults,
-    "kill-node-repair": _kill_node_faults,
-    "region-loss-repair": _region_loss_faults,
-    "clock-drift": _clock_drift_faults,
-    "clock-jump-fence": _clock_jump_faults,
-    "clock-freeze-lease": _clock_freeze_faults,
-}
-
-
-def build_faults(name: str, harness) -> List[FaultEvent]:
-    """The named scenario's fault schedule, targeted at ``harness``."""
-    return FAULT_BUILDERS[name](harness)
-
-
 # -- built-in scenarios ------------------------------------------------------
 
 
-def _region_blackout(seed: int, txn_protocol=None) -> ScenarioResult:
-    """The home region (leaseholder included) goes dark, then returns.
+@dataclass(frozen=True)
+class Scenario:
+    """One built-in scenario: its intent, the fault schedule it runs
+    under, and how it configures :class:`ChaosHarness` and ``run``."""
 
-    SURVIVE REGION FAILURE + automatic lease failover must keep the
-    database available from the surviving regions with no operator
-    action, and the healed region must catch back up.
-    """
-    harness = ChaosHarness(seed, txn_protocol=txn_protocol)
-    return harness.run("region-blackout",
-                       build_faults("region-blackout", harness))
-
-
-def _rolling_zones(seed: int, txn_protocol=None) -> ScenarioResult:
-    """One zone per region crash-restarts in a rolling wave."""
-    harness = ChaosHarness(seed, txn_protocol=txn_protocol)
-    return harness.run("rolling-zones",
-                       build_faults("rolling-zones", harness))
+    doc: str
+    #: harness -> fault schedule (shared with repro.verify, so every
+    #: nemesis schedule doubles as an isolation-level test).
+    faults: Optional[Callable[[Any], List[FaultEvent]]] = None
+    harness: Dict[str, Any] = field(default_factory=dict)
+    run: Dict[str, Any] = field(default_factory=dict)
+    #: Set instead of ``faults`` by the overload scenarios, which drive
+    #: the open-loop harness and take no protocol override.
+    runner: Optional[Callable[[int], ScenarioResult]] = None
 
 
-def _flaky_wan(seed: int, txn_protocol=None) -> ScenarioResult:
-    """The home<->Europe WAN link drops 25% of packets and triples
-    latency for a window; retries + Raft retransmission ride it out."""
-    harness = ChaosHarness(seed, txn_protocol=txn_protocol)
-    return harness.run("flaky-wan", build_faults("flaky-wan", harness))
+#: Clients and the final audit of ``region-loss-repair`` live only here.
+_SURVIVORS = [region for region in REGIONS if region != HOME]
 
+SCENARIOS: Dict[str, Scenario] = {
+    "region-blackout": Scenario(
+        """The home region (leaseholder included) goes dark, then returns.
 
-def _gray_follower(seed: int, txn_protocol=None) -> ScenarioResult:
-    """A non-leaseholder voter goes gray (20x slower, still up); nearest
-    reads route through/around it without consistency loss."""
-    harness = ChaosHarness(seed, txn_protocol=txn_protocol)
-    return harness.run("gray-follower",
-                       build_faults("gray-follower", harness),
-                       read_routing=ReadRouting.NEAREST)
+        SURVIVE REGION FAILURE + automatic lease failover must keep the
+        database available from the surviving regions with no operator
+        action, and the healed region must catch back up.""",
+        _blackout_faults),
+    "rolling-zones": Scenario(
+        """One zone per region crash-restarts in a rolling wave.""",
+        _rolling_zone_faults),
+    "flaky-wan": Scenario(
+        """The home<->Europe WAN link drops 25% of packets and triples
+        latency for a window; retries + Raft retransmission ride it
+        out.""",
+        _flaky_wan_faults),
+    "gray-follower": Scenario(
+        """A non-leaseholder voter goes gray (20x slower, still up);
+        nearest reads route through/around it without consistency
+        loss.""",
+        _gray_follower_faults,
+        run=dict(read_routing=ReadRouting.NEAREST)),
+    "asym-partition": Scenario(
+        """Europe can't reach the home region but the home region can
+        reach Europe (one-way cut) — the classic gray failure; replies
+        must not sneak through the cut direction.""",
+        _asym_partition_faults),
+    "crash-restart": Scenario(
+        """A follower crashes mid-run and restarts with its Raft log
+        intact; it must catch up (resync) rather than diverge or stall
+        the range.""",
+        _crash_restart_faults),
+    "partition-leaseholder": Scenario(
+        """The node holding the lease is symmetrically partitioned from
+        every peer (it stays up).
 
+        The lease must fail over (the old leaseholder cannot heartbeat
+        its liveness), the deposed node must not serve split-brain
+        reads or ack writes into the void, and on heal it rejoins as a
+        follower and catches up.  The protocol-matrix CI job runs this
+        under both transaction backends — for epoch-OCC the partition
+        additionally races the epoch service's ordering/apply RPCs.""",
+        _partition_leaseholder_faults),
+    "split-under-fire": Scenario(
+        """Hot-key load splits the range while its leaseholder crashes.
 
-def _asym_partition(seed: int, txn_protocol=None) -> ScenarioResult:
-    """Europe can't reach the home region but the home region can reach
-    Europe (one-way cut) — the classic gray failure behind satellite
-    bugfix #1; replies must not sneak through the cut direction."""
-    harness = ChaosHarness(seed, txn_protocol=txn_protocol)
-    return harness.run("asym-partition",
-                       build_faults("asym-partition", harness))
+        The chaos range runs in elastic mode: the rebalance queue
+        size-splits the seeded keyspace immediately and keeps
+        load-splitting the hot keys while the nemesis crashes the node
+        holding the initial lease mid-split.  Every acked write must
+        survive, and the span's descriptors must still tile the
+        keyspace afterwards — no key may ever be left unowned or
+        doubly-owned by the split/merge machinery racing lease failover
+        and repair.""",
+        _split_under_fire_faults,
+        harness=dict(enable_repair=True, elastic=True),
+        run=dict(inc_ops=20, read_ops=20)),
+    "kill-node-repair": Scenario(
+        """A non-leaseholder voter dies *permanently* — no heal ever
+        comes.
 
+        Store liveness must walk it LIVE -> SUSPECT -> DEAD, and the
+        replicate queue must re-replicate its voter slot onto a
+        constraint-satisfying, diversity-maximizing survivor through
+        the safe learner -> snapshot -> promote pipeline, with zero
+        lost acked writes.""",
+        _kill_node_faults,
+        harness=dict(enable_repair=True),
+        run=dict(restart_dead_on_heal=False)),
+    "region-loss-repair": Scenario(
+        """The home region (leaseholder included) is lost *permanently*.
 
-def _crash_restart(seed: int, txn_protocol=None) -> ScenarioResult:
-    """A follower crashes mid-run and restarts with its Raft log intact;
-    it must catch up (resync) rather than diverge or stall the range."""
-    harness = ChaosHarness(seed, txn_protocol=txn_protocol)
-    return harness.run("crash-restart",
-                       build_faults("crash-restart", harness))
+        The lease must fail over to a survivor, and the repair queue
+        must rebuild full REGION-survivable replication on the two
+        remaining regions — back to 5 constraint- and
+        diversity-satisfying voters — within ``time_until_store_dead``
+        + a few repair intervals, with zero lost acked writes.  Clients
+        and the final audit live only in the surviving regions.""",
+        _region_loss_faults,
+        harness=dict(enable_repair=True),
+        run=dict(client_regions=_SURVIVORS, restart_dead_on_heal=False,
+                 audit_regions=_SURVIVORS)),
+    "overload-global": Scenario(overload_global.__doc__,
+                                runner=overload_global),
+    "overload-hot-region": Scenario(overload_hot_region.__doc__,
+                                    runner=overload_hot_region),
+    "clock-drift": Scenario(
+        """Two voters drift at +-3%/s, within the max-offset contract.
 
+        The monitor measures the drift (exported via the per-node
+        ``clock.offset_measured`` gauge) but must NOT fence anyone: the
+        uncertainty machinery absorbs in-contract skew by design, and a
+        monitor that fences healthy nodes is itself an availability
+        bug.""",
+        _clock_drift_faults,
+        harness=dict(clock_monitor=True),
+        run=dict(expect_fences=False)),
+    "clock-jump-fence": Scenario(
+        """A voter's clock steps +800 ms, beyond the 250 ms contract,
+        and never heals.
 
-def _partition_leaseholder(seed: int, txn_protocol=None) -> ScenarioResult:
-    """The node holding the lease is symmetrically partitioned from
-    every peer (it stays up).  The lease must fail over and the deposed
-    node must not serve split-brain reads or writes; on heal it rejoins
-    as a follower.  The protocol-matrix CI job runs this under both
-    transaction backends — for epoch-OCC the partition additionally
-    races the epoch service's ordering/apply RPCs."""
-    harness = ChaosHarness(seed, txn_protocol=txn_protocol)
-    return harness.run("partition-leaseholder",
-                       build_faults("partition-leaseholder", harness))
+        The node must self-fence from its own peer measurements (it
+        sees every peer ~800 ms behind; healthy nodes see only it as an
+        outlier), store liveness must walk it to DEAD, and the
+        replicate queue must repair its voter slot — the clock-outlier
+        node is treated exactly like a dead one, because for
+        correctness purposes it is.""",
+        _clock_jump_faults,
+        harness=dict(enable_repair=True, clock_monitor=True),
+        run=dict(restart_dead_on_heal=False, expect_fences=True)),
+    "clock-freeze-lease": Scenario(
+        """The leaseholder's clock freezes solid.
 
-
-def _split_under_fire(seed: int, txn_protocol=None) -> ScenarioResult:
-    """Hot-key load splits the range while its leaseholder crashes.
-
-    The chaos range runs in elastic mode: the rebalance queue
-    size-splits the seeded keyspace immediately and keeps load-splitting
-    the hot keys while the nemesis crashes the node holding the initial
-    lease mid-split.  Every acked write must survive, and the span's
-    descriptors must still tile the keyspace afterwards — no key may
-    ever be left unowned or doubly-owned by the split/merge machinery
-    racing lease failover and repair.
-    """
-    harness = ChaosHarness(seed, enable_repair=True, elastic=True,
-                           txn_protocol=txn_protocol)
-    return harness.run("split-under-fire",
-                       build_faults("split-under-fire", harness),
-                       inc_ops=20, read_ops=20)
-
-
-def _kill_node_repair(seed: int, txn_protocol=None) -> ScenarioResult:
-    """A non-leaseholder voter dies *permanently* — no heal ever comes.
-
-    Store liveness must walk it LIVE → SUSPECT → DEAD, and the replicate
-    queue must re-replicate its voter slot onto a constraint-satisfying,
-    diversity-maximizing survivor through the safe learner → snapshot →
-    promote pipeline, with zero lost acked writes.
-    """
-    harness = ChaosHarness(seed, enable_repair=True,
-                           txn_protocol=txn_protocol)
-    return harness.run("kill-node-repair",
-                       build_faults("kill-node-repair", harness),
-                       restart_dead_on_heal=False)
-
-
-def _region_loss_repair(seed: int, txn_protocol=None) -> ScenarioResult:
-    """The home region (leaseholder included) is lost *permanently*.
-
-    The lease must fail over to a survivor, and the repair queue must
-    rebuild full REGION-survivable replication on the two remaining
-    regions — back to 5 constraint- and diversity-satisfying voters —
-    within ``time_until_store_dead`` + a few repair intervals, with
-    zero lost acked writes.  Clients and the final audit live only in
-    the surviving regions.
-    """
-    harness = ChaosHarness(seed, enable_repair=True,
-                           txn_protocol=txn_protocol)
-    survivors = [r for r in harness.regions if r != harness.home]
-    return harness.run("region-loss-repair",
-                       build_faults("region-loss-repair", harness),
-                       client_regions=survivors,
-                       restart_dead_on_heal=False,
-                       audit_regions=survivors)
-
-
-def _clock_drift(seed: int, txn_protocol=None) -> ScenarioResult:
-    """Two voters drift within the max-offset contract.
-
-    The monitor measures the drift (exported via the per-node
-    ``clock.offset_measured`` gauge) but must NOT fence anyone: the
-    uncertainty machinery absorbs in-contract skew by design, and a
-    monitor that fences healthy nodes is itself an availability bug.
-    """
-    harness = ChaosHarness(seed, clock_monitor=True,
-                           txn_protocol=txn_protocol)
-    return harness.run("clock-drift", build_faults("clock-drift", harness),
-                       expect_fences=False)
-
-
-def _clock_jump_fence(seed: int, txn_protocol=None) -> ScenarioResult:
-    """A voter's clock steps +800 ms, beyond the 250 ms contract, and
-    never heals.
-
-    The node must self-fence from its own peer measurements (it sees
-    every peer ~800 ms behind; healthy nodes see only it as an
-    outlier), store liveness must walk it to DEAD, and the replicate
-    queue must repair its voter slot — the clock-outlier node is
-    treated exactly like a dead one.
-    """
-    harness = ChaosHarness(seed, enable_repair=True, clock_monitor=True,
-                           txn_protocol=txn_protocol)
-    return harness.run("clock-jump-fence",
-                       build_faults("clock-jump-fence", harness),
-                       restart_dead_on_heal=False,
-                       expect_fences=True)
-
-
-def _clock_freeze_lease(seed: int, txn_protocol=None) -> ScenarioResult:
-    """The leaseholder's clock freezes solid.
-
-    Its measured peer offsets grow at 1 ms/ms until it fences itself
-    and the lease fails over to a healthy voter; after the nemesis
-    heals (step-syncing the clock) the node restarts and rejoins.
-    """
-    harness = ChaosHarness(seed, clock_monitor=True,
-                           txn_protocol=txn_protocol)
-    return harness.run("clock-freeze-lease",
-                       build_faults("clock-freeze-lease", harness),
-                       expect_fences=True)
-
-
-def _overload_global(seed: int, txn_protocol=None) -> ScenarioResult:
-    # Imported lazily: chaos.overload builds on harness.openloop and
-    # imports ScenarioResult from this module.
-    if txn_protocol is not None:
-        raise ValueError(
-            "overload scenarios drive the open-loop harness and do not "
-            "support a txn_protocol override")
-    from .overload import overload_global
-    return overload_global(seed)
-
-
-def _overload_hot_region(seed: int, txn_protocol=None) -> ScenarioResult:
-    if txn_protocol is not None:
-        raise ValueError(
-            "overload scenarios drive the open-loop harness and do not "
-            "support a txn_protocol override")
-    from .overload import overload_hot_region
-    return overload_hot_region(seed)
-
-
-SCENARIOS: Dict[str, Callable[[int], ScenarioResult]] = {
-    "region-blackout": _region_blackout,
-    "rolling-zones": _rolling_zones,
-    "flaky-wan": _flaky_wan,
-    "gray-follower": _gray_follower,
-    "asym-partition": _asym_partition,
-    "partition-leaseholder": _partition_leaseholder,
-    "crash-restart": _crash_restart,
-    "split-under-fire": _split_under_fire,
-    "kill-node-repair": _kill_node_repair,
-    "region-loss-repair": _region_loss_repair,
-    "overload-global": _overload_global,
-    "overload-hot-region": _overload_hot_region,
-    "clock-drift": _clock_drift,
-    "clock-jump-fence": _clock_jump_fence,
-    "clock-freeze-lease": _clock_freeze_lease,
+        Peers march ahead at 1 ms/ms, so its measured offsets grow
+        until it fences itself and the lease fails over to a healthy
+        voter; the heal step-syncs the clock so the end-of-run restart
+        rejoins it cleanly.""",
+        _clock_freeze_faults,
+        harness=dict(clock_monitor=True),
+        run=dict(expect_fences=True)),
 }
+
+
+def build_faults(name: str, harness, **timing) -> List[FaultEvent]:
+    """The named scenario's fault schedule, targeted at ``harness`` —
+    any object exposing ``.cluster``, ``.regions``, ``.home`` and
+    ``.range`` (the range whose leaseholder / followers are targeted)."""
+    return SCENARIOS[name].faults(harness, **timing)
 
 
 def run_scenario(name: str, seed: int = 0,
@@ -936,13 +632,19 @@ def run_scenario(name: str, seed: int = 0,
     """Run one built-in scenario by name.
 
     ``txn_protocol`` selects the transaction backend ("crdb" default,
-    "epoch-occ"); None keeps every legacy schedule byte-identical."""
+    "epoch-occ"); None keeps every CRDB schedule byte-identical."""
     try:
         scenario = SCENARIOS[name]
     except KeyError:
         raise KeyError(
             f"unknown chaos scenario {name!r}; "
             f"choose from {sorted(SCENARIOS)}") from None
-    if txn_protocol is None:
-        return scenario(seed)
-    return scenario(seed, txn_protocol=txn_protocol)
+    if scenario.runner is not None:
+        if txn_protocol is not None:
+            raise ValueError(
+                "overload scenarios drive the open-loop harness and do "
+                "not support a txn_protocol override")
+        return scenario.runner(seed)
+    harness = ChaosHarness(seed, txn_protocol=txn_protocol,
+                           **scenario.harness)
+    return harness.run(name, build_faults(name, harness), **scenario.run)

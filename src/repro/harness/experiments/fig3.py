@@ -21,8 +21,8 @@ from typing import Dict, List, Optional
 from ...metrics.histogram import LatencyRecorder, Summary
 from ...metrics.results import ResultTable
 from ...sim.network import TABLE1_REGIONS
-from ...workloads.ycsb import YCSBOptions, YCSBWorkload
-from ..runner import build_engine, run_clients, sessions_per_region
+from ...workloads.ycsb import YCSBOptions
+from ..runner import run_ycsb
 
 __all__ = ["Fig3Result", "run_fig3", "FIG3_CONFIGS"]
 
@@ -79,24 +79,13 @@ def run_fig3(regions=TABLE1_REGIONS, clients_per_region: int = 3,
     regions = list(regions)
     recorders: Dict[str, LatencyRecorder] = {}
     for config in configs:
-        engine = build_engine(regions, max_clock_offset=max_clock_offset,
-                              seed=seed)
         options = YCSBOptions(
             variant="A", mode=_MODE_OF[config], distribution="zipf",
             keys_per_region=keys_per_region,
             read_staleness_ms=(30_000.0 if config == "regional_stale"
                                else None),
             seed=seed)
-        workload = YCSBWorkload(engine, regions, options)
-        workload.setup()
-        workload.load()
-        recorder = LatencyRecorder(engine.cluster.sim.obs.registry)
-        sessions = sessions_per_region(engine, regions, clients_per_region,
-                                       "ycsb")
-        clients = [
-            (lambda s=s, i=i: workload.client(s, recorder, ops_per_client, i))
-            for i, s in enumerate(sessions)
-        ]
-        run_clients(engine, clients, recorder, settle_ms=2000.0)
-        recorders[config] = recorder
+        recorders[config] = run_ycsb(
+            regions, options, clients_per_region, ops_per_client, seed=seed,
+            max_clock_offset=max_clock_offset, settle_ms=2000.0)
     return Fig3Result(recorders=recorders)

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 from ...metrics.histogram import LatencyRecorder, Summary
 from ...metrics.results import ResultTable
 from ...workloads.ycsb import YCSBOptions, YCSBWorkload
-from ..runner import build_engine, run_clients, sessions_per_region
+from ..runner import build_engine, run_clients, run_ycsb
 
 __all__ = ["Fig4aResult", "run_fig4a", "Fig4bResult", "run_fig4b",
            "Fig4cResult", "run_fig4c", "FIG4_REGIONS"]
@@ -29,28 +29,6 @@ __all__ = ["Fig4aResult", "run_fig4a", "Fig4bResult", "run_fig4b",
 FIG4_REGIONS = ("us-east1", "europe-west2", "asia-northeast1")
 
 _FIG4A_VARIANTS = ("unoptimized", "default", "rehoming", "baseline")
-
-
-def _run_ycsb(regions, options: YCSBOptions, clients_per_region: int,
-              ops_per_client: int, seed: int = 0, warmup_ops: int = 0,
-              prehome_pools: bool = False) -> LatencyRecorder:
-    engine = build_engine(list(regions), seed=seed)
-    workload = YCSBWorkload(engine, list(regions), options)
-    workload.setup()
-    workload.load()
-    recorder = LatencyRecorder(engine.cluster.sim.obs.registry)
-    sessions = sessions_per_region(engine, list(regions),
-                                   clients_per_region, "ycsb")
-    clients = []
-    for i, s in enumerate(sessions):
-        prehome = (workload.remote_pool(s.region, i)
-                   if prehome_pools else None)
-        clients.append(
-            lambda s=s, i=i, p=prehome: workload.client(
-                s, recorder, ops_per_client, i, warmup_ops=warmup_ops,
-                prehome_keys=p))
-    run_clients(engine, clients, recorder, settle_ms=1000.0)
-    return recorder
 
 
 @dataclass
@@ -94,7 +72,7 @@ def run_fig4a(regions=FIG4_REGIONS, localities=(0.95, 0.5),
                 keys_per_region=keys_per_region,
                 locality_of_access=locality,
                 remote_pool_keys=remote_pool_keys, seed=seed)
-            recorders[(variant, locality)] = _run_ycsb(
+            recorders[(variant, locality)] = run_ycsb(
                 regions, options, clients_per_region, ops_per_client,
                 seed=seed, warmup_ops=warmup_ops, prehome_pools=True)
     return Fig4aResult(recorders=recorders)
@@ -136,7 +114,7 @@ def run_fig4b(regions=FIG4_REGIONS,
             variant="D", mode=variant, distribution="uniform",
             keys_per_region=keys_per_region, locality_of_access=1.0,
             seed=seed)
-        recorders[variant] = _run_ycsb(
+        recorders[variant] = run_ycsb(
             regions, options, clients_per_region, ops_per_client, seed=seed)
     return Fig4bResult(recorders=recorders)
 

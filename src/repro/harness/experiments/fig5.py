@@ -26,8 +26,8 @@ from ...metrics.histogram import LatencyRecorder, Summary, cdf_points
 from ...metrics.results import ResultTable
 from ...sim.network import TABLE1_REGIONS
 from ...workloads.zipf import ZipfGenerator
-from ...workloads.ycsb import YCSBOptions, YCSBWorkload
-from ..runner import build_engine, run_clients, sessions_per_region
+from ...workloads.ycsb import YCSBOptions
+from ..runner import build_engine, run_clients, run_ycsb
 
 __all__ = ["Fig5Result", "run_fig5", "FIG5_CONFIGS"]
 
@@ -110,23 +110,12 @@ def _run_dup_idx(regions, clients_per_region: int, ops_per_client: int,
 def _run_sql_config(regions, mode: str, staleness_ms, clients_per_region,
                     ops_per_client, keys_per_region, max_clock_offset,
                     seed) -> LatencyRecorder:
-    engine = build_engine(list(regions), max_clock_offset=max_clock_offset,
-                          seed=seed)
     options = YCSBOptions(variant="A", mode=mode, distribution="zipf",
                           keys_per_region=keys_per_region,
                           read_staleness_ms=staleness_ms, seed=seed)
-    workload = YCSBWorkload(engine, list(regions), options)
-    workload.setup()
-    workload.load()
-    recorder = LatencyRecorder(engine.cluster.sim.obs.registry)
-    sessions = sessions_per_region(engine, list(regions),
-                                   clients_per_region, "ycsb")
-    clients = [
-        (lambda s=s, i=i: workload.client(s, recorder, ops_per_client, i))
-        for i, s in enumerate(sessions)
-    ]
-    run_clients(engine, clients, recorder, settle_ms=2000.0)
-    return recorder
+    return run_ycsb(regions, options, clients_per_region, ops_per_client,
+                    seed=seed, max_clock_offset=max_clock_offset,
+                    settle_ms=2000.0)
 
 
 def run_fig5(regions=TABLE1_REGIONS, clients_per_region: int = 3,

@@ -24,18 +24,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..admission import AdmissionConfig, Priority, install_admission
-from ..cluster import standard_cluster
-from ..errors import (AdmissionRejectedError, AmbiguousCommitError,
-                      DeadlineExceededError, OverloadError,
-                      TransactionRetryError)
-from ..placement import SurvivalGoal, provision_range, zone_config_for_home
-from ..txn import TransactionCoordinator
+from ..errors import (AdmissionRejectedError, DeadlineExceededError,
+                      OverloadError)
+from ..placement import SurvivalGoal
 from ..workloads.zipf import ZipfGenerator
+from .testbed import OK, REGIONS, Testbed
 
 __all__ = ["OpenLoopConfig", "OpenLoopHarness", "OpenLoopResult",
            "RegionStats", "run_openloop"]
-
-REGIONS = ("us-east1", "europe-west2", "asia-northeast1")
 
 
 @dataclass
@@ -219,7 +215,7 @@ class OpenLoopResult:
         }
 
 
-class OpenLoopHarness:
+class OpenLoopHarness(Testbed):
     """Cluster + per-region REGIONAL ranges + Poisson load.
 
     ``record_ops=True`` additionally keeps one plain-dict record per
@@ -237,9 +233,8 @@ class OpenLoopHarness:
             raise ValueError("diurnal_amplitude must be within [0, 1]")
         if cfg.diurnal_amplitude > 0.0 and cfg.diurnal_period_ms <= 0.0:
             raise ValueError("diurnal_period_ms must be positive")
-        self.cluster = standard_cluster(list(cfg.regions), seed=cfg.seed,
-                                        obs_enabled=cfg.obs_enabled)
-        self.coord = TransactionCoordinator(self.cluster)
+        super().__init__(cfg.seed, regions=cfg.regions,
+                         obs_enabled=cfg.obs_enabled)
         # The capacity model (store work queues) is always installed;
         # cfg.admission toggles only the protections on top of it.
         self.admission = install_admission(self.cluster, AdmissionConfig(
@@ -253,15 +248,15 @@ class OpenLoopHarness:
         ))
         # One ZONE-survivable REGIONAL range per region: local quorum,
         # so the leaseholder store — not WAN latency — is the capacity
-        # bottleneck under saturation.
-        self.ranges = {}
-        for region in cfg.regions:
-            zone_config = zone_config_for_home(
-                region, self.cluster.regions(), SurvivalGoal.ZONE)
-            self.ranges[region] = provision_range(
-                self.cluster, zone_config, name=f"load-{region}",
-                side_transport_interval_ms=100.0,
-                proposal_timeout_ms=1000.0)
+        # bottleneck under saturation.  Load is the only nemesis here:
+        # no packet is ever lost, so the ranges run without leader
+        # retransmission.
+        self.ranges = {
+            region: self.provision(
+                f"load-{region}",
+                self.zone_config(region, SurvivalGoal.ZONE),
+                retransmit=False)
+            for region in cfg.regions}
         self.stats = {region: RegionStats() for region in cfg.regions}
         self._rngs = {
             region: random.Random((cfg.seed << 6) ^ (0xA110 + index))
@@ -276,10 +271,6 @@ class OpenLoopHarness:
             region: random.Random(
                 (cfg.seed << 7) ^ (0xD1A1 + index)).uniform(0.0, 2 * math.pi)
             for index, region in enumerate(cfg.regions)}
-
-    @property
-    def sim(self):
-        return self.cluster.sim
 
     # -- request lifecycle ---------------------------------------------------
 
@@ -318,9 +309,9 @@ class OpenLoopHarness:
                 yield from txn.read(target, key)
 
         try:
-            yield from self.coord.run(gateway, txn_fn, max_attempts=5,
-                                      label=f"open-{region}",
-                                      deadline_ms=deadline, tenant="open")
+            status, _value, _error = yield from self.attempt(
+                gateway, txn_fn, max_attempts=5, label=f"open-{region}",
+                deadline_ms=deadline, tenant="open")
         except DeadlineExceededError:
             stats.shed += 1
             self._record(region, kind, key, start_ms, "shed")
@@ -329,7 +320,7 @@ class OpenLoopHarness:
             stats.overloaded += 1
             self._record(region, kind, key, start_ms, "overloaded")
             return
-        except (TransactionRetryError, AmbiguousCommitError):
+        if status != OK:
             stats.failed += 1
             self._record(region, kind, key, start_ms, "failed")
             return
@@ -356,35 +347,21 @@ class OpenLoopHarness:
         })
 
     def _arrivals(self, region: str, end_ms: float):
+        """Poisson arrivals; with a diurnal amplitude, inhomogeneous by
+        thinning: draw gaps at the sinusoid's peak rate, then accept
+        each arrival with probability ``instantaneous / peak``.  Exact
+        for any bounded rate function, deterministic from (config,
+        seed), and with amplitude 0 the plain homogeneous process (no
+        acceptance draw is made)."""
         cfg = self.config
+        sim = self.sim
         rng = self._rngs[region]
         rate = cfg.region_rate(region)
         if rate <= 0:
             return
-        if cfg.diurnal_amplitude > 0.0:
-            yield from self._diurnal_arrivals(region, end_ms, rate)
-            return
-        index = 0
-        while True:
-            gap_ms = rng.expovariate(rate) * 1000.0
-            yield self.sim.sleep(gap_ms)
-            if self.sim.now >= end_ms:
-                return
-            self.sim.spawn(self._request(region, index % 3),
-                           name=f"open-{region}-{index}")
-            index += 1
-
-    def _diurnal_arrivals(self, region: str, end_ms: float, rate: float):
-        """Inhomogeneous Poisson arrivals by thinning: draw gaps at the
-        sinusoid's peak rate, then accept each arrival with probability
-        ``instantaneous / peak``.  Exact for any bounded rate function,
-        and deterministic from (config, seed)."""
-        cfg = self.config
-        sim = self.sim
-        rng = self._rngs[region]
-        phase = self._phases[region]
-        omega = 2.0 * math.pi / cfg.diurnal_period_ms
         amplitude = cfg.diurnal_amplitude
+        phase = self._phases[region]
+        omega = (2.0 * math.pi / cfg.diurnal_period_ms) if amplitude else 0.0
         peak = rate * (1.0 + amplitude)
         start_ms = sim.now
         index = 0
@@ -394,9 +371,9 @@ class OpenLoopHarness:
             now = sim.now
             if now >= end_ms:
                 return
-            instantaneous = rate * (
-                1.0 + amplitude * math.sin(omega * (now - start_ms) + phase))
-            if rng.random() * peak > instantaneous:
+            if amplitude and rng.random() * peak > rate * (
+                    1.0 + amplitude * math.sin(omega * (now - start_ms)
+                                               + phase)):
                 continue  # thinned away: the trough of this region's day
             sim.spawn(self._request(region, index % 3),
                       name=f"open-{region}-{index}")

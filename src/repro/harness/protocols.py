@@ -1,5 +1,5 @@
-"""Head-to-head transaction-protocol experiment (``python -m repro
-protocols``).
+"""Transaction-protocol head-to-head: crdb vs epoch-occ on one
+workload and nemesis schedule — golden-checked.
 
 Both :class:`~repro.txn.protocol.TxnProtocol` backends — the CRDB-style
 lease/intent pipeline and the epoch-batched OCC backend — run the
@@ -31,32 +31,21 @@ as a fingerprint mismatch.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import random
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List
 
-from ..chaos.scenarios import RETRYABLE
-from ..cluster import standard_cluster
-from ..errors import AmbiguousCommitError
+from ..chaos.scenarios import build_faults
 from ..metrics.histogram import Summary
-from ..placement import SurvivalGoal, provision_range, zone_config_for_home
-from ..sim.core import all_of
-from ..txn import TransactionCoordinator, resolve_protocol
+from .golden import repo_path
+from .testbed import FAIL, HOME, INDETERMINATE, OK, Testbed
 
 __all__ = ["run_protocol_run", "run_protocols_suite", "render_protocols",
-           "check_protocols_golden", "update_protocols_golden",
-           "GOLDEN_PATH", "GOLDEN_SEEDS", "PROTOCOLS"]
+           "fingerprint", "golden_entries", "GOLDEN_PATH", "GOLDEN_SEEDS",
+           "PROTOCOLS"]
 
-GOLDEN_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))),
-    "PROTOCOLS_golden.json")
+GOLDEN_PATH = repo_path("PROTOCOLS_golden.json")
 GOLDEN_SEEDS = (0, 1, 2)
 PROTOCOLS = ("crdb", "epoch-occ")
-
-REGIONS = ("us-east1", "europe-west2", "asia-northeast1")
-HOME = "us-east1"
 
 #: Small hot keyspace: three regions contending on 8 keys keeps the
 #: OCC validation machinery honest without starving throughput.
@@ -73,33 +62,21 @@ CLIENTS_PER_REGION = 2
 THINK_MS = (15.0, 45.0)
 
 
-class _ProtocolRun:
+class _ProtocolRun(Testbed):
     """One deterministic run of one backend under the shared schedule."""
 
     def __init__(self, seed: int, protocol: str):
-        self.seed = seed
+        super().__init__(seed, protocol=protocol,
+                         rng_seed=(seed << 6) ^ 0x9E0C)
         self.protocol_name = protocol
-        self.cluster = standard_cluster(list(REGIONS), seed=seed)
-        self.sim = self.cluster.sim
-        self.coord = TransactionCoordinator(
-            self.cluster, protocol=resolve_protocol(protocol))
-        config = zone_config_for_home(HOME, self.cluster.regions(),
-                                      SurvivalGoal.REGION)
-        # Chaos-grade hardening: bounded proposals and retransmission so
-        # the partition phase fails cleanly instead of hanging.
-        self.range = provision_range(
-            self.cluster, config, name="protocols",
-            side_transport_interval_ms=100.0,
-            proposal_timeout_ms=1000.0,
-            retransmit_interval_ms=150.0)
+        self.range = self.provision("protocols", self.zone_config())
         ts = self.range.leaseholder_node.clock.now()
         self.range.bulk_ingest([(key, 0) for key in KEYS], ts)
-        self.rng = random.Random((seed << 6) ^ 0x9E0C)
         #: Per-phase commit-ack latencies and outcome counters.
         self.latencies: Dict[str, List[float]] = {"calm": [], "faulted": []}
         self.outcomes: Dict[str, Dict[str, int]] = {
-            "calm": {"ok": 0, "fail": 0, "indeterminate": 0},
-            "faulted": {"ok": 0, "fail": 0, "indeterminate": 0}}
+            phase: {OK: 0, FAIL: 0, INDETERMINATE: 0}
+            for phase in ("calm", "faulted")}
         self.op_log: List[str] = []
 
     # -- workload ----------------------------------------------------------
@@ -114,21 +91,11 @@ class _ProtocolRun:
         while self.sim.now < ISSUE_END_MS:
             key = prng.choice(KEYS)
             start = self.sim.now
-
-            def txn_fn(txn, key=key):
-                value = yield from txn.read(self.range, key)
-                yield from txn.write(self.range, key, value + 1)
-
-            status = "ok"
-            try:
-                yield from self.coord.run(gateway, txn_fn, max_attempts=8)
-            except AmbiguousCommitError:
-                status = "indeterminate"
-            except RETRYABLE:
-                status = "fail"
+            status, _value, _error = yield from self.attempt(
+                gateway, self.increment(self.range, key), max_attempts=8)
             phase = self._phase_of(start)
             self.outcomes[phase][status] += 1
-            if status == "ok":
+            if status == OK:
                 self.latencies[phase].append(self.sim.now - start)
             self.op_log.append(
                 f"{region}/{index}/{op} {key} {start:.3f} "
@@ -136,46 +103,28 @@ class _ProtocolRun:
             op += 1
             yield self.sim.sleep(prng.uniform(*THINK_MS))
 
-    def _nemesis(self) -> Generator:
-        """partition-leaseholder: sever the lease node symmetrically."""
-        yield self.sim.sleep(PARTITION_AT_MS)
-        faults = self.cluster.network.faults
-        victim = self.range.leaseholder_node_id
-        peers = [n.node_id for n in self.cluster.nodes
-                 if n.node_id != victim]
-        for peer in peers:
-            faults.cut_link(victim, peer, bidirectional=True)
-        yield self.sim.sleep(HEAL_AT_MS - PARTITION_AT_MS)
-        for peer in peers:
-            faults.heal_link(victim, peer, bidirectional=True)
-
     # -- the run -----------------------------------------------------------
 
     def run(self) -> Dict:
-        clients = [self.sim.spawn(self._client(region, index),
-                                  name=f"client-{region}-{index}")
-                   for region in REGIONS
-                   for index in range(CLIENTS_PER_REGION)]
-        self.sim.spawn(self._nemesis(), name="nemesis")
-        # Join the clients (not a fixed horizon): every op — including
-        # retries outlasting the issue window — finishes before the
-        # audit read, so the final counters are quiescent.
-        self.sim.run_until_future(all_of(self.sim, clients))
-
-        final = self._final_counters()
-        return self._document(final)
+        # The chaos partition-leaseholder schedule, held mid-run.
+        self.start_nemesis(build_faults(
+            "partition-leaseholder", self,
+            at_ms=PARTITION_AT_MS, heal_at_ms=HEAL_AT_MS))
+        self.run_clients(self._client(region, index)
+                         for region in self.regions
+                         for index in range(CLIENTS_PER_REGION))
+        return self._document(self._final_counters())
 
     def _final_counters(self) -> Dict[str, int]:
-        gateway = self.cluster.gateway_for_region(HOME, 0)
-
+        """One full-keyspace audit read from the home region (the
+        partition healed at HEAL_AT_MS; nothing is left to settle)."""
         def read_fn(txn):
             values = {}
             for key in KEYS:
                 values[key] = (yield from txn.read(self.range, key))
             return values
 
-        result, _ts = self.sim.run_until_future(self.sim.spawn(
-            self.coord.run(gateway, read_fn, max_attempts=8)))
+        result = self.audit(read_fn, regions=[HOME])[HOME]
         return {key: int(result[key]) for key in KEYS}
 
     # -- reporting ---------------------------------------------------------
@@ -184,9 +133,7 @@ class _ProtocolRun:
         summary = Summary(self.latencies[phase])
         counts = self.outcomes[phase]
         return {
-            "ops": counts["ok"] + counts["fail"] + counts["indeterminate"],
-            "ok": counts["ok"], "fail": counts["fail"],
-            "indeterminate": counts["indeterminate"],
+            "ops": sum(counts.values()), **counts,
             "p50_ms": round(summary.p50, 3) if summary.count else None,
             "p99_ms": round(summary.p99, 3) if summary.count else None,
             "max_ms": round(summary.max, 3) if summary.count else None,
@@ -194,8 +141,8 @@ class _ProtocolRun:
 
     def _document(self, final: Dict[str, int]) -> Dict:
         stats = self.coord.stats
-        committed = sum(v["ok"] for v in self.outcomes.values())
-        indeterminate = sum(v["indeterminate"]
+        committed = sum(v[OK] for v in self.outcomes.values())
+        indeterminate = sum(v[INDETERMINATE]
                             for v in self.outcomes.values())
         total = sum(final.values())
         attempts = stats.begun
@@ -266,38 +213,10 @@ def run_protocols_suite(seeds) -> Dict:
                              for name, doc in runs.items()}}
 
 
-def check_protocols_golden(suite: Dict,
-                           path: str = GOLDEN_PATH) -> List[str]:
-    """Compare the suite's fingerprints against the committed golden."""
-    if not os.path.exists(path):
-        return [f"no golden file at {path} "
-                f"(run with --update-golden to create it)"]
-    with open(path) as fh:
-        golden = json.load(fh)
-    failures: List[str] = []
-    for name, fp in suite["fingerprints"].items():
-        want = golden.get("fingerprints", {}).get(name)
-        if want is None:
-            failures.append(f"{name}: no golden entry")
-            continue
-        for field, value in fp.items():
-            expected = want.get(field)
-            if expected != value:
-                failures.append(f"{name}: {field} = {value!r}, "
-                                f"golden {expected!r}")
-    return failures
-
-
-def update_protocols_golden(suite: Dict, path: str = GOLDEN_PATH) -> None:
-    """Promote this run's fingerprints, merging over existing entries."""
-    golden = {"fingerprints": {}}
-    if os.path.exists(path):
-        with open(path) as fh:
-            golden = json.load(fh)
-    golden.setdefault("fingerprints", {}).update(suite["fingerprints"])
-    with open(path, "w") as fh:
-        json.dump(golden, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def golden_entries(suite: Dict) -> Dict:
+    """The suite's fingerprints, addressed as in PROTOCOLS_golden.json."""
+    return {("fingerprints", name): fp
+            for name, fp in suite["fingerprints"].items()}
 
 
 def render_protocols(suite: Dict) -> str:

@@ -1,5 +1,5 @@
-"""The elastic-keyspace rebalancing experiment (``python -m repro
-rebalance``).
+"""The elastic-keyspace experiment: size/load splits, a
+follow-the-workload lease move, cold merges — golden-checked.
 
 One elastic span on a three-region cluster runs through three phases:
 
@@ -26,26 +26,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import zlib
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
-from ..cluster import StoreLiveness, standard_cluster
-from ..placement import RebalanceQueue, ZoneConfig, provision_range
-from ..txn import TransactionCoordinator
+from ..cluster import StoreLiveness
+from ..kv.keyspace import live_ranges
+from ..placement import ReplicateQueue, ZoneConfig
+from .golden import repo_path
+from .testbed import HOME, OK, Testbed
 
 __all__ = ["run_rebalance", "run_rebalance_suite", "render_rebalance",
-           "check_rebalance_golden", "GOLDEN_PATH", "GOLDEN_SEEDS"]
+           "render_rebalance_suite",
+           "fingerprint", "golden_entries", "GOLDEN_PATH", "GOLDEN_SEEDS"]
 
-GOLDEN_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))),
-    "REBALANCE_golden.json")
+GOLDEN_PATH = repo_path("REBALANCE_golden.json")
 GOLDEN_SEEDS = (0, 1, 2)
 
-REGIONS = ("us-east1", "europe-west2", "asia-northeast1")
-HOME = "us-east1"
 HOT_REGION = "europe-west2"
 
 #: Seeded keyspace and the hot band the remote clients hammer.
@@ -66,43 +63,31 @@ MERGE_QPS = 2.0
 MERGE_PATIENCE = 3
 
 
-def _zone_config(regions) -> ZoneConfig:
-    # One voter pinned home, the rest placed by diversity, and no lease
-    # preference — leaving follow-the-workload free to move the lease.
-    return ZoneConfig(num_replicas=3, num_voters=3,
-                      constraints={HOME: 1})
-
-
-class _RebalanceRun:
+class _RebalanceRun(Testbed):
     """One deterministic run, elastic or legacy."""
 
     def __init__(self, seed: int, elastic: bool):
-        self.seed = seed
+        super().__init__(seed)
         self.elastic = elastic
-        self.cluster = standard_cluster(list(REGIONS), seed=seed)
-        self.sim = self.cluster.sim
-        self.coordinator = TransactionCoordinator(self.cluster)
-        config = _zone_config(REGIONS)
-        self.range = provision_range(
-            self.cluster, config, name="elastic",
-            side_transport_interval_ms=100.0,
-            proposal_timeout_ms=1000.0, retransmit_interval_ms=150.0)
+        # One voter pinned home, the rest placed by diversity, and no
+        # lease preference — leaving follow-the-workload free to move
+        # the lease.
+        config = ZoneConfig(num_replicas=3, num_voters=3,
+                            constraints={HOME: 1})
+        self.range = self.provision("elastic", config)
         ts = self.range.leaseholder_node.clock.now()
+        self.token = self.range
         if elastic:
-            self.span = self.cluster.keyspace.adopt(self.range, name="kv")
-            self.token = self.span
-            self.liveness = StoreLiveness(self.cluster)
-            self.queue = RebalanceQueue(
-                self.cluster, self.liveness,
+            # Production cadence, not the chaos harness's compressed
+            # one: this run lasts 12.5 s and loses no store.
+            self.token = self.enable_elastic(
+                self.range, config, "kv",
+                time_until_store_dead_ms=
+                StoreLiveness.TIME_UNTIL_STORE_DEAD_MS,
+                interval_ms=ReplicateQueue.INTERVAL_MS,
                 split_max_keys=SPLIT_MAX_KEYS, split_qps=SPLIT_QPS,
                 merge_qps=MERGE_QPS, merge_patience=MERGE_PATIENCE,
                 lease_cooldown_ms=1500.0)
-            self.queue.manage_span(self.span, config)
-            self.queue.start()
-        else:
-            self.span = None
-            self.queue = None
-            self.token = self.range
         self.token.bulk_ingest([(key, 0) for key in KEYS], ts)
         self.committed = 0
         self.failed = 0
@@ -121,31 +106,19 @@ class _RebalanceRun:
         yield self.sim.sleep(start_ms)
         gateway = self.cluster.gateway_for_region(region, index)
         while self.sim.now < end_ms:
-            key = pick_key(prng)
-
-            def txn_fn(txn, key=key):
-                value = yield from txn.read(self.token, key)
-                yield from txn.write(self.token, key, (value or 0) + 1)
-                return None
-
-            try:
-                yield from self.coordinator.run(gateway, txn_fn)
+            status, _value, _error = yield from self.attempt(
+                gateway, self.increment(self.token, pick_key(prng)))
+            if status == OK:
                 self.committed += 1
-            except Exception:
+            else:
                 self.failed += 1
             yield self.sim.sleep(prng.uniform(*think))
-        return None
 
     # -- sampling ----------------------------------------------------------
 
-    def _live_ranges(self) -> List:
-        if self.span is not None:
-            return [d.rng for d in self.span.descriptors]
-        return [self.range]
-
     def _sample(self, label: str) -> Dict:
         ranges = []
-        for rng in self._live_ranges():
+        for rng in live_ranges(self.token):
             lease_node = rng.leaseholder_node_id
             lease_region = (
                 self.cluster.node_by_id(lease_node).locality.region
@@ -192,8 +165,8 @@ class _RebalanceRun:
         self.sim.spawn(self._probe(HOT_END_MS - 100.0, "hot"),
                        name="probe-hot")
         self.sim.run(until=DRAIN_END_MS)
-        if self.queue is not None:
-            self.queue.stop()
+        if self.repair_queue is not None:
+            self.repair_queue.stop()
         self.samples.append(self._sample("final"))
         return self._document()
 
@@ -201,7 +174,7 @@ class _RebalanceRun:
 
     def _final_snapshot(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
-        for rng in self._live_ranges():
+        for rng in live_ranges(self.token):
             ts = rng.leaseholder_node.clock.now()
             for key, value in rng.leaseholder_replica.store.snapshot_at(
                     ts).items():
@@ -322,44 +295,11 @@ def run_rebalance_suite(seeds) -> Dict:
     return {"ok": ok, "runs": runs}
 
 
-def check_rebalance_golden(suite: Dict,
-                           golden: Optional[Dict] = None) -> List[str]:
-    """Compare a fresh suite's fingerprints against the committed golden."""
-    if golden is None:
-        if not os.path.exists(GOLDEN_PATH):
-            return [f"no golden file at {GOLDEN_PATH} "
-                    f"(run with --update-golden)"]
-        with open(GOLDEN_PATH) as fh:
-            golden = json.load(fh)
-    failures: List[str] = []
-    for seed, entry in sorted(suite["runs"].items()):
-        pinned = golden.get("seeds", {}).get(seed)
-        if pinned is None:
-            failures.append(f"seed {seed}: no golden fingerprint")
-            continue
-        for mode in ("elastic", "legacy"):
-            fresh = entry["fingerprints"][mode]
-            want = pinned.get(mode, {})
-            for field in sorted(set(fresh) | set(want)):
-                if fresh.get(field) != want.get(field):
-                    failures.append(
-                        f"seed {seed} {mode}: {field} = "
-                        f"{fresh.get(field)!r}, golden "
-                        f"{want.get(field)!r}")
-    return failures
-
-
-def update_rebalance_golden(suite: Dict) -> None:
-    golden = {"seeds": {}}
-    if os.path.exists(GOLDEN_PATH):
-        with open(GOLDEN_PATH) as fh:
-            golden = json.load(fh)
-        golden.setdefault("seeds", {})
-    for seed, entry in suite["runs"].items():
-        golden["seeds"][seed] = entry["fingerprints"]
-    with open(GOLDEN_PATH, "w") as fh:
-        json.dump(golden, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def golden_entries(suite: Dict) -> Dict:
+    """The suite's fingerprints, addressed as in REBALANCE_golden.json."""
+    return {("seeds", seed, mode): fp
+            for seed, entry in suite["runs"].items()
+            for mode, fp in entry["fingerprints"].items()}
 
 
 def render_rebalance(doc: Dict) -> str:
@@ -389,3 +329,9 @@ def render_rebalance(doc: Dict) -> str:
                      f"{'pass' if passed else 'FAIL'}")
     lines.append(f"  => {'OK' if doc['gates']['ok'] else 'GATE FAILURES'}")
     return "\n".join(lines)
+
+
+def render_rebalance_suite(suite: Dict) -> str:
+    return "\n".join(f"{render_rebalance(entry['elastic'])}\n"
+                     f"{render_rebalance(entry['legacy'])}\n"
+                     for entry in suite["runs"].values())

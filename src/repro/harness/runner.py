@@ -8,8 +8,9 @@ from ..cluster import standard_cluster
 from ..metrics.histogram import LatencyRecorder
 from ..sim.network import TABLE1_RTT_MS, synthetic_rtt_matrix
 from ..sql.session import Engine, Session
+from ..workloads.ycsb import YCSBOptions, YCSBWorkload
 
-__all__ = ["build_engine", "run_clients", "sessions_per_region"]
+__all__ = ["build_engine", "run_clients", "sessions_per_region", "run_ycsb"]
 
 
 def build_engine(regions: Sequence[str], nodes_per_region: int = 3,
@@ -77,4 +78,32 @@ def run_clients(engine: Engine,
     for process in processes:
         sim.run_until_future(process)
     recorder.finished_at = sim.now
+    return recorder
+
+
+def run_ycsb(regions: Sequence[str], options: YCSBOptions,
+             clients_per_region: int, ops_per_client: int, seed: int = 0,
+             max_clock_offset: float = 250.0, settle_ms: float = 1000.0,
+             warmup_ops: int = 0,
+             prehome_pools: bool = False) -> LatencyRecorder:
+    """One YCSB run on a fresh engine: set up, load, one client per
+    session, run to completion; returns the latency recorder."""
+    regions = list(regions)
+    engine = build_engine(regions, max_clock_offset=max_clock_offset,
+                          seed=seed)
+    workload = YCSBWorkload(engine, regions, options)
+    workload.setup()
+    workload.load()
+    recorder = LatencyRecorder(engine.cluster.sim.obs.registry)
+    sessions = sessions_per_region(engine, regions, clients_per_region,
+                                   "ycsb")
+    clients = []
+    for i, s in enumerate(sessions):
+        prehome = (workload.remote_pool(s.region, i)
+                   if prehome_pools else None)
+        clients.append(
+            lambda s=s, i=i, p=prehome: workload.client(
+                s, recorder, ops_per_client, i, warmup_ops=warmup_ops,
+                prehome_keys=p))
+    run_clients(engine, clients, recorder, settle_ms=settle_ms)
     return recorder

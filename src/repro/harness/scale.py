@@ -11,21 +11,23 @@ overload chaos scenarios assert:
 * without admission the same load demonstrably collapses (goodput
   under 50% of capacity).
 
-Everything is deterministic from the seed; ``SCALE_results.json`` at
-the repo root holds the committed smoke baseline for CI's
-``overload-smoke`` regression gate (mirroring ``BENCH_results.json``).
+Everything is deterministic from the seed, so ``SCALE_results.json``
+at the repo root pins the quick (smoke) sweep *exactly*, per seed; CI's
+``overload-smoke`` job re-runs ``python -m repro scale --smoke`` and
+any drift in any number on the curve is a fingerprint mismatch.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Optional
 
+from .golden import repo_path
 from .openloop import OpenLoopConfig, run_openloop
 
-__all__ = ["run_scale", "render_scale", "check_scale_regression",
-           "DEFAULT_MULTIPLIERS", "QUICK_MULTIPLIERS", "RESULTS_PATH"]
+__all__ = ["run_scale", "render_scale", "run_scale_suite",
+           "render_scale_suite", "golden_entries",
+           "DEFAULT_MULTIPLIERS", "QUICK_MULTIPLIERS", "GOLDEN_PATH",
+           "GOLDEN_SEEDS"]
 
 DEFAULT_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0)
 QUICK_MULTIPLIERS = (1.0, 4.0)
@@ -35,10 +37,8 @@ QUICK_MULTIPLIERS = (1.0, 4.0)
 FULL_DURATION_MS = 2000.0
 QUICK_DURATION_MS = 1500.0
 
-RESULTS_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))),
-    "SCALE_results.json")
+GOLDEN_PATH = repo_path("SCALE_results.json")
+GOLDEN_SEEDS = (0,)
 
 #: Graceful-degradation gate thresholds (asserted here and by the
 #: overload chaos scenarios).
@@ -128,14 +128,13 @@ def render_scale(doc: Dict) -> str:
             f"{point['rejected']:>6} {point['shed']:>5} "
             f"{point['goodput_per_s']:>10.1f} {point['p50_ms']:>8.2f} "
             f"{point['p99_ms']:>8.2f}")
-    if "diurnal" in doc:
-        point = doc["diurnal"]["point"]
-        lines.append(
-            f"  diurnal 1x (+/-{doc['diurnal']['amplitude']:.0%}, "
-            f"period {doc['diurnal']['period_ms']:.0f}ms): "
-            f"offered={point['offered']} good={point['good']} "
-            f"goodput={point['goodput_per_s']:.1f}/s "
-            f"p50={point['p50_ms']:.2f}ms p99={point['p99_ms']:.2f}ms")
+    point = doc["diurnal"]["point"]
+    lines.append(
+        f"  diurnal 1x (+/-{doc['diurnal']['amplitude']:.0%}, "
+        f"period {doc['diurnal']['period_ms']:.0f}ms): "
+        f"offered={point['offered']} good={point['good']} "
+        f"goodput={point['goodput_per_s']:.1f}/s "
+        f"p50={point['p50_ms']:.2f}ms p99={point['p99_ms']:.2f}ms")
     gates = doc["gates"]
     lines.append(
         f"  capacity={gates['capacity_per_s']:.1f}/s  "
@@ -150,33 +149,18 @@ def render_scale(doc: Dict) -> str:
     return "\n".join(lines)
 
 
-def check_scale_regression(fresh: Dict, baseline: Dict,
-                           tolerance: float = 0.25) -> List[str]:
-    """Compare a fresh smoke run against the committed baseline.
+def run_scale_suite(seeds) -> Dict:
+    """The smoke suite: one quick sweep per seed (the golden pins 0)."""
+    runs = {str(seed): run_scale(seed=seed, quick=True) for seed in seeds}
+    return {"ok": all(doc["gates"]["ok"] for doc in runs.values()),
+            "runs": runs}
 
-    Mirrors the bench-smoke gate: goodput may not drop, nor p99 rise,
-    by more than ``tolerance`` at any point on the curve.
-    """
-    failures: List[str] = []
-    base_points = {(p["multiplier"], p["admission"]): p
-                   for p in baseline.get("curve", [])}
-    for point in fresh.get("curve", []):
-        key = (point["multiplier"], point["admission"])
-        base = base_points.get(key)
-        if base is None:
-            continue
-        label = f"{key[0]:g}x/{'on' if key[1] else 'off'}"
-        if point["goodput_per_s"] < base["goodput_per_s"] * (1 - tolerance):
-            failures.append(
-                f"goodput regression at {label}: "
-                f"{point['goodput_per_s']:.1f}/s vs baseline "
-                f"{base['goodput_per_s']:.1f}/s")
-        if base["p99_ms"] > 0 and (
-                point["p99_ms"] > base["p99_ms"] * (1 + tolerance)):
-            failures.append(
-                f"p99 regression at {label}: {point['p99_ms']:.2f}ms vs "
-                f"baseline {base['p99_ms']:.2f}ms")
-    if not fresh.get("gates", {}).get("ok", False):
-        failures.append("graceful-degradation gates failed: "
-                        + json.dumps(fresh.get("gates", {})))
-    return failures
+
+def golden_entries(suite: Dict) -> Dict:
+    """A quick sweep is its own fingerprint: every field is exact."""
+    return {("smoke", seed): doc for seed, doc in suite["runs"].items()}
+
+
+def render_scale_suite(suite: Dict) -> str:
+    return "\n\n".join(render_scale(doc)
+                       for doc in suite["runs"].values())

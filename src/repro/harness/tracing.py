@@ -1,23 +1,34 @@
-"""Traced workloads for the ``python -m repro trace`` CLI.
+"""Deterministic SQL workloads on a fresh engine, for observation.
 
-Runs a small, fully deterministic workload against a fresh engine and
-returns it with the trace still attached (``engine.cluster.sim.obs``).
-The movr workload is built to exercise every span-producing layer at
-least once: a REGIONAL BY ROW write (local consensus), a GLOBAL-table
-write (future-time closed timestamps, hence an explicit
-``txn.commit_wait`` span), a local read, and a remote-region read of
-the GLOBAL table (served from a nearby replica).
+:func:`run_traced_workload` (the ``python -m repro trace`` / ``metrics``
+CLI) runs a *small* workload and returns the engine with the trace
+still attached (``engine.cluster.sim.obs``).  Its movr workload is
+built to exercise every span-producing layer at least once: a REGIONAL
+BY ROW write (local consensus), a GLOBAL-table write (future-time
+closed timestamps, hence an explicit ``txn.commit_wait`` span), a local
+read, and a remote-region read of the GLOBAL table (served from a
+nearby replica).
+
+:func:`run_fixed_workload` runs the fixed-seed kv / movr / tpcc client
+pools the determinism goldens (``tests/goldens/``) and the
+observability-cost tests pin: the same seed and scale always simulate
+the same events, with observability on or off.  (Throughput is measured
+by ``bench/``, not here.)
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
+from ..metrics.histogram import LatencyRecorder
 from ..sql.session import Engine
 from ..workloads.movr import new_multi_region_schema_ddl
-from .runner import build_engine
+from ..workloads.tpcc import TPCCOptions, TPCCWorkload
+from ..workloads.ycsb import YCSBOptions, YCSBWorkload
+from .runner import build_engine, run_clients, sessions_per_region
 
-__all__ = ["DEFAULT_REGIONS", "run_traced_workload", "trace_roots"]
+__all__ = ["DEFAULT_REGIONS", "FIXED_WORKLOADS", "run_traced_workload",
+           "run_fixed_workload", "run_tpcc_clients", "trace_roots"]
 
 DEFAULT_REGIONS = ["us-east1", "us-west1", "europe-west2"]
 
@@ -81,3 +92,92 @@ def _run_kv(engine: Engine, regions: List[str]) -> None:
 def trace_roots(engine: Engine) -> List:
     """The workload's root spans, in start order."""
     return list(engine.cluster.sim.obs.tracer.roots)
+
+
+# -- fixed-seed client pools -------------------------------------------------
+
+#: Workload -> recorded operations per client at scale 1.0 (two clients
+#: per region).
+FIXED_WORKLOADS = {"kv": 400, "movr": 150, "tpcc": 40}
+_CLIENTS_PER_REGION = 2
+
+
+def _workload_clients(engine: Engine, workload, database: str, n_ops: int,
+                      recorder: LatencyRecorder) -> None:
+    """Set up and load ``workload``, then run its client loops."""
+    workload.setup()
+    workload.load()
+    sessions = sessions_per_region(engine, DEFAULT_REGIONS,
+                                   _CLIENTS_PER_REGION, database)
+    makers = [
+        (lambda s=s, i=i: workload.client(s, recorder, n_ops, i))
+        for i, s in enumerate(sessions)]
+    run_clients(engine, makers, recorder)
+
+
+def _kv_clients(engine: Engine, regions: List[str], n_ops: int,
+                recorder: LatencyRecorder, seed: int) -> None:
+    options = YCSBOptions(variant="A", mode="default",
+                          distribution="uniform", keys_per_region=200,
+                          seed=seed)
+    _workload_clients(engine, YCSBWorkload(engine, regions, options),
+                      "ycsb", n_ops, recorder)
+
+
+def _movr_clients(engine: Engine, regions: List[str], n_ops: int,
+                  recorder: LatencyRecorder, seed: int) -> None:
+    home = engine.connect(regions[0])
+    for stmt in new_multi_region_schema_ddl(regions):
+        home.execute(stmt)
+    home.execute("USE movr")
+    sim = engine.cluster.sim
+
+    def client(session, client_id: int):
+        base = client_id * 1_000_000
+        for i in range(n_ops):
+            uid = base + i
+            start = sim.now
+            yield from session.execute_co(
+                f"INSERT INTO users (id, city, name) "
+                f"VALUES ({uid}, 'city-{client_id}', 'user-{uid}')")
+            recorder.record(("write", session.region), sim.now - start)
+            start = sim.now
+            yield from session.execute_co(
+                f"SELECT name FROM users WHERE id = {uid}")
+            recorder.record(("read", session.region), sim.now - start)
+
+    sessions = sessions_per_region(engine, regions, _CLIENTS_PER_REGION,
+                                   "movr")
+    makers = [(lambda s=s, i=i: client(s, i))
+              for i, s in enumerate(sessions)]
+    run_clients(engine, makers, recorder)
+
+
+def run_tpcc_clients(engine: Engine, regions: List[str], n_txns: int,
+                     recorder: LatencyRecorder, seed: int) -> None:
+    """Set up, load and run the small fixed TPC-C mix on ``engine``."""
+    options = TPCCOptions(warehouses_per_region=2, districts_per_warehouse=3,
+                          customers_per_district=5, items=25, seed=seed)
+    _workload_clients(engine, TPCCWorkload(engine, regions, options),
+                      "tpcc", n_txns, recorder)
+
+
+_CLIENT_POOLS = {"kv": _kv_clients, "movr": _movr_clients,
+                 "tpcc": run_tpcc_clients}
+
+
+def run_fixed_workload(workload: str, seed: int = 0,
+                       obs_enabled: bool = True, scale: float = 1.0
+                       ) -> Tuple[Engine, LatencyRecorder]:
+    """One complete fixed-seed run; returns (engine, recorder)."""
+    if workload not in FIXED_WORKLOADS:
+        raise ValueError(f"unknown fixed workload {workload!r} "
+                         f"(expected one of {sorted(FIXED_WORKLOADS)})")
+    n_ops = max(1, int(round(FIXED_WORKLOADS[workload] * scale)))
+    engine = build_engine(DEFAULT_REGIONS, seed=seed,
+                          obs_enabled=obs_enabled)
+    # The recorder always uses a private registry so latency summaries
+    # work identically with observability off.
+    recorder = LatencyRecorder()
+    _CLIENT_POOLS[workload](engine, DEFAULT_REGIONS, n_ops, recorder, seed)
+    return engine, recorder

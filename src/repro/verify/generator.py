@@ -26,32 +26,26 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..admission import AdmissionConfig, install_admission
-from ..chaos.nemesis import FaultEvent, Nemesis
-from ..chaos.scenarios import HOME, REGIONS, RETRYABLE, build_faults
-from ..cluster import StoreLiveness, install_clock_monitor, standard_cluster
-from ..placement import ReplicateQueue
-from ..errors import (AmbiguousCommitError, DeadlineExceededError,
-                      OverloadError, StaleReadBoundError)
+from ..chaos.nemesis import FaultEvent
+from ..chaos.scenarios import build_faults
+from ..errors import (DeadlineExceededError, OverloadError,
+                      StaleReadBoundError)
+from ..harness.testbed import OK, RETRYABLE, Testbed
 from ..kv.distsender import ReadRouting
-from ..placement import SurvivalGoal, provision_range, zone_config_for_home
 from ..sim.clock import Timestamp
-from ..txn import TransactionCoordinator
 from ..workloads.zipf import ZipfGenerator
 from .checker import VerifyReport, check
 from .history import VerifyHistory
 from .recorder import HistoryRecorder
 
 __all__ = ["VerifyHarness", "VerifyResult", "run_verify",
-           "VERIFY_SCENARIOS", "OCC_SWEEP_SCENARIOS",
-           "OCC_ABLATION_SCENARIO"]
+           "VERIFY_SCENARIOS", "VERIFY_ONLY_SCENARIOS", "CLOCK_SCENARIOS",
+           "OCC_SWEEP_SCENARIOS", "OCC_ABLATION_SCENARIO"]
 
-#: The chaos schedules the randomized isolation sweep runs under (the
-#: two *-repair scenarios permanently lose nodes and have their own
-#: tier-2 sweep; the verifier targets the heal-everything schedules).
-#: ``overload`` is not a fault schedule but a load nemesis: admission
-#: control is installed and an open-loop background load saturates the
-#: home store while the recorded clients run with deadlines, proving
-#: that shedding never breaks serializability.
+#: The schedules the randomized isolation sweep runs under: the chaos
+#: heal-everything fault schedules (the two *-repair scenarios
+#: permanently lose nodes and have their own tier-2 sweep) plus the
+#: verifier's own nemeses (:data:`VERIFY_ONLY_SCENARIOS`).
 VERIFY_SCENARIOS = [
     "region-blackout", "rolling-zones", "flaky-wan",
     "gray-follower", "asym-partition", "crash-restart",
@@ -60,14 +54,6 @@ VERIFY_SCENARIOS = [
     "clock-drift", "clock-jump", "clock-jump-nofence",
 ]
 
-#: Clock-fault verify scenarios.  ``clock-drift`` keeps every clock
-#: inside the max-offset contract (nothing may fence, nothing may break);
-#: ``clock-jump`` steps a writer gateway's clock beyond the contract
-#: with the full defense on (serve-side rejection + self-fencing) and
-#: must stay anomaly-free; ``clock-jump-nofence`` is the honest
-#: ablation — the identical schedule with the defense disabled, where
-#: the run *passes* iff the checker reports the real-time/staleness
-#: anomalies the undefended jump really causes.
 CLOCK_SCENARIOS = ("clock-drift", "clock-jump", "clock-jump-nofence")
 
 #: The differential sweep the epoch-OCC backend must pass: the six
@@ -79,13 +65,36 @@ OCC_SWEEP_SCENARIOS = [
     "gray-follower", "asym-partition", "crash-restart",
 ]
 
-#: The epoch-OCC honest-falsification ablation: the identical optimistic
-#: pipeline with commit-time read-set validation disabled.  The run
-#: *passes* iff the checker convicts the blind write-write races the
-#: missing validation really causes (lost updates / write cycles) —
-#: proof the differential sweep's clean verdicts are earned by the
-#: validation step, not by checker blindness.
 OCC_ABLATION_SCENARIO = "occ-novalidate"
+
+#: Scenarios only the verifier has (every other name reuses the chaos
+#: scenario's fault schedule and doc): name -> what the nemesis is.
+VERIFY_ONLY_SCENARIOS = {
+    "none": "Fault-free run of the randomized workload.",
+    "split-merge":
+        "The nemesis is the keyspace itself: forced splits and merges "
+        "reshape the primary range under the live workload.",
+    "overload":
+        "A load nemesis, not a fault schedule: admission control is "
+        "installed and open-loop background load saturates the home "
+        "store while the recorded clients run with deadlines — "
+        "shedding must never break serializability.",
+    "clock-jump":
+        "A writer gateway's clock steps beyond the max-offset contract "
+        "with the full defense on (serve-side rejection + "
+        "self-fencing); the run must stay anomaly-free.",
+    "clock-jump-nofence":
+        "The honest ablation: the identical jump with the defense "
+        "disabled; passes iff the checker reports the real-time / "
+        "staleness anomalies the undefended jump really causes.",
+    OCC_ABLATION_SCENARIO:
+        "The epoch-OCC honest-falsification ablation: the identical "
+        "optimistic pipeline with commit-time read-set validation "
+        "disabled; passes iff the checker convicts the blind "
+        "write-write races (lost updates / write cycles) — proof the "
+        "differential sweep's clean verdicts are earned by validation, "
+        "not by checker blindness.",
+}
 
 #: Anomaly types the validation-off ablation must produce (at least
 #: one): the write-write races validation exists to prevent.
@@ -193,45 +202,34 @@ class VerifyResult:
         return "\n".join(lines)
 
 
-class VerifyHarness:
+class VerifyHarness(Testbed):
     """Cluster + three localized ranges + recorder + seeded clients."""
 
-    def __init__(self, seed: int, regions: Optional[List[str]] = None,
-                 home: str = HOME, protocol=None):
-        self.seed = seed
-        self.regions = list(regions or REGIONS)
-        self.home = home
-        self.cluster = standard_cluster(self.regions, seed=seed)
-        self.coord = TransactionCoordinator(self.cluster, protocol=protocol)
-        #: The resolved backend instance — shared with the background
-        #: coordinator so a differential run is pure (one protocol end
-        #: to end).
+    def __init__(self, seed: int, protocol=None):
+        super().__init__(seed, protocol=protocol,
+                         rng_seed=(seed << 5) ^ 0x5EED)
+        #: The resolved backend instance (a differential run is pure:
+        #: one protocol end to end, background load included).
         self.protocol = self.coord.protocol
-        self.ds = self.coord.distsender
         self.recorder = HistoryRecorder(self.cluster.sim)
         self.coord.recorder = self.recorder
         self.recorder.meta["protocol"] = self.protocol.name
-        secondary = next(r for r in self.regions if r != home)
+        secondary = next(r for r in self.regions if r != self.home)
         #: Zone config per range name (the clock-jump scenario's repair
         #: queue needs them to manage the ranges).
         self.configs: Dict[str, Any] = {}
 
         def make_range(name: str, range_home: str,
                        global_reads: bool = False):
-            config = zone_config_for_home(
-                range_home, self.cluster.regions(), SurvivalGoal.REGION)
-            self.configs[name] = config
-            return provision_range(
-                self.cluster, config, global_reads=global_reads, name=name,
-                side_transport_interval_ms=100.0,
-                closed_ts_lag_ms=None if global_reads else CLOSED_TS_LAG_MS,
-                proposal_timeout_ms=1000.0,
-                retransmit_interval_ms=150.0)
+            config = self.configs[name] = self.zone_config(range_home)
+            return self.provision(
+                name, config, global_reads=global_reads,
+                closed_ts_lag_ms=None if global_reads else CLOSED_TS_LAG_MS)
 
         self.ranges = {
-            "reg-us": make_range("reg-us", home),
+            "reg-us": make_range("reg-us", self.home),
             "reg-eu": make_range("reg-eu", secondary),
-            "glob": make_range("glob", home, global_reads=True),
+            "glob": make_range("glob", self.home, global_reads=True),
         }
         #: The range nemesis fault builders target (leaseholder /
         #: follower victims): the primary REGIONAL range.
@@ -249,7 +247,6 @@ class VerifyHarness:
             f"{rng.name}/{key}": {"kind": kind,
                                   "global": rng.name == "glob"}
             for rng, key, kind in self.keys}
-        self.rng = random.Random((seed << 5) ^ 0x5EED)
         self._strong_routing = ReadRouting.LEASEHOLDER
         #: Set by the ``overload`` scenario: per-txn deadline for the
         #: recorded clients (None = no deadline) and foreground-shed
@@ -257,20 +254,9 @@ class VerifyHarness:
         self.txn_deadline_ms: Optional[float] = None
         self._fg_shed = 0
         self.admission = None
-        self._bg_coord: Optional[TransactionCoordinator] = None
+        self._bg_coord = None
         self._bg_stats = {"offered": 0, "rejected": 0, "shed": 0,
                           "failed": 0, "completed": 0}
-        #: Clock-scenario machinery (None unless a clock scenario runs).
-        self.clock_monitor = None
-        self.liveness: Optional[StoreLiveness] = None
-        self.repair_queue: Optional[ReplicateQueue] = None
-        #: Set by the ``split-merge`` scenario: the elastic span the
-        #: primary REGIONAL range was adopted into.
-        self.span = None
-
-    @property
-    def sim(self):
-        return self.cluster.sim
 
     # -- strong transactional clients ---------------------------------------
 
@@ -318,18 +304,16 @@ class VerifyHarness:
             deadline = (self.sim.now + self.txn_deadline_ms
                         if self.txn_deadline_ms is not None else None)
             try:
-                yield from self.coord.run(gateway, txn_fn, max_attempts=6,
-                                          label=label, deadline_ms=deadline,
-                                          tenant=label)
-            except AmbiguousCommitError:
-                pass  # recorded as indeterminate
+                # The outcome itself is the recorder's business
+                # (indeterminate / aborted attempts land in the history).
+                yield from self.attempt(gateway, txn_fn, max_attempts=6,
+                                        label=label, deadline_ms=deadline,
+                                        tenant=label)
             except (DeadlineExceededError, OverloadError):
                 # Shed under overload: the attempt rolled back, so the
                 # history records it as aborted — serializability must
                 # hold regardless.
                 self._fg_shed += 1
-            except RETRYABLE:
-                pass  # recorded as aborted attempts
             yield self.sim.sleep(rng.uniform(*think_ms))
 
     # -- recency probes (clock scenarios) -----------------------------------
@@ -359,13 +343,8 @@ class VerifyHarness:
                 yield from txn.read(table, key,
                                     routing=self._strong_routing)
 
-            try:
-                yield from self.coord.run(gateway, txn_fn, max_attempts=6,
-                                          label=label)
-            except AmbiguousCommitError:
-                pass
-            except RETRYABLE:
-                pass
+            yield from self.attempt(gateway, txn_fn, max_attempts=6,
+                                    label=label)
             yield self.sim.sleep(rng.uniform(*think_ms))
 
     # -- stale readers ------------------------------------------------------
@@ -379,32 +358,26 @@ class VerifyHarness:
         for _ in range(ops):
             table, key, _kind = self.keys[rng.randrange(len(self.keys))]
             now = gateway.clock.now()
-            if rng.random() < 0.5:
-                ts = Timestamp(now.physical - rng.uniform(500.0, 900.0))
-                record = recorder.begin_stale(gateway, "exact", ts,
-                                              label=label)
-                try:
+            exact = rng.random() < 0.5
+            lag_ms = rng.uniform(*((500.0, 900.0) if exact
+                                   else (700.0, 1200.0)))
+            ts = Timestamp(now.physical - lag_ms)
+            record = recorder.begin_stale(
+                gateway, "exact" if exact else "bounded", ts, label=label)
+            try:
+                if exact:
+                    served_ts = None
                     result = yield self.ds.exact_staleness_read(
                         gateway, table, key, ts)
-                except STALE_RETRYABLE:
-                    recorder.finish_stale(record, ok=False)
                 else:
-                    recorder.on_stale_read(record, table, key, result)
-                    recorder.finish_stale(record)
-            else:
-                min_ts = Timestamp(
-                    now.physical - rng.uniform(700.0, 1200.0))
-                record = recorder.begin_stale(gateway, "bounded", min_ts,
-                                              label=label)
-                try:
                     result, served_ts = yield self.ds.bounded_staleness_read(
-                        gateway, table, key, min_ts)
-                except STALE_RETRYABLE:
-                    recorder.finish_stale(record, ok=False)
-                else:
-                    recorder.on_stale_read(record, table, key, result,
-                                           effective_ts=served_ts)
-                    recorder.finish_stale(record)
+                        gateway, table, key, ts)
+            except STALE_RETRYABLE:
+                recorder.finish_stale(record, ok=False)
+            else:
+                recorder.on_stale_read(record, table, key, result,
+                                       effective_ts=served_ts)
+                recorder.finish_stale(record)
             yield self.sim.sleep(rng.uniform(*think_ms))
 
     # -- overload (load nemesis) --------------------------------------------
@@ -420,9 +393,7 @@ class VerifyHarness:
         # Unrecorded coordinator for the background load: its txns must
         # not enter the verified history (they touch only bg* keys) but
         # must share the cluster txn registry, so ids are kept disjoint.
-        self._bg_coord = TransactionCoordinator(self.cluster,
-                                                txn_id_base=1_000_000,
-                                                protocol=self.protocol)
+        self._bg_coord = self.second_coordinator(txn_id_base=1_000_000)
 
     def _bg_request(self, region: str, index: int, rng: random.Random):
         """One open-loop background request: gateway admission, then a
@@ -453,16 +424,13 @@ class VerifyHarness:
                 yield from txn.read(table, key)
 
         try:
-            yield from self._bg_coord.run(gateway, txn_fn, max_attempts=4,
-                                          label="bg", deadline_ms=deadline,
-                                          tenant="bg")
+            status, _value, _error = yield from self.attempt(
+                gateway, txn_fn, coord=self._bg_coord, max_attempts=4,
+                label="bg", deadline_ms=deadline, tenant="bg")
         except (DeadlineExceededError, OverloadError):
             stats["shed"] += 1
             return
-        except (AmbiguousCommitError,) + RETRYABLE:
-            stats["failed"] += 1
-            return
-        stats["completed"] += 1
+        stats["completed" if status == OK else "failed"] += 1
 
     def _bg_arrivals(self, region: str, index: int, end_ms: float):
         """Poisson arrival process for one region's background load."""
@@ -540,36 +508,17 @@ class VerifyHarness:
         and the replicate queue repairs around a fenced victim.  The
         ablation keeps the identical setup so offsets are still
         measured and exported — it differs *only* in not acting."""
-        fence = scenario != "clock-jump-nofence"
-        self.clock_monitor = install_clock_monitor(
-            self.cluster, fence_enabled=fence)
+        self.enable_clock_monitor(
+            fence_enabled=scenario != "clock-jump-nofence")
         if scenario in ("clock-jump", "clock-jump-nofence"):
-            self.liveness = StoreLiveness(
-                self.cluster, heartbeat_interval_ms=100.0,
-                time_until_store_dead_ms=600.0)
-            self.repair_queue = ReplicateQueue(
-                self.cluster, self.liveness, interval_ms=200.0)
-            for name in sorted(self.ranges):
-                self.repair_queue.manage(self.ranges[name],
-                                         self.configs[name])
-            self.repair_queue.start()
+            self.enable_repair((self.ranges[name], self.configs[name])
+                               for name in sorted(self.ranges))
 
     def _clock_events(self, scenario: str) -> List[FaultEvent]:
-        clock = self.cluster.clock
         if scenario == "clock-drift":
-            lease_node = self.range.leaseholder_node_id
-            victims = [p.node.node_id for p in self.range.group.voters()
-                       if p.node.node_id != lease_node][:2]
-            events = []
-            for index, node_id in enumerate(victims):
-                rate = 0.03 if index % 2 == 0 else -0.03
-                events.append(FaultEvent(
-                    name=f"clock-drift:n{node_id}",
-                    at_ms=200.0,
-                    inject=lambda n=node_id, r=rate: clock.set_drift(n, r),
-                    heal_at_ms=2000.0,
-                    heal=lambda n=node_id: clock.heal(n)))
-            return events
+            # The chaos schedule, held for the verifier's longer run.
+            return build_faults("clock-drift", self, heal_at_ms=2000.0)
+        clock = self.cluster.clock
         victim = self.clock_jump_victim()
         return [FaultEvent(
             name=f"clock-jump:n{victim}",
@@ -586,30 +535,21 @@ class VerifyHarness:
                 initial = [] if kind == "list" else f"init:{key}"
                 yield from txn.write(table, key, initial)
 
-            self.sim.run_until_future(self.sim.spawn(
-                self.coord.run(gateway, init_fn, label="init")))
+            self.run_txn(gateway, init_fn, label="init")
 
     def _audit(self) -> Dict[str, Any]:
         """Strong-read every key from every live region; the first live
         region's answers become the final state (disagreements surface
         as stale-strong-read / final-state anomalies)."""
+        def audit_fn(txn):
+            values = {}
+            for table, key, _kind in self.keys:
+                values[f"{table.name}/{key}"] = (
+                    yield from txn.read(table, key))
+            return values
+
         final: Dict[str, Any] = {}
-        network = self.cluster.network
-        for region in self.regions:
-            live = [n for n in self.cluster.nodes_in_region(region)
-                    if not network.node_is_dead(n.node_id)]
-            if not live:
-                continue
-            gateway = live[0]
-            values: Dict[str, Any] = {}
-
-            def audit_fn(txn, values=values):
-                for table, key, _kind in self.keys:
-                    value = yield from txn.read(table, key)
-                    values[f"{table.name}/{key}"] = value
-
-            self.sim.run_until_future(self.sim.spawn(self.coord.run(
-                gateway, audit_fn, label=f"final-{region}")))
+        for values in self.audit(audit_fn, label="final").values():
             for key, value in values.items():
                 final.setdefault(key, value)
         return final
@@ -643,8 +583,8 @@ class VerifyHarness:
                     name=f"bg-arrivals-{region}")
         elif clock_scenario:
             self._setup_clock(scenario)
-            nemesis = Nemesis(self.cluster, self._clock_events(scenario))
-            nemesis.schedule(base_ms=start_ms)
+            nemesis = self.start_nemesis(self._clock_events(scenario),
+                                         base_ms=start_ms)
         elif split_merge:
             # The nemesis is the keyspace itself: forced splits and
             # merges reshape the primary range under the live workload.
@@ -655,32 +595,30 @@ class VerifyHarness:
             # commit-time validation disabled; no faults injected.
             pass
         elif scenario:
-            nemesis = Nemesis(self.cluster, build_faults(scenario, self))
-            nemesis.schedule(base_ms=start_ms)
-        processes = []
+            nemesis = self.start_nemesis(build_faults(scenario, self),
+                                         base_ms=start_ms)
+        clients = []
         for index, region in enumerate(self.regions):
             for client in range(clients_per_region):
-                processes.append(sim.spawn(self.txn_client(
+                clients.append(self.txn_client(
                     f"txn-{region}-{client}", region,
-                    (index + client) % 2, ops_per_client)))
-            processes.append(sim.spawn(self.stale_client(
-                f"stale-{region}", region, (index + 1) % 2, stale_ops)))
+                    (index + client) % 2, ops_per_client))
+            clients.append(self.stale_client(
+                f"stale-{region}", region, (index + 1) % 2, stale_ops))
         if clock_scenario:
             # Recency probes on healthy gateways (index 0 in the home
             # region — index 1 is the jump victim).
             for index, region in enumerate(self.regions):
-                processes.append(sim.spawn(self.probe_client(
-                    f"probe-{region}", region, index % 2, ops=60)))
-        for process in processes:
-            sim.run_until_future(process)
+                clients.append(self.probe_client(
+                    f"probe-{region}", region, index % 2, ops=60))
+        self.run_clients(clients)
         duration = sim.now - start_ms
 
-        if nemesis is not None:
-            # clock-jump's fenced victim stays down: the point is that
-            # the replicate queue repairs around it, not that a restart
-            # saves the day.
-            nemesis.heal_all(restart_dead=(scenario != "clock-jump"))
-        sim.run(until=sim.now + 2000.0)
+        # clock-jump's fenced victim stays down: the point is that the
+        # replicate queue repairs around it, not that a restart saves
+        # the day.
+        self.heal_and_settle(nemesis,
+                             restart_dead=(scenario != "clock-jump"))
         self.recorder.final = self._audit()
 
         history = self.recorder.finalize()

@@ -1,7 +1,7 @@
-"""Determinism guarantees behind the benchmark harness.
+"""Determinism guarantees behind every measured run.
 
-Two properties make ``BENCH_results.json`` numbers comparable across
-PRs, and both are pinned here:
+Two properties make numbers comparable across PRs (``bench/`` asserts
+the same per repetition), and both are pinned here:
 
 * **Observability equivalence** — running with observability off is a
   pure fast path: for a fixed seed it must produce byte-identical
@@ -19,7 +19,8 @@ import pathlib
 import pytest
 
 from repro.cluster import standard_cluster
-from repro.harness.bench import BENCH_REGIONS, _execute, _run_tpcc
+from repro.harness.tracing import (DEFAULT_REGIONS, run_fixed_workload,
+                                   run_tpcc_clients)
 from repro.metrics.histogram import LatencyRecorder
 from repro.sql.session import Engine
 
@@ -52,7 +53,7 @@ def state_digest(engine):
 
 
 def run_fingerprint(workload, seed, scale):
-    engine, recorder, _ = _execute(workload, seed, "full", scale, None)
+    engine, recorder = run_fixed_workload(workload, seed, scale=scale)
     sim = engine.cluster.sim
     summary = recorder.summary()
     return {
@@ -85,8 +86,8 @@ class TestObsEquivalence:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_kv_identical_across_obs_modes(self, seed):
-        full_engine, full_rec, _ = _execute("kv", seed, "full", 0.25, None)
-        off_engine, off_rec, _ = _execute("kv", seed, "off", 0.25, None)
+        full_engine, full_rec = run_fixed_workload("kv", seed, True, 0.25)
+        off_engine, off_rec = run_fixed_workload("kv", seed, False, 0.25)
         assert (full_engine.cluster.sim.events_processed
                 == off_engine.cluster.sim.events_processed)
         assert full_engine.cluster.sim.now == off_engine.cluster.sim.now
@@ -96,8 +97,8 @@ class TestObsEquivalence:
         assert state_digest(full_engine) == state_digest(off_engine)
 
     def test_movr_identical_across_obs_modes(self):
-        full_engine, full_rec, _ = _execute("movr", 0, "full", 0.2, None)
-        off_engine, off_rec, _ = _execute("movr", 0, "off", 0.2, None)
+        full_engine, full_rec = run_fixed_workload("movr", 0, True, 0.2)
+        off_engine, off_rec = run_fixed_workload("movr", 0, False, 0.2)
         assert (full_engine.cluster.sim.events_processed
                 == off_engine.cluster.sim.events_processed)
         assert full_rec.samples() == off_rec.samples()
@@ -111,12 +112,12 @@ class TestObsEquivalence:
         move one event."""
         def run(obs_enabled):
             cluster = standard_cluster(
-                BENCH_REGIONS, max_clock_offset=250.0, skew_fraction=0.05,
+                DEFAULT_REGIONS, max_clock_offset=250.0, skew_fraction=0.05,
                 jitter_fraction=0.02, seed=0, obs_enabled=obs_enabled,
                 txn_protocol=protocol)
             engine = Engine(cluster, seed=0)
             recorder = LatencyRecorder()
-            _run_tpcc(engine, BENCH_REGIONS, 6, recorder, 0)
+            run_tpcc_clients(engine, DEFAULT_REGIONS, 6, recorder, 0)
             return engine, recorder
 
         full_engine, full_rec = run(True)

@@ -1,11 +1,15 @@
 """Tests for the CLI entry point and catalog primitives."""
 
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import build_parser, main
 from repro.errors import SchemaError
+from repro.harness.registry import REGISTRY, summary
 from repro.sql.catalog import (
     Catalog,
     Column,
@@ -15,13 +19,32 @@ from repro.sql.catalog import (
     TableLocality,
 )
 
+PAPER = [name for name, exp in REGISTRY.items() if exp.style == "paper"]
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
 
 class TestCLI:
-    def test_list(self, capsys):
+    def test_list_prints_every_experiment_and_scenario_with_its_doc(
+            self, capsys):
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
+        lines = capsys.readouterr().out.splitlines()
+        for exp in REGISTRY.values():
+            assert f"{exp.name:<10s} {summary(exp.doc)}" in lines
+            for scenario, doc in exp.scenarios.items():
+                assert f"    {scenario:<22s} {summary(doc)}" in lines
+        assert summary("first\n  line.\n\nsecond paragraph") == "first line."
+
+    @pytest.mark.parametrize("verb", ["list", "all"] + list(REGISTRY))
+    def test_every_verb_has_help(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--help"])
+        assert exit_info.value.code == 0
+        assert f"python -m repro {verb}" in capsys.readouterr().out
+
+    def test_usage_docstring_names_every_verb(self):
+        import repro.__main__ as cli
+        for verb in ["list", "all"] + list(REGISTRY):
+            assert re.search(rf"\b{verb}\b", cli.__doc__), verb
 
     def test_table1_runs(self, capsys):
         assert main(["table1"]) == 0
@@ -35,21 +58,66 @@ class TestCLI:
         assert "Fig 4b" in out
         assert "computed" in out
 
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["not-an-experiment"])
+    @pytest.mark.parametrize("argv", [
+        ["not-an-experiment"], ["bench"], [],
+        ["repair", "--scenario", "not-a-scenario"],
+        ["scale", "--update-baseline"]])
+    def test_usage_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "not-a-scenario"],
+        ["verify", "--scenario", "not-a-scenario"],
+        ["chaos", "overload-global", "--protocol", "epoch-occ"],
+        ["sweep", "--kinds", "rebalance"],
+        ["sweep", "--kinds", "chaos", "--scenarios", "not-a-scenario"]])
+    def test_unknown_scenario_or_kind_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err
+
+    def test_unknown_observed_scenario_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["metrics", "--scenario", "not-a-scenario"])
+        assert exit_info.value.code == 2
+
+
+def _ci_command_lines():
+    """Every ``python -m repro ...`` command line in the CI workflow
+    (continuation lines joined, matrix placeholders filled in)."""
+    text = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    text = "\n".join(line for line in text.splitlines()
+                     if not line.lstrip().startswith("#"))
+    text = text.replace("\\\n", " ").replace("${{ matrix.protocol }}",
+                                             "epoch-occ")
+    return [shlex.split(match)
+            for match in re.findall(r"python -m repro ([^\n|&;]+)", text)]
+
+
+class TestCIWorkflow:
+    def test_workflow_runs_the_cli(self):
+        assert len(_ci_command_lines()) >= 10
+
+    @pytest.mark.parametrize(
+        "argv", _ci_command_lines(), ids=lambda argv: " ".join(argv))
+    def test_every_ci_command_line_parses(self, argv):
+        args = build_parser().parse_args(argv)
+        assert args.verb in REGISTRY
+
+    def test_retired_entry_points_are_gone_from_ci(self):
+        text = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert "scripts/" not in text and "BENCH_results" not in text
 
 
 class TestChaosCLI:
     def test_list_scenarios(self, capsys):
         assert main(["chaos", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "region-blackout" in out
-        assert "kill-node-repair" in out
-        assert "region-loss-repair" in out
-
-    def test_unknown_scenario_exits_nonzero(self, capsys):
-        assert main(["chaos", "not-a-scenario"]) == 2
+        assert capsys.readouterr().out.split() == \
+            list(REGISTRY["chaos"].scenarios)
+        assert main(["verify", "--scenario", "list"]) == 0
+        assert capsys.readouterr().out.split() == \
+            list(REGISTRY["verify"].scenarios)
 
     def test_clean_run_exits_zero(self, capsys):
         assert main(["chaos", "crash-restart", "--seed", "0"]) == 0
@@ -72,6 +140,17 @@ class TestChaosCLI:
         assert isinstance(run["wall_s"], float)
         assert any(e["action"] == "inject" for e in run["nemesis_timeline"])
 
+    def test_seed_flags(self, capsys):
+        """--seeds K>1 wins, then --seed N, then the verb's default."""
+        assert main(["chaos", "crash-restart", "--seeds", "2",
+                     "--json"]) == 0
+        runs = json.loads(capsys.readouterr().out)["runs"]
+        assert [run["seed"] for run in runs] == [0, 1]
+        assert main(["chaos", "crash-restart", "--seed", "3",
+                     "--json"]) == 0
+        (run,) = json.loads(capsys.readouterr().out)["runs"]
+        assert run["seed"] == 3
+
 
 class TestRepairCLI:
     def test_repair_report(self, capsys):
@@ -83,10 +162,6 @@ class TestRepairCLI:
         assert "time-to-repair" in out
         assert "max-inflight-changes=1" in out
         assert "=> OK" in out
-
-    def test_unknown_repair_scenario_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["repair", "--scenario", "not-a-scenario"])
 
 
 class TestRegionEnum:

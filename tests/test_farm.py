@@ -1,6 +1,6 @@
 """The sweep farm's contract: parallel == sequential, byte for byte.
 
-Chaos/verify/scale/bench runs are deterministic from their job
+Chaos/verify/scale runs are deterministic from their job
 coordinates, so farming them across processes must be invisible in the
 output: the merged document from N workers is byte-identical to the
 sequential one.  These tests pin that, plus the merge canonicalization
@@ -68,27 +68,43 @@ class TestJobExpansion:
             (name, seed) for name in ("none", "crash-restart")
             for seed in (0, 1, 2)}
 
-    def test_sweep_jobs_bench_includes_both_obs_modes(self):
-        jobs = sweep_jobs(["bench"], ["kv"], [0])
-        assert {j["obs"] for j in jobs} == {"full", "off"}
+    def test_sweep_jobs_default_is_each_kinds_sweep_set(self):
+        from repro.chaos import SCENARIOS
+        from repro.verify import VERIFY_SCENARIOS
+        jobs = sweep_jobs(["chaos", "verify"], None, [0])
+        assert [j["scenario"] for j in jobs if j["kind"] == "chaos"] == \
+            sorted(SCENARIOS)
+        assert [j["scenario"] for j in jobs if j["kind"] == "verify"] == \
+            list(VERIFY_SCENARIOS)
+
+    def test_sweep_jobs_protocol_rides_on_every_job(self):
+        jobs = sweep_jobs(["chaos"], ["crash-restart"], [0, 1],
+                          protocol="epoch-occ")
+        assert [j["protocol"] for j in jobs] == ["epoch-occ"] * 2
 
     def test_sweep_jobs_scale_has_no_scenario_axis(self):
-        jobs = sweep_jobs(["scale"], None, [0, 1])
-        assert jobs == [{"kind": "scale", "seed": 0, "quick": True},
-                        {"kind": "scale", "seed": 1, "quick": True}]
+        # One curve per seed, whatever the scenario filter says.
+        expected = [{"kind": "scale", "scenario": "scale-curve", "seed": 0},
+                    {"kind": "scale", "scenario": "scale-curve", "seed": 1}]
+        assert sweep_jobs(["scale"], None, [0, 1]) == expected
+        assert sweep_jobs(["scale"], ["crash-restart"], [0, 1]) == expected
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             sweep_jobs(["frobnicate"], None, [0])
         with pytest.raises(ValueError):
             run_job({"kind": "frobnicate"})
+        # A registry verb that is not a farmable experiment.
+        with pytest.raises(ValueError):
+            sweep_jobs(["rebalance"], None, [0])
 
 
-#: The mandated guard set: seeds {0, 1, 2} x obs {full, off}.  Tiny
-#: scale keeps each run sub-second; determinism does not depend on it.
-_GUARD_JOBS = [{"kind": "bench", "workload": "kv", "seed": seed,
-                "obs": obs, "scale": 0.1}
-               for seed in (0, 1, 2) for obs in ("full", "off")]
+#: The guard set: two scenarios x seeds {0, 1, 2}, one cell on the
+#: other transaction backend (sub-second each).
+_GUARD_JOBS = (
+    sweep_jobs(["chaos"], ["crash-restart"], [0, 1, 2])
+    + sweep_jobs(["verify"], ["none"], [0, 1])
+    + sweep_jobs(["chaos"], ["crash-restart"], [0], protocol="epoch-occ"))
 
 
 class TestFarmDeterminism:
@@ -100,15 +116,14 @@ class TestFarmDeterminism:
         assert "wall_s" not in dumps_sweep(parallel)
         assert parallel["total"] == 6 and parallel["ok"]
 
-    def test_bench_jobs_report_only_deterministic_fields(self):
-        record = run_job({"kind": "bench", "workload": "kv", "seed": 0,
-                          "obs": "off", "scale": 0.1})
-        report = record["report"]
-        assert "events_per_sec" not in report
-        assert "wall_s" not in report
-        assert report["events"] > 0 and report["ops"] > 0
+    def test_job_records_are_stable_and_carry_their_coordinates(self):
+        job = {"kind": "chaos", "scenario": "crash-restart", "seed": 0,
+               "protocol": "epoch-occ"}
+        record = run_job(job)
+        assert {k: record[k] for k in job} == job
+        assert record["ok"] and record["report"]["ops"]["total"] > 0
         # Same job, same bytes: the per-job payload itself is stable.
-        again = run_job({"kind": "bench", "workload": "kv", "seed": 0,
-                         "obs": "off", "scale": 0.1})
         assert json.dumps(record, sort_keys=True) == \
-            json.dumps(again, sort_keys=True)
+            json.dumps(run_job(job), sort_keys=True)
+        assert "protocol" not in run_job(
+            {"kind": "chaos", "scenario": "crash-restart", "seed": 0})

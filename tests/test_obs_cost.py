@@ -13,7 +13,7 @@ Three deterministic properties stand in for "cheap enough to leave on":
 
 import gc
 
-from repro.harness.bench import _execute
+from repro.harness.tracing import run_fixed_workload
 from repro.obs import DETACHED, Tracer
 
 
@@ -157,7 +157,7 @@ class TestPerOpCostCounters:
 
     @staticmethod
     def _counts():
-        engine, recorder, _ = _execute("kv", 0, "full", 0.25, None)
+        engine, recorder = run_fixed_workload("kv", 0, scale=0.25)
         obs = engine.cluster.sim.obs
         assert obs.tracer.dropped_roots == 0
         registry = obs.registry
