@@ -163,15 +163,26 @@ class Process(Future):
             else:
                 target = self._gen_send(send_value)
         except StopIteration as stop:
+            # Drop the generator and the bound methods of ``self`` kept
+            # beside it (here and on the two failure exits below): they
+            # make the process a reference cycle, and left in place every
+            # finished process, with all its result references, waits for
+            # the cyclic collector.  Inline: this runs once per process.
+            self._generator = self._gen_send = None
+            self._resume = self._step_cb = None
             self._complete(stop.value, None)
             return
         except Exception as exc:  # noqa: BLE001 - deliberate catch-all boundary
+            self._generator = self._gen_send = None
+            self._resume = self._step_cb = None
             had_waiters = bool(self._callbacks)
             self.reject(exc)
             if not had_waiters and not self.sim._swallow_orphan_failures:
                 self.sim._crash(exc)
             return
         if not isinstance(target, Future):
+            self._generator = self._gen_send = None
+            self._resume = self._step_cb = None
             self.reject(SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Futures"))
             return

@@ -15,10 +15,12 @@ Multi-region state lives here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import SchemaError
 from ..placement.goals import SurvivalGoal
+from .ast import columns_referenced
 
 __all__ = [
     "Catalog",
@@ -119,6 +121,12 @@ class Column:
     computed: Optional[Any] = None    # expression AST (STORED)
     on_update: Optional[Any] = None   # expression AST
     references: Optional[str] = None
+
+    @cached_property
+    def determinants(self) -> FrozenSet[str]:
+        """The columns a computed column is derived from (``computed`` is
+        fixed at creation, so this is worked out once)."""
+        return frozenset(columns_referenced(self.computed))
 
 
 @dataclass

@@ -1,7 +1,10 @@
 """SQL expression evaluation.
 
-Expressions are evaluated against a row (a dict of column values) and an
-environment carrying the gateway region and a deterministic UUID source.
+Expressions are evaluated against a row (a dict of column values), an
+environment carrying the gateway region and a deterministic UUID source,
+and — for the trees of a statement shape, whose literals are
+:class:`~repro.sql.ast.Param` slots — the literal values of the statement
+being executed.
 The built-ins are the ones the paper uses:
 
 * ``gateway_region()`` — the region of the node the client connected to;
@@ -14,10 +17,11 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import SchemaError
 from . import ast
+from .ast import columns_referenced  # re-exported: it lived here once
 
 __all__ = ["EvalEnv", "evaluate", "columns_referenced"]
 
@@ -41,7 +45,7 @@ _EMPTY_ROW: Dict[str, Any] = {}
 
 
 def evaluate(expr: Any, row: Optional[Dict[str, Any]] = None,
-             env: Optional[EvalEnv] = None) -> Any:
+             env: Optional[EvalEnv] = None, params: Tuple = ()) -> Any:
     """Evaluate an expression AST to a Python value."""
     if row is None:
         row = _EMPTY_ROW
@@ -50,52 +54,54 @@ def evaluate(expr: Any, row: Optional[Dict[str, Any]] = None,
     handler = _DISPATCH.get(type(expr))
     if handler is None:
         raise SchemaError(f"cannot evaluate expression {expr!r}")
-    return handler(expr, row, env)
+    return handler(expr, row, env, params)
 
 
-def _eval_literal(expr, row, env):
+def _eval_literal(expr, row, env, params):
     return expr.value
 
 
-def _eval_column(expr, row, env):
+def _eval_param(expr, row, env, params):
+    return params[expr.slot]
+
+
+def _eval_column(expr, row, env, params):
     name = expr.name
     if name not in row:
         raise SchemaError(f"unknown column {name!r} in expression")
     return row[name]
 
 
-def _eval_case(expr, row, env):
+def _eval_case(expr, row, env, params):
     for condition, result in expr.whens:
-        if evaluate(condition, row, env):
-            return evaluate(result, row, env)
-    return evaluate(expr.default, row, env)
+        if evaluate(condition, row, env, params):
+            return evaluate(result, row, env, params)
+    return evaluate(expr.default, row, env, params)
 
 
-def _eval_comparison(expr, row, env):
-    left = evaluate(expr.left, row, env)
-    right = evaluate(expr.right, row, env)
+def _eval_comparison(expr, row, env, params):
+    left = evaluate(expr.left, row, env, params)
+    right = evaluate(expr.right, row, env, params)
     return _compare(expr.op, left, right)
 
 
-def _eval_and(expr, row, env):
+def _eval_and(expr, row, env, params):
     for part in expr.parts:
-        if not evaluate(part, row, env):
+        if not evaluate(part, row, env, params):
             return False
     return True
 
 
-def _eval_in(expr, row, env):
-    value = evaluate(expr.column, row, env)
+def _eval_in(expr, row, env, params):
+    value = evaluate(expr.column, row, env, params)
     for v in expr.values:
-        if value == evaluate(v, row, env):
+        if value == evaluate(v, row, env, params):
             return True
     return False
 
 
-
-
 def _call_builtin(expr: ast.FuncCall, row: Dict[str, Any],
-                  env: EvalEnv) -> Any:
+                  env: EvalEnv, params: Tuple) -> Any:
     name = expr.name
     if name == "gateway_region":
         if env.gateway_region is None:
@@ -109,14 +115,14 @@ def _call_builtin(expr: ast.FuncCall, row: Dict[str, Any],
     if name == "gen_random_uuid":
         return env.make_uuid()
     if name == "lower":
-        return str(evaluate(expr.args[0], row, env)).lower()
+        return str(evaluate(expr.args[0], row, env, params)).lower()
     if name == "upper":
-        return str(evaluate(expr.args[0], row, env)).upper()
+        return str(evaluate(expr.args[0], row, env, params)).upper()
     if name == "concat":
-        return "".join(str(evaluate(a, row, env)) for a in expr.args)
+        return "".join(str(evaluate(a, row, env, params)) for a in expr.args)
     if name == "mod":
-        left = evaluate(expr.args[0], row, env)
-        right = evaluate(expr.args[1], row, env)
+        left = evaluate(expr.args[0], row, env, params)
+        right = evaluate(expr.args[1], row, env, params)
         return left % right
     raise SchemaError(f"unknown function {name!r}")
 
@@ -141,6 +147,7 @@ def _compare(op: str, left: Any, right: Any) -> bool:
 
 _DISPATCH = {
     ast.Literal: _eval_literal,
+    ast.Param: _eval_param,
     ast.ColumnRef: _eval_column,
     ast.FuncCall: _call_builtin,
     ast.CaseWhen: _eval_case,
@@ -148,33 +155,3 @@ _DISPATCH = {
     ast.LogicalAnd: _eval_and,
     ast.InList: _eval_in,
 }
-
-
-def columns_referenced(expr: Any) -> Set[str]:
-    """All column names an expression depends on (for planning)."""
-    if isinstance(expr, ast.ColumnRef):
-        return {expr.name}
-    if isinstance(expr, ast.FuncCall):
-        out: Set[str] = set()
-        for arg in expr.args:
-            out |= columns_referenced(arg)
-        return out
-    if isinstance(expr, ast.CaseWhen):
-        out = columns_referenced(expr.default)
-        for condition, result in expr.whens:
-            out |= columns_referenced(condition)
-            out |= columns_referenced(result)
-        return out
-    if isinstance(expr, ast.Comparison):
-        return columns_referenced(expr.left) | columns_referenced(expr.right)
-    if isinstance(expr, ast.LogicalAnd):
-        out = set()
-        for part in expr.parts:
-            out |= columns_referenced(part)
-        return out
-    if isinstance(expr, ast.InList):
-        out = columns_referenced(expr.column)
-        for value in expr.values:
-            out |= columns_referenced(value)
-        return out
-    return set()

@@ -24,6 +24,9 @@ from ..errors import (
 )
 from ..kv.distsender import ReadRouting
 from ..kv.keyspace import encode_key, live_ranges
+# The module, not ``Planner``: whichever of repro.sql / repro.optimizer is
+# imported first, the other is only part-initialised at this point.
+from ..optimizer import planner as planning
 from ..optimizer.plans import (
     FanoutMultiRead,
     FanoutPointRead,
@@ -42,22 +45,15 @@ __all__ = ["Executor", "ExecContext"]
 
 
 class ExecContext:
-    """Per-statement execution context."""
+    """What a session's statements execute against: built once per
+    session and database, not per statement."""
 
     def __init__(self, database: Database, gateway, env: EvalEnv):
         self.database = database
         self.gateway = gateway
         self.env = env
-
-    @property
-    def gateway_region(self) -> str:
-        return self.gateway.locality.region
-
-    def planner(self, table: Table):
-        # Imported here to break the sql <-> optimizer import cycle.
-        from ..optimizer.planner import Planner
-        return Planner(table, gateway_region=self.gateway_region,
-                       env=self.env)
+        self.gateway_region: str = gateway.locality.region
+        self.planner = planning.Planner(self.gateway_region, env)
 
 
 def _routing_for(table: Table) -> str:
@@ -75,7 +71,12 @@ def plan_on_primary(plan, table: Table) -> bool:
 
 
 class Executor:
-    """Executes DML statements inside a transaction."""
+    """Executes DML statements inside a transaction.
+
+    Every statement runs from its ``compiled`` form and ``params`` (see
+    :mod:`repro.sql.ast`); the statement's literal-bearing fields are
+    never read here.
+    """
 
     def __init__(self, context: ExecContext):
         self.context = context
@@ -85,22 +86,25 @@ class Executor:
     def insert(self, txn, stmt: ast.Insert) -> Generator:
         """Insert rows; returns the number of rows written."""
         table = self.context.database.table(stmt.table)
+        params = stmt.params
         count = 0
-        for value_exprs in stmt.rows:
-            row, generated = self._build_row(table, stmt.columns, value_exprs)
+        for value_exprs in stmt.compiled.rows:
+            row, generated = self._build_row(table, stmt.columns,
+                                             value_exprs, params)
             yield from self._insert_row(txn, table, row, generated)
             count += 1
         return count
 
     def _build_row(self, table: Table, columns: List[str],
-                   value_exprs: List[Any]) -> Tuple[Dict[str, Any], frozenset]:
+                   value_exprs: List[Any], params: Tuple = ()
+                   ) -> Tuple[Dict[str, Any], frozenset]:
         if len(columns) != len(value_exprs):
             raise SchemaError("INSERT column/value count mismatch")
         env = self.context.env
         provided = {}
         for name, expr in zip(columns, value_exprs):
             table.column(name)  # existence check
-            provided[name] = evaluate(expr, {}, env)
+            provided[name] = evaluate(expr, None, env, params)
         row: Dict[str, Any] = {}
         generated = set()
         for column in table.columns.values():
@@ -151,9 +155,8 @@ class Executor:
                 txn, table, index, partition, key, pk, routing)
 
         # Post-write uniqueness checks (§4.1), self-matches allowed.
-        planner = self.context.planner(table)
-        checks = planner.plan_uniqueness_checks(
-            row, generated_columns=generated, allow_pk=pk)
+        checks = self.context.planner.plan_uniqueness_checks(
+            table, row, generated_columns=generated, allow_pk=pk)
         yield from self._run_uniqueness_checks(
             txn, table, checks, home_partition=partition, routing=routing)
         # Foreign keys need strongly-consistent parent reads (§2.3.3):
@@ -199,14 +202,14 @@ class Executor:
     def _check_parent_exists(self, txn, table: Table, parent: Table,
                              label: str, pairs) -> Generator:
         """One strongly-consistent parent lookup (§2.3.3)."""
-        planner = self.context.planner(parent)
         parts = tuple(
             ast.Comparison("=", ast.ColumnRef(col), ast.Literal(value))
             for col, value in pairs)
         where: Any = parts[0] if len(parts) == 1 else \
             ast.LogicalAnd(parts=parts)
-        plan = planner.plan_point_query(where)
-        parents = yield from self._lookup_rows(txn, parent, plan, where)
+        plan = self.context.planner.plan_point_query(
+            parent, ast.Compiled(where=where))
+        parents = yield from self._lookup_rows(txn, parent, plan, where, ())
         if not parents:
             raise ForeignKeyViolationError(
                 table.name, label, tuple(value for _c, value in pairs))
@@ -297,35 +300,35 @@ class Executor:
     # -- row lookup (shared by SELECT/UPDATE/DELETE) -----------------------------------
 
     def _lookup_rows(self, txn, table: Table, plan,
-                     where: Optional[Any],
+                     where: Optional[Any], params: Tuple,
                      locking: bool = False) -> Generator:
         """Execute a read plan; returns a list of (row, partition).
 
-        ``locking`` (SELECT FOR UPDATE) turns primary-index point reads
-        into locking reads that pin the row in one leaseholder visit.
+        ``locking`` (SELECT FOR UPDATE on a primary-index plan) turns
+        point reads into locking reads that pin the row in one
+        leaseholder visit.
         """
         routing = _routing_for(table)
-        primary = table.primary_index
-
-        def point_read(rng, key):
-            if locking and plan.index.is_primary:
-                value = yield from txn.locking_read(rng, key)
-            else:
-                value = yield from txn.read(rng, key, routing=routing)
-            return value
 
         if isinstance(plan, PartitionPointRead):
             rng = plan.index.partitions.get(plan.partition)
             if rng is None:
                 return []
-            value = yield from point_read(rng, plan.key)
+            if locking:
+                value = yield from txn.locking_read(rng, plan.key)
+            else:
+                value = yield from txn.read(rng, plan.key, routing=routing)
             rows = yield from self._resolve_index_hits(
                 txn, table, plan.index, [(value, plan.partition)], routing)
             return rows
 
         if isinstance(plan, LocalityOptimizedRead):
             local_rng = plan.index.partitions[plan.local_partition]
-            value = yield from point_read(local_rng, plan.key)
+            if locking:
+                value = yield from txn.locking_read(local_rng, plan.key)
+            else:
+                value = yield from txn.read(local_rng, plan.key,
+                                            routing=routing)
             if value is not None:
                 rows = yield from self._resolve_index_hits(
                     txn, table, plan.index,
@@ -415,6 +418,7 @@ class Executor:
             # scan request; the per-key reads pay real latency.
             requests = []
             request_partitions = []
+            primary = table.primary_index
             for partition in plan.partitions:
                 token = primary.partitions[partition]
                 # An elastic partition spreads its keys over the span's
@@ -434,7 +438,7 @@ class Executor:
             for value, partition in zip(values, request_partitions):
                 if value is None:
                     continue
-                if where is None or evaluate(where, value, env):
+                if where is None or evaluate(where, value, env, params):
                     rows.append((value, partition))
             return rows
 
@@ -461,17 +465,20 @@ class Executor:
     # -- SELECT -----------------------------------------------------------------------
 
     def select(self, txn, stmt: ast.Select) -> Generator:
-        table = self.context.database.table(stmt.table)
-        planner = self.context.planner(table)
-        plan = planner.plan_point_query(stmt.where, limit=stmt.limit)
+        context = self.context
+        table = context.database.table(stmt.table)
+        where = stmt.compiled.where
+        params = stmt.params
+        plan = context.planner.plan_point_query(table, stmt.compiled, params,
+                                                limit=stmt.limit)
         locking = stmt.for_update and plan_on_primary(plan, table)
-        rows = yield from self._lookup_rows(txn, table, plan, stmt.where,
+        rows = yield from self._lookup_rows(txn, table, plan, where, params,
                                             locking=locking)
-        env = self.context.env
+        env = context.env
         out = []
         matched = []
         for row, partition in rows:
-            if stmt.where is not None and not evaluate(stmt.where, row, env):
+            if where is not None and not evaluate(where, row, env, params):
                 continue
             matched.append((row, partition))
             out.append(self._project(table, row, stmt.columns))
@@ -500,29 +507,33 @@ class Executor:
     # -- UPDATE ------------------------------------------------------------------------
 
     def update(self, txn, stmt: ast.Update) -> Generator:
-        table = self.context.database.table(stmt.table)
-        planner = self.context.planner(table)
-        plan = planner.plan_point_query(stmt.where)
-        rows = yield from self._lookup_rows(txn, table, plan, stmt.where)
-        env = self.context.env
+        context = self.context
+        table = context.database.table(stmt.table)
+        compiled = stmt.compiled
+        where = compiled.where
+        params = stmt.params
+        plan = context.planner.plan_point_query(table, compiled, params)
+        rows = yield from self._lookup_rows(txn, table, plan, where, params)
+        env = context.env
         count = 0
         for row, partition in rows:
-            if stmt.where is not None and not evaluate(stmt.where, row, env):
+            if where is not None and not evaluate(where, row, env, params):
                 continue
-            yield from self._update_row(txn, table, row, partition, stmt)
+            yield from self._update_row(txn, table, row, partition,
+                                        compiled, params)
             count += 1
         return count
 
     def _update_row(self, txn, table: Table, row: Dict[str, Any],
-                    partition: str, stmt: ast.Update) -> Generator:
+                    partition: str, compiled: ast.Compiled,
+                    params: Tuple) -> Generator:
         env = self.context.env
         database = self.context.database
         new_row = dict(row)
-        assigned = set()
-        for name, expr in stmt.assignments:
+        assigned = compiled.assigned
+        for name, expr in compiled.assignments:
             table.column(name)
-            new_row[name] = evaluate(expr, row, env)
-            assigned.add(name)
+            new_row[name] = evaluate(expr, row, env, params)
         # ON UPDATE clauses fire for columns not explicitly assigned
         # (this is how automatic rehoming triggers, §2.3.2).
         for column in table.columns.values():
@@ -581,9 +592,8 @@ class Executor:
                         routing)
             check_changed = changed
 
-        planner = self.context.planner(table)
-        checks = planner.plan_uniqueness_checks(
-            new_row, allow_pk=new_pk, changed_columns=check_changed)
+        checks = self.context.planner.plan_uniqueness_checks(
+            table, new_row, allow_pk=new_pk, changed_columns=check_changed)
         yield from self._run_uniqueness_checks(
             txn, table, checks, home_partition=new_partition,
             routing=routing)
@@ -596,14 +606,16 @@ class Executor:
     # -- DELETE -------------------------------------------------------------------------
 
     def delete(self, txn, stmt: ast.Delete) -> Generator:
-        table = self.context.database.table(stmt.table)
-        planner = self.context.planner(table)
-        plan = planner.plan_point_query(stmt.where)
-        rows = yield from self._lookup_rows(txn, table, plan, stmt.where)
-        env = self.context.env
+        context = self.context
+        table = context.database.table(stmt.table)
+        where = stmt.compiled.where
+        params = stmt.params
+        plan = context.planner.plan_point_query(table, stmt.compiled, params)
+        rows = yield from self._lookup_rows(txn, table, plan, where, params)
+        env = context.env
         count = 0
         for row, partition in rows:
-            if stmt.where is not None and not evaluate(stmt.where, row, env):
+            if where is not None and not evaluate(where, row, env, params):
                 continue
             pk = tuple(row[c] for c in table.primary_key)
             yield from txn.delete(table.primary_index.partitions[partition],

@@ -1,13 +1,14 @@
-"""Tokenizer for the SQL dialect."""
+"""Tokenizer for the SQL dialect, and the literal cutter that lets the
+parser work per statement *shape* (see ``parser._PARSE_CACHE``)."""
 
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import List, Optional
 
 from ..errors import SqlSyntaxError
 
-__all__ = ["Token", "tokenize"]
+__all__ = ["Token", "tokenize", "cut_literals", "retag_literals"]
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -18,6 +19,26 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
   | (?P<op><>|<=|>=|!=|=|<|>|\(|\)|,|;|\*|\.|-|\+)
 """, re.VERBOSE)
+
+#: One string or number literal, cut where ``_TOKEN_RE`` would cut it (the
+#: same two sub-patterns; nothing else in SQL text without comments or
+#: quoted identifiers contains a quote or a digit outside an identifier,
+#: and ``retag_literals`` catches the texts that have those).  A number
+#: takes its sign along when the sign touches it — the dialect has no
+#: binary minus — and is left in place after ``LIMIT``, a count that
+#: belongs to the shape.  The first lookbehind keeps digits inside
+#: identifiers (``field0``); the lookahead only lets the scan skip fast
+#: over characters that cannot start a literal.
+_LITERAL_RE = re.compile(r"""(
+    (?=['0-9+-])(?:
+        '[^']*(?:''[^']*)*'
+      | [-+]?\d(?<![A-Za-z0-9_$]\d)(?<!(?i:limit)\ \d)\d*(?:\.\d+)?
+    ))""", re.VERBOSE)
+
+#: ``cut_literals(sql)`` -> ``[text, literal, text, ..., literal, text]``:
+#: the even items are the statement's shape, the odd ones its literals
+#: as written.
+cut_literals = _LITERAL_RE.split
 
 
 class Token:
@@ -76,3 +97,33 @@ def tokenize(sql: str) -> List[Token]:
             f"unexpected character {sql[prev_end]!r} at offset {prev_end}")
     tokens.append(Token("eof", "", "", len(sql)))
     return tokens
+
+
+def retag_literals(tokens: List[Token],
+                   pieces: List[str]) -> Optional[List[Token]]:
+    """``tokens`` (of the text ``pieces`` was cut from) with every cut
+    literal as one ``param`` token, a sign it took along folded in.
+
+    None when the lexer did not see a literal at some cut — the cut fell
+    inside a comment or a quoted identifier — so the text cannot be
+    handled by shape.
+    """
+    cuts = set()
+    offset = 0
+    for i in range(1, len(pieces), 2):
+        offset += len(pieces[i - 1])
+        cuts.add(offset)
+        offset += len(pieces[i])
+    retagged = []
+    stream = iter(tokens)
+    for token in stream:
+        start = token.pos
+        if start in cuts:
+            cuts.discard(start)
+            if token.kind == "op":  # the sign: the number follows
+                token = next(stream)
+            if token.kind != "number" and token.kind != "string":
+                return None
+            token = Token("param", token.text, token.text, start)
+        retagged.append(token)
+    return None if cuts else retagged

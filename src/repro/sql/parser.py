@@ -12,33 +12,103 @@ from typing import Any, List, Optional
 
 from ..errors import SqlSyntaxError
 from . import ast
-from .lexer import Token, tokenize
+from .lexer import Token, cut_literals, retag_literals, tokenize
 
 __all__ = ["parse", "parse_one"]
 
 
-#: Parsed-statement cache: SQL text -> statement list.  Workloads issue
-#: the same statement texts over and over (YCSB reuses a small key set;
-#: TPC-C cycles through a few hundred id combinations), and the AST is
-#: read-only after parse — nothing in the executor/optimizer assigns to
-#: node fields — so hits return the cached statements directly.
-#: Bounded: once full, novel statements simply parse uncached.
+#: The parse cache, bounded; once full, new entries parse uncached.  Two
+#: kinds of key share it:
+#:
+#: * a **shape** — the tuple of text pieces left when the number and
+#:   string literals are cut out of a DML script — maps to that script
+#:   compiled once: per statement, its class and the attributes every
+#:   statement of the shape shares (among them the ``Compiled`` trees,
+#:   with a ``Param`` where a literal stood).  Workloads inline every
+#:   literal in the text, so texts rarely repeat but a handful of shapes
+#:   covers them all: a hit binds the literal values and neither lexes
+#:   nor parses.
+#: * a whole SQL **text** maps to its statement list: DDL, and DML the
+#:   shape path declines (see ``_compile_shape``).
 _PARSE_CACHE: dict = {}
 _PARSE_CACHE_MAX = 4096
+
+_DML = (ast.Select, ast.Insert, ast.Update, ast.Delete)
 
 
 def parse(sql: str) -> List[Any]:
     """Parse a semicolon-separated script into a list of statements.
 
-    Results are cached per SQL text; callers must treat the returned
-    list and its statements as immutable.
+    DML is parsed per shape, DDL per text (see ``_PARSE_CACHE``); either
+    way the result equals what lexing and parsing ``sql`` from scratch
+    gives.  Callers must treat the returned statements, and everything
+    reachable from them, as immutable: most of it is shared.
     """
-    cached = _PARSE_CACHE.get(sql)
-    if cached is None:
-        cached = _Parser(tokenize(sql)).parse_script()
-        if len(_PARSE_CACHE) < _PARSE_CACHE_MAX:
-            _PARSE_CACHE[sql] = cached
-    return cached
+    pieces = cut_literals(sql)
+    key = tuple(pieces[0::2])
+    shape = _PARSE_CACHE.get(key)
+    if shape is None:
+        statements = _PARSE_CACHE.get(sql)
+        if statements is not None:
+            return statements
+        tokens = tokenize(sql)
+        shape = _compile_shape(tokens, pieces)
+        if shape is None:
+            statements = _Parser(tokens).parse_script()
+            _remember(sql, statements)
+            return statements
+        _remember(key, shape)
+    # The values the lexer and ``_Parser._primary`` give these literals.
+    params = tuple([
+        text[1:-1].replace("''", "'") if text[0] == "'"
+        else float(text) if "." in text else int(text)
+        for text in pieces[1::2]])
+    statements = []
+    for cls, shared in shape:
+        stmt = cls.__new__(cls)
+        attrs = stmt.__dict__
+        attrs.update(shared)
+        attrs["params"] = params
+        statements.append(stmt)
+    return statements
+
+
+def _remember(key: Any, value: list) -> None:
+    if len(_PARSE_CACHE) < _PARSE_CACHE_MAX:
+        _PARSE_CACHE[key] = value
+
+
+def _compile_shape(tokens: List[Token], pieces: List[str]) -> Optional[list]:
+    """Compile the script ``tokens`` spell as a shape, or return None.
+
+    Each literal ``cut_literals`` took out reaches the parser as one
+    ``param`` token, which the grammar accepts only where any literal may
+    stand.  Everything else declines: DDL (never parameterised), a
+    literal where the grammar wants a number (``LIMIT  5`` with two
+    spaces, ``- 5``), a cut the lexer does not see as a literal, and text
+    that does not parse at all — the caller then parses the plain tokens,
+    which is also what words any error.
+    """
+    # An early out for DDL, which would otherwise be parsed twice; the
+    # rule itself is the isinstance check below.
+    if tokens[0].upper not in ("SELECT", "INSERT", "UPDATE", "DELETE"):
+        return None
+    retagged = retag_literals(tokens, pieces)
+    if retagged is None:
+        return None
+    try:
+        templates = _Parser(retagged).parse_script()
+    except SqlSyntaxError:
+        return None
+    shape = []
+    for template in templates:
+        if not isinstance(template, _DML):
+            return None
+        template.compiled  # derive it now, once, into vars(template)
+        shape.append((type(template), {
+            name: value for name, value in vars(template).items()
+            if name not in template.literal_fields}))
+    return shape
 
 
 def parse_one(sql: str) -> Any:
@@ -54,6 +124,9 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._index = 0
+        #: ``param`` tokens turned into ``ast.Param`` so far (the next
+        #: slot); stays 0 for plain tokens, which have none.
+        self._params = 0
 
     # -- token plumbing ---------------------------------------------------------
     #
@@ -408,7 +481,7 @@ class _Parser:
         limit = None
         if self._accept_keyword("LIMIT"):
             token = self._next()
-            if token.kind != "number":
+            if token.kind != "number" or "." in token.text:
                 raise SqlSyntaxError(f"expected LIMIT count at {token.pos}")
             limit = int(token.text)
         for_update = self._accept_keyword("FOR", "UPDATE")
@@ -516,6 +589,10 @@ class _Parser:
         if kind == "string":
             self._index += 1
             return ast.Literal(token.text)
+        if kind == "param":
+            self._index += 1
+            self._params += 1
+            return ast.Param(self._params - 1)
         if kind == "ident":
             upper = token.upper
             if upper == "CASE":

@@ -193,6 +193,7 @@ class TxnHandle:
     def __init__(self, session: "Session", txn):
         self.session = session
         self.txn = txn
+        self._executor = session._executor()
 
     def execute(self, sql: str) -> Generator:
         stmt = parse_one(sql)
@@ -200,11 +201,11 @@ class TxnHandle:
         return result
 
     def execute_stmt(self, stmt: Any) -> Generator:
-        executor = self.session._executor()
+        executor = self._executor
         if isinstance(stmt, ast.Insert):
             result = yield from executor.insert(self.txn, stmt)
         elif isinstance(stmt, ast.Select):
-            if stmt.as_of is not None:
+            if stmt.compiled.as_of is not None:
                 raise SchemaError(
                     "AS OF SYSTEM TIME not allowed inside a read-write "
                     "transaction")
@@ -235,6 +236,12 @@ class Session:
         #: span tags): resolved once per kind per session.
         self._stmt_obs = {}
         self._tracer = engine.cluster.sim.obs.tracer
+        #: Built once: the region is the gateway's and the UUID source
+        #: the engine's, for as long as the session lives.
+        self._env = EvalEnv(gateway_region=self.region,
+                            uuid_source=engine.uuid_source)
+        #: The executor for ``database``; rebuilt when that changes.
+        self._cached_executor: Optional[Executor] = None
         #: Open explicit transaction (BEGIN ... COMMIT), if any.
         self._open_txn = None
         #: Statement timeout: each auto-commit statement gets an
@@ -257,15 +264,15 @@ class Session:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _env(self) -> EvalEnv:
-        return EvalEnv(gateway_region=self.region,
-                       uuid_source=self.engine.uuid_source)
-
     def _executor(self) -> Executor:
-        if self.database is None:
+        database = self.database
+        if database is None:
             raise SchemaError("no database selected (USE <db>)")
-        context = ExecContext(self.database, self.gateway, self._env())
-        return Executor(context)
+        executor = self._cached_executor
+        if executor is None or executor.context.database is not database:
+            executor = self._cached_executor = Executor(
+                ExecContext(database, self.gateway, self._env))
+        return executor
 
     def _require_database(self, name: Optional[str] = None) -> Database:
         if name is not None:
@@ -345,13 +352,14 @@ class Session:
             yield from admission.admit_co(
                 tenant=self.tenant or "sql", region=self.region,
                 priority=self.priority, deadline_ms=deadline_ms)
-        if isinstance(stmt, ast.Select) and stmt.as_of is not None:
+        if isinstance(stmt, ast.Select) and \
+                stmt.compiled.as_of is not None:
             if self._open_txn is not None:
                 raise SchemaError(
                     "AS OF SYSTEM TIME not allowed inside a transaction")
             stmt_span = tracer.start(
                 "sql.stmt", None,
-                stmt_obs[1] + ("stale", stmt.as_of.kind))
+                stmt_obs[1] + ("stale", stmt.compiled.as_of.kind))
             try:
                 result = yield from self._stale_select(stmt, stmt_span)
             finally:
@@ -498,37 +506,35 @@ class Session:
         """
         database = self._require_database()
         executor = self._executor()
+        planner = executor.context.planner
         lines: List[str] = []
         if isinstance(stmt, (ast.Select, ast.Update, ast.Delete)):
             table = database.table(stmt.table)
-            planner = executor.context.planner(table)
-            where = stmt.where
-            limit = getattr(stmt, "limit", None)
-            plan = planner.plan_point_query(where, limit=limit)
+            plan = planner.plan_point_query(
+                table, stmt.compiled, stmt.params,
+                limit=getattr(stmt, "limit", None))
             lines.append(plan.explain())
             if isinstance(stmt, ast.Select) and stmt.for_update:
                 lines.append("lock: exclusive (FOR UPDATE)")
             if isinstance(stmt, ast.Update):
-                changed = frozenset(name for name, _ in stmt.assignments)
                 sample = {c: None for c in table.columns}
                 region_col = table.region_column
                 if region_col:
                     sample[region_col] = self.region
                 checks = planner.plan_uniqueness_checks(
-                    sample, changed_columns=changed)
+                    table, sample, changed_columns=stmt.compiled.assigned)
                 for check in checks:
                     lines.append(check.explain())
         elif isinstance(stmt, ast.Insert):
             table = database.table(stmt.table)
-            planner = executor.context.planner(table)
             row, generated = executor._build_row(
-                table, stmt.columns, stmt.rows[0])
+                table, stmt.columns, stmt.compiled.rows[0], stmt.params)
             partition = (row.get(table.region_column)
                          if table.region_column else "default")
             lines.append(
                 f"insert {table.name} partition={partition or 'default'}")
             checks = planner.plan_uniqueness_checks(
-                row, generated_columns=generated)
+                table, row, generated_columns=generated)
             if not checks:
                 lines.append("uniqueness-checks: none")
             for check in checks:
@@ -600,21 +606,21 @@ class Session:
     # -- stale reads (§5.3) ----------------------------------------------------------------
 
     def _stale_select(self, stmt: ast.Select, span=None) -> Generator:
-        as_of = stmt.as_of
+        if stmt.for_update:
+            raise SchemaError(
+                "FOR UPDATE not allowed with AS OF SYSTEM TIME")
+        as_of = stmt.compiled.as_of
         now = self.gateway.clock.now()
-        env = self._env()
+        value = evaluate(as_of.value, None, self._env, stmt.params)
         if as_of.kind == "exact":
-            value = evaluate(as_of.value, {}, env)
             ts = self._resolve_time_value(value, now)
             stale = _StaleReadTxn(self.engine, self.gateway, "exact", ts,
                                   span=span, label=self.label)
         elif as_of.kind == "min_timestamp":
-            value = evaluate(as_of.value, {}, env)
             ts = self._resolve_time_value(value, now)
             stale = _StaleReadTxn(self.engine, self.gateway, "bounded", ts,
                                   span=span, label=self.label)
         elif as_of.kind == "max_staleness":
-            value = evaluate(as_of.value, {}, env)
             bound_ms = (parse_interval_ms(value) if isinstance(value, str)
                         else float(value))
             ts = Timestamp(now.physical - abs(bound_ms))
@@ -622,10 +628,8 @@ class Session:
                                   span=span, label=self.label)
         else:
             raise SqlSyntaxError(f"unknown AS OF kind {as_of.kind!r}")
-        executor = self._executor()
-        query = ast.Select(table=stmt.table, columns=stmt.columns,
-                           where=stmt.where, as_of=None, limit=stmt.limit)
-        result = yield from executor.select(stale, query)
+        # ``select`` never reads the AS OF clause: that was this method's.
+        result = yield from self._executor().select(stale, stmt)
         stale.finish()
         return result
 

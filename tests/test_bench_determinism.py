@@ -151,3 +151,38 @@ class TestGoldenSnapshots:
         engine instances."""
         assert (run_fingerprint("kv", 0, 0.25)
                 == run_fingerprint("kv", 0, 0.25))
+
+
+class TestParseCounts:
+    """Exact front-end gates (ROADMAP 1c): ``parse`` runs once per SQL
+    text, but lexing + parsing only once per distinct *shape* (plus once
+    per DDL text) — not once per statement."""
+
+    #: workload -> (parse calls, full lex+parse runs, DML shapes, DDL texts)
+    EXPECTED = {"movr": (368, 10, 2, 8), "tpcc": (836, 25, 15, 10)}
+
+    @pytest.mark.parametrize("workload,seed,scale", GOLDEN_CONFIGS[1:])
+    def test_full_parses_equal_distinct_shapes(self, workload, seed, scale,
+                                               monkeypatch):
+        from repro.sql import parser, session
+        calls = {"parse": 0, "full": 0}
+
+        def counted(name, fn):
+            def wrapper(sql):
+                calls[name] += 1
+                return fn(sql)
+            return wrapper
+
+        parse = counted("parse", parser.parse)
+        monkeypatch.setattr(parser, "parse", parse)    # parse_one's
+        monkeypatch.setattr(session, "parse", parse)   # Session.execute's
+        # ``parse`` lexes exactly when it must parse in full.
+        monkeypatch.setattr(parser, "tokenize",
+                            counted("full", parser.tokenize))
+        parser._PARSE_CACHE.clear()
+        run_fixed_workload(workload, seed, scale=scale)
+        shapes = sum(isinstance(key, tuple) for key in parser._PARSE_CACHE)
+        texts = sum(isinstance(key, str) for key in parser._PARSE_CACHE)
+        assert (calls["parse"], calls["full"], shapes, texts) == \
+            self.EXPECTED[workload]
+        assert calls["full"] == shapes + texts

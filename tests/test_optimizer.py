@@ -13,17 +13,24 @@ from repro.optimizer import (
 from repro.sql import DEFAULT_PARTITION, parse_one
 from repro.sql.eval import EvalEnv
 
-from .sql_util import connect, make_engine, movr_engine
+from .sql_util import REGIONS5, connect, make_engine, movr_engine
 
 
 def planner_for(engine, table_name, region="us-east1", db="movr"):
     table = engine.catalog.database(db).table(table_name)
-    return Planner(table, gateway_region=region,
+    return Planner(gateway_region=region,
                    env=EvalEnv(gateway_region=region)), table
 
 
 def where_of(sql):
     return parse_one(sql).where
+
+
+def lookup_of(sql):
+    """What the planner takes of a statement: its pre-analysed form and
+    its literal values."""
+    stmt = parse_one(sql)
+    return stmt.compiled, stmt.params
 
 
 class TestEqualityBindings:
@@ -50,8 +57,8 @@ class TestEqualityBindings:
 class TestPointQueryPlans:
     def test_pk_bound_without_region_uses_los(self):
         engine, _session = movr_engine()
-        planner, _ = planner_for(engine, "users")
-        plan = planner.plan_point_query(where_of(
+        planner, table = planner_for(engine, "users")
+        plan = planner.plan_point_query(table, *lookup_of(
             "SELECT * FROM users WHERE id = 1"))
         assert isinstance(plan, LocalityOptimizedRead)
         assert plan.local_partition == "us-east1"
@@ -60,15 +67,15 @@ class TestPointQueryPlans:
 
     def test_unique_email_uses_los(self):
         engine, _session = movr_engine()
-        planner, _ = planner_for(engine, "users")
-        plan = planner.plan_point_query(where_of(
+        planner, table = planner_for(engine, "users")
+        plan = planner.plan_point_query(table, *lookup_of(
             "SELECT * FROM users WHERE email = 'a@x'"))
         assert isinstance(plan, LocalityOptimizedRead)
 
     def test_region_bound_single_partition(self):
         engine, _session = movr_engine()
-        planner, _ = planner_for(engine, "users")
-        plan = planner.plan_point_query(where_of(
+        planner, table = planner_for(engine, "users")
+        plan = planner.plan_point_query(table, *lookup_of(
             "SELECT * FROM users WHERE id = 1 AND "
             "crdb_region = 'us-west1'"))
         assert isinstance(plan, PartitionPointRead)
@@ -78,23 +85,23 @@ class TestPointQueryPlans:
         engine, _session = movr_engine()
         planner, table = planner_for(engine, "users")
         table.locality_optimized_search = False
-        plan = planner.plan_point_query(where_of(
+        plan = planner.plan_point_query(table, *lookup_of(
             "SELECT * FROM users WHERE id = 1"))
         assert isinstance(plan, FanoutPointRead)
         assert len(plan.partitions) == 3
 
     def test_unpartitioned_table_single_partition(self):
         engine, _session = movr_engine()
-        planner, _ = planner_for(engine, "promo_codes")
-        plan = planner.plan_point_query(where_of(
+        planner, table = planner_for(engine, "promo_codes")
+        plan = planner.plan_point_query(table, *lookup_of(
             "SELECT * FROM promo_codes WHERE code = 'X'"))
         assert isinstance(plan, PartitionPointRead)
         assert plan.partition == DEFAULT_PARTITION
 
     def test_unbound_key_full_scan(self):
         engine, _session = movr_engine()
-        planner, _ = planner_for(engine, "users")
-        plan = planner.plan_point_query(where_of(
+        planner, table = planner_for(engine, "users")
+        plan = planner.plan_point_query(table, *lookup_of(
             "SELECT * FROM users WHERE name = 'A'"))
         assert isinstance(plan, FullScan)
 
@@ -105,8 +112,8 @@ class TestPointQueryPlans:
             "crdb_region crdb_internal_region AS "
             "(CASE WHEN state = 'CA' THEN 'us-west1' ELSE 'us-east1' END) "
             "STORED) LOCALITY REGIONAL BY ROW")
-        planner, _ = planner_for(engine, "accounts")
-        plan = planner.plan_point_query(where_of(
+        planner, table = planner_for(engine, "accounts")
+        plan = planner.plan_point_query(table, *lookup_of(
             "SELECT * FROM accounts WHERE id = 1 AND state = 'CA'"))
         assert isinstance(plan, PartitionPointRead)
         assert plan.partition == "us-west1"
@@ -114,15 +121,15 @@ class TestPointQueryPlans:
     def test_gateway_outside_db_regions_fans_out(self):
         """A gateway whose region is not a partition cannot do LOS."""
         engine, _session = movr_engine()
-        planner, _ = planner_for(engine, "users", region="mars")
-        plan = planner.plan_point_query(where_of(
+        planner, table = planner_for(engine, "users", region="mars")
+        plan = planner.plan_point_query(table, *lookup_of(
             "SELECT * FROM users WHERE id = 1"))
         assert isinstance(plan, FanoutPointRead)
 
     def test_explain_strings(self):
         engine, _session = movr_engine()
-        planner, _ = planner_for(engine, "users")
-        plan = planner.plan_point_query(where_of(
+        planner, table = planner_for(engine, "users")
+        plan = planner.plan_point_query(table, *lookup_of(
             "SELECT * FROM users WHERE id = 1"))
         assert "locality-optimized-search" in plan.explain()
 
@@ -134,7 +141,8 @@ class TestUniquenessCheckPlans:
         planner, table = planner_for(engine, "users")
         row = {"id": 1, "email": "a@x", "name": "A",
                "crdb_region": "us-east1"}
-        checks = planner.plan_uniqueness_checks(row)
+        checks = planner.plan_uniqueness_checks(
+            table, row)
         by_reason = {c.index.name: c for c in checks}
         assert all(len(c.partitions) == 3 for c in checks)
         assert len(checks) == 2  # pk + email
@@ -145,10 +153,10 @@ class TestUniquenessCheckPlans:
             "CREATE TABLE sessions (id uuid PRIMARY KEY "
             "DEFAULT gen_random_uuid(), v string) "
             "LOCALITY REGIONAL BY ROW")
-        planner, _ = planner_for(engine, "sessions")
+        planner, table = planner_for(engine, "sessions")
         row = {"id": "u-u-i-d", "v": "x", "crdb_region": "us-east1"}
         checks = planner.plan_uniqueness_checks(
-            row, generated_columns=frozenset({"id"}))
+            table, row, generated_columns=frozenset({"id"}))
         assert checks == []
 
     def test_rule1_explicit_value_still_checked(self):
@@ -158,9 +166,10 @@ class TestUniquenessCheckPlans:
             "CREATE TABLE sessions2 (id uuid PRIMARY KEY "
             "DEFAULT gen_random_uuid(), v string) "
             "LOCALITY REGIONAL BY ROW")
-        planner, _ = planner_for(engine, "sessions2")
+        planner, table = planner_for(engine, "sessions2")
         row = {"id": "explicit", "v": "x", "crdb_region": "us-east1"}
-        checks = planner.plan_uniqueness_checks(row)
+        checks = planner.plan_uniqueness_checks(
+            table, row)
         assert len(checks) == 1
         assert len(checks[0].partitions) == 3
 
@@ -169,9 +178,10 @@ class TestUniquenessCheckPlans:
         session.execute(
             "CREATE TABLE percity (id int PRIMARY KEY, code string, "
             "UNIQUE (crdb_region, code)) LOCALITY REGIONAL BY ROW")
-        planner, _ = planner_for(engine, "percity")
+        planner, table = planner_for(engine, "percity")
         row = {"id": 1, "code": "c", "crdb_region": "us-west1"}
-        checks = planner.plan_uniqueness_checks(row)
+        checks = planner.plan_uniqueness_checks(
+            table, row)
         code_checks = [c for c in checks if "code" in c.constraint]
         assert len(code_checks) == 1
         assert code_checks[0].partitions == ["us-west1"]
@@ -183,23 +193,24 @@ class TestUniquenessCheckPlans:
             "crdb_region crdb_internal_region AS "
             "(CASE WHEN mod(id, 2) = 0 THEN 'us-west1' ELSE 'us-east1' END)"
             " STORED) LOCALITY REGIONAL BY ROW")
-        planner, _ = planner_for(engine, "accounts")
+        planner, table = planner_for(engine, "accounts")
         row = {"id": 2, "crdb_region": "us-west1"}
-        checks = planner.plan_uniqueness_checks(row)
+        checks = planner.plan_uniqueness_checks(
+            table, row)
         assert len(checks) == 1
         assert checks[0].partitions == ["us-west1"]
         assert checks[0].reason == "region computed from key"
 
     def test_update_checks_only_changed_constraints(self):
         engine, _session = movr_engine()
-        planner, _ = planner_for(engine, "users")
+        planner, table = planner_for(engine, "users")
         row = {"id": 1, "email": "a@x", "name": "B",
                "crdb_region": "us-east1"}
         checks = planner.plan_uniqueness_checks(
-            row, changed_columns=frozenset({"name"}))
+            table, row, changed_columns=frozenset({"name"}))
         assert checks == []
         checks = planner.plan_uniqueness_checks(
-            row, changed_columns=frozenset({"email"}))
+            table, row, changed_columns=frozenset({"email"}))
         assert len(checks) == 1
         assert checks[0].constraint == ("email",)
 
@@ -209,12 +220,139 @@ class TestUniquenessCheckPlans:
         table.suppress_uniqueness_checks = True
         row = {"id": 1, "email": "a@x", "name": "A",
                "crdb_region": "us-east1"}
-        assert planner.plan_uniqueness_checks(row) == []
+        assert planner.plan_uniqueness_checks(
+            table, row) == []
 
     def test_non_partitioned_table_single_check(self):
         engine, _session = movr_engine()
-        planner, _ = planner_for(engine, "promo_codes")
+        planner, table = planner_for(engine, "promo_codes")
         row = {"code": "X", "description": "d"}
-        checks = planner.plan_uniqueness_checks(row)
+        checks = planner.plan_uniqueness_checks(
+            table, row)
         assert len(checks) == 1
         assert checks[0].partitions == [DEFAULT_PARTITION]
+
+
+def run_and_spy(session, sql):
+    """Execute ``sql`` on the session's own long-lived executor; returns
+    (result, the read plans it executed)."""
+    executor = session._executor()
+    plans = []
+    lookup = executor._lookup_rows
+
+    def spy(txn, table, plan, *args, **kwargs):
+        plans.append(plan)
+        return lookup(txn, table, plan, *args, **kwargs)
+
+    executor._lookup_rows = spy
+    try:
+        return session.execute(sql), plans
+    finally:
+        del executor._lookup_rows
+
+
+class TestSchemaChangeBetweenExecutions:
+    """One statement shape, executed before and after a schema change by
+    one session (same cached shape, same executor and planner): the
+    second execution's plan follows the catalog as it is then."""
+
+    def test_alter_table_set_locality(self):
+        engine, session = movr_engine()
+        session.execute("INSERT INTO users (id, email, name) "
+                        "VALUES (1, 'a@x', 'A'), (2, 'b@x', 'B')")
+        rows, (plan,) = run_and_spy(
+            session, "SELECT name FROM users WHERE id = 1")
+        assert rows == [{"name": "A"}]
+        assert isinstance(plan, LocalityOptimizedRead)
+        session.execute("ALTER TABLE users SET LOCALITY GLOBAL")
+        rows, (plan,) = run_and_spy(
+            session, "SELECT name FROM users WHERE id = 2")
+        assert rows == [{"name": "B"}]
+        assert isinstance(plan, PartitionPointRead)
+        assert plan.partition == DEFAULT_PARTITION
+
+    def test_create_index(self):
+        engine, session = movr_engine()
+        session.execute("INSERT INTO users (id, email, name) "
+                        "VALUES (1, 'a@x', 'A'), (2, 'b@x', 'B')")
+        rows, (plan,) = run_and_spy(
+            session, "SELECT email FROM users WHERE name = 'A'")
+        assert rows == [{"email": "a@x"}]
+        assert isinstance(plan, FullScan)
+        session.execute("CREATE UNIQUE INDEX by_name ON users (name)")
+        rows, (plan,) = run_and_spy(
+            session, "SELECT email FROM users WHERE name = 'B'")
+        assert rows == [{"email": "b@x"}]
+        assert isinstance(plan, LocalityOptimizedRead)
+        assert plan.index.name == "users@by_name" and plan.key == ("B",)
+
+    def test_alter_table_add_column(self):
+        engine, session = movr_engine()
+        session.execute("INSERT INTO users (id, email, name) "
+                        "VALUES (1, 'a@x', 'A')")
+        assert session.execute("SELECT * FROM users WHERE id = 1") == \
+            [{"id": 1, "email": "a@x", "name": "A"}]
+        session.execute("ALTER TABLE users ADD COLUMN age int DEFAULT 7")
+        session.execute("INSERT INTO users (id, email, name) "
+                        "VALUES (2, 'b@x', 'B')")
+        assert session.execute("SELECT * FROM users WHERE id = 2") == \
+            [{"id": 2, "email": "b@x", "name": "B", "age": 7}]
+        assert session.execute("UPDATE users SET age = 8 WHERE id = 2") == 1
+        assert session.execute("SELECT age FROM users WHERE id = 2") == \
+            [{"age": 8}]
+
+    def test_alter_database_add_region(self):
+        engine, session = movr_engine(regions=REGIONS5[:4])
+        session.execute("INSERT INTO users (id, email, name) "
+                        "VALUES (1, 'a@x', 'A')")
+        session.execute('ALTER DATABASE movr DROP REGION "asia-northeast1"')
+        _rows, (plan,) = run_and_spy(
+            session, "SELECT name FROM users WHERE id = 1")
+        assert sorted(plan.remote_partitions) == \
+            ["europe-west2", "us-west1"]
+        session.execute('ALTER DATABASE movr ADD REGION "asia-northeast1"')
+        rows, (plan,) = run_and_spy(
+            session, "SELECT name FROM users WHERE id = 1")
+        assert rows == [{"name": "A"}]
+        assert sorted(plan.remote_partitions) == \
+            ["asia-northeast1", "europe-west2", "us-west1"]
+        # The new region takes rows: same INSERT shape, new partition.
+        asia = connect(engine, "asia-northeast1")
+        asia.execute("INSERT INTO users (id, email, name) "
+                     "VALUES (2, 'b@x', 'B')")
+        assert asia.execute("SELECT crdb_region FROM users WHERE id = 2") \
+            == [{"crdb_region": "asia-northeast1"}]
+
+    def test_los_toggle(self):
+        engine, session = movr_engine()
+        session.execute("INSERT INTO users (id, email, name) "
+                        "VALUES (1, 'a@x', 'A')")
+        _rows, (plan,) = run_and_spy(
+            session, "SELECT name FROM users WHERE id = 1")
+        assert isinstance(plan, LocalityOptimizedRead)
+        table = engine.catalog.database("movr").table("users")
+        table.locality_optimized_search = False
+        rows, (plan,) = run_and_spy(
+            session, "SELECT name FROM users WHERE id = 1")
+        assert rows == [{"name": "A"}]
+        assert isinstance(plan, FanoutPointRead)
+        table.locality_optimized_search = True
+        _rows, (plan,) = run_and_spy(
+            session, "SELECT name FROM users WHERE id = 1")
+        assert isinstance(plan, LocalityOptimizedRead)
+
+    def test_use_other_database(self):
+        """``USE`` swaps the session's executor: the same text runs
+        against the other database's table."""
+        engine, session = movr_engine()
+        session.execute("INSERT INTO promo_codes (code, description) "
+                        "VALUES ('X', 'movr')")
+        session.execute('CREATE DATABASE other PRIMARY REGION "us-east1"')
+        session.execute("CREATE TABLE promo_codes (code string PRIMARY KEY, "
+                        "description string)")
+        session.execute("INSERT INTO promo_codes (code, description) "
+                        "VALUES ('X', 'other')")
+        text = "SELECT description FROM promo_codes WHERE code = 'X'"
+        assert session.execute(text) == [{"description": "other"}]
+        session.execute("USE movr")
+        assert session.execute(text) == [{"description": "movr"}]
