@@ -50,10 +50,9 @@ class ClosedTimestampPolicy:
     """Computes the closed-timestamp target for new proposals.
 
     Policies are consulted on every proposal and every side-transport
-    tick (the ticks themselves ride the simulator's timer wheel, one
-    merge per 128 ms window, rather than individual heap entries), so
-    the concrete policies are frozen ``slots`` values: immutable,
-    dict-free, shareable across ranges.
+    tick (each tick is one ordinary timer event on the simulator's
+    heap), so the concrete policies are frozen ``slots`` values:
+    immutable, dict-free, shareable across ranges.
     """
 
     __slots__ = ()

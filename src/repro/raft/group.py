@@ -548,8 +548,8 @@ class RaftGroup:
                               if i < entry.index}
         leader.stage(entry, llog[-1] if llog else None,
                      authoritative=True)
-        self.sim._schedule(self.DISK_APPEND_MS, self._on_ack,
-                           entry.index, leader.node.node_id, entry.term)
+        self.sim.call_after(self.DISK_APPEND_MS, self._on_ack,
+                            entry.index, leader.node.node_id, entry.term)
         # Stream to every other peer, voters and learners alike.
         for peer in self.peers.values():
             if peer.node.node_id == leader.node.node_id:
@@ -654,8 +654,8 @@ class RaftGroup:
         if acks:
             # One ack message for the whole batch, after a single disk
             # append (the entries land in one write).
-            self.sim._schedule(self.DISK_APPEND_MS, self._send_ack_batch,
-                               peer, acks)
+            self.sim.call_after(self.DISK_APPEND_MS, self._send_ack_batch,
+                                peer, acks)
         commit = batch["commit"]
         if commit is not None:
             self._learn_commit(peer, commit[0], commit[1])
@@ -722,7 +722,7 @@ class RaftGroup:
         # the peer does not yet have durably.
         after = log[-1].index if log else 0
         if after > before:
-            schedule = self.sim._schedule
+            schedule = self.sim.call_after
             send_ack = self._send_ack
             for index in range(before + 1, after + 1):
                 landed = log[index - 1]
@@ -732,8 +732,8 @@ class RaftGroup:
               and log[entry.index - 1] is entry):
             # Duplicate delivery (retransmission): the original ack
             # may have been lost — re-ack.
-            self.sim._schedule(self.DISK_APPEND_MS, self._send_ack,
-                               peer, entry.index, entry.term)
+            self.sim.call_after(self.DISK_APPEND_MS, self._send_ack,
+                                peer, entry.index, entry.term)
 
     def _send_ack(self, peer: PeerState, index: int,
                   term: Optional[int] = None) -> None:

@@ -4,7 +4,6 @@ from .clock import HLC, ClockModel, SkewModel, Timestamp, TS_MAX, TS_ZERO
 from .core import (
     Future,
     Process,
-    ProcessFailed,
     SimulationError,
     Simulator,
     all_of,
@@ -33,7 +32,6 @@ __all__ = [
     "TS_ZERO",
     "Future",
     "Process",
-    "ProcessFailed",
     "SimulationError",
     "Simulator",
     "all_of",

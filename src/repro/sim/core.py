@@ -30,12 +30,13 @@ from ..obs import Observability
 __all__ = [
     "Future",
     "Process",
-    "ProcessFailed",
     "SimulationError",
     "Simulator",
     "all_of",
     "settle_all",
     "any_of",
+    "with_timeout",
+    "quorum_of",
 ]
 
 
@@ -85,6 +86,23 @@ class Future:
     def error(self) -> Optional[BaseException]:
         return self._error if self._done else None
 
+    def __call__(self, value: Any = None,
+                 error: Optional[BaseException] = None) -> None:
+        if self._done:
+            raise SimulationError("future resolved twice")
+        self._done = True
+        self._value = value
+        self._error = error
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            for callback in callbacks:
+                callback(self)
+
+    #: The same function under the name internal completers use: an
+    #: event whose ``fn`` is the future itself pays no wrapper frame.
+    _complete = __call__
+
     def resolve(self, value: Any = None) -> None:
         """Complete the future successfully with ``value``."""
         self._complete(value, None)
@@ -92,34 +110,6 @@ class Future:
     def reject(self, error: BaseException) -> None:
         """Complete the future with an exception."""
         self._complete(None, error)
-
-    def __call__(self, value: Any = None,
-                 error: Optional[BaseException] = None) -> None:
-        # _complete's body, duplicated: this is the event-dispatch entry
-        # for the hottest completion paths and the extra frame is
-        # measurable at benchmark event rates.
-        if self._done:
-            raise SimulationError("future resolved twice")
-        self._done = True
-        self._value = value
-        self._error = error
-        callbacks = self._callbacks
-        if callbacks is not None:
-            self._callbacks = None
-            for callback in callbacks:
-                callback(self)
-
-    def _complete(self, value: Any, error: Optional[BaseException]) -> None:
-        if self._done:
-            raise SimulationError("future resolved twice")
-        self._done = True
-        self._value = value
-        self._error = error
-        callbacks = self._callbacks
-        if callbacks is not None:
-            self._callbacks = None
-            for callback in callbacks:
-                callback(self)
 
     def add_callback(self, callback: Callable[["Future"], None]) -> None:
         """Run ``callback(self)`` when done (immediately if already done)."""
@@ -129,10 +119,6 @@ class Future:
             self._callbacks = [callback]
         else:
             self._callbacks.append(callback)
-
-
-class ProcessFailed(SimulationError):
-    """A waited-on process terminated with an exception."""
 
 
 class Process(Future):
@@ -177,7 +163,7 @@ class Process(Future):
             self._resume = self._step_cb = None
             had_waiters = bool(self._callbacks)
             self.reject(exc)
-            if not had_waiters and not self.sim._swallow_orphan_failures:
+            if not had_waiters:
                 self.sim._crash(exc)
             return
         if not isinstance(target, Future):
@@ -202,92 +188,62 @@ class Process(Future):
             self.sim._call_soon(self._step_cb, fut._value, None)
 
 
-#: Upper bound on the recycled-event free list (see Simulator._free).
-_FREE_LIST_CAP = 4096
-
-#: Compaction floor: never scan the heap for tombstones below this many.
+#: Compaction floor: never scan the heaps for tombstones below this many.
 _COMPACT_MIN_TOMBSTONES = 512
 
-# -- hierarchical timer wheel ------------------------------------------------
-#
-# Long-delay timers (heartbeat intervals, closed-timestamp side-transport
-# ticks, retransmission timers, RPC timeouts) do not go straight into the
-# heap: they are appended O(1) to a wheel bucket keyed by quantized fire
-# time, and a bucket is merged into the heap only when simulated time
-# approaches its window ("one wheel advance per window").  Dispatch order
-# is untouched — merged events re-enter the heap and the (when, seq) total
-# order decides as before — but the heap stays small, and timers cancelled
-# while still parked in a bucket (the common fate of RPC timeouts and
-# retransmission timers) are dropped at drain time without ever paying a
-# heap push.  Two levels: fine buckets of ``_WHEEL_TICK`` ms, and coarse
-# buckets of ``_WHEEL_COARSE`` ms that cascade into fine buckets on drain.
-
-#: Fine-level bucket width (ms).
-_WHEEL_TICK = 128.0
-#: Fine buckets per coarse bucket.
-_WHEEL_SPAN = 64
-#: Coarse-level bucket width (ms).
-_WHEEL_COARSE = _WHEEL_TICK * _WHEEL_SPAN
-#: Only delays at least this long are worth the bucket bookkeeping.
-_WHEEL_MIN_DELAY = 96.0
+#: Timers at least this many ms away wait on ``Simulator._far``.
+_FAR_MS = 1000.0
 
 
 class Simulator:
     """The event loop.  All simulated components share one instance.
 
-    Events are packed mutable lists ``[when, seq, fn, args]`` — one
-    allocation per event, heap-ordered by ``(when, seq)``.  Two
-    structures hold them:
+    An event is one mutable list ``[when, seq, fn, args]``, ordered by
+    ``(when, seq)``; ``seq`` is unique, so a comparison never reaches
+    ``fn``.  Scheduling puts it on ``_ready`` (a FIFO deque) when
+    ``when == now`` and on a heap when it is later; one loop,
+    :meth:`_dispatch`, fires them, and :meth:`run` /
+    :meth:`run_until_future` differ only in what they do once it returns.
 
-    * ``_heap`` for future events (``when > now``);
-    * ``_ready``, a FIFO deque, for events scheduled *at the current
-      instant* (``call_after(0, ...)`` and the process-resume path) —
-      the hottest scheduling operation, O(1) instead of O(log n).
+    Neither side structure can reorder anything.  Time only advances
+    once ``_ready`` drains, so a heap entry for the current instant was
+    pushed *before* the instant began and carries a lower ``seq`` than
+    every ready entry; the loop pops whichever head has the lower one.
+    ``_far`` entries move to ``_heap`` before the clock reaches them,
+    and the ``(when, seq)`` order of ``_heap`` decides from there.
 
-    The split preserves exact dispatch order: time only advances once
-    ``_ready`` drains, so any heap entry for the current instant was
-    pushed *before* the instant began and therefore carries a lower
-    ``seq`` than every ready entry; the run loop pops whichever of the
-    two heads has the lower sequence.
+    What is here beyond one bare heap, and the ``bench/`` workload that
+    pays for each (numbers: EXPERIMENTS.md "Round 5"):
 
-    ``call_at``/``call_after`` return the event, which doubles as a
-    cancellation handle for :meth:`cancel` — cancelled events stay put
-    as tombstones (``fn = None``) and are skipped on dispatch, avoiding
-    O(n) heap surgery.  Once tombstones pile up past a threshold the
-    heap is compacted in one pass (:meth:`_compact`), so long chaos
-    runs with many expired timeouts don't drag dead entries.
-
-    Internal scheduling paths whose handles never escape (process
-    resumes, ``sleep``, network deliveries) use *recyclable* events —
-    5-slot lists drawn from a bounded free list instead of fresh
-    allocations.  Mixed 4/5-slot entries coexist in the heap safely:
-    ordering compares ``(when, seq)`` and ``seq`` is unique, so the
-    comparison never reaches the extra slot.
+    * HOT: ``_ready`` — same-instant events (process resumes, zero
+      delays) skip the O(log n) heap: ``tpcc_epoch``, ``openloop``, ``kv``.
+    * HOT: ``_call_soon`` — the process-resume path, once per yield, no
+      delay arithmetic, past-check or handle: ``openloop``, ``tpcc``.
+    * ``_far`` — a second heap for guard timers.  Every RPC parks a
+      5000 ms deadline that outlives it, ~2000 of them at any moment;
+      with those off the hot heap a pop sifts through ~150 entries, not
+      ~2100: ``tpcc_epoch``, ``movr``, ``tpcc``.
+    * ``cancel`` leaves a tombstone (``fn = None``), skipped and not
+      counted on dispatch; :meth:`_compact` sweeps them once they
+      outnumber live entries.  No shipped workload cancels that much
+      (only admission-queue expiries are cancelled): it is the bound on
+      heap growth for a schedule that does.
+    * A dispatched event drops ``fn``/``args`` at once: finished
+      processes and their results die by refcount, not in the cyclic
+      collector (``tests/test_gc_garbage.py``), and ``cancel`` on a
+      handle that already fired sees a tombstone and does nothing.
     """
 
     def __init__(self, obs_enabled: bool = True,
                  trace_sample_every: int = 1):
         self._now = 0.0
         self._heap: List[list] = []
+        self._far: List[list] = []
         self._ready: deque = deque()
         self._seq = 0
         self._pending_crash: Optional[BaseException] = None
-        self._swallow_orphan_failures = False
-        #: Recycled 5-slot event lists (the "ring" for the zero-fault
-        #: fast path): dispatch returns them here, schedulers pop them.
-        self._free: List[list] = []
         #: Live tombstones created by :meth:`cancel` and not yet popped.
         self._tombstones = 0
-        #: Hierarchical timer wheel (see module comment): fine/coarse
-        #: bucket dicts keyed by quantized fire time, the count of
-        #: parked events, the start time of the earliest non-empty
-        #: bucket, and the drain floor (fine buckets below it are
-        #: already merged and must never be re-filled).
-        self._wheel_fine: dict = {}
-        self._wheel_coarse: dict = {}
-        self._wheel_count = 0
-        self._wheel_next = float("inf")
-        self._wheel_floor = 0
         #: Total events dispatched over the simulator's lifetime; the
         #: benchmark harness divides this by wall-clock for events/sec.
         self.events_processed = 0
@@ -313,148 +269,40 @@ class Simulator:
         :meth:`cancel`).
         """
         now = self._now
-        if when <= now:
-            if when < now:
-                raise SimulationError(
-                    f"cannot schedule in the past ({when} < {now})")
-            event = [now, self._seq, fn, args]
-            self._seq += 1
-            self._ready.append(event)
-            return event
         event = [when, self._seq, fn, args]
-        self._seq += 1
-        if when - now >= _WHEEL_MIN_DELAY:
-            self._enqueue_future(event, when)
+        if when > now:
+            heapq.heappush(
+                self._far if when - now >= _FAR_MS else self._heap, event)
+        elif when == now:
+            self._ready.append(event)
         else:
-            heapq.heappush(self._heap, event)
+            raise SimulationError(
+                f"cannot schedule in the past ({when} < {now})")
+        self._seq += 1
         return event
 
     def call_after(self, delay: float, fn: Callable, *args: Any) -> list:
         """Run ``fn(*args)`` after ``delay`` milliseconds."""
-        # call_at's body, inlined: this is the hottest scheduling call
-        # in the simulator and the extra frame is measurable.
+        # HOT: call_at's body again, not a call to it — most events are
+        # scheduled here, and the extra frame (and ``*args`` repack)
+        # costs 3-10% ``ops_per_s`` on kv_obs, openloop and tpcc.
         now = self._now
         when = now + delay
         event = [when, self._seq, fn, args]
-        self._seq += 1
-        if when <= now:
-            if when < now:
-                raise SimulationError(
-                    f"cannot schedule in the past ({when} < {now})")
+        if when > now:
+            heapq.heappush(
+                self._far if delay >= _FAR_MS else self._heap, event)
+        elif when == now:
             self._ready.append(event)
-        elif delay >= _WHEEL_MIN_DELAY:
-            self._enqueue_future(event, when)
         else:
-            heapq.heappush(self._heap, event)
+            raise SimulationError(
+                f"cannot schedule in the past ({when} < {now})")
+        self._seq += 1
         return event
 
-    def _schedule(self, delay: float, fn: Callable, *args: Any) -> None:
-        """``call_after`` for events whose handle never escapes: the
-        event list is drawn from (and after dispatch returned to) the
-        free list.  No cancellation handle — callers must not need one.
-        """
-        now = self._now
-        when = now + delay
-        free = self._free
-        if free:
-            event = free.pop()
-            event[0] = when
-            event[1] = self._seq
-            event[2] = fn
-            event[3] = args
-        else:
-            event = [when, self._seq, fn, args, 1]
-        self._seq += 1
-        if when <= now:
-            if when < now:
-                raise SimulationError(
-                    f"cannot schedule in the past ({when} < {now})")
-            self._ready.append(event)
-        elif delay >= _WHEEL_MIN_DELAY:
-            self._enqueue_future(event, when)
-        else:
-            heapq.heappush(self._heap, event)
-
-    def _enqueue_future(self, event: list, when: float) -> None:
-        """Park a long-delay event on the timer wheel, or fall back to
-        the heap when its window is too close (or already draining)."""
-        idx = int(when // _WHEEL_TICK)
-        if idx > int(self._now // _WHEEL_TICK) and idx >= self._wheel_floor:
-            if when - self._now < _WHEEL_COARSE:
-                bucket = self._wheel_fine.get(idx)
-                if bucket is None:
-                    bucket = self._wheel_fine[idx] = []
-                start = idx * _WHEEL_TICK
-            else:
-                cidx = int(when // _WHEEL_COARSE)
-                bucket = self._wheel_coarse.get(cidx)
-                if bucket is None:
-                    bucket = self._wheel_coarse[cidx] = []
-                start = cidx * _WHEEL_COARSE
-            bucket.append(event)
-            self._wheel_count += 1
-            if start < self._wheel_next:
-                self._wheel_next = start
-            return
-        heapq.heappush(self._heap, event)
-
-    def _wheel_drain(self) -> None:
-        """Advance the wheel one window: merge the earliest non-empty
-        fine bucket into the heap (dropping parked tombstones), or
-        cascade the earliest coarse bucket into fine buckets."""
-        target = self._wheel_next
-        fine = self._wheel_fine
-        idx = int(target // _WHEEL_TICK)
-        bucket = fine.pop(idx, None)
-        if bucket is not None:
-            heappush = heapq.heappush
-            heap = self._heap
-            for event in bucket:
-                if event[2] is None:
-                    self._tombstones -= 1
-                else:
-                    heappush(heap, event)
-                self._wheel_count -= 1
-            if idx >= self._wheel_floor:
-                self._wheel_floor = idx + 1
-        else:
-            cidx = int(target // _WHEEL_COARSE)
-            cbucket = self._wheel_coarse.pop(cidx, None)
-            if cbucket is not None:
-                for event in cbucket:
-                    if event[2] is None:
-                        self._tombstones -= 1
-                        self._wheel_count -= 1
-                        continue
-                    fidx = int(event[0] // _WHEEL_TICK)
-                    fbucket = fine.get(fidx)
-                    if fbucket is None:
-                        fbucket = fine[fidx] = []
-                    fbucket.append(event)
-        self._recompute_wheel_next()
-
-    def _recompute_wheel_next(self) -> None:
-        nxt = float("inf")
-        if self._wheel_fine:
-            nxt = min(self._wheel_fine) * _WHEEL_TICK
-        if self._wheel_coarse:
-            coarse_next = min(self._wheel_coarse) * _WHEEL_COARSE
-            if coarse_next < nxt:
-                nxt = coarse_next
-        self._wheel_next = nxt
-
     def _call_soon(self, fn: Callable, *args: Any) -> None:
-        free = self._free
-        if free:
-            event = free.pop()
-            event[0] = self._now
-            event[1] = self._seq
-            event[2] = fn
-            event[3] = args
-        else:
-            event = [self._now, self._seq, fn, args, 1]
+        self._ready.append([self._now, self._seq, fn, args])
         self._seq += 1
-        self._ready.append(event)
 
     def cancel(self, event: list) -> None:
         """Cancel a scheduled event (returned by ``call_at``/
@@ -468,36 +316,19 @@ class Simulator:
         tombstones = self._tombstones + 1
         self._tombstones = tombstones
         if (tombstones >= _COMPACT_MIN_TOMBSTONES
-                and tombstones * 2 > len(self._heap)):
+                and tombstones * 2 > len(self._heap) + len(self._far)):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop tombstoned entries from the heap in one pass.
+        """Drop tombstoned entries from both heaps in one pass.
 
         Safe at any point: dispatch order is total on ``(when, seq)``,
         so re-heapifying the surviving entries preserves it exactly.
         """
-        # In place: the run loops hold a local reference to the heap.
-        heap = self._heap
-        heap[:] = [event for event in heap if event[2] is not None]
-        heapq.heapify(heap)
-        # Cancelled events parked on the timer wheel are dropped from
-        # their buckets in place (bucket order is irrelevant: draining
-        # re-establishes total order through the heap).
-        if self._wheel_count:
-            count = 0
-            for wheel in (self._wheel_fine, self._wheel_coarse):
-                empty = []
-                for idx, bucket in wheel.items():
-                    bucket[:] = [e for e in bucket if e[2] is not None]
-                    if bucket:
-                        count += len(bucket)
-                    else:
-                        empty.append(idx)
-                for idx in empty:
-                    del wheel[idx]
-            self._wheel_count = count
-            self._recompute_wheel_next()
+        # In place: the dispatch loop holds local references to both.
+        for heap in (self._heap, self._far):
+            heap[:] = [event for event in heap if event[2] is not None]
+            heapq.heapify(heap)
         # Tombstones parked in the ready deque (cancelled same-instant
         # events) drain on their own within the current instant.
         self._tombstones = sum(1 for event in self._ready
@@ -506,13 +337,13 @@ class Simulator:
     def sleep(self, delay: float) -> Future:
         """Future that resolves ``delay`` ms from now."""
         fut = Future(self)
-        self._schedule(delay, fut)
+        self.call_after(delay, fut)
         return fut
 
     def timeout(self, delay: float, error: BaseException) -> Future:
         """Future that *rejects* with ``error`` after ``delay`` ms."""
         fut = Future(self)
-        self._schedule(delay, fut, None, error)
+        self.call_after(delay, fut, None, error)
         return fut
 
     def spawn(self, generator: Generator, name: str = "") -> Process:
@@ -523,19 +354,26 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run events until the queues drain or sim time reaches ``until``."""
+    def _dispatch(self, stop: Optional[Future],
+                  bound: Optional[float]) -> None:
+        """The dispatch loop: fire events in ``(when, seq)`` order until
+        ``stop`` is done, both queues are empty, or the next event lies
+        past ``bound`` — that event is only looked at, and stays queued.
+        A failure recorded by :meth:`_crash` is raised before the next
+        event fires, or on the way out."""
         heap = self._heap
+        far = self._far
         ready = self._ready
         heappop = heapq.heappop
         popleft = ready.popleft
-        free = self._free
         processed = 0
         try:
-            while ready or heap or self._wheel_count:
+            while True:
                 if self._pending_crash is not None:
                     error, self._pending_crash = self._pending_crash, None
                     raise error
+                if stop is not None and stop._done:
+                    return
                 if ready:
                     # A heap entry at the current instant predates every
                     # ready entry's creation but may still order first.
@@ -548,39 +386,44 @@ class Simulator:
                     if fn is None:
                         self._tombstones -= 1
                         continue
-                else:
-                    # Merge due wheel windows before dispatching at or
-                    # past them (wheel events are strictly future, so
-                    # the ready path above never needs this).
-                    if self._wheel_count and (
-                            not heap or heap[0][0] >= self._wheel_next):
-                        self._wheel_drain()
+                elif heap or far:
+                    # Far timers join the heap before the clock reaches
+                    # them (ties too: the heap then orders by ``seq``).
+                    if far and (not heap or far[0][0] <= heap[0][0]):
+                        heapq.heappush(heap, heappop(far))
                         continue
-                    head = heap[0]
-                    if until is not None and head[0] > until:
-                        self._now = until
-                        return
-                    event = heappop(heap)
+                    event = heap[0]
                     fn = event[2]
                     if fn is None:
+                        heappop(heap)
                         self._tombstones -= 1
                         continue  # cancelled: do not even advance time
+                    if bound is not None and event[0] > bound:
+                        return
+                    heappop(heap)
                     self._now = event[0]
+                else:
+                    return
                 processed += 1
                 fn(*event[3])
-                # Release callback/args references eagerly (shorter
-                # object lifetimes, cheaper GC) and recycle 5-slot
-                # internal events.
+                # Release the callback and its arguments now, not when
+                # the last handle to the event goes away.
                 event[2] = None
                 event[3] = ()
-                if len(event) == 5 and len(free) < _FREE_LIST_CAP:
-                    free.append(event)
         finally:
             self.events_processed += processed
-        if self._pending_crash is not None:
-            error, self._pending_crash = self._pending_crash, None
-            raise error
-        if until is not None and until > self._now:
+
+    def run(self, until: Optional[float] = None) -> None:
+        """Run events until the queues drain or sim time reaches ``until``.
+
+        Events at exactly ``until`` fire and the clock is left there.  An
+        ``until`` already in the past means "now": the rest of the
+        current instant runs and the clock never moves backwards.
+        """
+        if until is not None and until < self._now:
+            until = self._now
+        self._dispatch(None, until)
+        if until is not None:
             self._now = until
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
@@ -598,57 +441,16 @@ class Simulator:
 
         Unlike :meth:`run`, this works with never-ending background
         processes (heartbeats, side transports) in the event heap.
-        ``limit`` bounds simulated time as a deadlock guard.
+        ``limit`` bounds simulated time as a deadlock guard: the first
+        event past it is left queued and ``SimulationError`` is raised.
         """
-        heap = self._heap
-        ready = self._ready
-        heappop = heapq.heappop
-        popleft = ready.popleft
-        free = self._free
-        processed = 0
-        try:
-            while not future._done and (ready or heap or self._wheel_count):
-                if self._pending_crash is not None:
-                    error, self._pending_crash = self._pending_crash, None
-                    raise error
-                if ready:
-                    if heap and heap[0][0] == self._now \
-                            and heap[0][1] < ready[0][1]:
-                        event = heappop(heap)
-                    else:
-                        event = popleft()
-                    fn = event[2]
-                    if fn is None:
-                        self._tombstones -= 1
-                        continue
-                else:
-                    if self._wheel_count and (
-                            not heap or heap[0][0] >= self._wheel_next):
-                        self._wheel_drain()
-                        continue
-                    event = heappop(heap)
-                    fn = event[2]
-                    if fn is None:
-                        self._tombstones -= 1
-                        continue
-                    if limit is not None and event[0] > limit:
-                        raise SimulationError(
-                            f"future not resolved by simulated time {limit}")
-                    self._now = event[0]
-                processed += 1
-                fn(*event[3])
-                event[2] = None
-                event[3] = ()
-                if len(event) == 5 and len(free) < _FREE_LIST_CAP:
-                    free.append(event)
-        finally:
-            self.events_processed += processed
-        if self._pending_crash is not None:
-            error, self._pending_crash = self._pending_crash, None
-            raise error
-        if not future.done:
-            raise SimulationError("event heap drained before future resolved")
-        return future.value
+        self._dispatch(future, limit)
+        if future._done:
+            return future.value
+        if self._heap or self._far:
+            raise SimulationError(
+                f"future not resolved by simulated time {limit}")
+        raise SimulationError("event heap drained before future resolved")
 
     def _crash(self, error: BaseException) -> None:
         # Recorded rather than raised so the failure surfaces from run()
@@ -765,9 +567,6 @@ def with_timeout(sim: Simulator, future: Future, delay_ms: float,
     return result
 
 
-__all__.append("with_timeout")
-
-
 def quorum_of(sim: Simulator, futures: Iterable[Future], needed: int) -> Future:
     """Future resolving once ``needed`` of the inputs have resolved.
 
@@ -799,6 +598,3 @@ def quorum_of(sim: Simulator, futures: Iterable[Future], needed: int) -> Future:
     for fut in futures:
         fut.add_callback(on_done)
     return result
-
-
-__all__.append("quorum_of")

@@ -361,11 +361,11 @@ class Network:
         self.faults = FaultPlane(seed)
         #: Hot-path caches: the jitter fraction and RNG are fixed at
         #: construction (nothing mutates the latency model afterwards),
-        #: and the prebound scheduler methods save an attribute lookup
-        #: plus a bound-method allocation per message.
+        #: and the prebound ``call_after`` saves an attribute lookup plus
+        #: a bound-method allocation per message.
         self._jitter = self.latency.jitter_fraction
         self._jrand = self.latency._rng.random
-        self._schedule = sim._schedule
+        self._schedule = sim.call_after
         registry = sim.obs.registry
         #: Cached enabled flag: the per-message paths guard their
         #: counter/histogram calls on it instead of calling into the
@@ -613,8 +613,9 @@ class Network:
         more than the work itself.  ``callback(*args)`` runs at the
         destination after one-way latency — passing args here instead
         of closing over them saves a closure allocation per message on
-        the Raft paths.  The delivery event is recycled (it never
-        escapes as a cancellation handle).
+        the Raft paths.  The delivery is one ordinary timer event whose
+        cancellation handle is dropped: nothing cancels a message once
+        it is in flight.
         """
         faults = self.faults
         if faults.active and (faults.blocked(src, dst)

@@ -52,6 +52,18 @@ def state_digest(engine):
     return rows
 
 
+def run_small_tpcc(protocol, obs_enabled):
+    """Six TPC-C transactions per client under ``protocol``, seed 0."""
+    cluster = standard_cluster(
+        DEFAULT_REGIONS, max_clock_offset=250.0, skew_fraction=0.05,
+        jitter_fraction=0.02, seed=0, obs_enabled=obs_enabled,
+        txn_protocol=protocol)
+    engine = Engine(cluster, seed=0)
+    recorder = LatencyRecorder()
+    run_tpcc_clients(engine, DEFAULT_REGIONS, 6, recorder, 0)
+    return engine, recorder
+
+
 def run_fingerprint(workload, seed, scale):
     engine, recorder = run_fixed_workload(workload, seed, scale=scale)
     sim = engine.cluster.sim
@@ -110,18 +122,8 @@ class TestObsEquivalence:
         """Multi-statement transactions through both backends' span
         sites (``txn/crdb.py``, ``txn/epoch.py``): tracing them must not
         move one event."""
-        def run(obs_enabled):
-            cluster = standard_cluster(
-                DEFAULT_REGIONS, max_clock_offset=250.0, skew_fraction=0.05,
-                jitter_fraction=0.02, seed=0, obs_enabled=obs_enabled,
-                txn_protocol=protocol)
-            engine = Engine(cluster, seed=0)
-            recorder = LatencyRecorder()
-            run_tpcc_clients(engine, DEFAULT_REGIONS, 6, recorder, 0)
-            return engine, recorder
-
-        full_engine, full_rec = run(True)
-        off_engine, off_rec = run(False)
+        full_engine, full_rec = run_small_tpcc(protocol, True)
+        off_engine, off_rec = run_small_tpcc(protocol, False)
         tracer = full_engine.cluster.sim.obs.tracer
         commit = ("txn.epoch_commit" if protocol == "epoch-occ"
                   else "txn.commit")
@@ -151,6 +153,27 @@ class TestGoldenSnapshots:
         engine instances."""
         assert (run_fingerprint("kv", 0, 0.25)
                 == run_fingerprint("kv", 0, 0.25))
+
+
+class TestKernelPins:
+    """Event count and final clock, exact, for one obs-off run per
+    protocol: a kernel change that adds, drops or reorders a single
+    event moves these (the values are what commit 49df7f1, the last one
+    with the timer wheel, computes).  Re-pin only with the reason the
+    *simulation* changed written down."""
+
+    def test_kv(self):
+        engine, _ = run_fixed_workload("kv", 0, False, 0.25)
+        sim = engine.cluster.sim
+        assert (sim.events_processed, sim.now) == (18659, 2461.7729704519547)
+
+    @pytest.mark.parametrize("protocol,events,now", [
+        ("crdb", 22217, 7476.782166156615),
+        ("epoch-occ", 27896, 9570.452325565606)])
+    def test_tpcc(self, protocol, events, now):
+        engine, _ = run_small_tpcc(protocol, False)
+        sim = engine.cluster.sim
+        assert (sim.events_processed, sim.now) == (events, now)
 
 
 class TestParseCounts:
