@@ -13,7 +13,7 @@ on the simulated substrate:
   maintains a per-(observer, peer) offset estimate corrected for the
   link's nominal one-way latency.
 * When a node's own measurements show it beyond
-  ``fence_threshold_fraction x max_clock_offset`` against a majority of
+  ``FENCE_THRESHOLD_FRACTION x max_clock_offset`` against a majority of
   the peers it has heard from, it **self-fences**: it stops serving,
   drops its leases, and takes itself down so store liveness walks it to
   DEAD and the replicate queue repairs around it.
@@ -62,19 +62,14 @@ class ClockMonitor:
     #: healthy node).
     MIN_PEERS = 2
 
-    def __init__(self, cluster, fence_enabled: bool = True,
-                 fence_threshold_fraction: float = FENCE_THRESHOLD_FRACTION,
-                 request_slack_ms: float = REQUEST_SLACK_MS,
-                 min_peers: int = MIN_PEERS):
+    def __init__(self, cluster, fence_enabled: bool = True):
         self.cluster = cluster
         self.sim = cluster.sim
         self.network = cluster.network
         self.max_offset = cluster.max_clock_offset
         self.fence_enabled = fence_enabled
         self.fence_threshold_ms = (
-            self.max_offset * fence_threshold_fraction)
-        self.request_slack_ms = request_slack_ms
-        self.min_peers = min_peers
+            self.max_offset * self.FENCE_THRESHOLD_FRACTION)
         #: observer node_id -> peer node_id -> latest offset estimate
         #: (positive: the peer's clock is ahead of the observer's).
         self._estimates: Dict[int, Dict[int, float]] = {}
@@ -167,7 +162,7 @@ class ClockMonitor:
         A node whose clock is the outlier sees *every* peer as offset by
         roughly the same amount; a healthy node sees at most the one bad
         peer.  Majority vote over measured peers separates the two."""
-        if observer.fenced or len(peers) < self.min_peers:
+        if observer.fenced or len(peers) < self.MIN_PEERS:
             return
         threshold = self.fence_threshold_ms
         bad = sum(1 for v in peers.values() if abs(v) > threshold)
@@ -218,7 +213,7 @@ class ClockMonitor:
         if not self.fence_enabled or ts.synthetic:
             return
         local = node.clock.physical_now()
-        if ts.physical > local + self.max_offset + self.request_slack_ms:
+        if ts.physical > local + self.max_offset + self.REQUEST_SLACK_MS:
             self._c_rejected.inc()
             raise ClockOutlierRejectedError(node.node_id, ts.physical, local)
 
@@ -231,7 +226,7 @@ class ClockMonitor:
             return True
         if closed_ts_within_contract(closed_ts, node.clock.physical_now(),
                                      self.max_offset,
-                                     self.request_slack_ms):
+                                     self.REQUEST_SLACK_MS):
             return True
         self._registry.counter("clock.closed_ts_rejected",
                                node=node.node_id).inc()
@@ -254,11 +249,12 @@ class ClockMonitor:
             peers.pop(node_id, None)
 
 
-def install_clock_monitor(cluster, **kwargs) -> ClockMonitor:
+def install_clock_monitor(cluster,
+                          fence_enabled: bool = True) -> ClockMonitor:
     """Create a :class:`ClockMonitor` and wire it into the cluster and
     network so liveness heartbeats and Raft messages start piggybacking
     clock readings.  Idempotent per cluster attribute."""
-    monitor = ClockMonitor(cluster, **kwargs)
+    monitor = ClockMonitor(cluster, fence_enabled=fence_enabled)
     cluster.clock_monitor = monitor
     cluster.network.clock_monitor = monitor
     return monitor

@@ -232,9 +232,6 @@ class StoreLiveness:
             self._status_gauge(subject_id).set(self._STATUS_LEVELS[verdict])
         return verdict
 
-    def is_live(self, node_id: int) -> bool:
-        return self.aggregate_status(node_id) == LivenessStatus.LIVE
-
     def live_node_ids(self) -> List[int]:
         return [n.node_id for n in self.cluster.nodes
                 if n.alive

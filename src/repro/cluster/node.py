@@ -41,8 +41,5 @@ class Node:
     def remove_replica(self, range_id: int) -> None:
         self.replicas.pop(range_id, None)
 
-    def replica_for(self, range_id: int) -> Optional["Replica"]:
-        return self.replicas.get(range_id)
-
     def __repr__(self) -> str:
         return f"Node({self.node_id}, {self.locality})"

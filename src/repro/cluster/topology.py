@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from ..kv.keyspace import Keyspace
 from ..sim.clock import ClockModel
 from ..sim.core import Simulator
 from ..sim.network import LatencyModel, Network
@@ -71,16 +72,8 @@ class Cluster:
         self.epoch_service = None
         self._next_node_id = 1
         self._next_range_id = 1
-        self._keyspace = None
-
-    @property
-    def keyspace(self):
-        """The elastic-keyspace registry (``repro.kv.keyspace``), created
-        lazily so fixed-provisioning runs never touch it."""
-        if self._keyspace is None:
-            from ..kv.keyspace import Keyspace
-            self._keyspace = Keyspace(self)
-        return self._keyspace
+        #: The span registry: ranges are born into it; it splits and merges.
+        self.keyspace = Keyspace(self)
 
     def txn_status(self, txn_id: int):
         """Authoritative transaction state for pushes.

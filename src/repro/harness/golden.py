@@ -2,7 +2,7 @@
 
 A golden file is a JSON tree whose leaves-of-interest are *fingerprints*
 — the deterministic, drift-sensitive summary of one run.  Experiments
-address their fingerprints by path (``("seeds", "0", "elastic")``), so
+address their fingerprints by path (``("fp", "crdb/0")``), so
 one helper serves every file layout:
 
 * :func:`check` compares fresh fingerprints against the committed ones

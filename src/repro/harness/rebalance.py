@@ -1,7 +1,8 @@
 """The elastic-keyspace experiment: size/load splits, a
 follow-the-workload lease move, cold merges — golden-checked.
 
-One elastic span on a three-region cluster runs through three phases:
+One range on a three-region cluster, its span managed by the rebalance
+queue, runs through three phases:
 
 1. **warmup** — home-region clients touch the whole keyspace; the
    seeded key count exceeds the size-split threshold, so the
@@ -15,11 +16,7 @@ One elastic span on a three-region cluster runs through three phases:
 Everything is deterministic from the seed.  ``REBALANCE_golden.json``
 at the repo root pins per-seed fingerprints for seeds {0, 1, 2}; the
 CLI re-runs and compares, so any behavioural drift in splits, merges,
-routing, or rebalancing shows up as a fingerprint mismatch.  Each seed
-is also run in **legacy** mode — the same workload against a plain
-fixed range with elasticity disabled — whose fingerprint covers the
-full metrics snapshot: the elastic machinery must leave fault-free
-legacy runs byte-identical (no new instruments, no new events).
+routing, or rebalancing shows up as a fingerprint mismatch.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import zlib
 from typing import Dict, Generator, List, Tuple
 
 from ..cluster import StoreLiveness
-from ..kv.keyspace import live_ranges
 from ..placement import ReplicateQueue, ZoneConfig
 from .golden import repo_path
 from .testbed import HOME, OK, Testbed
@@ -64,11 +60,10 @@ MERGE_PATIENCE = 3
 
 
 class _RebalanceRun(Testbed):
-    """One deterministic run, elastic or legacy."""
+    """One deterministic run."""
 
-    def __init__(self, seed: int, elastic: bool):
+    def __init__(self, seed: int):
         super().__init__(seed)
-        self.elastic = elastic
         # One voter pinned home, the rest placed by diversity, and no
         # lease preference — leaving follow-the-workload free to move
         # the lease.
@@ -76,19 +71,16 @@ class _RebalanceRun(Testbed):
                             constraints={HOME: 1})
         self.range = self.provision("elastic", config)
         ts = self.range.leaseholder_node.clock.now()
-        self.token = self.range
-        if elastic:
-            # Production cadence, not the chaos harness's compressed
-            # one: this run lasts 12.5 s and loses no store.
-            self.token = self.enable_elastic(
-                self.range, config, "kv",
-                time_until_store_dead_ms=
-                StoreLiveness.TIME_UNTIL_STORE_DEAD_MS,
-                interval_ms=ReplicateQueue.INTERVAL_MS,
-                split_max_keys=SPLIT_MAX_KEYS, split_qps=SPLIT_QPS,
-                merge_qps=MERGE_QPS, merge_patience=MERGE_PATIENCE,
-                lease_cooldown_ms=1500.0)
-        self.token.bulk_ingest([(key, 0) for key in KEYS], ts)
+        # Production cadence, not the chaos harness's compressed one:
+        # this run lasts 12.5 s and loses no store.
+        self.enable_rebalance(
+            self.range, config,
+            time_until_store_dead_ms=StoreLiveness.TIME_UNTIL_STORE_DEAD_MS,
+            interval_ms=ReplicateQueue.INTERVAL_MS,
+            split_max_keys=SPLIT_MAX_KEYS, split_qps=SPLIT_QPS,
+            merge_qps=MERGE_QPS, merge_patience=MERGE_PATIENCE,
+            lease_cooldown_ms=1500.0)
+        self.range.bulk_ingest([(key, 0) for key in KEYS], ts)
         self.committed = 0
         self.failed = 0
         self.samples: List[Dict] = []
@@ -107,7 +99,7 @@ class _RebalanceRun(Testbed):
         gateway = self.cluster.gateway_for_region(region, index)
         while self.sim.now < end_ms:
             status, _value, _error = yield from self.attempt(
-                gateway, self.increment(self.token, pick_key(prng)))
+                gateway, self.increment(self.range, pick_key(prng)))
             if status == OK:
                 self.committed += 1
             else:
@@ -118,21 +110,20 @@ class _RebalanceRun(Testbed):
 
     def _sample(self, label: str) -> Dict:
         ranges = []
-        for rng in live_ranges(self.token):
+        for rng in self.range.span.ranges():
             lease_node = rng.leaseholder_node_id
             lease_region = (
                 self.cluster.node_by_id(lease_node).locality.region
                 if lease_node is not None else None)
-            entry = {
+            descriptor = rng.descriptor
+            ranges.append({
                 "name": rng.name,
                 "lease_region": lease_region,
                 "keys": len(list(rng.leaseholder_replica.store.keys())),
-            }
-            if rng.descriptor is not None:
-                entry["span"] = rng.descriptor.span_repr()
-                entry["generation"] = rng.descriptor.generation
-                entry["qps"] = round(rng.descriptor.load.qps(self.sim.now), 1)
-            ranges.append(entry)
+                "span": descriptor.span_repr(),
+                "generation": descriptor.generation,
+                "qps": round(descriptor.load.qps(self.sim.now), 1),
+            })
         return {"label": label, "t_ms": self.sim.now,
                 "range_count": len(ranges), "ranges": ranges}
 
@@ -165,8 +156,7 @@ class _RebalanceRun(Testbed):
         self.sim.spawn(self._probe(HOT_END_MS - 100.0, "hot"),
                        name="probe-hot")
         self.sim.run(until=DRAIN_END_MS)
-        if self.repair_queue is not None:
-            self.repair_queue.stop()
+        self.repair_queue.stop()
         self.samples.append(self._sample("final"))
         return self._document()
 
@@ -174,7 +164,7 @@ class _RebalanceRun(Testbed):
 
     def _final_snapshot(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
-        for rng in live_ranges(self.token):
+        for rng in self.range.span.ranges():
             ts = rng.leaseholder_node.clock.now()
             for key, value in rng.leaseholder_replica.store.snapshot_at(
                     ts).items():
@@ -213,7 +203,6 @@ class _RebalanceRun(Testbed):
             r["lease_region"] == HOT_REGION for r in hot_sample["ranges"])
         doc = {
             "seed": self.seed,
-            "mode": "elastic" if self.elastic else "legacy",
             "committed": self.committed,
             "failed": self.failed,
             "samples": self.samples,
@@ -229,41 +218,31 @@ class _RebalanceRun(Testbed):
         # range per split_max_keys of seeded data — or the merged range
         # would immediately re-split (hysteresis, not a failure).
         min_ranges = -(-len(KEYS) // SPLIT_MAX_KEYS)
-        if self.elastic:
-            split_triggers = {key: value for key, value in counters.items()
-                              if key.startswith("rebalance.splits")}
-            doc["gates"] = {
-                "splits_happened": peak_ranges > min_ranges,
-                "size_split": any("size" in key for key in split_triggers),
-                "load_split": any("load" in key for key in split_triggers),
-                "lease_followed_workload": lease_followed,
-                "merged_back": (doc["final_ranges"] <= min_ranges
-                                and doc["final_ranges"] < peak_ranges),
-                "no_lost_increments": conserved,
-                "no_failed_txns": self.failed == 0,
-            }
-        else:
-            doc["gates"] = {
-                "no_elastic_instruments": not counters,
-                "keyspace_untouched": self.cluster._keyspace is None,
-                "single_range": doc["final_ranges"] == 1,
-                "no_lost_increments": conserved,
-                "no_failed_txns": self.failed == 0,
-            }
+        split_triggers = [key for key in counters
+                          if key.startswith("rebalance.splits")]
+        doc["gates"] = {
+            "splits_happened": peak_ranges > min_ranges,
+            "size_split": any("size" in key for key in split_triggers),
+            "load_split": any("load" in key for key in split_triggers),
+            "lease_followed_workload": lease_followed,
+            "merged_back": (doc["final_ranges"] <= min_ranges
+                            and doc["final_ranges"] < peak_ranges),
+            "no_lost_increments": conserved,
+            "no_failed_txns": self.failed == 0,
+        }
         doc["gates"]["ok"] = all(doc["gates"].values())
         return doc
 
 
-def run_rebalance(seed: int = 0, elastic: bool = True) -> Dict:
+def run_rebalance(seed: int = 0) -> Dict:
     """One deterministic rebalance run; returns the JSON-ready doc."""
-    return _RebalanceRun(seed, elastic).run()
+    return _RebalanceRun(seed).run()
 
 
 def fingerprint(doc: Dict) -> Dict:
     """The golden-pinned summary of one run (order-stable)."""
     blob = json.dumps(doc, sort_keys=True, default=str)
     return {
-        "mode": doc["mode"],
         "committed": doc["committed"],
         "failed": doc["failed"],
         "peak_ranges": doc["peak_ranges"],
@@ -276,51 +255,35 @@ def fingerprint(doc: Dict) -> Dict:
 
 
 def run_rebalance_suite(seeds) -> Dict:
-    """Elastic + legacy runs for each seed, with fingerprints."""
+    """One run per seed, with its fingerprint."""
     runs = {}
     for seed in seeds:
-        elastic = run_rebalance(seed, elastic=True)
-        legacy = run_rebalance(seed, elastic=False)
-        runs[str(seed)] = {
-            "elastic": elastic,
-            "legacy": legacy,
-            "fingerprints": {
-                "elastic": fingerprint(elastic),
-                "legacy": fingerprint(legacy),
-            },
-        }
-    ok = all(entry["elastic"]["gates"]["ok"]
-             and entry["legacy"]["gates"]["ok"]
-             for entry in runs.values())
+        doc = run_rebalance(seed)
+        runs[str(seed)] = {"run": doc, "fingerprint": fingerprint(doc)}
+    ok = all(entry["run"]["gates"]["ok"] for entry in runs.values())
     return {"ok": ok, "runs": runs}
 
 
 def golden_entries(suite: Dict) -> Dict:
     """The suite's fingerprints, addressed as in REBALANCE_golden.json."""
-    return {("seeds", seed, mode): fp
-            for seed, entry in suite["runs"].items()
-            for mode, fp in entry["fingerprints"].items()}
+    return {("seeds", seed): entry["fingerprint"]
+            for seed, entry in suite["runs"].items()}
 
 
 def render_rebalance(doc: Dict) -> str:
-    lines = [f"rebalance {doc['mode']} run (seed={doc['seed']}) — "
+    lines = [f"rebalance run (seed={doc['seed']}) — "
              f"{doc['committed']} txns committed, {doc['failed']} failed"]
     for sample in doc["samples"]:
         lines.append(f"  t={sample['t_ms']:8.0f}ms  [{sample['label']}]  "
                      f"{sample['range_count']} range(s)")
         for rng in sample["ranges"]:
-            span = rng.get("span", "(fixed)")
-            qps = rng.get("qps")
-            qps_text = f" qps={qps:.1f}" if qps is not None else ""
-            gen = rng.get("generation")
-            gen_text = f" gen={gen}" if gen is not None else ""
-            lines.append(f"      {rng['name']:14s} {span:28s} "
+            lines.append(f"      {rng['name']:14s} {rng['span']:28s} "
                          f"lease={rng['lease_region']}"
-                         f" keys={rng['keys']}{qps_text}{gen_text}")
-    if doc["counters"]:
-        lines.append("  counters:")
-        for key, value in sorted(doc["counters"].items()):
-            lines.append(f"      {key} = {value}")
+                         f" keys={rng['keys']} qps={rng['qps']:.1f}"
+                         f" gen={rng['generation']}")
+    lines.append("  counters:")
+    for key, value in sorted(doc["counters"].items()):
+        lines.append(f"      {key} = {value}")
     lines.append("  gates:")
     for gate, passed in sorted(doc["gates"].items()):
         if gate == "ok":
@@ -332,6 +295,5 @@ def render_rebalance(doc: Dict) -> str:
 
 
 def render_rebalance_suite(suite: Dict) -> str:
-    return "\n".join(f"{render_rebalance(entry['elastic'])}\n"
-                     f"{render_rebalance(entry['legacy'])}\n"
+    return "\n".join(f"{render_rebalance(entry['run'])}\n"
                      for entry in suite["runs"].values())

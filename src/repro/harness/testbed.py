@@ -5,7 +5,7 @@ consistency verifier, the protocol head-to-head, the rebalance
 lifecycle, the open-loop saturation runs — is the same recipe with a
 different workload and fault: build the standard three-region cluster
 and a transaction coordinator, provision hardened ranges, optionally
-switch on the clock monitor / liveness + repair / elasticity, run a
+switch on the clock monitor / liveness + repair / rebalancing, run a
 pool of clients to completion under a :class:`~repro.chaos.nemesis
 .Nemesis`, heal, settle, and strong-read the final state from every
 region.  :class:`Testbed` is that recipe, written once; the harnesses
@@ -97,8 +97,6 @@ class Testbed:
         self.clock_monitor = None
         self.liveness: Optional[StoreLiveness] = None
         self.repair_queue: Optional[ReplicateQueue] = None
-        #: The elastic span, once :meth:`enable_elastic` adopted a range.
-        self.span = None
 
     @property
     def sim(self):
@@ -151,22 +149,20 @@ class Testbed:
             self.repair_queue.manage(rng, config)
         self.repair_queue.start()
 
-    def enable_elastic(self, rng, config, name: str,
-                       time_until_store_dead_ms: float =
-                       TIME_UNTIL_STORE_DEAD_MS,
-                       interval_ms: float = REPAIR_INTERVAL_MS,
-                       **thresholds):
-        """Adopt ``rng`` into an elastic span managed by a rebalance
-        queue (which also repairs); clients route through the returned
-        span from here on."""
-        self.span = self.cluster.keyspace.adopt(rng, name=name)
+    def enable_rebalance(self, rng, config,
+                         time_until_store_dead_ms: float =
+                         TIME_UNTIL_STORE_DEAD_MS,
+                         interval_ms: float = REPAIR_INTERVAL_MS,
+                         **thresholds) -> None:
+        """Like :meth:`enable_repair`, but ``rng``'s span is watched by
+        a rebalance queue, which also splits, merges and moves leases
+        after the workload.  Clients keep routing through ``rng``."""
         self._start_liveness(time_until_store_dead_ms)
         self.repair_queue = RebalanceQueue(
             self.cluster, self.liveness, interval_ms=interval_ms,
             **thresholds)
-        self.repair_queue.manage_span(self.span, config)
+        self.repair_queue.manage_span(rng.span, config)
         self.repair_queue.start()
-        return self.span
 
     # -- transactions ------------------------------------------------------
 

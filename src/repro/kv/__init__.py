@@ -20,7 +20,6 @@ from .keyspace import (
     RangeLoad,
     TableSpan,
     encode_key,
-    live_ranges,
 )
 from .range import Range
 from .replica import Replica
@@ -31,7 +30,6 @@ __all__ = [
     "RangeLoad",
     "TableSpan",
     "encode_key",
-    "live_ranges",
     "ClosedTimestampPolicy",
     "DEFAULT_CLOSED_TS_LAG_MS",
     "LagPolicy",

@@ -81,20 +81,19 @@ class DistSender:
     #: lost RPCs (dropped packets, gray nodes) trip it, never a slow but
     #: progressing consensus round or lock wait.
     RPC_TIMEOUT_MS = 5000.0
+    #: Tries per leaseholder call (failover and mismatch re-routes
+    #: included).
+    RPC_MAX_ATTEMPTS = 3
+    #: Per-replica circuit breaker: consecutive failures to trip, time
+    #: open before a half-open probe, and the seeded probe stagger.
+    BREAKER_THRESHOLD = 3
+    BREAKER_COOLDOWN_MS = 500.0
+    BREAKER_PROBE_JITTER = 0.15
 
-    def __init__(self, cluster, adaptive_follower_wait_ms: float = 0.0,
-                 rpc_timeout_ms: Optional[float] = RPC_TIMEOUT_MS,
-                 rpc_max_attempts: int = 3,
-                 auto_failover: bool = True,
-                 breaker_threshold: int = 3,
-                 breaker_cooldown_ms: float = 500.0,
-                 breaker_probe_jitter: float = 0.15):
+    def __init__(self, cluster, adaptive_follower_wait_ms: float = 0.0):
         self.cluster = cluster
         self.network = cluster.network
         self.adaptive_follower_wait_ms = adaptive_follower_wait_ms
-        self.rpc_timeout_ms = rpc_timeout_ms
-        self.rpc_max_attempts = max(1, rpc_max_attempts)
-        self.auto_failover = auto_failover
         registry = cluster.sim.obs.registry
         self._tracer = cluster.sim.obs.tracer
         # Half-open probe scheduling is seeded through the simulation
@@ -103,9 +102,10 @@ class DistSender:
         # seed schedules probes byte-identically.
         breaker_rng = random.Random(
             (getattr(cluster, "seed", 0) << 8) ^ 0xB4EA)
-        self.breakers = BreakerSet(breaker_threshold, breaker_cooldown_ms,
+        self.breakers = BreakerSet(self.BREAKER_THRESHOLD,
+                                   self.BREAKER_COOLDOWN_MS,
                                    registry=registry, rng=breaker_rng,
-                                   probe_jitter=breaker_probe_jitter)
+                                   probe_jitter=self.BREAKER_PROBE_JITTER)
         # A restarted node deserves a clean slate: accumulated failures
         # (and any probe stranded when it died) belong to the previous
         # incarnation.
@@ -117,11 +117,13 @@ class DistSender:
         #: is open — the only conditions under which replica selection
         #: depends on anything beyond membership and lease placement.
         self._route_cache: dict = {}
-        #: Span-keyed range-descriptor cache: span name -> (generation,
-        #: start-key list, descriptor list) snapshot.  Entries go stale
-        #: the moment a split/merge lands; staleness is caught either by
-        #: the synchronous span-change subscription (meta-range gossip)
-        #: or by a RangeKeyMismatch bounce from the old owner.
+        #: Span-keyed range-descriptor cache: span id -> (start-key
+        #: list, descriptor list) snapshot.  Keyed by identity,
+        #: not name: two databases' same-named tables are different
+        #: spans.  Entries go stale the moment a split/merge lands;
+        #: staleness is caught either by the synchronous span-change
+        #: subscription (meta-range gossip) or by a RangeKeyMismatch
+        #: bounce from the old owner.
         self._span_cache: dict = {}
         #: gateway node_id -> interned retry-process name (avoids an
         #: f-string per RPC on the hot path).
@@ -136,12 +138,10 @@ class DistSender:
         self._c_retries = registry.counter("distsender.rpc_retries")
         self._c_failovers = registry.counter("distsender.failovers_triggered")
         self._c_deadline_drops = registry.counter("distsender.deadline_drops")
-        # The range-cache counter family is registered lazily on the
-        # first elastic resolve: legacy fixed-range runs must not grow
-        # new instruments (their metric snapshots are golden-fingerprinted).
-        self._c_cache_hit = None
-        self._c_cache_miss = None
-        self._c_cache_inval = None
+        self._c_cache_hit = registry.counter("distsender.range_cache_hit")
+        self._c_cache_miss = registry.counter("distsender.range_cache_miss")
+        self._c_cache_inval = registry.counter(
+            "distsender.range_cache_invalidation")
 
     @property
     def follower_read_fallbacks(self) -> int:
@@ -161,15 +161,15 @@ class DistSender:
 
     @property
     def range_cache_hits(self) -> int:
-        return int(self._c_cache_hit.value) if self._c_cache_hit else 0
+        return int(self._c_cache_hit.value)
 
     @property
     def range_cache_misses(self) -> int:
-        return int(self._c_cache_miss.value) if self._c_cache_miss else 0
+        return int(self._c_cache_miss.value)
 
     @property
     def range_cache_invalidations(self) -> int:
-        return int(self._c_cache_inval.value) if self._c_cache_inval else 0
+        return int(self._c_cache_inval.value)
 
     # -- span-keyed descriptor resolution --------------------------------------
 
@@ -182,49 +182,33 @@ class DistSender:
             self._timeout_factories[node_id] = factory
         return factory
 
-    def _ensure_cache_counters(self) -> None:
-        if self._c_cache_hit is None:
-            registry = self.cluster.sim.obs.registry
-            self._c_cache_hit = registry.counter(
-                "distsender.range_cache_hit")
-            self._c_cache_miss = registry.counter(
-                "distsender.range_cache_miss")
-            self._c_cache_inval = registry.counter(
-                "distsender.range_cache_invalidation")
-
     def resolve(self, token: Any, key: Any = None, gateway=None,
                 record_load: bool = False) -> Range:
         """Resolve a routing token to the :class:`Range` owning ``key``.
 
-        A plain :class:`Range` token (legacy fixed provisioning) is
-        returned unchanged — the elastic path costs fixed ranges one
-        isinstance check.  A :class:`TableSpan` token is looked up in
-        the span-keyed descriptor cache (bisect over cached start keys);
-        misses snapshot the span's current descriptors and subscribe to
-        its change notifications.  A stale snapshot can still route to a
-        range that no longer owns the key — the serve path bounces those
-        with ``RangeKeyMismatch`` and the retry loop invalidates and
-        re-resolves.
+        Key-less (transaction records, epoch orders): the token's
+        ``anchor`` — a Range itself, a span's first range.  Keyed: the
+        token's ``span`` is looked up in the span-keyed descriptor cache
+        (bisect over cached start keys); misses snapshot the span's
+        current descriptors and subscribe to its change notifications.
+        A stale snapshot can still route to a range that no longer owns
+        the key — the serve path bounces those with ``RangeKeyMismatch``
+        and the retry loop invalidates and re-resolves.
         """
-        if not isinstance(token, TableSpan):
-            return token
         if key is None:
-            return token.descriptors[0].rng
-        self._ensure_cache_counters()
-        entry = self._span_cache.get(token.name)
+            return token.anchor
+        span = token.span
+        entry = self._span_cache.get(span.span_id)
         if entry is None:
             self._c_cache_miss.inc()
-            token.subscribe(self._on_span_change)
-            entry = (token.generation, list(token._starts),
-                     list(token.descriptors))
-            self._span_cache[token.name] = entry
+            span.subscribe(self._on_span_change)
+            entry = (list(span._starts), list(span.descriptors))
+            self._span_cache[span.span_id] = entry
         else:
             self._c_cache_hit.inc()
-        _generation, starts, descriptors = entry
-        idx = bisect_right(starts, encode_key(key)) - 1
-        if idx < 0:
-            idx = 0
-        descriptor = descriptors[idx]
+        starts, descriptors = entry
+        # starts[0] is /Min, below every encoded key: the index is >= 0.
+        descriptor = descriptors[bisect_right(starts, encode_key(key)) - 1]
         if record_load and gateway is not None:
             descriptor.load.record(self.cluster.sim.now, key=key,
                                    region=gateway.locality.region)
@@ -232,18 +216,16 @@ class DistSender:
 
     def _invalidate_token(self, token: Any) -> None:
         """Drop the cached descriptor snapshot after a mismatch bounce."""
-        if isinstance(token, TableSpan):
-            if self._span_cache.pop(token.name, None) is not None:
-                self._c_cache_inval.inc()
+        if self._span_cache.pop(token.span.span_id, None) is not None:
+            self._c_cache_inval.inc()
 
     def _on_span_change(self, span: TableSpan, range_ids: List[int]) -> None:
         """Span subscription: a split/merge landed.  Drop the descriptor
         snapshot and every (gateway, range_id) replica-routing entry for
         the affected ranges — their membership/lease placement may have
         just changed identity entirely."""
-        if self._span_cache.pop(span.name, None) is not None:
-            if self._c_cache_inval is not None:
-                self._c_cache_inval.inc()
+        if self._span_cache.pop(span.span_id, None) is not None:
+            self._c_cache_inval.inc()
         affected = set(range_ids)
         for cache_key in [k for k in self._route_cache if k[1] in affected]:
             del self._route_cache[cache_key]
@@ -303,6 +285,25 @@ class DistSender:
 
     # -- hardened leaseholder RPC ----------------------------------------------
 
+    def _new_backoff(self) -> ExponentialBackoff:
+        return ExponentialBackoff(rng=self._retry_rng,
+                                  base_ms=10.0, max_ms=400.0)
+
+    def _backoff_delay(self, backoff: ExponentialBackoff, attempt_span,
+                       op: str, deadline_ms: Optional[float]) -> float:
+        """Close ``attempt_span`` and return the seeded delay before the
+        next attempt — or drop the call: a retry whose backoff outlasts
+        the deadline used to sleep it in full and fire anyway, long
+        after the client had given up."""
+        sim = self.cluster.sim
+        delay = backoff.next_delay()
+        if deadline_ms is not None and sim.now + delay >= deadline_ms:
+            self._c_deadline_drops.inc()
+            self._tracer.finish(attempt_span, "error", "deadline_exceeded")
+            raise DeadlineExceededError(op, deadline_ms, sim.now)
+        self._tracer.finish(attempt_span, "backoff_ms", delay)
+        return delay
+
     def _leaseholder_call(self, gateway, token, handler,
                           span=None, op: str = "kv.rpc",
                           deadline_ms: Optional[float] = None,
@@ -314,11 +315,11 @@ class DistSender:
         automatic lease failover when the leaseholder is unreachable but
         quorum survives (paper §4.1 — previously an operator action).
 
-        ``token`` is a :class:`Range` or :class:`TableSpan`; it is
-        re-resolved against ``key`` on *every* attempt, so a split or
-        merge landing mid-call (signalled by a ``RangeKeyMismatch``
-        bounce, which invalidates the descriptor cache) re-routes the
-        next attempt to the new owner instead of failing the request.
+        ``token`` is re-resolved against ``key`` on *every* attempt, so
+        a split or merge landing mid-call (signalled by a
+        ``RangeKeyMismatch`` bounce, which invalidates the descriptor
+        cache) re-routes the next attempt to the new owner instead of
+        failing the request.
 
         ``handler`` takes ``(rng, attempt_span)``: the resolved range
         and the per-attempt span id (0 when untraced) to thread into the
@@ -341,7 +342,7 @@ class DistSender:
                 # draws a backoff delay, so skip the allocation.
                 backoff = None
                 last_error: Optional[BaseException] = None
-                for attempt in range(self.rpc_max_attempts):
+                for attempt in range(self.RPC_MAX_ATTEMPTS):
                     if attempt:
                         # Attempt 0 reuses the resolve above — nothing
                         # can have moved before the first yield.
@@ -370,42 +371,28 @@ class DistSender:
                         # Known-bad leaseholder: try to move the lease right
                         # away rather than burning a timeout on it.
                         tracer.tag(attempt_span, "breaker", "open")
-                        if self.auto_failover and rng.maybe_failover(
-                                from_node=gateway, force=True):
+                        if rng.maybe_failover(from_node=gateway,
+                                              force=True):
                             self._c_failovers.inc()
                             tracer.finish(attempt_span, "failover", True)
                             continue
                         last_error = NetworkUnavailableError(
                             f"node {dst.node_id}: circuit breaker open")
-                        if backoff is None:
-                            backoff = ExponentialBackoff(
-                                rng=self._retry_rng,
-                                base_ms=10.0, max_ms=400.0)
-                        delay = backoff.next_delay()
-                        if (deadline_ms is not None
-                                and sim.now + delay >= deadline_ms):
-                            self._c_deadline_drops.inc()
-                            tracer.finish(attempt_span, "error",
-                                          "deadline_exceeded")
-                            raise DeadlineExceededError(
-                                op, deadline_ms, sim.now)
-                        tracer.finish(attempt_span, "backoff_ms", delay)
-                        yield sim.sleep(delay)
+                        backoff = backoff or self._new_backoff()
+                        yield sim.sleep(self._backoff_delay(
+                            backoff, attempt_span, op, deadline_ms))
                         continue
                     call = self.network.call(
                         gateway, dst,
                         lambda _rng=rng, _span=attempt_span: handler(_rng,
                                                                      _span),
                         span=attempt_span)
-                    timeout_ms = self.rpc_timeout_ms
+                    timeout_ms = self.RPC_TIMEOUT_MS
                     if deadline_ms is not None:
-                        remaining = deadline_ms - sim.now
-                        timeout_ms = (remaining if timeout_ms is None
-                                      else min(timeout_ms, remaining))
-                    if timeout_ms is not None:
-                        call = with_timeout(
-                            sim, call, timeout_ms,
-                            self._timeout_error_factory(dst.node_id))
+                        timeout_ms = min(timeout_ms, deadline_ms - sim.now)
+                    call = with_timeout(
+                        sim, call, timeout_ms,
+                        self._timeout_error_factory(dst.node_id))
                     try:
                         value = yield call
                     except (NetworkUnavailableError, ClockFencedError) as err:
@@ -418,30 +405,15 @@ class DistSender:
                         self._c_retries.inc()
                         tracer.tag(attempt_span, "error",
                                    type(err).__name__)
-                        if self.auto_failover and rng.maybe_failover(
+                        if rng.maybe_failover(
                                 from_node=gateway,
                                 force=(breaker.is_open
                                        or isinstance(err, ClockFencedError))):
                             self._c_failovers.inc()
                             tracer.tag(attempt_span, "failover", True)
-                        if backoff is None:
-                            backoff = ExponentialBackoff(
-                                rng=self._retry_rng,
-                                base_ms=10.0, max_ms=400.0)
-                        delay = backoff.next_delay()
-                        if (deadline_ms is not None
-                                and sim.now + delay >= deadline_ms):
-                            # The deadline-propagation fix: a doomed
-                            # retry used to sleep its full backoff and
-                            # fire anyway, long after the client had
-                            # given up.
-                            self._c_deadline_drops.inc()
-                            tracer.finish(attempt_span, "error",
-                                          "deadline_exceeded")
-                            raise DeadlineExceededError(
-                                op, deadline_ms, sim.now)
-                        tracer.finish(attempt_span, "backoff_ms", delay)
-                        yield sim.sleep(delay)
+                        backoff = backoff or self._new_backoff()
+                        yield sim.sleep(self._backoff_delay(
+                            backoff, attempt_span, op, deadline_ms))
                         continue
                     except RangeKeyMismatchError as err:
                         # The contacted range no longer owns the key — a
@@ -547,10 +519,9 @@ class DistSender:
             error = fut.error
             if error is None:
                 self._c_follower_served.inc()
-                descriptor = replica.range.descriptor
-                if descriptor is not None:
-                    descriptor.load.record(self.cluster.sim.now, key=key,
-                                           region=gateway.locality.region)
+                replica.range.descriptor.load.record(
+                    self.cluster.sim.now, key=key,
+                    region=gateway.locality.region)
                 tracer.finish(follower_span, "served", True)
                 result.resolve(fut._value)
                 return

@@ -8,7 +8,7 @@ split when they grow too large or too hot and merge back when cold, and
 clients route through a descriptor cache that is invalidated by
 generation comparison plus ``RangeKeyMismatch`` retries (paper §3.1).
 
-This module adds that machinery on top of the existing :class:`Range`:
+This module is that machinery:
 
 * :func:`encode_key` — a type-tagged total order over the mixed
   Python keys the simulation uses (strings, ints, tuples, None);
@@ -19,13 +19,20 @@ This module adds that machinery on top of the existing :class:`Range`:
   merges as synchronous (hence atomic, in the cooperative simulator)
   descriptor-generation bumps.
 
-Elasticity is strictly opt-in: a provision-time :class:`Range` that was
-never :meth:`adopted <Keyspace.adopt>` into a span has no descriptor,
-and every serving and routing path treats it exactly as before.
+There is one routing path.  Every :class:`Range` is born owning a span
+of its own — ``Range.__init__`` hands itself to :meth:`Keyspace.adopt`,
+which gives it the full-span descriptor ``[/Min, /Max)`` at generation 1
+inside a single-descriptor :class:`TableSpan` — so a fixed table is the
+degenerate instance of an elastic one, not a second kind of thing.
+
+Routing tokens: a :class:`TableSpan` or any :class:`Range` of it.  Both
+carry ``.span`` (what keyed requests bisect) and ``.anchor`` (the range
+key-less requests — transaction records, epoch orders — pin to: a span's
+first range, a Range itself).
 
 Import discipline: this module imports ``Range``; ``range.py`` must
-never import this module (ownership checks go through duck-typed
-``self.descriptor`` methods).
+never import this module (it reaches the registry through
+``cluster.keyspace`` and its descriptor through ``self.descriptor``).
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.topology import Cluster
 
 __all__ = ["encode_key", "MIN_KEY", "RangeLoad", "RangeDescriptor",
-           "TableSpan", "Keyspace", "live_ranges"]
+           "TableSpan", "Keyspace"]
 
 #: Encoded key below every real key (the first descriptor starts here).
 MIN_KEY: Tuple = ()
@@ -48,8 +55,10 @@ MIN_KEY: Tuple = ()
 #: Interned encodings: raw key -> encoded tuple.  Workloads route the
 #: same keys over and over (every resolve re-encodes), so encoding once
 #: and reusing the tuple removes an allocation from the routing fast
-#: path.  Bounded so adversarial key churn cannot grow it unboundedly;
-#: entries are immutable so a full cache simply stops interning.
+#: path.  Bounded so key churn cannot grow it unboundedly: a full cache
+#: is emptied and starts over (encodings are immutable, so a dropped
+#: entry costs one re-encode), which keeps a long-lived process — a farm
+#: worker many cases in — interning the keys it is routing *now*.
 _ENCODE_CACHE: dict = {}
 _ENCODE_CACHE_MAX = 65536
 
@@ -72,8 +81,9 @@ def encode_key(key: Any) -> Tuple:
     if cached is not None:
         return cached
     encoded = _encode_key_uncached(key)
-    if len(_ENCODE_CACHE) < _ENCODE_CACHE_MAX:
-        _ENCODE_CACHE[key] = encoded
+    if len(_ENCODE_CACHE) >= _ENCODE_CACHE_MAX:
+        _ENCODE_CACHE.clear()
+    _ENCODE_CACHE[key] = encoded
     return encoded
 
 
@@ -141,7 +151,8 @@ class RangeLoad:
 
     def record(self, now_ms: float, key: Any = None,
                region: Optional[str] = None) -> None:
-        self._roll(now_ms)
+        if now_ms // self.WINDOW_MS != self._window:  # HOT: per request
+            self._roll(now_ms)
         self._cur += 1
         if key is not None and (key in self._cur_keys
                                 or len(self._cur_keys) < self.MAX_TRACKED_KEYS):
@@ -226,6 +237,8 @@ class RangeDescriptor:
         return self.end_key is None or ekey < self.end_key
 
     def contains_key(self, key: Any) -> bool:
+        if self.end_key is None and not self.start_key:
+            return True  # [/Min, /Max) owns every key: skip the encoding
         return self.contains(encode_key(key))
 
     def span_repr(self) -> str:
@@ -242,21 +255,26 @@ class RangeDescriptor:
 
 class TableSpan:
     """The ordered, gapless descriptor list covering one logical table
-    (or partition): the routing token clients hold instead of a Range.
+    (or partition): what keyed requests are routed through.
 
-    ``generation`` is the max descriptor generation ever installed; the
-    DistSender's span cache compares it to decide staleness.  Subscribers
-    (DistSender instances) are notified *synchronously* on every split /
-    merge with the affected range ids, mirroring how CRDB gossips
-    meta-range updates.
+    Born with one descriptor — ``rng`` owning ``[/Min, /Max)`` at
+    generation 1 — and identified by ``span_id``, that first range's id
+    (splits keep the parent on the left and merges subsume rightwards,
+    so the first range never changes).  ``name`` is a display label;
+    two databases' same-named tables have same-named spans.
+
+    Subscribers (DistSender instances) are notified *synchronously* on
+    every split / merge with the affected range ids, mirroring how CRDB
+    gossips meta-range updates.
     """
 
-    def __init__(self, name: str, keyspace: "Keyspace"):
-        self.name = name
-        self.keyspace = keyspace
-        self.descriptors: List[RangeDescriptor] = []
-        self._starts: List[Tuple] = []
-        self.generation = 0
+    def __init__(self, rng: Range):
+        self.span_id = rng.range_id
+        self.name = rng.name
+        self.span = self  # as a routing token: a span routes through itself
+        self.descriptors: List[RangeDescriptor] = [
+            RangeDescriptor(rng, MIN_KEY, None)]
+        self._starts: List[Tuple] = [MIN_KEY]
         self._subscribers: List[Callable[["TableSpan", List[int]], None]] = []
 
     def _rebuild(self) -> None:
@@ -264,14 +282,9 @@ class TableSpan:
         self._starts = [d.start_key for d in self.descriptors]
 
     def descriptor_for_key(self, key: Any) -> RangeDescriptor:
-        ekey = encode_key(key)
-        idx = bisect_right(self._starts, ekey) - 1
-        if idx < 0:
-            idx = 0
-        return self.descriptors[idx]
-
-    def range_for_key(self, key: Any) -> Range:
-        return self.descriptor_for_key(key).rng
+        # _starts[0] is /Min, below every encoded key: the index is >= 0.
+        return self.descriptors[
+            bisect_right(self._starts, encode_key(key)) - 1]
 
     def ranges(self) -> List[Range]:
         return [descriptor.rng for descriptor in self.descriptors]
@@ -284,46 +297,39 @@ class TableSpan:
         for fn in list(self._subscribers):
             fn(self, range_ids)
 
-    # -- Range-compatible surface (schema changes, bulk loads) ---------------
-
     @property
-    def range_id(self) -> int:
-        """Stable identity for dict keys; spans use the first range's."""
-        return self.descriptors[0].range_id
-
-    @property
-    def leaseholder_node(self):
-        return self.descriptors[0].rng.leaseholder_node
+    def anchor(self) -> Range:
+        """The token contract's key-less half: the span's first range."""
+        return self.descriptors[0].rng
 
     def bulk_ingest(self, items, ts) -> None:
-        """Route a bulk ingest to each owning range (index backfills)."""
-        per_range: Dict[int, list] = {}
-        buckets: Dict[int, Range] = {}
-        for key, value in items:
-            rng = self.range_for_key(key)
-            per_range.setdefault(rng.range_id, []).append((key, value))
-            buckets[rng.range_id] = rng
-        for range_id, chunk in per_range.items():
-            buckets[range_id].bulk_ingest(chunk, ts)
+        """Write committed versions directly into every replica of each
+        key's owning range.
 
-    def destroy(self) -> None:
-        for descriptor in self.descriptors:
-            descriptor.rng.destroy()
+        Models CRDB's AddSSTable ingestion used by IMPORT and index
+        backfills: data lands on all replicas at a single timestamp
+        without going through the Raft proposal path.
+        """
+        owners: Dict[Range, list] = {}
+        if len(self.descriptors) == 1:
+            # The common case — an unsplit table's IMPORT — skips
+            # per-key routing entirely.
+            owners[self.anchor] = items
+        else:
+            for item in items:
+                rng = self.descriptor_for_key(item[0]).rng
+                owners.setdefault(rng, []).append(item)
+        for rng, chunk in owners.items():
+            for replica in rng.replicas.values():
+                for key, value in chunk:
+                    replica.store.put_committed(key, ts, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"TableSpan({self.name!r}, {len(self.descriptors)} ranges, "
-                f"gen={self.generation})")
-
-
-def live_ranges(token: Any) -> List[Range]:
-    """The live ranges behind a routing token (Range or TableSpan)."""
-    if isinstance(token, TableSpan):
-        return token.ranges()
-    return [token]
+        return f"TableSpan({self.name!r}, {len(self.descriptors)} ranges)"
 
 
 class Keyspace:
-    """Cluster-level registry of elastic spans; executes splits/merges.
+    """Cluster-level registry of every span; executes splits/merges.
 
     Splits and merges run synchronously — no simulated time passes, so
     in the cooperative simulator they are atomic with respect to every
@@ -335,29 +341,62 @@ class Keyspace:
 
     def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
-        self.spans: Dict[str, TableSpan] = {}
+        #: span_id -> TableSpan: every live span (DDL drops the dead).
+        self.spans: Dict[int, TableSpan] = {}
         self.splits = 0
         self.merges = 0
 
     def _counter(self, name: str, **labels):
         return self.cluster.sim.obs.registry.counter(name, **labels)
 
+    def violations(self) -> List[str]:
+        """Structural audit of every span: its descriptors must tile
+        ``[/Min, /Max)`` — no key unowned, none doubly owned — each must
+        be the one its range holds, and every replica's store must hold
+        only keys inside its range's bounds.  One line per breach."""
+        out: List[str] = []
+        for span in self.spans.values():
+            descriptors = span.descriptors
+            if descriptors[0].start_key != MIN_KEY:
+                out.append(
+                    "keyspace: first descriptor does not start at /Min: "
+                    f"{descriptors[0].span_repr()}")
+            if descriptors[-1].end_key is not None:
+                out.append(
+                    "keyspace: last descriptor does not extend to /Max: "
+                    f"{descriptors[-1].span_repr()}")
+            for left, right in zip(descriptors, descriptors[1:]):
+                if left.end_key != right.start_key:
+                    out.append(
+                        "keyspace: gap or overlap between "
+                        f"{left.span_repr()} and {right.span_repr()}")
+            for descriptor in descriptors:
+                rng = descriptor.rng
+                if rng.descriptor is not descriptor or rng.span is not span:
+                    out.append(
+                        f"keyspace: {rng.name} does not hold its "
+                        f"descriptor {descriptor.span_repr()} of span "
+                        f"{span.name!r}")
+                for node_id, replica in sorted(rng.replicas.items()):
+                    strays = [key for key in replica.store.keys()
+                              if not descriptor.contains_key(key)]
+                    if strays:
+                        out.append(
+                            f"keyspace: replica n{node_id} of {rng.name} "
+                            f"holds keys outside {descriptor.span_repr()}: "
+                            f"{sorted(strays)}")
+        return out
+
     # -- adoption ------------------------------------------------------------
 
-    def adopt(self, rng: Range, name: Optional[str] = None) -> TableSpan:
-        """Wrap an existing provision-time range into a single-descriptor
-        span covering the whole keyspace, enabling elasticity for it."""
-        if rng.descriptor is not None:
-            return rng.span
-        span = TableSpan(name or rng.name, self)
-        descriptor = RangeDescriptor(rng, MIN_KEY, None, generation=1)
-        rng.descriptor = descriptor
+    def adopt(self, rng: Range) -> None:
+        """Give a range under construction its own span: one descriptor
+        covering the whole keyspace.  Called by ``Range.__init__`` — a
+        range without a descriptor never exists."""
+        span = TableSpan(rng)
         rng.span = span
-        span.descriptors = [descriptor]
-        span._rebuild()
-        span.generation = 1
-        self.spans[span.name] = span
-        return span
+        rng.descriptor = span.descriptors[0]
+        self.spans[span.span_id] = span
 
     # -- split ---------------------------------------------------------------
 
@@ -370,9 +409,9 @@ class Keyspace:
         stores); MVCC histories, applied intents, and lock-table state
         for keys at or above the split point migrate to the child, both
         descriptors' generations bump, and span subscribers are told to
-        invalidate.  The parent remembers the child as a *successor* so
+        invalidate.  Parent and child share the span, through which
         in-flight Raft commands that apply after the boundary moved are
-        forwarded to the owning range.
+        forwarded to the owning range (``Range._apply``).
         """
         parent = descriptor.rng
         span = parent.span
@@ -387,6 +426,9 @@ class Keyspace:
         child = Range(self.cluster, policy=parent.policy,
                       proposal_timeout_ms=parent.group.proposal_timeout_ms)
         child.name = f"{span.name}#{child.range_id}"
+        # The child was born owning a span of its own; it joins its
+        # parent's instead.
+        del self.spans[child.span.span_id]
         # Same stores, same replica types, same order as the parent.
         for node_id, peer in parent.group.peers.items():
             child.add_replica(peer.node, peer.replica_type)
@@ -421,7 +463,6 @@ class Keyspace:
         descriptor.end_key = ekey
         descriptor.generation += 1
         descriptor.load.reset()
-        parent._successors.append(child)
         parent.routing_generation += 1
 
         # Inherit the parent's liveness plumbing.
@@ -433,9 +474,6 @@ class Keyspace:
 
         span.descriptors.append(child_descriptor)
         span._rebuild()
-        span.generation = max(span.generation,
-                              descriptor.generation,
-                              child_descriptor.generation)
         self.splits += 1
         self._counter("keyspace.splits", trigger=trigger).inc()
         span._notify([parent.range_id, child.range_id])
@@ -505,13 +543,10 @@ class Keyspace:
         right.start_key = right.end_key = left.end_key or MIN_KEY
         right.generation += 1
         right.load.reset()
-        right_rng._successors = [left_rng]
         right_rng.routing_generation += 1
         right_rng.destroy()  # stops its side transport; Raft group stays
         span.descriptors.remove(right)
         span._rebuild()
-        span.generation = max(span.generation, left.generation,
-                              right.generation)
         self.merges += 1
         self._counter("keyspace.merges").inc()
         span._notify([left_rng.range_id, right_rng.range_id])

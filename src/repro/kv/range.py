@@ -18,7 +18,7 @@ The write path implements the paper's rules in order:
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from ..errors import (
     RangeKeyMismatchError,
@@ -40,7 +40,6 @@ from .commands import (
     PutIntentCommand,
     ResolveIntentCommand,
     SetTxnRecordCommand,
-    TxnRecord,
 )
 from .replica import Replica
 
@@ -96,14 +95,12 @@ class Range:
         self._side_transport_started = False
         self.side_transport_interval_ms: Optional[float] = None
         self._destroyed = False
-        #: Elastic keyspace (repro.kv.keyspace): the descriptor naming
-        #: this range's [start, end) span, the owning TableSpan, and the
-        #: ranges that took over parts of the span (split children /
-        #: merge survivor).  All None/empty for legacy fixed ranges,
-        #: which then skip every ownership check.
-        self.descriptor = None
-        self.span = None
-        self._successors: List["Range"] = []
+        #: As a routing token (repro.kv.keyspace): key-less requests
+        #: stay on this range; keyed ones route through ``span``.
+        self.anchor = self
+        # Sets ``descriptor`` ([/Min, /Max) at generation 1) and ``span``
+        # (the one-descriptor TableSpan holding it).
+        cluster.keyspace.adopt(self)
 
     # -- membership / lease ----------------------------------------------------
 
@@ -349,13 +346,6 @@ class Range:
     def leaseholder_node(self) -> "Node":
         return self.leaseholder_replica.node
 
-    def replica_on(self, node_id: int) -> Optional[Replica]:
-        return self.replicas.get(node_id)
-
-    def voter_replicas(self) -> List[Replica]:
-        return [self.replicas[p.node.node_id] for p in self.group.voters()
-                if p.node.node_id in self.replicas]
-
     # -- closed timestamps -------------------------------------------------------
 
     def closed_target(self) -> Timestamp:
@@ -436,48 +426,22 @@ class Range:
     def _apply(self, node: "Node", command: Any) -> None:
         # A split/merge may have moved the command's key out of this
         # range while the proposal was in the Raft pipeline; apply it on
-        # the owning successor instead (same node — splits never move
+        # the range that owns the key now (same node — splits never move
         # data between stores), so the intent and its eventual
-        # resolution land on the range that now serves the key.
+        # resolution land where the key is served.
         key = getattr(command, "key", None)
-        if (key is not None and self.descriptor is not None
-                and not self.descriptor.contains_key(key)):
-            owner = self.find_owner(key)
-            if owner is not None and owner is not self:
-                owner._apply(node, command)
-                return
+        if key is not None and not self.descriptor.contains_key(key):
+            self.span.descriptor_for_key(key).rng._apply(node, command)
+            return
         replica = self.replicas.get(node.node_id)
         if replica is not None:
             replica.apply(command)
 
-    # -- elastic-keyspace ownership ------------------------------------------
-
-    def owns(self, key: Any) -> bool:
-        """Does this range's descriptor (if any) cover ``key``?"""
-        descriptor = self.descriptor
-        return descriptor is None or descriptor.contains_key(key)
-
     def _check_owns(self, key: Any) -> None:
         descriptor = self.descriptor
-        if descriptor is not None and not descriptor.contains_key(key):
+        if not descriptor.contains_key(key):
             raise RangeKeyMismatchError(self.range_id, key,
                                         descriptor.generation)
-
-    def find_owner(self, key: Any) -> Optional["Range"]:
-        """Walk the successor graph to the range now owning ``key``."""
-        if self.owns(key):
-            return self
-        seen = {self.range_id}
-        stack = list(self._successors)
-        while stack:
-            rng = stack.pop()
-            if rng.range_id in seen:
-                continue
-            seen.add(rng.range_id)
-            if rng.owns(key):
-                return rng
-            stack.extend(rng._successors)
-        return None
 
     # -- leaseholder request serving (coroutines) ----------------------------------
 
@@ -739,18 +703,9 @@ class Range:
         del entry
         return None
 
-    def get_txn_record(self, txn_id: int) -> Optional[TxnRecord]:
-        return self.leaseholder_replica.txn_records.get(txn_id)
-
     # -- bulk ingestion -------------------------------------------------------------
 
     def bulk_ingest(self, items, ts: Timestamp) -> None:
-        """Write committed versions directly into every replica.
-
-        Models CRDB's AddSSTable ingestion used by IMPORT and index
-        backfills: data lands on all replicas at a single timestamp
-        without going through the Raft proposal path.
-        """
-        for replica in self.replicas.values():
-            for key, value in items:
-                replica.store.put_committed(key, ts, value)
+        """Bulk-load ``items`` into this range's *span* (a Range token
+        means its span): each key lands on the range now owning it."""
+        self.span.bulk_ingest(items, ts)

@@ -86,9 +86,6 @@ class Replica:
     def is_leaseholder(self) -> bool:
         return self.node.node_id == self.range.leaseholder_node_id
 
-    def can_serve_follower_read(self, ts: Timestamp) -> bool:
-        return self.closed_ts >= ts
-
     def follower_read(self, key: Any, ts: Timestamp,
                       txn_id: Optional[int] = None,
                       uncertainty_limit: Optional[Timestamp] = None,
@@ -111,8 +108,7 @@ class Replica:
         required = ts
         if uncertainty_limit is not None and uncertainty_limit > required:
             required = uncertainty_limit
-        descriptor = self.range.descriptor
-        if descriptor is not None and not descriptor.contains_key(key):
+        if not self.range.descriptor.contains_key(key):
             # The key split/merged away: this replica's store no longer
             # holds its history, and serving would read a phantom
             # absence.  Surface as not-available so the caller falls

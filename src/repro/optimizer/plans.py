@@ -137,10 +137,6 @@ class UniquenessCheck:
     reason: str = ""
     allow_pk: Optional[Tuple] = None
 
-    @property
-    def is_local_only(self) -> bool:
-        return len(self.partitions) <= 1
-
     def explain(self) -> str:
         return (f"uniqueness-check {self.index.name} cols={self.constraint} "
                 f"partitions={','.join(p or 'default' for p in self.partitions)}"

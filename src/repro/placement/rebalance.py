@@ -71,7 +71,6 @@ class RebalanceQueue(ReplicateQueue):
                  split_qps: float = SPLIT_QPS,
                  merge_qps: float = MERGE_QPS,
                  merge_patience: int = MERGE_PATIENCE,
-                 lease_share: float = LEASE_SHARE,
                  lease_cooldown_ms: float = LEASE_COOLDOWN_MS,
                  replica_moves: bool = True):
         super().__init__(cluster, liveness, interval_ms)
@@ -82,13 +81,12 @@ class RebalanceQueue(ReplicateQueue):
         self.split_qps = split_qps
         self.merge_qps = merge_qps
         self.merge_patience = merge_patience
-        self.lease_share = lease_share
         self.lease_cooldown_ms = lease_cooldown_ms
         self.replica_moves = replica_moves
-        #: span name -> (TableSpan, ZoneConfig)
-        self._spans: Dict[str, Tuple[object, ZoneConfig]] = {}
-        #: span name -> range_ids this queue manages on the span's behalf.
-        self._span_ranges: Dict[str, Set[int]] = {}
+        #: span id -> (TableSpan, ZoneConfig)
+        self._spans: Dict[int, Tuple[object, ZoneConfig]] = {}
+        #: span id -> range_ids this queue manages on the span's behalf.
+        self._span_ranges: Dict[int, Set[int]] = {}
         #: range_id -> consecutive scans at/below merge_qps.
         self._cold_scans: Dict[int, int] = {}
         #: range_id -> sim time of the last follow-the-workload move.
@@ -97,15 +95,15 @@ class RebalanceQueue(ReplicateQueue):
     # -- management --------------------------------------------------------
 
     def manage_span(self, span, config: ZoneConfig) -> None:
-        """Manage every live range of an elastic span, present and future."""
-        self._spans[span.name] = (span, config)
-        self._span_ranges.setdefault(span.name, set())
+        """Manage every live range of a span, present and future."""
+        self._spans[span.span_id] = (span, config)
+        self._span_ranges.setdefault(span.span_id, set())
         self._sync_span(span, config)
 
     def _sync_span(self, span, config: ZoneConfig) -> None:
         """Adopt new descriptors (splits) and drop merged-away ranges."""
         live = {d.range_id for d in span.descriptors}
-        tracked = self._span_ranges[span.name]
+        tracked = self._span_ranges[span.span_id]
         for descriptor in span.descriptors:
             if descriptor.range_id not in tracked:
                 self.manage(descriptor.rng, config)
@@ -150,8 +148,8 @@ class RebalanceQueue(ReplicateQueue):
 
     def scan(self) -> int:
         enqueued = super().scan()
-        for name in sorted(self._spans):
-            span, config = self._spans[name]
+        for span_id in sorted(self._spans):
+            span, config = self._spans[span_id]
             self._sync_span(span, config)
             enqueued += self._rebalance_span(span, config)
         return enqueued
@@ -204,7 +202,7 @@ class RebalanceQueue(ReplicateQueue):
             self._counter("rebalance.split_failures", trigger=trigger).inc()
             return 0
         self.manage(child.rng, config)
-        self._span_ranges[span.name].add(child.range_id)
+        self._span_ranges[span.span_id].add(child.range_id)
         self._counter("rebalance.splits", trigger=trigger).inc()
         return 1
 
@@ -246,7 +244,7 @@ class RebalanceQueue(ReplicateQueue):
         if not self._quiet(rng):
             return 0
         region, share = descriptor.load.dominant_region(self.sim.now)
-        if region is None or share < self.lease_share:
+        if region is None or share < self.LEASE_SHARE:
             return 0
         lh_peer = rng.group.peers.get(rng.leaseholder_node_id)
         if lh_peer is None or lh_peer.node.locality.region == region:

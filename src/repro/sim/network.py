@@ -493,9 +493,6 @@ class Network:
         """Public directional reachability check (fault plane view)."""
         return not self.faults.blocked(src, dst)
 
-    def _reachable(self, src, dst) -> bool:
-        return not self.faults.blocked(src, dst)
-
     def one_way_latency(self, src, dst) -> float:
         if src.node_id == dst.node_id:
             return 0.01

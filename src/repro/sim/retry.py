@@ -9,7 +9,6 @@ jitter breaks the symmetry while keeping every run reproducible.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 __all__ = ["ExponentialBackoff"]
 
@@ -17,31 +16,25 @@ __all__ = ["ExponentialBackoff"]
 class ExponentialBackoff:
     """Exponential backoff with decorrelating jitter.
 
-    ``next_delay()`` returns ``min(max_ms, base_ms * multiplier**attempt)``
-    scaled by a uniform jitter in ``[1 - jitter, 1]``, drawn from the
+    ``next_delay()`` returns ``min(max_ms, base_ms * MULTIPLIER**attempt)``
+    scaled by a uniform jitter in ``[1 - JITTER, 1]``, drawn from the
     supplied RNG so concurrent retriers sharing one seeded RNG stay
     deterministic as a population but never synchronize.
     """
 
-    def __init__(self, rng: Optional[random.Random] = None,
-                 base_ms: float = 1.0, max_ms: float = 500.0,
-                 multiplier: float = 2.0, jitter: float = 0.5,
-                 seed: int = 0):
-        self._rng = rng if rng is not None else random.Random(seed)
+    MULTIPLIER = 2.0
+    JITTER = 0.5
+
+    def __init__(self, rng: random.Random,
+                 base_ms: float = 1.0, max_ms: float = 500.0):
+        self._rng = rng
         self.base_ms = base_ms
         self.max_ms = max_ms
-        self.multiplier = multiplier
-        self.jitter = jitter
         self.attempt = 0
 
     def next_delay(self) -> float:
         """Delay for the next retry; advances the attempt counter."""
-        raw = self.base_ms * (self.multiplier ** self.attempt)
+        raw = self.base_ms * (self.MULTIPLIER ** self.attempt)
         self.attempt += 1
         capped = min(self.max_ms, raw)
-        if self.jitter <= 0.0:
-            return capped
-        return capped * (1.0 - self.jitter * self._rng.random())
-
-    def reset(self) -> None:
-        self.attempt = 0
+        return capped * (1.0 - self.JITTER * self._rng.random())

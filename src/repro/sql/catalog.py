@@ -218,16 +218,15 @@ class Table:
     def all_ranges(self) -> List[Any]:
         """Every *live* range backing this table.
 
-        Partitions hold routing tokens — a fixed Range, or a TableSpan
-        whose descriptor list grows and shrinks as the rebalancing
-        queue splits and merges — so enumeration must go through the
-        current descriptors, not the provision-time token list.
+        Partitions hold routing tokens — the provision-time Range,
+        whose span's descriptor list grows and shrinks as the
+        rebalancing queue splits and merges — so enumeration must go
+        through the current descriptors, not the token list.
         """
-        from ..kv.keyspace import live_ranges
         ranges = []
         for index in self.indexes:
             for token in index.partitions.values():
-                ranges.extend(live_ranges(token))
+                ranges.extend(token.span.ranges())
         return ranges
 
     def home_region(self) -> Optional[str]:
@@ -260,10 +259,6 @@ class Database:
     @property
     def regions(self) -> List[str]:
         return self.region_enum.values()
-
-    @property
-    def is_multi_region(self) -> bool:
-        return self.primary_region is not None
 
     def table(self, name: str) -> Table:
         try:

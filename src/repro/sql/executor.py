@@ -23,7 +23,7 @@ from ..errors import (
     UniqueViolationError,
 )
 from ..kv.distsender import ReadRouting
-from ..kv.keyspace import encode_key, live_ranges
+from ..kv.keyspace import encode_key
 # The module, not ``Planner``: whichever of repro.sql / repro.optimizer is
 # imported first, the other is only part-initialised at this point.
 from ..optimizer import planner as planning
@@ -421,11 +421,11 @@ class Executor:
             primary = table.primary_index
             for partition in plan.partitions:
                 token = primary.partitions[partition]
-                # An elastic partition spreads its keys over the span's
-                # live ranges; reads still go through the token so the
-                # DistSender re-routes if a split races the scan.
+                # A partition's keys spread over its span's live ranges;
+                # reads still go through the token so the DistSender
+                # re-routes if a split races the scan.
                 keys = set()
-                for rng in live_ranges(token):
+                for rng in token.span.ranges():
                     keys.update(rng.leaseholder_replica.store.keys())
                 for key in sorted(keys, key=encode_key):
                     requests.append((token, key))

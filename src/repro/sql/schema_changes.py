@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SchemaError
-from ..kv.keyspace import live_ranges
 from ..placement.goals import SurvivalGoal, zone_config_for_home
 from ..placement.provision import provision_range, reconfigure_range
 from . import ast
@@ -114,7 +113,7 @@ class SchemaChangeEngine:
             token = table.primary_index.partitions.get(region)
             if token is None:
                 continue
-            for rng in live_ranges(token):
+            for rng in token.span.ranges():
                 now = rng.leaseholder_node.clock.now()
                 live = rng.leaseholder_replica.store.snapshot_at(now)
                 if live:
@@ -294,37 +293,18 @@ class SchemaChangeEngine:
                         else table.home_region()
                         or self.cluster.regions()[0])
                 config = self._zone_config(database, table, home)
-                for rng in live_ranges(token):
+                for rng in token.span.ranges():
                     reconfigure_range(
                         self.cluster, rng, config,
                         global_reads=table.locality.is_global,
                         closed_ts_lag_ms=self.closed_ts_lag_ms)
 
     def _destroy_range(self, token) -> None:
-        for rng in live_ranges(token):
+        self.cluster.keyspace.spans.pop(token.span.span_id, None)
+        for rng in token.span.ranges():
             rng.destroy()
             for replica in list(rng.replicas.values()):
                 replica.node.remove_replica(rng.range_id)
-
-    def elasticize_table(self, table: Table) -> List[Any]:
-        """Opt a table's fixed partition ranges into elastic spans.
-
-        Each partition's Range becomes a single-descriptor
-        :class:`~repro.kv.keyspace.TableSpan` registered with the
-        cluster keyspace, so the rebalancing queue can split/merge it;
-        routing tokens in the catalog are swapped in place.  Idempotent.
-        """
-        spans: List[Any] = []
-        keyspace = self.cluster.keyspace
-        for index in table.indexes:
-            for partition, token in sorted(index.partitions.items()):
-                if getattr(token, "descriptors", None) is not None:
-                    spans.append(token)  # already a TableSpan
-                    continue
-                span = keyspace.adopt(token, name=token.name)
-                index.partitions[partition] = span
-                spans.append(span)
-        return spans
 
     # -- locality changes (§2.4.2) ----------------------------------------------------
 
@@ -354,7 +334,7 @@ class SchemaChangeEngine:
         offset = self.cluster.max_clock_offset
         primary = table.primary_index
         for token in primary.partitions.values():
-            for rng in live_ranges(token):
+            for rng in token.span.ranges():
                 horizon = rng.leaseholder_node.clock.now().add(offset)
                 snapshot = rng.leaseholder_replica.store.snapshot_at(
                     horizon)

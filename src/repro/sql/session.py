@@ -548,18 +548,17 @@ class Session:
     def _show_ranges(self, table_name: str) -> List[dict]:
         """One row per *live* Range: span, lease, and replica regions.
 
-        Partitions hold routing tokens; an elastic partition (TableSpan)
-        is enumerated through its current descriptors, so the output
-        tracks splits and merges as they happen.  Fixed ranges report a
-        full span at generation 1.
+        Partitions hold routing tokens, enumerated through their span's
+        current descriptors, so the output tracks splits and merges as
+        they happen (a never-split partition is one full-span range at
+        generation 1).
         """
-        from ..kv.keyspace import live_ranges
         database = self._require_database()
         table = database.table(table_name)
         out = []
         for index in table.indexes:
             for partition, token in sorted(index.partitions.items()):
-                for rng in live_ranges(token):
+                for rng in token.span.ranges():
                     voters = sorted(p.node.locality.region
                                     for p in rng.group.voters())
                     non_voters = sorted(p.node.locality.region
@@ -569,11 +568,8 @@ class Session:
                         "index": index.name,
                         "partition": partition or "default",
                         "range": rng.name,
-                        "span": (descriptor.span_repr()
-                                 if descriptor is not None
-                                 else "[/Min, /Max)"),
-                        "generation": (descriptor.generation
-                                       if descriptor is not None else 1),
+                        "span": descriptor.span_repr(),
+                        "generation": descriptor.generation,
                         "lease_region":
                             rng.leaseholder_node.locality.region,
                         "voters": voters,

@@ -143,9 +143,6 @@ class _KeyHistory:
         ts = self.ts_at(idx - 1)
         return Version(ts, self.values[idx - 1]) if ts > lo else None
 
-    def insert_version(self, version: Version) -> None:
-        self.insert_at(version.ts, version.value)
-
     def insert_at(self, ts: Timestamp, value: Any) -> None:
         idx = self.bisect_at_or_below(ts)
         self.phys.insert(idx, ts.physical)
@@ -231,12 +228,6 @@ class MVCCStore:
     def intent_for(self, key: Any) -> Optional[Intent]:
         history = self._data.get(key)
         return history.intent if history else None
-
-    def newest_version_ts(self, key: Any) -> Timestamp:
-        history = self._data.get(key)
-        if history is None or not history.phys:
-            return TS_ZERO
-        return history.ts_at(len(history.phys) - 1)
 
     def changed_in_interval(self, key: Any, lo: Timestamp, hi: Timestamp,
                             txn_id: Optional[int] = None) -> bool:

@@ -447,19 +447,6 @@ class VerifyHarness(Testbed):
 
     # -- split/merge (elastic keyspace nemesis) -----------------------------
 
-    def _setup_split_merge(self) -> None:
-        """Adopt the primary REGIONAL range into an elastic span so the
-        forced split/merge driver can reshape it mid-run.  The recorded
-        clients and the stale readers route through the span token from
-        the first write on; ``self.range`` keeps pointing at the
-        original Range for the failover stats."""
-        span = self.cluster.keyspace.adopt(self.ranges["reg-us"],
-                                           name="reg-us")
-        self.span = span
-        self.ranges["reg-us"] = span
-        self.keys = [(span if table is self.range else table, key, kind)
-                     for table, key, kind in self.keys]
-
     def _split_merge_driver(self, end_ms: float):
         """The keyspace nemesis: force a split at every workload key
         boundary, dwell, then merge everything back — all while the
@@ -467,7 +454,8 @@ class VerifyHarness(Testbed):
         bump races live transactions and stale readers and must stay
         invisible to the serializability/staleness checkers."""
         from ..kv.keyspace import encode_key
-        sim, keyspace, span = self.sim, self.cluster.keyspace, self.span
+        sim, keyspace, span = (self.sim, self.cluster.keyspace,
+                               self.range.span)
         yield sim.sleep(200.0)
         for key in ("l1", "r0", "r1"):
             while sim.now < end_ms:
@@ -562,8 +550,6 @@ class VerifyHarness(Testbed):
         self.recorder.meta.update(
             {"scenario": scenario_name, "seed": self.seed})
         split_merge = scenario == "split-merge"
-        if split_merge:
-            self._setup_split_merge()
         self._init_keys()
         sim.run(until=sim.now + 600.0)  # settle replication + closed ts
 
@@ -640,7 +626,7 @@ class VerifyHarness(Testbed):
             keyspace = self.cluster.keyspace
             stats["keyspace_splits"] = keyspace.splits
             stats["keyspace_merges"] = keyspace.merges
-            stats["final_ranges"] = len(self.span.descriptors)
+            stats["final_ranges"] = len(self.range.span.descriptors)
             stats["range_cache_invalidations"] = \
                 self.ds.range_cache_invalidations
         if self.clock_monitor is not None:

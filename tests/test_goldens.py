@@ -53,12 +53,12 @@ class TestGoldenHelper:
 
     def test_missing_entry(self, tmp_path):
         path = str(tmp_path / "g.json")
-        golden.update(path, {("seeds", "0", "elastic"): self.FP})
-        assert golden.check(path, {("seeds", "0", "elastic"): self.FP}) == []
-        assert golden.check(path, {("seeds", "1", "elastic"): self.FP}) == \
-            ["seeds/1/elastic: no golden entry"]
-        assert golden.check(path, {("seeds", "0", "legacy"): self.FP}) == \
-            ["seeds/0/legacy: no golden entry"]
+        golden.update(path, {("seeds", "0", "crdb"): self.FP})
+        assert golden.check(path, {("seeds", "0", "crdb"): self.FP}) == []
+        assert golden.check(path, {("seeds", "1", "crdb"): self.FP}) == \
+            ["seeds/1/crdb: no golden entry"]
+        assert golden.check(path, {("seeds", "0", "epoch-occ"): self.FP}) == \
+            ["seeds/0/epoch-occ: no golden entry"]
 
     def test_field_level_diff_text(self, tmp_path):
         path = str(tmp_path / "g.json")
@@ -75,14 +75,14 @@ class TestGoldenHelper:
 
     def test_merge_update_round_trip(self, tmp_path):
         path = tmp_path / "g.json"
-        golden.update(str(path), {("seeds", "0", "elastic"): self.FP,
-                                  ("seeds", "0", "legacy"): {"committed": 1}})
+        golden.update(str(path), {("seeds", "0", "crdb"): self.FP,
+                                  ("seeds", "0", "epoch-occ"): {"committed": 1}})
         other = dict(self.FP, committed=99)
-        golden.update(str(path), {("seeds", "1", "elastic"): other,
-                                  ("seeds", "0", "legacy"): {"committed": 2}})
+        golden.update(str(path), {("seeds", "1", "crdb"): other,
+                                  ("seeds", "0", "epoch-occ"): {"committed": 2}})
         assert golden.load(str(path)) == {"seeds": {
-            "0": {"elastic": self.FP, "legacy": {"committed": 2}},
-            "1": {"elastic": other}}}
+            "0": {"crdb": self.FP, "epoch-occ": {"committed": 2}},
+            "1": {"crdb": other}}}
         # Canonical on disk: sorted keys, trailing newline, stable bytes.
         text = path.read_text()
         assert text.endswith("}\n")

@@ -1,5 +1,5 @@
 """Elastic keyspace tests: encoded-key ordering, the descriptor
-lifecycle (adopt / split / merge), the DistSender span cache with its
+lifecycle (born / split / merge), the DistSender span cache with its
 RangeKeyMismatch invalidation protocol, and the rebalance queue's
 size/load splits, cold merges, and follow-the-workload lease moves."""
 
@@ -11,7 +11,6 @@ from repro.kv.keyspace import (
     RangeLoad,
     TableSpan,
     encode_key,
-    live_ranges,
 )
 from repro.placement import (
     Allocator,
@@ -85,14 +84,14 @@ class TestRangeLoad:
 
 
 class _ElasticBed(KVTestBed):
-    """KVTestBed plus an adopted span over one REGION-survivable range."""
+    """KVTestBed plus one REGION-survivable range and its born span."""
 
     def __init__(self, **kwargs):
         super().__init__(regions=REGIONS3, goal=SurvivalGoal.REGION,
                          **kwargs)
         self.range = self.make_range("us-east1")
         self.keyspace = self.cluster.keyspace
-        self.span = self.keyspace.adopt(self.range, name="kv")
+        self.span = self.range.span
 
     def seed(self, keys):
         ts = self.range.leaseholder_node.clock.now()
@@ -101,10 +100,13 @@ class _ElasticBed(KVTestBed):
 
 
 class TestDescriptorLifecycle:
-    def test_adopt_is_idempotent_and_covers_everything(self):
+    def test_born_span_is_registered_and_covers_everything(self):
         bed = _ElasticBed()
-        assert bed.keyspace.adopt(bed.range) is bed.span
+        assert bed.keyspace.spans[bed.span.span_id] is bed.span
+        assert bed.span.span_id == bed.range.range_id
+        assert bed.span.anchor is bed.range is bed.range.anchor
         [descriptor] = bed.span.descriptors
+        assert descriptor is bed.range.descriptor
         assert descriptor.start_key == MIN_KEY
         assert descriptor.end_key is None
         assert descriptor.generation == 1
@@ -166,11 +168,11 @@ class TestDescriptorLifecycle:
         # The right side is an emptied husk: it owns nothing but its
         # Raft group survives so anchored txn records stay resolvable.
         assert right.start_key == right.end_key
-        assert live_ranges(bed.span) == [left.rng]
+        assert bed.range.span.ranges() == [left.rng]
         merged = sorted(left.rng.leaseholder_replica.store.keys())
         assert merged == ["a", "b", "c", "d"]
         assert bed.do_read("europe-west2", bed.span, "d")[0] == "post-split"
-        assert right_rng._successors == [left.rng]
+        assert right_rng.span.descriptor_for_key("d").rng is left.rng
 
     def test_can_merge_rejects_non_adjacent(self):
         bed = _ElasticBed()
@@ -182,10 +184,10 @@ class TestDescriptorLifecycle:
         assert not bed.keyspace.can_merge(a, c)
         assert bed.keyspace.can_merge(b, c)
 
-    def test_live_ranges_on_plain_range_is_identity(self):
+    def test_never_split_range_is_a_one_range_span(self):
         bed = KVTestBed(regions=REGIONS3, goal=SurvivalGoal.REGION)
         rng = bed.make_range("us-east1")
-        assert live_ranges(rng) == [rng]
+        assert rng.span.ranges() == [rng]
 
 
 class TestDistSenderSpanCache:
@@ -218,8 +220,7 @@ class TestDistSenderSpanCache:
         # Re-prime a deliberately stale snapshot: resolve subscribes
         # fresh, then we forge the pre-split single-descriptor view.
         bed.do_read("us-east1", bed.span, "a")
-        bed.ds._span_cache[bed.span.name] = (
-            1, [MIN_KEY], [parent])
+        bed.ds._span_cache[bed.span.span_id] = ([MIN_KEY], [parent])
         value, _ = bed.do_read("us-east1", bed.span, "d")
         assert value == "v:d"
         assert bed.ds.resolve(bed.span, "d") is child.rng
@@ -231,7 +232,7 @@ def _flat_config(home):
 
 
 class _QueueBed:
-    """A cluster with an adopted span managed by a RebalanceQueue."""
+    """A cluster with one range's span managed by a RebalanceQueue."""
 
     def __init__(self, seed=0, **queue_kwargs):
         self.cluster = standard_cluster(REGIONS3, seed=seed)
@@ -242,7 +243,7 @@ class _QueueBed:
             self.cluster, self.config, name="kv",
             side_transport_interval_ms=100.0,
             proposal_timeout_ms=1000.0, retransmit_interval_ms=150.0)
-        self.span = self.cluster.keyspace.adopt(self.range)
+        self.span = self.range.span
         self.liveness = StoreLiveness(self.cluster)
         kwargs = dict(split_max_keys=8, split_qps=10.0, merge_qps=1.0,
                       merge_patience=2, lease_cooldown_ms=500.0)
@@ -335,7 +336,7 @@ class TestRebalanceQueue:
         config = zone_config_for_home(
             "us-east1", REGIONS3, SurvivalGoal.REGION)
         bed = _QueueBed(split_max_keys=64, split_qps=1000.0)
-        bed.queue._spans["kv"] = (bed.span, config)
+        bed.queue._spans[bed.span.span_id] = (bed.span, config)
         client = bed.drive("europe-west2",
                            ["k000", "k001", "k002", "k003"], 3000.0,
                            think_ms=2.0)
@@ -354,3 +355,206 @@ class TestLoadAwareAllocator:
         config = ZoneConfig(num_replicas=3, num_voters=3)
         placement = allocator.place(config)
         assert hot not in [n.node_id for n in placement.voters]
+
+
+class TestEncodeCacheEviction:
+    def test_full_cache_starts_over_instead_of_freezing(self, monkeypatch):
+        """A process that has routed many distinct keys (a farm worker a
+        few cases in) must keep interning the keys it routes *now*."""
+        from repro.kv import keyspace
+        monkeypatch.setattr(keyspace, "_ENCODE_CACHE_MAX", 8)
+        cache = keyspace._ENCODE_CACHE
+        cache.clear()
+        for i in range(8):
+            encode_key(f"fill{i}")
+        assert len(cache) == 8
+        fresh = encode_key("fresh")
+        assert encode_key("fresh") is fresh  # interned, not re-encoded
+        assert "fresh" in cache and len(cache) <= 8
+        # Same dict object throughout: bench/run.py clears it by name.
+        assert keyspace._ENCODE_CACHE is cache
+
+
+class TestTokenContract:
+    """A Range token means its span; a key-less resolve means the
+    token's own (a span's first) range."""
+
+    def test_pre_split_range_token_reaches_moved_keys(self):
+        bed = _ElasticBed()
+        bed.seed(["a", "b", "c", "d"])
+        held = bed.range  # what a client resolved before the split
+        assert bed.do_read("us-east1", held, "d")[0] == "v:d"
+        child = bed.keyspace.split(held.descriptor, "c", trigger="test")
+        assert not held.descriptor.contains_key("d")
+        assert bed.do_read("europe-west2", held, "d")[0] == "v:d"
+        bed.do_write("us-east1", held, "d", "moved")
+        assert bed.do_read("us-east1", held, "d")[0] == "moved"
+        store = child.rng.leaseholder_replica.store
+        assert "d" in set(store.keys())
+        # The child and the span are the same token too.
+        assert bed.do_read("us-east1", child.rng, "a")[0] == "v:a"
+        assert bed.ds.resolve(held, "d") is bed.ds.resolve(bed.span, "d")
+
+    def test_keyless_resolve_is_the_tokens_own_range(self):
+        bed = _ElasticBed()
+        bed.seed(["a", "b", "c", "d"])
+        child = bed.keyspace.split(bed.range.descriptor, "c", trigger="test")
+        assert bed.ds.resolve(bed.range) is bed.range
+        assert bed.ds.resolve(child.rng) is child.rng  # txn-record anchor
+        assert bed.ds.resolve(bed.span) is bed.range
+
+    def test_bulk_ingest_through_a_range_token_routes_by_key(self):
+        bed = _ElasticBed()
+        bed.seed(["a", "b"])
+        child = bed.keyspace.split(bed.range.descriptor, "c", trigger="test")
+        ts = bed.range.leaseholder_node.clock.now()
+        bed.range.bulk_ingest([("b2", 1), ("d", 2)], ts)
+        assert set(child.rng.leaseholder_replica.store.keys()) == {"d"}
+        assert bed.keyspace.violations() == []
+
+    def test_same_named_ranges_are_different_spans(self):
+        """The span cache and the registry are keyed by span identity:
+        two databases' same-named tables must not share a route."""
+        bed = KVTestBed(regions=REGIONS3, goal=SurvivalGoal.REGION)
+        config = zone_config_for_home("us-east1", REGIONS3,
+                                      SurvivalGoal.REGION)
+        first = provision_range(bed.cluster, config, name="t@primary")
+        second = provision_range(bed.cluster, config, name="t@primary")
+        assert first.span.name == second.span.name
+        bed.do_write("us-east1", first, "k", "first")
+        assert bed.do_read("us-east1", second, "k")[0] is None
+        bed.do_write("us-east1", second, "k", "second")
+        assert bed.do_read("us-east1", first, "k")[0] == "first"
+        spans = bed.cluster.keyspace.spans
+        assert spans[first.range_id] is first.span
+        assert spans[second.range_id] is second.span
+
+
+class TestStructuralAudit:
+    """Every live Range has a descriptor; every span tiles [/Min, /Max);
+    every replica store holds only in-bounds keys."""
+
+    @staticmethod
+    def _audit(cluster, ranges):
+        keyspace = cluster.keyspace
+        assert keyspace.violations() == []
+        for rng in ranges:
+            descriptor = rng.descriptor
+            assert descriptor.rng is rng
+            assert descriptor in rng.span.descriptors
+            assert keyspace.spans[rng.span.span_id] is rng.span
+
+    def test_after_ddl_provision_split_and_merge(self):
+        from repro.harness.testbed import Testbed
+        from .sql_util import movr_engine
+        engine, session = movr_engine()
+        session.execute("INSERT INTO users (id, email, name) VALUES "
+                        "(1, 'a@x', 'a'), (2, 'b@x', 'b'), (3, 'c@x', 'c')")
+        session.execute("CREATE INDEX users_name ON users (name)")
+        session.execute("ALTER TABLE promo_codes SET LOCALITY "
+                        "REGIONAL BY TABLE")
+        database = engine.catalog.database("movr")
+        ranges = [rng for table in database.tables.values()
+                  for rng in table.all_ranges()]
+        assert len(ranges) >= 8
+        self._audit(engine.cluster, ranges)
+
+        bed = Testbed(0)
+        rng = bed.provision("audit", bed.zone_config())
+        rng.bulk_ingest([(f"k{i}", i) for i in range(6)],
+                        rng.leaseholder_node.clock.now())
+        keyspace = bed.cluster.keyspace
+        child = keyspace.split(rng.descriptor, "k3")
+        self._audit(bed.cluster, [rng, child.rng])
+        assert [d.span_repr() for d in rng.span.descriptors] == [
+            rng.descriptor.span_repr(), child.span_repr()]
+        keyspace.merge(rng.descriptor, child)
+        self._audit(bed.cluster, [rng])
+        assert rng.descriptor.span_repr() == "[/Min, /Max)"
+
+    def test_dropped_tables_leave_the_registry(self):
+        from .sql_util import movr_engine
+        engine, session = movr_engine()
+        spans = engine.cluster.keyspace.spans
+        before = set(spans)
+        session.execute("CREATE TABLE tmp (id int PRIMARY KEY)")
+        assert set(spans) > before
+        session.execute("DROP TABLE tmp")
+        assert set(spans) == before
+
+    def test_audit_convicts_a_stray_key_and_a_gap(self):
+        bed = _ElasticBed()
+        bed.seed(["a", "b", "c", "d"])
+        child = bed.keyspace.split(bed.range.descriptor, "c", trigger="test")
+        ts = bed.range.leaseholder_node.clock.now()
+        for replica in bed.range.replicas.values():  # no routing
+            replica.store.put_committed("z", ts, 0)
+        assert any("holds keys outside" in line and "'z'" in line
+                   for line in bed.keyspace.violations())
+        child.start_key = encode_key("d")
+        assert any("gap or overlap" in line
+                   for line in bed.keyspace.violations())
+
+    def test_every_chaos_scenario_runs_the_audit(self, monkeypatch):
+        from repro.chaos import run_scenario
+        from repro.kv.keyspace import Keyspace
+        monkeypatch.setattr(Keyspace, "violations",
+                            lambda self: ["keyspace: planted"])
+        result = run_scenario("crash-restart", seed=0)
+        assert "keyspace: planted" in result.report.violations
+        assert not result.ok
+
+
+class TestSqlOverASplit:
+    """A table whose partition is split under it keeps answering
+    through the catalog's provision-time token."""
+
+    def test_select_update_and_scan_follow_the_split(self):
+        from .sql_util import make_engine
+        engine = make_engine()
+        session = engine.connect("us-east1")
+        session.execute('CREATE DATABASE shop PRIMARY REGION "us-east1" '
+                        'REGIONS "us-west1", "europe-west2"')
+        session.execute("CREATE TABLE items (id int PRIMARY KEY, qty int)")
+        for i in range(1, 9):
+            session.execute(f"INSERT INTO items (id, qty) VALUES ({i}, {i})")
+        table = engine.catalog.database("shop").table("items")
+        token = table.primary_index.partitions[""]
+        keyspace = engine.cluster.keyspace
+
+        # Split mid-transaction: the open txn wrote on the left, then
+        # the boundary moves, then it touches the (new) right side.
+        session.execute("BEGIN")
+        session.execute("UPDATE items SET qty = 20 WHERE id = 2")
+        child = keyspace.split(token.descriptor, (5,), trigger="test")
+        session.execute("UPDATE items SET qty = 70 WHERE id = 7")
+        session.execute("COMMIT")
+
+        assert table.primary_index.partitions[""] is token
+        assert table.all_ranges() == [token, child.rng]
+        assert sorted(child.rng.leaseholder_replica.store.keys()) == [
+            (5,), (6,), (7,), (8,)]
+        assert session.execute("SELECT qty FROM items WHERE id = 7") == [
+            {"qty": 70}]
+        assert session.execute("SELECT qty FROM items WHERE id = 2") == [
+            {"qty": 20}]
+        session.execute("UPDATE items SET qty = 9 WHERE id = 8")
+        session.execute("INSERT INTO items (id, qty) VALUES (9, 9)")
+        rows = session.execute("SELECT id, qty FROM items")
+        assert sorted((r["id"], r["qty"]) for r in rows) == [
+            (1, 1), (2, 20), (3, 3), (4, 4), (5, 5), (6, 6), (7, 70),
+            (8, 9), (9, 9)]
+        remote = engine.connect("europe-west2")
+        remote.execute("USE shop")
+        assert remote.execute("SELECT qty FROM items WHERE id = 9") == [
+            {"qty": 9}]
+        shown = session.execute("SHOW RANGES FROM TABLE items")
+        assert [(r["span"], r["generation"]) for r in shown] == [
+            (token.descriptor.span_repr(), 2), (child.span_repr(), 2)]
+        assert keyspace.violations() == []
+        # ...and back: the merge leaves one full-span range.
+        engine.cluster.sim.run(until=engine.cluster.sim.now + 500.0)
+        keyspace.merge(token.descriptor, child)
+        rows = session.execute("SELECT id FROM items")
+        assert sorted(r["id"] for r in rows) == list(range(1, 10))
+        assert keyspace.violations() == []

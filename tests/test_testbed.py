@@ -98,7 +98,7 @@ class TestAttemptClassifier:
 
         monkeypatch.setattr(TransactionCoordinator, "run", broken_run)
         with pytest.raises(RuntimeError, match="coordinator bug"):
-            run_rebalance(0, elastic=False)
+            run_rebalance(0)
 
     def test_outcome_vocabulary_is_the_history_checkers(self):
         assert (invariants.OK, invariants.FAIL, invariants.INDETERMINATE) \
@@ -110,7 +110,7 @@ class TestHardening:
         (lambda: ChaosHarness(0), True),
         (lambda: VerifyHarness(0), True),
         (lambda: _ProtocolRun(0, "crdb"), True),
-        (lambda: _RebalanceRun(0, elastic=False), True),
+        (lambda: _RebalanceRun(0), True),
         (lambda: OpenLoopHarness(), False),
     ], ids=["chaos", "verify", "protocols", "rebalance", "openloop"])
     def test_every_harness_range_gets_the_constants(self, monkeypatch,
