@@ -132,15 +132,19 @@ class ClockMonitor:
         gauge.set(round(worst, 3))
         self._evaluate(observer, peers, worst)
 
-    def wrap(self, src_node, dst_node, callback):
+    def wrap(self, src_node, dst_node, callback, after_ms: float = 0.0):
         """Piggyback a clock reading on a fire-and-forget message.
 
         Returns a delivery callback that first reports ``src_node``'s
-        clock (captured *now*, at send time) to the destination's
-        monitor view, then runs the original callback.  Used by Raft
-        senders, which already have a callback-per-message shape.
+        clock (captured at send time) to the destination's monitor
+        view, then runs the original callback.  Used by Raft senders,
+        which already have a callback-per-message shape.  A message
+        handed to ``Network.send`` with ``after_ms`` departs that much
+        later; pass the same value here and the reading is the
+        departure-time one.
         """
-        sent_physical = src_node.clock.physical_now()
+        sent_physical = self.cluster.clock.physical_now(
+            src_node.node_id, self.sim.now + after_ms)
         observer_id = dst_node.node_id
         peer_id = src_node.node_id
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..kv.keyspace import Keyspace
+from ..kv.sidetransport import SideTransport
 from ..sim.clock import ClockModel
 from ..sim.core import Simulator
 from ..sim.network import LatencyModel, Network
@@ -74,6 +75,10 @@ class Cluster:
         self._next_range_id = 1
         #: The span registry: ranges are born into it; it splits and merges.
         self.keyspace = Keyspace(self)
+        #: interval ms -> the closed-timestamp side transport shipping
+        #: every range on that interval, one message per node pair
+        #: (``repro.kv.sidetransport``).
+        self.side_transports: Dict[float, SideTransport] = {}
 
     def txn_status(self, txn_id: int):
         """Authoritative transaction state for pushes.

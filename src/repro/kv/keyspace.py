@@ -468,7 +468,7 @@ class Keyspace:
         # Inherit the parent's liveness plumbing.
         if parent.side_transport_interval_ms is not None:
             child.start_side_transport(parent.side_transport_interval_ms)
-        retransmit = getattr(parent.group, "_retransmit_interval_ms", None)
+        retransmit = parent.group._retransmit_interval_ms
         if retransmit is not None:
             child.group.start_retransmission(retransmit)
 

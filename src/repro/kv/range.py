@@ -42,6 +42,7 @@ from .commands import (
     SetTxnRecordCommand,
 )
 from .replica import Replica
+from .sidetransport import SideTransport
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import Node
@@ -74,8 +75,7 @@ class Range:
         self.group = RaftGroup(cluster.sim, cluster.network, self.range_id,
                                apply_fn=self._apply,
                                proposal_timeout_ms=proposal_timeout_ms,
-                               coalesce_ms=getattr(cluster,
-                                                   "raft_coalesce_ms", None))
+                               coalesce_ms=cluster.raft_coalesce_ms)
         self.replicas = {}
         self.leaseholder_node_id: Optional[int] = None
         #: Bumped on every membership or lease change; the DistSender's
@@ -92,7 +92,7 @@ class Range:
         self.closed_emitted: Timestamp = TS_ZERO
         #: Automatic (non-cooperative) lease failovers performed.
         self.failovers = 0
-        self._side_transport_started = False
+        #: Set once the range has joined a side transport.
         self.side_transport_interval_ms: Optional[float] = None
         self._destroyed = False
         #: As a routing token (repro.kv.keyspace): key-less requests
@@ -361,25 +361,15 @@ class Range:
             self.closed_emitted = closed_ts
 
     def start_side_transport(self, interval_ms: Optional[float] = None) -> None:
-        """Periodically ship closed timestamps even when the range is idle."""
-        if self._side_transport_started:
+        """Periodically ship closed timestamps even when the range is
+        idle: joins the cluster's per-node-pair side transport for this
+        interval, which ships it from its next tick until the range is
+        destroyed."""
+        if self.side_transport_interval_ms is not None:
             return
-        self._side_transport_started = True
         interval = interval_ms or self.SIDE_TRANSPORT_INTERVAL_MS
         self.side_transport_interval_ms = interval
-
-        def transport() -> Generator:
-            while not self._destroyed:
-                yield self.sim.sleep(interval)
-                if self.leaseholder_node_id is None:
-                    continue
-                if self.cluster.network.node_is_dead(self.leaseholder_node_id):
-                    continue
-                target = self.closed_target()
-                self._note_closed(target)
-                self.group.broadcast_closed_ts(target)
-
-        self.sim.spawn(transport(), name=f"{self.name}-side-transport")
+        SideTransport.register(self, interval)
 
     def destroy(self) -> None:
         self._destroyed = True

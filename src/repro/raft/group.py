@@ -114,8 +114,53 @@ class PeerState:
             del self._staged[nxt_entry.index]
 
 
+def _inflight_record(sim: Simulator, entry: Entry,
+                     acks: Dict[int, bool]) -> list:
+    """The leader's bookkeeping for one uncommitted log index, a list
+    (slot access by position is the hot path's cheapest)::
+
+        0  future the proposer waits on (resolves with the entry)
+        1  acks: node id -> bool (True once the node's ack arrived)
+        2  the entry
+        3  {peer id: raft.append span id}, None when untraced
+        4  raft.propose span id, 0 when untraced
+        5  proposed-at sim ms, None when not instrumented
+        6  proposal-timeout timer handle, None when unarmed or spent
+    """
+    return [Future(sim), acks, entry, None, 0, None, None]
+
+
 class RaftGroup:
-    """Replication state machine for a single Range."""
+    """Replication state machine for a single Range.
+
+    What one proposal costs per follower — three messages, each one
+    kernel event — and the ``bench/`` workload that pays for each
+    (numbers: EXPERIMENTS.md "Round 7"):
+
+    * HOT: one **append** (``_send_append`` → ``_deliver_append``), to
+      voters and learners alike: ``kv``, ``tpcc`` (4 of their 10
+      messages per proposal).
+    * HOT: one **ack** (``_send_ack`` → ``_on_ack``) from a follower
+      that lands the entry while it is still uncommitted — in practice
+      the voters inside the quorum race only.  An append that lands at
+      or below ``commit_index`` (a learner an ocean away, a resync of
+      committed history) is not acked: ``_inflight`` holds nothing such
+      an ack could change.  The follower's disk append rides on the
+      ack's flight (``Network.send(after_ms=)``) instead of a timer that
+      then sends: ``kv``, ``tpcc`` (2 per proposal), ``verify_sweep``.
+    * HOT: one **commit update** (``_send_commit_update`` →
+      ``_learn_commit``), what lets a follower apply; its arrival at
+      the furthest follower is the paper's ``L_replicate``: ``kv``,
+      ``tpcc``, ``movr`` (GLOBAL tables).
+    * Beside them the leader's own disk append is one timer
+      (``propose`` → ``_on_ack``), and the ``proposal_timeout_ms`` guard
+      is cancelled when the proposal settles: ``verify_sweep``,
+      ``openloop`` (the workloads provisioned with one).
+    * Closed-timestamp heartbeats do not travel per group at all: the
+      per-node-pair transport (``repro.kv.sidetransport``) carries
+      them — ``movr``, ``tpcc_epoch``, ``verify_sweep``.  The
+      ``coalesce_ms`` fork below is off in every shipped workload.
+    """
 
     #: Simulated local storage append latency per entry (ms).
     DISK_APPEND_MS = 0.25
@@ -148,14 +193,18 @@ class RaftGroup:
         self.peers: Dict[int, PeerState] = {}
         self.commit_index = 0
         self._next_index = 1
-        #: index -> [future, acks, entry, {peer: raft.append span id},
-        #: raft.propose span id, proposed-at ms (None: not instrumented)]
-        self._inflight: Dict[int, Any] = {}
+        #: index -> :func:`_inflight_record`.  Never holds an index at or
+        #: below ``commit_index``: ``_advance_commit`` pops as it goes
+        #: and ``fail_over`` re-creates records only past it.
+        self._inflight: Dict[int, list] = {}
         self.proposals_committed = 0
         #: The entry at the current commit index (leader completeness).
         self._last_committed: Optional[Entry] = None
         #: One-at-a-time membership-change enforcement.
         self.config_guard = ConfigChangeGuard(range_id)
+        #: Set by :meth:`start_retransmission`; remembered so an elastic
+        #: split can start the child's group with the same hardening.
+        self._retransmit_interval_ms: Optional[float] = None
         #: Per-range instrument handles, resolved lazily on first use:
         #: binding them here would cost six registry lookups per range
         #: at cluster build and export a zero row for every idle range.
@@ -368,8 +417,8 @@ class RaftGroup:
         # copy as an ack and re-replicate to everyone else.
         for entry in candidate.log[self.commit_index:]:
             if entry.index not in self._inflight:
-                self._inflight[entry.index] = [Future(self.sim), {}, entry,
-                                               None, 0, None]
+                self._inflight[entry.index] = _inflight_record(
+                    self.sim, entry, {})
             self.sim.call_after(self.DISK_APPEND_MS, self._on_ack,
                                 entry.index, candidate.node.node_id,
                                 entry.term)
@@ -423,11 +472,8 @@ class RaftGroup:
         index forever.  Off by default (seed experiments count
         messages); chaos provisioning turns it on.
         """
-        if getattr(self, "_retransmit_started", False):
+        if self._retransmit_interval_ms is not None:
             return
-        self._retransmit_started = True
-        # Remembered so elastic splits can start the child's group with
-        # the same hardening the parent was provisioned with.
         self._retransmit_interval_ms = interval_ms
 
         def retransmit():
@@ -510,8 +556,9 @@ class RaftGroup:
         entry = Entry(index=self._next_index, term=self.term,
                       command=command, closed_ts=closed_ts)
         self._next_index += 1
-        fut = Future(self.sim)
-        record = [fut, {leader.node.node_id: False}, entry, None, 0, None]
+        record = _inflight_record(self.sim, entry,
+                                  {leader.node.node_id: False})
+        fut = record[0]
         self._inflight[entry.index] = record
         prop_span = 0
         if self._obs_on:
@@ -533,8 +580,8 @@ class RaftGroup:
                     append_spans = record[3] = {}
 
         if self.proposal_timeout_ms is not None:
-            self.sim.call_after(self.proposal_timeout_ms,
-                                self._maybe_timeout, entry.index)
+            record[6] = self.sim.call_after(self.proposal_timeout_ms,
+                                            self._maybe_timeout, entry.index)
         # Local append (counts as the leader's own ack after disk latency).
         # The leader's log is canonical at its own term: a stale in-flight
         # append from a deposed leader may have extended it past the
@@ -567,6 +614,10 @@ class RaftGroup:
         fut = record[0]
         if fut.done:
             return
+        if record[6] is not None:
+            # The timeout guards this future only; it dies with it.
+            self.sim.cancel(record[6])
+            record[6] = None
         if record[5] is not None:
             tracer = self._tracer
             if record[3]:
@@ -717,38 +768,44 @@ class RaftGroup:
             msg_term == self.term
             and self.leader_node_id == from_node_id))
         self._apply_ready(peer)
-        # Ack whatever actually landed in the log (after the peer's
-        # disk append) — never a merely-staged entry, whose prefix
-        # the peer does not yet have durably.
+        # Ack whatever actually landed in the log — never a
+        # merely-staged entry, whose prefix the peer does not yet have
+        # durably — but only what is still uncommitted: ``_inflight``
+        # holds no index at or below the commit index, so an ack for
+        # one (a learner an ocean away, a resync of committed history)
+        # could not change any state.
         after = log[-1].index if log else 0
+        committed = self.commit_index
         if after > before:
-            schedule = self.sim.call_after
-            send_ack = self._send_ack
-            for index in range(before + 1, after + 1):
-                landed = log[index - 1]
-                schedule(self.DISK_APPEND_MS, send_ack,
-                         peer, index, landed.term)
-        elif (entry.index <= after
+            for index in range(max(before, committed) + 1, after + 1):
+                self._send_ack(peer, index, log[index - 1].term)
+        elif (committed < entry.index <= after
               and log[entry.index - 1] is entry):
             # Duplicate delivery (retransmission): the original ack
             # may have been lost — re-ack.
-            self.sim.call_after(self.DISK_APPEND_MS, self._send_ack,
-                                peer, entry.index, entry.term)
+            self._send_ack(peer, entry.index, entry.term)
 
     def _send_ack(self, peer: PeerState, index: int,
                   term: Optional[int] = None) -> None:
+        """Ack ``index`` to the leader once the peer's disk append is
+        done: the append's latency rides on the message's flight
+        (``after_ms``), one delivery event instead of a timer that then
+        sends."""
         leader = self.peers.get(self.leader_node_id)
         if leader is None:
             return
+        disk_ms = self.DISK_APPEND_MS
         monitor = self.network.clock_monitor
         if monitor is not None:
             deliver = monitor.wrap(
                 peer.node, leader.node,
-                lambda: self._on_ack(index, peer.node.node_id, term))
-            self.network.send(peer.node, leader.node, deliver)
+                lambda: self._on_ack(index, peer.node.node_id, term),
+                after_ms=disk_ms)
+            self.network.send(peer.node, leader.node, deliver,
+                              after_ms=disk_ms)
             return
         self.network.send(peer.node, leader.node, self._on_ack,
-                          index, peer.node.node_id, term)
+                          index, peer.node.node_id, term, after_ms=disk_ms)
 
     def _on_ack(self, index: int, from_node_id: int,
                 term: Optional[int] = None) -> None:
@@ -881,43 +938,51 @@ class RaftGroup:
 
     # -- closed-timestamp side transport -------------------------------------
 
-    def broadcast_closed_ts(self, closed_ts: Timestamp) -> None:
-        """Ship a closed-timestamp-only heartbeat (idle ranges).
-
-        In CRDB this is the closed-timestamp side transport; it lets the
-        closed timestamp advance without write traffic.
-        """
+    def closed_ts_updates(self, closed_ts: Timestamp) -> List[tuple]:
+        """This group's share of a side-transport tick: advance the
+        leader's own closed timestamp and return one ``(group, peer,
+        closed_ts, commit_index, last_committed)`` per follower — the
+        arguments of :meth:`_deliver_closed_ts` at the far end.  The
+        per-node-pair transport (``repro.kv.sidetransport``) packs the
+        updates of every range two nodes share into one message."""
         leader = self.leader
         if closed_ts > leader.closed_ts:
             leader.closed_ts = closed_ts
-        leader_node = leader.node
-        leader_id = leader_node.node_id
-        coalesce = self.coalesce_ms
         commit_index = self.commit_index
         last_committed = self._last_committed
+        return [(self, peer, closed_ts, commit_index, last_committed)
+                for peer in self.peers.values() if peer is not leader]
+
+    def broadcast_closed_ts(self, closed_ts: Timestamp) -> None:
+        """Ship this group's closed-timestamp heartbeat on its own, one
+        message per follower.
+
+        The per-range form of the side transport: coalescing groups fold
+        the update into their per-peer batch; every other range rides
+        the shared per-node-pair transport instead.
+        """
+        leader = self.leader
+        leader_node = leader.node
+        coalesce = self.coalesce_ms
         monitor = self.network.clock_monitor
         send = self.network.send
-        for peer in self.peers.values():
-            if peer.node.node_id == leader_id:
-                continue
+        for update in self.closed_ts_updates(closed_ts):
+            peer = update[1]
             if coalesce is not None:
                 batch = self._outbox_for(leader, peer)
                 closed = batch["closed"]
                 if closed is None or closed_ts > closed[0]:
-                    batch["closed"] = (closed_ts, commit_index,
-                                       last_committed)
+                    batch["closed"] = update[2:]
                 continue
             # Valid only if the peer is caught up on application; otherwise
             # it would claim data it does not yet have.
             if monitor is not None:
                 deliver = monitor.wrap(
                     leader_node, peer.node,
-                    lambda p=peer: self._deliver_closed_ts(
-                        p, closed_ts, commit_index, last_committed))
+                    lambda u=update: self._deliver_closed_ts(*u[1:]))
                 send(leader_node, peer.node, deliver)
                 continue
-            send(leader_node, peer.node, self._deliver_closed_ts,
-                 peer, closed_ts, commit_index, last_committed)
+            send(leader_node, peer.node, self._deliver_closed_ts, *update[1:])
 
     def _deliver_closed_ts(self, peer: PeerState, ts: Timestamp,
                            commit: int, committed: Optional[Entry]) -> None:

@@ -188,11 +188,8 @@ class Process(Future):
             self.sim._call_soon(self._step_cb, fut._value, None)
 
 
-#: Compaction floor: never scan the heaps for tombstones below this many.
+#: Compaction floor: never scan the heap for tombstones below this many.
 _COMPACT_MIN_TOMBSTONES = 512
-
-#: Timers at least this many ms away wait on ``Simulator._far``.
-_FAR_MS = 1000.0
 
 
 class Simulator:
@@ -205,40 +202,36 @@ class Simulator:
     :meth:`_dispatch`, fires them, and :meth:`run` /
     :meth:`run_until_future` differ only in what they do once it returns.
 
-    Neither side structure can reorder anything.  Time only advances
+    The side structure cannot reorder anything.  Time only advances
     once ``_ready`` drains, so a heap entry for the current instant was
     pushed *before* the instant began and carries a lower ``seq`` than
     every ready entry; the loop pops whichever head has the lower one.
-    ``_far`` entries move to ``_heap`` before the clock reaches them,
-    and the ``(when, seq)`` order of ``_heap`` decides from there.
 
     What is here beyond one bare heap, and the ``bench/`` workload that
-    pays for each (numbers: EXPERIMENTS.md "Round 5"):
+    pays for each (numbers: EXPERIMENTS.md "Round 5" and "Round 7"):
 
     * HOT: ``_ready`` — same-instant events (process resumes, zero
       delays) skip the O(log n) heap: ``tpcc_epoch``, ``openloop``, ``kv``.
     * HOT: ``_call_soon`` — the process-resume path, once per yield, no
       delay arithmetic, past-check or handle: ``openloop``, ``tpcc``.
-    * ``_far`` — a second heap for guard timers.  Every RPC parks a
-      5000 ms deadline that outlives it, ~2000 of them at any moment;
-      with those off the hot heap a pop sifts through ~150 entries, not
-      ~2100: ``tpcc_epoch``, ``movr``, ``tpcc``.
-    * ``cancel`` leaves a tombstone (``fn = None``), skipped and not
-      counted on dispatch; :meth:`_compact` sweeps them once they
-      outnumber live entries.  No shipped workload cancels that much
-      (only admission-queue expiries are cancelled): it is the bound on
-      heap growth for a schedule that does.
-    * A dispatched event drops ``fn``/``args`` at once: finished
-      processes and their results die by refcount, not in the cyclic
-      collector (``tests/test_gc_garbage.py``), and ``cancel`` on a
-      handle that already fired sees a tombstone and does nothing.
+    * HOT: ``cancel`` leaves a tombstone (``fn = None``), skipped and
+      not counted on dispatch; :meth:`_compact` sweeps them once they
+      outnumber live entries.  Every RPC deadline (:func:`with_timeout`)
+      and Raft proposal timeout is cancelled when what it guards
+      settles, so the heap holds the ~150 live timers and not ~2000
+      parked guards: ``tpcc_epoch``, ``movr``, ``openloop``.
+    * An event drops ``fn``/``args`` as it is dispatched, before the
+      call: finished processes and their results die by refcount, not
+      in the cyclic collector (``tests/test_gc_garbage.py``), and
+      ``cancel`` on a handle that is firing or has fired — a timer
+      cancelling itself from its own callback — sees a tombstone and
+      does nothing.
     """
 
     def __init__(self, obs_enabled: bool = True,
                  trace_sample_every: int = 1):
         self._now = 0.0
         self._heap: List[list] = []
-        self._far: List[list] = []
         self._ready: deque = deque()
         self._seq = 0
         self._pending_crash: Optional[BaseException] = None
@@ -271,8 +264,7 @@ class Simulator:
         now = self._now
         event = [when, self._seq, fn, args]
         if when > now:
-            heapq.heappush(
-                self._far if when - now >= _FAR_MS else self._heap, event)
+            heapq.heappush(self._heap, event)
         elif when == now:
             self._ready.append(event)
         else:
@@ -290,8 +282,7 @@ class Simulator:
         when = now + delay
         event = [when, self._seq, fn, args]
         if when > now:
-            heapq.heappush(
-                self._far if delay >= _FAR_MS else self._heap, event)
+            heapq.heappush(self._heap, event)
         elif when == now:
             self._ready.append(event)
         else:
@@ -316,19 +307,19 @@ class Simulator:
         tombstones = self._tombstones + 1
         self._tombstones = tombstones
         if (tombstones >= _COMPACT_MIN_TOMBSTONES
-                and tombstones * 2 > len(self._heap) + len(self._far)):
+                and tombstones * 2 > len(self._heap)):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop tombstoned entries from both heaps in one pass.
+        """Drop tombstoned entries from the heap in one pass.
 
         Safe at any point: dispatch order is total on ``(when, seq)``,
         so re-heapifying the surviving entries preserves it exactly.
         """
-        # In place: the dispatch loop holds local references to both.
-        for heap in (self._heap, self._far):
-            heap[:] = [event for event in heap if event[2] is not None]
-            heapq.heapify(heap)
+        # In place: the dispatch loop holds a local reference to it.
+        heap = self._heap
+        heap[:] = [event for event in heap if event[2] is not None]
+        heapq.heapify(heap)
         # Tombstones parked in the ready deque (cancelled same-instant
         # events) drain on their own within the current instant.
         self._tombstones = sum(1 for event in self._ready
@@ -362,7 +353,6 @@ class Simulator:
         A failure recorded by :meth:`_crash` is raised before the next
         event fires, or on the way out."""
         heap = self._heap
-        far = self._far
         ready = self._ready
         heappop = heapq.heappop
         popleft = ready.popleft
@@ -386,12 +376,7 @@ class Simulator:
                     if fn is None:
                         self._tombstones -= 1
                         continue
-                elif heap or far:
-                    # Far timers join the heap before the clock reaches
-                    # them (ties too: the heap then orders by ``seq``).
-                    if far and (not heap or far[0][0] <= heap[0][0]):
-                        heapq.heappush(heap, heappop(far))
-                        continue
+                elif heap:
                     event = heap[0]
                     fn = event[2]
                     if fn is None:
@@ -405,11 +390,14 @@ class Simulator:
                 else:
                     return
                 processed += 1
-                fn(*event[3])
-                # Release the callback and its arguments now, not when
-                # the last handle to the event goes away.
+                # Release the callback and its arguments before the call,
+                # not when the last handle to the event goes away: the
+                # event is already off the queues, so a ``cancel`` from
+                # inside ``fn`` must find a tombstone, not a live entry.
+                args = event[3]
                 event[2] = None
                 event[3] = ()
+                fn(*args)
         finally:
             self.events_processed += processed
 
@@ -447,7 +435,7 @@ class Simulator:
         self._dispatch(future, limit)
         if future._done:
             return future.value
-        if self._heap or self._far:
+        if self._heap:
             raise SimulationError(
                 f"future not resolved by simulated time {limit}")
         raise SimulationError("event heap drained before future resolved")
@@ -546,24 +534,28 @@ def with_timeout(sim: Simulator, future: Future, delay_ms: float,
     late outcome on the inner future is consumed silently (the caller
     has already moved on) — this is the per-RPC timeout primitive for
     hardened client paths.
+
+    The deadline dies with what it guards: when ``future`` settles first
+    its timer is cancelled, so ``on_deadline`` never runs, is never
+    counted as an event, and pins nothing until the deadline passes.
     """
     result = Future(sim)
 
     def on_done(fut: Future) -> None:
-        if result.done:
-            return
-        if fut.error is not None:
-            result.reject(fut.error)
+        if result._done:
+            return  # the deadline won; nobody is waiting any more
+        sim.cancel(deadline)
+        if fut._error is not None:
+            result.reject(fut._error)
         else:
             result.resolve(fut._value)
 
     def on_deadline() -> None:
-        if not result.done:
-            err = error if isinstance(error, BaseException) else error()
-            result.reject(err)
+        result.reject(error if isinstance(error, BaseException)
+                      else error())
 
+    deadline = sim.call_after(delay_ms, on_deadline)
     future.add_callback(on_done)
-    sim.call_after(delay_ms, on_deadline)
     return result
 
 

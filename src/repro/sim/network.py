@@ -601,7 +601,8 @@ class Network:
         if not fut.done:
             fut.reject(error)
 
-    def send(self, src, dst, callback: Callable[..., None], *args) -> None:
+    def send(self, src, dst, callback: Callable[..., None], *args,
+             after_ms: float = 0.0) -> None:
         """One-way, fire-and-forget message (e.g. Raft appends).
 
         The delay computation is ``_entry_delay`` inlined: this is the
@@ -613,6 +614,12 @@ class Network:
         the Raft paths.  The delivery is one ordinary timer event whose
         cancellation handle is dropped: nothing cancels a message once
         it is in flight.
+
+        ``after_ms`` is sender-side work the message waits for before it
+        departs (a follower's disk append before its ack): it is added
+        to the one delivery event instead of costing a timer of its
+        own.  Everything else — reachability, loss, the jitter draw, the
+        hop histogram's wire time — is decided now, at the call.
         """
         faults = self.faults
         if faults.active and (faults.blocked(src, dst)
@@ -639,4 +646,4 @@ class Network:
         hist = entry[1]
         if hist is not None:
             hist.observe(delay)
-        self._schedule(delay, callback, *args)
+        self._schedule(delay + after_ms, callback, *args)

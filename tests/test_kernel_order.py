@@ -180,6 +180,29 @@ def test_cancel_after_dispatch_is_a_no_op():
     assert sim.events_processed == 2
 
 
+def test_cancelling_the_running_timer_leaves_no_phantom_tombstone():
+    """A guard timer whose callback settles what it guards cancels its
+    own handle (Raft's proposal timeout does).  The event is already off
+    the queues, so that must not count as a tombstone: phantom ones are
+    never popped, and past the compaction floor every later ``cancel``
+    would sweep the whole heap."""
+    sim = Simulator()
+    handles = []
+    fired = []
+
+    def fire(i):
+        fired.append(i)
+        sim.cancel(handles[i])
+
+    for i in range(5):
+        handles.append(sim.call_after(1.0 + i, fire, i))
+    handles.append(sim.call_after(0.0, fire, 5))  # the ready-deque path
+    sim.run()
+    assert fired == [5, 0, 1, 2, 3, 4]
+    assert sim._tombstones == 0
+    assert sim.events_processed == 6
+
+
 # -- one loop behind both entry points ---------------------------------------
 
 

@@ -272,3 +272,122 @@ class TestMembership:
         group, _ = build_group(cluster, cluster.nodes)
         group.remove_peer(cluster.nodes[2].node_id)
         assert len(group.voters()) == 2
+
+
+def count_sends(cluster):
+    """Record every ``Network.send`` as (callback name, src id, dst id,
+    args); the list fills as the simulation runs."""
+    sent = []
+    send = cluster.network.send
+
+    def counting(src, dst, callback, *args, **kwargs):
+        sent.append((callback.__name__, src.node_id, dst.node_id, args))
+        send(src, dst, callback, *args, **kwargs)
+
+    cluster.network.send = counting
+    return sent
+
+
+class TestMessageBudget:
+    """Per proposal and follower: one append, one ack — only from a
+    follower that lands the entry while it is still uncommitted — and
+    one commit update.  Nothing else, and nothing dead."""
+
+    REGIONS = ["us-east1", "us-west1", "europe-west2"]
+
+    def group_with_learners(self):
+        cluster = standard_cluster(self.REGIONS, nodes_per_region=3,
+                                   jitter_fraction=0.0)
+        voters = cluster.nodes_in_region("us-east1")
+        learners = [cluster.nodes_in_region(r)[0] for r in self.REGIONS[1:]]
+        group, applied = build_group(cluster, voters, learners=learners)
+        return cluster, group, applied, learners
+
+    def commit_times(self, cluster, group, n):
+        times = {}
+        for i in range(n):
+            fut = group.propose(("cmd", i), TS_ZERO)
+            fut.add_callback(
+                lambda f, i=i: times.setdefault(i, cluster.sim.now))
+        cluster.sim.run()
+        return [times[i] for i in range(n)]
+
+    def test_pipelined_proposals_cost_exactly_ten_messages_each(self):
+        n = 12
+        cluster, group, applied, _learners = self.group_with_learners()
+        sent = count_sends(cluster)
+        times = self.commit_times(cluster, group, n)
+        assert group.commit_index == n and len(times) == n
+        for log in applied.values():  # all five replicas, all N, in order
+            assert log == [("cmd", i) for i in range(n)]
+        by_kind = {}
+        for kind, *_rest in sent:
+            by_kind[kind] = by_kind.get(kind, 0) + 1
+        # Both voter followers land every entry inside the quorum race
+        # and ack it; the learners land it ~30 ms after the local quorum
+        # committed it and stay silent.
+        voter_ids = {p.node.node_id for p in group.voters()}
+        acks = [s for s in sent if s[0] == "_on_ack"]
+        assert {src for _k, src, _dst, _a in acks} < voter_ids
+        assert by_kind == {"_deliver_append": 4 * n, "_on_ack": 2 * n,
+                           "_learn_commit": 4 * n}
+        assert len(sent) == 10 * n
+
+    def test_cutting_the_learner_acks_changes_no_commit_time(self):
+        cluster, group, _applied, _learners = self.group_with_learners()
+        baseline = self.commit_times(cluster, group, 6)
+        cluster, group, applied, learners = self.group_with_learners()
+        for learner in learners:
+            cluster.network.faults.cut_link(learner.node_id,
+                                            group.leader_node_id)
+        assert self.commit_times(cluster, group, 6) == baseline
+        for learner in learners:  # the forward direction still flows
+            assert len(applied[learner.node_id]) == 6
+
+    def test_resync_acks_the_uncommitted_tail_only(self):
+        """A crash-restarted voter is re-sent the whole log: the
+        committed prefix needs no acks (nothing waits on them), the
+        uncommitted tail still re-acks — and that is what commits it."""
+        cluster = one_region_cluster()
+        group, applied = build_group(cluster, cluster.nodes)
+        _leader, stays, crashes = cluster.nodes
+        cluster.network.crash_node(crashes.node_id)
+        committed = [group.propose(("cmd", i), TS_ZERO) for i in range(5)]
+        cluster.sim.run()
+        assert all(f.done for f in committed) and group.commit_index == 5
+        # Lose the second voter too: the next two entries cannot commit.
+        cluster.network.crash_node(stays.node_id)
+        tail = [group.propose(("cmd", i), TS_ZERO) for i in (5, 6)]
+        cluster.sim.run()
+        assert not any(f.done for f in tail) and group.commit_index == 5
+        sent = count_sends(cluster)
+        cluster.network.restart_node(crashes.node_id)
+        group.resync_peer(crashes.node_id)
+        cluster.sim.run()
+        appends = [s[3][1].index for s in sent if s[0] == "_deliver_append"]
+        acks = [s[3][0] for s in sent if s[0] == "_on_ack"]
+        assert appends == [1, 2, 3, 4, 5, 6, 7]
+        assert acks == [6, 7]
+        assert all(f.done for f in tail) and group.commit_index == 7
+        assert applied[crashes.node_id] == [("cmd", i) for i in range(7)]
+
+    def test_duplicate_append_of_an_uncommitted_entry_still_re_acks(self):
+        """The retransmission path: the peer holds the entry, its ack
+        was lost, the leader re-sends — the duplicate must ack again."""
+        cluster = one_region_cluster()
+        group, _applied = build_group(cluster, cluster.nodes)
+        leader, follower, other = cluster.nodes
+        cluster.network.crash_node(other.node_id)
+        cluster.network.faults.cut_link(follower.node_id, leader.node_id)
+        fut = group.propose(("cmd",), TS_ZERO)
+        cluster.sim.run()
+        assert not fut.done  # the entry landed, its ack did not arrive
+        assert group.peers[follower.node_id].last_index == 1
+        cluster.network.faults.heal_link(follower.node_id, leader.node_id)
+        sent = count_sends(cluster)
+        group._send_append(group.leader, group.peers[follower.node_id],
+                           group.leader.log[0])
+        cluster.sim.run()
+        assert [s[0] for s in sent if other.node_id not in s[1:3]] == [
+            "_deliver_append", "_on_ack", "_learn_commit"]
+        assert fut.done and group.commit_index == 1
