@@ -7,6 +7,7 @@ from .closedts import (
     LeadPolicy,
 )
 from .commands import (
+    BatchCommand,
     PutIntentCommand,
     ResolveIntentCommand,
     SetTxnRecordCommand,
@@ -34,6 +35,7 @@ __all__ = [
     "DEFAULT_CLOSED_TS_LAG_MS",
     "LagPolicy",
     "LeadPolicy",
+    "BatchCommand",
     "PutIntentCommand",
     "ResolveIntentCommand",
     "SetTxnRecordCommand",

@@ -13,6 +13,7 @@ from typing import Any, Optional
 from ..sim.clock import Timestamp
 
 __all__ = [
+    "BatchCommand",
     "EpochOrderCommand",
     "PutIntentCommand",
     "ResolveIntentCommand",
@@ -79,3 +80,17 @@ class EpochOrderCommand:
 
     epoch: int
     txn_ids: tuple
+
+
+@dataclass(frozen=True)
+class BatchCommand:
+    """Several commands replicated as one Raft entry (one proposal, one
+    quorum round for a whole per-range request batch).
+
+    ``Range._apply`` applies the members in order, each on the range
+    that owns its key *now* — a split landing while the entry is in the
+    pipeline forwards the moved members one by one.  Deliberately
+    key-less itself, so the entry as a whole is never re-routed.
+    """
+
+    commands: tuple

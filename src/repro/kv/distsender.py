@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from functools import partial
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from ..errors import (
@@ -65,6 +66,89 @@ def negotiated_timestamp(servable: Iterable[Timestamp],
         raise StaleReadBoundError(
             f"negotiated {negotiated} below bound {min_ts}")
     return negotiated
+
+
+class _Batch:
+    """One ``read_batch`` / ``write_batch`` in flight: ``requests`` —
+    tuples that start ``(token, key)`` — sent as one leaseholder call
+    per owning range.
+
+    The requests are grouped through the span cache, in order of first
+    appearance.  A one-key group is ``single(request)`` (today's
+    ``read`` / ``write``, unchanged); a larger one is ``group(members)``,
+    a multi-key ``_leaseholder_call`` whose value lists one result per
+    member.  ``result`` never rejects: it resolves, once every group has
+    settled, with one outcome per request *in request order* — the key's
+    result, or for every key of a group that failed, that group's
+    exception.
+
+    A group bounced with ``RangeKeyMismatch`` (a split or merge landed
+    between grouping and serving) can never fit the range it was sent
+    to, so it is not retried as it stands: the bounce has invalidated
+    the span cache, and the group's keys are partitioned again and
+    re-sent, each new group with the full robustness kit.
+    ``RPC_MAX_ATTEMPTS`` bounds the re-partitions of one lineage.
+
+    An object with bound-method callbacks, not a pair of closures that
+    name each other: a finished batch dies by refcount, not in the
+    cyclic collector (``tests/test_kv_batch.py::TestNoCyclicGarbage``).
+    """
+
+    __slots__ = ("ds", "gateway", "requests", "single", "group",
+                 "outcomes", "result", "in_flight")
+
+    def __init__(self, ds: "DistSender", gateway, requests, single, group):
+        self.ds = ds
+        self.gateway = gateway
+        self.requests = requests
+        self.single = single
+        self.group = group
+        self.outcomes: List[Any] = [None] * len(requests)
+        self.result = Future(ds.cluster.sim)
+        self.in_flight = 0
+        if requests:
+            self.send(range(len(requests)), 0)
+        else:
+            self.result.resolve(self.outcomes)
+
+    def send(self, indices, attempt: int) -> None:
+        requests = self.requests
+        resolve = self.ds.resolve
+        groups: dict = {}
+        for index in indices:
+            request = requests[index]
+            groups.setdefault(resolve(request[0], request[1]),
+                              []).append(index)
+        self.in_flight += len(groups)
+        for rng, members in groups.items():
+            if len(members) == 1:
+                call = self.single(requests[members[0]])
+            else:
+                # Per-key load, as resolve() records for ``single``.
+                load = rng.descriptor.load
+                now = self.ds.cluster.sim.now
+                region = self.gateway.locality.region
+                for index in members:
+                    load.record(now, key=requests[index][1], region=region)
+                call = self.group([requests[index] for index in members])
+            call.add_callback(partial(self.settle, members, attempt))
+
+    def settle(self, members: List[int], attempt: int, fut: Future) -> None:
+        outcomes = self.outcomes
+        error = fut._error
+        if error is None:
+            values = fut._value if len(members) > 1 else (fut._value,)
+            for index, value in zip(members, values):
+                outcomes[index] = value
+        elif (isinstance(error, RangeKeyMismatchError) and len(members) > 1
+                and attempt + 1 < self.ds.RPC_MAX_ATTEMPTS):
+            self.send(members, attempt + 1)
+        else:
+            for index in members:
+                outcomes[index] = error
+        self.in_flight -= 1
+        if not self.in_flight:
+            self.result.resolve(outcomes)
 
 
 class DistSender:
@@ -308,7 +392,8 @@ class DistSender:
                           span=None, op: str = "kv.rpc",
                           deadline_ms: Optional[float] = None,
                           key: Any = None,
-                          record_load: bool = False) -> Future:
+                          record_load: bool = False,
+                          keys: int = 1) -> Future:
         """Send ``handler`` to the owning range's leaseholder with the
         full robustness kit: per-RPC timeout, seeded exponential backoff
         with jitter between attempts, a per-replica circuit breaker, and
@@ -319,7 +404,9 @@ class DistSender:
         a split or merge landing mid-call (signalled by a
         ``RangeKeyMismatch`` bounce, which invalidates the descriptor
         cache) re-routes the next attempt to the new owner instead of
-        failing the request.
+        failing the request.  A request carrying several ``keys`` (a
+        batch group, routed by its first) has no single new owner: its
+        bounce is handed back for the caller to re-partition.
 
         ``handler`` takes ``(rng, attempt_span)``: the resolved range
         and the per-attempt span id (0 when untraced) to thread into the
@@ -335,8 +422,10 @@ class DistSender:
                                record_load=record_load)
             # ``span`` is 0 for an untraced request (skip the calls) and
             # None for a caller with no trace context (a client entry).
-            op_span = (tracer.start(op, span, ("range", rng.name))
-                       if span != 0 else 0)
+            op_span = (tracer.start(
+                op, span, ("range", rng.name) if keys == 1
+                else ("range", rng.name, "keys", keys))
+                if span != 0 else 0)
             try:
                 # Constructed lazily: the zero-retry fast path never
                 # draws a backoff delay, so skip the allocation.
@@ -386,7 +475,7 @@ class DistSender:
                         gateway, dst,
                         lambda _rng=rng, _span=attempt_span: handler(_rng,
                                                                      _span),
-                        span=attempt_span)
+                        payload_size=keys, span=attempt_span)
                     timeout_ms = self.RPC_TIMEOUT_MS
                     if deadline_ms is not None:
                         timeout_ms = min(timeout_ms, deadline_ms - sim.now)
@@ -427,6 +516,8 @@ class DistSender:
                         tracer.finish(attempt_span, "error",
                                       "range_key_mismatch")
                         self._invalidate_token(token)
+                        if keys > 1:
+                            raise
                         continue
                     except Exception as err:
                         # The node answered; the failure is application-level.
@@ -683,6 +774,63 @@ class DistSender:
                 deadline_ms=deadline_ms),
             span=span, op="kv.write", deadline_ms=deadline_ms, key=key,
             record_load=True)
+
+    # -- per-range batching --------------------------------------------------------
+
+    def read_batch(self, gateway, requests, ts: Timestamp,
+                   txn_id: Optional[int] = None,
+                   uncertainty_limit: Optional[Timestamp] = None,
+                   allow_server_side_bump: bool = False, span=None,
+                   deadline_ms: Optional[float] = None) -> Future:
+        """Leaseholder-read every ``(token, key)`` of ``requests`` at
+        ``ts``, one RPC per owning range.  Resolves (see
+        :class:`_Batch` for the order and failure contract) with a
+        ``(ReadResult, effective_ts)`` per request."""
+        def single(request) -> Future:
+            return self.read(gateway, request[0], request[1], ts,
+                             txn_id=txn_id,
+                             uncertainty_limit=uncertainty_limit,
+                             allow_server_side_bump=allow_server_side_bump,
+                             span=span, deadline_ms=deadline_ms)
+
+        def group(members) -> Future:
+            keys = [key for _token, key in members]
+            return self._leaseholder_call(
+                gateway, members[0][0],
+                lambda _rng, _span=None: _rng.serve_read_batch(
+                    keys, ts, txn_id, uncertainty_limit,
+                    allow_server_side_bump, span=_span,
+                    deadline_ms=deadline_ms),
+                span=span, op="kv.read", deadline_ms=deadline_ms,
+                key=keys[0], keys=len(keys))
+
+        return _Batch(self, gateway, requests, single, group).result
+
+    def write_batch(self, gateway, items, ts: Timestamp, txn_id: int,
+                    anchor_node_id: int, span=None,
+                    deadline_ms: Optional[float] = None) -> Future:
+        """Write an intent for every ``(token, key, value)`` of
+        ``items``, one RPC and one Raft entry per owning range.
+        Resolves (see :class:`_Batch`) with the timestamp each
+        intent was laid at — a group lays all of its intents or, when
+        its outcome is an exception, is not known to have laid any.
+        Safe to retry, like :meth:`write`."""
+        def single(item) -> Future:
+            return self.write(gateway, item[0], item[1], ts, item[2],
+                              txn_id, anchor_node_id, span=span,
+                              deadline_ms=deadline_ms)
+
+        def group(members) -> Future:
+            pairs = [(key, value) for _token, key, value in members]
+            return self._leaseholder_call(
+                gateway, members[0][0],
+                lambda _rng, _span=None: _rng.serve_write_batch(
+                    pairs, ts, txn_id, anchor_node_id, span=_span,
+                    deadline_ms=deadline_ms),
+                span=span, op="kv.write", deadline_ms=deadline_ms,
+                key=pairs[0][0], keys=len(pairs))
+
+        return _Batch(self, gateway, items, single, group).result
 
     def locking_read(self, gateway, token, key: Any, ts: Timestamp,
                      txn_id: int, anchor_node_id: int, span=None,

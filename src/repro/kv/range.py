@@ -36,6 +36,7 @@ from ..storage.mvcc import ReadResult
 from ..storage.tscache import TimestampCache
 from .closedts import ClosedTimestampPolicy, LagPolicy
 from .commands import (
+    BatchCommand,
     EpochOrderCommand,
     PutIntentCommand,
     ResolveIntentCommand,
@@ -414,6 +415,12 @@ class Range:
         return self.group.propose(command, closed, span=span)
 
     def _apply(self, node: "Node", command: Any) -> None:
+        if type(command) is BatchCommand:
+            # One entry, many commands: each member applies on its own,
+            # so one a split moved is forwarded like any other.
+            for member in command.commands:
+                self._apply(node, member)
+            return
         # A split/merge may have moved the command's key out of this
         # range while the proposal was in the Raft pipeline; apply it on
         # the range that owns the key now (same node — splits never move
@@ -484,61 +491,132 @@ class Range:
                     self.sim.now - started)
             tracer.finish(wait_span)
 
-    def serve_write(self, key: Any, ts: Timestamp, value: Any, txn_id: int,
-                    anchor_node_id: int, span=None,
-                    deadline_ms: Optional[float] = None) -> Generator:
-        """Evaluate and replicate a transactional write; returns the
-        (possibly advanced) timestamp the intent was written at."""
-        if self._c_writes is None:
-            self._c_writes = self.sim.obs.registry.counter(
-                "kv.writes", range=self.name)
-        self._c_writes.inc()
+    def _admit(self, ts: Timestamp, deadline_ms: Optional[float],
+               units: int = 1) -> Generator:
+        """What every keyed request pays before it touches a lock: one
+        store-admission unit per key, then the clock-safety check."""
         admission = self.cluster.admission
         if admission is not None:
             # Store-level admission: hold an evaluation slot (modeled
             # CPU/IO cost) before touching locks; expired work is shed
             # here without consuming capacity.
-            yield from admission.store_work(self.leaseholder_node_id,
-                                            deadline_ms=deadline_ms)
+            for _unit in range(units):
+                yield from admission.store_work(self.leaseholder_node_id,
+                                                deadline_ms=deadline_ms)
         monitor = self.cluster.clock_monitor
         if monitor is not None:
             # Clock safety: refuse to serve while fenced, and reject
             # request timestamps only an out-of-contract clock could
-            # have produced (they would escape commit-wait).
+            # have produced (they would escape commit-wait; a
+            # beyond-bound *read* timestamp would poison the ts-cache
+            # far into the future, forcing every later writer through
+            # spurious refreshes).
             monitor.check_request(self.leaseholder_replica.node, ts)
+
+    def _count_writes(self, keys: int) -> None:
+        if self._c_writes is None:
+            self._c_writes = self.sim.obs.registry.counter(
+                "kv.writes", range=self.name)
+        self._c_writes.inc(keys)
+
+    def _evaluate_write(self, key: Any, ts: Timestamp, txn_id: int):
+        """One yield-free evaluation of a write to ``key`` at ``ts``:
+        ownership, lock table, ``check_write``, write-too-old bump.
+
+        Returns ``(ts, None)`` when the write may go ahead at the
+        (possibly bumped) ``ts``, or ``(ts, holder_txn_id)`` when it
+        must first wait for that transaction's lock — after which the
+        caller evaluates again: lock waits yield, and a split or merge
+        may move the key out from under us mid-wait.
+        """
+        self._check_owns(key)
+        holder = self.lock_table.holder_of(key)
+        if holder is not None and holder.txn_id != txn_id:
+            return ts, holder.txn_id
+        store = self.leaseholder_replica.store
         while True:
-            # Re-checked every iteration: lock waits yield, and a split
-            # or merge may move the key out from under us mid-wait.
-            self._check_owns(key)
-            holder = self.lock_table.holder_of(key)
-            if holder is not None and holder.txn_id != txn_id:
-                yield from self._wait_or_push(key, txn_id, holder.txn_id,
-                                              span=span)
-                continue
             try:
-                self.leaseholder_replica.store.check_write(key, ts, txn_id)
+                store.check_write(key, ts, txn_id)
             except WriteIntentError as err:
                 # Applied intent without a lock-table entry (lease moved):
                 # reconstruct the holder so the wait is released on resolve.
                 self.lock_table.note_holder(key, err.txn_id, err.intent_ts)
-                yield from self._wait_or_push(key, txn_id, err.txn_id,
-                                              span=span)
-                continue
+                return ts, err.txn_id
             except WriteTooOldError as err:
                 ts = err.existing_ts.next()
                 continue
-            break
+            return ts, None
+
+    def _await_write(self, key: Any, ts: Timestamp, txn_id: int,
+                     span=None) -> Generator:
+        """Evaluate a write to ``key``, waiting out (or pushing) every
+        conflicting lock; returns the timestamp it may be written at."""
+        while True:
+            ts, blocker = self._evaluate_write(key, ts, txn_id)
+            if blocker is None:
+                return ts
+            yield from self._wait_or_push(key, txn_id, blocker, span=span)
+
+    def _latch_write(self, key: Any, ts: Timestamp, txn_id: int) -> Timestamp:
+        """Lift an evaluated write above the timestamp cache and the
+        closed-timestamp target, and latch the key for the duration of
+        replication + intent lifetime.  Returns the intent timestamp."""
         ts = self.ts_cache.min_write_ts(key, ts, txn_id)
         floor = self.closed_target()
         if ts <= floor:
             ts = floor.next()
-        # Latch the key for the duration of replication + intent lifetime.
         self.lock_table.note_holder(key, txn_id, ts)
+        return ts
+
+    def serve_write(self, key: Any, ts: Timestamp, value: Any, txn_id: int,
+                    anchor_node_id: int, span=None,
+                    deadline_ms: Optional[float] = None) -> Generator:
+        """Evaluate and replicate a transactional write; returns the
+        (possibly advanced) timestamp the intent was written at."""
+        self._count_writes(1)
+        yield from self._admit(ts, deadline_ms)
+        ts = yield from self._await_write(key, ts, txn_id, span=span)
+        ts = self._latch_write(key, ts, txn_id)
         entry = yield self._propose(PutIntentCommand(
             key=key, ts=ts, value=value, txn_id=txn_id,
             anchor_node_id=anchor_node_id), span=span)
         del entry
         return ts
+
+    def serve_write_batch(self, items, ts: Timestamp, txn_id: int,
+                          anchor_node_id: int, span=None,
+                          deadline_ms: Optional[float] = None) -> Generator:
+        """Evaluate several writes — ``items`` is ``[(key, value)]``, all
+        owned by this range — and replicate them as *one* Raft entry;
+        returns the intent timestamps in item order.
+
+        Each key gets :meth:`serve_write`'s evaluation.  No key is
+        latched until every key has passed in one yield-free pass (after
+        any lock wait the pass starts over from the first key), so a
+        request that fails on one key — deadlock abort, mismatch, shed —
+        leaves no lock-table holder behind on the others.
+        """
+        self._count_writes(len(items))
+        yield from self._admit(ts, deadline_ms, units=len(items))
+        stamps = [ts] * len(items)
+        index = 0
+        while index < len(items):
+            key = items[index][0]
+            stamps[index], blocker = self._evaluate_write(
+                key, stamps[index], txn_id)
+            if blocker is None:
+                index += 1
+                continue
+            yield from self._wait_or_push(key, txn_id, blocker, span=span)
+            index = 0
+        commands = []
+        for index, (key, value) in enumerate(items):
+            stamps[index] = self._latch_write(key, stamps[index], txn_id)
+            commands.append(PutIntentCommand(
+                key=key, ts=stamps[index], value=value, txn_id=txn_id,
+                anchor_node_id=anchor_node_id))
+        yield self._propose(BatchCommand(tuple(commands)), span=span)
+        return stamps
 
     def serve_locking_read(self, key: Any, ts: Timestamp, txn_id: int,
                            anchor_node_id: int, span=None,
@@ -553,38 +631,11 @@ class Range:
         a write-too-old refresh — CRDB's motivation for FOR UPDATE in
         contended read-modify-write transactions.
         """
-        admission = self.cluster.admission
-        if admission is not None:
-            yield from admission.store_work(self.leaseholder_node_id,
-                                            deadline_ms=deadline_ms)
-        monitor = self.cluster.clock_monitor
-        if monitor is not None:
-            monitor.check_request(self.leaseholder_replica.node, ts)
-        while True:
-            self._check_owns(key)
-            holder = self.lock_table.holder_of(key)
-            if holder is not None and holder.txn_id != txn_id:
-                yield from self._wait_or_push(key, txn_id, holder.txn_id,
-                                              span=span)
-                continue
-            try:
-                self.leaseholder_replica.store.check_write(key, ts, txn_id)
-            except WriteIntentError as err:
-                self.lock_table.note_holder(key, err.txn_id, err.intent_ts)
-                yield from self._wait_or_push(key, txn_id, err.txn_id,
-                                              span=span)
-                continue
-            except WriteTooOldError as err:
-                ts = err.existing_ts.next()
-                continue
-            break
-        ts = self.ts_cache.min_write_ts(key, ts, txn_id)
-        floor = self.closed_target()
-        if ts <= floor:
-            ts = floor.next()
+        yield from self._admit(ts, deadline_ms)
+        ts = yield from self._await_write(key, ts, txn_id, span=span)
+        ts = self._latch_write(key, ts, txn_id)
         # Latest committed value (what the lock protects).
         newest = self.leaseholder_replica.store.get(key, ts, txn_id=txn_id)
-        self.lock_table.note_holder(key, txn_id, ts)
         yield self._propose(PutIntentCommand(
             key=key, ts=ts, value=newest.value, txn_id=txn_id,
             anchor_node_id=anchor_node_id), span=span)
@@ -609,16 +660,7 @@ class Range:
             self._c_reads = self.sim.obs.registry.counter(
                 "kv.reads", range=self.name)
         self._c_reads.inc()
-        admission = self.cluster.admission
-        if admission is not None:
-            yield from admission.store_work(self.leaseholder_node_id,
-                                            deadline_ms=deadline_ms)
-        monitor = self.cluster.clock_monitor
-        if monitor is not None:
-            # A beyond-bound *read* timestamp poisons the ts-cache far
-            # into the future, forcing every later writer through
-            # spurious refreshes — reject it at the door too.
-            monitor.check_request(self.leaseholder_replica.node, ts)
+        yield from self._admit(ts, deadline_ms)
         horizon = uncertainty_limit if uncertainty_limit is not None else ts
         while True:
             self._check_owns(key)
@@ -645,6 +687,25 @@ class Range:
                 continue
             self.ts_cache.record_read(key, ts, txn_id)
             return result, ts
+
+    def serve_read_batch(self, keys, ts: Timestamp, txn_id: Optional[int],
+                         uncertainty_limit: Optional[Timestamp],
+                         allow_server_side_bump: bool = False,
+                         span=None, deadline_ms: Optional[float] = None
+                         ) -> Generator:
+        """Serve several reads — ``keys`` all owned by this range — in
+        one leaseholder visit: :meth:`serve_read` per key, in order;
+        returns the ``(ReadResult, effective_read_ts)`` list.  A group
+        the range no longer owns in full bounces before any key is
+        served."""
+        for key in keys:
+            self._check_owns(key)
+        results = []
+        for key in keys:
+            results.append((yield from self.serve_read(
+                key, ts, txn_id, uncertainty_limit, allow_server_side_bump,
+                span=span, deadline_ms=deadline_ms)))
+        return results
 
     def serve_refresh(self, key: Any, lo: Timestamp, hi: Timestamp,
                       txn_id: int, span=None) -> Generator:

@@ -13,13 +13,15 @@ the service:
    (:class:`~repro.kv.commands.EpochOrderCommand`) so the decision
    survives coordinator failure;
 2. **validates** — serially, in the decided order, re-reads each
-   transaction's read set; any key whose latest version changed since
-   execution aborts the transaction with a retryable
+   transaction's read set (every distinct key once, one request per
+   range); any key whose latest version changed since execution aborts
+   the transaction with a retryable
    :class:`~repro.errors.TransactionValidationError`;
-3. **applies** — lays the survivor's writes as intents, picks a commit
-   timestamp above every intent timestamp *and* every earlier commit
-   (so MVCC version order equals the decided serial order), and
-   resolves the intents before acknowledging.
+3. **applies** — lays the survivor's writes as intents (one request
+   and one Raft entry per range), picks a commit timestamp above every
+   intent timestamp *and* every earlier commit (so MVCC version order
+   equals the decided serial order), and resolves the intents before
+   acknowledging.
 
 Within an epoch, transactions are partitioned into key-overlap
 conflict groups: groups touch disjoint keys, so they commit in
@@ -58,7 +60,7 @@ from ..kv.commands import TxnStatus
 from ..kv.distsender import ReadRouting
 from ..obs import DETACHED
 from ..sim.clock import TS_MAX, TS_ZERO, Timestamp
-from ..sim.core import Future, all_of, settle_all
+from ..sim.core import Future, all_of
 from .protocol import TxnProtocol
 
 __all__ = ["EpochOccProtocol", "EpochService", "EpochTransaction"]
@@ -95,6 +97,24 @@ class EpochService:
     :class:`EpochOccProtocol` on first use and attached to the cluster.
     Epoch boundaries are scheduled on demand — an idle service has no
     ticker process, so simulations still drain.
+
+    What a commit costs, per step, with the ``bench/`` ``tpcc_epoch``
+    counts per repetition (122 transactions, 105 of them writers; seed
+    0; EXPERIMENTS.md "Round 8") as before → after per-range batching:
+
+    * HOT: **validate** — one leaseholder RPC per range holding a
+      distinct read-set key, no Raft: 1638 read-set entries are 1178
+      distinct keys on 608 (transaction, range) pairs, so 1638 → 608
+      RPCs (13.4 → 5.0 per transaction).
+    * HOT: **apply** — one RPC *and one Raft entry* per range written
+      (a one-key group is a plain ``PutIntentCommand``, a larger one a
+      ``BatchCommand``): 852 → 479 of each (8.1 → 4.6 per writer).
+    * HOT: **resolve** — still one RPC and one Raft entry per key, 852
+      of each: ``DistSender.resolve_intents`` is the CRDB pipeline's
+      too, and batching it moves every CRDB-protocol fingerprint
+      (ROADMAP item 4(e)).
+    * **order** — one RPC and one Raft entry per *epoch* with a writer
+      (81), shared by the whole batch.
     """
 
     def __init__(self, cluster, distsender, interval_ms: float,
@@ -124,6 +144,7 @@ class EpochService:
         registry = self.sim.obs.registry
         self._c_epochs = registry.counter("txn.epochs_sealed")
         self._c_validation_reads = registry.counter("txn.validation_reads")
+        self._h_epoch_wait = registry.histogram("txn.epoch_wait_ms")
 
     # -- submission ----------------------------------------------------------
 
@@ -240,7 +261,7 @@ class EpochService:
 
         owner: Dict[Any, int] = {}
         for index, (txn, _ack) in enumerate(batch):
-            keys = {(token, key) for token, key, _obs in txn.read_set}
+            keys = {(keyspan, key) for keyspan, key, _obs in txn.read_set}
             keys.update(txn.write_buffer)
             for item in keys:
                 prev = owner.get(item)
@@ -315,56 +336,58 @@ class EpochService:
                        name=f"epoch-ack-{txn.txn_id}")
 
     def _validate(self, origin, txn: "EpochTransaction") -> Generator:
-        """Re-read the read set (latest committed); returns the first
-        conflicting entry ``(token, key, observed_ts, current_ts)`` in
-        read order, or None if every version is unchanged."""
+        """Re-read the read set (latest committed) — each distinct key
+        once, one RPC per range — and judge every observation against
+        it; returns the first conflicting entry ``(keyspan, key,
+        observed_ts, current_ts)`` in read order, or None if every
+        version is unchanged."""
         entries = txn.read_set
         self._c_validation_reads.inc(len(entries))
-        futures = [
-            self.ds.read(origin, token, key, origin.clock.now(),
-                         txn_id=txn.txn_id, uncertainty_limit=TS_MAX,
-                         routing=ReadRouting.LEASEHOLDER,
-                         allow_server_side_bump=True, span=txn.span)
-            for token, key, _observed in entries
-        ]
-        results = yield all_of(self.sim, futures)
-        for (token, key, observed_ts), (result, _ts) in zip(entries, results):
-            current_ts = result.ts
+        distinct = list(dict.fromkeys(
+            (keyspan, key) for keyspan, key, _observed in entries))
+        outcomes = yield self.ds.read_batch(
+            origin, distinct, origin.clock.now(), txn_id=txn.txn_id,
+            uncertainty_limit=TS_MAX, allow_server_side_bump=True,
+            span=txn.span)
+        current: Dict[Tuple[Any, Any], Optional[Timestamp]] = {}
+        for request, outcome in zip(distinct, outcomes):
+            if isinstance(outcome, BaseException):
+                raise outcome
+            current[request] = outcome[0].ts
+        for keyspan, key, observed_ts in entries:
+            current_ts = current[(keyspan, key)]
             if current_ts != observed_ts:
-                return (token, key, observed_ts, current_ts)
+                return (keyspan, key, observed_ts, current_ts)
         return None
 
     def _apply(self, origin, txn: "EpochTransaction") -> Generator:
-        """Lay the write buffer as intents, commit above every earlier
-        commit, and resolve before acknowledging (so the next serial
-        step — and every post-ack reader — sees this state)."""
-        items = list(txn.write_buffer.items())
-        (first_token, first_key), _value = items[0]
-        anchor = self.ds.resolve(first_token, first_key)
+        """Lay the write buffer as intents — one RPC and one Raft entry
+        per range — commit above every earlier commit, and resolve
+        before acknowledging (so the next serial step — and every
+        post-ack reader — sees this state)."""
+        items = [(keyspan, key, value)
+                 for (keyspan, key), value in txn.write_buffer.items()]
+        anchor = self.ds.resolve(items[0][0], items[0][1])
         txn.anchor = anchor
         anchor_node = anchor.leaseholder_node_id or -1
-        base_ts = origin.clock.now()
-        futures = [
-            self.ds.write(origin, token, key, base_ts, value, txn.txn_id,
-                          anchor_node_id=anchor_node, span=txn.span)
-            for (token, key), value in items
-        ]
-        settled = yield settle_all(self.sim, futures)
+        outcomes = yield self.ds.write_batch(
+            origin, items, origin.clock.now(), txn.txn_id,
+            anchor_node_id=anchor_node, span=txn.span)
         first_error: Optional[BaseException] = None
         commit_ts = self._last_commit_ts.next()
         laid: List[Tuple[Any, Any]] = []
         recorder = txn.coordinator.recorder
-        for fut, ((token, key), value) in zip(settled, items):
-            if fut.error is not None:
+        for (keyspan, key, value), written_ts in zip(items, outcomes):
+            if isinstance(written_ts, BaseException):
+                # The range group this key travelled in failed whole.
                 if first_error is None:
-                    first_error = fut.error
+                    first_error = written_ts
                 continue
-            written_ts = fut._value
-            laid.append((token, key))
+            laid.append((keyspan, key))
             if written_ts > commit_ts:
                 commit_ts = written_ts
             if recorder is not None:
-                recorder.on_write(txn, token, key, value, written_ts)
+                recorder.on_write(txn, keyspan, key, value, written_ts)
         if first_error is not None:
             # Partial apply: abort cleanly — resolve whatever intents
             # landed, then resubmit from scratch.
@@ -413,7 +436,7 @@ class EpochService:
         stats.epoch_waits += 1
         waited = self.sim.now - txn.submitted_at_ms
         stats.epoch_wait_ms_total += waited
-        self.sim.obs.registry.histogram("txn.epoch_wait_ms").observe(waited)
+        self._h_epoch_wait.observe(waited)
         ack.resolve(commit_ts)
 
 
@@ -431,13 +454,18 @@ class EpochTransaction:
             "txn", parent_span, ("txn_id", txn_id, "gateway",
                                  gateway.node_id, "protocol", "epoch-occ"))
         self.read_ts: Timestamp = gateway.clock.now()
-        #: Read set for validation: [(token, key, observed version ts)].
+        #: Read set for validation: [(keyspan, key, observed version ts)].
         #: Duplicate reads keep every observation — two reads of one key
         #: that saw different versions can never both be latest at the
         #: commit point, so validation rejects the interleaving.
         self.read_set: List[Tuple[Any, Any, Optional[Timestamp]]] = []
-        #: Gateway-local write buffer: (token, key) -> value, in write
+        #: Gateway-local write buffer: (keyspan, key) -> value, in write
         #: order.  No intents exist until the epoch applies.
+        #:
+        #: Both are keyed on the routing token's *span*, never the token
+        #: object: a Range and its TableSpan address the same keys, and
+        #: a key reached through both must be one key to the buffer and
+        #: to the service's conflict groups.
         self.write_buffer: Dict[Tuple[Any, Any], Any] = {}
         self.anchor = None
         self.status = TxnStatus.PENDING
@@ -463,57 +491,59 @@ class EpochTransaction:
         can never be closed on a follower); the observed version joins
         the read set for commit-time validation.
         """
-        buffered = self.write_buffer.get((rng, key))
-        if buffered is not None or (rng, key) in self.write_buffer:
+        keyspan = rng.span
+        buffered = self.write_buffer.get((keyspan, key))
+        if buffered is not None or (keyspan, key) in self.write_buffer:
             result = _BufferedRead(buffered)
             recorder = self.coordinator.recorder
             if recorder is not None:
-                recorder.on_read(self, rng, key, result)
+                recorder.on_read(self, keyspan, key, result)
             return buffered
         result, _effective_ts = yield self._ds.read(
-            self.gateway, rng, key, self.gateway.clock.now(),
+            self.gateway, keyspan, key, self.gateway.clock.now(),
             txn_id=self.txn_id, uncertainty_limit=TS_MAX,
             routing=ReadRouting.LEASEHOLDER, allow_server_side_bump=True,
             span=self.span, deadline_ms=self.deadline_ms)
-        self.read_set.append((rng, key, result.ts))
+        self.read_set.append((keyspan, key, result.ts))
         recorder = self.coordinator.recorder
         if recorder is not None:
-            recorder.on_read(self, rng, key, result)
+            recorder.on_read(self, keyspan, key, result)
         return result.value
 
     def read_batch(self, requests: List[Tuple[Any, Any]],
                    routing: str = ReadRouting.LEASEHOLDER) -> Generator:
-        """Read several keys in parallel (latest committed versions)."""
-        if not requests:
-            return []
-        values: Dict[int, Any] = {}
-        fetch: List[Tuple[int, Any, Any]] = []
+        """Read several keys (latest committed versions), one RPC per
+        range."""
+        values: List[Any] = [None] * len(requests)
+        slots: List[int] = []
+        fetch: List[Tuple[Any, Any]] = []
         recorder = self.coordinator.recorder
         for index, (rng, key) in enumerate(requests):
-            if (rng, key) in self.write_buffer:
-                buffered = self.write_buffer[(rng, key)]
-                values[index] = buffered
+            keyspan = rng.span
+            if (keyspan, key) in self.write_buffer:
+                buffered = values[index] = self.write_buffer[(keyspan, key)]
                 if recorder is not None:
-                    recorder.on_read(self, rng, key, _BufferedRead(buffered))
+                    recorder.on_read(self, keyspan, key,
+                                     _BufferedRead(buffered))
             else:
-                fetch.append((index, rng, key))
+                slots.append(index)
+                fetch.append((keyspan, key))
         if fetch:
-            futures = [
-                self._ds.read(self.gateway, rng, key,
-                              self.gateway.clock.now(), txn_id=self.txn_id,
-                              uncertainty_limit=TS_MAX,
-                              routing=ReadRouting.LEASEHOLDER,
-                              allow_server_side_bump=True,
-                              span=self.span, deadline_ms=self.deadline_ms)
-                for _index, rng, key in fetch
-            ]
-            results = yield all_of(self.coordinator.sim, futures)
-            for (index, rng, key), (result, _ts) in zip(fetch, results):
-                self.read_set.append((rng, key, result.ts))
+            outcomes = yield self._ds.read_batch(
+                self.gateway, fetch, self.gateway.clock.now(),
+                txn_id=self.txn_id, uncertainty_limit=TS_MAX,
+                allow_server_side_bump=True, span=self.span,
+                deadline_ms=self.deadline_ms)
+            for index, (keyspan, key), outcome in zip(slots, fetch,
+                                                      outcomes):
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                result = outcome[0]
+                self.read_set.append((keyspan, key, result.ts))
                 values[index] = result.value
                 if recorder is not None:
-                    recorder.on_read(self, rng, key, result)
-        return [values[index] for index in range(len(requests))]
+                    recorder.on_read(self, keyspan, key, result)
+        return values
 
     def locking_read(self, rng, key: Any) -> Generator:
         """SELECT FOR UPDATE under OCC: there is no lock to take — the
@@ -531,13 +561,13 @@ class EpochTransaction:
         timestamp), so aborted optimistic transactions honestly show no
         writes — none ever reached the KV layer.
         """
-        self.write_buffer[(rng, key)] = value
+        self.write_buffer[(rng.span, key)] = value
         return None
         yield  # pragma: no cover - marks this function as a generator
 
     def write_batch(self, items: List[Tuple[Any, Any, Any]]) -> Generator:
         for rng, key, value in items:
-            self.write_buffer[(rng, key)] = value
+            self.write_buffer[(rng.span, key)] = value
         return []
         yield  # pragma: no cover - marks this function as a generator
 
@@ -597,7 +627,7 @@ class EpochOccProtocol(TxnProtocol):
         """The cluster's shared epoch service (one total order per
         cluster, whichever coordinator touches it first creates it)."""
         cluster = coordinator.cluster
-        service = getattr(cluster, "epoch_service", None)
+        service = cluster.epoch_service
         if service is None:
             service = EpochService(cluster, coordinator.distsender,
                                    self.interval_ms, validate=self.validate)

@@ -57,12 +57,15 @@ VERIFY_SCENARIOS = [
 CLOCK_SCENARIOS = ("clock-drift", "clock-jump", "clock-jump-nofence")
 
 #: The differential sweep the epoch-OCC backend must pass: the six
-#: heal-everything fault schedules, identical nemesis timelines to the
-#: CRDB-protocol sweep (``pytest -m verify_occ`` runs these x 5 seeds
-#: under ``protocol="epoch-occ"``).
+#: heal-everything fault schedules plus the reshaping keyspace — the
+#: one nemesis that makes the batched commit pipeline re-partition —
+#: on identical nemesis timelines to the CRDB-protocol sweep
+#: (``pytest -m verify_occ`` runs these x 5 seeds under
+#: ``protocol="epoch-occ"``).
 OCC_SWEEP_SCENARIOS = [
     "region-blackout", "rolling-zones", "flaky-wan",
     "gray-follower", "asym-partition", "crash-restart",
+    "split-merge",
 ]
 
 OCC_ABLATION_SCENARIO = "occ-novalidate"
