@@ -13,7 +13,7 @@ from repro.harness.experiments.fig6 import (
     run_fig6,
     run_fig6_placement_comparison,
 )
-from repro.metrics.histogram import Summary
+from repro.obs.report import Summary
 
 
 def test_fig6_tpcc_scalability(benchmark):

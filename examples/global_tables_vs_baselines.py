@@ -15,7 +15,7 @@ import random
 from repro.baselines import DuplicateIndexTable
 from repro.sql import ast
 from repro.harness.runner import build_engine
-from repro.metrics import Summary
+from repro.obs.report import Summary
 from repro.sim.clock import Timestamp
 from repro.sim.network import TABLE1_REGIONS
 

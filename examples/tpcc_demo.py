@@ -10,7 +10,7 @@ Run:  python examples/tpcc_demo.py
 """
 
 from repro.harness.runner import build_engine, run_clients, sessions_per_region
-from repro.metrics import LatencyRecorder, ResultTable
+from repro.obs.report import LatencyRecorder, ResultTable
 from repro.workloads.tpcc import TPCCOptions, TPCCWorkload
 
 REGIONS = ["us-east1", "europe-west2", "asia-northeast1"]

@@ -50,9 +50,9 @@ from .harness.farm import (default_workers, dumps_sweep, merge_results,
 from .harness.registry import FLAGS, REGISTRY, Experiment, summary
 from .harness.scale import render_scale, run_scale
 from .harness.tracing import run_traced_workload
-from .metrics.histogram import Summary
 from .obs import (containment_violations, critical_path, render_tree,
                   spans_named)
+from .obs.report import Summary
 from .verify import VerifyHistory, check
 
 __all__ = ["main", "build_parser"]

@@ -59,7 +59,7 @@ class AdmissionController:
         self.cluster = cluster
         self.sim = cluster.sim
         self.config = config or AdmissionConfig()
-        self.registry = getattr(cluster.sim.obs, "registry", None)
+        self.registry = cluster.sim.obs.registry
         self._queues: Dict[Tuple[str, str], AdmissionQueue] = {}
         self._store_queues: Dict[int, StoreWorkQueue] = {}
         self._budgets: Dict[str, RetryBudget] = {}
@@ -133,19 +133,10 @@ class AdmissionController:
 
     def totals(self) -> Dict[str, int]:
         """Deterministic admit/reject/shed totals across all queues."""
-        reg = self.registry
-        out = {"admitted": 0, "rejected": 0, "shed": 0}
-        if reg is None:
-            return out
-        counters = reg.snapshot().get("counters", {})
-        for key, value in sorted(counters.items()):
-            if key.startswith("admission.admitted"):
-                out["admitted"] += int(value)
-            elif key.startswith("admission.rejected"):
-                out["rejected"] += int(value)
-            elif key.startswith("admission.shed"):
-                out["shed"] += int(value)
-        return out
+        return {kind: int(sum(
+                    counter.value for counter in
+                    self.registry.instruments(name=f"admission.{kind}")))
+                for kind in ("admitted", "rejected", "shed")}
 
 
 def install_admission(cluster, config: Optional[AdmissionConfig] = None

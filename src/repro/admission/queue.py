@@ -14,6 +14,7 @@ import heapq
 from typing import List, Optional
 
 from ..errors import AdmissionRejectedError, DeadlineExceededError
+from ..obs import MetricsRegistry
 from ..sim.core import Future, Simulator
 from .tokens import TokenBucket
 
@@ -69,26 +70,18 @@ class AdmissionQueue:
         self._waiters: List[_Waiter] = []
         self._seq = 0
         self._pump_event = None
-        if registry is not None:
-            self._c_admitted = registry.counter("admission.admitted",
-                                                queue=name)
-            self._c_rejected = registry.counter("admission.rejected",
-                                                queue=name,
-                                                reason="queue_full")
-            self._c_shed = registry.counter("admission.shed", queue=name)
-            self._g_depth = registry.gauge("admission.queue_depth",
-                                           queue=name)
-            self._h_wait = registry.histogram("admission.wait_ms",
-                                              queue=name)
-        else:
-            self._c_admitted = self._c_rejected = None
-            self._c_shed = self._g_depth = self._h_wait = None
+        #: Waiters not yet admitted or shed (the heap also holds expired
+        #: ones until ``_pump`` reaches them); kept where ``done`` flips.
+        self._live = 0
+        registry = registry if registry is not None else MetricsRegistry()
+        self._c_admitted = registry.counter("admission.admitted", queue=name)
+        self._c_rejected = registry.counter("admission.rejected", queue=name,
+                                            reason="queue_full")
+        self._c_shed = registry.counter("admission.shed", queue=name)
+        self._g_depth = registry.gauge("admission.queue_depth", queue=name)
+        self._h_wait = registry.histogram("admission.wait_ms", queue=name)
 
     # -- public API --------------------------------------------------------
-
-    @property
-    def depth(self) -> int:
-        return len(self._waiters)
 
     def admit(self, priority: int = Priority.NORMAL,
               deadline_ms: Optional[float] = None) -> Future:
@@ -102,25 +95,23 @@ class AdmissionQueue:
             return fut
         if not self._waiters and self.bucket.try_take(now):
             # Fast path: token in hand, nobody queued ahead.
-            if self._c_admitted is not None:
-                self._c_admitted.inc()
-                self._h_wait.observe(0.0)
+            self._c_admitted.inc()
+            self._h_wait.observe(0.0)
             fut.resolve(0.0)
             return fut
         if len(self._waiters) >= self.max_depth:
-            if self._c_rejected is not None:
-                self._c_rejected.inc()
+            self._c_rejected.inc()
             fut.reject(AdmissionRejectedError(
                 self.name, f"queue full (depth {self.max_depth})"))
             return fut
         waiter = _Waiter(priority, self._seq, fut, deadline_ms, now)
         self._seq += 1
         heapq.heappush(self._waiters, waiter)
+        self._live += 1
         if deadline_ms is not None:
             waiter.expiry_event = self.sim.call_after(
                 deadline_ms - now, self._expire, waiter)
-        if self._g_depth is not None:
-            self._g_depth.set(len(self._waiters))
+        self._g_depth.set(len(self._waiters))
         self._schedule_pump()
         return fut
 
@@ -130,19 +121,15 @@ class AdmissionQueue:
         if waiter.done:
             return
         waiter.done = True
-        if self._c_shed is not None:
-            self._c_shed.inc()
+        self._live -= 1
+        self._c_shed.inc()
         waiter.future.reject(DeadlineExceededError(
             "admission", waiter.deadline_ms, self.sim.now))
-        # Lazily removed from the heap by _pump; update depth now so the
-        # gauge reflects live (non-shed) waiters.
-        self._compact()
-
-    def _compact(self) -> None:
-        if self._waiters and all(w.done for w in self._waiters):
+        # Lazily removed from the heap by _pump, or here, all at once,
+        # when nobody live is left; the gauge reflects live waiters now.
+        if not self._live:
             self._waiters.clear()
-        if self._g_depth is not None:
-            self._g_depth.set(sum(1 for w in self._waiters if not w.done))
+        self._g_depth.set(self._live)
 
     def _schedule_pump(self) -> None:
         if self._pump_event is not None or not self._waiters:
@@ -162,13 +149,12 @@ class AdmissionQueue:
                 break
             heapq.heappop(self._waiters)
             waiter.done = True
+            self._live -= 1
             if waiter.expiry_event is not None:
                 self.sim.cancel(waiter.expiry_event)
             wait_ms = now - waiter.enqueued_ms
-            if self._c_admitted is not None:
-                self._c_admitted.inc()
-                self._h_wait.observe(wait_ms)
+            self._c_admitted.inc()
+            self._h_wait.observe(wait_ms)
             waiter.future.resolve(wait_ms)
-        if self._g_depth is not None:
-            self._g_depth.set(sum(1 for w in self._waiters if not w.done))
+        self._g_depth.set(self._live)
         self._schedule_pump()

@@ -10,6 +10,7 @@ into a metastable failure is cut at the client.
 from __future__ import annotations
 
 from ..errors import RetryBudgetExhaustedError
+from ..obs import MetricsRegistry
 
 __all__ = ["RetryBudget"]
 
@@ -23,34 +24,27 @@ class RetryBudget:
         self.success_credit = success_credit
         self.tenant = tenant
         self.tokens = max_tokens
-        if registry is not None:
-            self._c_spent = registry.counter("retry_budget.spent",
+        registry = registry if registry is not None else MetricsRegistry()
+        self._c_spent = registry.counter("retry_budget.spent", tenant=tenant)
+        self._c_exhausted = registry.counter("retry_budget.exhausted",
                                              tenant=tenant)
-            self._c_exhausted = registry.counter("retry_budget.exhausted",
-                                                 tenant=tenant)
-            self._g_tokens = registry.gauge("retry_budget.tokens",
-                                            tenant=tenant)
-            self._g_tokens.set(self.tokens)
-        else:
-            self._c_spent = self._c_exhausted = self._g_tokens = None
+        self._g_tokens = registry.gauge("retry_budget.tokens", tenant=tenant)
+        self._g_tokens.set(self.tokens)
 
     def on_success(self) -> None:
         """An operation succeeded; replenish a fractional credit."""
         self.tokens = min(self.max_tokens,
                           self.tokens + self.success_credit)
-        if self._g_tokens is not None:
-            self._g_tokens.set(self.tokens)
+        self._g_tokens.set(self.tokens)
 
     def try_spend(self) -> bool:
         """Spend one token for a retry; False when the budget is dry."""
         if self.tokens < 1.0:
-            if self._c_exhausted is not None:
-                self._c_exhausted.inc()
+            self._c_exhausted.inc()
             return False
         self.tokens -= 1.0
-        if self._c_spent is not None:
-            self._c_spent.inc()
-            self._g_tokens.set(self.tokens)
+        self._c_spent.inc()
+        self._g_tokens.set(self.tokens)
         return True
 
     def check(self, attempts: int) -> None:

@@ -15,27 +15,11 @@ import heapq
 from typing import List, Optional
 
 from ..errors import AdmissionRejectedError, DeadlineExceededError
+from ..obs import MetricsRegistry
 from ..sim.core import Future, Simulator
-from .queue import Priority
+from .queue import Priority, _Waiter
 
 __all__ = ["StoreWorkQueue"]
-
-
-class _Work:
-    __slots__ = ("priority", "seq", "future", "deadline_ms",
-                 "enqueued_ms", "expiry_event", "done")
-
-    def __init__(self, priority, seq, future, deadline_ms, enqueued_ms):
-        self.priority = priority
-        self.seq = seq
-        self.future = future
-        self.deadline_ms = deadline_ms
-        self.enqueued_ms = enqueued_ms
-        self.expiry_event = None
-        self.done = False
-
-    def __lt__(self, other: "_Work") -> bool:
-        return (self.priority, self.seq) < (other.priority, other.seq)
 
 
 class StoreWorkQueue:
@@ -51,23 +35,20 @@ class StoreWorkQueue:
         self.max_depth = max_depth
         self._active = 0
         self._seq = 0
-        self._waiters: List[_Work] = []
-        if registry is not None:
-            self._c_admitted = registry.counter("store.work_admitted",
-                                                node=node_id)
-            self._c_shed = registry.counter("store.work_shed", node=node_id)
-            self._c_rejected = registry.counter("store.work_rejected",
-                                                node=node_id)
-            self._g_depth = registry.gauge("store.queue_depth", node=node_id)
-            self._g_busy = registry.gauge("store.slots_busy", node=node_id)
-            self._h_wait = registry.histogram("store.wait_ms", node=node_id)
-        else:
-            self._c_admitted = self._c_shed = self._c_rejected = None
-            self._g_depth = self._g_busy = self._h_wait = None
-
-    @property
-    def queued(self) -> int:
-        return sum(1 for w in self._waiters if not w.done)
+        self._waiters: List[_Waiter] = []
+        #: Work not yet granted a slot or shed (the heap also holds
+        #: expired work until ``_grant`` pops it); kept where ``done``
+        #: flips, so the depth gauge never recounts the heap.
+        self.queued = 0
+        registry = registry if registry is not None else MetricsRegistry()
+        self._c_admitted = registry.counter("store.work_admitted",
+                                            node=node_id)
+        self._c_shed = registry.counter("store.work_shed", node=node_id)
+        self._c_rejected = registry.counter("store.work_rejected",
+                                            node=node_id)
+        self._g_depth = registry.gauge("store.queue_depth", node=node_id)
+        self._g_busy = registry.gauge("store.slots_busy", node=node_id)
+        self._h_wait = registry.histogram("store.wait_ms", node=node_id)
 
     @property
     def capacity_per_s(self) -> float:
@@ -95,50 +76,46 @@ class StoreWorkQueue:
         now = self.sim.now
         fut = Future(self.sim)
         if deadline_ms is not None and now >= deadline_ms:
-            if self._c_shed is not None:
-                self._c_shed.inc()
+            self._c_shed.inc()
             fut.reject(DeadlineExceededError(
                 f"store[{self.node_id}]", deadline_ms, now))
             return fut
         if self._active < self.slots and not self._waiters:
             self._active += 1
-            if self._c_admitted is not None:
-                self._c_admitted.inc()
-                self._h_wait.observe(0.0)
-                self._g_busy.set(self._active)
+            self._c_admitted.inc()
+            self._h_wait.observe(0.0)
+            self._g_busy.set(self._active)
             fut.resolve(0.0)
             return fut
         if self.max_depth is not None and self.queued >= self.max_depth:
-            if self._c_rejected is not None:
-                self._c_rejected.inc()
+            self._c_rejected.inc()
             fut.reject(AdmissionRejectedError(
                 f"store[{self.node_id}]",
                 f"work queue full (depth {self.max_depth})"))
             return fut
-        work = _Work(priority, self._seq, fut, deadline_ms, now)
+        work = _Waiter(priority, self._seq, fut, deadline_ms, now)
         self._seq += 1
         heapq.heappush(self._waiters, work)
+        self.queued += 1
         if deadline_ms is not None:
             work.expiry_event = self.sim.call_after(
                 deadline_ms - now, self._expire, work)
-        if self._g_depth is not None:
-            self._g_depth.set(self.queued)
+        self._g_depth.set(self.queued)
         return fut
 
     def _release(self) -> None:
         self._active -= 1
         self._grant()
 
-    def _expire(self, work: _Work) -> None:
+    def _expire(self, work: _Waiter) -> None:
         if work.done:
             return
         work.done = True
-        if self._c_shed is not None:
-            self._c_shed.inc()
+        self.queued -= 1
+        self._c_shed.inc()
         work.future.reject(DeadlineExceededError(
             f"store[{self.node_id}]", work.deadline_ms, self.sim.now))
-        if self._g_depth is not None:
-            self._g_depth.set(self.queued)
+        self._g_depth.set(self.queued)
 
     def _grant(self) -> None:
         now = self.sim.now
@@ -147,13 +124,12 @@ class StoreWorkQueue:
             if work.done:
                 continue
             work.done = True
+            self.queued -= 1
             if work.expiry_event is not None:
                 self.sim.cancel(work.expiry_event)
             self._active += 1
-            if self._c_admitted is not None:
-                self._c_admitted.inc()
-                self._h_wait.observe(now - work.enqueued_ms)
+            self._c_admitted.inc()
+            self._h_wait.observe(now - work.enqueued_ms)
             work.future.resolve(now - work.enqueued_ms)
-        if self._g_depth is not None:
-            self._g_depth.set(self.queued)
-            self._g_busy.set(self._active)
+        self._g_depth.set(self.queued)
+        self._g_busy.set(self._active)

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..harness.openloop import OpenLoopConfig, OpenLoopHarness, _pct
+from ..harness.openloop import OpenLoopConfig, OpenLoopHarness
 from ..harness.scale import COLLAPSE_CEILING, GOODPUT_FLOOR
+from ..obs import nearest_rank
 from .invariants import (FAIL, OK, History, InvariantReport, OpRecord,
                          ScenarioResult)
 
@@ -171,12 +172,12 @@ def overload_hot_region(seed: int = 0) -> ScenarioResult:
     hot = result.per_region[HOT_REGION]
     hot_lat = sorted(hot.latencies)
     hot_goodput = hot.good * 1000.0 / result.duration_ms
-    hot_p99 = _pct(hot_lat, 99.0)
+    hot_p99 = nearest_rank(hot_lat, 99.0)
     admit_rate = config.admit_rate_per_s
     deadline_ms = config.deadline_ms
     cold_regions = [r for r in config.regions if r != HOT_REGION]
-    cold_p99 = {region: _pct(sorted(result.per_region[region].latencies),
-                             99.0)
+    cold_p99 = {region: nearest_rank(
+                    sorted(result.per_region[region].latencies), 99.0)
                 for region in cold_regions}
     worst_cold_p99 = max(cold_p99.values())
     cold_bound_ms = deadline_ms / 2.0

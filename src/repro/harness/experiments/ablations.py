@@ -21,8 +21,7 @@ from typing import Dict, List, Tuple
 
 from ...kv.closedts import LeadPolicy
 from ...kv.distsender import ReadRouting
-from ...metrics.histogram import LatencyRecorder, Summary
-from ...metrics.results import ResultTable
+from ...obs.report import LatencyRecorder, Summary, ResultTable
 from ...sim.network import TABLE1_REGIONS
 from ...sql.catalog import DEFAULT_PARTITION
 from ...workloads.ycsb import YCSBOptions, YCSBWorkload

@@ -25,8 +25,7 @@ range and measures, for GLOBAL writes issued from that gateway:
 
 from __future__ import annotations
 
-from ...metrics.histogram import Summary
-from ...metrics.results import ResultTable
+from ...obs.report import Summary, ResultTable
 from ...sim.network import TABLE1_REGIONS
 from .ablations import _global_engine
 

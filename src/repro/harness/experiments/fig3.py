@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ...metrics.histogram import LatencyRecorder, Summary
-from ...metrics.results import ResultTable
+from ...obs.report import LatencyRecorder, Summary, ResultTable
 from ...sim.network import TABLE1_REGIONS
 from ...workloads.ycsb import YCSBOptions
 from ..runner import run_ycsb

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ...metrics.histogram import LatencyRecorder, Summary
-from ...metrics.results import ResultTable
+from ...obs.report import LatencyRecorder, Summary, ResultTable
 from ...workloads.ycsb import YCSBOptions, YCSBWorkload
 from ..runner import build_engine, run_clients, run_ycsb
 

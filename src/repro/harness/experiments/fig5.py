@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Tuple
 
 from ...baselines.duplicate_indexes import DuplicateIndexTable
-from ...metrics.histogram import LatencyRecorder, Summary, cdf_points
-from ...metrics.results import ResultTable
+from ...obs.report import LatencyRecorder, Summary, cdf_points, ResultTable
 from ...sim.network import TABLE1_REGIONS
 from ...workloads.zipf import ZipfGenerator
 from ...workloads.ycsb import YCSBOptions

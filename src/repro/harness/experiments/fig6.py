@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ...metrics.histogram import LatencyRecorder, Summary
-from ...metrics.results import ResultTable
+from ...obs.report import LatencyRecorder, Summary, ResultTable
 from ...sim.network import synthetic_rtt_matrix
 from ...workloads.tpcc import TPCCOptions, TPCCWorkload
 from ..runner import build_engine, run_clients, sessions_per_region

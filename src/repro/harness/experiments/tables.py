@@ -20,7 +20,7 @@ from ...baselines.legacy_ddl import (
     legacy_drop_region_ddl,
     legacy_new_schema_ddl,
 )
-from ...metrics.results import ResultTable
+from ...obs.report import ResultTable
 from ...sim.network import TABLE1_REGIONS, TABLE1_RTT_MS
 from ...workloads import movr
 from ...workloads.tpcc import TPCCOptions, TPCCWorkload

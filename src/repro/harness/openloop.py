@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from ..admission import AdmissionConfig, Priority, install_admission
 from ..errors import (AdmissionRejectedError, DeadlineExceededError,
                       OverloadError)
+from ..obs import nearest_rank
 from ..placement import SurvivalGoal
 from ..workloads.zipf import ZipfGenerator
 from .testbed import OK, REGIONS, Testbed
@@ -112,18 +113,9 @@ class RegionStats:
             "failed": self.failed,
             "completed": self.completed,
             "good": self.good,
-            "p50_ms": round(_pct(lat, 50.0), 3),
-            "p99_ms": round(_pct(lat, 99.0), 3),
+            "p50_ms": round(nearest_rank(lat, 50.0), 3),
+            "p99_ms": round(nearest_rank(lat, 99.0), 3),
         }
-
-
-def _pct(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile on a pre-sorted list (0.0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1,
-                      int(round(q / 100.0 * (len(sorted_values) - 1)))))
-    return sorted_values[rank]
 
 
 @dataclass
@@ -171,11 +163,11 @@ class OpenLoopResult:
 
     @property
     def p50_ms(self) -> float:
-        return _pct(self.latencies(), 50.0)
+        return nearest_rank(self.latencies(), 50.0)
 
     @property
     def p99_ms(self) -> float:
-        return _pct(self.latencies(), 99.0)
+        return nearest_rank(self.latencies(), 99.0)
 
     @property
     def users(self) -> int:

@@ -35,7 +35,7 @@ import random
 from typing import Dict, Generator, List
 
 from ..chaos.scenarios import build_faults
-from ..metrics.histogram import Summary
+from ..obs.report import Summary
 from .golden import repo_path
 from .testbed import FAIL, HOME, INDETERMINATE, OK, Testbed
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Generator, List, Optional, Sequence
 
 from ..cluster import standard_cluster
-from ..metrics.histogram import LatencyRecorder
+from ..obs.report import LatencyRecorder
 from ..sim.network import TABLE1_RTT_MS, synthetic_rtt_matrix
 from ..sql.session import Engine, Session
 from ..workloads.ycsb import YCSBOptions, YCSBWorkload

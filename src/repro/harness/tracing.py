@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..metrics.histogram import LatencyRecorder
+from ..obs.report import LatencyRecorder
 from ..sql.session import Engine
 from ..workloads.movr import new_multi_region_schema_ddl
 from ..workloads.tpcc import TPCCOptions, TPCCWorkload
@@ -176,8 +176,6 @@ def run_fixed_workload(workload: str, seed: int = 0,
     n_ops = max(1, int(round(FIXED_WORKLOADS[workload] * scale)))
     engine = build_engine(DEFAULT_REGIONS, seed=seed,
                           obs_enabled=obs_enabled)
-    # The recorder always uses a private registry so latency summaries
-    # work identically with observability off.
-    recorder = LatencyRecorder()
+    recorder = LatencyRecorder(engine.cluster.sim.obs.registry)
     _CLIENT_POOLS[workload](engine, DEFAULT_REGIONS, n_ops, recorder, seed)
     return engine, recorder

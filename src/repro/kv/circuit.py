@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Optional
 
+from ..obs import MetricsRegistry
+
 __all__ = ["CircuitBreaker", "BreakerState"]
 
 
@@ -128,11 +130,11 @@ class CircuitBreaker:
 class BreakerSet:
     """Lazy per-node breaker collection.
 
-    With a ``registry`` every breaker state change is mirrored onto
-    counters (``breaker.transitions{node,to}``) and a per-node state
-    gauge (``breaker.open{node}``: 1 while open, else 0), so chaos
-    scenarios can see *when* and *where* breakers fired, not just the
-    lifetime trip total.
+    Every breaker state change is mirrored onto ``registry`` (a private
+    one when none is given): counters ``breaker.transitions{node,to}``
+    and a per-node state gauge (``breaker.open{node}``: 1 while open,
+    else 0), so chaos scenarios can see *when* and *where* breakers
+    fired, not just the lifetime trip total.
     """
 
     def __init__(self, failure_threshold: int = 3,
@@ -141,7 +143,8 @@ class BreakerSet:
                  probe_jitter: float = 0.0):
         self.failure_threshold = failure_threshold
         self.cooldown_ms = cooldown_ms
-        self.registry = registry
+        self.registry = (registry if registry is not None
+                         else MetricsRegistry())
         #: Shared seeded RNG for half-open probe jitter (None = no jitter).
         self.rng = rng
         self.probe_jitter = probe_jitter
@@ -167,11 +170,10 @@ class BreakerSet:
                 self._open_nodes.add(node_id)
             else:
                 self._open_nodes.discard(node_id)
-            if registry is not None:
-                registry.counter("breaker.transitions",
-                                 node=node_id, to=new_state).inc()
-                registry.gauge("breaker.open", node=node_id).set(
-                    1 if new_state == BreakerState.OPEN else 0)
+            registry.counter("breaker.transitions",
+                             node=node_id, to=new_state).inc()
+            registry.gauge("breaker.open", node=node_id).set(
+                1 if new_state == BreakerState.OPEN else 0)
         return on_transition
 
     def for_node(self, node_id: int) -> CircuitBreaker:

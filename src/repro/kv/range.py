@@ -87,6 +87,7 @@ class Range:
         #: serve_write are hot; one registry lookup each, not per op).
         self._c_reads = None
         self._c_writes = None
+        self._h_lock_wait = None
         self.ts_cache = TimestampCache()
         self.lock_table = LockTable(cluster.sim, cluster.wait_graph)
         #: Highest closed timestamp this leaseholder has promised.
@@ -486,10 +487,14 @@ class Range:
             yield fut  # propagate a deadlock rejection, or no-op if resolved
             return None
         finally:
-            self.sim.obs.registry.histogram(
-                "lock.wait_ms", range=self.name).observe(
-                    self.sim.now - started)
+            self._observe_lock_wait(self.sim.now - started)
             tracer.finish(wait_span)
+
+    def _observe_lock_wait(self, waited_ms: float) -> None:
+        if self._h_lock_wait is None:
+            self._h_lock_wait = self.sim.obs.registry.histogram(
+                "lock.wait_ms", range=self.name)
+        self._h_lock_wait.observe(waited_ms)
 
     def _admit(self, ts: Timestamp, deadline_ms: Optional[float],
                units: int = 1) -> Generator:
@@ -517,7 +522,7 @@ class Range:
         if self._c_writes is None:
             self._c_writes = self.sim.obs.registry.counter(
                 "kv.writes", range=self.name)
-        self._c_writes.inc(keys)
+        self._c_writes.value += keys
 
     def _evaluate_write(self, key: Any, ts: Timestamp, txn_id: int):
         """One yield-free evaluation of a write to ``key`` at ``ts``:
@@ -659,7 +664,7 @@ class Range:
         if self._c_reads is None:
             self._c_reads = self.sim.obs.registry.counter(
                 "kv.reads", range=self.name)
-        self._c_reads.inc()
+        self._c_reads.value += 1
         yield from self._admit(ts, deadline_ms)
         horizon = uncertainty_limit if uncertainty_limit is not None else ts
         while True:

@@ -37,11 +37,7 @@ class Replica:
         self.range = rng
         self.range_id = rng.range_id
         self.node = node
-        # With observability disabled the store skips its counter
-        # mirroring entirely (registry=None) instead of calling into the
-        # no-op registry on every get/put.
-        obs = rng.sim.obs
-        self.store = MVCCStore(registry=obs.registry if obs.enabled else None)
+        self.store = MVCCStore(registry=rng.sim.obs.registry)
         #: Transaction records anchored on this range (replicated state).
         self.txn_records: Dict[int, TxnRecord] = {}
         #: Epoch-OCC commit-order decisions anchored on this range

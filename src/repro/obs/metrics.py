@@ -20,7 +20,7 @@ import json
 from typing import Dict, List, Optional, Tuple, Type
 
 __all__ = ["Counter", "Gauge", "Histogram", "Instrument",
-           "MetricsRegistry", "format_key"]
+           "MetricsRegistry", "format_key", "nearest_rank"]
 
 #: Canonical (sorted) label representation.
 LabelItems = Tuple[Tuple[str, str], ...]
@@ -38,6 +38,15 @@ def format_key(name: str, labels: LabelItems) -> str:
         return name
     inner = ",".join(f"{k}={v}" for k, v in labels)
     return f"{name}{{{inner}}}"
+
+
+def nearest_rank(ordered: List[float], p: float) -> float:
+    """Nearest-rank percentile of pre-sorted samples (0.0 when empty)."""
+    if not ordered:
+        return 0.0
+    rank = max(0, min(len(ordered) - 1,
+                      int(round(p / 100.0 * (len(ordered) - 1)))))
+    return float(ordered[rank])
 
 
 class Instrument:
@@ -91,7 +100,7 @@ class Gauge(Counter):
 class Histogram(Instrument):
     """Sample distribution.
 
-    Keeps raw samples (so :class:`~repro.metrics.histogram.Summary` and
+    Keeps raw samples (so :class:`~repro.obs.report.Summary` and
     CDF plots stay exact views) up to ``max_samples``; count / sum /
     min / max are tracked separately and stay exact even past the cap.
     The cap exists for high-volume instruments like per-hop network
@@ -130,13 +139,8 @@ class Histogram(Instrument):
     def percentile(self, p: float, ordered: List[float] = None) -> float:
         """Nearest-rank percentile over the retained samples (pass them
         pre-sorted as ``ordered`` to sort once for several)."""
-        if ordered is None:
-            ordered = sorted(self.samples)
-        if not ordered:
-            return 0.0
-        rank = max(0, min(len(ordered) - 1,
-                          int(round(p / 100.0 * (len(ordered) - 1)))))
-        return float(ordered[rank])
+        return nearest_rank(
+            sorted(self.samples) if ordered is None else ordered, p)
 
     def summary(self) -> Dict[str, float]:
         count = self.count

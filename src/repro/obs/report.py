@@ -1,12 +1,13 @@
-"""Latency recording and summarization for experiments.
+"""Experiment-side reading of the registry: latency recorders,
+percentile summaries, CDFs and the result tables the paper reports.
 
-:class:`LatencyRecorder` is a thin view over
-:class:`~repro.obs.metrics.Histogram` instruments on a metrics
-registry: each label tuple maps to one ``latency_ms`` histogram whose
-raw samples back :class:`Summary` and :func:`cdf_points` exactly as the
-old private sample lists did.  Recorders used by the fig3–fig6 harness
-attach to the simulation's shared registry, so the same numbers show up
-in ``python -m repro metrics``.
+:class:`LatencyRecorder` is a thin view over ``latency_ms``
+:class:`~repro.obs.metrics.Histogram` instruments, one per label tuple,
+whose raw samples back :class:`Summary` and :func:`cdf_points` exactly;
+attached to the simulation's shared registry, the same numbers show up
+in ``python -m repro metrics``.  The one module of :mod:`repro.obs` that
+needs numpy, so the package does not import it: ``import repro.obs``
+(and with it the simulator core) stays numpy-free.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import Histogram, MetricsRegistry
+from .metrics import Histogram, MetricsRegistry
 
-__all__ = ["LatencyRecorder", "Summary", "cdf_points"]
+__all__ = ["LatencyRecorder", "Summary", "cdf_points", "ResultTable"]
 
 
 class Summary:
@@ -136,3 +137,43 @@ class LatencyRecorder:
         out.started_at = min(starts) if starts else None
         out.finished_at = max(finishes) if finishes else None
         return out
+
+
+class ResultTable:
+    """A simple fixed-width table for benchmark output."""
+
+    def __init__(self, title: str, columns: Sequence[str]):
+        self.title = title
+        self.columns = list(columns)
+        self.rows: List[List[str]] = []
+
+    def add_row(self, *values) -> None:
+        if len(values) != len(self.columns):
+            raise ValueError(
+                f"expected {len(self.columns)} values, got {len(values)}")
+        self.rows.append([_fmt(v) for v in values])
+
+    def render(self) -> str:
+        widths = [len(c) for c in self.columns]
+        for row in self.rows:
+            for i, cell in enumerate(row):
+                widths[i] = max(widths[i], len(cell))
+        lines = [f"== {self.title} =="]
+        header = "  ".join(c.ljust(widths[i])
+                           for i, c in enumerate(self.columns))
+        lines.append(header)
+        lines.append("  ".join("-" * w for w in widths))
+        for row in self.rows:
+            lines.append("  ".join(cell.ljust(widths[i])
+                                   for i, cell in enumerate(row)))
+        return "\n".join(lines)
+
+    def print(self) -> None:
+        print()
+        print(self.render())
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.1f}"
+    return str(value)

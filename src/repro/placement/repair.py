@@ -79,11 +79,11 @@ class RepairAction:
 class RepairMetrics:
     """Observability for the repair subsystem.
 
-    A view over ``repair.*`` instruments on the shared metrics registry
+    The ``repair.*`` instruments on the shared metrics registry
     (per-kind action/failure counters, an under-replication gauge, a
-    time-to-repair histogram, a scan counter).  The original dict/list
-    attribute interface is preserved as properties so existing tests and
-    harness reporting keep working.
+    time-to-repair histogram, a scan counter): the queue writes through
+    the ``record_*`` methods, tests and harness reports read the
+    properties.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
@@ -108,25 +108,21 @@ class RepairMetrics:
     def scans(self) -> int:
         return int(self.registry.counter("repair.scans").value)
 
-    @scans.setter
-    def scans(self, value: int) -> None:
-        counter = self.registry.counter("repair.scans")
-        counter.inc(value - counter.value)
-
     #: Gauge: ranges whose live voter count is below target (last scan).
     @property
     def under_replicated_ranges(self) -> int:
         return int(self.registry.gauge("repair.under_replicated_ranges").value)
-
-    @under_replicated_ranges.setter
-    def under_replicated_ranges(self, value: int) -> None:
-        self.registry.gauge("repair.under_replicated_ranges").set(value)
 
     #: Per-range ms from first-broken scan to the scan that found it
     #: healthy again (the time-to-repair histogram's samples).
     @property
     def time_to_repair_ms(self) -> List[float]:
         return list(self.registry.histogram("repair.time_to_repair_ms").samples)
+
+    def record_scan(self, under_replicated: int) -> None:
+        self.registry.counter("repair.scans").inc()
+        self.registry.gauge("repair.under_replicated_ranges").set(
+            under_replicated)
 
     def record_time_to_repair(self, ms: float) -> None:
         self.registry.histogram("repair.time_to_repair_ms").observe(ms)
@@ -139,15 +135,6 @@ class RepairMetrics:
 
     def total_actions(self) -> int:
         return sum(self.actions.values())
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "actions": dict(self.actions),
-            "failures": dict(self.failures),
-            "under_replicated_ranges": self.under_replicated_ranges,
-            "time_to_repair_ms": list(self.time_to_repair_ms),
-            "scans": self.scans,
-        }
 
 
 def placement_violations(rng, config: ZoneConfig, cluster,
@@ -294,7 +281,6 @@ class ReplicateQueue:
 
     def scan(self) -> int:
         """One pass over every managed range; returns actions enqueued."""
-        self.metrics.scans += 1
         enqueued = 0
         under_replicated = 0
         for range_id, (rng, config) in sorted(self._managed.items()):
@@ -317,7 +303,7 @@ class ReplicateQueue:
             self._busy.add(range_id)
             self.sim.spawn(self._repair_range(rng, config, actions),
                            name=f"repair-{rng.name}")
-        self.metrics.under_replicated_ranges = under_replicated
+        self.metrics.record_scan(under_replicated)
         return enqueued
 
     def _status(self, node) -> str:

@@ -124,7 +124,8 @@ def _inflight_record(sim: Simulator, entry: Entry,
         2  the entry
         3  {peer id: raft.append span id}, None when untraced
         4  raft.propose span id, 0 when untraced
-        5  proposed-at sim ms, None when not instrumented
+        5  proposed-at sim ms; None for a tail entry ``fail_over``
+           re-drives (nobody waits on it: no spans, no metrics)
         6  proposal-timeout timer handle, None when unarmed or spent
     """
     return [Future(sim), acks, entry, None, 0, None, None]
@@ -561,23 +562,22 @@ class RaftGroup:
         fut = record[0]
         self._inflight[entry.index] = record
         prop_span = 0
-        if self._obs_on:
-            # Skipped when off: no-op calls show up on this hot path.
-            # ``span`` 0 is an untraced request; None (no trace context)
-            # makes the proposal a root of its own.
-            if self._c_proposals is None:
-                self._c_proposals = self.sim.obs.registry.counter(
-                    "raft.proposals", range=self.range_id)
-            self._c_proposals.inc()
-            record[5] = self.sim.now
-            if span != 0:
-                tracer = self._tracer
-                prop_span = record[4] = tracer.start(
-                    "raft.propose", span,
-                    ("range", self.range_id, "index", entry.index,
-                     "term", entry.term))
-                if prop_span:
-                    append_spans = record[3] = {}
+        if self._c_proposals is None:
+            self._c_proposals = self.sim.obs.registry.counter(
+                "raft.proposals", range=self.range_id)
+        self._c_proposals.value += 1  # inc(), minus a frame per proposal
+        record[5] = self.sim.now
+        if span != 0:
+            # ``span`` 0 is an untraced request (every request, with
+            # observability off); None (no trace context) makes the
+            # proposal a root of its own.
+            tracer = self._tracer
+            prop_span = record[4] = tracer.start(
+                "raft.propose", span,
+                ("range", self.range_id, "index", entry.index,
+                 "term", entry.term))
+            if prop_span:
+                append_spans = record[3] = {}
 
         if self.proposal_timeout_ms is not None:
             record[6] = self.sim.call_after(self.proposal_timeout_ms,
@@ -633,12 +633,14 @@ class RaftGroup:
                     self._c_rejected = self.sim.obs.registry.counter(
                         "raft.proposals_rejected", range=self.range_id)
                 self._c_rejected.inc()
-            else:
+            elif self._obs_on:
+                # One of the two distributions the obs mode gates.
                 if self._h_commit_ms is None:
                     self._h_commit_ms = self.sim.obs.registry.histogram(
                         "raft.commit_ms", range=self.range_id)
                 self._h_commit_ms.observe(self.sim.now - record[5])
-            tracer.finish(record[4])
+            if record[4]:
+                tracer.finish(record[4])
         if error is None:
             fut.resolve(record[2])
         else:
@@ -867,7 +869,7 @@ class RaftGroup:
             if self._c_commits is None:
                 self._c_commits = self.sim.obs.registry.counter(
                     "raft.commits", range=self.range_id)
-            self._c_commits.inc()
+            self._c_commits.value += 1
             leader = self.leader
             self._last_committed = leader.log[index - 1]
             leader.known_commit_index = index

@@ -242,7 +242,8 @@ class Simulator:
         self.events_processed = 0
         #: Shared observability spine: every component that holds a
         #: ``sim`` reference records metrics and spans here.
-        #: ``obs_enabled=False`` swaps in the no-op registry/tracer.
+        #: ``obs_enabled=False`` drops the span ring and two per-event
+        #: distributions, nothing else (``repro.obs`` has the definition).
         #: The clock reads ``_now`` without a Python frame per span.
         self.obs = Observability(partial(getattr, self, "_now"),
                                  enabled=obs_enabled,

@@ -24,6 +24,7 @@ plane's seed.
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple, Union
 
 from .core import Future, Process, Simulator
@@ -367,13 +368,13 @@ class Network:
         self._jrand = self.latency._rng.random
         self._schedule = sim.call_after
         registry = sim.obs.registry
-        #: Cached enabled flag: the per-message paths guard their
-        #: counter/histogram calls on it instead of calling into the
-        #: no-op registry tens of thousands of times per run.
-        self._obs_on = sim.obs.enabled
         self._tag = sim.obs.tracer.tag
         self._c_sent = registry.counter("net.messages_sent")
         self._c_dropped = registry.counter("net.messages_dropped")
+        #: Drop reason -> its ``net.drops`` counter, looked up once, on
+        #: the first such drop (a fault-free run exports no zero rows).
+        self._c_drops = cache(
+            lambda reason: registry.counter("net.drops", reason=reason))
         self.bytes_by_region_pair: Dict[Tuple[str, str], int] = {}
         #: Per-(src_node, dst_node) hop cache: (rtt/2 or None for
         #: loopback, per-link histogram, region pair, rpc process name).
@@ -401,16 +402,16 @@ class Network:
 
     def _drop(self, reason: str) -> None:
         self._c_dropped.inc()
-        self.sim.obs.registry.counter("net.drops", reason=reason).inc()
+        self._c_drops(reason).inc()
 
     def _make_hop_entry(self, src, dst) -> tuple:
         """Build and cache the static per-link state consulted on every
         message: half-RTT, the hop histogram (resolved once instead of a
         label f-string + registry lookup per message; ``None`` with
-        observability off), region pair, and the destination's RPC
-        process name."""
+        observability off — one of the two distributions the mode
+        gates), region pair, and the destination's RPC process name."""
         src_loc, dst_loc = src.locality, dst.locality
-        if self._obs_on:
+        if self.sim.obs.enabled:
             hist = self.sim.obs.registry.histogram(
                 "net.hop_ms", link=f"{src_loc.region}->{dst_loc.region}")
             if hist.max_samples is None:
@@ -535,8 +536,7 @@ class Network:
                                     fut, RpcTimeoutError(
                                         f"request to node {dst.node_id} lost"))
                 return fut
-        if self._obs_on:
-            self._c_sent.value += 1  # inc(), minus a frame per message
+        self._c_sent.value += 1  # inc(), minus a frame per message
         entry = self._hop_cache.get((src.node_id, dst.node_id))
         if entry is None:
             entry = self._make_hop_entry(src, dst)
@@ -582,8 +582,7 @@ class Network:
                     self.LOSS_TIMEOUT_MS, self._reject_if_pending, fut,
                     RpcTimeoutError(f"reply from node {dst.node_id} lost"))
                 return
-        if self._obs_on:
-            self._c_sent.value += 1  # inc(), minus a frame per message
+        self._c_sent.value += 1  # inc(), minus a frame per message
         entry = self._hop_cache.get((dst.node_id, src.node_id))
         if entry is None:
             entry = self._make_hop_entry(dst, src)
@@ -626,8 +625,7 @@ class Network:
                               or faults.should_drop(src, dst)):
             self._drop("send_blocked")
             return
-        if self._obs_on:
-            self._c_sent.value += 1  # inc(), minus a frame per message
+        self._c_sent.value += 1  # inc(), minus a frame per message
         entry = self._hop_cache.get((src.node_id, dst.node_id))
         if entry is None:
             entry = self._make_hop_entry(src, dst)

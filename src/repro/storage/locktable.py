@@ -81,6 +81,16 @@ class LockTable:
         #: replicated locks in one structure)
         self._holders: Dict[Any, LockHolder] = {}
         self._graph = wait_graph if wait_graph is not None else WaitGraph()
+        #: name -> its ``lock.*`` counter, bound on first use (a run
+        #: without a lock wait exports no ``lock.*`` row).
+        self._counters: Dict[str, Any] = {}
+
+    def _count(self, name: str) -> None:
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.sim.obs.registry.counter(
+                name)
+        counter.value += 1
 
     def note_holder(self, key: Any, txn_id: int, ts: Timestamp) -> None:
         self._holders[key] = LockHolder(txn_id=txn_id, ts=ts)
@@ -100,15 +110,14 @@ class LockTable:
         if holder is None:
             fut.resolve(None)
             return fut
-        registry = self.sim.obs.registry
         if waiter_txn_id is not None:
             if self._graph.would_cycle(waiter_txn_id, holder.txn_id):
-                registry.counter("lock.deadlocks").inc()
+                self._count("lock.deadlocks")
                 fut.reject(TransactionAbortedError(
                     f"deadlock: txn {waiter_txn_id} waiting on {holder.txn_id}"))
                 return fut
             self._graph.add_edge(waiter_txn_id, holder.txn_id)
-        registry.counter("lock.waits").inc()
+        self._count("lock.waits")
         self._waiters.setdefault(key, []).append((waiter_txn_id, fut, holder.txn_id))
         return fut
 

@@ -44,13 +44,13 @@ __all__ = ["TransactionCoordinator", "Transaction", "TxnStats"]
 
 
 class TxnStats:
-    """Aggregate coordinator statistics, for tests and benchmarks.
+    """The coordinator's ``txn.*`` instruments.
 
-    Historically a plain dataclass of counters; now a view over
-    ``txn.*`` instruments on the shared metrics registry, so coordinator
-    activity shows up in ``python -m repro metrics`` alongside every
-    other layer.  The attribute interface (``stats.committed += 1``,
-    ``stats.commit_wait_ms_total``) is unchanged.
+    ``stats.c_<field>`` is the counter itself (``h_commit_wait_ms``: the
+    commit-wait histogram) for the transaction code to bump inline,
+    bound to the registry on first touch — so a CRDB-only run exports no
+    epoch-OCC row — and found in the instance dict from then on.
+    ``stats.<field>`` reads its value as an int (``*_ms_total``: float).
     """
 
     _FIELDS = ("begun", "committed", "aborted_retries",
@@ -59,37 +59,22 @@ class TxnStats:
                "validation_aborts", "epoch_waits", "epoch_wait_ms_total")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
-        if registry is None:
-            registry = MetricsRegistry()
-        object.__setattr__(self, "registry", registry)
-        # Counter handles cached on first use: ``stats.committed += 1``
-        # fires __getattr__ *and* __setattr__, and a registry lookup in
-        # each was measurable on the commit path.  (Cached lazily, not
-        # eagerly, so the set of registered instruments — and therefore
-        # the metrics export — is unchanged; the epoch-OCC fields never
-        # register on a CRDB-only run and vice versa.)
-        object.__setattr__(self, "_counters", {})
-
-    def _counter(self, name):
-        counters = object.__getattribute__(self, "_counters")
-        counter = counters.get(name)
-        if counter is None:
-            if name not in TxnStats._FIELDS:
-                raise AttributeError(name)
-            counter = counters[name] = self.registry.counter(f"txn.{name}")
-        return counter
+        self.registry = (registry if registry is not None
+                         else MetricsRegistry())
 
     def __getattr__(self, name):
-        counter = self._counter(name)
-        value = counter.value
-        return float(value) if name.endswith("_ms_total") else int(value)
-
-    def __setattr__(self, name, value) -> None:
+        # Only reached for a name the instance dict does not hold yet.
         if name in TxnStats._FIELDS:
-            counter = self._counter(name)
-            counter.inc(value - counter.value)
+            value = getattr(self, "c_" + name).value
+            return float(value) if name.endswith("_ms_total") else int(value)
+        if name.startswith("c_") and name[2:] in TxnStats._FIELDS:
+            handle = self.registry.counter("txn." + name[2:])
+        elif name == "h_commit_wait_ms":
+            handle = self.registry.histogram("txn.commit_wait_ms")
         else:
-            object.__setattr__(self, name, value)
+            raise AttributeError(name)
+        setattr(self, name, handle)
+        return handle
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{f}={getattr(self, f)}"
@@ -135,7 +120,7 @@ class TransactionCoordinator:
         real timestamp inside the window means an actually-skewed writer
         clock — the distinction the clock nemesis experiments care
         about."""
-        self.stats.uncertainty_restarts += 1
+        self.stats.c_uncertainty_restarts.value += 1
         if self.cluster.clock_monitor is not None:
             cause = ("future-time-write" if value_ts.synthetic
                      else "clock-skew")
@@ -152,7 +137,7 @@ class TransactionCoordinator:
                           parent_span=parent_span)
         txn.deadline_ms = deadline_ms
         self._next_txn_id += 1
-        self.stats.begun += 1
+        self.stats.c_begun.value += 1
         # Registered so lock-table pushes can learn this transaction's
         # fate even if its intent resolution is lost to a failure.
         self.cluster.txn_registry[txn.txn_id] = txn
@@ -198,7 +183,7 @@ class TransactionCoordinator:
             try:
                 result = yield from txn_fn(txn)
                 commit_ts = yield from txn.commit()
-                self.stats.committed += 1
+                self.stats.c_committed.value += 1
                 if budget is not None:
                     budget.on_success()
                 tracer.finish(txn.span, "status", txn.status)
@@ -216,7 +201,7 @@ class TransactionCoordinator:
                 # failures (a dead leaseholder may have failed over by
                 # the next attempt — CRDB's DistSender retries these).
                 last_error = err
-                self.stats.aborted_retries += 1
+                self.stats.c_aborted_retries.value += 1
                 if isinstance(err, TransactionValidationError):
                     txn.abort_reason = "validation"
                 elif txn.abort_reason is None:

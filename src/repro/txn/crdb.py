@@ -276,7 +276,7 @@ class Transaction:
         """Try to advance ``read_ts`` to ``new_ts``; raise retry on failure."""
         if new_ts <= self.read_ts:
             return
-        self.coordinator.stats.refreshes += 1
+        self.coordinator.stats.c_refreshes.value += 1
         if self.read_set:
             futures = [
                 self._ds.refresh(self.gateway, rng, key, self.read_ts,
@@ -286,7 +286,7 @@ class Transaction:
             ]
             results = yield all_of(self.coordinator.sim, futures)
             if not all(results):
-                self.coordinator.stats.refresh_failures += 1
+                self.coordinator.stats.c_refresh_failures.value += 1
                 raise TransactionRetryError(
                     f"txn {self.txn_id}: read refresh to {new_ts} failed",
                     retry_ts=new_ts)
@@ -344,7 +344,7 @@ class Transaction:
                         # pushes unblock waiters, but do NOT write an
                         # ABORTED record over a possibly-committed one.
                         self.status = TxnStatus.ABORTED
-                        self.coordinator.stats.ambiguous_commits += 1
+                        self.coordinator.stats.c_ambiguous_commits.value += 1
                         tracer.tag(commit_span, "ambiguous", True)
                         self._record_outcome("indeterminate")
                         raise AmbiguousCommitError(self.txn_id, commit_ts)
@@ -431,12 +431,11 @@ class Transaction:
             "txn.commit_wait", parent_span,
             ("txn_id", self.txn_id, "target", target))
         stats = coordinator.stats
-        stats.commit_waits += 1
+        stats.c_commit_waits.value += 1
         waited = yield clock.wait_until(target)
         waited = waited or 0.0
-        stats.commit_wait_ms_total += waited
-        coordinator.sim.obs.registry.histogram(
-            "txn.commit_wait_ms").observe(waited)
+        stats.c_commit_wait_ms_total.value += waited
+        stats.h_commit_wait_ms.observe(waited)
         coordinator.tracer.finish(wait_span, "waited_ms", waited)
 
     def rollback(self) -> Generator:

@@ -302,7 +302,7 @@ class EpochService:
             if conflict is not None:
                 token, key, observed_ts, current_ts = conflict
                 stats = txn.coordinator.stats
-                stats.validation_aborts += 1
+                stats.c_validation_aborts.value += 1
                 recorder = txn.coordinator.recorder
                 if recorder is not None:
                     recorder.on_validation_fail(txn, token, key,
@@ -433,9 +433,9 @@ class EpochService:
         if commit_ts.physical > clock.physical_now():
             yield clock.wait_until(commit_ts)
         stats = txn.coordinator.stats
-        stats.epoch_waits += 1
+        stats.c_epoch_waits.value += 1
         waited = self.sim.now - txn.submitted_at_ms
-        stats.epoch_wait_ms_total += waited
+        stats.c_epoch_wait_ms_total.value += waited
         self._h_epoch_wait.observe(waited)
         ack.resolve(commit_ts)
 

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Tuple
 
-from ..metrics.histogram import LatencyRecorder
+from ..obs.report import LatencyRecorder
 from ..sim.clock import Timestamp
 from ..sql import ast
 from ..sql.session import Session

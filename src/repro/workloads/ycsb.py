@@ -21,7 +21,7 @@ Table *modes* select the schema/optimizer configuration under test:
 =============== ==============================================================
 
 Clients run closed loops inside the simulation; latencies land in a
-:class:`~repro.metrics.LatencyRecorder` keyed by
+:class:`~repro.obs.report.LatencyRecorder` keyed by
 ``(op, local|remote, client_region)``.
 """
 
@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
-from ..metrics.histogram import LatencyRecorder
+from ..obs.report import LatencyRecorder
 from ..sim.clock import Timestamp
 from ..sql import ast
 from ..sql.catalog import DEFAULT_PARTITION

@@ -12,6 +12,7 @@ the quick scale-curve gates.
 
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -208,6 +209,72 @@ class TestStoreWorkQueue:
         assert ok["at"] == pytest.approx(100.0)
 
 
+class TestDepthGaugeIsALiveCount:
+    """The depth gauges are kept by a live-waiter count updated where a
+    waiter's ``done`` flips, not by recounting the heap on every admit,
+    grant and expiry (quadratic under the collapse baseline).  After
+    each step of a seeded random admit / expire / grant / release
+    sequence the count, and the gauge fed from it, equal a recount."""
+
+    @staticmethod
+    def recount(queue):
+        return sum(1 for w in queue._waiters if not w.done)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_admission_queue(self, seed):
+        rng = random.Random(seed)
+        sim = Simulator()
+        queue = AdmissionQueue(
+            sim, "t/r", TokenBucket(rate_per_s=200.0, burst=2.0),
+            max_depth=8, registry=sim.obs.registry)
+        gauge = sim.obs.registry.gauge("admission.queue_depth", queue="t/r")
+        peak = 0
+        for _ in range(300):
+            for _ in range(rng.randrange(4)):
+                deadline = (sim.now + rng.uniform(1.0, 40.0)
+                            if rng.random() < 0.6 else None)
+                queue.admit(priority=rng.randrange(3), deadline_ms=deadline)
+                assert queue._live == self.recount(queue)
+            sim.run(until=sim.now + rng.uniform(0.0, 12.0))  # expire, pump
+            live = self.recount(queue)
+            assert queue._live == live
+            # _pump and _expire publish the live count; a queued admit()
+            # the heap's length (expired waiters the pump has not
+            # reached yet included), as it always did.
+            assert gauge.value in (live, len(queue._waiters))
+            peak = max(peak, live)
+        sim.run()
+        assert peak > 1, "the sequence must actually queue"
+        assert queue._live == self.recount(queue) == gauge.value == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_store_work_queue(self, seed):
+        rng = random.Random(seed)
+        sim = Simulator()
+        queue = StoreWorkQueue(sim, node_id=1, slots=2, service_ms=3.0,
+                               registry=sim.obs.registry)
+        gauge = sim.obs.registry.gauge("store.queue_depth", node=1)
+        peak = 0
+        for _ in range(300):
+            for _ in range(rng.randrange(4)):
+                deadline = (sim.now + rng.uniform(1.0, 15.0)
+                            if rng.random() < 0.6 else None)
+                sim.spawn(self.work(queue, deadline))
+            sim.run(until=sim.now + rng.uniform(0.0, 6.0))
+            assert queue.queued == self.recount(queue) == gauge.value
+            peak = max(peak, queue.queued)
+        sim.run()
+        assert peak > 1, "the sequence must actually queue"
+        assert queue.queued == self.recount(queue) == gauge.value == 0
+
+    @staticmethod
+    def work(queue, deadline_ms):
+        try:
+            yield from queue.work(deadline_ms=deadline_ms)
+        except DeadlineExceededError:
+            pass
+
+
 # -- retry budget ------------------------------------------------------------
 
 
@@ -371,11 +438,26 @@ class TestOverloadDeterminism:
             "intentional, regenerate with test_admission.regen_goldens()")
 
     def test_obs_off_is_behavior_identical(self):
-        with_obs = OpenLoopHarness(OpenLoopConfig(
-            seed=0, obs_enabled=True, **GOLDEN_CONFIG)).run()
-        without = OpenLoopHarness(OpenLoopConfig(
-            seed=0, obs_enabled=False, **GOLDEN_CONFIG)).run()
+        on = OpenLoopHarness(OpenLoopConfig(
+            seed=0, obs_enabled=True, **GOLDEN_CONFIG))
+        off = OpenLoopHarness(OpenLoopConfig(
+            seed=0, obs_enabled=False, **GOLDEN_CONFIG))
+        with_obs, without = on.run(), off.run()
         assert with_obs.fingerprint() == without.fingerprint()
+
+        # ...and every counter-backed reading agrees with the result
+        # beside it (with obs off they all silently read 0 once).
+        def readings(harness):
+            network = harness.cluster.network
+            return (harness.cluster.admission.totals(),
+                    harness.coord.stats.committed, harness.ds.rpc_retries,
+                    network.messages_sent, network.messages_dropped)
+
+        assert readings(off) == readings(on)
+        totals = off.cluster.admission.totals()
+        assert totals["rejected"] == without.rejected > 0
+        assert off.coord.stats.committed == without.completed > 0
+        assert off.cluster.network.messages_sent > 0
 
 
 # -- tier-2 overload sweep (pytest -m overload) ------------------------------

@@ -5,7 +5,9 @@ the same per repetition), and both are pinned here:
 
 * **Observability equivalence** — running with observability off is a
   pure fast path: for a fixed seed it must produce byte-identical
-  latency samples and final replica state to a fully-instrumented run.
+  latency samples and final replica state to a fully-instrumented run,
+  and the same counters, gauges and per-operation histograms — the mode
+  drops the span ring and two per-event distributions, nothing else.
 * **Golden snapshots** — a fixed seed and scale always simulates the
   same events.  The goldens in ``tests/goldens/`` freeze event counts,
   simulated time, op counts, latency percentiles and the exact cost
@@ -21,10 +23,13 @@ import pathlib
 import pytest
 
 from repro.cluster import standard_cluster
+from repro.harness.openloop import OpenLoopConfig, OpenLoopHarness
 from repro.harness.tracing import (DEFAULT_REGIONS, run_fixed_workload,
                                    run_tpcc_clients)
-from repro.metrics.histogram import LatencyRecorder
+from repro.obs.report import LatencyRecorder
 from repro.sql.session import Engine
+
+from .test_admission import GOLDEN_CONFIG as OPENLOOP_GOLDEN_CONFIG
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -64,14 +69,38 @@ def run_small_tpcc(protocol, obs_enabled):
         jitter_fraction=0.02, seed=0, obs_enabled=obs_enabled,
         txn_protocol=protocol)
     engine = Engine(cluster, seed=0)
-    recorder = LatencyRecorder()
+    recorder = LatencyRecorder(cluster.sim.obs.registry)
     run_tpcc_clients(engine, DEFAULT_REGIONS, 6, recorder, 0)
     return engine, recorder
 
 
+#: The whole of what ``obs_enabled=False`` leaves out of the registry
+#: (``repro.obs`` has the definition; the span ring is the other half).
+GATED_DISTRIBUTIONS = {"net.hop_ms", "raft.commit_ms"}
+
+
+def assert_registry_parity(on_sim, off_sim):
+    """The obs mode's definition, pinned: an obs-off run counts every
+    counter, gauge and per-operation histogram exactly as the obs-on run
+    of the same seed does, and lacks only the two gated distributions.
+    A new guard that hides a counter with obs off fails here."""
+    on_registry, off_registry = on_sim.obs.registry, off_sim.obs.registry
+    on, off = on_registry.snapshot(), off_registry.snapshot()
+    assert on["counters"] and off["counters"] == on["counters"]
+    assert off["gauges"] == on["gauges"]
+    on_names = {inst.name for inst in on_registry.instruments()}
+    off_names = {inst.name for inst in off_registry.instruments()}
+    assert off_names <= on_names
+    assert on_names - off_names == GATED_DISTRIBUTIONS
+    assert off["histograms"], "per-operation histograms must survive"
+    for key, summary in off["histograms"].items():
+        assert on["histograms"][key] == summary, key
+
+
 def run_fingerprint(workload, seed, scale):
-    """One obs-on run (the registry reads 0 with obs off) boiled down to
-    what must repeat exactly, cost counts included: ``events / ops`` and
+    """One obs-on run (``rpc_attempts`` counts spans; the registry
+    counts read the same with obs off) boiled down to what must repeat
+    exactly, cost counts included: ``events / ops`` and
     ``messages_sent / raft_proposals`` are the whole-run (set-up and
     load too) forms of the ledger's events/op and msgs/proposal."""
     if workload == "tpcc_epoch":
@@ -127,6 +156,8 @@ class TestObsEquivalence:
         # Byte-identical latency samples, not just matching percentiles.
         assert full_rec.samples() == off_rec.samples()
         assert state_digest(full_engine) == state_digest(off_engine)
+        assert_registry_parity(full_engine.cluster.sim,
+                               off_engine.cluster.sim)
 
     def test_movr_identical_across_obs_modes(self):
         full_engine, full_rec = run_fixed_workload("movr", 0, True, 0.2)
@@ -135,6 +166,8 @@ class TestObsEquivalence:
                 == off_engine.cluster.sim.events_processed)
         assert full_rec.samples() == off_rec.samples()
         assert state_digest(full_engine) == state_digest(off_engine)
+        assert_registry_parity(full_engine.cluster.sim,
+                               off_engine.cluster.sim)
 
 
     @pytest.mark.parametrize("protocol", ["crdb", "epoch-occ"])
@@ -154,6 +187,20 @@ class TestObsEquivalence:
         assert full_rec.total_ops() == off_rec.total_ops()
         assert full_rec.samples() == off_rec.samples()
         assert state_digest(full_engine) == state_digest(off_engine)
+        assert_registry_parity(full_engine.cluster.sim,
+                               off_engine.cluster.sim)
+
+    def test_openloop_registry_identical_across_obs_modes(self):
+        """Admission queues, store work queues and retry budgets count
+        the same in both modes (their fingerprints are compared in
+        ``test_admission.py``)."""
+        sims = []
+        for obs_enabled in (True, False):
+            harness = OpenLoopHarness(OpenLoopConfig(
+                seed=0, obs_enabled=obs_enabled, **OPENLOOP_GOLDEN_CONFIG))
+            harness.run()
+            sims.append(harness.sim)
+        assert_registry_parity(*sims)
 
 
 class TestGoldenSnapshots:

@@ -1,9 +1,14 @@
 """Tests for latency recording, summaries, CDFs, and result tables."""
 
+import importlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics import LatencyRecorder, ResultTable, Summary, cdf_points
+from repro.obs.report import LatencyRecorder, ResultTable, Summary, cdf_points
+from repro.sim.core import Simulator
 
 
 class TestSummary:
@@ -103,6 +108,18 @@ class TestLatencyRecorder:
         assert recorder.samples("read", "local") == [1.0]
         assert recorder.count("write") == 1
 
+    @pytest.mark.parametrize("obs_enabled", [True, False])
+    def test_on_a_simulation_registry_in_either_obs_mode(self, obs_enabled):
+        """With obs off the shared registry once dropped every sample."""
+        registry = Simulator(obs_enabled=obs_enabled).obs.registry
+        recorder = LatencyRecorder(registry)
+        recorder.record(("read", "local"), 1.0)
+        recorder.record(("read", "local"), 3.0)
+        assert recorder.total_ops() == 2
+        assert recorder.samples("read") == [1.0, 3.0]
+        assert registry.snapshot()["histograms"][
+            "latency_ms{label=read/local}"]["count"] == 2
+
     def test_prefix_matching(self):
         recorder = LatencyRecorder()
         recorder.record(("read", "local", "us-east1"), 1.0)
@@ -174,3 +191,26 @@ class TestResultTable:
         table = ResultTable("t", ["a", "b"])
         with pytest.raises(ValueError):
             table.add_row("only-one")
+
+
+class TestOneMetricsPackage:
+    """``repro.metrics`` and ``repro.obs.noop`` are gone — nothing
+    re-exports their names from the old paths — and the registry half of
+    ``repro.obs`` still imports without numpy (only ``repro.obs.report``
+    needs it)."""
+
+    @pytest.mark.parametrize("module", [
+        "repro.metrics", "repro.metrics.histogram", "repro.metrics.results",
+        "repro.obs.noop"])
+    def test_old_paths_are_not_importable(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_kernel_and_registry_import_without_numpy(self):
+        code = ("import sys, repro.obs, repro.sim.core; "
+                "assert hasattr(repro.obs, 'MetricsRegistry'); "
+                "assert not hasattr(repro.obs, 'NoopMetricsRegistry'); "
+                "sys.exit('numpy' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

@@ -157,10 +157,13 @@ class TestPerOpCostCounters:
     observation each) — acks for committed entries and per-range
     side-transport messages are no longer sent — and
     ``mvcc.intents_resolved`` +1 (one more follower applied a resolution
-    before the run ended); spans unchanged.)"""
+    before the run ended); spans unchanged.  ISSUE 21: observations
+    9866 -> 10466, exactly the 600 ``latency_ms`` samples —
+    ``run_fixed_workload`` now records into the run's shared registry,
+    not a private one; spans and counter events unchanged.)"""
 
     PINNED = {"ops": 600, "spans": 7920, "counter_events": 19268,
-              "observations": 9866}
+              "observations": 10466}
 
     @staticmethod
     def _counts():

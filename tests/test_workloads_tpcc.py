@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.harness.runner import build_engine, run_clients, sessions_per_region
-from repro.metrics import LatencyRecorder
+from repro.obs.report import LatencyRecorder
 from repro.workloads.tpcc import TPCC_TABLES, TPCCOptions, TPCCWorkload
 
 REGIONS = ["us-east1", "us-west1", "europe-west2"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.runner import build_engine, run_clients, sessions_per_region
-from repro.metrics import LatencyRecorder
+from repro.obs.report import LatencyRecorder
 from repro.workloads.ycsb import YCSB_MODES, YCSBOptions, YCSBWorkload
 from repro.workloads.zipf import UniformGenerator, ZipfGenerator
 
