@@ -296,7 +296,7 @@ class OpenLoopHarness(Testbed):
 
         def txn_fn(txn):
             if is_write:
-                yield from txn.write(target, key, value)
+                yield from txn.write(target, key, value, commit=True)
             else:
                 yield from txn.read(target, key)
 

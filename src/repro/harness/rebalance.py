@@ -214,10 +214,14 @@ class _RebalanceRun(Testbed):
             "metrics_hash": self._metrics_hash(),
         }
         conserved = doc["snapshot_sum"] == self.committed
-        # The drain can only merge down to the size-split floor — one
-        # range per split_max_keys of seeded data — or the merged range
-        # would immediately re-split (hysteresis, not a failure).
+        # The drain can only merge neighbours whose keys fit in one
+        # range, or the merged range would immediately re-split
+        # (hysteresis, not a failure): it is done when no such pair is
+        # left, however many ranges the split points leave that at.
         min_ranges = -(-len(KEYS) // SPLIT_MAX_KEYS)
+        final = self.samples[-1]["ranges"]
+        mergeable = any(left["keys"] + right["keys"] <= SPLIT_MAX_KEYS
+                        for left, right in zip(final, final[1:]))
         split_triggers = [key for key in counters
                           if key.startswith("rebalance.splits")]
         doc["gates"] = {
@@ -225,7 +229,7 @@ class _RebalanceRun(Testbed):
             "size_split": any("size" in key for key in split_triggers),
             "load_split": any("load" in key for key in split_triggers),
             "lease_followed_workload": lease_followed,
-            "merged_back": (doc["final_ranges"] <= min_ranges
+            "merged_back": (not mergeable
                             and doc["final_ranges"] < peak_ranges),
             "no_lost_increments": conserved,
             "no_failed_txns": self.failed == 0,

@@ -171,7 +171,7 @@ class Testbed:
         """The counter workload's transaction body: read-modify-write."""
         def txn_fn(txn):
             value = yield from txn.read(token, key)
-            yield from txn.write(token, key, (value or 0) + 1)
+            yield from txn.write(token, key, (value or 0) + 1, commit=True)
         return txn_fn
 
     def attempt(self, gateway, txn_fn, coord=None, **run_kwargs) -> Generator:

@@ -11,7 +11,6 @@ from .commands import (
     PutIntentCommand,
     ResolveIntentCommand,
     SetTxnRecordCommand,
-    TxnRecord,
     TxnStatus,
 )
 from .distsender import DistSender, ReadRouting
@@ -39,7 +38,6 @@ __all__ = [
     "PutIntentCommand",
     "ResolveIntentCommand",
     "SetTxnRecordCommand",
-    "TxnRecord",
     "TxnStatus",
     "DistSender",
     "ReadRouting",

@@ -18,7 +18,6 @@ __all__ = [
     "PutIntentCommand",
     "ResolveIntentCommand",
     "SetTxnRecordCommand",
-    "TxnRecord",
     "TxnStatus",
 ]
 
@@ -27,15 +26,6 @@ class TxnStatus:
     PENDING = "pending"
     COMMITTED = "committed"
     ABORTED = "aborted"
-
-
-@dataclass
-class TxnRecord:
-    """Authoritative transaction state, stored on the anchor range."""
-
-    txn_id: int
-    status: str = TxnStatus.PENDING
-    commit_ts: Optional[Timestamp] = None
 
 
 @dataclass(frozen=True)
@@ -60,11 +50,21 @@ class ResolveIntentCommand:
 
 @dataclass(frozen=True)
 class SetTxnRecordCommand:
-    """Create or update the transaction record on the anchor range."""
+    """Create or update the transaction record on the anchor range —
+    the authoritative transaction state: applied, the command *is* the
+    record each replica keeps (no copy per replica).
+
+    Key-less, the record stays on the range that proposed it.  The
+    COMMITTED marker inside a one-phase commit's :class:`BatchCommand`
+    names the written ``key`` instead, so the record applies wherever
+    that key's intent does — a split cannot part the guard against a
+    second application from the data it guards.
+    """
 
     txn_id: int
     status: str
     commit_ts: Optional[Timestamp]
+    key: Any = None
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from functools import partial
-from typing import Any, Generator, Iterable, List, Optional, Tuple
+from typing import (Any, Generator, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..errors import (
     ClockFencedError,
@@ -27,7 +28,8 @@ from ..errors import (
 )
 from ..sim.clock import Timestamp
 from ..sim.core import Future, all_of, with_timeout
-from ..sim.network import NetworkUnavailableError, RpcTimeoutError
+from ..sim.network import (NetworkUnavailableError, RequestNotSentError,
+                           RpcTimeoutError)
 from ..sim.retry import ExponentialBackoff
 from ..storage.mvcc import ReadResult
 from .circuit import BreakerSet
@@ -69,9 +71,9 @@ def negotiated_timestamp(servable: Iterable[Timestamp],
 
 
 class _Batch:
-    """One ``read_batch`` / ``write_batch`` in flight: ``requests`` —
-    tuples that start ``(token, key)`` — sent as one leaseholder call
-    per owning range.
+    """One ``read_batch`` / ``write_batch`` / ``resolve_intents`` in
+    flight: ``requests`` — tuples that start ``(token, key)`` — sent as
+    one leaseholder call per owning range.
 
     The requests are grouped through the span cache, in order of first
     appearance.  A one-key group is ``single(request)`` (today's
@@ -95,14 +97,16 @@ class _Batch:
     """
 
     __slots__ = ("ds", "gateway", "requests", "single", "group",
-                 "outcomes", "result", "in_flight")
+                 "record_load", "outcomes", "result", "in_flight")
 
-    def __init__(self, ds: "DistSender", gateway, requests, single, group):
+    def __init__(self, ds: "DistSender", gateway, requests, single, group,
+                 record_load: bool = True):
         self.ds = ds
         self.gateway = gateway
         self.requests = requests
         self.single = single
         self.group = group
+        self.record_load = record_load
         self.outcomes: List[Any] = [None] * len(requests)
         self.result = Future(ds.cluster.sim)
         self.in_flight = 0
@@ -124,12 +128,14 @@ class _Batch:
             if len(members) == 1:
                 call = self.single(requests[members[0]])
             else:
-                # Per-key load, as resolve() records for ``single``.
-                load = rng.descriptor.load
-                now = self.ds.cluster.sim.now
-                region = self.gateway.locality.region
-                for index in members:
-                    load.record(now, key=requests[index][1], region=region)
+                if self.record_load:
+                    # Per-key load, as resolve() records for ``single``.
+                    load = rng.descriptor.load
+                    now = self.ds.cluster.sim.now
+                    region = self.gateway.locality.region
+                    for index in members:
+                        load.record(now, key=requests[index][1],
+                                    region=region)
                 call = self.group([requests[index] for index in members])
             call.add_callback(partial(self.settle, members, attempt))
 
@@ -226,6 +232,7 @@ class DistSender:
         self._c_cache_miss = registry.counter("distsender.range_cache_miss")
         self._c_cache_inval = registry.counter(
             "distsender.range_cache_invalidation")
+        self._c_resolve_batches = registry.counter("kv.resolve_batches")
 
     @property
     def follower_read_fallbacks(self) -> int:
@@ -254,6 +261,10 @@ class DistSender:
     @property
     def range_cache_invalidations(self) -> int:
         return int(self._c_cache_inval.value)
+
+    @property
+    def resolve_batches(self) -> int:
+        return int(self._c_resolve_batches.value)
 
     # -- span-keyed descriptor resolution --------------------------------------
 
@@ -431,6 +442,10 @@ class DistSender:
                 # draws a backoff delay, so skip the allocation.
                 backoff = None
                 last_error: Optional[BaseException] = None
+                # The failure of an attempt that may have reached the
+                # range (and may yet take effect): what the call fails
+                # with, whatever the later attempts ran into.
+                in_doubt: Optional[BaseException] = None
                 for attempt in range(self.RPC_MAX_ATTEMPTS):
                     if attempt:
                         # Attempt 0 reuses the resolve above — nothing
@@ -449,7 +464,7 @@ class DistSender:
                         # instead of blaming (and failing over) a healthy
                         # leaseholder for our local outage.
                         tracer.tag(op_span, "error", "gateway_down")
-                        raise NetworkUnavailableError(
+                        raise in_doubt or RequestNotSentError(
                             f"gateway node {gateway.node_id} is down")
                     dst = rng.leaseholder_node
                     breaker = self.breakers.for_node(dst.node_id)
@@ -465,7 +480,7 @@ class DistSender:
                             self._c_failovers.inc()
                             tracer.finish(attempt_span, "failover", True)
                             continue
-                        last_error = NetworkUnavailableError(
+                        last_error = RequestNotSentError(
                             f"node {dst.node_id}: circuit breaker open")
                         backoff = backoff or self._new_backoff()
                         yield sim.sleep(self._backoff_delay(
@@ -491,6 +506,9 @@ class DistSender:
                         # to a healthy voter and retry there.
                         breaker.record_failure(sim.now)
                         last_error = err
+                        if not isinstance(err, (RequestNotSentError,
+                                                ClockFencedError)):
+                            in_doubt = err
                         self._c_retries.inc()
                         tracer.tag(attempt_span, "error",
                                    type(err).__name__)
@@ -529,7 +547,7 @@ class DistSender:
                     if attempt_span:
                         tracer.finish(attempt_span)
                     return value
-                raise last_error
+                raise in_doubt or last_error
             finally:
                 if op_span:
                     tracer.finish(op_span)
@@ -762,17 +780,27 @@ class DistSender:
 
     def write(self, gateway, token, key: Any, ts: Timestamp, value: Any,
               txn_id: int, anchor_node_id: int, span=None,
-              deadline_ms: Optional[float] = None) -> Future:
-        """Write an intent; resolves with the timestamp it was laid at.
+              deadline_ms: Optional[float] = None, commit: bool = False,
+              can_forward: bool = False) -> Future:
+        """Write an intent; resolves with the timestamp it was laid at —
+        or, asked to ``commit`` in the same consensus round (see
+        :meth:`Range.serve_write`), with ``(ts, committed)``.
 
         Safe to retry: re-laying the same transaction's intent is
-        idempotent (it replaces its own intent)."""
+        idempotent (it replaces its own intent), and a one-phase commit
+        applies at most once.  A one-phase write is its transaction's
+        commit RPC, so like every commit RPC it runs deadline-free once
+        sent — giving up on it at the deadline would leave its outcome
+        unknown; the leaseholder still sheds it at admission, unevaluated,
+        when the deadline has passed."""
         return self._leaseholder_call(
             gateway, token,
             lambda _rng, _span=None: _rng.serve_write(
                 key, ts, value, txn_id, anchor_node_id, span=_span,
-                deadline_ms=deadline_ms),
-            span=span, op="kv.write", deadline_ms=deadline_ms, key=key,
+                deadline_ms=deadline_ms, commit=commit,
+                can_forward=can_forward),
+            span=span, op="kv.write",
+            deadline_ms=None if commit else deadline_ms, key=key,
             record_load=True)
 
     # -- per-range batching --------------------------------------------------------
@@ -880,19 +908,47 @@ class DistSender:
             span=span, op="kv.epoch_order")
 
     def resolve_intent(self, gateway, token, key: Any, txn_id: int,
-                       commit_ts: Optional[Timestamp], span=None) -> Future:
+                       commit_ts: Optional[Timestamp], span=None,
+                       more_keys: tuple = ()) -> Future:
+        """Resolve ``key``'s intent — and, in the same RPC and Raft
+        entry, those of ``more_keys`` on the same range."""
         return self._leaseholder_call(
             gateway, token,
-            lambda _rng, _span=None: _rng.serve_resolve_intent(key, txn_id,
-                                                               commit_ts,
-                                                               span=_span),
-            span=span, op="kv.resolve_intent", key=key)
+            lambda _rng, _span=None: _rng.serve_resolve_intent(
+                key, txn_id, commit_ts, span=_span, more_keys=more_keys),
+            span=span, op="kv.resolve_intent", key=key,
+            keys=1 + len(more_keys))
 
-    def resolve_intents(self, gateway, spans: Iterable[Tuple[Any, Any]],
+    def resolve_intents(self, gateway, spans: Sequence[Tuple[Any, Any]],
                         txn_id: int, commit_ts: Optional[Timestamp],
                         span=None) -> Future:
-        """Resolve a batch of intents in parallel; resolves when all do."""
-        futures = [self.resolve_intent(gateway, token, key, txn_id, commit_ts,
-                                       span=span)
-                   for token, key in spans]
-        return all_of(self.cluster.sim, futures)
+        """Resolve a transaction's intents, one RPC and one Raft entry
+        per owning range (see :class:`_Batch`); resolves when all have,
+        rejects with the first failure.  Nothing to resolve is a settled
+        future: no process, no RPC."""
+        result = Future(self.cluster.sim)
+        if not spans:
+            result.resolve(None)
+            return result
+
+        def single(request) -> Future:
+            return self.resolve_intent(gateway, request[0], request[1],
+                                       txn_id, commit_ts, span=span)
+
+        def group(members) -> Future:
+            self._c_resolve_batches.value += 1
+            return self.resolve_intent(
+                gateway, members[0][0], members[0][1], txn_id, commit_ts,
+                span=span,
+                more_keys=tuple(key for _token, key in members[1:]))
+
+        def settle(fut: Future) -> None:
+            for outcome in fut._value:
+                if isinstance(outcome, BaseException):
+                    result.reject(outcome)
+                    return
+            result.resolve(None)
+
+        _Batch(self, gateway, spans, single, group,
+               record_load=False).result.add_callback(settle)
+        return result

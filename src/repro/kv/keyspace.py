@@ -453,6 +453,8 @@ class Keyspace:
             child_replica = child.replicas.get(node_id)
             if child_replica is not None:
                 child_replica.store.absorb(replica.store.extract(moves))
+                # Commit records travel with the keys they guard.
+                child_replica.absorb_records(replica)
         parent.lock_table.move_entries(moves, child.lock_table)
 
         child_descriptor = RangeDescriptor(
@@ -529,6 +531,7 @@ class Keyspace:
             if left_replica is not None:
                 left_replica.store.absorb(
                     replica.store.extract(lambda _key: True))
+                left_replica.absorb_records(replica)
         left.end_key = right.end_key
         left.generation = max(left.generation, right.generation) + 1
         left.load.reset()

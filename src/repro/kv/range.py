@@ -41,6 +41,7 @@ from .commands import (
     PutIntentCommand,
     ResolveIntentCommand,
     SetTxnRecordCommand,
+    TxnStatus,
 )
 from .replica import Replica
 from .sidetransport import SideTransport
@@ -65,6 +66,10 @@ class Range:
     #: Learner catch-up poll cadence and give-up horizon (ms).
     CATCHUP_POLL_MS = 25.0
     CATCHUP_TIMEOUT_MS = 5000.0
+    #: A one-phase commit's Raft entry carries the transaction's commit
+    #: record, the guard against applying a re-sent request twice.  Off
+    #: only in the verify harness's ``one-phase-reapply`` ablation.
+    commit_marker = True
 
     def __init__(self, cluster: "Cluster", policy: Optional[ClosedTimestampPolicy] = None,
                  name: str = "", proposal_timeout_ms: Optional[float] = None):
@@ -114,7 +119,7 @@ class Range:
             source = self.replicas.get(self.leaseholder_node_id)
             if source is not None:
                 replica.store = source.store.clone()
-                replica.txn_records = dict(source.txn_records)
+                replica.absorb_records(source)
         self.replicas[node.node_id] = replica
         self.group.add_peer(node, replica_type)
         node.add_replica(replica)
@@ -170,7 +175,7 @@ class Range:
                 # the sleep models streaming + sideloading the snapshot.
                 yield self.sim.sleep(transfer_ms)
                 replica.store = source.store.clone()
-                replica.txn_records = dict(source.txn_records)
+                replica.absorb_records(source)
                 return self.group.install_snapshot(node_id)
 
             try:
@@ -575,18 +580,45 @@ class Range:
 
     def serve_write(self, key: Any, ts: Timestamp, value: Any, txn_id: int,
                     anchor_node_id: int, span=None,
-                    deadline_ms: Optional[float] = None) -> Generator:
+                    deadline_ms: Optional[float] = None,
+                    commit: bool = False,
+                    can_forward: bool = False) -> Generator:
         """Evaluate and replicate a transactional write; returns the
-        (possibly advanced) timestamp the intent was written at."""
+        (possibly advanced) timestamp the intent was written at.
+
+        ``commit`` asks for a one-phase commit — the transaction's only
+        write, its commit record and the intent's resolution as *one*
+        Raft entry, so no replica ever exposes the intent — and makes
+        the return value ``(ts, committed)``.  It is granted when
+        evaluation left ``ts`` where the transaction reads, or the
+        transaction ``can_forward`` its timestamp (it has no read spans
+        to refresh); otherwise the plain intent is laid.  The record in
+        the entry is what makes a re-sent request harmless: it is
+        answered from the record, and the replicas drop a second
+        application.
+        """
         self._count_writes(1)
+        if commit:
+            record = self.leaseholder_replica.committed(txn_id)
+            if record is not None:
+                return record.commit_ts, True
         yield from self._admit(ts, deadline_ms)
+        requested = ts
         ts = yield from self._await_write(key, ts, txn_id, span=span)
         ts = self._latch_write(key, ts, txn_id)
-        entry = yield self._propose(PutIntentCommand(
-            key=key, ts=ts, value=value, txn_id=txn_id,
-            anchor_node_id=anchor_node_id), span=span)
-        del entry
-        return ts
+        put = PutIntentCommand(key=key, ts=ts, value=value, txn_id=txn_id,
+                               anchor_node_id=anchor_node_id)
+        if not commit or (ts != requested and not can_forward):
+            yield self._propose(put, span=span)
+            return (ts, False) if commit else ts
+        resolve = ResolveIntentCommand(key=key, txn_id=txn_id, commit_ts=ts)
+        yield self._propose(BatchCommand(
+            (put, SetTxnRecordCommand(txn_id, TxnStatus.COMMITTED, ts, key),
+             resolve) if self.commit_marker else (put, resolve)), span=span)
+        # An earlier attempt's entry may have applied first: its record
+        # (and timestamp) is the one that stands.
+        record = self.leaseholder_replica.committed(txn_id)
+        return (ts if record is None else record.commit_ts), True
 
     def serve_write_batch(self, items, ts: Timestamp, txn_id: int,
                           anchor_node_id: int, span=None,
@@ -751,13 +783,24 @@ class Range:
 
     def serve_resolve_intent(self, key: Any, txn_id: int,
                              commit_ts: Optional[Timestamp],
-                             span=None) -> Generator:
-        """Replicate intent resolution; lock waiters release on apply."""
+                             span=None, more_keys: tuple = ()) -> Generator:
+        """Replicate intent resolution; lock waiters release on apply.
+
+        ``more_keys`` (a per-range resolve group) ride in the same Raft
+        entry; the group's value is one ``None`` per key."""
         self._check_owns(key)
-        entry = yield self._propose(ResolveIntentCommand(
-            key=key, txn_id=txn_id, commit_ts=commit_ts), span=span)
-        del entry
-        return None
+        if not more_keys:
+            yield self._propose(ResolveIntentCommand(
+                key=key, txn_id=txn_id, commit_ts=commit_ts), span=span)
+            return None
+        keys = (key,) + more_keys
+        for member in more_keys:
+            self._check_owns(member)
+        yield self._propose(BatchCommand(tuple(
+            ResolveIntentCommand(key=member, txn_id=txn_id,
+                                 commit_ts=commit_ts)
+            for member in keys)), span=span)
+        return (None,) * len(keys)
 
     # -- bulk ingestion -------------------------------------------------------------
 

@@ -8,6 +8,7 @@ leaseholder's view.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 from ..errors import (
@@ -21,7 +22,7 @@ from .commands import (
     PutIntentCommand,
     ResolveIntentCommand,
     SetTxnRecordCommand,
-    TxnRecord,
+    TxnStatus,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,13 +34,23 @@ __all__ = ["Replica"]
 class Replica:
     """One node's participation in one Range."""
 
+    #: A COMMITTED record is dropped once a later one commits this many
+    #: ms (of commit timestamp) above it.  Its last reader is a re-sent
+    #: one-phase write, which trails the first attempt by at most
+    #: ``RPC_MAX_ATTEMPTS`` x ``RPC_TIMEOUT_MS`` plus backoff (< 16 s).
+    COMMITTED_RECORD_TTL_MS = 60_000.0
+
     def __init__(self, rng: "Range", node) -> None:
         self.range = rng
         self.range_id = rng.range_id
         self.node = node
         self.store = MVCCStore(registry=rng.sim.obs.registry)
-        #: Transaction records anchored on this range (replicated state).
-        self.txn_records: Dict[int, TxnRecord] = {}
+        #: Transaction records anchored on this range (replicated state):
+        #: txn id -> the applied record command itself.
+        self.txn_records: Dict[int, SetTxnRecordCommand] = {}
+        #: The COMMITTED records in apply order: the queue they expire
+        #: from.
+        self._committed: deque = deque()
         #: Epoch-OCC commit-order decisions anchored on this range
         #: (replicated state): epoch -> ordered txn-id tuple.
         self.epoch_orders: Dict[int, tuple] = {}
@@ -49,6 +60,10 @@ class Replica:
     def apply(self, command: Any) -> None:
         """Apply a committed Raft command to this replica's state."""
         if isinstance(command, PutIntentCommand):
+            if self.committed(command.txn_id) is not None:
+                # A committed transaction writes nothing more: this is a
+                # re-sent one-phase write whose first attempt applied.
+                return
             self.store.put_intent(command.key, command.ts, command.value,
                                   command.txn_id, command.anchor_node_id)
         elif isinstance(command, ResolveIntentCommand):
@@ -58,18 +73,42 @@ class Replica:
             if self.node.node_id == self.range.leaseholder_node_id:
                 self.range.lock_table.release(command.key, command.txn_id)
         elif isinstance(command, SetTxnRecordCommand):
-            record = self.txn_records.get(command.txn_id)
-            if record is None:
-                record = TxnRecord(txn_id=command.txn_id)
-                self.txn_records[command.txn_id] = record
-            record.status = command.status
-            record.commit_ts = command.commit_ts
+            if self.committed(command.txn_id) is not None:
+                return  # final: the first commit timestamp stands
+            self.txn_records[command.txn_id] = command
+            if (command.status == TxnStatus.COMMITTED
+                    and command.commit_ts is not None):
+                self._retain_committed(command)
         elif isinstance(command, EpochOrderCommand):
             self.epoch_orders[command.epoch] = command.txn_ids
         elif command == ("noop",):
             pass
         else:
             raise TypeError(f"unknown command {command!r}")
+
+    def committed(self, txn_id: int) -> Optional[SetTxnRecordCommand]:
+        """``txn_id``'s record, if this replica holds it COMMITTED."""
+        record = self.txn_records.get(txn_id)
+        if record is not None and record.status == TxnStatus.COMMITTED:
+            return record
+        return None
+
+    def _retain_committed(self, record: SetTxnRecordCommand) -> None:
+        """Queue a fresh COMMITTED record for expiry and drop the ones
+        it outdates — decided by the log alone, so every replica keeps
+        the same records at the same log position."""
+        committed = self._committed
+        committed.append(record)
+        horizon = record.commit_ts.physical - self.COMMITTED_RECORD_TTL_MS
+        while committed[0].commit_ts.physical < horizon:
+            self.txn_records.pop(committed.popleft().txn_id, None)
+
+    def absorb_records(self, source: "Replica") -> None:
+        """Copy in ``source``'s transaction records: a snapshot, a split
+        child taking its parent's, a merge folding the right side's in."""
+        for txn_id, record in source.txn_records.items():
+            self.txn_records.setdefault(txn_id, record)
+        self._committed.extend(source._committed)
 
     # -- follower reads ---------------------------------------------------------
 

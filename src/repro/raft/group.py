@@ -157,6 +157,14 @@ class RaftGroup:
       (``propose`` → ``_on_ack``), and the ``proposal_timeout_ms`` guard
       is cancelled when the proposal settles: ``verify_sweep``,
       ``openloop`` (the workloads provisioned with one).
+    * None of the above is paid twice per write any more: an auto-commit
+      single-row statement proposes **one** entry (the one-phase
+      ``BatchCommand`` of ``Range.serve_write``) where it proposed an
+      intent and then its resolution, and every other transaction one
+      resolve entry per range, not per key — ``kv`` 1.02 → 0.51
+      proposals per operation, ``openloop`` 0.36 → 0.18, ``tpcc`` 15.2 →
+      12.1, ``tpcc_epoch`` 11.8 → 8.7 (EXPERIMENTS.md "Round 10").  Still
+      10 messages per proposal; the lever left is proposing less.
     * Closed-timestamp heartbeats do not travel per group at all: the
       per-node-pair transport (``repro.kv.sidetransport``) carries
       them — ``movr``, ``tpcc_epoch``, ``verify_sweep``.  The

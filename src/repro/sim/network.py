@@ -105,6 +105,12 @@ class NetworkUnavailableError(Exception):
     """The destination is unreachable (partition or dead node)."""
 
 
+class RequestNotSentError(NetworkUnavailableError):
+    """The request never left the sender (connection refused, breaker
+    open, own node down): unlike a request or reply lost in flight, it
+    certainly did not execute."""
+
+
 class RpcTimeoutError(NetworkUnavailableError):
     """An RPC gave no answer in time (lost packet, gray node, hang).
 
@@ -526,7 +532,7 @@ class Network:
                 self._tag(span, "net", "unreachable")
                 self.sim._call_soon(
                     fut.reject,
-                    NetworkUnavailableError(f"node {dst.node_id} unreachable from {src.node_id}"))
+                    RequestNotSentError(f"node {dst.node_id} unreachable from {src.node_id}"))
                 return fut
             if faults.should_drop(src, dst):
                 # Request lost in flight: the caller only learns via timeout.

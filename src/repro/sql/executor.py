@@ -83,17 +83,49 @@ class Executor:
 
     # -- INSERT --------------------------------------------------------------------
 
-    def insert(self, txn, stmt: ast.Insert) -> Generator:
-        """Insert rows; returns the number of rows written."""
+    def insert(self, txn, stmt: ast.Insert,
+               auto_commit: bool = False) -> Generator:
+        """Insert rows; returns the number of rows written.
+
+        ``auto_commit`` (here and on UPDATE / DELETE): the statement is
+        the whole of an implicit transaction, so a row write that is
+        provably its last KV operation may carry the commit
+        (:meth:`_nothing_follows`)."""
         table = self.context.database.table(stmt.table)
         params = stmt.params
+        rows = stmt.compiled.rows
+        auto_commit = auto_commit and len(rows) == 1
         count = 0
-        for value_exprs in stmt.compiled.rows:
+        for value_exprs in rows:
             row, generated = self._build_row(table, stmt.columns,
                                              value_exprs, params)
-            yield from self._insert_row(txn, table, row, generated)
+            yield from self._insert_row(txn, table, row, generated,
+                                        auto_commit)
             count += 1
         return count
+
+    def _nothing_follows(self, table: Table, check_requests: list,
+                         changed: Optional[frozenset] = None) -> bool:
+        """CRDB's ``canAutoCommit`` rule, decided before the row write:
+        will the statement touch the KV layer again after it?  Not if it
+        has no unique-index entry to write, no uniqueness check to read,
+        no foreign key to validate (``changed``: only these columns
+        changed; None: all) and no child table to cascade to."""
+        if check_requests or table.unique_indexes():
+            return False
+        for column in table.columns.values():
+            if column.references is not None and (
+                    changed is None or column.name in changed):
+                return False
+        for fk in table.foreign_keys:
+            if changed is None or not changed.isdisjoint(fk.columns):
+                return False
+        if changed is not None:
+            for child in self.context.database.tables.values():
+                for fk in child.foreign_keys:
+                    if fk.parent == table.name and fk.on_update_cascade:
+                        return False
+        return True
 
     def _build_row(self, table: Table, columns: List[str],
                    value_exprs: List[Any], params: Tuple = ()
@@ -129,7 +161,8 @@ class Executor:
         return row, frozenset(generated)
 
     def _insert_row(self, txn, table: Table, row: Dict[str, Any],
-                    generated: frozenset) -> Generator:
+                    generated: frozenset,
+                    auto_commit: bool = False) -> Generator:
         database = self.context.database
         region_col = table.region_column
         if region_col is not None:
@@ -147,18 +180,22 @@ class Executor:
         if existing is not None:
             raise UniqueViolationError(table.name, table.primary_key, pk)
 
+        # Post-write uniqueness checks (§4.1), self-matches allowed.
+        requests, meta = self._uniqueness_requests(
+            self.context.planner.plan_uniqueness_checks(
+                table, row, generated_columns=generated, allow_pk=pk),
+            partition)
         # Write the row and its index entries.
-        yield from txn.write(primary.partition_for(partition), pk, row)
+        yield from txn.write(
+            primary.partition_for(partition), pk, row,
+            commit=auto_commit and self._nothing_follows(table, requests))
         for index in table.unique_indexes():
             key = tuple(row[c] for c in index.key_columns)
             yield from self._cput_index_entry(
                 txn, table, index, partition, key, pk, routing)
 
-        # Post-write uniqueness checks (§4.1), self-matches allowed.
-        checks = self.context.planner.plan_uniqueness_checks(
-            table, row, generated_columns=generated, allow_pk=pk)
         yield from self._run_uniqueness_checks(
-            txn, table, checks, home_partition=partition, routing=routing)
+            txn, table, requests, meta, partition, routing)
         # Foreign keys need strongly-consistent parent reads (§2.3.3):
         # cheap when the parent is GLOBAL (served by the local replica),
         # potentially cross-region otherwise — the paper's motivation for
@@ -266,10 +303,11 @@ class Executor:
         yield from txn.write(rng, key, pk)
         return None
 
-    def _run_uniqueness_checks(self, txn, table: Table,
-                               checks: List[UniquenessCheck],
-                               home_partition: str,
-                               routing: str) -> Generator:
+    def _uniqueness_requests(self, checks: List[UniquenessCheck],
+                             home_partition: str) -> Tuple[list, list]:
+        """The reads ``checks`` come to — ``(range, key)`` requests and,
+        beside each, its ``(check, partition)`` — known before the row
+        is written."""
         requests = []
         meta = []
         for check in checks:
@@ -281,6 +319,11 @@ class Executor:
                     continue
                 requests.append((rng, check.key))
                 meta.append((check, partition))
+        return requests, meta
+
+    def _run_uniqueness_checks(self, txn, table: Table, requests: list,
+                               meta: list, home_partition: str,
+                               routing: str) -> Generator:
         if not requests:
             return None
         results = yield from txn.read_batch(requests, routing=routing)
@@ -506,7 +549,8 @@ class Executor:
 
     # -- UPDATE ------------------------------------------------------------------------
 
-    def update(self, txn, stmt: ast.Update) -> Generator:
+    def update(self, txn, stmt: ast.Update,
+               auto_commit: bool = False) -> Generator:
         context = self.context
         table = context.database.table(stmt.table)
         compiled = stmt.compiled
@@ -514,19 +558,20 @@ class Executor:
         params = stmt.params
         plan = context.planner.plan_point_query(table, compiled, params)
         rows = yield from self._lookup_rows(txn, table, plan, where, params)
+        auto_commit = auto_commit and len(rows) == 1
         env = context.env
         count = 0
         for row, partition in rows:
             if where is not None and not evaluate(where, row, env, params):
                 continue
             yield from self._update_row(txn, table, row, partition,
-                                        compiled, params)
+                                        compiled, params, auto_commit)
             count += 1
         return count
 
     def _update_row(self, txn, table: Table, row: Dict[str, Any],
                     partition: str, compiled: ast.Compiled,
-                    params: Tuple) -> Generator:
+                    params: Tuple, auto_commit: bool = False) -> Generator:
         env = self.context.env
         database = self.context.database
         new_row = dict(row)
@@ -577,10 +622,19 @@ class Executor:
                 yield from self._cput_index_entry(
                     txn, table, index, new_partition, new_key, new_pk,
                     routing)
-            check_changed = None  # full re-check in the new partition
+            requests, meta = self._uniqueness_requests(
+                self.context.planner.plan_uniqueness_checks(
+                    table, new_row, allow_pk=new_pk),  # full re-check there
+                new_partition)
         else:
-            yield from txn.write(primary.partitions[partition], new_pk,
-                                 new_row)
+            requests, meta = self._uniqueness_requests(
+                self.context.planner.plan_uniqueness_checks(
+                    table, new_row, allow_pk=new_pk,
+                    changed_columns=changed), partition)
+            yield from txn.write(
+                primary.partitions[partition], new_pk, new_row,
+                commit=auto_commit and self._nothing_follows(
+                    table, requests, changed))
             for index in table.unique_indexes():
                 old_key = tuple(row[c] for c in index.key_columns)
                 new_key = tuple(new_row[c] for c in index.key_columns)
@@ -590,13 +644,9 @@ class Executor:
                     yield from self._cput_index_entry(
                         txn, table, index, partition, new_key, new_pk,
                         routing)
-            check_changed = changed
 
-        checks = self.context.planner.plan_uniqueness_checks(
-            table, new_row, allow_pk=new_pk, changed_columns=check_changed)
         yield from self._run_uniqueness_checks(
-            txn, table, checks, home_partition=new_partition,
-            routing=routing)
+            txn, table, requests, meta, new_partition, routing)
         yield from self._validate_foreign_keys(txn, table, new_row,
                                                changed=changed)
         yield from self._cascade_to_children(txn, table, row, new_row,
@@ -605,13 +655,18 @@ class Executor:
 
     # -- DELETE -------------------------------------------------------------------------
 
-    def delete(self, txn, stmt: ast.Delete) -> Generator:
+    def delete(self, txn, stmt: ast.Delete,
+               auto_commit: bool = False) -> Generator:
         context = self.context
         table = context.database.table(stmt.table)
         where = stmt.compiled.where
         params = stmt.params
         plan = context.planner.plan_point_query(table, stmt.compiled, params)
         rows = yield from self._lookup_rows(txn, table, plan, where, params)
+        # One row and no index entry to delete after it: the tombstone
+        # is the statement's last KV operation.
+        auto_commit = (auto_commit and len(rows) == 1
+                       and not table.unique_indexes())
         env = context.env
         count = 0
         for row, partition in rows:
@@ -619,7 +674,7 @@ class Executor:
                 continue
             pk = tuple(row[c] for c in table.primary_key)
             yield from txn.delete(table.primary_index.partitions[partition],
-                                  pk)
+                                  pk, commit=auto_commit)
             for index in table.unique_indexes():
                 key = tuple(row[c] for c in index.key_columns)
                 yield from txn.delete(index.partitions[partition], key)

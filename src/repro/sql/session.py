@@ -200,10 +200,12 @@ class TxnHandle:
         result = yield from self.execute_stmt(stmt)
         return result
 
-    def execute_stmt(self, stmt: Any) -> Generator:
+    def execute_stmt(self, stmt: Any, auto_commit: bool = False) -> Generator:
+        """``auto_commit``: ``stmt`` is the whole transaction (an
+        implicit one), so its last write may carry the commit."""
         executor = self._executor
         if isinstance(stmt, ast.Insert):
-            result = yield from executor.insert(self.txn, stmt)
+            result = yield from executor.insert(self.txn, stmt, auto_commit)
         elif isinstance(stmt, ast.Select):
             if stmt.compiled.as_of is not None:
                 raise SchemaError(
@@ -211,9 +213,9 @@ class TxnHandle:
                     "transaction")
             result = yield from executor.select(self.txn, stmt)
         elif isinstance(stmt, ast.Update):
-            result = yield from executor.update(self.txn, stmt)
+            result = yield from executor.update(self.txn, stmt, auto_commit)
         elif isinstance(stmt, ast.Delete):
-            result = yield from executor.delete(self.txn, stmt)
+            result = yield from executor.delete(self.txn, stmt, auto_commit)
         else:
             raise SchemaError(
                 f"statement not allowed in a transaction: {stmt!r}")
@@ -382,7 +384,7 @@ class Session:
             return result
 
         def body(handle: TxnHandle) -> Generator:
-            result = yield from handle.execute_stmt(stmt)
+            result = yield from handle.execute_stmt(stmt, auto_commit=True)
             return result
 
         stmt_span = tracer.start("sql.stmt", None, stmt_obs[1])

@@ -56,6 +56,7 @@ class TxnStats:
     _FIELDS = ("begun", "committed", "aborted_retries",
                "uncertainty_restarts", "refreshes", "refresh_failures",
                "commit_waits", "commit_wait_ms_total", "ambiguous_commits",
+               "one_phase_commits", "one_phase_fallbacks",
                "validation_aborts", "epoch_waits", "epoch_wait_ms_total")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):

@@ -1,13 +1,23 @@
 """The CRDB-style transaction protocol (paper §5, §6).
 
-This is the pipeline extracted verbatim from the original coordinator:
-serializable timestamp-based MVCC transactions with write intents, an
-uncertainty interval and read refreshes, a one-phase-commit fast path,
-parallel-commit-shaped record writes, lock-table interaction through
+Serializable timestamp-based MVCC transactions with write intents, an
+uncertainty interval and read refreshes, lock-table interaction through
 the KV layer, and commit-wait (CRDB-style concurrent with intent
 resolution, or Spanner-style holding locks, per the coordinator's
-ablation flag).  Behavior is byte-identical to the pre-extraction
-coordinator — the committed golden fingerprints guard exactly that.
+ablation flag).  What a commit costs in consensus rounds:
+
+* read-only — none;
+* **one-phase** — a transaction whose final operation is its only write
+  (``write(..., commit=True)``: every auto-commit single-row statement)
+  commits inside that write's Raft entry, intent, commit record and
+  resolution together; nothing is left to resolve;
+* single-range — no record write (the parallel-commits latency
+  profile): the client is acknowledged after the last intent, and one
+  resolve entry follows in the background;
+* multi-range — a commit record on the anchor range, then one resolve
+  entry per range.
+
+The timestamp rules:
 
 * a transaction starts with read and provisional-commit timestamps from
   the gateway HLC;
@@ -31,11 +41,15 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..errors import (
     AmbiguousCommitError,
+    ClockFencedError,
+    DeadlineExceededError,
+    RangeKeyMismatchError,
+    RangeUnavailableError,
     ReadWithinUncertaintyIntervalError,
     TransactionAbortedError,
     TransactionRetryError,
 )
-from ..sim.network import NetworkUnavailableError
+from ..sim.network import NetworkUnavailableError, RequestNotSentError
 from ..kv.commands import TxnStatus
 from ..kv.distsender import DistSender, ReadRouting
 from ..kv.range import Range
@@ -45,6 +59,11 @@ from ..sim.core import all_of, settle_all
 from .protocol import TxnProtocol
 
 __all__ = ["CrdbProtocol", "Transaction"]
+
+#: Failures of the unwaited intent cleanup that leave recoverable
+#: orphans (waiter pushes resolve them); any other is a bug.
+_CLEANUP_BENIGN = (NetworkUnavailableError, RangeUnavailableError,
+                   DeadlineExceededError, RangeKeyMismatchError)
 
 
 class Transaction:
@@ -206,18 +225,63 @@ class Transaction:
 
     # -- writes -------------------------------------------------------------
 
-    def write(self, rng: Range, key: Any, value: Any) -> Generator:
-        """Transactional write (lays an intent at the leaseholder)."""
+    def write(self, rng: Range, key: Any, value: Any,
+              commit: bool = False) -> Generator:
+        """Transactional write (lays an intent at the leaseholder).
+
+        ``commit`` promises that this is the transaction's last
+        operation.  When it is also its first write, the leaseholder is
+        asked to commit in the write's own consensus round (one-phase
+        commit): no intent, no lock left behind, nothing for
+        :meth:`commit` to resolve.  The leaseholder declines — and the
+        write is a plain intent — when it had to move the timestamp
+        under the transaction's read spans.
+        """
+        ds = self._ds
         if self.anchor is None:
-            self.anchor = self._ds.resolve(rng, key)
-        written_ts = yield self._ds.write(
-            self.gateway, rng, key, self.write_ts, value, self.txn_id,
-            anchor_node_id=self.anchor.leaseholder_node_id or -1,
-            span=self.span, deadline_ms=self.deadline_ms)
+            self.anchor = ds.resolve(rng, key)
+        anchor_node = self.anchor.leaseholder_node_id or -1
+        coordinator = self.coordinator
+        one_phase = (commit and not self.write_set
+                     and (not self.read_set or self.write_ts == self.read_ts)
+                     and not coordinator.spanner_style_commit_wait)
+        try:
+            # The intent's timestamp — or, one-phase, (ts, committed).
+            reply = yield ds.write(
+                self.gateway, rng, key, self.write_ts, value, self.txn_id,
+                anchor_node_id=anchor_node, span=self.span,
+                deadline_ms=self.deadline_ms, commit=one_phase,
+                can_forward=one_phase and not self.read_set)
+        except (NetworkUnavailableError, RangeUnavailableError) as err:
+            if not one_phase or isinstance(err, (RequestNotSentError,
+                                                 ClockFencedError)):
+                raise  # an intent, or nothing got as far as evaluation
+            # An attempt was lost in transit or in replication (a
+            # proposal can outlive its timeout), so the commit is in
+            # doubt: the record the entry carries proves it — where the
+            # key lives now, the record having travelled with it — and
+            # nothing disproves it.
+            recovered = self._recover_commit_outcome(ds.resolve(rng, key))
+            if recovered is None:
+                if coordinator.recorder is not None:
+                    # The history must allow for a write that may yet
+                    # land, at a timestamp nobody knows.
+                    coordinator.recorder.on_write(self, rng, key, value, None)
+                raise self._ambiguous(self.write_ts, self.span)
+            reply = (recovered, True)
+        written_ts = reply
+        if one_phase:
+            written_ts, committed = reply
+            if committed:
+                coordinator.stats.c_one_phase_commits.value += 1
+                self.commit_ts = written_ts
+            else:
+                coordinator.stats.c_one_phase_fallbacks.value += 1
         if written_ts > self.write_ts:
             self.write_ts = written_ts
-        self.write_set[(self._ds.resolve(rng, key).range_id, key)] = (rng, key)
-        recorder = self.coordinator.recorder
+        if self.commit_ts is None:
+            self.write_set[(ds.resolve(rng, key).range_id, key)] = (rng, key)
+        recorder = coordinator.recorder
         if recorder is not None:
             recorder.on_write(self, rng, key, value, written_ts)
         return written_ts
@@ -265,9 +329,9 @@ class Transaction:
             raise first_error
         return written
 
-    def delete(self, rng: Range, key: Any) -> Generator:
+    def delete(self, rng: Range, key: Any, commit: bool = False) -> Generator:
         """Transactional delete (a tombstone write)."""
-        result = yield from self.write(rng, key, None)
+        result = yield from self.write(rng, key, None, commit)
         return result
 
     # -- refresh --------------------------------------------------------------
@@ -309,7 +373,7 @@ class Transaction:
             "txn.commit", self.span,
             ("txn_id", self.txn_id, "writes", len(self.write_set)))
         try:
-            if not self.write_set:
+            if not self.write_set and self.commit_ts is None:
                 self.status = TxnStatus.COMMITTED
                 self.commit_ts = self.read_ts
                 yield from self._commit_wait_if_needed(
@@ -322,15 +386,14 @@ class Transaction:
             commit_ts = self.write_ts
             self.commit_ts = commit_ts
 
-            # Fast path: a transaction whose writes all hit one range
-            # commits in the write's own consensus round (CRDB's
-            # one-phase commit / parallel commits latency profile) — no
-            # separate record write.  Multi-range transactions persist an
-            # explicit record on the anchor range before acknowledging.
-            single_range = len({self._ds.resolve(token, key).range_id
-                                for token, key
-                                in self.write_set.values()}) == 1
-            if not single_range:
+            # A transaction whose writes all hit one range commits with
+            # no separate record write (CRDB's parallel-commits latency
+            # profile) — and one that committed one-phase has no write
+            # left to account for at all.  Multi-range transactions
+            # persist an explicit record on the anchor range before
+            # acknowledging.
+            if len({self._ds.resolve(token, key).range_id
+                    for token, key in self.write_set.values()}) > 1:
                 try:
                     yield self._ds.write_txn_record(
                         self.gateway, self.anchor, self.txn_id,
@@ -339,15 +402,8 @@ class Transaction:
                     # The record write was lost in flight — it may or may
                     # not have replicated.  Consult the replicated records
                     # (the sim stand-in for CRDB's txn recovery protocol).
-                    if not self._recover_commit_outcome():
-                        # Unknowable: mark aborted locally so lock-table
-                        # pushes unblock waiters, but do NOT write an
-                        # ABORTED record over a possibly-committed one.
-                        self.status = TxnStatus.ABORTED
-                        self.coordinator.stats.c_ambiguous_commits.value += 1
-                        tracer.tag(commit_span, "ambiguous", True)
-                        self._record_outcome("indeterminate")
-                        raise AmbiguousCommitError(self.txn_id, commit_ts)
+                    if self._recover_commit_outcome(self.anchor) is None:
+                        raise self._ambiguous(commit_ts, commit_span)
 
             wait_target = commit_ts
             if (self.observed_future_ts is not None
@@ -386,38 +442,62 @@ class Transaction:
         else:
             recorder.on_abort(self)
 
-    def _recover_commit_outcome(self) -> bool:
+    def _recover_commit_outcome(self, rng: Range) -> Optional[Timestamp]:
         """Did the commit record replicate despite the lost RPC?
 
-        Peeks the anchor range's replicated transaction records — any
-        replica that applied a COMMITTED record proves the outcome.
+        Peeks ``rng``'s replicated transaction records — any replica
+        that applied a COMMITTED record proves the outcome, and holds
+        its timestamp.
         """
-        if self.anchor is None:
-            return False
-        for replica in self.anchor.replicas.values():
-            record = replica.txn_records.get(self.txn_id)
-            if record is not None and record.status == TxnStatus.COMMITTED:
-                return True
-        return False
+        for replica in rng.replicas.values():
+            record = replica.committed(self.txn_id)
+            if record is not None:
+                return record.commit_ts
+        return None
+
+    def _ambiguous(self, commit_ts: Timestamp, span) -> AmbiguousCommitError:
+        """The commit's outcome is unknowable: mark aborted locally so
+        lock-table pushes unblock waiters, but do NOT write an ABORTED
+        record over a possibly-committed one."""
+        self.status = TxnStatus.ABORTED
+        self.coordinator.stats.c_ambiguous_commits.value += 1
+        self.coordinator.tracer.tag(span, "ambiguous", True)
+        self._record_outcome("indeterminate")
+        return AmbiguousCommitError(self.txn_id, commit_ts)
 
     def _resolve_intents_async(self, commit_ts: Optional[Timestamp]) -> None:
+        # The intents still outstanding: none after a one-phase commit,
+        # which the DistSender answers with a settled future.
         spans = list(self.write_set.values())
-        if not spans:
-            return
         # A background root of its own, traced iff the transaction is:
         # cleanup outlives the transaction span (CRDB resolves intents
         # asynchronously after the client ack).
-        tracer = self.coordinator.tracer
-        cleanup_span = self.span and tracer.start(
-            "txn.cleanup", DETACHED,
-            ("txn_id", self.txn_id, "intents", len(spans)))
-        # Nobody waits on the future: benign races are swallowed.
+        cleanup_span = 0
+        if spans and self.span:
+            cleanup_span = self.coordinator.tracer.start(
+                "txn.cleanup", DETACHED,
+                ("txn_id", self.txn_id, "intents", len(spans)))
+        self._cleanup_span = cleanup_span
         fut = self._ds.resolve_intents(self.gateway, spans, self.txn_id,
                                        commit_ts, span=cleanup_span)
-        if cleanup_span:
-            fut.add_callback(lambda f: tracer.finish(
-                cleanup_span, "error",
-                None if f.error is None else type(f.error).__name__))
+        if spans:
+            fut.add_callback(self._cleanup_done)
+
+    def _cleanup_done(self, fut) -> None:
+        """Nobody waits on cleanup: count the failures that leave
+        recoverable orphans, crash the run on anything else."""
+        error = fut._error
+        if self._cleanup_span:
+            self.coordinator.tracer.finish(
+                self._cleanup_span, "error",
+                None if error is None else type(error).__name__)
+        if error is None:
+            return
+        if isinstance(error, _CLEANUP_BENIGN):
+            self.coordinator.sim.obs.registry.counter(
+                "txn.cleanup_failures", error=type(error).__name__).inc()
+        else:
+            self.coordinator.sim._crash(error)
 
     def _commit_wait_if_needed(self, target: Optional[Timestamp],
                                parent_span=None) -> Generator:

@@ -554,8 +554,11 @@ class EpochTransaction:
 
     # -- writes --------------------------------------------------------------
 
-    def write(self, rng, key: Any, value: Any) -> Generator:
-        """Buffer the write locally; intents are laid at epoch apply.
+    def write(self, rng, key: Any, value: Any,
+              commit: bool = False) -> Generator:
+        """Buffer the write locally; intents are laid at epoch apply
+        (``commit``, the CRDB pipeline's one-phase hint, means nothing
+        to a protocol that commits by epoch).
 
         Recorded in the history at apply time (with its real intent
         timestamp), so aborted optimistic transactions honestly show no
@@ -571,7 +574,7 @@ class EpochTransaction:
         return []
         yield  # pragma: no cover - marks this function as a generator
 
-    def delete(self, rng, key: Any) -> Generator:
+    def delete(self, rng, key: Any, commit: bool = False) -> Generator:
         result = yield from self.write(rng, key, None)
         return result
 

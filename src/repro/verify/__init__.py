@@ -19,6 +19,7 @@ from .generator import (
     CLOCK_SCENARIOS,
     OCC_ABLATION_SCENARIO,
     OCC_SWEEP_SCENARIOS,
+    REAPPLY_ABLATION_SCENARIO,
     VERIFY_ONLY_SCENARIOS,
     VERIFY_SCENARIOS,
     VerifyHarness,
@@ -32,7 +33,7 @@ __all__ = [
     "Anomaly", "VerifyReport", "check",
     "VerifyHarness", "VerifyResult", "run_verify", "VERIFY_SCENARIOS",
     "VERIFY_ONLY_SCENARIOS", "CLOCK_SCENARIOS", "OCC_SWEEP_SCENARIOS",
-    "OCC_ABLATION_SCENARIO",
+    "OCC_ABLATION_SCENARIO", "REAPPLY_ABLATION_SCENARIO",
     "RecordedOp", "RecordedTxn", "VerifyHistory",
     "HistoryRecorder",
 ]

@@ -40,7 +40,8 @@ from .recorder import HistoryRecorder
 
 __all__ = ["VerifyHarness", "VerifyResult", "run_verify",
            "VERIFY_SCENARIOS", "VERIFY_ONLY_SCENARIOS", "CLOCK_SCENARIOS",
-           "OCC_SWEEP_SCENARIOS", "OCC_ABLATION_SCENARIO"]
+           "OCC_SWEEP_SCENARIOS", "OCC_ABLATION_SCENARIO",
+           "REAPPLY_ABLATION_SCENARIO"]
 
 #: The schedules the randomized isolation sweep runs under: the chaos
 #: heal-everything fault schedules (the two *-repair scenarios
@@ -70,6 +71,8 @@ OCC_SWEEP_SCENARIOS = [
 
 OCC_ABLATION_SCENARIO = "occ-novalidate"
 
+REAPPLY_ABLATION_SCENARIO = "one-phase-reapply"
+
 #: Scenarios only the verifier has (every other name reuses the chaos
 #: scenario's fault schedule and doc): name -> what the nemesis is.
 VERIFY_ONLY_SCENARIOS = {
@@ -97,12 +100,27 @@ VERIFY_ONLY_SCENARIOS = {
         "write-write races (lost updates / write cycles) — proof the "
         "differential sweep's clean verdicts are earned by validation, "
         "not by checker blindness.",
+    REAPPLY_ABLATION_SCENARIO:
+        "The one-phase-commit honest-falsification ablation: flaky-wan "
+        "with the commit record left out of the one-phase Raft entry, "
+        "so a write re-sent after a lost reply applies a second time; "
+        "passes iff the checker convicts the duplicate / lost-update "
+        "anomalies — proof the sweep's clean verdicts under message "
+        "loss are earned by the record, not by checker blindness.",
 }
 
 #: Anomaly types the validation-off ablation must produce (at least
 #: one): the write-write races validation exists to prevent.
 OCC_ABLATION_REQUIRED_TYPES = frozenset({
     "lost-update", "lost-write", "incompatible-order",
+    "G0", "G1c", "G-single", "G2",
+})
+
+#: Anomaly types the re-apply ablation must produce (at least one): a
+#: write that lands twice is a duplicate element, or a second version
+#: that buries whatever committed between the two.
+REAPPLY_REQUIRED_TYPES = frozenset({
+    "lost-update", "lost-write", "incompatible-order", "G1a",
     "G0", "G1c", "G-single", "G2",
 })
 
@@ -285,7 +303,7 @@ class VerifyHarness(Testbed):
                 plan.append((table, key, kind, action))
 
             def txn_fn(txn, plan=plan):
-                for table, key, _kind, action in plan:
+                for step, (table, key, _kind, action) in enumerate(plan, 1):
                     if action == "read":
                         yield from txn.read(table, key,
                                             routing=self._strong_routing)
@@ -295,14 +313,13 @@ class VerifyHarness(Testbed):
                     if action == "append":
                         current = yield from txn.read(
                             table, key, routing=self._strong_routing)
-                        current = list(current or [])
-                        yield from txn.write(table, key, current + [value])
+                        value = list(current or []) + [value]
                     elif action == "rmw":
                         yield from txn.read(table, key,
                                             routing=self._strong_routing)
-                        yield from txn.write(table, key, value)
-                    else:  # blind write
-                        yield from txn.write(table, key, value)
+                    # A plan that ends in a write ends in its commit.
+                    yield from txn.write(table, key, value,
+                                         commit=step == len(plan))
 
             deadline = (self.sim.now + self.txn_deadline_ms
                         if self.txn_deadline_ms is not None else None)
@@ -349,6 +366,43 @@ class VerifyHarness(Testbed):
             yield from self.attempt(gateway, txn_fn, max_attempts=6,
                                     label=label)
             yield self.sim.sleep(rng.uniform(*think_ms))
+
+    # -- re-send probe (one-phase-reapply) ----------------------------------
+
+    def reapply_probe(self, key: str = "r1"):
+        """The lost reply the ``one-phase-reapply`` ablation is about,
+        made certain (flaky-wan loses one only now and then, and rarely
+        with another transaction inside the gap): a far-region blind
+        write commits one-phase, every reply on its way back is dropped
+        until a home-region read-modify-write has read it and written
+        over it, and then the re-sent write is let through.  With the
+        commit record in the entry the re-send is answered from it; with
+        it left out the write lands a second time, above the transaction
+        that read it."""
+        faults = self.cluster.network.faults
+        far = next(r for r in self.regions if r != self.home)
+        table = self.range
+        value = "probe:resent"
+
+        def write_fn(txn):
+            yield from txn.write(table, key, value, commit=True)
+
+        def rmw_fn(txn):
+            yield from txn.read(table, key)
+            yield from txn.write(table, key, "probe:over", commit=True)
+
+        faults.set_loss(self.home, far, 1.0, bidirectional=False)
+        writer = self.sim.spawn(self.attempt(
+            self.cluster.gateway_for_region(far), write_fn,
+            label="probe-resend"))
+        store = table.leaseholder_replica.store
+        while store.get(key, table.leaseholder_node.clock.now()).value \
+                != value:
+            yield self.sim.sleep(5.0)
+        yield from self.attempt(self.cluster.gateway_for_region(self.home),
+                                rmw_fn, label="probe-over")
+        faults.set_loss(self.home, far, 0.0, bidirectional=False)
+        yield writer
 
     # -- stale readers ------------------------------------------------------
 
@@ -422,7 +476,7 @@ class VerifyHarness(Testbed):
 
         def txn_fn(txn):
             if is_write:
-                yield from txn.write(table, key, value)
+                yield from txn.write(table, key, value, commit=True)
             else:
                 yield from txn.read(table, key)
 
@@ -561,6 +615,7 @@ class VerifyHarness(Testbed):
         overload = scenario == "overload"
         clock_scenario = scenario in CLOCK_SCENARIOS
         occ_ablation = scenario == OCC_ABLATION_SCENARIO
+        reapply_ablation = scenario == REAPPLY_ABLATION_SCENARIO
         if overload:
             # The nemesis is load, not faults: saturating background
             # arrivals against the home store while admission control
@@ -583,6 +638,15 @@ class VerifyHarness(Testbed):
             # The nemesis is the protocol itself: epoch-OCC with
             # commit-time validation disabled; no faults injected.
             pass
+        elif reapply_ablation:
+            # flaky-wan against one-phase entries that carry no commit
+            # record, after the probe that makes the damage certain.
+            for rng in self.ranges.values():
+                rng.commit_marker = False
+            self.run_clients([self.reapply_probe()])
+            start_ms = sim.now
+            nemesis = self.start_nemesis(build_faults("flaky-wan", self),
+                                         base_ms=start_ms)
         elif scenario:
             nemesis = self.start_nemesis(build_faults(scenario, self),
                                          base_ms=start_ms)
@@ -653,6 +717,16 @@ class VerifyHarness(Testbed):
                 report=report, duration_ms=duration, stats=stats,
                 expect_anomalies=True, allowed_anomaly_types=allowed,
                 required_anomaly_types=OCC_ABLATION_REQUIRED_TYPES)
+        if reapply_ablation:
+            # A write that lands twice buries what was written between;
+            # the damage may also reach the final audit.
+            allowed = (REAPPLY_REQUIRED_TYPES | REALTIME_ANOMALY_TYPES
+                       | frozenset({"final-state-divergence"}))
+            return VerifyResult(
+                scenario=scenario_name, seed=self.seed, history=history,
+                report=report, duration_ms=duration, stats=stats,
+                expect_anomalies=True, allowed_anomaly_types=allowed,
+                required_anomaly_types=REAPPLY_REQUIRED_TYPES)
         return VerifyResult(scenario=scenario_name, seed=self.seed,
                             history=history, report=report,
                             duration_ms=duration, stats=stats,
@@ -668,10 +742,13 @@ def run_verify(scenario: Optional[str] = None, seed: int = 0,
     None for a fault-free run; ``protocol`` selects the transaction
     backend ("crdb" default, "epoch-occ" for the differential sweep).
     The ``occ-novalidate`` scenario forces the validation-off epoch-OCC
-    ablation regardless of ``protocol``.
+    ablation regardless of ``protocol``, ``one-phase-reapply`` the CRDB
+    pipeline (the only one that commits one-phase).
     """
     if scenario in ("none", ""):
         scenario = None
+    if scenario == REAPPLY_ABLATION_SCENARIO:
+        protocol = None
     if scenario == OCC_ABLATION_SCENARIO:
         from ..txn.epoch import EpochOccProtocol
         protocol = EpochOccProtocol(validate=False)

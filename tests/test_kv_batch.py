@@ -1,5 +1,6 @@
-"""Per-range batching: ``DistSender.read_batch`` / ``write_batch``,
-``Range.serve_read_batch`` / ``serve_write_batch`` and ``BatchCommand``.
+"""Per-range batching: ``DistSender.read_batch`` / ``write_batch`` /
+``resolve_intents``, ``Range.serve_read_batch`` / ``serve_write_batch``
+/ ``serve_resolve_intent`` groups and ``BatchCommand``.
 
 The batched path is the per-key path with fewer messages, so most of
 this file is differential: same results, same replicated state, same
@@ -17,9 +18,14 @@ from repro.admission import AdmissionConfig, install_admission
 from repro.errors import (
     DeadlineExceededError,
     RangeKeyMismatchError,
+    RangeUnavailableError,
     TransactionAbortedError,
 )
-from repro.kv.commands import BatchCommand, PutIntentCommand
+from repro.kv.commands import (
+    BatchCommand,
+    PutIntentCommand,
+    ResolveIntentCommand,
+)
 from repro.kv.distsender import _Batch
 from repro.placement import SurvivalGoal, provision_range, zone_config_for_home
 from repro.sim.core import settle_all
@@ -400,6 +406,125 @@ class TestPartialFailure:
         assert store.intent_for("b").txn_id == 9
 
 
+class TestResolveGroups:
+    """``resolve_intents``: one RPC and one Raft entry per owning range,
+    for commit and abort alike."""
+
+    def lay(self, bed, span, keys, txn_id=9):
+        gateway = bed.gateway(HOME)
+        stamps = run(bed, bed.ds.write_batch(
+            gateway, [(span, key, f"w{key}") for key in keys],
+            gateway.clock.now(), txn_id, anchor_node_id=gateway.node_id))
+        return gateway, max(stamps)
+
+    def test_one_rpc_and_one_entry_per_range(self):
+        bed, span = make_bed(splits=(4,))
+        keys = [0, 1, 2, 5, 6, 7]
+        gateway, commit_ts = self.lay(bed, span, keys)
+        calls = count_calls(bed.cluster)
+        before = [d.rng.group.commit_index for d in span.descriptors]
+        run(bed, bed.ds.resolve_intents(
+            gateway, [(span, key) for key in keys], 9, commit_ts))
+        bed.settle(100.0)
+        assert calls == [3, 3]
+        assert bed.ds.resolve_batches == 2
+        for descriptor, index in zip(span.descriptors, before):
+            rng = descriptor.rng
+            assert rng.group.commit_index == index + 1
+            command = rng.group.leader.log[-1].command
+            assert type(command) is BatchCommand
+            assert [type(c) for c in command.commands] == (
+                [ResolveIntentCommand] * 3)
+            assert rng.lock_table.is_quiescent()
+        for key in keys:
+            owner = span.descriptor_for_key(key).rng
+            for replica in owner.replicas.values():
+                assert replica.store.intent_for(key) is None
+                assert replica.store.get(key, commit_ts).value == f"w{key}"
+
+    def test_a_one_key_group_is_todays_call(self):
+        bed, span = make_bed(splits=(4,))
+        gateway, commit_ts = self.lay(bed, span, [0, 5])
+        calls = count_calls(bed.cluster)
+        run(bed, bed.ds.resolve_intents(
+            gateway, [(span, 0), (span, 5)], 9, commit_ts))
+        assert calls == [1, 1] and bed.ds.resolve_batches == 0
+        for descriptor in span.descriptors:
+            command = descriptor.rng.group.leader.log[-1].command
+            assert type(command) is ResolveIntentCommand
+
+    def test_nothing_to_resolve_is_settled_at_once(self):
+        bed, _span = make_bed()
+        calls = count_calls(bed.cluster)
+        spawned = []
+        bed.sim.spawn = lambda *args, **kwargs: spawned.append(args)
+        future = bed.ds.resolve_intents(bed.gateway(HOME), [], 9, None)
+        assert future.done and future.value is None
+        assert calls == [] and spawned == []
+
+    def test_abort_removes_every_intent(self):
+        bed, span = make_bed()
+        keys = list(range(5))
+        gateway, _ts = self.lay(bed, span, keys)
+        before = span.anchor.group.commit_index
+        run(bed, bed.ds.resolve_intents(
+            gateway, [(span, key) for key in keys], 9, None))
+        bed.settle(100.0)
+        rng = span.anchor
+        assert rng.group.commit_index == before + 1
+        assert rng.lock_table.is_quiescent()
+        for replica in rng.replicas.values():
+            for key in keys:
+                assert replica.store.intent_for(key) is None
+                assert replica.store.get(
+                    key, gateway.clock.now()).value == f"v{key}"
+
+    def test_every_waiter_on_every_key_is_released(self):
+        bed, span = make_bed()
+        keys = list(range(4))
+        gateway, commit_ts = self.lay(bed, span, keys)
+        readers = [
+            bed.ds.read(gateway, span, key, gateway.clock.now(), txn_id=50 + n)
+            for n, key in enumerate(keys + keys)]  # two waiters per key
+        bed.sim.run(until=bed.sim.now + 10.0)
+        assert not any(reader.done for reader in readers)
+        run(bed, bed.ds.resolve_intents(
+            gateway, [(span, key) for key in keys], 9, commit_ts))
+        outcomes = run(bed, settle_all(bed.sim, readers))
+        assert [fut.value[0].value for fut in outcomes] == [
+            f"w{key}" for key in keys + keys]
+        assert span.anchor.lock_table.is_quiescent()
+
+    def test_split_repartitions_a_resolve_group(self):
+        bed, span = make_bed()
+        keys = list(range(N_KEYS))
+        gateway, commit_ts = self.lay(bed, span, keys)
+        future = bed.ds.resolve_intents(
+            gateway, [(span, key) for key in keys], 9, commit_ts)
+        bed.cluster.keyspace.split(span.descriptors[0], 5, trigger="test")
+        run(bed, future)
+        assert bed.ds.rpc_retries == 1  # one bounce, then one per owner
+        bed.settle(100.0)
+        for key in keys:
+            owner = span.descriptor_for_key(key).rng
+            assert owner.lock_table.holder_of(key) is None
+            for replica in owner.replicas.values():
+                assert replica.store.intent_for(key) is None
+
+    def test_a_failed_group_rejects_the_whole_call(self):
+        bed, span = make_bed()
+        rng = span.anchor
+        gateway, commit_ts = self.lay(bed, span, [0, 1])
+        for peer in rng.group.voters():
+            if peer.node.node_id != rng.leaseholder_node_id:
+                bed.cluster.network.kill_node(peer.node.node_id)
+        rng.group.proposal_timeout_ms = 200.0
+        future = bed.ds.resolve_intents(
+            gateway, [(span, 0), (span, 1)], 9, commit_ts)
+        (settled,) = run(bed, settle_all(bed.sim, [future]))
+        assert isinstance(settled.error, RangeUnavailableError)
+
+
 class TestNoCyclicGarbage:
     def test_a_finished_batch_dies_by_refcount(self):
         bed, span = make_bed(splits=(3, 6))
@@ -412,9 +537,12 @@ class TestNoCyclicGarbage:
             run(bed, bed.ds.read_batch(
                 gateway, [(span, key) for key in range(N_KEYS)],
                 gateway.clock.now()))
-            run(bed, bed.ds.write_batch(
+            stamps = run(bed, bed.ds.write_batch(
                 gateway, [(span, key, "w") for key in range(N_KEYS)],
                 gateway.clock.now(), 9, anchor_node_id=gateway.node_id))
+            run(bed, bed.ds.resolve_intents(
+                gateway, [(span, key) for key in range(N_KEYS)], 9,
+                max(stamps)))
             gc.collect()
             found = [repr(obj)[:100] for obj in gc.garbage
                      if isinstance(obj, _Batch)

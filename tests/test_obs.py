@@ -294,7 +294,10 @@ class TestSampling:
         home = engine.connect(DEFAULT_REGIONS[0])
         home.execute(f'CREATE DATABASE kv PRIMARY REGION '
                      f'"{DEFAULT_REGIONS[0]}" REGIONS {others}')
-        home.execute("CREATE TABLE kv (k int PRIMARY KEY, v string)")
+        # ``v`` UNIQUE: the row write is not the INSERT's last KV
+        # operation, so it lays intents (no one-phase commit) that a
+        # background cleanup resolves.
+        home.execute("CREATE TABLE kv (k int PRIMARY KEY, v string UNIQUE)")
         sim = engine.cluster.sim
         sim.run(until=sim.now + 1000.0)
         # Writes (each also mints a background txn.cleanup root) and

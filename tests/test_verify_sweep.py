@@ -9,7 +9,15 @@ is embedded so the violation can be replayed offline with
 
 import pytest
 
-from repro.verify import CLOCK_SCENARIOS, VERIFY_SCENARIOS, run_verify
+from repro.verify import (
+    CLOCK_SCENARIOS,
+    REAPPLY_ABLATION_SCENARIO,
+    VERIFY_SCENARIOS,
+    VerifyHarness,
+    check,
+    run_verify,
+)
+from repro.verify.generator import REAPPLY_REQUIRED_TYPES
 
 SEEDS = range(5)
 
@@ -37,3 +45,35 @@ def test_sweep_results_are_replayable(scenario):
     from repro.verify import VerifyHistory, check
     replayed = check(VerifyHistory.loads(result.history.dumps()))
     assert replayed.dumps() == result.report.dumps()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reapply_ablation_is_convicted(seed):
+    """Without the commit record in the one-phase entry a re-sent write
+    lands twice, and the checker must say so — a sweep that stays clean
+    with the guard off proves nothing about the guard."""
+    result = run_verify(REAPPLY_ABLATION_SCENARIO, seed=seed)
+    found = {a.type for a in result.report.anomalies}
+    assert found & REAPPLY_REQUIRED_TYPES, (
+        f"re-apply ablation seed={seed} produced no duplicate-write / "
+        f"lost-update class anomaly (found {sorted(found)})")
+    assert result.ok, (
+        f"ablation seed={seed} flagged unexpected anomaly types "
+        f"{sorted(found)}:\n{result.report.render()}")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_probe_that_convicts_is_clean_with_the_guard_on(seed):
+    """The identical lost-reply schedule against the shipped pipeline:
+    the re-send is answered from the record, at the first timestamp."""
+    harness = VerifyHarness(seed)
+    harness._init_keys()
+    harness.sim.run(until=harness.sim.now + 600.0)
+    harness.run_clients([harness.reapply_probe()])
+    harness.heal_and_settle()
+    harness.recorder.final = harness._audit()
+    history = harness.recorder.finalize()
+    report = check(history)
+    assert report.ok, report.render()
+    assert harness.ds.rpc_retries >= 1
+    assert harness.coord.stats.one_phase_commits >= 2
