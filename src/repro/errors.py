@@ -14,6 +14,7 @@ __all__ = [
     "WriteIntentError",
     "ReadWithinUncertaintyIntervalError",
     "WriteTooOldError",
+    "ConditionFailedError",
     "TransactionRetryError",
     "TransactionValidationError",
     "TransactionAbortedError",
@@ -78,6 +79,19 @@ class WriteTooOldError(DatabaseError):
         self.key = key
         self.existing_ts = existing_ts
         self.attempted_ts = attempted_ts
+
+
+class ConditionFailedError(DatabaseError):
+    """A conditional put (``expect_absent``) found a live value on the
+    key.  Application-level and final: the leaseholder answered, nothing
+    was latched or written, and retrying would find the same value
+    (CRDB's ``ConditionFailedError``; SQL turns it into a uniqueness
+    violation)."""
+
+    def __init__(self, key, existing):
+        super().__init__(f"condition failed on {key!r}: key exists")
+        self.key = key
+        self.existing = existing
 
 
 class TransactionRetryError(DatabaseError):

@@ -22,8 +22,8 @@ from typing import (Any, Callable, Dict, FrozenSet, Mapping, Optional,
 
 from .. import chaos, verify
 from ..chaos.scenarios import SCENARIOS, run_scenario
-from ..verify.generator import (CLOCK_SCENARIOS, OCC_ABLATION_SCENARIO,
-                                OCC_SWEEP_SCENARIOS,
+from ..verify.generator import (CLOCK_SCENARIOS, CPUT_ABLATION_SCENARIO,
+                                OCC_ABLATION_SCENARIO, OCC_SWEEP_SCENARIOS,
                                 REAPPLY_ABLATION_SCENARIO,
                                 VERIFY_ONLY_SCENARIOS, VERIFY_SCENARIOS,
                                 run_verify)
@@ -182,7 +182,7 @@ _CHAOS_FIXED = frozenset(name for name, scenario in SCENARIOS.items()
 _VERIFY_DOCS = {
     name: VERIFY_ONLY_SCENARIOS.get(name) or SCENARIOS[name].doc
     for name in ("none", *VERIFY_SCENARIOS, OCC_ABLATION_SCENARIO,
-                 REAPPLY_ABLATION_SCENARIO)}
+                 REAPPLY_ABLATION_SCENARIO, CPUT_ABLATION_SCENARIO)}
 _REPAIR = ("kill-node-repair", "region-loss-repair")
 
 _SCENARIO_FLAGS = ("seed", "seeds", "json", "parallel", "protocol")

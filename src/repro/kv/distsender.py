@@ -781,15 +781,19 @@ class DistSender:
     def write(self, gateway, token, key: Any, ts: Timestamp, value: Any,
               txn_id: int, anchor_node_id: int, span=None,
               deadline_ms: Optional[float] = None, commit: bool = False,
-              can_forward: bool = False) -> Future:
+              can_forward: bool = False,
+              expect_absent: bool = False) -> Future:
         """Write an intent; resolves with the timestamp it was laid at —
         or, asked to ``commit`` in the same consensus round (see
         :meth:`Range.serve_write`), with ``(ts, committed)``.
+        ``expect_absent`` makes it a conditional put, rejected with
+        :class:`~repro.errors.ConditionFailedError` when the key has a
+        live value.
 
         Safe to retry: re-laying the same transaction's intent is
-        idempotent (it replaces its own intent), and a one-phase commit
-        applies at most once.  A one-phase write is its transaction's
-        commit RPC, so like every commit RPC it runs deadline-free once
+        idempotent (it replaces its own intent, which a conditional put
+        counts as absent), and a one-phase commit applies at most once.
+        A one-phase write is its transaction's commit RPC, so like every commit RPC it runs deadline-free once
         sent — giving up on it at the deadline would leave its outcome
         unknown; the leaseholder still sheds it at admission, unevaluated,
         when the deadline has passed."""
@@ -798,7 +802,7 @@ class DistSender:
             lambda _rng, _span=None: _rng.serve_write(
                 key, ts, value, txn_id, anchor_node_id, span=_span,
                 deadline_ms=deadline_ms, commit=commit,
-                can_forward=can_forward),
+                can_forward=can_forward, expect_absent=expect_absent),
             span=span, op="kv.write",
             deadline_ms=None if commit else deadline_ms, key=key,
             record_load=True)
@@ -836,17 +840,20 @@ class DistSender:
 
     def write_batch(self, gateway, items, ts: Timestamp, txn_id: int,
                     anchor_node_id: int, span=None,
-                    deadline_ms: Optional[float] = None) -> Future:
+                    deadline_ms: Optional[float] = None,
+                    expect_absent: bool = False) -> Future:
         """Write an intent for every ``(token, key, value)`` of
         ``items``, one RPC and one Raft entry per owning range.
         Resolves (see :class:`_Batch`) with the timestamp each
         intent was laid at — a group lays all of its intents or, when
-        its outcome is an exception, is not known to have laid any.
+        its outcome is an exception, is not known to have laid any
+        (``expect_absent``: a live value on one key fails its group).
         Safe to retry, like :meth:`write`."""
         def single(item) -> Future:
             return self.write(gateway, item[0], item[1], ts, item[2],
                               txn_id, anchor_node_id, span=span,
-                              deadline_ms=deadline_ms)
+                              deadline_ms=deadline_ms,
+                              expect_absent=expect_absent)
 
         def group(members) -> Future:
             pairs = [(key, value) for _token, key, value in members]
@@ -854,7 +861,7 @@ class DistSender:
                 gateway, members[0][0],
                 lambda _rng, _span=None: _rng.serve_write_batch(
                     pairs, ts, txn_id, anchor_node_id, span=_span,
-                    deadline_ms=deadline_ms),
+                    deadline_ms=deadline_ms, expect_absent=expect_absent),
                 span=span, op="kv.write", deadline_ms=deadline_ms,
                 key=pairs[0][0], keys=len(pairs))
 
@@ -882,14 +889,18 @@ class DistSender:
             span=span, op="kv.refresh", deadline_ms=deadline_ms, key=key)
 
     def write_txn_record(self, gateway, token, txn_id: int, status: str,
-                         commit_ts: Optional[Timestamp], span=None) -> Future:
+                         commit_ts: Optional[Timestamp], span=None,
+                         resolve_keys: tuple = ()) -> Future:
+        """Write the transaction record and, in the same RPC and Raft
+        entry, resolve the intents on ``resolve_keys`` (the write-set
+        keys living on the record's range)."""
         # No key: the transaction record lives on the anchor range the
         # transaction pinned at its first write, split or no split.
         return self._leaseholder_call(
             gateway, token,
-            lambda _rng, _span=None: _rng.serve_txn_record(txn_id, status,
-                                                           commit_ts,
-                                                           span=_span),
+            lambda _rng, _span=None: _rng.serve_txn_record(
+                txn_id, status, commit_ts, span=_span,
+                resolve_keys=resolve_keys),
             span=span, op="kv.txn_record")
 
     def epoch_order(self, gateway, token, epoch: int, txn_ids,

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from ..errors import (
+    ConditionFailedError,
     RangeKeyMismatchError,
     RangeUnavailableError,
     ReadWithinUncertaintyIntervalError,
@@ -70,6 +71,9 @@ class Range:
     #: record, the guard against applying a re-sent request twice.  Off
     #: only in the verify harness's ``one-phase-reapply`` ablation.
     commit_marker = True
+    #: A conditional put (``expect_absent``) evaluates its condition.
+    #: Off only in the verify harness's ``cput-blind`` ablation.
+    check_condition = True
 
     def __init__(self, cluster: "Cluster", policy: Optional[ClosedTimestampPolicy] = None,
                  name: str = "", proposal_timeout_ms: Optional[float] = None):
@@ -422,6 +426,15 @@ class Range:
 
     def _apply(self, node: "Node", command: Any) -> None:
         if type(command) is BatchCommand:
+            head = command.commands[0]
+            if (type(head) is SetTxnRecordCommand and head.key is None
+                    and head.status == TxnStatus.COMMITTED
+                    and self.cluster.txn_status(head.txn_id) == (True, None)):
+                # A commit its coordinator gave up on while the entry
+                # sat in the log (proposal timed out, partition healed):
+                # the transaction's other intents are being aborted, so
+                # the record must not commit this range's.
+                return
             # One entry, many commands: each member applies on its own,
             # so one a split moved is forwarded like any other.
             for member in command.commands:
@@ -529,15 +542,25 @@ class Range:
                 "kv.writes", range=self.name)
         self._c_writes.value += keys
 
-    def _evaluate_write(self, key: Any, ts: Timestamp, txn_id: int):
+    def _evaluate_write(self, key: Any, ts: Timestamp, txn_id: int,
+                        expect_absent: bool = False):
         """One yield-free evaluation of a write to ``key`` at ``ts``:
-        ownership, lock table, ``check_write``, write-too-old bump.
+        ownership, lock table, ``check_write``, write-too-old bump, and
+        — for a conditional put — the condition.
 
         Returns ``(ts, None)`` when the write may go ahead at the
         (possibly bumped) ``ts``, or ``(ts, holder_txn_id)`` when it
         must first wait for that transaction's lock — after which the
         caller evaluates again: lock waits yield, and a split or merge
         may move the key out from under us mid-wait.
+
+        ``expect_absent`` is judged last — no foreign intent left, ``ts``
+        above every committed version, so the newest version *is* the
+        key's state at ``ts`` — and a live value raises
+        :class:`ConditionFailedError` with nothing latched.  The
+        transaction's own intent counts as absent: it can only be this
+        request's earlier attempt (the coordinator sends no conditional
+        put for a key it has written).
         """
         self._check_owns(key)
         holder = self.lock_table.holder_of(key)
@@ -555,14 +578,19 @@ class Range:
             except WriteTooOldError as err:
                 ts = err.existing_ts.next()
                 continue
+            if expect_absent and self.check_condition:
+                newest = store.get(key, ts, txn_id=txn_id)
+                if newest.value is not None and not newest.from_intent:
+                    raise ConditionFailedError(key, newest.value)
             return ts, None
 
     def _await_write(self, key: Any, ts: Timestamp, txn_id: int,
-                     span=None) -> Generator:
+                     span=None, expect_absent: bool = False) -> Generator:
         """Evaluate a write to ``key``, waiting out (or pushing) every
         conflicting lock; returns the timestamp it may be written at."""
         while True:
-            ts, blocker = self._evaluate_write(key, ts, txn_id)
+            ts, blocker = self._evaluate_write(key, ts, txn_id,
+                                               expect_absent)
             if blocker is None:
                 return ts
             yield from self._wait_or_push(key, txn_id, blocker, span=span)
@@ -582,9 +610,14 @@ class Range:
                     anchor_node_id: int, span=None,
                     deadline_ms: Optional[float] = None,
                     commit: bool = False,
-                    can_forward: bool = False) -> Generator:
+                    can_forward: bool = False,
+                    expect_absent: bool = False) -> Generator:
         """Evaluate and replicate a transactional write; returns the
         (possibly advanced) timestamp the intent was written at.
+
+        ``expect_absent`` makes it a conditional put: the intent is laid
+        only if the key has no live value (:meth:`_evaluate_write`),
+        else :class:`ConditionFailedError` — before anything is latched.
 
         ``commit`` asks for a one-phase commit — the transaction's only
         write, its commit record and the intent's resolution as *one*
@@ -604,7 +637,8 @@ class Range:
                 return record.commit_ts, True
         yield from self._admit(ts, deadline_ms)
         requested = ts
-        ts = yield from self._await_write(key, ts, txn_id, span=span)
+        ts = yield from self._await_write(key, ts, txn_id, span,
+                                          expect_absent)
         ts = self._latch_write(key, ts, txn_id)
         put = PutIntentCommand(key=key, ts=ts, value=value, txn_id=txn_id,
                                anchor_node_id=anchor_node_id)
@@ -622,7 +656,8 @@ class Range:
 
     def serve_write_batch(self, items, ts: Timestamp, txn_id: int,
                           anchor_node_id: int, span=None,
-                          deadline_ms: Optional[float] = None) -> Generator:
+                          deadline_ms: Optional[float] = None,
+                          expect_absent: bool = False) -> Generator:
         """Evaluate several writes — ``items`` is ``[(key, value)]``, all
         owned by this range — and replicate them as *one* Raft entry;
         returns the intent timestamps in item order.
@@ -630,8 +665,9 @@ class Range:
         Each key gets :meth:`serve_write`'s evaluation.  No key is
         latched until every key has passed in one yield-free pass (after
         any lock wait the pass starts over from the first key), so a
-        request that fails on one key — deadlock abort, mismatch, shed —
-        leaves no lock-table holder behind on the others.
+        request that fails on one key — deadlock abort, mismatch, shed,
+        a failed ``expect_absent`` condition — leaves no lock-table
+        holder behind on the others.
         """
         self._count_writes(len(items))
         yield from self._admit(ts, deadline_ms, units=len(items))
@@ -640,7 +676,7 @@ class Range:
         while index < len(items):
             key = items[index][0]
             stamps[index], blocker = self._evaluate_write(
-                key, stamps[index], txn_id)
+                key, stamps[index], txn_id, expect_absent)
             if blocker is None:
                 index += 1
                 continue
@@ -764,11 +800,21 @@ class Range:
 
     def serve_txn_record(self, txn_id: int, status: str,
                          commit_ts: Optional[Timestamp],
-                         span=None) -> Generator:
-        """Write the transaction record (commit/abort) on the anchor range."""
-        entry = yield self._propose(SetTxnRecordCommand(
-            txn_id=txn_id, status=status, commit_ts=commit_ts), span=span)
-        del entry
+                         span=None, resolve_keys: tuple = ()) -> Generator:
+        """Write the transaction record (commit/abort) on the anchor
+        range — and, in the same Raft entry, resolve the transaction's
+        intents on ``resolve_keys`` (CRDB's ``EndTxn`` resolving the
+        record range's intents in its own command): their lock-table
+        holders release when the record applies.  A key a split has
+        moved meanwhile is forwarded at apply like any batch member."""
+        command: Any = SetTxnRecordCommand(
+            txn_id=txn_id, status=status, commit_ts=commit_ts)
+        if resolve_keys:
+            command = BatchCommand((command,) + tuple(
+                ResolveIntentCommand(key=key, txn_id=txn_id,
+                                     commit_ts=commit_ts)
+                for key in resolve_keys))
+        yield self._propose(command, span=span)
         return None
 
     def serve_epoch_order(self, epoch: int, txn_ids: tuple,

@@ -165,6 +165,11 @@ class RaftGroup:
       proposals per operation, ``openloop`` 0.36 → 0.18, ``tpcc`` 15.2 →
       12.1, ``tpcc_epoch`` 11.8 → 8.7 (EXPERIMENTS.md "Round 10").  Still
       10 messages per proposal; the lever left is proposing less.
+    * Nor once for a commit record and again to resolve the intents
+      beside it: a multi-range commit's record entry resolves its own
+      range's intents (``Range.serve_txn_record(resolve_keys=)``) —
+      ``tpcc`` 12.10 → 11.23 proposals per operation (EXPERIMENTS.md
+      "Round 11").
     * Closed-timestamp heartbeats do not travel per group at all: the
       per-node-pair transport (``repro.kv.sidetransport``) carries
       them — ``movr``, ``tpcc_epoch``, ``verify_sweep``.  The

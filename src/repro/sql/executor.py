@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..errors import (
+    ConditionFailedError,
     ForeignKeyViolationError,
     SchemaError,
     UniqueViolationError,
@@ -87,22 +88,68 @@ class Executor:
                auto_commit: bool = False) -> Generator:
         """Insert rows; returns the number of rows written.
 
+        Every row is built first; their primary-index writes go out as
+        conditional puts (CRDB's CPut: the leaseholder lays the intent
+        only if the key has no live value) — one request for one row,
+        one per range for several — and each row's index entries,
+        uniqueness checks and foreign keys follow.
+
         ``auto_commit`` (here and on UPDATE / DELETE): the statement is
         the whole of an implicit transaction, so a row write that is
         provably its last KV operation may carry the commit
         (:meth:`_nothing_follows`)."""
         table = self.context.database.table(stmt.table)
         params = stmt.params
-        rows = stmt.compiled.rows
-        auto_commit = auto_commit and len(rows) == 1
-        count = 0
-        for value_exprs in rows:
+        planner = self.context.planner
+        primary = table.primary_index
+        region_col = table.region_column
+        rows = []
+        for value_exprs in stmt.compiled.rows:
             row, generated = self._build_row(table, stmt.columns,
                                              value_exprs, params)
-            yield from self._insert_row(txn, table, row, generated,
-                                        auto_commit)
-            count += 1
-        return count
+            partition = DEFAULT_PARTITION
+            if region_col is not None:
+                partition = row[region_col]
+                self.context.database.region_enum.validate_writable(partition)
+            pk = tuple(row[c] for c in table.primary_key)
+            # Post-write uniqueness checks (§4.1), self-matches allowed.
+            requests, meta = self._uniqueness_requests(
+                planner.plan_uniqueness_checks(
+                    table, row, generated_columns=generated, allow_pk=pk),
+                partition)
+            rows.append((row, partition, pk, requests, meta))
+        try:
+            if len(rows) == 1:
+                row, partition, pk, requests, _meta = rows[0]
+                yield from txn.write(
+                    primary.partition_for(partition), pk, row,
+                    commit=auto_commit and self._nothing_follows(table,
+                                                                 requests),
+                    expect_absent=True)
+            else:
+                yield from txn.write_batch(
+                    [(primary.partition_for(partition), pk, row)
+                     for row, partition, pk, _requests, _meta in rows],
+                    expect_absent=True)
+        except ConditionFailedError as err:
+            # The home partition's duplicate-PK check; remote partitions
+            # are covered by the uniqueness checks.
+            raise UniqueViolationError(table.name, table.primary_key,
+                                       err.key) from None
+        routing = _routing_for(table)
+        for row, partition, pk, requests, meta in rows:
+            for index in table.unique_indexes():
+                key = tuple(row[c] for c in index.key_columns)
+                yield from self._cput_index_entry(
+                    txn, table, index, partition, key, pk)
+            yield from self._run_uniqueness_checks(
+                txn, table, requests, meta, partition, routing)
+            # Foreign keys need strongly-consistent parent reads
+            # (§2.3.3): cheap when the parent is GLOBAL (served by the
+            # local replica), potentially cross-region otherwise — the
+            # paper's motivation for GLOBAL dimension tables.
+            yield from self._validate_foreign_keys(txn, table, row)
+        return len(rows)
 
     def _nothing_follows(self, table: Table, check_requests: list,
                          changed: Optional[frozenset] = None) -> bool:
@@ -159,49 +206,6 @@ class Executor:
                 raise SchemaError(
                     f"null value in NOT NULL column {column.name!r}")
         return row, frozenset(generated)
-
-    def _insert_row(self, txn, table: Table, row: Dict[str, Any],
-                    generated: frozenset,
-                    auto_commit: bool = False) -> Generator:
-        database = self.context.database
-        region_col = table.region_column
-        if region_col is not None:
-            database.region_enum.validate_writable(row[region_col])
-        partition = (row[region_col] if region_col is not None
-                     else DEFAULT_PARTITION)
-        pk = tuple(row[c] for c in table.primary_key)
-        primary = table.primary_index
-        routing = _routing_for(table)
-
-        # Local duplicate-PK check (read-before-write in the home
-        # partition; remote partitions are covered by uniqueness checks).
-        existing = yield from txn.read(primary.partition_for(partition), pk,
-                                       routing=routing)
-        if existing is not None:
-            raise UniqueViolationError(table.name, table.primary_key, pk)
-
-        # Post-write uniqueness checks (§4.1), self-matches allowed.
-        requests, meta = self._uniqueness_requests(
-            self.context.planner.plan_uniqueness_checks(
-                table, row, generated_columns=generated, allow_pk=pk),
-            partition)
-        # Write the row and its index entries.
-        yield from txn.write(
-            primary.partition_for(partition), pk, row,
-            commit=auto_commit and self._nothing_follows(table, requests))
-        for index in table.unique_indexes():
-            key = tuple(row[c] for c in index.key_columns)
-            yield from self._cput_index_entry(
-                txn, table, index, partition, key, pk, routing)
-
-        yield from self._run_uniqueness_checks(
-            txn, table, requests, meta, partition, routing)
-        # Foreign keys need strongly-consistent parent reads (§2.3.3):
-        # cheap when the parent is GLOBAL (served by the local replica),
-        # potentially cross-region otherwise — the paper's motivation for
-        # GLOBAL dimension tables.
-        yield from self._validate_foreign_keys(txn, table, row)
-        return None
 
     def _validate_foreign_keys(self, txn, table: Table,
                                row: Dict[str, Any],
@@ -293,14 +297,18 @@ class Executor:
         return None
 
     def _cput_index_entry(self, txn, table: Table, index, partition: str,
-                          key, pk, routing) -> Generator:
-        """Write a unique-index entry conditionally (CRDB uses CPut):
-        an existing entry pointing at a different row is a violation."""
+                          key, pk) -> Generator:
+        """Write a unique-index entry as a conditional put (CRDB's
+        CPut): a live entry pointing at a different row is a violation,
+        one already pointing at this row is written over."""
         rng = index.partition_for(partition)
-        existing = yield from txn.read(rng, key, routing=routing)
-        if existing is not None and tuple(existing) != tuple(pk):
-            raise UniqueViolationError(table.name, index.key_columns, key)
-        yield from txn.write(rng, key, pk)
+        try:
+            yield from txn.write(rng, key, pk, expect_absent=True)
+        except ConditionFailedError as err:
+            if tuple(err.existing) != tuple(pk):
+                raise UniqueViolationError(table.name, index.key_columns,
+                                           key) from None
+            yield from txn.write(rng, key, pk)
         return None
 
     def _uniqueness_requests(self, checks: List[UniquenessCheck],
@@ -313,7 +321,7 @@ class Executor:
         for check in checks:
             for partition in check.partitions:
                 if check.index.is_primary and partition == home_partition:
-                    continue  # already verified by the local read
+                    continue  # already verified by the conditional put
                 rng = check.index.partitions.get(partition)
                 if rng is None:
                     continue
@@ -610,18 +618,16 @@ class Executor:
             for index in table.unique_indexes():
                 old_key = tuple(row[c] for c in index.key_columns)
                 yield from txn.delete(index.partitions[partition], old_key)
-            existing = yield from txn.read(
-                primary.partitions[new_partition], new_pk, routing=routing)
-            if existing is not None:
+            try:
+                yield from txn.write(primary.partitions[new_partition],
+                                     new_pk, new_row, expect_absent=True)
+            except ConditionFailedError:
                 raise UniqueViolationError(table.name, table.primary_key,
-                                           new_pk)
-            yield from txn.write(primary.partitions[new_partition], new_pk,
-                                 new_row)
+                                           new_pk) from None
             for index in table.unique_indexes():
                 new_key = tuple(new_row[c] for c in index.key_columns)
                 yield from self._cput_index_entry(
-                    txn, table, index, new_partition, new_key, new_pk,
-                    routing)
+                    txn, table, index, new_partition, new_key, new_pk)
             requests, meta = self._uniqueness_requests(
                 self.context.planner.plan_uniqueness_checks(
                     table, new_row, allow_pk=new_pk),  # full re-check there
@@ -642,8 +648,7 @@ class Executor:
                     yield from txn.delete(index.partitions[partition],
                                           old_key)
                     yield from self._cput_index_entry(
-                        txn, table, index, partition, new_key, new_pk,
-                        routing)
+                        txn, table, index, partition, new_key, new_pk)
 
         yield from self._run_uniqueness_checks(
             txn, table, requests, meta, new_partition, routing)

@@ -377,8 +377,11 @@ class Session:
             try:
                 result = yield from handle.execute_stmt(stmt)
             except Exception:
+                # The statement's error is what the client must see: an
+                # unreachable anchor range fails the rollback too, and
+                # its intents are left to the waiters' pushes.
                 txn, self._open_txn = self._open_txn, None
-                yield from txn.rollback()
+                yield from self.engine.coordinator.rollback_best_effort(txn)
                 tracer.finish(txn.span, "status", txn.status)
                 raise
             return result
@@ -411,7 +414,8 @@ class Session:
                 try:
                     commit_ts = yield from txn.commit()
                 except Exception:
-                    yield from txn.rollback()
+                    yield from self.engine.coordinator.rollback_best_effort(
+                        txn)
                     raise
                 return commit_ts
             yield from txn.rollback()

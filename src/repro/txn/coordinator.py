@@ -207,7 +207,7 @@ class TransactionCoordinator:
                     txn.abort_reason = "validation"
                 elif txn.abort_reason is None:
                     txn.abort_reason = "retry"
-                yield from self._rollback_best_effort(txn)
+                yield from self.rollback_best_effort(txn)
                 tracer.tag(txn.span, "retried", True)
                 tracer.tag(txn.span, "error", type(err).__name__)
                 tracer.finish(txn.span, "status", txn.status)
@@ -229,14 +229,14 @@ class TransactionCoordinator:
                 # clean up intents, then surface to the caller.
                 if txn.abort_reason is None:
                     txn.abort_reason = "fatal"
-                yield from self._rollback_best_effort(txn)
+                yield from self.rollback_best_effort(txn)
                 tracer.tag(txn.span, "error", type(err).__name__)
                 tracer.finish(txn.span, "status", txn.status)
                 raise
         raise TransactionRetryError(
             f"transaction gave up after {max_attempts} attempts: {last_error}")
 
-    def _rollback_best_effort(self, txn) -> Generator:
+    def rollback_best_effort(self, txn) -> Generator:
         """Roll back, tolerating unreachable ranges (dead leaseholders):
         abandoned intents are recovered by waiter pushes via the
         transaction registry."""

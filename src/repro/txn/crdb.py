@@ -14,8 +14,13 @@ ablation flag).  What a commit costs in consensus rounds:
 * single-range — no record write (the parallel-commits latency
   profile): the client is acknowledged after the last intent, and one
   resolve entry follows in the background;
-* multi-range — a commit record on the anchor range, then one resolve
-  entry per range.
+* multi-range — a commit record on the anchor range, whose entry also
+  resolves that range's intents (CRDB's ``EndTxn``), then one resolve
+  entry per other range.
+
+And in requests before the commit: a write is one, a conditional put
+(``write(..., expect_absent=True)``: SQL INSERT, unique-index entries)
+is one too — the leaseholder judges "absent" where it lays the intent.
 
 The timestamp rules:
 
@@ -42,6 +47,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ..errors import (
     AmbiguousCommitError,
     ClockFencedError,
+    ConditionFailedError,
     DeadlineExceededError,
     RangeKeyMismatchError,
     RangeUnavailableError,
@@ -55,7 +61,7 @@ from ..kv.distsender import DistSender, ReadRouting
 from ..kv.range import Range
 from ..obs import DETACHED
 from ..sim.clock import Timestamp
-from ..sim.core import all_of, settle_all
+from ..sim.core import all_of
 from .protocol import TxnProtocol
 
 __all__ = ["CrdbProtocol", "Transaction"]
@@ -225,8 +231,17 @@ class Transaction:
 
     # -- writes -------------------------------------------------------------
 
+    def _has_written(self, rng: Range, key: Any) -> bool:
+        """Is ``key`` (of ``rng``'s span) in the write set?  By span, not
+        by owning range: a split since the write must not hide it."""
+        span = rng.span
+        for token, written in self.write_set.values():
+            if written == key and token.span is span:
+                return True
+        return False
+
     def write(self, rng: Range, key: Any, value: Any,
-              commit: bool = False) -> Generator:
+              commit: bool = False, expect_absent: bool = False) -> Generator:
         """Transactional write (lays an intent at the leaseholder).
 
         ``commit`` promises that this is the transaction's last
@@ -236,7 +251,23 @@ class Transaction:
         :meth:`commit` to resolve.  The leaseholder declines — and the
         write is a plain intent — when it had to move the timestamp
         under the transaction's read spans.
+
+        ``expect_absent`` makes the write a conditional put (SQL INSERT,
+        unique-index entries): the leaseholder lays the intent only if
+        the key has no live value, else rejects with
+        :class:`~repro.errors.ConditionFailedError` — one request where
+        a read and a write were two.  Nothing joins the read set: the
+        condition was judged against the key's newest version at the
+        intent's timestamp, and the intent guards the key from there on.
+        The leaseholder counts this transaction's own intent as absent
+        (a re-sent request meets its first attempt), so a key already
+        in the write set is read, then written.
         """
+        if expect_absent and self.write_set and self._has_written(rng, key):
+            existing = yield from self.read(rng, key)
+            if existing is not None:
+                raise ConditionFailedError(key, existing)
+            expect_absent = False
         ds = self._ds
         if self.anchor is None:
             self.anchor = ds.resolve(rng, key)
@@ -251,7 +282,8 @@ class Transaction:
                 self.gateway, rng, key, self.write_ts, value, self.txn_id,
                 anchor_node_id=anchor_node, span=self.span,
                 deadline_ms=self.deadline_ms, commit=one_phase,
-                can_forward=one_phase and not self.read_set)
+                can_forward=one_phase and not self.read_set,
+                expect_absent=expect_absent)
         except (NetworkUnavailableError, RangeUnavailableError) as err:
             if not one_phase or isinstance(err, (RequestNotSentError,
                                                  ClockFencedError)):
@@ -283,47 +315,64 @@ class Transaction:
             self.write_set[(ds.resolve(rng, key).range_id, key)] = (rng, key)
         recorder = coordinator.recorder
         if recorder is not None:
+            if expect_absent:
+                # What the leaseholder saw under the intent's latch.
+                recorder.on_locking_read(self, rng, key, None)
             recorder.on_write(self, rng, key, value, written_ts)
         return written_ts
 
-    def write_batch(self, items: List[Tuple[Range, Any, Any]]) -> Generator:
-        """Write several (range, key, value) intents in parallel.
+    def write_batch(self, items: List[Tuple[Range, Any, Any]],
+                    expect_absent: bool = False) -> Generator:
+        """Write several (range, key, value) intents in parallel, one
+        RPC and one Raft entry per owning range.
 
         One round trip to the furthest leaseholder instead of a sum of
         round trips — this is how the duplicate-indexes baseline fans a
-        write out to every region's index (paper §7.3.1).
+        write out to every region's index (paper §7.3.1) and a multi-row
+        INSERT writes its rows (``expect_absent``: each a conditional
+        put, see :meth:`write`).
 
-        On failure (e.g. a deadlock abort on one key) every future is
-        still awaited so that all intents actually laid are in the write
-        set before the rollback cleans them up.
+        On failure (e.g. a deadlock abort on one key) every range's
+        outcome is still awaited so that all intents actually laid are
+        in the write set before the rollback cleans them up.
         """
         if not items:
             return []
+        if expect_absent:
+            keys = {(rng.span, key) for rng, key, _value in items}
+            if len(keys) < len(items) or not keys.isdisjoint(
+                    (token.span, key)
+                    for token, key in self.write_set.values()):
+                # A key written twice by this transaction: one at a
+                # time, each seeing the one before (see :meth:`write`).
+                written = []
+                for rng, key, value in items:
+                    written.append((yield from self.write(
+                        rng, key, value, expect_absent=True)))
+                return written
+        ds = self._ds
         if self.anchor is None:
-            self.anchor = self._ds.resolve(items[0][0], items[0][1])
-        anchor_node = self.anchor.leaseholder_node_id or -1
-        futures = [
-            self._ds.write(self.gateway, rng, key, self.write_ts, value,
-                           self.txn_id, anchor_node_id=anchor_node,
-                           span=self.span, deadline_ms=self.deadline_ms)
-            for rng, key, value in items
-        ]
-        settled = yield settle_all(self.coordinator.sim, futures)
+            self.anchor = ds.resolve(items[0][0], items[0][1])
+        outcomes = yield ds.write_batch(
+            self.gateway, items, self.write_ts, self.txn_id,
+            anchor_node_id=self.anchor.leaseholder_node_id or -1,
+            span=self.span, deadline_ms=self.deadline_ms,
+            expect_absent=expect_absent)
         first_error: Optional[BaseException] = None
         written: List[Timestamp] = []
         recorder = self.coordinator.recorder
-        for fut, (rng, key, value) in zip(settled, items):
-            if fut.error is not None:
+        for (rng, key, value), ts in zip(items, outcomes):
+            if isinstance(ts, BaseException):
                 if first_error is None:
-                    first_error = fut.error
+                    first_error = ts
                 continue
-            ts = fut._value
             written.append(ts)
             if ts > self.write_ts:
                 self.write_ts = ts
-            self.write_set[(self._ds.resolve(rng, key).range_id, key)] = (
-                rng, key)
+            self.write_set[(ds.resolve(rng, key).range_id, key)] = (rng, key)
             if recorder is not None:
+                if expect_absent:
+                    recorder.on_locking_read(self, rng, key, None)
                 recorder.on_write(self, rng, key, value, ts)
         if first_error is not None:
             raise first_error
@@ -391,17 +440,28 @@ class Transaction:
             # profile) — and one that committed one-phase has no write
             # left to account for at all.  Multi-range transactions
             # persist an explicit record on the anchor range before
-            # acknowledging.
-            if len({self._ds.resolve(token, key).range_id
-                    for token, key in self.write_set.values()}) > 1:
+            # acknowledging; its entry resolves that range's intents
+            # too (CRDB's EndTxn), unless the locks are to be held
+            # through the commit wait.
+            local_keys, elsewhere, multi_range = self._intents_by_anchor()
+            spans = elsewhere
+            if (not multi_range
+                    or self.coordinator.spanner_style_commit_wait):
+                local_keys, spans = (), list(self.write_set.values())
+            if multi_range:
                 try:
                     yield self._ds.write_txn_record(
                         self.gateway, self.anchor, self.txn_id,
-                        TxnStatus.COMMITTED, commit_ts, span=commit_span)
-                except NetworkUnavailableError:
-                    # The record write was lost in flight — it may or may
-                    # not have replicated.  Consult the replicated records
-                    # (the sim stand-in for CRDB's txn recovery protocol).
+                        TxnStatus.COMMITTED, commit_ts, span=commit_span,
+                        resolve_keys=local_keys)
+                except (NetworkUnavailableError, RangeUnavailableError) as err:
+                    if isinstance(err, ClockFencedError):
+                        raise  # refused unevaluated
+                    # The record write was lost in flight, or its proposal
+                    # timed out with the entry still in the log — it may
+                    # or may not have replicated.  Consult the replicated
+                    # records (the sim stand-in for CRDB's txn recovery
+                    # protocol).
                     if self._recover_commit_outcome(self.anchor) is None:
                         raise self._ambiguous(commit_ts, commit_span)
 
@@ -417,11 +477,11 @@ class Transaction:
                 yield from self._commit_wait_if_needed(wait_target,
                                                        commit_span)
                 self.status = TxnStatus.COMMITTED
-                self._resolve_intents_async(commit_ts)
+                self._resolve_intents_async(commit_ts, spans)
             else:
                 # CRDB: release locks concurrently with the wait.
                 self.status = TxnStatus.COMMITTED
-                self._resolve_intents_async(commit_ts)
+                self._resolve_intents_async(commit_ts, spans)
                 yield from self._commit_wait_if_needed(wait_target,
                                                        commit_span)
             self._record_outcome("commit")
@@ -465,10 +525,30 @@ class Transaction:
         self._record_outcome("indeterminate")
         return AmbiguousCommitError(self.txn_id, commit_ts)
 
-    def _resolve_intents_async(self, commit_ts: Optional[Timestamp]) -> None:
-        # The intents still outstanding: none after a one-phase commit,
-        # which the DistSender answers with a settled future.
-        spans = list(self.write_set.values())
+    def _intents_by_anchor(self):
+        """Split the write set at the anchor range: ``(keys living on it
+        now, spans living elsewhere, does it touch more than one
+        range)``."""
+        resolve = self._ds.resolve
+        anchor = self.anchor
+        local_keys = []
+        elsewhere = []
+        owners = set()
+        for span in self.write_set.values():
+            owner = resolve(span[0], span[1])
+            owners.add(owner.range_id)
+            if owner is anchor:
+                local_keys.append(span[1])
+            else:
+                elsewhere.append(span)
+        return tuple(local_keys), elsewhere, len(owners) > 1
+
+    def _resolve_intents_async(self, commit_ts: Optional[Timestamp],
+                               spans: List[Tuple[Any, Any]]) -> None:
+        # ``spans``: the intents still outstanding — none after a
+        # one-phase commit, which the DistSender answers with a settled
+        # future; not the anchor range's after a multi-range commit,
+        # whose record entry resolved them.
         # A background root of its own, traced iff the transaction is:
         # cleanup outlives the transaction span (CRDB resolves intents
         # asynchronously after the client ack).
@@ -525,12 +605,12 @@ class Transaction:
         self.status = TxnStatus.ABORTED
         self._record_outcome("abort")
         if self.anchor is not None and self.write_set:
+            local_keys, elsewhere, _multi = self._intents_by_anchor()
             yield self._ds.write_txn_record(
                 self.gateway, self.anchor, self.txn_id, TxnStatus.ABORTED,
-                None, span=self.span)
-            spans = list(self.write_set.values())
-            yield self._ds.resolve_intents(self.gateway, spans, self.txn_id,
-                                           None, span=self.span)
+                None, span=self.span, resolve_keys=local_keys)
+            yield self._ds.resolve_intents(self.gateway, elsewhere,
+                                           self.txn_id, None, span=self.span)
 
 
 class CrdbProtocol(TxnProtocol):

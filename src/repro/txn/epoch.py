@@ -51,6 +51,7 @@ from collections import deque
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..errors import (
+    ConditionFailedError,
     RangeUnavailableError,
     TransactionAbortedError,
     TransactionValidationError,
@@ -554,25 +555,31 @@ class EpochTransaction:
 
     # -- writes --------------------------------------------------------------
 
-    def write(self, rng, key: Any, value: Any,
-              commit: bool = False) -> Generator:
+    def write(self, rng, key: Any, value: Any, commit: bool = False,
+              expect_absent: bool = False) -> Generator:
         """Buffer the write locally; intents are laid at epoch apply
         (``commit``, the CRDB pipeline's one-phase hint, means nothing
-        to a protocol that commits by epoch).
+        to a protocol that commits by epoch).  ``expect_absent`` is an
+        optimistic read first — it joins the read set, so a row that
+        appears before the epoch applies fails validation.
 
         Recorded in the history at apply time (with its real intent
         timestamp), so aborted optimistic transactions honestly show no
         writes — none ever reached the KV layer.
         """
+        if expect_absent:
+            existing = yield from self.read(rng, key)
+            if existing is not None:
+                raise ConditionFailedError(key, existing)
         self.write_buffer[(rng.span, key)] = value
         return None
-        yield  # pragma: no cover - marks this function as a generator
 
-    def write_batch(self, items: List[Tuple[Any, Any, Any]]) -> Generator:
+    def write_batch(self, items: List[Tuple[Any, Any, Any]],
+                    expect_absent: bool = False) -> Generator:
         for rng, key, value in items:
-            self.write_buffer[(rng.span, key)] = value
+            yield from self.write(rng, key, value,
+                                  expect_absent=expect_absent)
         return []
-        yield  # pragma: no cover - marks this function as a generator
 
     def delete(self, rng, key: Any, commit: bool = False) -> Generator:
         result = yield from self.write(rng, key, None)

@@ -17,6 +17,7 @@ replayable offline from a dumped file:
 from .checker import Anomaly, VerifyReport, check
 from .generator import (
     CLOCK_SCENARIOS,
+    CPUT_ABLATION_SCENARIO,
     OCC_ABLATION_SCENARIO,
     OCC_SWEEP_SCENARIOS,
     REAPPLY_ABLATION_SCENARIO,
@@ -34,6 +35,7 @@ __all__ = [
     "VerifyHarness", "VerifyResult", "run_verify", "VERIFY_SCENARIOS",
     "VERIFY_ONLY_SCENARIOS", "CLOCK_SCENARIOS", "OCC_SWEEP_SCENARIOS",
     "OCC_ABLATION_SCENARIO", "REAPPLY_ABLATION_SCENARIO",
+    "CPUT_ABLATION_SCENARIO",
     "RecordedOp", "RecordedTxn", "VerifyHistory",
     "HistoryRecorder",
 ]

@@ -28,8 +28,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..admission import AdmissionConfig, install_admission
 from ..chaos.nemesis import FaultEvent
 from ..chaos.scenarios import build_faults
-from ..errors import (DeadlineExceededError, OverloadError,
-                      StaleReadBoundError)
+from ..errors import (ConditionFailedError, DeadlineExceededError,
+                      OverloadError, StaleReadBoundError)
 from ..harness.testbed import OK, RETRYABLE, Testbed
 from ..kv.distsender import ReadRouting
 from ..sim.clock import Timestamp
@@ -41,7 +41,7 @@ from .recorder import HistoryRecorder
 __all__ = ["VerifyHarness", "VerifyResult", "run_verify",
            "VERIFY_SCENARIOS", "VERIFY_ONLY_SCENARIOS", "CLOCK_SCENARIOS",
            "OCC_SWEEP_SCENARIOS", "OCC_ABLATION_SCENARIO",
-           "REAPPLY_ABLATION_SCENARIO"]
+           "REAPPLY_ABLATION_SCENARIO", "CPUT_ABLATION_SCENARIO"]
 
 #: The schedules the randomized isolation sweep runs under: the chaos
 #: heal-everything fault schedules (the two *-repair scenarios
@@ -72,6 +72,8 @@ OCC_SWEEP_SCENARIOS = [
 OCC_ABLATION_SCENARIO = "occ-novalidate"
 
 REAPPLY_ABLATION_SCENARIO = "one-phase-reapply"
+
+CPUT_ABLATION_SCENARIO = "cput-blind"
 
 #: Scenarios only the verifier has (every other name reuses the chaos
 #: scenario's fault schedule and doc): name -> what the nemesis is.
@@ -107,6 +109,13 @@ VERIFY_ONLY_SCENARIOS = {
         "passes iff the checker convicts the duplicate / lost-update "
         "anomalies — proof the sweep's clean verdicts under message "
         "loss are earned by the record, not by checker blindness.",
+    CPUT_ABLATION_SCENARIO:
+        "The conditional-put honest-falsification ablation: two clients "
+        "insert the same fresh keys under flaky-wan with the "
+        "leaseholder's condition check switched off, so both inserts of "
+        "a key succeed; passes iff the checker convicts the second "
+        "(two transactions read the key absent and wrote it) — proof "
+        "an INSERT's uniqueness is earned by the check, not assumed.",
 }
 
 #: Anomaly types the validation-off ablation must produce (at least
@@ -123,6 +132,14 @@ REAPPLY_REQUIRED_TYPES = frozenset({
     "lost-update", "lost-write", "incompatible-order", "G1a",
     "G0", "G1c", "G-single", "G2",
 })
+
+#: Anomaly types the blind conditional put must produce (at least one):
+#: both inserters of a key read it absent and wrote it.
+CPUT_REQUIRED_TYPES = frozenset({"lost-update", "G-single", "G2"})
+
+#: Fresh keys (on the primary REGIONAL range) the insert clients race
+#: for; never initialised, never touched by the other clients.
+INSERT_KEYS = tuple(f"i{n}" for n in range(6))
 
 #: How far beyond the 250 ms contract the jump scenarios step a clock.
 #: Sized so the stale window survives transaction latency: an acked
@@ -281,6 +298,32 @@ class VerifyHarness(Testbed):
 
     # -- strong transactional clients ---------------------------------------
 
+    def _plan_fn(self, plan, label: str, sequence: List[int]):
+        """The transaction body running ``plan`` — ``(table, key, kind,
+        action)`` steps, action one of read / write / rmw / append /
+        insert — with values unique to ``label`` and ``sequence``."""
+        def txn_fn(txn):
+            for step, (table, key, _kind, action) in enumerate(plan, 1):
+                if action == "read":
+                    yield from txn.read(table, key,
+                                        routing=self._strong_routing)
+                    continue
+                sequence[0] += 1
+                value = f"{label}:{sequence[0]}"
+                if action == "append":
+                    current = yield from txn.read(
+                        table, key, routing=self._strong_routing)
+                    value = list(current or []) + [value]
+                elif action == "rmw":
+                    yield from txn.read(table, key,
+                                        routing=self._strong_routing)
+                # A plan that ends in a write ends in its commit; an
+                # insert-if-absent step is a conditional put.
+                yield from txn.write(table, key, value,
+                                     commit=step == len(plan),
+                                     expect_absent=action == "insert")
+        return txn_fn
+
     def txn_client(self, label: str, region: str, gateway_index: int,
                    ops: int, think_ms=(10.0, 40.0)):
         """Mixed multi-key transactions: list appends, register
@@ -301,25 +344,7 @@ class VerifyHarness(Testbed):
                 else:
                     action = rng.choice(["read", "write", "rmw"])
                 plan.append((table, key, kind, action))
-
-            def txn_fn(txn, plan=plan):
-                for step, (table, key, _kind, action) in enumerate(plan, 1):
-                    if action == "read":
-                        yield from txn.read(table, key,
-                                            routing=self._strong_routing)
-                        continue
-                    sequence[0] += 1
-                    value = f"{label}:{sequence[0]}"
-                    if action == "append":
-                        current = yield from txn.read(
-                            table, key, routing=self._strong_routing)
-                        value = list(current or []) + [value]
-                    elif action == "rmw":
-                        yield from txn.read(table, key,
-                                            routing=self._strong_routing)
-                    # A plan that ends in a write ends in its commit.
-                    yield from txn.write(table, key, value,
-                                         commit=step == len(plan))
+            txn_fn = self._plan_fn(plan, label, sequence)
 
             deadline = (self.sim.now + self.txn_deadline_ms
                         if self.txn_deadline_ms is not None else None)
@@ -334,6 +359,35 @@ class VerifyHarness(Testbed):
                 # history records it as aborted — serializability must
                 # hold regardless.
                 self._fg_shed += 1
+            yield self.sim.sleep(rng.uniform(*think_ms))
+
+    # -- insert-if-absent clients -------------------------------------------
+
+    def insert_client(self, label: str, region: str, gateway_index: int,
+                      think_ms=(5.0, 25.0)):
+        """Insert every key of :data:`INSERT_KEYS`, in order — so every
+        insert client races the others for each key.  Even keys are a
+        lone conditional put (it may commit one-phase); odd ones go on
+        to a read-modify-write on the GLOBAL range, a multi-range commit
+        anchored on the inserted key.  Whoever loses a key reads it
+        instead: the winner's row must be there."""
+        gateway = self.cluster.gateway_for_region(region, gateway_index)
+        rng = random.Random(self.rng.random())
+        sequence = [0]
+        for index, key in enumerate(INSERT_KEYS):
+            plan = [(self.range, key, "register", "insert")]
+            if index % 2:
+                plan.append((self.ranges["glob"], "r0", "register", "rmw"))
+            try:
+                yield from self.attempt(
+                    gateway, self._plan_fn(plan, label, sequence),
+                    max_attempts=6, label=label)
+            except ConditionFailedError:
+                yield from self.attempt(
+                    gateway, self._plan_fn(
+                        [(self.range, key, "register", "read")], label,
+                        sequence),
+                    max_attempts=6, label=label)
             yield self.sim.sleep(rng.uniform(*think_ms))
 
     # -- recency probes (clock scenarios) -----------------------------------
@@ -582,13 +636,18 @@ class VerifyHarness(Testbed):
 
             self.run_txn(gateway, init_fn, label="init")
 
-    def _audit(self) -> Dict[str, Any]:
-        """Strong-read every key from every live region; the first live
-        region's answers become the final state (disagreements surface
-        as stale-strong-read / final-state anomalies)."""
+    def _audit(self, insert_keys: bool = False) -> Dict[str, Any]:
+        """Strong-read every key (``insert_keys``: the insert clients'
+        too) from every live region; the first live region's answers
+        become the final state (disagreements surface as
+        stale-strong-read / final-state anomalies)."""
+        keys = [(table, key) for table, key, _kind in self.keys]
+        if insert_keys:
+            keys += [(self.range, key) for key in INSERT_KEYS]
+
         def audit_fn(txn):
             values = {}
-            for table, key, _kind in self.keys:
+            for table, key in keys:
                 values[f"{table.name}/{key}"] = (
                     yield from txn.read(table, key))
             return values
@@ -601,7 +660,9 @@ class VerifyHarness(Testbed):
 
     def run(self, scenario: Optional[str] = None,
             clients_per_region: int = 2, ops_per_client: int = 8,
-            stale_ops: int = 6) -> VerifyResult:
+            stale_ops: int = 6, inserters: int = 0) -> VerifyResult:
+        """``inserters``: that many :meth:`insert_client` s (one per
+        region, round-robin) run beside the other clients."""
         sim = self.sim
         scenario_name = scenario or "none"
         self.recorder.meta.update(
@@ -616,6 +677,7 @@ class VerifyHarness(Testbed):
         clock_scenario = scenario in CLOCK_SCENARIOS
         occ_ablation = scenario == OCC_ABLATION_SCENARIO
         reapply_ablation = scenario == REAPPLY_ABLATION_SCENARIO
+        cput_ablation = scenario == CPUT_ABLATION_SCENARIO
         if overload:
             # The nemesis is load, not faults: saturating background
             # arrivals against the home store while admission control
@@ -647,6 +709,14 @@ class VerifyHarness(Testbed):
             start_ms = sim.now
             nemesis = self.start_nemesis(build_faults("flaky-wan", self),
                                          base_ms=start_ms)
+        elif cput_ablation:
+            # flaky-wan against conditional puts nobody checks, raced by
+            # (at least) two insert clients.
+            for rng in self.ranges.values():
+                rng.check_condition = False
+            inserters = max(inserters, 2)
+            nemesis = self.start_nemesis(build_faults("flaky-wan", self),
+                                         base_ms=start_ms)
         elif scenario:
             nemesis = self.start_nemesis(build_faults(scenario, self),
                                          base_ms=start_ms)
@@ -664,6 +734,10 @@ class VerifyHarness(Testbed):
             for index, region in enumerate(self.regions):
                 clients.append(self.probe_client(
                     f"probe-{region}", region, index % 2, ops=60))
+        for index in range(inserters):
+            region = self.regions[index % len(self.regions)]
+            clients.append(self.insert_client(
+                f"ins-{region}-{index}", region, index % 2))
         self.run_clients(clients)
         duration = sim.now - start_ms
 
@@ -672,7 +746,7 @@ class VerifyHarness(Testbed):
         # the day.
         self.heal_and_settle(nemesis,
                              restart_dead=(scenario != "clock-jump"))
-        self.recorder.final = self._audit()
+        self.recorder.final = self._audit(insert_keys=inserters > 0)
 
         history = self.recorder.finalize()
         report = check(history)
@@ -727,6 +801,14 @@ class VerifyHarness(Testbed):
                 report=report, duration_ms=duration, stats=stats,
                 expect_anomalies=True, allowed_anomaly_types=allowed,
                 required_anomaly_types=REAPPLY_REQUIRED_TYPES)
+        if cput_ablation:
+            return VerifyResult(
+                scenario=scenario_name, seed=self.seed, history=history,
+                report=report, duration_ms=duration, stats=stats,
+                expect_anomalies=True,
+                allowed_anomaly_types=(CPUT_REQUIRED_TYPES
+                                       | REALTIME_ANOMALY_TYPES),
+                required_anomaly_types=CPUT_REQUIRED_TYPES)
         return VerifyResult(scenario=scenario_name, seed=self.seed,
                             history=history, report=report,
                             duration_ms=duration, stats=stats,
@@ -742,12 +824,13 @@ def run_verify(scenario: Optional[str] = None, seed: int = 0,
     None for a fault-free run; ``protocol`` selects the transaction
     backend ("crdb" default, "epoch-occ" for the differential sweep).
     The ``occ-novalidate`` scenario forces the validation-off epoch-OCC
-    ablation regardless of ``protocol``, ``one-phase-reapply`` the CRDB
-    pipeline (the only one that commits one-phase).
+    ablation regardless of ``protocol``, ``one-phase-reapply`` and
+    ``cput-blind`` the CRDB pipeline (the only one that commits
+    one-phase, or has the leaseholder judge a conditional put).
     """
     if scenario in ("none", ""):
         scenario = None
-    if scenario == REAPPLY_ABLATION_SCENARIO:
+    if scenario in (REAPPLY_ABLATION_SCENARIO, CPUT_ABLATION_SCENARIO):
         protocol = None
     if scenario == OCC_ABLATION_SCENARIO:
         from ..txn.epoch import EpochOccProtocol

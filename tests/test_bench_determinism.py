@@ -259,7 +259,7 @@ class TestKernelPins:
     # Explicit ids: the default id embeds the pinned values, so every
     # re-pin would rename the test.
     @pytest.mark.parametrize("protocol,events,now", [
-        ("crdb", 12897, 7477.884041910852),
+        ("crdb", 11551, 7450.612061859593),
         ("epoch-occ", 12216, 9570.460837694352)], ids=["crdb", "epoch-occ"])
     def test_tpcc(self, protocol, events, now):
         engine, _ = run_small_tpcc(protocol, False)
@@ -271,7 +271,9 @@ class TestCommitPathPins:
     """What a commit costs in Raft entries, as exact counts at seed 0:
     an auto-commit single-row UPDATE is one entry (two when it falls
     back to an intent), and every other transaction pays one resolve
-    entry per range it wrote, whatever the number of keys."""
+    entry per range it wrote, whatever the number of keys — less the
+    anchor range's when it wrote a commit record, which resolves them —
+    and an INSERT is one conditional put, with no read before it."""
 
     @staticmethod
     def _counter(sim, name, **labels):
@@ -289,17 +291,23 @@ class TestCommitPathPins:
         assert engine.coordinator.distsender.resolve_batches == 0
 
     def test_tpcc_resolve_entries_equal_txn_range_pairs(self, monkeypatch):
-        from repro.kv.commands import BatchCommand, ResolveIntentCommand
-        from repro.kv.distsender import DistSender
-        pairs = []
-        resolve_intents = DistSender.resolve_intents
+        """A multi-range commit's record entry resolves the anchor
+        range's intents, so it pays one resolve entry per range *but*
+        the anchor; a single-range commit (no record) pays its one."""
+        from repro.kv.commands import (BatchCommand, ResolveIntentCommand,
+                                       SetTxnRecordCommand)
+        from repro.txn.crdb import Transaction
+        pairs, multi_range = [], []
+        commit = Transaction.commit
 
-        def counting(ds, gateway, spans, *args, **kwargs):
-            pairs.append(len({ds.resolve(token, key).range_id
-                              for token, key in spans}))
-            return resolve_intents(ds, gateway, spans, *args, **kwargs)
+        def counting(txn):
+            ranges = {txn._ds.resolve(token, key).range_id
+                      for token, key in txn.write_set.values()}
+            pairs.append(len(ranges))
+            multi_range.append(len(ranges) > 1)
+            return commit(txn)
 
-        monkeypatch.setattr(DistSender, "resolve_intents", counting)
+        monkeypatch.setattr(Transaction, "commit", counting)
         engine, _ = run_fixed_workload("tpcc", 0, False, 0.25)
         sim = engine.cluster.sim
         sim.run(until=sim.now + 1000.0)  # the last background cleanups
@@ -310,13 +318,50 @@ class TestCommitPathPins:
                     and all(type(member) is ResolveIntentCommand
                             for member in command.commands))
 
-        entries = sum(
-            resolves(entry.command)
-            for span in engine.cluster.keyspace.spans.values()
-            for rng in span.ranges()
-            for entry in rng.group.leader.log)
-        assert entries == sum(pairs) == 228
+        def record_with_resolves(command):
+            return (type(command) is BatchCommand
+                    and type(command.commands[0]) is SetTxnRecordCommand
+                    and command.commands[0].key is None)
+
+        log = [entry.command
+               for span in engine.cluster.keyspace.spans.values()
+               for rng in span.ranges()
+               for entry in rng.group.leader.log]
+        assert (sum(pairs), sum(multi_range)) == (228, 49)
+        assert sum(map(resolves, log)) == sum(pairs) - sum(multi_range)
+        assert sum(map(record_with_resolves, log)) == sum(multi_range)
         assert engine.coordinator.stats.one_phase_commits == 0
+
+    def test_tpcc_inserts_are_conditional_puts(self, monkeypatch):
+        """One KV request per INSERT: every INSERT statement is one
+        conditional put, and none reads to see whether its row exists."""
+        from repro.kv.distsender import DistSender
+        from repro.sql.executor import Executor
+        from repro.txn.crdb import Transaction
+        reads, conditional_puts, insert_reads = {}, [], []
+        write, insert = DistSender.write, Executor.insert
+
+        def counting_write(ds, *args, expect_absent=False, **kwargs):
+            conditional_puts.append(expect_absent)
+            return write(ds, *args, expect_absent=expect_absent, **kwargs)
+
+        def counting_insert(executor, txn, stmt, auto_commit=False):
+            before = reads.get(txn.txn_id, 0)
+            count = yield from insert(executor, txn, stmt, auto_commit)
+            insert_reads.append(reads.get(txn.txn_id, 0) - before)
+            return count
+
+        for name in ("read", "read_batch"):
+            def counting_read(txn, *args, _read=getattr(Transaction, name),
+                              **kwargs):
+                reads[txn.txn_id] = reads.get(txn.txn_id, 0) + 1
+                return _read(txn, *args, **kwargs)
+            monkeypatch.setattr(Transaction, name, counting_read)
+        monkeypatch.setattr(DistSender, "write", counting_write)
+        monkeypatch.setattr(Executor, "insert", counting_insert)
+        run_fixed_workload("tpcc", 0, False, 0.25)
+        assert len(insert_reads) == sum(conditional_puts) == 212
+        assert sum(insert_reads) == 0
 
 
 class TestGuardTimersDieWithWhatTheyGuard:

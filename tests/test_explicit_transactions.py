@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.errors import SchemaError, TransactionRetryError
+from repro.errors import (SchemaError, TransactionRetryError,
+                          UniqueViolationError)
+from repro.kv.commands import TxnStatus
 
 from .sql_util import connect, movr_engine
 
@@ -38,6 +40,26 @@ class TestExplicitTransactions:
         session.execute("ROLLBACK")
         # ...and nothing escaped.
         assert other.execute("SELECT * FROM users WHERE id = 3") == []
+
+    def test_failed_rollback_does_not_hide_the_statements_error(self):
+        """The anchor range is cut off when a statement fails: the
+        rollback cannot reach it either, and must not replace the
+        constraint violation the client is owed."""
+        engine, session = movr_engine()
+        session.execute("INSERT INTO promo_codes (code, description) "
+                        "VALUES ('X', 'taken')")
+        session.execute("BEGIN")
+        session.execute("INSERT INTO users (id, email, name, crdb_region) "
+                        "VALUES (4, 'd@x', 'D', 'europe-west2')")
+        txn = session._open_txn
+        assert txn.anchor.leaseholder_node.locality.region == "europe-west2"
+        engine.cluster.network.faults.cut_link(
+            "us-east1", "europe-west2", bidirectional=True)
+        with pytest.raises(UniqueViolationError):
+            session.execute("INSERT INTO promo_codes (code, description) "
+                            "VALUES ('X', 'again')")
+        assert session._open_txn is None
+        assert txn.status == TxnStatus.ABORTED
 
     def test_commit_without_begin(self):
         engine, session = movr_engine()

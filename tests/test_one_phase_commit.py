@@ -463,6 +463,178 @@ class TestAtMostOnce:
         assert bed.coord.stats.ambiguous_commits == 0
 
 
+class TestRecordResolvesItsRange:
+    """A multi-range commit's record entry resolves the anchor range's
+    intents itself (CRDB's ``EndTxn``): one entry where a record and a
+    resolve were two, and the locks gone before the client hears."""
+
+    def make(self, **kwargs):
+        bed, rng = make_bed(**kwargs)
+        far = bed.make_range(FAR)
+        far.bulk_ingest([("f", 0)], far.leaseholder_node.clock.now())
+        bed.settle()
+        return bed, rng, far
+
+    @staticmethod
+    def two_ranges(rng, far, fail=None):
+        def txn_fn(txn):
+            yield from txn.write(rng, "k", "a")
+            yield from txn.write(rng, "other", "b")
+            yield from txn.write(far, "f", "c")
+            if fail is not None:
+                raise fail
+        return txn_fn
+
+    def test_record_and_local_resolves_are_one_entry(self):
+        bed, rng, far = self.make()
+        calls = count_calls(bed.cluster)
+        before, far_before = rng.group.commit_index, far.group.commit_index
+        bed.run_txn(HOME, self.two_ranges(rng, far))
+        # Acknowledged: the anchor's locks are gone, nothing else ran yet.
+        assert rng.lock_table.is_quiescent()
+        assert rng.leaseholder_replica.store.intent_for("k") is None
+        assert far.leaseholder_replica.store.intent_for("f") is not None
+        bed.settle(300.0)
+        assert calls == [1, 1, 1, 1, 1]  # 3 writes, the record, far's resolve
+        _put_k, _put_other, record = commands_since(rng, before)
+        assert [type(c) for c in record.commands] == [
+            SetTxnRecordCommand, ResolveIntentCommand, ResolveIntentCommand]
+        assert record.commands[0].status == TxnStatus.COMMITTED
+        assert [c.key for c in record.commands[1:]] == ["k", "other"]
+        _put_f, resolve_f = commands_since(far, far_before)
+        assert type(resolve_f) is ResolveIntentCommand
+        commit_ts = record.commands[0].commit_ts
+        for owner, key, value in ((rng, "k", "a"), (rng, "other", "b"),
+                                  (far, "f", "c")):
+            for replica in owner.replicas.values():
+                assert replica.store.intent_for(key) is None
+                assert versions(owner, key, replica)[-1] == (commit_ts, value)
+        assert far.lock_table.is_quiescent()
+
+    def test_waiters_on_the_anchor_are_released_at_apply(self):
+        bed, rng, far = self.make()
+        gateway = bed.gateway(HOME)
+        reads = []
+
+        def txn_fn(txn):
+            yield from self.two_ranges(rng, far)(txn)
+            reads.append(bed.ds.read(gateway, rng, "k", gateway.clock.now(),
+                                     txn_id=99))
+            yield bed.sim.sleep(5.0)
+            assert not reads[0].done  # queued behind the intent
+
+        bed.run_txn(HOME, txn_fn)
+        assert reads[0].done and reads[0].value[0].value == "a"
+
+    def test_a_split_before_apply_still_lands_every_resolve(self):
+        bed, rng, far = self.make()
+        propose = rng._propose
+
+        def split_behind_the_record(command, span=None):
+            future = propose(command, span=span)
+            if (type(command) is BatchCommand and
+                    type(command.commands[0]) is SetTxnRecordCommand):
+                bed.cluster.keyspace.split(rng.descriptor, "other",
+                                           trigger="test")
+            return future
+
+        rng._propose = split_behind_the_record
+        bed.run_txn(HOME, self.two_ranges(rng, far))
+        bed.settle(300.0)
+        child = bed.ds.resolve(rng, "other")
+        assert child is not rng
+        for owner, key, value in ((rng, "k", "a"), (child, "other", "b")):
+            assert owner.lock_table.is_quiescent()
+            for replica in owner.replicas.values():
+                assert replica.store.intent_for(key) is None
+                assert versions(owner, key, replica)[-1][1] == value
+        assert bed.cluster.keyspace.violations() == []
+
+    def test_a_resent_record_entry_applies_once(self):
+        bed, rng, far = self.make()
+        faults = bed.cluster.network.faults
+
+        def txn_fn(txn):
+            yield from self.two_ranges(rng, far)(txn)
+            faults.set_loss(HOME, FAR, 1.0, bidirectional=False)
+
+        process = bed.sim.spawn(bed.coord.run(bed.gateway(FAR), txn_fn))
+        while rng.leaseholder_replica.committed(1) is None:
+            bed.sim.run(until=bed.sim.now + 5.0)
+        applied = versions(rng, "k")
+        faults.set_loss(HOME, FAR, 0.0, bidirectional=False)
+        _result, commit_ts = bed.sim.run_until_future(process)
+        bed.settle(300.0)
+        assert bed.ds.rpc_retries >= 1
+        assert versions(rng, "k") == applied
+        assert applied[-1] == (commit_ts, "a")
+        assert versions(far, "f")[-1] == (commit_ts, "c")
+        assert rng.lock_table.is_quiescent()
+
+    def test_spanner_style_commit_wait_still_holds_the_locks(self):
+        bed, rng, far = self.make(spanner_style_commit_wait=True)
+        before = rng.group.commit_index
+        bed.run_txn(HOME, self.two_ranges(rng, far))
+        assert not rng.lock_table.is_quiescent()  # resolved behind the ack
+        bed.settle(300.0)
+        _put_k, _put_other, record, resolve = commands_since(rng, before)
+        assert type(record) is SetTxnRecordCommand
+        assert [c.key for c in resolve.commands] == ["k", "other"]
+        assert rng.lock_table.is_quiescent()
+
+    def test_rollback_is_symmetric(self):
+        bed, rng, far = self.make()
+        before = rng.group.commit_index
+        with pytest.raises(ZeroDivisionError):
+            bed.run_txn(HOME, self.two_ranges(rng, far,
+                                              fail=ZeroDivisionError()))
+        bed.settle(300.0)
+        _put_k, _put_other, record = commands_since(rng, before)
+        assert record.commands[0].status == TxnStatus.ABORTED
+        assert [(c.key, c.commit_ts) for c in record.commands[1:]] == [
+            ("k", None), ("other", None)]
+        for owner, key in ((rng, "k"), (rng, "other"), (far, "f")):
+            assert owner.lock_table.is_quiescent()
+            for replica in owner.replicas.values():
+                assert replica.store.intent_for(key) is None
+                assert len(versions(owner, key, replica)) == 1
+
+    def test_a_commit_given_up_on_takes_no_effect_when_it_lands(self):
+        """The record's proposal times out with the entry still in the
+        log: the outcome is in doubt, the transaction's other intents
+        are aborted by pushes — so when a healed partition commits the
+        entry after all, it must not commit the anchor's."""
+        bed, rng, far = self.make()
+        faults = bed.cluster.network.faults
+        leader = rng.leaseholder_node_id
+        followers = [p.node.node_id for p in rng.group.peers.values()
+                     if p.node.node_id != leader]
+
+        def txn_fn(txn):
+            yield from self.two_ranges(rng, far)(txn)
+            rng.group.proposal_timeout_ms = 100.0
+            for node_id in followers:
+                faults.cut_link(leader, node_id)
+
+        process = bed.sim.spawn(bed.coord.run(bed.gateway(HOME), txn_fn))
+        bed.sim.run_until_future(settle_all(bed.sim, [process]))
+        assert isinstance(process.error, AmbiguousCommitError)
+        assert bed.cluster.txn_registry[1].status == TxnStatus.ABORTED
+        for node_id in followers:
+            faults.heal_link(leader, node_id)
+            rng.group.resync_peer(node_id)
+        bed.settle(300.0)
+        record = rng.group.leader.log[-1].command
+        assert record.commands[0].status == TxnStatus.COMMITTED  # it landed
+        for replica in rng.replicas.values():
+            assert replica.committed(1) is None
+            assert len(versions(rng, "k", replica)) == 1
+        # Whoever runs into the orphans pushes them away, on both ranges.
+        for owner, key in ((rng, "k"), (far, "f")):
+            value, _elapsed = bed.do_read(HOME, owner, key)
+            assert value == 0
+
+
 class TestCommitRecordLifetime:
     def test_records_expire_by_commit_timestamp(self):
         bed, rng = make_bed()

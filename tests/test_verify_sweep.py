@@ -11,13 +11,15 @@ import pytest
 
 from repro.verify import (
     CLOCK_SCENARIOS,
+    CPUT_ABLATION_SCENARIO,
     REAPPLY_ABLATION_SCENARIO,
     VERIFY_SCENARIOS,
     VerifyHarness,
     check,
     run_verify,
 )
-from repro.verify.generator import REAPPLY_REQUIRED_TYPES
+from repro.verify.generator import (CPUT_REQUIRED_TYPES, INSERT_KEYS,
+                                    REAPPLY_REQUIRED_TYPES)
 
 SEEDS = range(5)
 
@@ -77,3 +79,39 @@ def test_the_probe_that_convicts_is_clean_with_the_guard_on(seed):
     assert report.ok, report.render()
     assert harness.ds.rpc_retries >= 1
     assert harness.coord.stats.one_phase_commits >= 2
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cput_ablation_is_convicted(seed):
+    """With the leaseholder's condition check off both inserters of a
+    key succeed, and the checker must say so — an INSERT race that stays
+    clean with the check off proves nothing about the check."""
+    result = run_verify(CPUT_ABLATION_SCENARIO, seed=seed)
+    found = {a.type for a in result.report.anomalies}
+    assert found & CPUT_REQUIRED_TYPES, (
+        f"cput-blind seed={seed} produced no lost-update / G-single "
+        f"(found {sorted(found)})")
+    assert result.ok, (
+        f"ablation seed={seed} flagged unexpected anomaly types "
+        f"{sorted(found)}:\n{result.report.render()}")
+
+
+@pytest.mark.parametrize("scenario", ["flaky-wan", "split-merge",
+                                      "crash-restart"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_inserts_that_convict_are_clean_with_the_check_on(scenario, seed):
+    """The identical insert race against the shipped check: every key
+    has one inserter, and the loser reads the winner's row."""
+    result = run_verify(scenario, seed=seed, inserters=2)
+    assert result.ok, (
+        f"{scenario} seed={seed} with inserters:\n"
+        f"{result.report.render()}\n"
+        f"--- replayable history ---\n{result.history.dumps()}")
+    inserts = {}
+    for txn in result.history.txns:
+        if txn.status == "committed" and txn.label.startswith("ins-"):
+            for op in txn.writes():
+                if op.key.startswith("reg-us/i"):
+                    inserts.setdefault(op.key, []).append(txn.txn_id)
+    assert len(inserts) == len(INSERT_KEYS)
+    assert all(len(writers) == 1 for writers in inserts.values())
