@@ -216,19 +216,14 @@ class ChaosHarness(Testbed):
         })
 
     def _merge_clock_timeline(self, nemesis: Nemesis) -> None:
-        """Fold self-fence (and, when fencing is off, bare detection)
-        events into the nemesis timeline so the availability rendering
-        correlates dips with the clock defense kicking in."""
-        monitor = self.clock_monitor
-        for when, node_id, worst in monitor.fence_events:
+        """Fold self-fence events into the nemesis timeline so the
+        availability rendering correlates dips with the clock defense
+        kicking in (fencing is always on here: only a verify row turns
+        it off)."""
+        for when, node_id, worst in self.clock_monitor.fence_events:
             nemesis.timeline.append(
                 (when, "fence", f"clock-outlier:n{node_id}"
                                 f" ({worst:.0f}ms)"))
-        if not monitor.fence_enabled:
-            for when, node_id, worst in monitor.outlier_detections:
-                nemesis.timeline.append(
-                    (when, "detect", f"clock-outlier:n{node_id}"
-                                     f" ({worst:.0f}ms)"))
         nemesis.timeline.sort(key=lambda entry: entry[0])
 
     def _check_clock(self, report: InvariantReport,

@@ -24,8 +24,8 @@ on the simulated substrate:
   that closes the detection window between a clock jump and the fence.
 
 Both defenses are off by default (``cluster.clock_monitor is None``);
-the fencing-disabled ablation installs the monitor with
-``fence_enabled=False`` so offsets are still measured and exported but
+the fencing-disabled ablation installs the monitor and turns its
+``fence_enabled`` off, so offsets are still measured and exported but
 nothing intervenes — letting the verify checker demonstrate the real
 anomalies an undefended beyond-bound clock causes.
 """
@@ -61,13 +61,16 @@ class ClockMonitor:
     #: majority vote can fence it (a single bad link must not kill a
     #: healthy node).
     MIN_PEERS = 2
+    #: Both defenses act (fence outliers, reject out-of-contract
+    #: timestamps).  Off only in the verify harness's
+    #: ``clock-jump-nofence`` ablation, which still measures.
+    fence_enabled = True
 
-    def __init__(self, cluster, fence_enabled: bool = True):
+    def __init__(self, cluster):
         self.cluster = cluster
         self.sim = cluster.sim
         self.network = cluster.network
         self.max_offset = cluster.max_clock_offset
-        self.fence_enabled = fence_enabled
         self.fence_threshold_ms = (
             self.max_offset * self.FENCE_THRESHOLD_FRACTION)
         #: observer node_id -> peer node_id -> latest offset estimate
@@ -253,12 +256,11 @@ class ClockMonitor:
             peers.pop(node_id, None)
 
 
-def install_clock_monitor(cluster,
-                          fence_enabled: bool = True) -> ClockMonitor:
+def install_clock_monitor(cluster) -> ClockMonitor:
     """Create a :class:`ClockMonitor` and wire it into the cluster and
     network so liveness heartbeats and Raft messages start piggybacking
     clock readings.  Idempotent per cluster attribute."""
-    monitor = ClockMonitor(cluster, fence_enabled=fence_enabled)
+    monitor = ClockMonitor(cluster)
     cluster.clock_monitor = monitor
     cluster.network.clock_monitor = monitor
     return monitor

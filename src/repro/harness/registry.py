@@ -22,11 +22,6 @@ from typing import (Any, Callable, Dict, FrozenSet, Mapping, Optional,
 
 from .. import chaos, verify
 from ..chaos.scenarios import SCENARIOS, run_scenario
-from ..verify.generator import (CLOCK_SCENARIOS, CPUT_ABLATION_SCENARIO,
-                                OCC_ABLATION_SCENARIO, OCC_SWEEP_SCENARIOS,
-                                REAPPLY_ABLATION_SCENARIO,
-                                VERIFY_ONLY_SCENARIOS, VERIFY_SCENARIOS,
-                                run_verify)
 from . import experiments as paper
 from . import protocols, rebalance, scale
 
@@ -177,12 +172,9 @@ _PAPER = (
 # -- scenario experiments ----------------------------------------------------
 
 _CHAOS_DOCS = {name: SCENARIOS[name].doc for name in sorted(SCENARIOS)}
-_CHAOS_FIXED = frozenset(name for name, scenario in SCENARIOS.items()
-                         if scenario.runner is not None)
-_VERIFY_DOCS = {
-    name: VERIFY_ONLY_SCENARIOS.get(name) or SCENARIOS[name].doc
-    for name in ("none", *VERIFY_SCENARIOS, OCC_ABLATION_SCENARIO,
-                 REAPPLY_ABLATION_SCENARIO, CPUT_ABLATION_SCENARIO)}
+_CHAOS_FIXED = frozenset(name for name, row in SCENARIOS.items()
+                         if row.runner is not None)
+_VERIFY = verify.SCENARIOS
 _REPAIR = ("kill-node-repair", "region-loss-repair")
 
 _SCENARIO_FLAGS = ("seed", "seeds", "json", "parallel", "protocol")
@@ -235,12 +227,14 @@ _EXPERIMENTS = tuple(
                   help="re-check a dumped history file instead of "
                        "running a workload (byte-identical report)")),
         ),
-        scenarios=_VERIFY_DOCS,
-        sweep=lambda protocol: (OCC_SWEEP_SCENARIOS
-                                if protocol == "epoch-occ"
-                                else VERIFY_SCENARIOS),
-        groups={"clock": CLOCK_SCENARIOS},
-        run=lambda name, seed, protocol: run_verify(
+        scenarios={name: row.doc for name, row in _VERIFY.items()},
+        sweep=lambda protocol: [n for n, row in _VERIFY.items()
+                                if (protocol or "crdb") in row.sweeps],
+        groups={"clock": [n for n, row in _VERIFY.items()
+                          if "clock" in row.sweeps]},
+        fixed_protocol=frozenset(n for n, row in _VERIFY.items()
+                                 if row.protocol is not None),
+        run=lambda name, seed, protocol: verify.run_verify(
             name, seed, protocol=protocol)),
     Experiment(
         "repair",

@@ -130,9 +130,8 @@ class Testbed:
         return TransactionCoordinator(self.cluster, txn_id_base=txn_id_base,
                                       protocol=self.coord.protocol)
 
-    def enable_clock_monitor(self, fence_enabled: bool = True) -> None:
-        self.clock_monitor = install_clock_monitor(
-            self.cluster, fence_enabled=fence_enabled)
+    def enable_clock_monitor(self) -> None:
+        self.clock_monitor = install_clock_monitor(self.cluster)
 
     def _start_liveness(self, time_until_store_dead_ms: float) -> None:
         self.liveness = StoreLiveness(

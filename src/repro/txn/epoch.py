@@ -118,16 +118,17 @@ class EpochService:
       (81), shared by the whole batch.
     """
 
-    def __init__(self, cluster, distsender, interval_ms: float,
-                 validate: bool = True):
+    #: Commit-time read-set validation.  Off only in the verify
+    #: harness's ``occ-novalidate`` ablation: the service then commits
+    #: every submission blindly, and the checker must convict the
+    #: resulting lost updates.
+    validate = True
+
+    def __init__(self, cluster, distsender, interval_ms: float):
         self.cluster = cluster
         self.sim = cluster.sim
         self.ds = distsender
         self.interval_ms = float(interval_ms)
-        #: The honest-falsification switch: with validation off the
-        #: service commits every submission blindly, and the verify
-        #: checker must convict the resulting lost updates.
-        self.validate = validate
         #: epoch -> [(txn, ack future)] awaiting that epoch's boundary.
         self._pending: Dict[int, List[Tuple["EpochTransaction", Future]]] = {}
         #: Highest epoch whose boundary has passed (sealed).
@@ -623,15 +624,13 @@ class EpochTransaction:
 class EpochOccProtocol(TxnProtocol):
     """Epoch-batched OCC backend, selectable via
     ``Cluster(txn_protocol="epoch-occ")`` or an instance of this class
-    (for a custom epoch interval or the validation-off ablation)."""
+    (for a custom epoch interval)."""
 
     name = "epoch-occ"
     wait_kind = "epoch-wait"
 
-    def __init__(self, interval_ms: float = DEFAULT_EPOCH_INTERVAL_MS,
-                 validate: bool = True):
+    def __init__(self, interval_ms: float = DEFAULT_EPOCH_INTERVAL_MS):
         self.interval_ms = interval_ms
-        self.validate = validate
 
     def service_for(self, coordinator) -> EpochService:
         """The cluster's shared epoch service (one total order per
@@ -640,7 +639,7 @@ class EpochOccProtocol(TxnProtocol):
         service = cluster.epoch_service
         if service is None:
             service = EpochService(cluster, coordinator.distsender,
-                                   self.interval_ms, validate=self.validate)
+                                   self.interval_ms)
             cluster.epoch_service = service
         return service
 

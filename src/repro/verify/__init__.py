@@ -6,9 +6,10 @@ operation histories; :func:`check` reconstructs per-key version orders,
 builds the wr/ww/rw dependency graph, and reports isolation anomalies
 (G0/G1a/G1b/G1c/G-single/G2, lost updates) plus real-time recency and
 staleness-bound violations; :class:`VerifyHarness` generates seeded
-random workloads under the chaos nemesis schedules.  Histories and
-reports round-trip through JSON deterministically, so any violation is
-replayable offline from a dumped file:
+random workloads under the nemeses and ablations of the
+:data:`SCENARIOS` table.  Histories and reports round-trip through JSON
+deterministically, so any violation is replayable offline from a
+dumped file:
 
     python -m repro verify --scenario region-blackout --seed 3
     python -m repro verify --check history.json
@@ -16,15 +17,10 @@ replayable offline from a dumped file:
 
 from .checker import Anomaly, VerifyReport, check
 from .generator import (
-    CLOCK_SCENARIOS,
-    CPUT_ABLATION_SCENARIO,
-    OCC_ABLATION_SCENARIO,
-    OCC_SWEEP_SCENARIOS,
-    REAPPLY_ABLATION_SCENARIO,
-    VERIFY_ONLY_SCENARIOS,
-    VERIFY_SCENARIOS,
+    SCENARIOS,
     VerifyHarness,
     VerifyResult,
+    VerifyScenario,
     run_verify,
 )
 from .history import RecordedOp, RecordedTxn, VerifyHistory
@@ -32,10 +28,8 @@ from .recorder import HistoryRecorder
 
 __all__ = [
     "Anomaly", "VerifyReport", "check",
-    "VerifyHarness", "VerifyResult", "run_verify", "VERIFY_SCENARIOS",
-    "VERIFY_ONLY_SCENARIOS", "CLOCK_SCENARIOS", "OCC_SWEEP_SCENARIOS",
-    "OCC_ABLATION_SCENARIO", "REAPPLY_ABLATION_SCENARIO",
-    "CPUT_ABLATION_SCENARIO",
+    "VerifyHarness", "VerifyResult", "VerifyScenario", "SCENARIOS",
+    "run_verify",
     "RecordedOp", "RecordedTxn", "VerifyHistory",
     "HistoryRecorder",
 ]

@@ -11,23 +11,25 @@ the paper describes:
   some rows' leaseholders are always remote for some clients);
 * ``glob``    — GLOBAL (future-time closed timestamps + commit wait).
 
-The run can execute under any of the chaos nemesis schedules (the same
-fault builders the chaos scenarios use — ``repro.chaos.build_faults``),
-records everything through :class:`~repro.verify.recorder
-.HistoryRecorder`, ends with a cross-region strong audit, and hands the
-frozen history to the pure checkers.  Everything is deterministic from
-``(scenario, seed)``.
+A run executes one row of :data:`SCENARIOS`: a nemesis (a chaos fault
+schedule — the same builders ``repro.chaos.SCENARIOS`` uses — or a
+verifier-only one: load, a reshaping keyspace, a clock jump) and, for an
+ablation, one safety mechanism switched off.  It records everything
+through :class:`~repro.verify.recorder.HistoryRecorder`, ends with a
+cross-region strong audit, and hands the frozen history to the pure
+checkers.  Everything is deterministic from ``(scenario, seed)``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..admission import AdmissionConfig, install_admission
 from ..chaos.nemesis import FaultEvent
-from ..chaos.scenarios import build_faults
+from ..chaos.scenarios import SCENARIOS as CHAOS
 from ..errors import (ConditionFailedError, DeadlineExceededError,
                       OverloadError, StaleReadBoundError)
 from ..harness.testbed import OK, RETRYABLE, Testbed
@@ -38,104 +40,8 @@ from .checker import VerifyReport, check
 from .history import VerifyHistory
 from .recorder import HistoryRecorder
 
-__all__ = ["VerifyHarness", "VerifyResult", "run_verify",
-           "VERIFY_SCENARIOS", "VERIFY_ONLY_SCENARIOS", "CLOCK_SCENARIOS",
-           "OCC_SWEEP_SCENARIOS", "OCC_ABLATION_SCENARIO",
-           "REAPPLY_ABLATION_SCENARIO", "CPUT_ABLATION_SCENARIO"]
-
-#: The schedules the randomized isolation sweep runs under: the chaos
-#: heal-everything fault schedules (the two *-repair scenarios
-#: permanently lose nodes and have their own tier-2 sweep) plus the
-#: verifier's own nemeses (:data:`VERIFY_ONLY_SCENARIOS`).
-VERIFY_SCENARIOS = [
-    "region-blackout", "rolling-zones", "flaky-wan",
-    "gray-follower", "asym-partition", "crash-restart",
-    "split-merge",
-    "overload",
-    "clock-drift", "clock-jump", "clock-jump-nofence",
-]
-
-CLOCK_SCENARIOS = ("clock-drift", "clock-jump", "clock-jump-nofence")
-
-#: The differential sweep the epoch-OCC backend must pass: the six
-#: heal-everything fault schedules plus the reshaping keyspace — the
-#: one nemesis that makes the batched commit pipeline re-partition —
-#: on identical nemesis timelines to the CRDB-protocol sweep
-#: (``pytest -m verify_occ`` runs these x 5 seeds under
-#: ``protocol="epoch-occ"``).
-OCC_SWEEP_SCENARIOS = [
-    "region-blackout", "rolling-zones", "flaky-wan",
-    "gray-follower", "asym-partition", "crash-restart",
-    "split-merge",
-]
-
-OCC_ABLATION_SCENARIO = "occ-novalidate"
-
-REAPPLY_ABLATION_SCENARIO = "one-phase-reapply"
-
-CPUT_ABLATION_SCENARIO = "cput-blind"
-
-#: Scenarios only the verifier has (every other name reuses the chaos
-#: scenario's fault schedule and doc): name -> what the nemesis is.
-VERIFY_ONLY_SCENARIOS = {
-    "none": "Fault-free run of the randomized workload.",
-    "split-merge":
-        "The nemesis is the keyspace itself: forced splits and merges "
-        "reshape the primary range under the live workload.",
-    "overload":
-        "A load nemesis, not a fault schedule: admission control is "
-        "installed and open-loop background load saturates the home "
-        "store while the recorded clients run with deadlines — "
-        "shedding must never break serializability.",
-    "clock-jump":
-        "A writer gateway's clock steps beyond the max-offset contract "
-        "with the full defense on (serve-side rejection + "
-        "self-fencing); the run must stay anomaly-free.",
-    "clock-jump-nofence":
-        "The honest ablation: the identical jump with the defense "
-        "disabled; passes iff the checker reports the real-time / "
-        "staleness anomalies the undefended jump really causes.",
-    OCC_ABLATION_SCENARIO:
-        "The epoch-OCC honest-falsification ablation: the identical "
-        "optimistic pipeline with commit-time read-set validation "
-        "disabled; passes iff the checker convicts the blind "
-        "write-write races (lost updates / write cycles) — proof the "
-        "differential sweep's clean verdicts are earned by validation, "
-        "not by checker blindness.",
-    REAPPLY_ABLATION_SCENARIO:
-        "The one-phase-commit honest-falsification ablation: flaky-wan "
-        "with the commit record left out of the one-phase Raft entry, "
-        "so a write re-sent after a lost reply applies a second time; "
-        "passes iff the checker convicts the duplicate / lost-update "
-        "anomalies — proof the sweep's clean verdicts under message "
-        "loss are earned by the record, not by checker blindness.",
-    CPUT_ABLATION_SCENARIO:
-        "The conditional-put honest-falsification ablation: two clients "
-        "insert the same fresh keys under flaky-wan with the "
-        "leaseholder's condition check switched off, so both inserts of "
-        "a key succeed; passes iff the checker convicts the second "
-        "(two transactions read the key absent and wrote it) — proof "
-        "an INSERT's uniqueness is earned by the check, not assumed.",
-}
-
-#: Anomaly types the validation-off ablation must produce (at least
-#: one): the write-write races validation exists to prevent.
-OCC_ABLATION_REQUIRED_TYPES = frozenset({
-    "lost-update", "lost-write", "incompatible-order",
-    "G0", "G1c", "G-single", "G2",
-})
-
-#: Anomaly types the re-apply ablation must produce (at least one): a
-#: write that lands twice is a duplicate element, or a second version
-#: that buries whatever committed between the two.
-REAPPLY_REQUIRED_TYPES = frozenset({
-    "lost-update", "lost-write", "incompatible-order", "G1a",
-    "G0", "G1c", "G-single", "G2",
-})
-
-#: Anomaly types the blind conditional put must produce (at least one):
-#: both inserters of a key read it absent and wrote it.
-CPUT_REQUIRED_TYPES = frozenset({"lost-update", "G-single", "G2"})
+__all__ = ["VerifyHarness", "VerifyResult", "VerifyScenario", "SCENARIOS",
+           "run_verify"]
 
 #: Fresh keys (on the primary REGIONAL range) the insert clients race
 #: for; never initialised, never touched by the other clients.
@@ -158,6 +64,12 @@ REALTIME_ANOMALY_TYPES = frozenset({
     "non-monotonic-session", "staleness-bound-violated",
 })
 
+#: An ablation's (allowed, required) anomaly classes: the run passes iff
+#: the checker reports at least one ``required`` anomaly and none
+#: outside ``allowed`` — proof the nemesis draws blood with the defense
+#: off, and that nothing worse than what it permits appears.
+Verdict = Tuple[FrozenSet[str], FrozenSet[str]]
+
 #: Overload verify-scenario knobs: background Poisson arrivals per
 #: region against the home range, the gateway rate each region's "bg"
 #: tenant is admitted at, and the deadlines that trigger shedding.
@@ -177,6 +89,35 @@ CLOSED_TS_LAG_MS = 400.0
 STALE_RETRYABLE = RETRYABLE + (StaleReadBoundError,)
 
 
+@dataclass(frozen=True)
+class VerifyScenario:
+    """One row of :data:`SCENARIOS`: the nemesis, what the run switches
+    on (or, for an ablation, off), and how the run is judged."""
+
+    doc: str
+    #: harness -> fault schedule, armed as the clients start.
+    faults: Optional[Callable[[Any], List[FaultEvent]]] = None
+    #: harness -> None, after the initial settle and before the nemesis:
+    #: a nemesis that is not a fault schedule, the clock monitor, or an
+    #: ablation's off-switch (plus the probe that makes its damage
+    #: certain).
+    setup: Optional[Callable[[Any], None]] = None
+    #: Recency probe clients run beside the regular ones.
+    probes: bool = False
+    #: At least this many insert clients.
+    inserters: int = 0
+    #: Whether the final heal restarts nodes the nemesis left dead.
+    restart_dead: bool = True
+    #: The one backend the row runs on (None: any).
+    protocol: Optional[str] = None
+    #: None: the run must be anomaly-free.
+    verdict: Optional[Verdict] = None
+    #: Which sweeps list the row: "crdb" / "epoch-occ" (``verify
+    #: --scenario all`` and the farm, per backend) and "clock"
+    #: (``verify --scenario clock``).
+    sweeps: Tuple[str, ...] = ()
+
+
 @dataclass
 class VerifyResult:
     """A verification run: the recorded history plus its verdict."""
@@ -187,34 +128,24 @@ class VerifyResult:
     report: VerifyReport
     duration_ms: float
     stats: Dict[str, Any] = field(default_factory=dict)
-    #: Defense-disabled ablation runs invert the verdict: the run
-    #: passes iff the checker caught at least one anomaly of the kinds
-    #: the missing defense really permits (and nothing worse) — proof
-    #: the nemesis draws blood when the defense is off.
-    expect_anomalies: bool = False
-    #: Ablations only: every reported anomaly must fall in this set.
-    allowed_anomaly_types: frozenset = REALTIME_ANOMALY_TYPES
-    #: Ablations only: at least one anomaly must fall in this set
-    #: (None: any non-empty allowed subset passes).
-    required_anomaly_types: Optional[frozenset] = None
+    #: The row's :attr:`VerifyScenario.verdict` (None: the run must be
+    #: anomaly-free).
+    verdict: Optional[Verdict] = None
 
     @property
     def ok(self) -> bool:
-        if not self.expect_anomalies:
+        if self.verdict is None:
             return self.report.ok
+        allowed, required = self.verdict
         types = {a.type for a in self.report.anomalies}
-        if not types or not types <= self.allowed_anomaly_types:
-            return False
-        if self.required_anomaly_types is not None:
-            return bool(types & self.required_anomaly_types)
-        return True
+        return bool(types & required) and types <= allowed
 
     def to_json(self) -> Dict[str, Any]:
         return {
             "scenario": self.scenario,
             "seed": self.seed,
             "ok": self.ok,
-            "expect_anomalies": self.expect_anomalies,
+            "expect_anomalies": self.verdict is not None,
             "duration_ms": round(self.duration_ms, 1),
             "stats": dict(self.stats),
             "report": self.report.to_json(),
@@ -230,7 +161,7 @@ class VerifyResult:
                 for key, value in sorted(self.stats.items())),
             self.report.render(),
         ]
-        if self.expect_anomalies:
+        if self.verdict is not None:
             lines.append(
                 "  ablation verdict: " +
                 ("OK — the checker convicted the disabled defense"
@@ -295,6 +226,8 @@ class VerifyHarness(Testbed):
         self._bg_coord = None
         self._bg_stats = {"offered": 0, "rejected": 0, "shed": 0,
                           "failed": 0, "completed": 0}
+        #: The ``split-merge`` scenario's driver process.
+        self.split_merge = None
 
     # -- strong transactional clients ---------------------------------------
 
@@ -493,9 +426,11 @@ class VerifyHarness(Testbed):
 
     # -- overload (load nemesis) --------------------------------------------
 
-    def _setup_overload(self) -> None:
-        """Install admission control and give the recorded clients
-        deadlines; the store work queues now gate every command."""
+    def _start_overload(self) -> None:
+        """The nemesis is load, not faults: install admission control
+        (the store work queues now gate every command), give the
+        recorded clients deadlines, and start saturating background
+        arrivals against the home store."""
         self.admission = install_admission(self.cluster, AdmissionConfig(
             rate_per_s=OVERLOAD_BG_ADMIT_RATE_PER_S,
             burst=16.0, max_queue_depth=64,
@@ -505,6 +440,10 @@ class VerifyHarness(Testbed):
         # not enter the verified history (they touch only bg* keys) but
         # must share the cluster txn registry, so ids are kept disjoint.
         self._bg_coord = self.second_coordinator(txn_id_base=1_000_000)
+        end_ms = self.sim.now + OVERLOAD_WINDOW_MS
+        for index, region in enumerate(self.regions):
+            self.sim.spawn(self._bg_arrivals(region, index, end_ms),
+                           name=f"bg-arrivals-{region}")
 
     def _bg_request(self, region: str, index: int, rng: random.Random):
         """One open-loop background request: gateway admission, then a
@@ -558,6 +497,12 @@ class VerifyHarness(Testbed):
 
     # -- split/merge (elastic keyspace nemesis) -----------------------------
 
+    def _start_split_merge(self) -> None:
+        """Start :meth:`_split_merge_driver` for the next 6 s."""
+        self.split_merge = self.sim.spawn(
+            self._split_merge_driver(self.sim.now + 6000.0),
+            name="split-merge-driver")
+
     def _split_merge_driver(self, end_ms: float):
         """The keyspace nemesis: force a split at every workload key
         boundary, dwell, then merge everything back — all while the
@@ -594,35 +539,51 @@ class VerifyHarness(Testbed):
 
     # -- clock-fault scenarios ----------------------------------------------
 
-    def clock_jump_victim(self) -> int:
-        """The home region's second gateway: a node whose clients stamp
-        transactions with *its* clock, so a beyond-bound jump there
-        produces future-time write timestamps on every range."""
-        return self.cluster.gateway_for_region(self.home, 1).node_id
-
-    def _setup_clock(self, scenario: str) -> None:
-        """Install the clock-safety monitor (fencing disabled for the
-        ablation) and, for the jump scenarios, the liveness machinery:
-        heartbeats carry the clock readings the monitor measures with,
-        and the replicate queue repairs around a fenced victim.  The
-        ablation keeps the identical setup so offsets are still
-        measured and exported — it differs *only* in not acting."""
-        self.enable_clock_monitor(
-            fence_enabled=scenario != "clock-jump-nofence")
-        if scenario in ("clock-jump", "clock-jump-nofence"):
-            self.enable_repair((self.ranges[name], self.configs[name])
-                               for name in sorted(self.ranges))
-
-    def _clock_events(self, scenario: str) -> List[FaultEvent]:
-        if scenario == "clock-drift":
-            # The chaos schedule, held for the verifier's longer run.
-            return build_faults("clock-drift", self, heal_at_ms=2000.0)
+    def _clock_jump(self) -> List[FaultEvent]:
+        """Step the home region's second gateway's clock beyond the
+        contract: its clients stamp transactions with *its* clock, so
+        the jump produces future-time write timestamps on every range."""
         clock = self.cluster.clock
-        victim = self.clock_jump_victim()
+        victim = self.cluster.gateway_for_region(self.home, 1).node_id
         return [FaultEvent(
             name=f"clock-jump:n{victim}",
             at_ms=250.0,
             inject=lambda: clock.jump(victim, CLOCK_JUMP_MS))]
+
+    def _defend_clock(self) -> None:
+        """The clock-safety monitor plus the liveness machinery:
+        heartbeats carry the clock readings the monitor measures with,
+        and the replicate queue repairs around a fenced victim."""
+        self.enable_clock_monitor()
+        self.enable_repair((self.ranges[name], self.configs[name])
+                           for name in sorted(self.ranges))
+
+    # -- ablation off-switches ----------------------------------------------
+
+    def _undefend_clock(self) -> None:
+        """The identical setup with fencing off: offsets are still
+        measured and exported — the monitor differs *only* in not
+        acting."""
+        self._defend_clock()
+        self.clock_monitor.fence_enabled = False
+
+    def _skip_validation(self) -> None:
+        """Epoch-OCC commits every submission without re-reading its
+        read set (the init keys' transactions read nothing, so they
+        committed the same way)."""
+        self.cluster.epoch_service.validate = False
+
+    def _drop_commit_records(self) -> None:
+        """One-phase entries carry no commit record, and the lost-reply
+        probe runs first so the damage is certain."""
+        for rng in self.ranges.values():
+            rng.commit_marker = False
+        self.run_clients([self.reapply_probe()])
+
+    def _skip_condition_checks(self) -> None:
+        """Leaseholders apply conditional puts without their check."""
+        for rng in self.ranges.values():
+            rng.check_condition = False
 
     # -- the run ------------------------------------------------------------
 
@@ -661,65 +622,28 @@ class VerifyHarness(Testbed):
     def run(self, scenario: Optional[str] = None,
             clients_per_region: int = 2, ops_per_client: int = 8,
             stale_ops: int = 6, inserters: int = 0) -> VerifyResult:
-        """``inserters``: that many :meth:`insert_client` s (one per
-        region, round-robin) run beside the other clients."""
+        """Run the :data:`SCENARIOS` row ``scenario`` (None: ``"none"``):
+        settle, the row's setup, its nemesis, the clients, heal, audit,
+        check, and the row's verdict.  ``inserters``: that many
+        :meth:`insert_client` s (one per region, round-robin; at least
+        the row's own) run beside the other clients."""
+        name = scenario or "none"
+        row = _row(name)
+        if row.protocol not in (None, self.protocol.name):
+            raise ValueError(
+                f"verify scenario {name!r} runs on {row.protocol} only, "
+                f"not {self.protocol.name}")
         sim = self.sim
-        scenario_name = scenario or "none"
-        self.recorder.meta.update(
-            {"scenario": scenario_name, "seed": self.seed})
-        split_merge = scenario == "split-merge"
+        self.recorder.meta.update({"scenario": name, "seed": self.seed})
         self._init_keys()
         sim.run(until=sim.now + 600.0)  # settle replication + closed ts
+        if row.setup is not None:
+            row.setup(self)
 
         start_ms = sim.now
-        nemesis = None
-        overload = scenario == "overload"
-        clock_scenario = scenario in CLOCK_SCENARIOS
-        occ_ablation = scenario == OCC_ABLATION_SCENARIO
-        reapply_ablation = scenario == REAPPLY_ABLATION_SCENARIO
-        cput_ablation = scenario == CPUT_ABLATION_SCENARIO
-        if overload:
-            # The nemesis is load, not faults: saturating background
-            # arrivals against the home store while admission control
-            # sheds work.  Recorded clients get deadlines.
-            self._setup_overload()
-            for index, region in enumerate(self.regions):
-                sim.spawn(self._bg_arrivals(
-                    region, index, start_ms + OVERLOAD_WINDOW_MS),
-                    name=f"bg-arrivals-{region}")
-        elif clock_scenario:
-            self._setup_clock(scenario)
-            nemesis = self.start_nemesis(self._clock_events(scenario),
-                                         base_ms=start_ms)
-        elif split_merge:
-            # The nemesis is the keyspace itself: forced splits and
-            # merges reshape the primary range under the live workload.
-            sim.spawn(self._split_merge_driver(start_ms + 6000.0),
-                      name="split-merge-driver")
-        elif occ_ablation:
-            # The nemesis is the protocol itself: epoch-OCC with
-            # commit-time validation disabled; no faults injected.
-            pass
-        elif reapply_ablation:
-            # flaky-wan against one-phase entries that carry no commit
-            # record, after the probe that makes the damage certain.
-            for rng in self.ranges.values():
-                rng.commit_marker = False
-            self.run_clients([self.reapply_probe()])
-            start_ms = sim.now
-            nemesis = self.start_nemesis(build_faults("flaky-wan", self),
-                                         base_ms=start_ms)
-        elif cput_ablation:
-            # flaky-wan against conditional puts nobody checks, raced by
-            # (at least) two insert clients.
-            for rng in self.ranges.values():
-                rng.check_condition = False
-            inserters = max(inserters, 2)
-            nemesis = self.start_nemesis(build_faults("flaky-wan", self),
-                                         base_ms=start_ms)
-        elif scenario:
-            nemesis = self.start_nemesis(build_faults(scenario, self),
-                                         base_ms=start_ms)
+        nemesis = (self.start_nemesis(row.faults(self), base_ms=start_ms)
+                   if row.faults is not None else None)
+        inserters = max(inserters, row.inserters)
         clients = []
         for index, region in enumerate(self.regions):
             for client in range(clients_per_region):
@@ -728,9 +652,9 @@ class VerifyHarness(Testbed):
                     (index + client) % 2, ops_per_client))
             clients.append(self.stale_client(
                 f"stale-{region}", region, (index + 1) % 2, stale_ops))
-        if clock_scenario:
+        if row.probes:
             # Recency probes on healthy gateways (index 0 in the home
-            # region — index 1 is the jump victim).
+            # region — index 1 is the clock-jump victim).
             for index, region in enumerate(self.regions):
                 clients.append(self.probe_client(
                     f"probe-{region}", region, index % 2, ops=60))
@@ -741,11 +665,7 @@ class VerifyHarness(Testbed):
         self.run_clients(clients)
         duration = sim.now - start_ms
 
-        # clock-jump's fenced victim stays down: the point is that the
-        # replicate queue repairs around it, not that a restart saves
-        # the day.
-        self.heal_and_settle(nemesis,
-                             restart_dead=(scenario != "clock-jump"))
+        self.heal_and_settle(nemesis, restart_dead=row.restart_dead)
         self.recorder.final = self._audit(insert_keys=inserters > 0)
 
         history = self.recorder.finalize()
@@ -759,11 +679,11 @@ class VerifyHarness(Testbed):
             "txn_retries": self.coord.stats.aborted_retries,
             "validation_aborts": self.coord.stats.validation_aborts,
         }
-        if overload:
+        if self.admission is not None:
             stats["fg_shed"] = self._fg_shed
             for key in sorted(self._bg_stats):
                 stats[f"bg_{key}"] = self._bg_stats[key]
-        if split_merge:
+        if self.split_merge is not None:
             keyspace = self.cluster.keyspace
             stats["keyspace_splits"] = keyspace.splits
             stats["keyspace_merges"] = keyspace.merges
@@ -777,63 +697,134 @@ class VerifyHarness(Testbed):
             if self.repair_queue is not None:
                 stats["repair_actions"] = \
                     self.repair_queue.metrics.total_actions()
-        if occ_ablation:
-            # The blind write-write races may also surface as a
-            # diverged final audit; recency/staleness noise is tolerated
-            # but never required.  Duplicate writes or garbage reads
-            # would mean the *protocol machinery* (not just validation)
-            # is broken, and fail even the ablation.
-            allowed = (OCC_ABLATION_REQUIRED_TYPES
-                       | REALTIME_ANOMALY_TYPES
-                       | frozenset({"final-state-divergence"}))
-            return VerifyResult(
-                scenario=scenario_name, seed=self.seed, history=history,
-                report=report, duration_ms=duration, stats=stats,
-                expect_anomalies=True, allowed_anomaly_types=allowed,
-                required_anomaly_types=OCC_ABLATION_REQUIRED_TYPES)
-        if reapply_ablation:
-            # A write that lands twice buries what was written between;
-            # the damage may also reach the final audit.
-            allowed = (REAPPLY_REQUIRED_TYPES | REALTIME_ANOMALY_TYPES
-                       | frozenset({"final-state-divergence"}))
-            return VerifyResult(
-                scenario=scenario_name, seed=self.seed, history=history,
-                report=report, duration_ms=duration, stats=stats,
-                expect_anomalies=True, allowed_anomaly_types=allowed,
-                required_anomaly_types=REAPPLY_REQUIRED_TYPES)
-        if cput_ablation:
-            return VerifyResult(
-                scenario=scenario_name, seed=self.seed, history=history,
-                report=report, duration_ms=duration, stats=stats,
-                expect_anomalies=True,
-                allowed_anomaly_types=(CPUT_REQUIRED_TYPES
-                                       | REALTIME_ANOMALY_TYPES),
-                required_anomaly_types=CPUT_REQUIRED_TYPES)
-        return VerifyResult(scenario=scenario_name, seed=self.seed,
-                            history=history, report=report,
-                            duration_ms=duration, stats=stats,
-                            expect_anomalies=(
-                                scenario == "clock-jump-nofence"))
+        return VerifyResult(scenario=name, seed=self.seed, history=history,
+                            report=report, duration_ms=duration, stats=stats,
+                            verdict=row.verdict)
+
+
+# -- the scenario table ------------------------------------------------------
+
+
+def _convicts(required, *tolerated: str) -> Verdict:
+    """An ablation's verdict: at least one ``required`` anomaly, and
+    nothing outside it, :data:`REALTIME_ANOMALY_TYPES` (recency /
+    staleness noise, never required) and ``tolerated``."""
+    required = frozenset(required)
+    return required | REALTIME_ANOMALY_TYPES | frozenset(tolerated), required
+
+
+#: The write-write races a blind commit lets through: a write buries a
+#: concurrent one (lost updates, write-order and write cycles).
+_WRITE_RACES = frozenset({
+    "lost-update", "lost-write", "incompatible-order",
+    "G0", "G1c", "G-single", "G2",
+})
+
+#: Rows the CRDB-protocol and the epoch-OCC sweeps both run: the six
+#: heal-everything chaos schedules and the reshaping keyspace (the two
+#: chaos *-repair scenarios permanently lose nodes and have their own
+#: tier-2 sweep), on identical nemesis timelines per backend.
+_BOTH = ("crdb", "epoch-occ")
+_CLOCK = ("crdb", "clock")
+
+#: Every verify scenario, in listing order (``verify --scenario list``).
+SCENARIOS: Dict[str, VerifyScenario] = {
+    "none": VerifyScenario("Fault-free run of the randomized workload."),
+    **{name: VerifyScenario(CHAOS[name].doc, CHAOS[name].faults,
+                            sweeps=_BOTH)
+       for name in ("region-blackout", "rolling-zones", "flaky-wan",
+                    "gray-follower", "asym-partition", "crash-restart")},
+    "split-merge": VerifyScenario(
+        "The nemesis is the keyspace itself: forced splits and merges "
+        "reshape the primary range under the live workload.",
+        setup=VerifyHarness._start_split_merge, sweeps=_BOTH),
+    "overload": VerifyScenario(
+        "A load nemesis, not a fault schedule: admission control is "
+        "installed and open-loop background load saturates the home "
+        "store while the recorded clients run with deadlines — "
+        "shedding must never break serializability.",
+        setup=VerifyHarness._start_overload, sweeps=("crdb",)),
+    "clock-drift": VerifyScenario(
+        CHAOS["clock-drift"].doc,
+        # The chaos schedule, held for the verifier's longer run.
+        partial(CHAOS["clock-drift"].faults, heal_at_ms=2000.0),
+        setup=VerifyHarness.enable_clock_monitor, probes=True,
+        sweeps=_CLOCK),
+    "clock-jump": VerifyScenario(
+        "A writer gateway's clock steps beyond the max-offset contract "
+        "with the full defense on (serve-side rejection + "
+        "self-fencing); the run must stay anomaly-free.",
+        VerifyHarness._clock_jump, setup=VerifyHarness._defend_clock,
+        probes=True, sweeps=_CLOCK,
+        # The fenced victim stays down: the point is that the replicate
+        # queue repairs around it, not that a restart saves the day.
+        restart_dead=False),
+    "clock-jump-nofence": VerifyScenario(
+        "The honest ablation: the identical jump with the defense "
+        "disabled; passes iff the checker reports the real-time / "
+        "staleness anomalies the undefended jump really causes.",
+        VerifyHarness._clock_jump, setup=VerifyHarness._undefend_clock,
+        probes=True, sweeps=_CLOCK,
+        verdict=_convicts(REALTIME_ANOMALY_TYPES)),
+    "occ-novalidate": VerifyScenario(
+        "The epoch-OCC honest-falsification ablation: the identical "
+        "optimistic pipeline with commit-time read-set validation "
+        "disabled; passes iff the checker convicts the blind "
+        "write-write races (lost updates / write cycles) — proof the "
+        "differential sweep's clean verdicts are earned by validation, "
+        "not by checker blindness.",
+        setup=VerifyHarness._skip_validation, protocol="epoch-occ",
+        # The races may also surface as a diverged final audit.
+        # Duplicate writes or garbage reads would mean the protocol
+        # machinery, not just validation, is broken.
+        verdict=_convicts(_WRITE_RACES, "final-state-divergence")),
+    "one-phase-reapply": VerifyScenario(
+        "The one-phase-commit honest-falsification ablation: flaky-wan "
+        "with the commit record left out of the one-phase Raft entry, "
+        "so a write re-sent after a lost reply applies a second time; "
+        "passes iff the checker convicts the duplicate / lost-update "
+        "anomalies — proof the sweep's clean verdicts under message "
+        "loss are earned by the record, not by checker blindness.",
+        CHAOS["flaky-wan"].faults,
+        setup=VerifyHarness._drop_commit_records, protocol="crdb",
+        # A write that lands twice is a duplicate element, or a second
+        # version burying what committed between; the damage may also
+        # reach the final audit.
+        verdict=_convicts(_WRITE_RACES | {"G1a"},
+                          "final-state-divergence")),
+    "cput-blind": VerifyScenario(
+        "The conditional-put honest-falsification ablation: two clients "
+        "insert the same fresh keys under flaky-wan with the "
+        "leaseholder's condition check switched off, so both inserts of "
+        "a key succeed; passes iff the checker convicts the second "
+        "(two transactions read the key absent and wrote it) — proof "
+        "an INSERT's uniqueness is earned by the check, not assumed.",
+        CHAOS["flaky-wan"].faults,
+        setup=VerifyHarness._skip_condition_checks, inserters=2,
+        protocol="crdb",
+        verdict=_convicts({"lost-update", "G-single", "G2"})),
+}
+
+
+def _row(name: str) -> VerifyScenario:
+    try:
+        return SCENARIOS[name]
+    except KeyError:
+        raise KeyError(f"unknown verify scenario {name!r}; "
+                       f"choose from {list(SCENARIOS)}") from None
 
 
 def run_verify(scenario: Optional[str] = None, seed: int = 0,
                protocol=None, **kwargs) -> VerifyResult:
     """Run the randomized isolation/staleness verification workload.
 
-    ``scenario`` is a chaos schedule name (``repro.chaos.SCENARIOS``) or
-    None for a fault-free run; ``protocol`` selects the transaction
-    backend ("crdb" default, "epoch-occ" for the differential sweep).
-    The ``occ-novalidate`` scenario forces the validation-off epoch-OCC
-    ablation regardless of ``protocol``, ``one-phase-reapply`` and
-    ``cput-blind`` the CRDB pipeline (the only one that commits
-    one-phase, or has the leaseholder judge a conditional put).
+    ``scenario`` is a :data:`SCENARIOS` name (None: ``"none"``);
+    ``protocol`` selects the transaction backend ("crdb" default,
+    "epoch-occ" for the differential sweep).  A row that forces a
+    backend — an ablation of a mechanism only one pipeline has — runs
+    on it, and raises ValueError for any other ``protocol``.
     """
-    if scenario in ("none", ""):
-        scenario = None
-    if scenario in (REAPPLY_ABLATION_SCENARIO, CPUT_ABLATION_SCENARIO):
-        protocol = None
-    if scenario == OCC_ABLATION_SCENARIO:
-        from ..txn.epoch import EpochOccProtocol
-        protocol = EpochOccProtocol(validate=False)
-    return VerifyHarness(seed, protocol=protocol).run(scenario=scenario,
-                                                      **kwargs)
+    row = _row(scenario or "none")
+    return VerifyHarness(
+        seed, protocol=row.protocol if protocol is None else protocol,
+    ).run(scenario=scenario, **kwargs)

@@ -226,9 +226,9 @@ class TestHLCUnderFaults:
 
 
 class TestClockMonitor:
-    def _bed(self, **kwargs):
+    def _bed(self):
         bed = KVTestBed(regions=REGIONS3, seed=0)
-        monitor = install_clock_monitor(bed.cluster, **kwargs)
+        monitor = install_clock_monitor(bed.cluster)
         return bed, monitor
 
     def _feed(self, monitor, observer, peers):
@@ -278,7 +278,8 @@ class TestClockMonitor:
         assert monitor.fence_events == []
 
     def test_fencing_disabled_records_detection_only(self):
-        bed, monitor = self._bed(fence_enabled=False)
+        bed, monitor = self._bed()
+        monitor.fence_enabled = False
         cluster = bed.cluster
         victim = cluster.gateway_for_region("us-east1", 1)
         cluster.clock.jump(victim.node_id, 2000.0)

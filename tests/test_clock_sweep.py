@@ -13,7 +13,6 @@ import pytest
 
 from repro.chaos import run_scenario
 from repro.verify import run_verify
-from repro.verify.generator import REALTIME_ANOMALY_TYPES
 
 pytestmark = pytest.mark.clock
 
@@ -47,15 +46,11 @@ def test_defended_jump_fences_and_stays_anomaly_free(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fencing_ablation_surfaces_real_anomalies(seed):
+    """The verdict (real-time / staleness anomalies only, at least one)
+    is ``test_verify_scenarios.py::test_ablation_is_convicted``'s; this
+    is what the row does beside it."""
     result = run_verify("clock-jump-nofence", seed=seed)
-    types = {a.type for a in result.report.anomalies}
-    assert types, (
-        "undefended beyond-bound jump produced no anomalies — the "
-        "ablation no longer demonstrates what fencing prevents")
-    assert types <= REALTIME_ANOMALY_TYPES, (
-        f"unexpected anomaly classes {types - REALTIME_ANOMALY_TYPES}:\n"
-        f"{result.report.render()}")
-    assert result.ok  # expect_anomalies verdict: checker caught it
+    assert result.report.anomalies and result.ok
     assert result.stats["clock_fences"] == 0
     assert result.stats["clock_outliers"] >= 1, (
         "the monitor should still *measure* the outlier it ignores")

@@ -137,10 +137,10 @@ class TestHardening:
     def test_repair_and_clock_switches(self):
         bed = provisioned()
         assert bed.clock_monitor is bed.liveness is bed.repair_queue is None
-        bed.enable_clock_monitor(fence_enabled=False)
+        bed.enable_clock_monitor()
         bed.enable_repair([(bed.range, bed.zone_config())])
         assert bed.cluster.clock_monitor is bed.clock_monitor
-        assert not bed.clock_monitor.fence_enabled
+        assert bed.clock_monitor.fence_enabled
         assert bed.liveness.heartbeat_interval_ms == \
             testbed.HEARTBEAT_INTERVAL_MS
         assert bed.liveness.time_until_store_dead_ms == \

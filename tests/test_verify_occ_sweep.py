@@ -4,27 +4,24 @@ Run with ``pytest -m verify_occ``.  The same Elle-style checker that
 audits the CRDB pipeline runs the identical seeded workloads and
 nemesis schedules against :class:`~repro.txn.epoch.EpochOccProtocol`;
 every history must come back anomaly-free.  The honest-falsification
-half runs the validation-off ablation, which only passes if the
-checker *does* convict the blind epoch commits of lost updates /
-write-order anomalies — proving the checker can see exactly the bugs
-validation exists to prevent.
+half, the validation-off ``occ-novalidate`` ablation, is a case of
+``tests/test_verify_scenarios.py::test_ablation_is_convicted`` under
+this marker: it only passes if the checker *does* convict the blind
+epoch commits of lost updates / write-order anomalies — proving the
+checker can see exactly the bugs validation exists to prevent.
 """
 
 import pytest
 
-from repro.verify import (
-    OCC_ABLATION_SCENARIO,
-    OCC_SWEEP_SCENARIOS,
-    run_verify,
-)
-from repro.verify.generator import OCC_ABLATION_REQUIRED_TYPES
+from repro.verify import SCENARIOS, run_verify
 
 SEEDS = range(5)
 
 pytestmark = pytest.mark.verify_occ
 
 
-@pytest.mark.parametrize("scenario", OCC_SWEEP_SCENARIOS)
+@pytest.mark.parametrize("scenario", [
+    name for name, row in SCENARIOS.items() if "epoch-occ" in row.sweeps])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_epoch_occ_history_is_anomaly_free(scenario, seed):
     result = run_verify(scenario, seed=seed, protocol="epoch-occ")
@@ -33,21 +30,6 @@ def test_epoch_occ_history_is_anomaly_free(scenario, seed):
         f"{result.report.render()}\n"
         f"--- replayable history ---\n{result.history.dumps()}")
     assert result.history.meta.get("protocol") == "epoch-occ"
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_validation_off_ablation_is_convicted(seed):
-    """With validation disabled the checker must find real anomalies —
-    a sweep that cannot fail the broken variant proves nothing."""
-    result = run_verify(OCC_ABLATION_SCENARIO, seed=seed)
-    found = {a.type for a in result.report.anomalies}
-    assert found & OCC_ABLATION_REQUIRED_TYPES, (
-        f"validation-off ablation seed={seed} produced no lost-update/"
-        f"write-order anomalies (found {sorted(found)}): the checker "
-        f"would not catch a broken validator")
-    assert result.ok, (
-        f"ablation seed={seed} flagged unexpected anomaly types "
-        f"{sorted(found)}:\n{result.report.render()}")
 
 
 def test_occ_run_is_deterministic():
