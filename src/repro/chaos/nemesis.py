@@ -73,9 +73,9 @@ class Nemesis:
 
     def heal_all(self, restart_dead: bool = True) -> None:
         """Run outstanding heals and scrub the fault plane completely —
-        link cuts, loss, latency, gray nodes, partitions, and (unless
-        ``restart_dead`` is False) dead nodes, restarted so they catch
-        up.  Used before the final audit.  Repair scenarios pass
+        link cuts (region partitions included), loss, latency, gray
+        nodes, and (unless ``restart_dead`` is False) dead nodes,
+        restarted so they catch up.  Used before the final audit.  Repair scenarios pass
         ``restart_dead=False``: their node/region loss is *permanent*,
         and reviving the victims would hand the replicate queue its
         repair for free."""
@@ -87,12 +87,9 @@ class Nemesis:
             self._record("heal", event.name)
         faults = network.faults
         faults.heal_all_links()
-        faults.clear_partitions()
         # Clock faults heal with everything else: a restarted node is
         # presumed step-synced by NTP (no-op when no clock fault ran).
-        clock = getattr(self.cluster, "clock", None)
-        if clock is not None and hasattr(clock, "heal_all"):
-            clock.heal_all()
+        self.cluster.clock.heal_all()
         if restart_dead:
             for node_id in list(faults.dead_nodes):
                 network.restart_node(node_id)

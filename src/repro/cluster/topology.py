@@ -38,11 +38,8 @@ class Cluster:
         self.raft_coalesce_ms = raft_coalesce_ms
         #: Per-node clock model: static base offsets plus the dynamic
         #: fault surface (drift/jump/freeze) the clock nemesis drives.
-        #: ``skew`` is the historical name; ``clock`` reads better at
-        #: fault-injection sites.
-        self.skew = ClockModel(max_clock_offset, seed=seed,
-                               skew_fraction=skew_fraction, sim=sim)
-        self.clock = self.skew
+        self.clock = ClockModel(max_clock_offset, seed=seed,
+                                skew_fraction=skew_fraction, sim=sim)
         #: Clock-safety monitor (``repro.cluster.clocksync``); ``None``
         #: means clock monitoring/fencing is disabled and every gated
         #: path is a single attribute check — installed via
@@ -73,6 +70,7 @@ class Cluster:
         self.epoch_service = None
         self._next_node_id = 1
         self._next_range_id = 1
+        self._next_txn_id = 1
         #: The span registry: ranges are born into it; it splits and merges.
         self.keyspace = Keyspace(self)
         #: interval ms -> the closed-timestamp side transport shipping
@@ -99,10 +97,10 @@ class Cluster:
 
     @property
     def max_clock_offset(self) -> float:
-        return self.skew.max_offset
+        return self.clock.max_offset
 
     def add_node(self, locality: Locality) -> Node:
-        node = Node(self.sim, self._next_node_id, locality, self.skew)
+        node = Node(self.sim, self._next_node_id, locality, self.clock)
         self._next_node_id += 1
         self.nodes.append(node)
         return node
@@ -133,6 +131,13 @@ class Cluster:
         range_id = self._next_range_id
         self._next_range_id += 1
         return range_id
+
+    def allocate_txn_id(self) -> int:
+        """A transaction id unique on this cluster, whichever
+        coordinator begins the transaction."""
+        txn_id = self._next_txn_id
+        self._next_txn_id += 1
+        return txn_id
 
     # -- lookups -----------------------------------------------------------
 

@@ -123,11 +123,10 @@ class Testbed:
                                     else None),
             **policy)
 
-    def second_coordinator(self, txn_id_base: int) -> TransactionCoordinator:
+    def second_coordinator(self) -> TransactionCoordinator:
         """Another coordinator on the same cluster and protocol (e.g.
-        for unrecorded background load); ``txn_id_base`` keeps its ids
-        disjoint in the shared txn registry."""
-        return TransactionCoordinator(self.cluster, txn_id_base=txn_id_base,
+        for unrecorded background load)."""
+        return TransactionCoordinator(self.cluster,
                                       protocol=self.coord.protocol)
 
     def enable_clock_monitor(self) -> None:

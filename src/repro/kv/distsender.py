@@ -190,8 +190,7 @@ class DistSender:
         # seed: a fleet of breakers tripped by the same fault re-probes
         # staggered instead of in lockstep, and every run of a given
         # seed schedules probes byte-identically.
-        breaker_rng = random.Random(
-            (getattr(cluster, "seed", 0) << 8) ^ 0xB4EA)
+        breaker_rng = random.Random((cluster.seed << 8) ^ 0xB4EA)
         self.breakers = BreakerSet(self.BREAKER_THRESHOLD,
                                    self.BREAKER_COOLDOWN_MS,
                                    registry=registry, rng=breaker_rng,
@@ -200,8 +199,7 @@ class DistSender:
         # (and any probe stranded when it died) belong to the previous
         # incarnation.
         self.network.on_node_restart(self.breakers.reset)
-        self._retry_rng = random.Random(
-            (getattr(cluster, "seed", 0) << 8) ^ 0xD157)
+        self._retry_rng = random.Random((cluster.seed << 8) ^ 0xD157)
         #: (gateway_node_id, range_id) -> (replica, routing_generation).
         #: Consulted only while the fault plane is clean and no breaker
         #: is open — the only conditions under which replica selection

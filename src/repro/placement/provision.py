@@ -60,7 +60,7 @@ def _assign_policy(cluster, rng: Range, global_reads: bool,
                     else Range.SIDE_TRANSPORT_INTERVAL_MS)
         # The worst-case *actual* clock skew between any two nodes, per
         # the cluster's skew model (never exceeds max_clock_offset).
-        skew_allowance = cluster.skew.max_offset * cluster.skew.skew_fraction
+        skew_allowance = cluster.clock.max_offset * cluster.clock.skew_fraction
         rng.policy = LeadPolicy.for_range(
             raft_latency_ms=rng.raft_latency_ms(),
             replicate_latency_ms=rng.replicate_latency_ms(),

@@ -8,7 +8,6 @@ from .core import (
     Simulator,
     all_of,
     any_of,
-    quorum_of,
     with_timeout,
 )
 from .network import (
@@ -36,7 +35,6 @@ __all__ = [
     "Simulator",
     "all_of",
     "any_of",
-    "quorum_of",
     "with_timeout",
     "ExponentialBackoff",
     "FaultPlane",

@@ -36,7 +36,6 @@ __all__ = [
     "settle_all",
     "any_of",
     "with_timeout",
-    "quorum_of",
 ]
 
 
@@ -557,37 +556,4 @@ def with_timeout(sim: Simulator, future: Future, delay_ms: float,
 
     deadline = sim.call_after(delay_ms, on_deadline)
     future.add_callback(on_done)
-    return result
-
-
-def quorum_of(sim: Simulator, futures: Iterable[Future], needed: int) -> Future:
-    """Future resolving once ``needed`` of the inputs have resolved.
-
-    Used for Raft quorum waits: rejections count as unreachable replicas
-    and only fail the quorum when success becomes impossible.
-    """
-    futures = list(futures)
-    result = Future(sim)
-    if needed <= 0:
-        result.resolve([])
-        return result
-    if needed > len(futures):
-        raise SimulationError("quorum larger than the group")
-    successes: List[Any] = []
-    failures = [0]
-
-    def on_done(fut: Future) -> None:
-        if result.done:
-            return
-        if fut.error is not None:
-            failures[0] += 1
-            if len(futures) - failures[0] < needed:
-                result.reject(fut.error)
-            return
-        successes.append(fut._value)
-        if len(successes) >= needed:
-            result.resolve(list(successes))
-
-    for fut in futures:
-        fut.add_callback(on_done)
     return result

@@ -148,8 +148,6 @@ class FaultPlane:
         self.cut_node_links = set()
         #: Directional cuts: (src_region, dst_region).
         self.cut_region_links = set()
-        #: Legacy symmetric region blackout.
-        self.partitioned_regions = set()
         #: Directional loss probability per link.
         self.loss_node_links: Dict[Tuple[int, int], float] = {}
         self.loss_region_links: Dict[Tuple[str, str], float] = {}
@@ -167,7 +165,7 @@ class FaultPlane:
         self.generation += 1
         self.active = bool(
             self.dead_nodes or self.cut_node_links or self.cut_region_links
-            or self.partitioned_regions or self.loss_node_links
+            or self.loss_node_links
             or self.loss_region_links or self.latency_node_links
             or self.latency_region_links or self.slow_nodes)
 
@@ -194,21 +192,6 @@ class FaultPlane:
 
     def restore_node_speed(self, node_id: int) -> None:
         self.slow_nodes.pop(node_id, None)
-        self._mutated()
-
-    # -- region partitions --------------------------------------------------
-
-    def partition_region(self, region: str) -> None:
-        """Cut the region off from all other regions (symmetric)."""
-        self.partitioned_regions.add(region)
-        self._mutated()
-
-    def heal_region(self, region: str) -> None:
-        self.partitioned_regions.discard(region)
-        self._mutated()
-
-    def clear_partitions(self) -> None:
-        self.partitioned_regions.clear()
         self._mutated()
 
     # -- link faults --------------------------------------------------------
@@ -263,7 +246,7 @@ class FaultPlane:
 
     def heal_all_links(self) -> None:
         """Clear every link-level fault (cuts, loss, latency); leave
-        dead nodes and legacy region partitions to their own heals."""
+        dead nodes to their own heals."""
         self.cut_node_links.clear()
         self.cut_region_links.clear()
         self.loss_node_links.clear()
@@ -281,16 +264,8 @@ class FaultPlane:
             return True
         if (src.node_id, dst.node_id) in self.cut_node_links:
             return True
-        src_region = src.locality.region
-        dst_region = dst.locality.region
-        if (src_region, dst_region) in self.cut_region_links:
-            return True
-        if src_region != dst_region:
-            if src_region in self.partitioned_regions:
-                return True
-            if dst_region in self.partitioned_regions:
-                return True
-        return False
+        return ((src.locality.region, dst.locality.region)
+                in self.cut_region_links)
 
     def should_drop(self, src, dst) -> bool:
         """Sample packet loss for one src→dst message (seeded)."""
@@ -463,18 +438,8 @@ class Network:
 
     # -- failure injection ------------------------------------------------
 
-    def partition_region(self, region: str) -> None:
-        """Cut the given region off from all other regions."""
-        self.faults.partition_region(region)
-
-    def heal_region(self, region: str) -> None:
-        self.faults.heal_region(region)
-
     def kill_node(self, node_id: int) -> None:
         self.faults.kill_node(node_id)
-
-    def revive_node(self, node_id: int) -> None:
-        self.faults.revive_node(node_id)
 
     def crash_node(self, node_id: int) -> None:
         """Crash (same as kill; named for crash-restart cycles)."""

@@ -26,7 +26,6 @@ import random
 import re
 from typing import Any, Callable, Generator, List, Optional
 
-from ..admission.queue import Priority
 from ..errors import SchemaError, SqlSyntaxError, StaleReadBoundError
 from ..kv.distsender import ReadRouting
 from ..sim.clock import Timestamp
@@ -65,23 +64,17 @@ class Engine:
     """One logical SQL layer for a cluster: catalog + schema + txns."""
 
     def __init__(self, cluster, side_transport_interval_ms: float = 100.0,
-                 closed_ts_lag_ms: Optional[float] = None,
-                 spanner_style_commit_wait: bool = False,
-                 seed: int = 0, recorder=None, txn_protocol=None):
+                 closed_ts_lag_ms: Optional[float] = None, seed: int = 0):
         self.cluster = cluster
         self.catalog = Catalog()
         self.schema = SchemaChangeEngine(
             cluster, self.catalog,
             side_transport_interval_ms=side_transport_interval_ms,
             closed_ts_lag_ms=closed_ts_lag_ms)
-        # txn_protocol=None inherits the cluster default (which itself
-        # defaults to the CRDB pipeline).
-        self.coordinator = TransactionCoordinator(
-            cluster, spanner_style_commit_wait=spanner_style_commit_wait,
-            protocol=txn_protocol)
-        #: Optional verify.HistoryRecorder: captures every transaction
-        #: and stale-read statement for Elle-style anomaly checking.
-        self.coordinator.recorder = recorder
+        #: Runs on the cluster's protocol.  A verify.HistoryRecorder is
+        #: attached as ``coordinator.recorder``: it then captures every
+        #: transaction and stale-read statement.
+        self.coordinator = TransactionCoordinator(cluster)
         self.uuid_source = random.Random(seed)
 
     @property
@@ -246,19 +239,6 @@ class Session:
         self._cached_executor: Optional[Executor] = None
         #: Open explicit transaction (BEGIN ... COMMIT), if any.
         self._open_txn = None
-        #: Statement timeout: each auto-commit statement gets an
-        #: absolute deadline ``now + statement_timeout_ms`` that flows
-        #: through the coordinator into every DistSender RPC.
-        self.statement_timeout_ms: Optional[float] = None
-        #: Tenant identity for admission control (per-tenant queues and
-        #: retry budgets); defaults to "sql" when admission is on.
-        self.tenant: Optional[str] = None
-        #: Admission priority for this session's statements.
-        self.priority: int = Priority.NORMAL
-        #: Per-session transaction-protocol override ("crdb",
-        #: "epoch-occ", or a TxnProtocol instance); None uses the
-        #: engine coordinator's default.
-        self.txn_protocol = None
 
     @property
     def region(self) -> str:
@@ -313,20 +293,14 @@ class Session:
         return result
 
     def run_txn_co(self, txn_body: Callable[[TxnHandle], Generator],
-                   parent_span=None,
-                   deadline_ms: Optional[float] = None) -> Generator:
+                   parent_span=None) -> Generator:
         """Run a multi-statement transaction (with automatic retries)."""
         def txn_fn(txn):
             handle = TxnHandle(self, txn)
             result = yield from txn_body(handle)
             return result
-        if deadline_ms is None and self.statement_timeout_ms is not None:
-            deadline_ms = (self.engine.cluster.sim.now
-                           + self.statement_timeout_ms)
         result, _commit_ts = yield from self.engine.coordinator.run(
-            self.gateway, txn_fn, parent_span=parent_span,
-            label=self.label, deadline_ms=deadline_ms,
-            tenant=self.tenant, protocol=self.txn_protocol)
+            self.gateway, txn_fn, parent_span=parent_span, label=self.label)
         return result
 
     def execute_stmt_co(self, stmt: Any) -> Generator:
@@ -343,17 +317,6 @@ class Session:
                 counter, ("kind", kind, "region", self.region))
         stmt_obs[0].inc()
         tracer = self._tracer
-        # Gateway admission: every statement waits for (or is shed by)
-        # its tenant/region admission queue before touching the cluster.
-        admission = self.engine.cluster.admission
-        deadline_ms = None
-        if self.statement_timeout_ms is not None:
-            deadline_ms = (self.engine.cluster.sim.now
-                           + self.statement_timeout_ms)
-        if admission is not None and self._open_txn is None:
-            yield from admission.admit_co(
-                tenant=self.tenant or "sql", region=self.region,
-                priority=self.priority, deadline_ms=deadline_ms)
         if isinstance(stmt, ast.Select) and \
                 stmt.compiled.as_of is not None:
             if self._open_txn is not None:
@@ -392,8 +355,7 @@ class Session:
 
         stmt_span = tracer.start("sql.stmt", None, stmt_obs[1])
         try:
-            result = yield from self.run_txn_co(body, parent_span=stmt_span,
-                                                deadline_ms=deadline_ms)
+            result = yield from self.run_txn_co(body, parent_span=stmt_span)
         finally:
             tracer.finish(stmt_span)
         return result
@@ -403,8 +365,7 @@ class Session:
             if self._open_txn is not None:
                 raise SchemaError("transaction already open")
             self._open_txn = self.engine.coordinator.begin(
-                self.gateway, label=self.label,
-                protocol=self.txn_protocol)
+                self.gateway, label=self.label)
             return None
         if self._open_txn is None:
             raise SchemaError("no transaction open")

@@ -14,9 +14,8 @@ and deadline accounting, stats, and history recording — and delegates
   read/write sets, epoch-batched commit behind a Raft-replicated
   per-epoch ordering decision, validation-based aborts, epoch-wait.
 
-The protocol is chosen per cluster (``Cluster(txn_protocol=...)``),
-per coordinator (``TransactionCoordinator(protocol=...)``), or per
-call (``run(..., protocol=...)``).
+The protocol is chosen per cluster (``Cluster(txn_protocol=...)``) or
+per coordinator (``TransactionCoordinator(protocol=...)``).
 """
 
 from __future__ import annotations
@@ -86,33 +85,29 @@ class TxnStats:
 class TransactionCoordinator:
     """Factory/runner for transactions on a cluster."""
 
-    def __init__(self, cluster, distsender: Optional[DistSender] = None,
-                 spanner_style_commit_wait: bool = False,
-                 txn_id_base: int = 1,
-                 protocol=None):
+    #: Spanner-style commit wait (§6.2 ablation): hold locks through
+    #: commit wait instead of releasing them concurrently with it.  Off
+    #: by default; ``run_commit_wait_ablation`` switches it on for one
+    #: instance.
+    spanner_style_commit_wait = False
+
+    def __init__(self, cluster, protocol=None):
         self.cluster = cluster
         self.sim = cluster.sim
-        self.distsender = distsender or DistSender(cluster)
-        self.spanner_style_commit_wait = spanner_style_commit_wait
+        self.distsender = DistSender(cluster)
         self.stats = TxnStats(cluster.sim.obs.registry)
         self.tracer = cluster.sim.obs.tracer
         #: The transaction backend; defaults to the cluster's configured
         #: protocol (``Cluster(txn_protocol=...)``), else CRDB.
-        if protocol is None:
-            protocol = getattr(cluster, "txn_protocol", None)
-        self.protocol: TxnProtocol = resolve_protocol(protocol)
+        self.protocol: TxnProtocol = resolve_protocol(
+            cluster.txn_protocol if protocol is None else protocol)
         #: Optional :class:`repro.verify.HistoryRecorder`; when set,
         #: every read/write/outcome is captured for anomaly checking.
         self.recorder = None
-        # ``txn_id_base`` keeps txn ids disjoint when several
-        # coordinators share one cluster's txn registry (e.g. the
-        # verify harness's recorded clients + unrecorded overload load).
-        self._next_txn_id = txn_id_base
         # Shared with the DistSender's retry helper in spirit: seeded
         # jittered backoff so contended retries cannot livelock in
         # lockstep (chaos runs livelocked with the old fixed backoff).
-        self._retry_rng = random.Random(
-            (getattr(cluster, "seed", 0) << 8) ^ 0x7C0)
+        self._retry_rng = random.Random((cluster.seed << 8) ^ 0x7C0)
 
     def note_uncertainty_restart(self, value_ts) -> None:
         """Count an uncertainty restart, attributing its cause when the
@@ -130,14 +125,13 @@ class TransactionCoordinator:
 
     def begin(self, gateway, parent_span=None,
               label: Optional[str] = None,
-              deadline_ms: Optional[float] = None,
-              protocol=None):
-        proto = (self.protocol if protocol is None
-                 else resolve_protocol(protocol))
-        txn = proto.begin(self, gateway, self._next_txn_id,
-                          parent_span=parent_span)
+              deadline_ms: Optional[float] = None):
+        # Ids come from the cluster: the txn registry, lock holders and
+        # replicated commit records they key are all cluster-wide.
+        txn = self.protocol.begin(self, gateway,
+                                  self.cluster.allocate_txn_id(),
+                                  parent_span=parent_span)
         txn.deadline_ms = deadline_ms
-        self._next_txn_id += 1
         self.stats.c_begun.value += 1
         # Registered so lock-table pushes can learn this transaction's
         # fate even if its intent resolution is lost to a failure.
@@ -150,8 +144,7 @@ class TransactionCoordinator:
             max_attempts: int = 100, parent_span=None,
             label: Optional[str] = None,
             deadline_ms: Optional[float] = None,
-            tenant: Optional[str] = None,
-            protocol=None) -> Generator:
+            tenant: Optional[str] = None) -> Generator:
         """Run ``txn_fn`` with automatic retries; returns (result, commit_ts).
 
         ``txn_fn(txn)`` is a coroutine performing reads/writes on ``txn``;
@@ -166,7 +159,7 @@ class TransactionCoordinator:
         """
         last_error: Optional[Exception] = None
         tracer = self.tracer
-        admission = getattr(self.cluster, "admission", None)
+        admission = self.cluster.admission
         budget = (admission.retry_budget(tenant or label or "default")
                   if admission is not None else None)
         # Seeded jittered backoff (capped: long sleeps only prolong
@@ -180,7 +173,7 @@ class TransactionCoordinator:
             if deadline_ms is not None and self.sim.now >= deadline_ms:
                 raise DeadlineExceededError("txn", deadline_ms, self.sim.now)
             txn = self.begin(gateway, parent_span=parent_span, label=label,
-                             deadline_ms=deadline_ms, protocol=protocol)
+                             deadline_ms=deadline_ms)
             try:
                 result = yield from txn_fn(txn)
                 commit_ts = yield from txn.commit()

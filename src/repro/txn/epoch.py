@@ -66,11 +66,6 @@ from .protocol import TxnProtocol
 
 __all__ = ["EpochOccProtocol", "EpochService", "EpochTransaction"]
 
-#: Default epoch width.  Short enough that epoch wait stays well under
-#: a WAN commit round trip; long enough that concurrent transactions
-#: actually share epochs (the batching the protocol banks on).
-DEFAULT_EPOCH_INTERVAL_MS = 25.0
-
 #: Errors that abort an epoch step retryably (the client resubmits into
 #: a later epoch).
 _EPOCH_RETRYABLE = (NetworkUnavailableError, RangeUnavailableError,
@@ -124,11 +119,15 @@ class EpochService:
     #: resulting lost updates.
     validate = True
 
-    def __init__(self, cluster, distsender, interval_ms: float):
+    #: Epoch width.  Short enough that epoch wait stays well under a WAN
+    #: commit round trip; long enough that concurrent transactions
+    #: actually share epochs (the batching the protocol banks on).
+    INTERVAL_MS = 25.0
+
+    def __init__(self, cluster, distsender):
         self.cluster = cluster
         self.sim = cluster.sim
         self.ds = distsender
-        self.interval_ms = float(interval_ms)
         #: epoch -> [(txn, ack future)] awaiting that epoch's boundary.
         self._pending: Dict[int, List[Tuple["EpochTransaction", Future]]] = {}
         #: Highest epoch whose boundary has passed (sealed).
@@ -154,13 +153,13 @@ class EpochService:
         """Enqueue a finished transaction for its epoch; resolves with
         the commit timestamp, or rejects (validation conflict, fault)."""
         now = self.sim.now
-        epoch = int(now // self.interval_ms)
+        epoch = int(now // self.INTERVAL_MS)
         if epoch <= self._sealed_through:
             epoch = self._sealed_through + 1
         bucket = self._pending.get(epoch)
         if bucket is None:
             bucket = self._pending[epoch] = []
-            boundary = (epoch + 1) * self.interval_ms
+            boundary = (epoch + 1) * self.INTERVAL_MS
             self.sim.call_after(max(boundary - now, 0.0), self._seal, epoch)
         ack = Future(self.sim)
         txn.epoch = epoch
@@ -623,14 +622,10 @@ class EpochTransaction:
 
 class EpochOccProtocol(TxnProtocol):
     """Epoch-batched OCC backend, selectable via
-    ``Cluster(txn_protocol="epoch-occ")`` or an instance of this class
-    (for a custom epoch interval)."""
+    ``Cluster(txn_protocol="epoch-occ")``."""
 
     name = "epoch-occ"
     wait_kind = "epoch-wait"
-
-    def __init__(self, interval_ms: float = DEFAULT_EPOCH_INTERVAL_MS):
-        self.interval_ms = interval_ms
 
     def service_for(self, coordinator) -> EpochService:
         """The cluster's shared epoch service (one total order per
@@ -638,8 +633,7 @@ class EpochOccProtocol(TxnProtocol):
         cluster = coordinator.cluster
         service = cluster.epoch_service
         if service is None:
-            service = EpochService(cluster, coordinator.distsender,
-                                   self.interval_ms)
+            service = EpochService(cluster, coordinator.distsender)
             cluster.epoch_service = service
         return service
 

@@ -28,11 +28,9 @@ accounting can tell them apart) or
 :class:`~repro.errors.TransactionAbortedError`.
 
 Protocols are selectable per cluster (``Cluster(txn_protocol=...)`` /
-``standard_cluster(txn_protocol=...)``), per coordinator
-(``TransactionCoordinator(protocol=...)``), per session
-(``Session.txn_protocol``) and per call (``coordinator.run(...,
-protocol=...)``); each accepts a name, a :class:`TxnProtocol`
-instance, or a protocol class.
+``standard_cluster(txn_protocol=...)``) or per coordinator
+(``TransactionCoordinator(protocol=...)``); each accepts a name, a
+:class:`TxnProtocol` instance, or a protocol class.
 """
 
 from __future__ import annotations
@@ -70,8 +68,7 @@ def resolve_protocol(spec=None) -> TxnProtocol:
 
     Accepts ``None`` (the CRDB default), a protocol name from
     :data:`PROTOCOL_NAMES`, a :class:`TxnProtocol` instance (returned
-    as-is, so configured instances — e.g. a custom epoch interval —
-    pass through), or a protocol class (instantiated with defaults).
+    as-is), or a protocol class (instantiated).
     Imports lazily so the backends stay import-cycle-free.
     """
     if isinstance(spec, TxnProtocol):

@@ -437,9 +437,8 @@ class VerifyHarness(Testbed):
             store_slots=2, store_service_ms=2.0))
         self.txn_deadline_ms = OVERLOAD_TXN_DEADLINE_MS
         # Unrecorded coordinator for the background load: its txns must
-        # not enter the verified history (they touch only bg* keys) but
-        # must share the cluster txn registry, so ids are kept disjoint.
-        self._bg_coord = self.second_coordinator(txn_id_base=1_000_000)
+        # not enter the verified history (they touch only bg* keys).
+        self._bg_coord = self.second_coordinator()
         end_ms = self.sim.now + OVERLOAD_WINDOW_MS
         for index, region in enumerate(self.regions):
             self.sim.spawn(self._bg_arrivals(region, index, end_ms),

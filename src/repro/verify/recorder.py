@@ -1,8 +1,8 @@
 """Transactional history recorder.
 
 A :class:`HistoryRecorder` plugs into the transaction coordinator (and,
-through it, the SQL session layer): set ``coordinator.recorder`` (or
-pass ``Engine(recorder=...)``) and every transactional read, write,
+through it, the SQL session layer): set ``coordinator.recorder`` (for
+SQL, ``engine.coordinator.recorder``) and every transactional read, write,
 commit, abort and ambiguous outcome is captured as structured
 :mod:`repro.verify.history` records over simulated time.  Stale reads
 (exact- and bounded-staleness, §5.3) are recorded as single-op

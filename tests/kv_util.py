@@ -10,6 +10,16 @@ REGIONS5 = ["us-east1", "us-west1", "europe-west2", "asia-northeast1",
 REGIONS3 = ["us-east1", "europe-west2", "asia-northeast1"]
 
 
+def isolate_region(cluster, region, heal=False):
+    """Cut (``heal=True``: restore) every link between ``region`` and
+    the cluster's other regions, in both directions."""
+    faults = cluster.network.faults
+    change = faults.heal_link if heal else faults.cut_link
+    for other in cluster.regions():
+        if other != region:
+            change(region, other, bidirectional=True)
+
+
 class KVTestBed:
     """A cluster, a coordinator, and helpers for one-shot transactions."""
 
@@ -24,9 +34,8 @@ class KVTestBed:
             jitter_fraction=jitter_fraction, seed=seed)
         self.goal = goal
         self.side_transport_interval_ms = side_transport_interval_ms
-        self.coord = TransactionCoordinator(
-            self.cluster,
-            spanner_style_commit_wait=spanner_style_commit_wait)
+        self.coord = TransactionCoordinator(self.cluster)
+        self.coord.spanner_style_commit_wait = spanner_style_commit_wait
         self.ds = self.coord.distsender
 
     @property

@@ -9,11 +9,13 @@ REGIONS5 = ["us-east1", "us-west1", "europe-west2", "asia-northeast1",
 
 
 def make_engine(regions=REGIONS3, nodes_per_region=3, max_clock_offset=250.0,
-                skew_fraction=0.5, jitter_fraction=0.0, seed=0, **kwargs):
+                skew_fraction=0.5, jitter_fraction=0.0, seed=0,
+                txn_protocol=None, **kwargs):
     cluster = standard_cluster(
         regions, nodes_per_region=nodes_per_region,
         max_clock_offset=max_clock_offset, skew_fraction=skew_fraction,
-        jitter_fraction=jitter_fraction, seed=seed)
+        jitter_fraction=jitter_fraction, seed=seed,
+        txn_protocol=txn_protocol)
     return Engine(cluster, **kwargs)
 
 

@@ -27,18 +27,18 @@ from repro.errors import (RangeUnavailableError, TransactionRetryError,
 from repro.placement import SurvivalGoal, provision_range, zone_config_for_home
 from repro.sim import all_of
 from repro.txn import EpochOccProtocol, TransactionCoordinator
+from repro.txn.epoch import EpochService
 from repro.verify import HistoryRecorder
 
 REGIONS = ["us-east1", "europe-west2", "asia-northeast1"]
 HOME = "us-east1"
 KEYS = ["a", "b", "c", "d"]
-INTERVAL_MS = 25.0
+INTERVAL_MS = EpochService.INTERVAL_MS
 
 
-def build(seed: int, interval_ms: float = INTERVAL_MS):
+def build(seed: int):
     cluster = standard_cluster(REGIONS, seed=seed)
-    coord = TransactionCoordinator(
-        cluster, protocol=EpochOccProtocol(interval_ms=interval_ms))
+    coord = TransactionCoordinator(cluster, protocol=EpochOccProtocol())
     config = zone_config_for_home(HOME, cluster.regions(),
                                   SurvivalGoal.REGION)
     rng = provision_range(cluster, config, name="occ",
@@ -193,7 +193,7 @@ class TestEpochWaitUnderClockFaults:
         # machinery must not inherit any node's idea of time.
         for region_index, rate in enumerate(drifts):
             node = cluster.gateway_for_region(REGIONS[region_index], 0)
-            cluster.skew.set_drift(node.node_id, rate)
+            cluster.clock.set_drift(node.node_id, rate)
         acks = []
 
         def client(region_index, key_index, delay):
@@ -347,8 +347,7 @@ class TestBatchedValidation:
 class TestBatchedApply:
     def two_ranges(self, seed=0):
         cluster = standard_cluster(REGIONS, seed=seed)
-        coord = TransactionCoordinator(
-            cluster, protocol=EpochOccProtocol(interval_ms=INTERVAL_MS))
+        coord = TransactionCoordinator(cluster, protocol=EpochOccProtocol())
         ranges = []
         for home, name in ((HOME, "healthy"), ("europe-west2", "doomed")):
             config = zone_config_for_home(home, cluster.regions(),

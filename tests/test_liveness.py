@@ -5,6 +5,8 @@ import pytest
 
 from repro.cluster import LivenessStatus, StoreLiveness, standard_cluster
 
+from .kv_util import isolate_region
+
 REGIONS3 = ["us-east1", "europe-west2", "asia-northeast1"]
 
 
@@ -95,7 +97,7 @@ class TestStatusTransitions:
     def test_partitioned_region_declared_dead_by_majority(self):
         cluster, liveness = make_liveness()
         cluster.sim.run(until=500.0)
-        cluster.network.partition_region(REGIONS3[0])
+        isolate_region(cluster, REGIONS3[0])
         cluster.sim.run(until=cluster.sim.now + 1000.0)
         cut = cluster.nodes_in_region(REGIONS3[0])
         for node in cut:
@@ -112,7 +114,7 @@ class TestStatusTransitions:
         cluster.sim.run(until=500.0)
         cut = cluster.nodes_in_region(REGIONS3[0])[0]
         observer = cluster.nodes_in_region(REGIONS3[1])[0]
-        cluster.network.partition_region(REGIONS3[0])
+        isolate_region(cluster, REGIONS3[0])
         cluster.sim.run(until=cluster.sim.now + 1000.0)
         # The outside observer stopped hearing from the cut node...
         assert liveness.status(cut.node_id,

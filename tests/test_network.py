@@ -13,6 +13,8 @@ from repro.sim.network import (
     synthetic_rtt_matrix,
 )
 
+from .kv_util import isolate_region
+
 
 class TestTable1Matrix:
     def test_symmetric(self):
@@ -126,7 +128,7 @@ class TestRPC:
 
     def test_partitioned_region_unreachable(self):
         cluster, east, west = _two_node_cluster()
-        cluster.network.partition_region("us-west1")
+        isolate_region(cluster, "us-west1")
 
         def main():
             try:
@@ -138,8 +140,8 @@ class TestRPC:
 
     def test_heal_restores_connectivity(self):
         cluster, east, west = _two_node_cluster()
-        cluster.network.partition_region("us-west1")
-        cluster.network.heal_region("us-west1")
+        isolate_region(cluster, "us-west1")
+        isolate_region(cluster, "us-west1", heal=True)
 
         def handler():
             return "ok"
@@ -155,7 +157,7 @@ class TestRPC:
         cluster = standard_cluster(["us-east1", "us-west1"],
                                    nodes_per_region=2, jitter_fraction=0.0)
         west_nodes = cluster.nodes_in_region("us-west1")
-        cluster.network.partition_region("us-west1")
+        isolate_region(cluster, "us-west1")
 
         def handler():
             return "local"

@@ -305,18 +305,17 @@ class TestWhoMayAsk:
         assert stats.one_phase_commits == before
 
     def test_never_under_spanner_style_commit_wait(self):
-        engine, session = self.engine(spanner_style_commit_wait=True)
+        engine, session = self.engine()
+        engine.coordinator.spanner_style_commit_wait = True
         assert self.one_phase(engine, session,
                               "UPDATE plain SET v = 'x' WHERE k = 1") == 0
 
     def test_epoch_occ_accepts_and_ignores_the_mark(self):
-        engine, session = self.engine()
-        session.txn_protocol = "epoch-occ"
+        engine, session = self.engine(txn_protocol="epoch-occ")
         assert self.one_phase(engine, session,
                               "UPDATE plain SET v = 'x' WHERE k = 1") == 0
         assert self.one_phase(engine, session,
                               "DELETE FROM plain WHERE k = 2") == 0
-        session.txn_protocol = None
         assert session.execute("SELECT v FROM plain") == [{"v": "x"}]
 
 

@@ -1,0 +1,66 @@
+"""Every option has a caller.
+
+An option earns its place when two shipped callers want different
+values from it.  These pins hold the constructor and entry-point
+signatures to the parameters something actually sets, so a setting no
+workload, experiment, example or benchmark uses cannot come back
+unnoticed.  The transaction backend is chosen per cluster
+(``standard_cluster(txn_protocol=)``) or per coordinator
+(``TransactionCoordinator(protocol=)``), nowhere else.
+"""
+
+import inspect
+
+import pytest
+
+import repro.sim
+from repro.harness.testbed import Testbed
+from repro.sim.network import FaultPlane, Network
+from repro.sql import Engine, Session
+from repro.txn import EpochOccProtocol, TransactionCoordinator
+from repro.txn.epoch import EpochService
+
+from .sql_util import make_engine
+
+
+def params(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+@pytest.mark.parametrize("fn, expected", [
+    (Engine.__init__,
+     ["self", "cluster", "side_transport_interval_ms", "closed_ts_lag_ms",
+      "seed"]),
+    (TransactionCoordinator.__init__, ["self", "cluster", "protocol"]),
+    (TransactionCoordinator.begin,
+     ["self", "gateway", "parent_span", "label", "deadline_ms"]),
+    (TransactionCoordinator.run,
+     ["self", "gateway", "txn_fn", "max_attempts", "parent_span", "label",
+      "deadline_ms", "tenant"]),
+    (EpochOccProtocol, []),
+    (EpochService.__init__, ["self", "cluster", "distsender"]),
+    (Session.run_txn_co, ["self", "txn_body", "parent_span"]),
+    (Testbed.second_coordinator, ["self"]),
+], ids=lambda value: getattr(value, "__qualname__", None))
+def test_signature(fn, expected):
+    assert params(fn) == expected
+
+
+def test_fixed_settings_are_class_attributes():
+    assert TransactionCoordinator.spanner_style_commit_wait is False
+    assert EpochService.INTERVAL_MS == 25.0
+
+
+def test_session_has_no_unset_fields():
+    session = make_engine().connect("us-east1")
+    for name in ("statement_timeout_ms", "tenant", "priority",
+                 "txn_protocol"):
+        assert not hasattr(session, name), name
+
+
+def test_one_form_per_fault():
+    for name in ("partition_region", "heal_region", "clear_partitions"):
+        assert not hasattr(FaultPlane, name), name
+        assert not hasattr(Network, name), name
+    assert not hasattr(Network, "revive_node")
+    assert not hasattr(repro.sim, "quorum_of")

@@ -11,7 +11,7 @@ from repro.errors import StaleReadBoundError, TransactionRetryError
 from repro.sim.clock import Timestamp
 from repro.sim.network import NetworkUnavailableError
 
-from .kv_util import KVTestBed, REGIONS3
+from .kv_util import KVTestBed, REGIONS3, isolate_region
 from .sql_util import connect, movr_engine
 
 
@@ -24,7 +24,7 @@ class TestPartitionedRegionStaleReads:
                         "VALUES (1, 'a@x', 'A')")
         sim = engine.cluster.sim
         sim.run(until=sim.now + 6000.0)
-        engine.cluster.network.partition_region("us-east1")
+        isolate_region(engine.cluster, "us-east1")
         return engine, sim
 
     def test_fresh_read_from_partitioned_minority_fails(self):
@@ -56,7 +56,7 @@ class TestPartitionedRegionStaleReads:
 
     def test_heal_restores_fresh_reads(self):
         engine, sim = self._partitioned_setup()
-        engine.cluster.network.heal_region("us-east1")
+        isolate_region(engine.cluster, "us-east1", heal=True)
         west = connect(engine, "us-west1")
         rows = west.execute("SELECT name FROM users WHERE id = 1 AND "
                             "crdb_region = 'us-east1'")
@@ -72,7 +72,7 @@ class TestGlobalTablePartitions:
         rng = bed.make_range("us-east1", global_reads=True)
         bed.do_write("us-east1", rng, "k", "v")
         bed.settle(3000.0)
-        bed.cluster.network.partition_region("europe-west2")
+        isolate_region(bed.cluster, "europe-west2")
         sim = bed.sim
         gateway = bed.gateway("europe-west2")
 
@@ -94,7 +94,7 @@ class TestGlobalTablePartitions:
         rng = bed.make_range("us-east1", global_reads=True)
         bed.do_write("us-east1", rng, "k", "v")
         bed.settle(3000.0)
-        bed.cluster.network.partition_region("europe-west2")
+        isolate_region(bed.cluster, "europe-west2")
         # Let the (previously received) closed-timestamp lead expire.
         bed.settle(5000.0)
         sim = bed.sim

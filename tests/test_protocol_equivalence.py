@@ -45,7 +45,7 @@ class TestResolveProtocol:
         assert isinstance(resolve_protocol(spec), EpochOccProtocol)
 
     def test_instance_passes_through(self):
-        configured = EpochOccProtocol(interval_ms=10.0)
+        configured = EpochOccProtocol()
         assert resolve_protocol(configured) is configured
 
     def test_class_is_instantiated(self):

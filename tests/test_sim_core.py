@@ -8,7 +8,6 @@ from repro.sim.core import (
     Simulator,
     all_of,
     any_of,
-    quorum_of,
     with_timeout,
 )
 
@@ -229,52 +228,6 @@ def test_any_of_returns_first():
     index, value, now = sim.run_process(main())
     assert (index, value) == (1, "fast")
     assert now == 1.0
-
-
-def test_quorum_of_resolves_at_threshold():
-    sim = Simulator()
-
-    def make(delay):
-        def proc():
-            yield sim.sleep(delay)
-            return delay
-        return sim.spawn(proc())
-
-    def main():
-        futures = [make(1.0), make(5.0), make(10.0)]
-        values = yield quorum_of(sim, futures, 2)
-        return values, sim.now
-
-    values, now = sim.run_process(main())
-    assert now == 5.0
-    assert sorted(values) == [1.0, 5.0]
-
-
-def test_quorum_of_fails_when_impossible():
-    sim = Simulator()
-
-    class Down(Exception):
-        pass
-
-    def ok(delay):
-        def proc():
-            yield sim.sleep(delay)
-            return "ok"
-        return sim.spawn(proc())
-
-    def bad(delay):
-        fut = Future(sim)
-        sim.call_after(delay, fut.reject, Down())
-        return fut
-
-    def main():
-        try:
-            yield quorum_of(sim, [ok(10.0), bad(1.0), bad(2.0)], 2)
-        except Down:
-            return "failed"
-        return "succeeded"
-
-    assert sim.run_process(main()) == "failed"
 
 
 def test_run_until_future():

@@ -11,8 +11,9 @@ import pytest
 from repro.errors import StaleReadBoundError
 from repro.kv.distsender import ReadRouting
 from repro.sim.clock import Timestamp
+from repro.txn import TransactionCoordinator
 
-from .kv_util import KVTestBed, REGIONS5
+from .kv_util import KVTestBed, REGIONS3, REGIONS5
 
 PRIMARY = "us-east1"
 REMOTE = "europe-west2"
@@ -357,3 +358,29 @@ class TestTxnStats:
         bed.do_read(PRIMARY, rng, "a")
         assert bed.coord.stats.committed == 2
         assert bed.coord.stats.begun >= 2
+
+
+class TestTwoCoordinatorsOneCluster:
+    def test_neither_loses_the_other_acknowledged_write(self):
+        """The txn registry, lock holders and replicated commit records
+        are per cluster, so transaction ids must be too: a second
+        coordinator counting from 1 had its one-phase write answered
+        from the first coordinator's commit record for txn 1 and lost."""
+        bed = KVTestBed(regions=REGIONS3)
+        rng = bed.make_range(PRIMARY)
+        bed.settle()
+        other = TransactionCoordinator(bed.cluster)
+        begun = []
+
+        def write(key):
+            def txn_fn(txn):
+                begun.append(txn.txn_id)
+                yield from txn.write(rng, key, key.upper(), commit=True)
+            return txn_fn
+
+        bed.run_txn(PRIMARY, write("a"))
+        bed.sim.run_until_future(bed.sim.spawn(
+            other.run(bed.gateway(PRIMARY), write("b"))))
+        assert bed.do_read(PRIMARY, rng, "a")[0] == "A"
+        assert bed.do_read(PRIMARY, rng, "b")[0] == "B"
+        assert len(set(begun)) == 2
