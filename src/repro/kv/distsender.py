@@ -780,13 +780,15 @@ class DistSender:
               txn_id: int, anchor_node_id: int, span=None,
               deadline_ms: Optional[float] = None, commit: bool = False,
               can_forward: bool = False,
-              expect_absent: bool = False) -> Future:
+              expect_absent: bool = False,
+              pipelined: bool = False) -> Future:
         """Write an intent; resolves with the timestamp it was laid at —
         or, asked to ``commit`` in the same consensus round (see
         :meth:`Range.serve_write`), with ``(ts, committed)``.
         ``expect_absent`` makes it a conditional put, rejected with
         :class:`~repro.errors.ConditionFailedError` when the key has a
-        live value.
+        live value.  ``pipelined`` resolves once the intent is proposed,
+        not replicated: the caller owes a :meth:`query_intents` proof.
 
         Safe to retry: re-laying the same transaction's intent is
         idempotent (it replaces its own intent, which a conditional put
@@ -800,7 +802,8 @@ class DistSender:
             lambda _rng, _span=None: _rng.serve_write(
                 key, ts, value, txn_id, anchor_node_id, span=_span,
                 deadline_ms=deadline_ms, commit=commit,
-                can_forward=can_forward, expect_absent=expect_absent),
+                can_forward=can_forward, expect_absent=expect_absent,
+                pipelined=pipelined, txn_span=span),
             span=span, op="kv.write",
             deadline_ms=None if commit else deadline_ms, key=key,
             record_load=True)
@@ -839,19 +842,21 @@ class DistSender:
     def write_batch(self, gateway, items, ts: Timestamp, txn_id: int,
                     anchor_node_id: int, span=None,
                     deadline_ms: Optional[float] = None,
-                    expect_absent: bool = False) -> Future:
+                    expect_absent: bool = False,
+                    pipelined: bool = False) -> Future:
         """Write an intent for every ``(token, key, value)`` of
         ``items``, one RPC and one Raft entry per owning range.
         Resolves (see :class:`_Batch`) with the timestamp each
         intent was laid at — a group lays all of its intents or, when
         its outcome is an exception, is not known to have laid any
         (``expect_absent``: a live value on one key fails its group).
-        Safe to retry, like :meth:`write`."""
+        Safe to retry, and ``pipelined`` as for :meth:`write`."""
         def single(item) -> Future:
             return self.write(gateway, item[0], item[1], ts, item[2],
                               txn_id, anchor_node_id, span=span,
                               deadline_ms=deadline_ms,
-                              expect_absent=expect_absent)
+                              expect_absent=expect_absent,
+                              pipelined=pipelined)
 
         def group(members) -> Future:
             pairs = [(key, value) for _token, key, value in members]
@@ -859,11 +864,31 @@ class DistSender:
                 gateway, members[0][0],
                 lambda _rng, _span=None: _rng.serve_write_batch(
                     pairs, ts, txn_id, anchor_node_id, span=_span,
-                    deadline_ms=deadline_ms, expect_absent=expect_absent),
+                    deadline_ms=deadline_ms, expect_absent=expect_absent,
+                    pipelined=pipelined, txn_span=span),
                 span=span, op="kv.write", deadline_ms=deadline_ms,
                 key=pairs[0][0], keys=len(pairs))
 
         return _Batch(self, gateway, items, single, group).result
+
+    def query_intents(self, gateway, writes, txn_id: int, span=None,
+                      deadline_ms: Optional[float] = None) -> Future:
+        """Prove a transaction's pipelined ``(token, key, value)``
+        writes, one RPC per owning range (see :class:`_Batch`; read-only,
+        so safe to retry).  Resolves with ``None`` per write, or its
+        group's exception — :class:`~repro.errors.TransactionRetryError`
+        for a lost write."""
+        def group(members) -> Future:
+            pairs = tuple((key, value) for _token, key, value in members)
+            return self._leaseholder_call(
+                gateway, members[0][0],
+                lambda _rng, _span=None: _rng.serve_query_intents(
+                    pairs, txn_id, span=_span),
+                span=span, op="kv.query_intents", deadline_ms=deadline_ms,
+                key=pairs[0][0], keys=len(pairs))
+
+        return _Batch(self, gateway, writes, lambda write: group([write]),
+                      group, record_load=False).result
 
     def locking_read(self, gateway, token, key: Any, ts: Timestamp,
                      txn_id: int, anchor_node_id: int, span=None,
@@ -888,17 +913,20 @@ class DistSender:
 
     def write_txn_record(self, gateway, token, txn_id: int, status: str,
                          commit_ts: Optional[Timestamp], span=None,
-                         resolve_keys: tuple = ()) -> Future:
+                         resolve_keys: tuple = (),
+                         prove: tuple = ()) -> Future:
         """Write the transaction record and, in the same RPC and Raft
         entry, resolve the intents on ``resolve_keys`` (the write-set
-        keys living on the record's range)."""
+        keys living on the record's range) — once the pipelined
+        ``(key, value)`` writes of ``prove`` on that range are proven
+        (CRDB's ``EndTxn`` with its range's ``QueryIntent`` s)."""
         # No key: the transaction record lives on the anchor range the
         # transaction pinned at its first write, split or no split.
         return self._leaseholder_call(
             gateway, token,
             lambda _rng, _span=None: _rng.serve_txn_record(
                 txn_id, status, commit_ts, span=_span,
-                resolve_keys=resolve_keys),
+                resolve_keys=resolve_keys, prove=prove),
             span=span, op="kv.txn_record")
 
     def epoch_order(self, gateway, token, epoch: int, txn_ids,

@@ -456,6 +456,12 @@ class Keyspace:
                 # Commit records travel with the keys they guard.
                 child_replica.absorb_records(replica)
         parent.lock_table.move_entries(moves, child.lock_table)
+        # Unproven pipelined writes follow their keys: the proof and the
+        # stall look for them where the key is served.  A merge moves
+        # none: each holds its key's lock, and a right side holding one
+        # cannot merge.
+        for entry in [e for e in parent.pipelined if moves(e[1])]:
+            child.pipelined[entry] = parent.pipelined.pop(entry)
 
         child_descriptor = RangeDescriptor(
             child, ekey, descriptor.end_key,

@@ -13,7 +13,10 @@ The write path implements the paper's rules in order:
    GLOBAL ranges (``LeadPolicy``) this is what pushes transaction
    timestamps into the future (§6.2.1);
 4. the intent replicates through Raft with the next closed timestamp
-   attached.
+   attached — and a *pipelined* write (CRDB's transactional write
+   pipelining) is answered as soon as it is proposed: its transaction
+   proves it at commit (:meth:`Range.serve_query_intents`), and its own
+   reads of the key wait for the entry first.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from ..errors import (
     RangeKeyMismatchError,
     RangeUnavailableError,
     ReadWithinUncertaintyIntervalError,
+    TransactionRetryError,
     WriteIntentError,
     WriteTooOldError,
 )
@@ -99,6 +103,14 @@ class Range:
         self._h_lock_wait = None
         self.ts_cache = TimestampCache()
         self.lock_table = LockTable(cluster.sim, cluster.wait_graph)
+        #: Pipelined writes not yet proven: (txn_id, key) -> the Raft
+        #: future of the transaction's latest pipelined write of the key.
+        #: The futures are the Raft group's, so the table survives a
+        #: lease move: a failover rejects the entries the new leader
+        #: lacks and re-drives the rest under their futures, which settle
+        #: once applied on the new leaseholder.  A split moves each entry
+        #: with its key.
+        self.pipelined = {}
         #: Highest closed timestamp this leaseholder has promised.
         self.closed_emitted: Timestamp = TS_ZERO
         #: Automatic (non-cooperative) lease failovers performed.
@@ -536,6 +548,36 @@ class Range:
             # spurious refreshes).
             monitor.check_request(self.leaseholder_replica.node, ts)
 
+    def _await_pipelined(self, txn_id: Optional[int], key: Any,
+                         prove: bool = False, value: Any = None) -> Generator:
+        """Wait out ``txn_id``'s pipelined write of ``key`` if one is in
+        flight here — CRDB's pipeline stall, which readers enter while
+        :attr:`pipelined` is not empty — and raise
+        :class:`TransactionRetryError` if its entry was lost.  ``prove``
+        (the commit's ``QueryIntent``) also takes the write out of the
+        table and requires the transaction's intent, holding ``value``,
+        in the leaseholder's store: what decides for a re-sent proof,
+        whose first attempt took the write out (the value stands in for
+        CRDB's sequence number)."""
+        table = self.pipelined
+        proposal = (table.pop if prove else table.get)((txn_id, key), None)
+        if proposal is not None and not proposal.done:
+            if not prove:
+                self.sim.obs.registry.counter("txn.pipeline_stalls").inc()
+            try:
+                yield proposal
+            except RangeUnavailableError:
+                pass  # a timeout or a failover lost it: judged below
+        lost = proposal is not None and proposal.error is not None
+        if prove and not lost:
+            intent = self.leaseholder_replica.store.intent_for(key)
+            lost = (intent is None or intent.txn_id != txn_id
+                    or intent.value != value)
+        if lost:
+            self.sim.obs.registry.counter("txn.async_write_failures").inc()
+            raise TransactionRetryError(
+                f"txn {txn_id}: async write failure on {key!r}")
+
     def _count_writes(self, keys: int) -> None:
         if self._c_writes is None:
             self._c_writes = self.sim.obs.registry.counter(
@@ -611,13 +653,19 @@ class Range:
                     deadline_ms: Optional[float] = None,
                     commit: bool = False,
                     can_forward: bool = False,
-                    expect_absent: bool = False) -> Generator:
+                    expect_absent: bool = False,
+                    pipelined: bool = False, txn_span=0) -> Generator:
         """Evaluate and replicate a transactional write; returns the
         (possibly advanced) timestamp the intent was written at.
 
         ``expect_absent`` makes it a conditional put: the intent is laid
         only if the key has no live value (:meth:`_evaluate_write`),
         else :class:`ConditionFailedError` — before anything is latched.
+
+        ``pipelined`` answers once the intent is evaluated, latched and
+        proposed: the proposal is traced under ``txn_span`` (it outlives
+        this request) and waits in :attr:`pipelined` for the
+        transaction's proof or its next request on the key.
 
         ``commit`` asks for a one-phase commit — the transaction's only
         write, its commit record and the intent's resolution as *one*
@@ -642,6 +690,9 @@ class Range:
         ts = self._latch_write(key, ts, txn_id)
         put = PutIntentCommand(key=key, ts=ts, value=value, txn_id=txn_id,
                                anchor_node_id=anchor_node_id)
+        if pipelined:
+            self.pipelined[(txn_id, key)] = self._propose(put, span=txn_span)
+            return ts
         if not commit or (ts != requested and not can_forward):
             yield self._propose(put, span=span)
             return (ts, False) if commit else ts
@@ -657,10 +708,12 @@ class Range:
     def serve_write_batch(self, items, ts: Timestamp, txn_id: int,
                           anchor_node_id: int, span=None,
                           deadline_ms: Optional[float] = None,
-                          expect_absent: bool = False) -> Generator:
+                          expect_absent: bool = False,
+                          pipelined: bool = False, txn_span=0) -> Generator:
         """Evaluate several writes — ``items`` is ``[(key, value)]``, all
         owned by this range — and replicate them as *one* Raft entry;
-        returns the intent timestamps in item order.
+        returns the intent timestamps in item order (``pipelined``: at
+        the proposal, as for :meth:`serve_write`).
 
         Each key gets :meth:`serve_write`'s evaluation.  No key is
         latched until every key has passed in one yield-free pass (after
@@ -688,7 +741,12 @@ class Range:
             commands.append(PutIntentCommand(
                 key=key, ts=stamps[index], value=value, txn_id=txn_id,
                 anchor_node_id=anchor_node_id))
-        yield self._propose(BatchCommand(tuple(commands)), span=span)
+        if not pipelined:
+            yield self._propose(BatchCommand(tuple(commands)), span=span)
+            return stamps
+        proposal = self._propose(BatchCommand(tuple(commands)), span=txn_span)
+        for key, _value in items:
+            self.pipelined[(txn_id, key)] = proposal
         return stamps
 
     def serve_locking_read(self, key: Any, ts: Timestamp, txn_id: int,
@@ -705,6 +763,8 @@ class Range:
         contended read-modify-write transactions.
         """
         yield from self._admit(ts, deadline_ms)
+        if self.pipelined:
+            yield from self._await_pipelined(txn_id, key)
         ts = yield from self._await_write(key, ts, txn_id, span=span)
         ts = self._latch_write(key, ts, txn_id)
         # Latest committed value (what the lock protects).
@@ -734,6 +794,8 @@ class Range:
                 "kv.reads", range=self.name)
         self._c_reads.value += 1
         yield from self._admit(ts, deadline_ms)
+        if self.pipelined:
+            yield from self._await_pipelined(txn_id, key)
         horizon = uncertainty_limit if uncertainty_limit is not None else ts
         while True:
             self._check_owns(key)
@@ -798,18 +860,45 @@ class Range:
         return changed is False
         yield  # pragma: no cover - marks this function as a generator
 
+    def serve_query_intents(self, writes: tuple, txn_id: int,
+                            span=None) -> Generator:
+        """Prove ``txn_id``'s pipelined ``writes`` — ``(key, value)``
+        pairs, all owned by this range — as CockroachDB's ``QueryIntent``
+        does: :meth:`_await_pipelined` each.  The value is one ``None``
+        per write; a lost one raises :class:`TransactionRetryError`."""
+        for key, _value in writes:
+            self._check_owns(key)
+        for key, value in writes:
+            yield from self._await_pipelined(txn_id, key, True, value)
+        return None if len(writes) == 1 else (None,) * len(writes)
+
     def serve_txn_record(self, txn_id: int, status: str,
                          commit_ts: Optional[Timestamp],
-                         span=None, resolve_keys: tuple = ()) -> Generator:
+                         span=None, resolve_keys: tuple = (),
+                         prove: tuple = ()) -> Generator:
         """Write the transaction record (commit/abort) on the anchor
         range — and, in the same Raft entry, resolve the transaction's
         intents on ``resolve_keys`` (CRDB's ``EndTxn`` resolving the
         record range's intents in its own command): their lock-table
         holders release when the record applies.  A key a split has
-        moved meanwhile is forwarded at apply like any batch member."""
+        moved meanwhile is forwarded at apply like any batch member.
+
+        ``prove`` — the transaction's pipelined ``(key, value)`` writes
+        on this range — are proven first, as by
+        :meth:`serve_query_intents` (a key a split moved, on the range
+        that owns it now, on this node).  A re-sent request whose first
+        attempt's record applied — resolving those intents — is not
+        proven again."""
+        if prove and self.leaseholder_replica.committed(txn_id) is None:
+            for key, value in prove:
+                owner = (self if self.descriptor.contains_key(key)
+                         else self.span.descriptor_for_key(key).rng)
+                yield from owner._await_pipelined(txn_id, key, True, value)
         command: Any = SetTxnRecordCommand(
             txn_id=txn_id, status=status, commit_ts=commit_ts)
         if resolve_keys:
+            for key in resolve_keys:
+                self.pipelined.pop((txn_id, key), None)
             command = BatchCommand((command,) + tuple(
                 ResolveIntentCommand(key=key, txn_id=txn_id,
                                      commit_ts=commit_ts)
@@ -833,8 +922,13 @@ class Range:
         """Replicate intent resolution; lock waiters release on apply.
 
         ``more_keys`` (a per-range resolve group) ride in the same Raft
-        entry; the group's value is one ``None`` per key."""
+        entry; the group's value is one ``None`` per key.  A rollback's
+        resolve also ends the keys' unproven pipelined writes: its entry
+        applies after theirs."""
         self._check_owns(key)
+        if self.pipelined:
+            for member in (key,) + more_keys:
+                self.pipelined.pop((txn_id, member), None)
         if not more_keys:
             yield self._propose(ResolveIntentCommand(
                 key=key, txn_id=txn_id, commit_ts=commit_ts), span=span)

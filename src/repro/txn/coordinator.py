@@ -50,12 +50,15 @@ class TxnStats:
     bound to the registry on first touch — so a CRDB-only run exports no
     epoch-OCC row — and found in the instance dict from then on.
     ``stats.<field>`` reads its value as an int (``*_ms_total``: float).
+    The leaseholders count the pipeline's stalls and lost writes into
+    the same registry.
     """
 
     _FIELDS = ("begun", "committed", "aborted_retries",
                "uncertainty_restarts", "refreshes", "refresh_failures",
                "commit_waits", "commit_wait_ms_total", "ambiguous_commits",
                "one_phase_commits", "one_phase_fallbacks",
+               "pipelined_writes", "pipeline_stalls", "async_write_failures",
                "validation_aborts", "epoch_waits", "epoch_wait_ms_total")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
@@ -90,6 +93,10 @@ class TransactionCoordinator:
     #: by default; ``run_commit_wait_ablation`` switches it on for one
     #: instance.
     spanner_style_commit_wait = False
+    #: A CRDB commit proves every pipelined write before it commits.
+    #: Off only in the verify harness's ``pipeline-unproven`` ablation,
+    #: for one instance.
+    prove_writes = True
 
     def __init__(self, cluster, protocol=None):
         self.cluster = cluster

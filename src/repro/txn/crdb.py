@@ -21,6 +21,12 @@ ablation flag).  What a commit costs in consensus rounds:
 And in requests before the commit: a write is one, a conditional put
 (``write(..., expect_absent=True)``: SQL INSERT, unique-index entries)
 is one too — the leaseholder judges "absent" where it lays the intent.
+An intent whose leaseholder is in the gateway's region is *pipelined*:
+the client waits for its evaluation, not its consensus round, and the
+commit proves every such write with one request per range, concurrent
+with the refresh (the anchor's proof rides in the record request).  A
+remote one is not: its proof would cost a WAN round trip to save a
+local quorum round.
 
 The timestamp rules:
 
@@ -74,6 +80,12 @@ _CLEANUP_BENIGN = (NetworkUnavailableError, RangeUnavailableError,
 
 class Transaction:
     """One attempt of a client transaction, pinned to a gateway node."""
+
+    #: The pipelined writes the commit must prove, keyed by span and
+    #: key (a split since the write must not split the entry): (token,
+    #: key, the latest value written).  Made at the first one: the
+    #: registry keeps every transaction.
+    pipelined: Optional[Dict[Tuple[Any, Any], Tuple[Any, Any, Any]]] = None
 
     def __init__(self, coordinator, gateway, txn_id: int, parent_span=None):
         self.coordinator = coordinator
@@ -211,7 +223,7 @@ class Transaction:
             span=self.span, deadline_ms=self.deadline_ms)
         if lock_ts > self.write_ts:
             self.write_ts = lock_ts
-        self.write_set[(self._ds.resolve(rng, key).range_id, key)] = (rng, key)
+        self._note_write(rng, key)
         real_lock_ts = lock_ts.with_synthetic(False)
         if real_lock_ts > self.read_ts:
             yield from self._refresh_to(real_lock_ts)
@@ -230,6 +242,13 @@ class Transaction:
             self.observed_future_ts = ts
 
     # -- writes -------------------------------------------------------------
+
+    def _is_home(self, owner: Range) -> bool:
+        """Is ``owner``'s leaseholder in the gateway's region?  Only then
+        is a write pipelined."""
+        replica = owner.replicas.get(owner.leaseholder_node_id)
+        return (replica is not None and replica.node.locality.region
+                == self.gateway.locality.region)
 
     def _has_written(self, rng: Range, key: Any) -> bool:
         """Is ``key`` (of ``rng``'s span) in the write set?  By span, not
@@ -276,6 +295,7 @@ class Transaction:
         one_phase = (commit and not self.write_set
                      and (not self.read_set or self.write_ts == self.read_ts)
                      and not coordinator.spanner_style_commit_wait)
+        pipelined = not one_phase and self._is_home(ds.resolve(rng, key))
         try:
             # The intent's timestamp — or, one-phase, (ts, committed).
             reply = yield ds.write(
@@ -283,7 +303,7 @@ class Transaction:
                 anchor_node_id=anchor_node, span=self.span,
                 deadline_ms=self.deadline_ms, commit=one_phase,
                 can_forward=one_phase and not self.read_set,
-                expect_absent=expect_absent)
+                expect_absent=expect_absent, pipelined=pipelined)
         except (NetworkUnavailableError, RangeUnavailableError) as err:
             if not one_phase or isinstance(err, (RequestNotSentError,
                                                  ClockFencedError)):
@@ -312,7 +332,7 @@ class Transaction:
         if written_ts > self.write_ts:
             self.write_ts = written_ts
         if self.commit_ts is None:
-            self.write_set[(ds.resolve(rng, key).range_id, key)] = (rng, key)
+            self._note_write(rng, key, value, pipelined)
         recorder = coordinator.recorder
         if recorder is not None:
             if expect_absent:
@@ -353,11 +373,15 @@ class Transaction:
         ds = self._ds
         if self.anchor is None:
             self.anchor = ds.resolve(items[0][0], items[0][1])
+        # All or nothing: a batch that also waits on a remote range's
+        # round trip hides a local quorum round anyway.
+        pipelined = all(self._is_home(ds.resolve(rng, key))
+                        for rng, key, _value in items)
         outcomes = yield ds.write_batch(
             self.gateway, items, self.write_ts, self.txn_id,
             anchor_node_id=self.anchor.leaseholder_node_id or -1,
             span=self.span, deadline_ms=self.deadline_ms,
-            expect_absent=expect_absent)
+            expect_absent=expect_absent, pipelined=pipelined)
         first_error: Optional[BaseException] = None
         written: List[Timestamp] = []
         recorder = self.coordinator.recorder
@@ -369,7 +393,7 @@ class Transaction:
             written.append(ts)
             if ts > self.write_ts:
                 self.write_ts = ts
-            self.write_set[(ds.resolve(rng, key).range_id, key)] = (rng, key)
+            self._note_write(rng, key, value, pipelined)
             if recorder is not None:
                 if expect_absent:
                     recorder.on_locking_read(self, rng, key, None)
@@ -377,6 +401,19 @@ class Transaction:
         if first_error is not None:
             raise first_error
         return written
+
+    def _note_write(self, rng: Range, key: Any, value: Any = None,
+                    pipelined: bool = False) -> None:
+        self.write_set[(self._ds.resolve(rng, key).range_id, key)] = (rng, key)
+        if pipelined:
+            if self.pipelined is None:
+                self.pipelined = {}
+            self.pipelined[(rng.span, key)] = (rng, key, value)
+            self.coordinator.stats.c_pipelined_writes.value += 1
+        elif self.pipelined:
+            # An awaited write of the key replaced the pipelined one, or
+            # a locking read waited its entry out: nothing left to prove.
+            self.pipelined.pop((rng.span, key), None)
 
     def delete(self, rng: Range, key: Any, commit: bool = False) -> Generator:
         """Transactional delete (a tombstone write)."""
@@ -430,11 +467,6 @@ class Transaction:
                 self._record_outcome("commit")
                 return self.read_ts
 
-            # Serializability check: reads must be valid at the commit ts.
-            yield from self._refresh_to(self.write_ts.with_synthetic(False))
-            commit_ts = self.write_ts
-            self.commit_ts = commit_ts
-
             # A transaction whose writes all hit one range commits with
             # no separate record write (CRDB's parallel-commits latency
             # profile) — and one that committed one-phase has no write
@@ -444,6 +476,16 @@ class Transaction:
             # too (CRDB's EndTxn), unless the locks are to be held
             # through the commit wait.
             local_keys, elsewhere, multi_range = self._intents_by_anchor()
+            # Serializability check: reads must be valid at the commit ts
+            # — while the pipelined writes are proven.
+            prove, proof = self._prove_pipelined(multi_range, commit_span)
+            yield from self._refresh_to(self.write_ts.with_synthetic(False))
+            if proof is not None:
+                for outcome in (yield proof):
+                    if outcome is not None:
+                        raise outcome  # TransactionRetryError: a lost write
+            commit_ts = self.write_ts
+            self.commit_ts = commit_ts
             spans = elsewhere
             if (not multi_range
                     or self.coordinator.spanner_style_commit_wait):
@@ -453,7 +495,7 @@ class Transaction:
                     yield self._ds.write_txn_record(
                         self.gateway, self.anchor, self.txn_id,
                         TxnStatus.COMMITTED, commit_ts, span=commit_span,
-                        resolve_keys=local_keys)
+                        resolve_keys=local_keys, prove=prove)
                 except (NetworkUnavailableError, RangeUnavailableError) as err:
                     if isinstance(err, ClockFencedError):
                         raise  # refused unevaluated
@@ -542,6 +584,25 @@ class Transaction:
             else:
                 elsewhere.append(span)
         return tuple(local_keys), elsewhere, len(owners) > 1
+
+    def _prove_pipelined(self, multi_range: bool, span):
+        """Start proving the pipelined writes: one request per range —
+        except, on a multi-range commit, the anchor range's, which ride
+        in its record request.  Returns ``(the anchor's (key, value)
+        writes, the proof's future or None)``."""
+        if not self.pipelined or not self.coordinator.prove_writes:
+            return (), None
+        at_anchor, elsewhere = [], []
+        for write in self.pipelined.values():
+            if multi_range and self._ds.resolve(write[0], write[1]) \
+                    is self.anchor:
+                at_anchor.append(write[1:])
+            else:
+                elsewhere.append(write)
+        proof = elsewhere and self._ds.query_intents(
+            self.gateway, elsewhere, self.txn_id, span=span,
+            deadline_ms=self.deadline_ms)
+        return tuple(at_anchor), proof or None
 
     def _resolve_intents_async(self, commit_ts: Optional[Timestamp],
                                spans: List[Tuple[Any, Any]]) -> None:

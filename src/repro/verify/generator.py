@@ -391,6 +391,52 @@ class VerifyHarness(Testbed):
         faults.set_loss(self.home, far, 0.0, bidirectional=False)
         yield writer
 
+    # -- lost pipelined write probe (pipeline-unproven) ---------------------
+
+    def pipeline_probe(self, key: str = "l0"):
+        """The lost write the ``pipeline-unproven`` ablation is about,
+        made certain: a transaction on the home leaseholder's node writes
+        the far range (its anchor), then appends to a home-range list
+        with the leaseholder's links to its followers cut — a pipelined
+        write — and commits.  Once the proposal has timed out the lease
+        fails over to a follower that never saw the entry, so it never
+        commits; the links heal, and a second transaction appends to the
+        list.  With the proof the first commit retries; without it both
+        commit, having read the same list."""
+        faults = self.cluster.network.faults
+        home, far = self.range, self.ranges["reg-eu"]
+        leader = home.leaseholder_node
+        followers = [node_id for node_id in home.group.peers
+                     if node_id != leader.node_id]
+        written: List[float] = []
+
+        def lost_fn(txn):
+            value = f"probe-pipeline:{txn.txn_id}"
+            yield from txn.write(far, "r1", value)
+            current = yield from txn.read(home, key)
+            if not written:
+                for node_id in followers:
+                    faults.cut_link(leader.node_id, node_id)
+            yield from txn.write(home, key, list(current or []) + [value])
+            written.append(self.sim.now)
+
+        def after_fn(txn):
+            current = yield from txn.read(home, key)
+            yield from txn.write(home, key, list(current or []) +
+                                 [f"probe-after:{txn.txn_id}"])
+
+        writer = self.sim.spawn(self.attempt(leader, lost_fn,
+                                             label="probe-pipeline"))
+        while not written:
+            yield self.sim.sleep(5.0)
+        yield self.sim.sleep(written[0] + home.group.proposal_timeout_ms
+                             - self.sim.now)
+        home.failover_lease(followers[0])
+        for node_id in followers:
+            faults.heal_link(leader.node_id, node_id)
+        yield writer
+        yield from self.attempt(leader, after_fn, label="probe-after")
+
     # -- stale readers ------------------------------------------------------
 
     def stale_client(self, label: str, region: str, gateway_index: int,
@@ -583,6 +629,12 @@ class VerifyHarness(Testbed):
         """Leaseholders apply conditional puts without their check."""
         for rng in self.ranges.values():
             rng.check_condition = False
+
+    def _skip_write_proofs(self) -> None:
+        """Commits skip the proof of their pipelined writes, and the
+        lost-write probe runs first so the damage is certain."""
+        self.coord.prove_writes = False
+        self.run_clients([self.pipeline_probe()])
 
     # -- the run ------------------------------------------------------------
 
@@ -802,6 +854,16 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         setup=VerifyHarness._skip_condition_checks, inserters=2,
         protocol="crdb",
         verdict=_convicts({"lost-update", "G-single", "G2"})),
+    "pipeline-unproven": VerifyScenario(
+        "The write-pipelining honest-falsification ablation: commits "
+        "skip the proof of their pipelined writes, and a probe loses one "
+        "(leaseholder cut off from its followers until the proposal "
+        "times out, then a failover); passes iff the checker convicts "
+        "the committed transaction missing its write — proof a "
+        "pipelined write is earned by the proof, not assumed.",
+        setup=VerifyHarness._skip_write_proofs, protocol="crdb",
+        # Two appends that read the same list: the lost one and the next.
+        verdict=_convicts(_WRITE_RACES)),
 }
 
 

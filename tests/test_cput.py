@@ -42,12 +42,15 @@ def assert_untouched(rng, key="new"):
 
 class TestOneRequest:
     def test_absent_key_is_one_rpc_and_an_ordinary_intent(self):
+        """The put is still one request.  A home-region intent is
+        pipelined, so the commit sends one more, the proof that it
+        landed; the resolve follows behind the ack as before."""
         bed, rng = make_bed()
         calls = count_calls(bed.cluster)
         before = rng.group.commit_index
         bed.run_txn(HOME, insert(rng, "mine"))
         bed.settle(50.0)
-        assert calls == [1, 1]  # the put; the resolve behind the ack
+        assert calls == [1, 1, 1]  # the put; its proof; the resolve
         put, _resolve = commands_since(rng, before)
         assert type(put) is PutIntentCommand
         assert bed.cluster.txn_registry[1].read_set == []

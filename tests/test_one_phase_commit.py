@@ -657,16 +657,24 @@ class TestCleanupFailures:
     recoverable orphans is counted, anything else stops the run."""
 
     def commit_then_fail_cleanup(self, break_cleanup):
+        """The write is pipelined: its entry is let commit before the
+        cleanup is broken.  Broken earlier, the write itself is lost and
+        the commit's proof refuses to commit — a retry, not a cleanup
+        failure."""
         bed, rng = make_bed()
 
         def txn_fn(txn):
             yield from txn.write(rng, "k", "v")
+            yield bed.sim.sleep(20.0)
             break_cleanup(bed, rng)
 
         bed.run_txn(HOME, txn_fn)
         return bed
 
     def test_lost_quorum_is_counted(self):
+        """The proof needs no quorum — the leaseholder holds the intent —
+        so the commit goes through, and only the resolve behind the ack
+        finds the quorum gone."""
         def lose_quorum(bed, rng):
             rng.group.proposal_timeout_ms = 200.0
             for peer in rng.group.voters():
@@ -678,6 +686,8 @@ class TestCleanupFailures:
         counter = bed.sim.obs.registry.counter(
             "txn.cleanup_failures", error="RangeUnavailableError")
         assert counter.value == 1
+        stats = bed.coord.stats
+        assert (stats.pipelined_writes, stats.async_write_failures) == (1, 0)
 
     def test_a_programming_error_stops_the_run(self, monkeypatch):
         def break_serving(bed, rng):

@@ -20,6 +20,7 @@ ABLATIONS = {
     "occ-novalidate": (pytest.mark.verify_occ, range(5)),
     "one-phase-reapply": (pytest.mark.verify, range(5)),
     "cput-blind": (pytest.mark.verify, range(5)),
+    "pipeline-unproven": (pytest.mark.verify, range(5)),
 }
 
 #: Small enough for tier-1, large enough to commit something.
@@ -29,7 +30,8 @@ FAULT_ROWS = ["region-blackout", "rolling-zones", "flaky-wan",
               "gray-follower", "asym-partition", "crash-restart",
               "split-merge"]
 CLOCK_ROWS = ["clock-drift", "clock-jump", "clock-jump-nofence"]
-FORCED_ROWS = ["occ-novalidate", "one-phase-reapply", "cput-blind"]
+FORCED_ROWS = ["occ-novalidate", "one-phase-reapply", "cput-blind",
+               "pipeline-unproven"]
 
 
 class TestShape:
