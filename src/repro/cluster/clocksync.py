@@ -8,8 +8,9 @@ node that finds itself outside the bound **crashes itself** rather than
 risk serving inconsistent reads.  This module reproduces that defense
 on the simulated substrate:
 
-* :class:`ClockMonitor` collects clock readings piggybacked on store
-  liveness heartbeats and Raft messages (no extra network traffic), and
+* :class:`ClockMonitor` collects the clock reading ``Network.send``
+  piggybacks on every one-way message (liveness heartbeats, Raft
+  traffic, the closed-timestamp side transport; no extra messages), and
   maintains a per-(observer, peer) offset estimate corrected for the
   link's nominal one-way latency.
 * When a node's own measurements show it beyond
@@ -135,27 +136,14 @@ class ClockMonitor:
         gauge.set(round(worst, 3))
         self._evaluate(observer, peers, worst)
 
-    def wrap(self, src_node, dst_node, callback, after_ms: float = 0.0):
-        """Piggyback a clock reading on a fire-and-forget message.
-
-        Returns a delivery callback that first reports ``src_node``'s
-        clock (captured at send time) to the destination's monitor
-        view, then runs the original callback.  Used by Raft senders,
-        which already have a callback-per-message shape.  A message
-        handed to ``Network.send`` with ``after_ms`` departs that much
-        later; pass the same value here and the reading is the
-        departure-time one.
-        """
-        sent_physical = self.cluster.clock.physical_now(
-            src_node.node_id, self.sim.now + after_ms)
-        observer_id = dst_node.node_id
-        peer_id = src_node.node_id
-
-        def deliver() -> None:
-            self.observe(observer_id, peer_id, sent_physical)
-            callback()
-
-        return deliver
+    def deliver(self, observer_id: int, peer_id: int, reading: float,
+                callback, args: tuple) -> None:
+        """Deliver a one-way message that carries its sender's clock
+        reading: fold the reading into the observer's view, then run
+        ``callback(*args)``.  ``Network.send`` schedules this in place
+        of the bare callback while the monitor is installed."""
+        self.observe(observer_id, peer_id, reading)
+        callback(*args)
 
     def estimate(self, observer_id: int, peer_id: int) -> Optional[float]:
         return self._estimates.get(observer_id, {}).get(peer_id)
@@ -258,8 +246,8 @@ class ClockMonitor:
 
 def install_clock_monitor(cluster) -> ClockMonitor:
     """Create a :class:`ClockMonitor` and wire it into the cluster and
-    network so liveness heartbeats and Raft messages start piggybacking
-    clock readings.  Idempotent per cluster attribute."""
+    network so every one-way message starts piggybacking its sender's
+    clock reading.  Idempotent per cluster attribute."""
     monitor = ClockMonitor(cluster)
     cluster.clock_monitor = monitor
     cluster.network.clock_monitor = monitor

@@ -114,12 +114,6 @@ class StoreLiveness:
         while True:
             if node.alive and not self.network.node_is_dead(node.node_id):
                 epoch = self._epochs.get(node.node_id, 1)
-                # Clock-safety piggyback: when a monitor is installed,
-                # heartbeats carry the sender's physical clock reading
-                # (captured at send time) at zero extra message cost.
-                monitor = self.network.clock_monitor
-                sent_clock = (node.clock.physical_now()
-                              if monitor is not None else None)
                 send = self.network.send
                 receive = self._receive
                 inc = self._c_heartbeats.inc
@@ -128,20 +122,14 @@ class StoreLiveness:
                     if other.node_id == node_id or not other.alive:
                         continue
                     inc()
-                    send(node, other, receive,
-                         other.node_id, node_id, epoch, sent_clock)
+                    send(node, other, receive, other.node_id, node_id, epoch)
             yield self.sim.sleep(self.heartbeat_interval_ms)
 
-    def _receive(self, observer_id: int, subject_id: int, epoch: int,
-                 sender_physical: Optional[float] = None) -> None:
+    def _receive(self, observer_id: int, subject_id: int, epoch: int) -> None:
         view = self._views.setdefault(observer_id, {})
         known_epoch, _last = view.get(subject_id, (0, 0.0))
         if epoch >= known_epoch:
             view[subject_id] = (epoch, self.sim.now)
-        if sender_physical is not None:
-            monitor = self.network.clock_monitor
-            if monitor is not None:
-                monitor.observe(observer_id, subject_id, sender_physical)
 
     def _on_restart(self, node_id: int) -> None:
         """A crashed node came back: new epoch, fresh local view.

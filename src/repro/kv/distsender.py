@@ -158,14 +158,7 @@ class _Batch:
 
 
 class DistSender:
-    """Per-cluster request router (stateless; one instance is shared).
-
-    ``adaptive_follower_wait_ms`` enables the §5.3.1 adaptive policy: a
-    follower whose closed timestamp lags a fresh read waits locally up
-    to this long for the next closed-timestamp update instead of
-    redirecting to the leaseholder immediately.  0 disables (the
-    paper's deployed behaviour).
-    """
+    """Per-cluster request router (stateless; one instance is shared)."""
 
     #: Per-RPC timeout for leaseholder calls; generous so only genuinely
     #: lost RPCs (dropped packets, gray nodes) trip it, never a slow but
@@ -180,10 +173,9 @@ class DistSender:
     BREAKER_COOLDOWN_MS = 500.0
     BREAKER_PROBE_JITTER = 0.15
 
-    def __init__(self, cluster, adaptive_follower_wait_ms: float = 0.0):
+    def __init__(self, cluster):
         self.cluster = cluster
         self.network = cluster.network
-        self.adaptive_follower_wait_ms = adaptive_follower_wait_ms
         registry = cluster.sim.obs.registry
         self._tracer = cluster.sim.obs.tracer
         # Half-open probe scheduling is seeded through the simulation
@@ -607,20 +599,13 @@ class DistSender:
         follower_span = tracer.start(
             "kv.read.follower", span,
             ("range", replica.range.name, "replica", replica.node.node_id))
-        if self.adaptive_follower_wait_ms > 0:
-            handler = (lambda: replica.follower_read_waiting(
+        attempt = self.network.call(
+            gateway, replica.node,
+            lambda: _value_generator(lambda: replica.follower_read(
                 key, ts, txn_id=txn_id,
                 uncertainty_limit=uncertainty_limit,
-                allow_server_side_bump=allow_server_side_bump,
-                max_wait_ms=self.adaptive_follower_wait_ms))
-        else:
-            handler = (lambda: _value_generator(
-                lambda: replica.follower_read(
-                    key, ts, txn_id=txn_id,
-                    uncertainty_limit=uncertainty_limit,
-                    allow_server_side_bump=allow_server_side_bump)))
-        attempt = self.network.call(gateway, replica.node, handler,
-                                    span=follower_span)
+                allow_server_side_bump=allow_server_side_bump)),
+            span=follower_span)
 
         def on_done(fut: Future) -> None:
             error = fut.error

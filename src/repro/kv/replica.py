@@ -164,35 +164,6 @@ class Replica:
                 continue
             return result, ts
 
-    def follower_read_waiting(self, key: Any, ts: Timestamp,
-                              txn_id=None, uncertainty_limit=None,
-                              allow_server_side_bump: bool = False,
-                              max_wait_ms: float = 0.0):
-        """Follower read that waits locally for the closed timestamp.
-
-        The adaptive policy the paper sketches in §5.3.1/§6.2.1: instead
-        of immediately redirecting to the leaseholder when the local
-        closed timestamp lags, wait up to ``max_wait_ms`` for the next
-        closed-timestamp update to arrive.  Worth it when the remaining
-        gap is smaller than a WAN round trip.
-
-        This is a coroutine (it sleeps); raises
-        :class:`FollowerReadNotAvailableError` if the deadline passes.
-        """
-        sim = self.node.sim
-        deadline = sim.now + max_wait_ms
-        poll_ms = 5.0
-        while True:
-            try:
-                return self.follower_read(
-                    key, ts, txn_id=txn_id,
-                    uncertainty_limit=uncertainty_limit,
-                    allow_server_side_bump=allow_server_side_bump)
-            except FollowerReadNotAvailableError:
-                if sim.now + poll_ms > deadline:
-                    raise
-                yield sim.sleep(poll_ms)
-
     def max_servable_ts(self, key: Any) -> Timestamp:
         """Highest timestamp a (stale) read of ``key`` can use locally.
 

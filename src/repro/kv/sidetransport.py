@@ -70,13 +70,8 @@ class SideTransport:
                 if batch is None:
                     batch = batches[pair] = (src, dst, [])
                 batch[2].append(update)
-        monitor = network.clock_monitor
         for src, dst, updates in batches.values():
-            if monitor is not None:
-                network.send(src, dst, monitor.wrap(
-                    src, dst, lambda u=updates: self._deliver(u)))
-            else:
-                network.send(src, dst, self._deliver, updates)
+            network.send(src, dst, self._deliver, updates)
         if live:
             self.cluster.sim.call_after(self.interval_ms, self._tick)
         else:

@@ -690,11 +690,8 @@ class RaftGroup:
         leader, peer = batch["leader"], batch["peer"]
         self.sim.obs.registry.counter("raft.coalesced_batches",
                                       range=self.range_id).inc()
-        deliver = lambda: self._deliver_batch(leader, peer, batch)  # noqa: E731
-        monitor = self.network.clock_monitor
-        if monitor is not None:
-            deliver = monitor.wrap(leader.node, peer.node, deliver)
-        self.network.send(leader.node, peer.node, deliver)
+        self.network.send(leader.node, peer.node, self._deliver_batch,
+                          leader, peer, batch)
 
     def _deliver_batch(self, leader: PeerState, peer: PeerState,
                        batch: Dict[str, Any]) -> None:
@@ -727,22 +724,14 @@ class RaftGroup:
             self._learn_commit(peer, commit[0], commit[1])
         closed = batch["closed"]
         if closed is not None:
-            ts, commit_idx, committed = closed
-            self._learn_commit(peer, commit_idx, committed)
-            if peer.applied_index >= commit_idx and ts > peer.closed_ts:
-                monitor = self.network.clock_monitor
-                if monitor is None or monitor.accepts_closed_ts(peer.node, ts):
-                    peer.closed_ts = ts
+            self._deliver_closed_ts(peer, *closed)
 
     def _send_ack_batch(self, peer: PeerState, acks: List) -> None:
         leader = self.peers.get(self.leader_node_id)
         if leader is None:
             return
-        deliver = lambda: self._deliver_acks(peer.node.node_id, acks)  # noqa: E731
-        monitor = self.network.clock_monitor
-        if monitor is not None:
-            deliver = monitor.wrap(peer.node, leader.node, deliver)
-        self.network.send(peer.node, leader.node, deliver)
+        self.network.send(peer.node, leader.node, self._deliver_acks,
+                          peer.node.node_id, acks)
 
     def _deliver_acks(self, node_id: int, acks: List) -> None:
         for index, term in acks:
@@ -760,17 +749,7 @@ class RaftGroup:
             return
         # Send-time state (the message's term and claimed sender) rides
         # as args; delivery-time state (current term/leader) is read in
-        # _deliver_append.  No closure on the hot path — the clock-safety
-        # piggyback keeps the wrapped-closure form, one attribute check
-        # on the legacy path.
-        monitor = self.network.clock_monitor
-        if monitor is not None:
-            deliver = monitor.wrap(
-                leader.node, peer.node,
-                lambda t=self.term, lid=leader.node.node_id:
-                    self._deliver_append(peer, entry, prev, t, lid))
-            self.network.send(leader.node, peer.node, deliver)
-            return
+        # _deliver_append.  No closure on the hot path.
         self.network.send(leader.node, peer.node, self._deliver_append,
                           peer, entry, prev, self.term, leader.node.node_id)
 
@@ -809,18 +788,9 @@ class RaftGroup:
         leader = self.peers.get(self.leader_node_id)
         if leader is None:
             return
-        disk_ms = self.DISK_APPEND_MS
-        monitor = self.network.clock_monitor
-        if monitor is not None:
-            deliver = monitor.wrap(
-                peer.node, leader.node,
-                lambda: self._on_ack(index, peer.node.node_id, term),
-                after_ms=disk_ms)
-            self.network.send(peer.node, leader.node, deliver,
-                              after_ms=disk_ms)
-            return
         self.network.send(peer.node, leader.node, self._on_ack,
-                          index, peer.node.node_id, term, after_ms=disk_ms)
+                          index, peer.node.node_id, term,
+                          after_ms=self.DISK_APPEND_MS)
 
     def _on_ack(self, index: int, from_node_id: int,
                 term: Optional[int] = None) -> None:
@@ -979,7 +949,6 @@ class RaftGroup:
         leader = self.leader
         leader_node = leader.node
         coalesce = self.coalesce_ms
-        monitor = self.network.clock_monitor
         send = self.network.send
         for update in self.closed_ts_updates(closed_ts):
             peer = update[1]
@@ -989,19 +958,13 @@ class RaftGroup:
                 if closed is None or closed_ts > closed[0]:
                     batch["closed"] = update[2:]
                 continue
-            # Valid only if the peer is caught up on application; otherwise
-            # it would claim data it does not yet have.
-            if monitor is not None:
-                deliver = monitor.wrap(
-                    leader_node, peer.node,
-                    lambda u=update: self._deliver_closed_ts(*u[1:]))
-                send(leader_node, peer.node, deliver)
-                continue
             send(leader_node, peer.node, self._deliver_closed_ts, *update[1:])
 
     def _deliver_closed_ts(self, peer: PeerState, ts: Timestamp,
                            commit: int, committed: Optional[Entry]) -> None:
         self._learn_commit(peer, commit, committed)
+        # Valid only if the peer is caught up on application; otherwise
+        # it would claim data it does not yet have.
         if peer.applied_index >= commit and ts > peer.closed_ts:
             mon = self.network.clock_monitor
             if mon is None or mon.accepts_closed_ts(peer.node, ts):

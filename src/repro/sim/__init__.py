@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate: kernel, clocks, and network."""
 
-from .clock import HLC, ClockModel, SkewModel, Timestamp, TS_MAX, TS_ZERO
+from .clock import HLC, ClockModel, Timestamp, TS_MAX, TS_ZERO
 from .core import (
     Future,
     Process,
@@ -25,7 +25,6 @@ from .retry import ExponentialBackoff
 __all__ = [
     "HLC",
     "ClockModel",
-    "SkewModel",
     "Timestamp",
     "TS_MAX",
     "TS_ZERO",

@@ -4,10 +4,10 @@ Every node owns an :class:`HLC` backed by a skewed view of simulated
 time.  The database *assumes* that any two node clocks differ by at
 most ``max_clock_offset`` — exactly the assumption CockroachDB makes of
 NTP-disciplined clocks.  The :class:`ClockModel` draws each node a
-fixed base offset within that bound, but — unlike the original
-``SkewModel`` — the bound is a testable contract, not an axiom: the
-chaos nemesis can violate it at runtime with piecewise drift rates,
-step jumps (forward or backward), and frozen clocks, all per node.
+fixed base offset within that bound, but the bound is a testable
+contract, not an axiom: the chaos nemesis can violate it at runtime
+with piecewise drift rates, step jumps (forward or backward), and
+frozen clocks, all per node.
 The clock-safety subsystem (``repro.cluster.clocksync``) is what
 detects and fences the resulting outliers.
 
@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 from .core import Future, Simulator
 
-__all__ = ["Timestamp", "HLC", "ClockModel", "SkewModel", "TS_ZERO", "TS_MAX"]
+__all__ = ["Timestamp", "HLC", "ClockModel", "TS_ZERO", "TS_MAX"]
 
 
 class Timestamp:
@@ -267,11 +267,6 @@ class ClockModel:
 
     def heal_all(self) -> None:
         self._dynamic.clear()
-
-
-#: Backward-compatible name: the static skew model is the fault-free
-#: subset of :class:`ClockModel`.
-SkewModel = ClockModel
 
 
 class HLC:

@@ -366,9 +366,8 @@ class Network:
         #: Callbacks fired with a node_id when that node restarts.
         self._restart_listeners: List[Callable[[int], None]] = []
         #: Clock-sync monitor (``repro.cluster.clocksync``), or None.
-        #: Message-level senders (liveness heartbeats, Raft traffic)
-        #: consult this one attribute to decide whether to piggyback a
-        #: clock reading; None keeps the legacy paths untouched.
+        #: While set, :meth:`send` piggybacks the sender's clock reading
+        #: on every one-way message; RPCs carry none.
         self.clock_monitor = None
 
     @property
@@ -590,6 +589,11 @@ class Network:
         to the one delivery event instead of costing a timer of its
         own.  Everything else — reachability, loss, the jitter draw, the
         hop histogram's wire time — is decided now, at the call.
+
+        With a :attr:`clock_monitor` installed the message also carries
+        the sender's clock reading at departure (``after_ms`` from now),
+        which the monitor folds in at the destination before
+        ``callback`` runs.
         """
         faults = self.faults
         if faults.active and (faults.blocked(src, dst)
@@ -615,4 +619,11 @@ class Network:
         hist = entry[1]
         if hist is not None:
             hist.observe(delay)
-        self._schedule(delay + after_ms, callback, *args)
+        monitor = self.clock_monitor
+        if monitor is None:
+            self._schedule(delay + after_ms, callback, *args)
+            return
+        reading = monitor.cluster.clock.physical_now(
+            src.node_id, self.sim.now + after_ms)
+        self._schedule(delay + after_ms, monitor.deliver, dst.node_id,
+                       src.node_id, reading, callback, args)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.clock import HLC, SkewModel, Timestamp, TS_ZERO
+from repro.sim.clock import HLC, ClockModel, Timestamp, TS_ZERO
 from repro.sim.core import Simulator
 
 
@@ -54,23 +54,23 @@ class TestTimestamp:
 
 class TestSkewModel:
     def test_offsets_bounded_pairwise(self):
-        skew = SkewModel(max_offset=250.0, seed=1)
+        skew = ClockModel(max_offset=250.0, seed=1)
         offsets = [skew.offset_for(i) for i in range(100)]
         for a in offsets:
             for b in offsets:
                 assert abs(a - b) <= 250.0
 
     def test_offsets_stable(self):
-        skew = SkewModel(max_offset=100.0, seed=2)
+        skew = ClockModel(max_offset=100.0, seed=2)
         assert skew.offset_for(7) == skew.offset_for(7)
 
     def test_zero_fraction_means_no_skew(self):
-        skew = SkewModel(max_offset=100.0, seed=3, skew_fraction=0.0)
+        skew = ClockModel(max_offset=100.0, seed=3, skew_fraction=0.0)
         assert skew.offset_for(1) == 0.0
 
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ValueError):
-            SkewModel(max_offset=100.0, skew_fraction=1.5)
+            ClockModel(max_offset=100.0, skew_fraction=1.5)
 
 
 class TestHLC:
@@ -106,7 +106,7 @@ class TestHLC:
 
     def test_skewed_physical(self):
         sim = Simulator()
-        skew = SkewModel(max_offset=100.0, seed=4, skew_fraction=1.0)
+        skew = ClockModel(max_offset=100.0, seed=4, skew_fraction=1.0)
         clock = HLC(sim, node_id=1, skew=skew)
         assert clock.physical_now() == skew.offset_for(1)
 

@@ -2,17 +2,20 @@
 
 Unit tests for the dynamic :class:`ClockModel` mutators (drift, jump,
 freeze), the re-arming ``HLC.wait_until`` under mid-wait clock faults,
-HLC monotonicity edge cases, and the :class:`ClockMonitor` measurement
-/ fencing / serve-side rejection logic.  The end-to-end chaos and
+HLC monotonicity edge cases, the :class:`ClockMonitor` measurement
+/ fencing / serve-side rejection logic, and the clock reading every
+one-way message carries.  The end-to-end chaos and
 fencing-ablation sweeps live in ``test_clock_sweep.py`` (tier-2,
 ``pytest -m clock``).
 """
 
 import pytest
 
+from repro.cluster import StoreLiveness
 from repro.cluster.clocksync import install_clock_monitor
 from repro.errors import ClockFencedError, ClockOutlierRejectedError
-from repro.sim.clock import HLC, ClockModel, SkewModel, Timestamp
+from repro.kv.commands import SetTxnRecordCommand
+from repro.sim.clock import HLC, ClockModel, Timestamp
 from repro.sim.core import Simulator
 
 from .kv_util import KVTestBed, REGIONS3
@@ -123,23 +126,23 @@ class TestOffsetDeterminism:
     IDS = [50, 3, 1, 64, 20, 7]
 
     def test_query_order_independence(self):
-        a = SkewModel(max_offset=250.0, seed=7)
-        b = SkewModel(max_offset=250.0, seed=7)
+        a = ClockModel(max_offset=250.0, seed=7)
+        b = ClockModel(max_offset=250.0, seed=7)
         seen_a = {i: a.offset_for(i) for i in self.IDS}
         seen_b = {i: b.offset_for(i) for i in reversed(self.IDS)}
         assert seen_a == seen_b
 
     def test_extension_beyond_prealloc_is_deterministic(self):
-        a = SkewModel(max_offset=250.0, seed=9)
-        b = SkewModel(max_offset=250.0, seed=9)
+        a = ClockModel(max_offset=250.0, seed=9)
+        b = ClockModel(max_offset=250.0, seed=9)
         direct = a.offset_for(100)
         for i in range(1, 100):
             b.offset_for(i)
         assert b.offset_for(100) == direct
 
     def test_non_positive_ids_are_stable_and_bounded(self):
-        a = SkewModel(max_offset=250.0, seed=3)
-        b = SkewModel(max_offset=250.0, seed=3)
+        a = ClockModel(max_offset=250.0, seed=3)
+        b = ClockModel(max_offset=250.0, seed=3)
         for node_id in (0, -1, -5):
             off = a.offset_for(node_id)
             assert off == a.offset_for(node_id) == b.offset_for(node_id)
@@ -324,3 +327,41 @@ class TestClockMonitor:
         assert not victim.fenced
         assert monitor.estimate(victim.node_id, peers[0].node_id) is None
         assert monitor.estimate(peers[0].node_id, victim.node_id) is None
+
+
+class TestClockPiggyback:
+    """Every one-way message carries its sender's clock reading: Raft
+    appends, acks and commit updates, the side transport and liveness
+    heartbeats alike."""
+
+    def _drive(self, bed):
+        """One bare Raft proposal, one side-transport tick (at 1500 ms)
+        and one heartbeat round (200..1800 ms); all delivered by 2100
+        ms, before the next round starts.  No RPCs."""
+        rng = bed.make_range("us-east1")
+        liveness = StoreLiveness(bed.cluster, heartbeat_interval_ms=2000.0,
+                                 time_until_store_dead_ms=10_000.0)
+        liveness.start()
+        proposal = rng.group.propose(
+            SetTxnRecordCommand(txn_id=1, status="committed",
+                                commit_ts=None), rng.closed_target())
+        bed.settle(2100.0)
+        assert proposal.done and proposal.error is None
+        assert liveness.heartbeats_sent == 9 * 8
+
+    def test_every_one_way_message_carries_a_reading(self):
+        bed = KVTestBed(regions=REGIONS3, side_transport_interval_ms=1500.0)
+        install_clock_monitor(bed.cluster)
+        net, registry = bed.cluster.network, bed.sim.obs.registry
+        sent = net.messages_sent
+        observed = registry.value("clock.observations")
+        self._drive(bed)
+        # 4 appends + 2 acks + 4 commit updates, 4 side-transport
+        # messages, 72 heartbeats.
+        assert net.messages_sent - sent == 86
+        assert registry.value("clock.observations") - observed == 86
+
+    def test_no_monitor_no_readings(self):
+        bed = KVTestBed(regions=REGIONS3, side_transport_interval_ms=1500.0)
+        self._drive(bed)
+        assert bed.sim.obs.registry.instruments("clock.observations") == []

@@ -15,6 +15,7 @@ import pytest
 
 import repro.sim
 from repro.harness.testbed import Testbed
+from repro.kv.distsender import DistSender
 from repro.sim.network import FaultPlane, Network
 from repro.sql import Engine, Session
 from repro.txn import EpochOccProtocol, TransactionCoordinator
@@ -41,6 +42,7 @@ def params(fn):
     (EpochService.__init__, ["self", "cluster", "distsender"]),
     (Session.run_txn_co, ["self", "txn_body", "parent_span"]),
     (Testbed.second_coordinator, ["self"]),
+    (DistSender.__init__, ["self", "cluster"]),
 ], ids=lambda value: getattr(value, "__qualname__", None))
 def test_signature(fn, expected):
     assert params(fn) == expected
