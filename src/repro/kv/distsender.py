@@ -71,24 +71,24 @@ def negotiated_timestamp(servable: Iterable[Timestamp],
 
 
 class _Batch:
-    """One ``read_batch`` / ``write_batch`` / ``resolve_intents`` in
-    flight: ``requests`` — tuples that start ``(token, key)`` — sent as
-    one leaseholder call per owning range.
+    """One ``read_batch`` / ``write_batch`` / ``query_intents`` /
+    ``resolve_intents`` in flight: ``requests`` — tuples that start
+    ``(token, key)`` — sent as one per-range request per owning range.
 
     The requests are grouped through the span cache, in order of first
-    appearance.  A one-key group is ``single(request)`` (today's
-    ``read`` / ``write``, unchanged); a larger one is ``group(members)``,
-    a multi-key ``_leaseholder_call`` whose value lists one result per
-    member.  ``result`` never rejects: it resolves, once every group has
-    settled, with one outcome per request *in request order* — the key's
-    result, or for every key of a group that failed, that group's
-    exception.
+    appearance, and each group is sent as ``handler(members)``: the
+    verb's per-range request, whose value is the member's result for a
+    one-member group and lists one result per member otherwise.
+    ``result`` never rejects: it resolves, once every group has settled,
+    with one outcome per request *in request order* — the key's result,
+    or for every key of a group that failed, that group's exception.
 
     A group bounced with ``RangeKeyMismatch`` (a split or merge landed
     between grouping and serving) can never fit the range it was sent
     to, so it is not retried as it stands: the bounce has invalidated
     the span cache, and the group's keys are partitioned again and
-    re-sent, each new group with the full robustness kit.
+    re-sent, each new group with the full robustness kit.  (A one-key
+    request has a single new owner, and its own call re-routes it.)
     ``RPC_MAX_ATTEMPTS`` bounds the re-partitions of one lineage.
 
     An object with bound-method callbacks, not a pair of closures that
@@ -96,17 +96,13 @@ class _Batch:
     cyclic collector (``tests/test_kv_batch.py::TestNoCyclicGarbage``).
     """
 
-    __slots__ = ("ds", "gateway", "requests", "single", "group",
-                 "record_load", "outcomes", "result", "in_flight")
+    __slots__ = ("ds", "requests", "handler", "outcomes", "result",
+                 "in_flight")
 
-    def __init__(self, ds: "DistSender", gateway, requests, single, group,
-                 record_load: bool = True):
+    def __init__(self, ds: "DistSender", requests, handler):
         self.ds = ds
-        self.gateway = gateway
         self.requests = requests
-        self.single = single
-        self.group = group
-        self.record_load = record_load
+        self.handler = handler
         self.outcomes: List[Any] = [None] * len(requests)
         self.result = Future(ds.cluster.sim)
         self.in_flight = 0
@@ -124,19 +120,8 @@ class _Batch:
             groups.setdefault(resolve(request[0], request[1]),
                               []).append(index)
         self.in_flight += len(groups)
-        for rng, members in groups.items():
-            if len(members) == 1:
-                call = self.single(requests[members[0]])
-            else:
-                if self.record_load:
-                    # Per-key load, as resolve() records for ``single``.
-                    load = rng.descriptor.load
-                    now = self.ds.cluster.sim.now
-                    region = self.gateway.locality.region
-                    for index in members:
-                        load.record(now, key=requests[index][1],
-                                    region=region)
-                call = self.group([requests[index] for index in members])
+        for members in groups.values():
+            call = self.handler([requests[index] for index in members])
             call.add_callback(partial(self.settle, members, attempt))
 
     def settle(self, members: List[int], attempt: int, fut: Future) -> None:
@@ -267,8 +252,7 @@ class DistSender:
             self._timeout_factories[node_id] = factory
         return factory
 
-    def resolve(self, token: Any, key: Any = None, gateway=None,
-                record_load: bool = False) -> Range:
+    def resolve(self, token: Any, key: Any = None) -> Range:
         """Resolve a routing token to the :class:`Range` owning ``key``.
 
         Key-less (transaction records, epoch orders): the token's
@@ -293,11 +277,7 @@ class DistSender:
             self._c_cache_hit.value += 1  # inc(), minus a frame per request
         starts, descriptors = entry
         # starts[0] is /Min, below every encoded key: the index is >= 0.
-        descriptor = descriptors[bisect_right(starts, encode_key(key)) - 1]
-        if record_load and gateway is not None:
-            descriptor.load.record(self.cluster.sim.now, key=key,
-                                   region=gateway.locality.region)
-        return descriptor.rng
+        return descriptors[bisect_right(starts, encode_key(key)) - 1].rng
 
     def _invalidate_token(self, token: Any) -> None:
         """Drop the cached descriptor snapshot after a mismatch bounce."""
@@ -392,22 +372,24 @@ class DistSender:
     def _leaseholder_call(self, gateway, token, handler,
                           span=None, op: str = "kv.rpc",
                           deadline_ms: Optional[float] = None,
-                          key: Any = None,
-                          record_load: bool = False,
-                          keys: int = 1) -> Future:
+                          keys: Sequence[Any] = (),
+                          record_load: bool = False) -> Future:
         """Send ``handler`` to the owning range's leaseholder with the
         full robustness kit: per-RPC timeout, seeded exponential backoff
         with jitter between attempts, a per-replica circuit breaker, and
         automatic lease failover when the leaseholder is unreachable but
         quorum survives (paper §4.1 — previously an operator action).
 
-        ``token`` is re-resolved against ``key`` on *every* attempt, so
-        a split or merge landing mid-call (signalled by a
-        ``RangeKeyMismatch`` bounce, which invalidates the descriptor
-        cache) re-routes the next attempt to the new owner instead of
-        failing the request.  A request carrying several ``keys`` (a
-        batch group, routed by its first) has no single new owner: its
-        bounce is handed back for the caller to re-partition.
+        ``token`` is re-resolved against the first of ``keys`` (none:
+        the token's anchor) on *every* attempt, so a split or merge
+        landing mid-call (signalled by a ``RangeKeyMismatch`` bounce,
+        which invalidates the descriptor cache) re-routes the next
+        attempt of a one-key request to the new owner instead of
+        failing it.  A request carrying several keys (a batch group) has
+        no single new owner: its bounce is handed back for the caller to
+        re-partition.  ``record_load`` counts every key against the
+        range it first resolves to, for load-based splitting and
+        follow-the-workload placement.
 
         ``handler`` takes ``(rng, attempt_span)``: the resolved range
         and the per-attempt span id (0 when untraced) to thread into the
@@ -417,15 +399,21 @@ class DistSender:
         """
         sim = self.cluster.sim
         tracer = self._tracer
+        key = keys[0] if keys else None
+        many = len(keys) > 1
 
         def attempts() -> Generator:
-            rng = self.resolve(token, key, gateway=gateway,
-                               record_load=record_load)
+            rng = self.resolve(token, key)
+            if record_load:
+                load = rng.descriptor.load
+                region = gateway.locality.region
+                for each in keys:
+                    load.record(sim.now, key=each, region=region)
             # ``span`` is 0 for an untraced request (skip the calls) and
             # None for a caller with no trace context (a client entry).
             op_span = (tracer.start(
-                op, span, ("range", rng.name) if keys == 1
-                else ("range", rng.name, "keys", keys))
+                op, span, ("range", rng.name, "keys", len(keys)) if many
+                else ("range", rng.name))
                 if span != 0 else 0)
             try:
                 # Constructed lazily: the zero-retry fast path never
@@ -480,7 +468,7 @@ class DistSender:
                         gateway, dst,
                         lambda _rng=rng, _span=attempt_span: handler(_rng,
                                                                      _span),
-                        payload_size=keys, span=attempt_span)
+                        payload_size=len(keys) or 1, span=attempt_span)
                     timeout_ms = self.RPC_TIMEOUT_MS
                     if deadline_ms is not None:
                         timeout_ms = min(timeout_ms, deadline_ms - sim.now)
@@ -524,7 +512,7 @@ class DistSender:
                         tracer.finish(attempt_span, "error",
                                       "range_key_mismatch")
                         self._invalidate_token(token)
-                        if keys > 1:
+                        if many:
                             raise
                         continue
                     except Exception as err:
@@ -557,6 +545,10 @@ class DistSender:
              deadline_ms: Optional[float] = None) -> Future:
         """Read ``key`` at ``ts``; resolves with (ReadResult, effective_ts).
 
+        One key, because its callers read one: ``NEAREST`` routing picks
+        a replica per key.  ``LEASEHOLDER`` routing is the one-key
+        per-range read request (:meth:`_leaseholder_read`).
+
         ``allow_server_side_bump`` lets the serving replica retry
         uncertainty restarts locally (legal only when the transaction has
         no other spans); otherwise
@@ -570,24 +562,28 @@ class DistSender:
                 return self._follower_read_with_fallback(
                     gateway, token, replica, key, ts, txn_id,
                     uncertainty_limit, allow_server_side_bump, span=span)
-        return self._leaseholder_read(gateway, token, key, ts, txn_id,
+        return self._leaseholder_read(gateway, token, (key,), ts, txn_id,
                                       uncertainty_limit,
                                       allow_server_side_bump, span=span,
                                       deadline_ms=deadline_ms)
 
-    def _leaseholder_read(self, gateway, token, key, ts, txn_id,
+    def _leaseholder_read(self, gateway, token, keys, ts, txn_id,
                           uncertainty_limit,
                           allow_server_side_bump: bool = False,
                           span=None,
                           deadline_ms: Optional[float] = None) -> Future:
+        """The per-range read request: leaseholder reads of ``keys`` —
+        all owned by one range — in one RPC; resolves with ``(ReadResult,
+        effective_ts)`` per key, for one key the bare pair (see
+        :meth:`Range.serve_read`)."""
         return self._leaseholder_call(
             gateway, token,
-            lambda _rng, _span=None: _rng.serve_read(key, ts, txn_id,
+            lambda _rng, _span=None: _rng.serve_read(keys, ts, txn_id,
                                                      uncertainty_limit,
                                                      allow_server_side_bump,
                                                      span=_span,
                                                      deadline_ms=deadline_ms),
-            span=span, op="kv.read", deadline_ms=deadline_ms, key=key,
+            span=span, op="kv.read", deadline_ms=deadline_ms, keys=keys,
             record_load=True)
 
     def _follower_read_with_fallback(self, gateway, token, replica,
@@ -632,7 +628,7 @@ class DistSender:
                 tracer.finish(follower_span, "fallback",
                               type(error).__name__)
                 fallback = self._leaseholder_read(
-                    gateway, token, key, ts, txn_id, uncertainty_limit,
+                    gateway, token, (key,), ts, txn_id, uncertainty_limit,
                     allow_server_side_bump, span=span)
                 fallback.add_callback(
                     lambda f: result.reject(f.error) if f.error is not None
@@ -703,7 +699,7 @@ class DistSender:
                 # the read timestamp (paper §5.3.2).
                 tracer.finish(read_span, "fallback", type(error).__name__)
                 fallback = self._leaseholder_read(
-                    gateway, token, key, min_ts, None, None, span=span)
+                    gateway, token, (key,), min_ts, None, None, span=span)
                 fallback.add_callback(
                     lambda f: result.reject(f.error) if f.error is not None
                     else result.resolve(f._value))
@@ -761,37 +757,41 @@ class DistSender:
 
     # -- writes -------------------------------------------------------------------
 
-    def write(self, gateway, token, key: Any, ts: Timestamp, value: Any,
-              txn_id: int, anchor_node_id: int, span=None,
+    def write(self, gateway, token, items: Sequence[Tuple[Any, Any]],
+              ts: Timestamp, txn_id: int, anchor_node_id: int, span=None,
               deadline_ms: Optional[float] = None, commit: bool = False,
               can_forward: bool = False,
               expect_absent: bool = False,
               pipelined: bool = False) -> Future:
-        """Write an intent; resolves with the timestamp it was laid at —
-        or, asked to ``commit`` in the same consensus round (see
-        :meth:`Range.serve_write`), with ``(ts, committed)``.
-        ``expect_absent`` makes it a conditional put, rejected with
-        :class:`~repro.errors.ConditionFailedError` when the key has a
-        live value.  ``pipelined`` resolves once the intent is proposed,
-        not replicated: the caller owes a :meth:`query_intents` proof.
+        """Write an intent for every ``(key, value)`` of ``items`` — all
+        owned by one range — in one request and one Raft entry; resolves
+        with the timestamp each was laid at (for one item, the bare
+        timestamp) — or, one item asked to ``commit`` in the same
+        consensus round (see :meth:`Range.serve_write`), with ``(ts,
+        committed)``.  ``expect_absent`` makes each a conditional put,
+        rejected with :class:`~repro.errors.ConditionFailedError` when
+        its key has a live value.  ``pipelined`` resolves once the
+        intents are proposed, not replicated: the caller owes a
+        :meth:`query_intents` proof.
 
         Safe to retry: re-laying the same transaction's intent is
         idempotent (it replaces its own intent, which a conditional put
         counts as absent), and a one-phase commit applies at most once.
-        A one-phase write is its transaction's commit RPC, so like every commit RPC it runs deadline-free once
-        sent — giving up on it at the deadline would leave its outcome
-        unknown; the leaseholder still sheds it at admission, unevaluated,
-        when the deadline has passed."""
+        A one-phase write is its transaction's commit RPC, so like every
+        commit RPC it runs deadline-free once sent — giving up on it at
+        the deadline would leave its outcome unknown; the leaseholder
+        still sheds it at admission, unevaluated, when the deadline has
+        passed."""
         return self._leaseholder_call(
             gateway, token,
             lambda _rng, _span=None: _rng.serve_write(
-                key, ts, value, txn_id, anchor_node_id, span=_span,
+                items, ts, txn_id, anchor_node_id, span=_span,
                 deadline_ms=deadline_ms, commit=commit,
                 can_forward=can_forward, expect_absent=expect_absent,
                 pipelined=pipelined, txn_span=span),
             span=span, op="kv.write",
-            deadline_ms=None if commit else deadline_ms, key=key,
-            record_load=True)
+            deadline_ms=None if commit else deadline_ms,
+            keys=[key for key, _value in items], record_load=True)
 
     # -- per-range batching --------------------------------------------------------
 
@@ -804,25 +804,13 @@ class DistSender:
         ``ts``, one RPC per owning range.  Resolves (see
         :class:`_Batch` for the order and failure contract) with a
         ``(ReadResult, effective_ts)`` per request."""
-        def single(request) -> Future:
-            return self.read(gateway, request[0], request[1], ts,
-                             txn_id=txn_id,
-                             uncertainty_limit=uncertainty_limit,
-                             allow_server_side_bump=allow_server_side_bump,
-                             span=span, deadline_ms=deadline_ms)
+        def send(members) -> Future:
+            return self._leaseholder_read(
+                gateway, members[0][0], [key for _token, key in members], ts,
+                txn_id, uncertainty_limit, allow_server_side_bump, span=span,
+                deadline_ms=deadline_ms)
 
-        def group(members) -> Future:
-            keys = [key for _token, key in members]
-            return self._leaseholder_call(
-                gateway, members[0][0],
-                lambda _rng, _span=None: _rng.serve_read_batch(
-                    keys, ts, txn_id, uncertainty_limit,
-                    allow_server_side_bump, span=_span,
-                    deadline_ms=deadline_ms),
-                span=span, op="kv.read", deadline_ms=deadline_ms,
-                key=keys[0], keys=len(keys))
-
-        return _Batch(self, gateway, requests, single, group).result
+        return _Batch(self, requests, send).result
 
     def write_batch(self, gateway, items, ts: Timestamp, txn_id: int,
                     anchor_node_id: int, span=None,
@@ -836,25 +824,15 @@ class DistSender:
         its outcome is an exception, is not known to have laid any
         (``expect_absent``: a live value on one key fails its group).
         Safe to retry, and ``pipelined`` as for :meth:`write`."""
-        def single(item) -> Future:
-            return self.write(gateway, item[0], item[1], ts, item[2],
-                              txn_id, anchor_node_id, span=span,
+        def send(members) -> Future:
+            return self.write(gateway, members[0][0],
+                              [(key, value) for _token, key, value in members],
+                              ts, txn_id, anchor_node_id, span=span,
                               deadline_ms=deadline_ms,
                               expect_absent=expect_absent,
                               pipelined=pipelined)
 
-        def group(members) -> Future:
-            pairs = [(key, value) for _token, key, value in members]
-            return self._leaseholder_call(
-                gateway, members[0][0],
-                lambda _rng, _span=None: _rng.serve_write_batch(
-                    pairs, ts, txn_id, anchor_node_id, span=_span,
-                    deadline_ms=deadline_ms, expect_absent=expect_absent,
-                    pipelined=pipelined, txn_span=span),
-                span=span, op="kv.write", deadline_ms=deadline_ms,
-                key=pairs[0][0], keys=len(pairs))
-
-        return _Batch(self, gateway, items, single, group).result
+        return _Batch(self, items, send).result
 
     def query_intents(self, gateway, writes, txn_id: int, span=None,
                       deadline_ms: Optional[float] = None) -> Future:
@@ -863,17 +841,16 @@ class DistSender:
         so safe to retry).  Resolves with ``None`` per write, or its
         group's exception — :class:`~repro.errors.TransactionRetryError`
         for a lost write."""
-        def group(members) -> Future:
+        def send(members) -> Future:
             pairs = tuple((key, value) for _token, key, value in members)
             return self._leaseholder_call(
                 gateway, members[0][0],
                 lambda _rng, _span=None: _rng.serve_query_intents(
                     pairs, txn_id, span=_span),
                 span=span, op="kv.query_intents", deadline_ms=deadline_ms,
-                key=pairs[0][0], keys=len(pairs))
+                keys=[key for key, _value in pairs])
 
-        return _Batch(self, gateway, writes, lambda write: group([write]),
-                      group, record_load=False).result
+        return _Batch(self, writes, send).result
 
     def locking_read(self, gateway, token, key: Any, ts: Timestamp,
                      txn_id: int, anchor_node_id: int, span=None,
@@ -884,8 +861,8 @@ class DistSender:
             lambda _rng, _span=None: _rng.serve_locking_read(
                 key, ts, txn_id, anchor_node_id, span=_span,
                 deadline_ms=deadline_ms),
-            span=span, op="kv.locking_read", deadline_ms=deadline_ms, key=key,
-            record_load=True)
+            span=span, op="kv.locking_read", deadline_ms=deadline_ms,
+            keys=(key,), record_load=True)
 
     def refresh(self, gateway, token, key: Any, lo: Timestamp,
                 hi: Timestamp, txn_id: int, span=None,
@@ -894,7 +871,7 @@ class DistSender:
             gateway, token,
             lambda _rng, _span=None: _rng.serve_refresh(key, lo, hi, txn_id,
                                                         span=_span),
-            span=span, op="kv.refresh", deadline_ms=deadline_ms, key=key)
+            span=span, op="kv.refresh", deadline_ms=deadline_ms, keys=(key,))
 
     def write_txn_record(self, gateway, token, txn_id: int, status: str,
                          commit_ts: Optional[Timestamp], span=None,
@@ -929,17 +906,16 @@ class DistSender:
                 epoch, tuple(txn_ids), span=_span),
             span=span, op="kv.epoch_order")
 
-    def resolve_intent(self, gateway, token, key: Any, txn_id: int,
-                       commit_ts: Optional[Timestamp], span=None,
-                       more_keys: tuple = ()) -> Future:
-        """Resolve ``key``'s intent — and, in the same RPC and Raft
-        entry, those of ``more_keys`` on the same range."""
+    def resolve_intent(self, gateway, token, keys: Sequence[Any],
+                       txn_id: int, commit_ts: Optional[Timestamp],
+                       span=None) -> Future:
+        """Resolve ``txn_id``'s intents on ``keys`` — all owned by one
+        range — in one RPC and one Raft entry."""
         return self._leaseholder_call(
             gateway, token,
             lambda _rng, _span=None: _rng.serve_resolve_intent(
-                key, txn_id, commit_ts, span=_span, more_keys=more_keys),
-            span=span, op="kv.resolve_intent", key=key,
-            keys=1 + len(more_keys))
+                keys, txn_id, commit_ts, span=_span),
+            span=span, op="kv.resolve_intent", keys=keys)
 
     def resolve_intents(self, gateway, spans: Sequence[Tuple[Any, Any]],
                         txn_id: int, commit_ts: Optional[Timestamp],
@@ -953,16 +929,12 @@ class DistSender:
             result.resolve(None)
             return result
 
-        def single(request) -> Future:
-            return self.resolve_intent(gateway, request[0], request[1],
-                                       txn_id, commit_ts, span=span)
-
-        def group(members) -> Future:
-            self._c_resolve_batches.value += 1
+        def send(members) -> Future:
+            if len(members) > 1:
+                self._c_resolve_batches.value += 1
             return self.resolve_intent(
-                gateway, members[0][0], members[0][1], txn_id, commit_ts,
-                span=span,
-                more_keys=tuple(key for _token, key in members[1:]))
+                gateway, members[0][0], [key for _token, key in members],
+                txn_id, commit_ts, span=span)
 
         def settle(fut: Future) -> None:
             for outcome in fut._value:
@@ -971,6 +943,5 @@ class DistSender:
                     return
             result.resolve(None)
 
-        _Batch(self, gateway, spans, single, group,
-               record_load=False).result.add_callback(settle)
+        _Batch(self, spans, send).result.add_callback(settle)
         return result

@@ -648,81 +648,51 @@ class Range:
         self.lock_table.note_holder(key, txn_id, ts)
         return ts
 
-    def serve_write(self, key: Any, ts: Timestamp, value: Any, txn_id: int,
+    def serve_write(self, items, ts: Timestamp, txn_id: int,
                     anchor_node_id: int, span=None,
                     deadline_ms: Optional[float] = None,
                     commit: bool = False,
                     can_forward: bool = False,
                     expect_absent: bool = False,
                     pipelined: bool = False, txn_span=0) -> Generator:
-        """Evaluate and replicate a transactional write; returns the
-        (possibly advanced) timestamp the intent was written at.
+        """Evaluate transactional writes — ``items`` is ``[(key,
+        value)]``, all owned by this range — and replicate them as *one*
+        Raft entry; returns the (possibly advanced) timestamp each
+        intent was written at, in item order — for one item, the bare
+        timestamp of a bare ``PutIntentCommand``.
 
-        ``expect_absent`` makes it a conditional put: the intent is laid
-        only if the key has no live value (:meth:`_evaluate_write`),
-        else :class:`ConditionFailedError` — before anything is latched.
+        No key is latched until every key has passed one yield-free
+        evaluation pass (:meth:`_evaluate_write`; after any lock wait
+        the pass starts over from the first key), so a request that
+        fails on one key — deadlock abort, mismatch, shed, a failed
+        ``expect_absent`` condition — leaves no lock-table holder behind
+        on the others.
 
-        ``pipelined`` answers once the intent is evaluated, latched and
-        proposed: the proposal is traced under ``txn_span`` (it outlives
-        this request) and waits in :attr:`pipelined` for the
-        transaction's proof or its next request on the key.
+        ``expect_absent`` makes each write a conditional put: the intent
+        is laid only if the key has no live value, else
+        :class:`ConditionFailedError` — before anything is latched.
 
-        ``commit`` asks for a one-phase commit — the transaction's only
-        write, its commit record and the intent's resolution as *one*
-        Raft entry, so no replica ever exposes the intent — and makes
-        the return value ``(ts, committed)``.  It is granted when
-        evaluation left ``ts`` where the transaction reads, or the
-        transaction ``can_forward`` its timestamp (it has no read spans
-        to refresh); otherwise the plain intent is laid.  The record in
-        the entry is what makes a re-sent request harmless: it is
-        answered from the record, and the replicas drop a second
+        ``pipelined`` answers once the intents are evaluated, latched
+        and proposed: the proposal is traced under ``txn_span`` (it
+        outlives this request) and waits in :attr:`pipelined` for the
+        transaction's proof or its next request on each key.
+
+        ``commit`` (one item only) asks for a one-phase commit — the
+        transaction's only write, its commit record and the intent's
+        resolution as *one* Raft entry, so no replica ever exposes the
+        intent — and makes the return value ``(ts, committed)``.  It is
+        granted when evaluation left ``ts`` where the transaction reads,
+        or the transaction ``can_forward`` its timestamp (it has no read
+        spans to refresh); otherwise the plain intent is laid.  The
+        record in the entry is what makes a re-sent request harmless: it
+        is answered from the record, and the replicas drop a second
         application.
         """
-        self._count_writes(1)
+        self._count_writes(len(items))
         if commit:
             record = self.leaseholder_replica.committed(txn_id)
             if record is not None:
                 return record.commit_ts, True
-        yield from self._admit(ts, deadline_ms)
-        requested = ts
-        ts = yield from self._await_write(key, ts, txn_id, span,
-                                          expect_absent)
-        ts = self._latch_write(key, ts, txn_id)
-        put = PutIntentCommand(key=key, ts=ts, value=value, txn_id=txn_id,
-                               anchor_node_id=anchor_node_id)
-        if pipelined:
-            self.pipelined[(txn_id, key)] = self._propose(put, span=txn_span)
-            return ts
-        if not commit or (ts != requested and not can_forward):
-            yield self._propose(put, span=span)
-            return (ts, False) if commit else ts
-        resolve = ResolveIntentCommand(key=key, txn_id=txn_id, commit_ts=ts)
-        yield self._propose(BatchCommand(
-            (put, SetTxnRecordCommand(txn_id, TxnStatus.COMMITTED, ts, key),
-             resolve) if self.commit_marker else (put, resolve)), span=span)
-        # An earlier attempt's entry may have applied first: its record
-        # (and timestamp) is the one that stands.
-        record = self.leaseholder_replica.committed(txn_id)
-        return (ts if record is None else record.commit_ts), True
-
-    def serve_write_batch(self, items, ts: Timestamp, txn_id: int,
-                          anchor_node_id: int, span=None,
-                          deadline_ms: Optional[float] = None,
-                          expect_absent: bool = False,
-                          pipelined: bool = False, txn_span=0) -> Generator:
-        """Evaluate several writes — ``items`` is ``[(key, value)]``, all
-        owned by this range — and replicate them as *one* Raft entry;
-        returns the intent timestamps in item order (``pipelined``: at
-        the proposal, as for :meth:`serve_write`).
-
-        Each key gets :meth:`serve_write`'s evaluation.  No key is
-        latched until every key has passed in one yield-free pass (after
-        any lock wait the pass starts over from the first key), so a
-        request that fails on one key — deadlock abort, mismatch, shed,
-        a failed ``expect_absent`` condition — leaves no lock-table
-        holder behind on the others.
-        """
-        self._count_writes(len(items))
         yield from self._admit(ts, deadline_ms, units=len(items))
         stamps = [ts] * len(items)
         index = 0
@@ -741,13 +711,28 @@ class Range:
             commands.append(PutIntentCommand(
                 key=key, ts=stamps[index], value=value, txn_id=txn_id,
                 anchor_node_id=anchor_node_id))
-        if not pipelined:
-            yield self._propose(BatchCommand(tuple(commands)), span=span)
-            return stamps
-        proposal = self._propose(BatchCommand(tuple(commands)), span=txn_span)
-        for key, _value in items:
-            self.pipelined[(txn_id, key)] = proposal
-        return stamps
+        put = commands[0] if len(commands) == 1 else BatchCommand(
+            tuple(commands))
+        written = stamps[0] if len(stamps) == 1 else stamps
+        if pipelined:
+            proposal = self._propose(put, span=txn_span)
+            for key, _value in items:
+                self.pipelined[(txn_id, key)] = proposal
+            return written
+        if not commit or (written != ts and not can_forward):
+            yield self._propose(put, span=span)
+            return (written, False) if commit else written
+        key = items[0][0]
+        resolve = ResolveIntentCommand(key=key, txn_id=txn_id,
+                                       commit_ts=written)
+        yield self._propose(BatchCommand(
+            (put, SetTxnRecordCommand(txn_id, TxnStatus.COMMITTED, written,
+                                      key),
+             resolve) if self.commit_marker else (put, resolve)), span=span)
+        # An earlier attempt's entry may have applied first: its record
+        # (and timestamp) is the one that stands.
+        record = self.leaseholder_replica.committed(txn_id)
+        return (written if record is None else record.commit_ts), True
 
     def serve_locking_read(self, key: Any, ts: Timestamp, txn_id: int,
                            anchor_node_id: int, span=None,
@@ -775,72 +760,66 @@ class Range:
         self.ts_cache.record_read(key, ts, txn_id)
         return newest.value, ts
 
-    def serve_read(self, key: Any, ts: Timestamp, txn_id: Optional[int],
+    def serve_read(self, keys, ts: Timestamp, txn_id: Optional[int],
                    uncertainty_limit: Optional[Timestamp],
                    allow_server_side_bump: bool = False,
                    span=None, deadline_ms: Optional[float] = None
                    ) -> Generator:
-        """Leaseholder read at ``ts``; blocks on conflicting locks.
+        """Leaseholder reads of ``keys`` — all owned by this range — at
+        ``ts``, in order; each blocks on conflicting locks.  A request
+        the range no longer owns in full bounces before any key is read.
 
-        Returns ``(ReadResult, effective_read_ts)``.  With
-        ``allow_server_side_bump`` (transaction has no other spans) an
-        uncertainty restart is retried here at the value's timestamp
-        instead of costing the coordinator another WAN round trip;
-        otherwise ``ReadWithinUncertaintyIntervalError`` propagates and
-        the coordinator refreshes.
+        Returns ``(ReadResult, effective_read_ts)`` per key — for one
+        key, the bare pair.  With ``allow_server_side_bump``
+        (transaction has no other spans) an uncertainty restart is
+        retried here at the value's timestamp instead of costing the
+        coordinator another WAN round trip; otherwise
+        ``ReadWithinUncertaintyIntervalError`` propagates and the
+        coordinator refreshes.
         """
         if self._c_reads is None:
             self._c_reads = self.sim.obs.registry.counter(
                 "kv.reads", range=self.name)
-        self._c_reads.value += 1
-        yield from self._admit(ts, deadline_ms)
-        if self.pipelined:
-            yield from self._await_pipelined(txn_id, key)
-        horizon = uncertainty_limit if uncertainty_limit is not None else ts
-        while True:
-            self._check_owns(key)
-            holder = self.lock_table.holder_of(key)
-            if (holder is not None and holder.txn_id != txn_id
-                    and holder.ts <= horizon):
-                yield from self._wait_or_push(key, txn_id, holder.txn_id,
-                                              span=span)
-                continue
-            try:
-                result = self.leaseholder_replica.store.get(
-                    key, ts, txn_id=txn_id, uncertainty_limit=uncertainty_limit)
-            except WriteIntentError as err:
-                self.lock_table.note_holder(key, err.txn_id, err.intent_ts)
-                yield from self._wait_or_push(key, txn_id, err.txn_id,
-                                              span=span)
-                continue
-            except ReadWithinUncertaintyIntervalError as err:
-                if not allow_server_side_bump:
-                    raise
-                ts = err.value_ts
-                if ts > horizon:
-                    horizon = ts
-                continue
-            self.ts_cache.record_read(key, ts, txn_id)
-            return result, ts
-
-    def serve_read_batch(self, keys, ts: Timestamp, txn_id: Optional[int],
-                         uncertainty_limit: Optional[Timestamp],
-                         allow_server_side_bump: bool = False,
-                         span=None, deadline_ms: Optional[float] = None
-                         ) -> Generator:
-        """Serve several reads — ``keys`` all owned by this range — in
-        one leaseholder visit: :meth:`serve_read` per key, in order;
-        returns the ``(ReadResult, effective_read_ts)`` list.  A group
-        the range no longer owns in full bounces before any key is
-        served."""
         for key in keys:
             self._check_owns(key)
         results = []
         for key in keys:
-            results.append((yield from self.serve_read(
-                key, ts, txn_id, uncertainty_limit, allow_server_side_bump,
-                span=span, deadline_ms=deadline_ms)))
-        return results
+            self._c_reads.value += 1
+            yield from self._admit(ts, deadline_ms)
+            if self.pipelined:
+                yield from self._await_pipelined(txn_id, key)
+            read_ts = ts
+            horizon = (uncertainty_limit if uncertainty_limit is not None
+                       else ts)
+            while True:
+                self._check_owns(key)
+                holder = self.lock_table.holder_of(key)
+                if (holder is not None and holder.txn_id != txn_id
+                        and holder.ts <= horizon):
+                    yield from self._wait_or_push(key, txn_id, holder.txn_id,
+                                                  span=span)
+                    continue
+                try:
+                    result = self.leaseholder_replica.store.get(
+                        key, read_ts, txn_id=txn_id,
+                        uncertainty_limit=uncertainty_limit)
+                except WriteIntentError as err:
+                    self.lock_table.note_holder(key, err.txn_id,
+                                                err.intent_ts)
+                    yield from self._wait_or_push(key, txn_id, err.txn_id,
+                                                  span=span)
+                    continue
+                except ReadWithinUncertaintyIntervalError as err:
+                    if not allow_server_side_bump:
+                        raise
+                    read_ts = err.value_ts
+                    if read_ts > horizon:
+                        horizon = read_ts
+                    continue
+                self.ts_cache.record_read(key, read_ts, txn_id)
+                results.append((result, read_ts))
+                break
+        return results[0] if len(results) == 1 else results
 
     def serve_refresh(self, key: Any, lo: Timestamp, hi: Timestamp,
                       txn_id: int, span=None) -> Generator:
@@ -916,31 +895,26 @@ class Range:
         del entry
         return None
 
-    def serve_resolve_intent(self, key: Any, txn_id: int,
+    def serve_resolve_intent(self, keys, txn_id: int,
                              commit_ts: Optional[Timestamp],
-                             span=None, more_keys: tuple = ()) -> Generator:
-        """Replicate intent resolution; lock waiters release on apply.
-
-        ``more_keys`` (a per-range resolve group) ride in the same Raft
-        entry; the group's value is one ``None`` per key.  A rollback's
-        resolve also ends the keys' unproven pipelined writes: its entry
-        applies after theirs."""
-        self._check_owns(key)
+                             span=None) -> Generator:
+        """Replicate the resolution of ``txn_id``'s intents on ``keys``
+        — all owned by this range — as one Raft entry (for one key, a
+        bare ``ResolveIntentCommand``); lock waiters release on apply.
+        The value is one ``None`` per key — for one key, ``None``.  A
+        rollback's resolve also ends the keys' unproven pipelined
+        writes: its entry applies after theirs."""
+        for key in keys:
+            self._check_owns(key)
         if self.pipelined:
-            for member in (key,) + more_keys:
-                self.pipelined.pop((txn_id, member), None)
-        if not more_keys:
-            yield self._propose(ResolveIntentCommand(
-                key=key, txn_id=txn_id, commit_ts=commit_ts), span=span)
-            return None
-        keys = (key,) + more_keys
-        for member in more_keys:
-            self._check_owns(member)
-        yield self._propose(BatchCommand(tuple(
-            ResolveIntentCommand(key=member, txn_id=txn_id,
-                                 commit_ts=commit_ts)
-            for member in keys)), span=span)
-        return (None,) * len(keys)
+            for key in keys:
+                self.pipelined.pop((txn_id, key), None)
+        commands = tuple(ResolveIntentCommand(key=key, txn_id=txn_id,
+                                              commit_ts=commit_ts)
+                         for key in keys)
+        yield self._propose(commands[0] if len(commands) == 1
+                            else BatchCommand(commands), span=span)
+        return None if len(keys) == 1 else (None,) * len(keys)
 
     # -- bulk ingestion -------------------------------------------------------------
 

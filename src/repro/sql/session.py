@@ -150,12 +150,9 @@ class _StaleReadTxn:
                 if self.nearest_only:
                     raise
                 # Redirect the whole batch to leaseholders at the bound.
-                futures = [
-                    ds._leaseholder_read(self.gateway, rng, key,
-                                         self.read_ts, None, None,
-                                         span=self.span)
-                    for rng, key in requests
-                ]
+                futures = [ds.read(self.gateway, rng, key, self.read_ts,
+                                   span=self.span)
+                           for rng, key in requests]
                 results = yield all_of(self.engine.cluster.sim, futures)
                 for (rng, key), (result, served_ts) in zip(requests, results):
                     self._note_read(rng, key, result,

@@ -156,9 +156,7 @@ class Transaction:
                 value_ts = err.value_ts
                 self.coordinator.note_uncertainty_restart(value_ts)
                 yield from self._refresh_to(value_ts.with_synthetic(False))
-                if value_ts.synthetic or value_ts.physical > \
-                        self.gateway.clock.physical_now():
-                    self._note_future_observation(value_ts)
+                self._note_future_observation(value_ts)
                 continue
             if effective_ts > self.read_ts:
                 # Server-side uncertainty bump (only legal with no spans).
@@ -166,9 +164,7 @@ class Transaction:
                 self.read_ts = effective_ts.with_synthetic(False)
                 if self.write_ts < self.read_ts:
                     self.write_ts = self.read_ts
-                if effective_ts.synthetic or effective_ts.physical > \
-                        self.gateway.clock.physical_now():
-                    self._note_future_observation(effective_ts)
+                self._note_future_observation(effective_ts)
             self.read_set.append((rng, key))
             recorder = self.coordinator.recorder
             if recorder is not None:
@@ -197,9 +193,7 @@ class Transaction:
                 value_ts = err.value_ts
                 self.coordinator.note_uncertainty_restart(value_ts)
                 yield from self._refresh_to(value_ts.with_synthetic(False))
-                if value_ts.synthetic or value_ts.physical > \
-                        self.gateway.clock.physical_now():
-                    self._note_future_observation(value_ts)
+                self._note_future_observation(value_ts)
                 continue
             recorder = self.coordinator.recorder
             for (rng, key), (result, _ts) in zip(requests, results):
@@ -227,9 +221,7 @@ class Transaction:
         real_lock_ts = lock_ts.with_synthetic(False)
         if real_lock_ts > self.read_ts:
             yield from self._refresh_to(real_lock_ts)
-        if lock_ts.synthetic or lock_ts.physical > \
-                self.gateway.clock.physical_now():
-            self._note_future_observation(lock_ts)
+        self._note_future_observation(lock_ts)
         self.read_set.append((rng, key))
         recorder = self.coordinator.recorder
         if recorder is not None:
@@ -237,6 +229,11 @@ class Transaction:
         return value
 
     def _note_future_observation(self, ts: Timestamp) -> None:
+        """Owe a commit wait for an observed ``ts`` that is synthetic or
+        ahead of the gateway's clock."""
+        if not (ts.synthetic
+                or ts.physical > self.gateway.clock.physical_now()):
+            return
         if (self.observed_future_ts is None
                 or ts > self.observed_future_ts):
             self.observed_future_ts = ts
@@ -299,8 +296,8 @@ class Transaction:
         try:
             # The intent's timestamp — or, one-phase, (ts, committed).
             reply = yield ds.write(
-                self.gateway, rng, key, self.write_ts, value, self.txn_id,
-                anchor_node_id=anchor_node, span=self.span,
+                self.gateway, rng, ((key, value),), self.write_ts,
+                self.txn_id, anchor_node_id=anchor_node, span=self.span,
                 deadline_ms=self.deadline_ms, commit=one_phase,
                 can_forward=one_phase and not self.read_set,
                 expect_absent=expect_absent, pipelined=pipelined)
@@ -329,16 +326,7 @@ class Transaction:
                 self.commit_ts = written_ts
             else:
                 coordinator.stats.c_one_phase_fallbacks.value += 1
-        if written_ts > self.write_ts:
-            self.write_ts = written_ts
-        if self.commit_ts is None:
-            self._note_write(rng, key, value, pipelined)
-        recorder = coordinator.recorder
-        if recorder is not None:
-            if expect_absent:
-                # What the leaseholder saw under the intent's latch.
-                recorder.on_locking_read(self, rng, key, None)
-            recorder.on_write(self, rng, key, value, written_ts)
+        self._wrote(rng, key, value, written_ts, expect_absent, pipelined)
         return written_ts
 
     def write_batch(self, items: List[Tuple[Range, Any, Any]],
@@ -384,23 +372,32 @@ class Transaction:
             expect_absent=expect_absent, pipelined=pipelined)
         first_error: Optional[BaseException] = None
         written: List[Timestamp] = []
-        recorder = self.coordinator.recorder
         for (rng, key, value), ts in zip(items, outcomes):
             if isinstance(ts, BaseException):
                 if first_error is None:
                     first_error = ts
                 continue
             written.append(ts)
-            if ts > self.write_ts:
-                self.write_ts = ts
-            self._note_write(rng, key, value, pipelined)
-            if recorder is not None:
-                if expect_absent:
-                    recorder.on_locking_read(self, rng, key, None)
-                recorder.on_write(self, rng, key, value, ts)
+            self._wrote(rng, key, value, ts, expect_absent, pipelined)
         if first_error is not None:
             raise first_error
         return written
+
+    def _wrote(self, rng: Range, key: Any, value: Any, ts: Timestamp,
+               expect_absent: bool, pipelined: bool) -> None:
+        """After an intent landed at ``ts`` (or a one-phase commit):
+        lift the write timestamp, join the write set unless committed,
+        and tell the history recorder."""
+        if ts > self.write_ts:
+            self.write_ts = ts
+        if self.commit_ts is None:
+            self._note_write(rng, key, value, pipelined)
+        recorder = self.coordinator.recorder
+        if recorder is not None:
+            if expect_absent:
+                # What the leaseholder saw under the intent's latch.
+                recorder.on_locking_read(self, rng, key, None)
+            recorder.on_write(self, rng, key, value, ts)
 
     def _note_write(self, rng: Range, key: Any, value: Any = None,
                     pipelined: bool = False) -> None:

@@ -1,9 +1,11 @@
 """Per-range batching: ``DistSender.read_batch`` / ``write_batch`` /
-``resolve_intents``, ``Range.serve_read_batch`` / ``serve_write_batch``
-/ ``serve_resolve_intent`` groups and ``BatchCommand``.
+``resolve_intents`` send one ``read`` / ``write`` / ``resolve_intent``
+request per owning range, which ``Range.serve_read`` / ``serve_write``
+/ ``serve_resolve_intent`` serve — several keys in one visit and one
+``BatchCommand``, one key as the bare command.
 
-The batched path is the per-key path with fewer messages, so most of
-this file is differential: same results, same replicated state, same
+A batch is its one-key requests with fewer messages, so most of this
+file is differential: same results, same replicated state, same
 leaseholder state — and then the things only a batch can get wrong:
 its message budget, a split landing between grouping and serving,
 a group failing beside groups that succeeded, and latches left behind
@@ -130,7 +132,7 @@ class TestBatchedEqualsPerKey:
                     write_ts, 2, anchor_node_id=gateway.node_id))
             else:
                 stamps = [fut.value for fut in run(bed, settle_all(bed.sim, [
-                    ds.write(gateway, span, key, write_ts, f"w{key}", 2,
+                    ds.write(gateway, span, [(key, f"w{key}")], write_ts, 2,
                              anchor_node_id=gateway.node_id)
                     for key in write_keys]))]
             laid = leaseholder_state(span)
@@ -298,8 +300,9 @@ class TestSplitRace:
         ts = bed.gateway(HOME).clock.now()
         before = leaseholder_state(span)
         for handler in (
-                left.serve_read_batch([0, 5], ts, 1, None),
-                left.serve_write_batch([(0, "w"), (5, "w")], ts, 1, -1)):
+                left.serve_read([0, 5], ts, 1, None),
+                left.serve_write([(0, "w"), (5, "w")], ts, 1, -1),
+                left.serve_resolve_intent([0, 5], 1, None)):
             process = bed.sim.spawn(handler)
             bed.sim.run_until_future(settle_all(bed.sim, [process]))
             assert isinstance(process.error, RangeKeyMismatchError)
@@ -314,7 +317,7 @@ class TestNoLatchLeak:
         ts = gateway.clock.now()
         # Transaction 100 holds key 2 and (says the wait graph) already
         # waits on 200: 200 waiting on 100 closes the cycle.
-        run(bed, bed.ds.write(gateway, span, 2, ts, "held", 100,
+        run(bed, bed.ds.write(gateway, span, [(2, "held")], ts, 100,
                               anchor_node_id=gateway.node_id))
         bed.cluster.wait_graph.add_edge(100, 200)
         outcomes = run(bed, bed.ds.write_batch(
@@ -336,21 +339,21 @@ class TestNoLatchLeak:
         gateway = bed.gateway(HOME)
         sim = bed.sim
         ts = gateway.clock.now()
-        run(bed, bed.ds.write(gateway, span, 2, ts, "held", 100,
+        run(bed, bed.ds.write(gateway, span, [(2, "held")], ts, 100,
                               anchor_node_id=gateway.node_id))
         batch = bed.ds.write_batch(
             gateway, [(span, key, "w") for key in range(4)],
             gateway.clock.now(), 200, anchor_node_id=gateway.node_id)
         sim.run(until=sim.now + 10.0)  # parked on key 2
         assert not batch.done and rng.lock_table.holder_of(0) is None
-        run(bed, bed.ds.write(gateway, span, 0, gateway.clock.now(),
-                              "sneaked", 300,
+        run(bed, bed.ds.write(gateway, span, [(0, "sneaked")],
+                              gateway.clock.now(), 300,
                               anchor_node_id=gateway.node_id))
-        run(bed, bed.ds.resolve_intent(gateway, span, 2, 100, ts))
+        run(bed, bed.ds.resolve_intent(gateway, span, [2], 100, ts))
         sim.run(until=sim.now + 10.0)  # woken, re-checked, parked on key 0
         assert not batch.done and rng.lock_table.holder_of(1) is None
         first = rng.lock_table.holder_of(0)
-        run(bed, bed.ds.resolve_intent(gateway, span, 0, 300, first.ts))
+        run(bed, bed.ds.resolve_intent(gateway, span, [0], 300, first.ts))
         stamps = run(bed, batch)
         assert stamps[0] > first.ts  # written over the sneaked version
         store = rng.leaseholder_replica.store

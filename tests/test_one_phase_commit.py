@@ -10,8 +10,10 @@ a write whose fate nobody can learn is an ``AmbiguousCommitError``, never
 a second run of the transaction body.
 """
 
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import AmbiguousCommitError
 from repro.kv.commands import (
@@ -396,7 +398,7 @@ class TestAtMostOnce:
         bed, rng = make_bed()
         ts = bed.gateway(HOME).clock.now()
         first, second = (
-            bed.sim.spawn(rng.serve_write("k", ts, "once", 7, -1,
+            bed.sim.spawn(rng.serve_write([("k", "once")], ts, 7, -1,
                                           commit=True, can_forward=True))
             for _ in range(2))
         bed.sim.run_until_future(settle_all(bed.sim, [first, second]))
@@ -722,12 +724,25 @@ PLANS = st.lists(
     min_size=1, max_size=8)
 
 
+def untagged(value):
+    """A written value without the ``@attempt`` tag that wrote it."""
+    if isinstance(value, list):
+        return [untagged(item) for item in value]
+    return value.split("@")[0] if isinstance(value, str) else value
+
+
 class TestMarksChangeNothingButTheCost:
     @settings(max_examples=8, deadline=None)
     @given(plans=PLANS)
+    # A retried attempt once rewrote its first attempt's value, which
+    # the checker (rightly) cannot tell apart: duplicate-write and G1a.
+    @example(plans=[(0, [(2, "write")]), (0, [(2, "write"), (2, "read")])])
     def test_same_contents_and_same_verdict_without_the_marks(self, plans):
         outcomes = []
         for marked in (True, False):
+            # Every attempt writes values of its own, as the verify
+            # generator's do; the marks may change how many there are.
+            attempts = itertools.count()
             harness = VerifyHarness(seed=3)
             harness._init_keys()
             harness.sim.run(until=harness.sim.now + 600.0)
@@ -739,9 +754,10 @@ class TestMarksChangeNothingButTheCost:
                 def txn_fn(txn, steps=steps, number=number):
                     if not marked:
                         txn = _Unmarked(txn)
+                    attempt = next(attempts)
                     for step, (index, action) in enumerate(steps, 1):
                         table, key, kind = keys[index]
-                        value = f"p{number}:{step}"
+                        value = f"p{number}:{step}@{attempt}"
                         if action == "read":
                             yield from txn.read(table, key)
                             continue
@@ -760,7 +776,7 @@ class TestMarksChangeNothingButTheCost:
             report = check(harness.recorder.finalize())
             contents = {
                 f"{table.name}/{key}": [
-                    value for _ts, value in versions(table, key)]
+                    untagged(value) for _ts, value in versions(table, key)]
                 for table, key, _kind in keys}
             outcomes.append((contents, report.ok,
                              sorted(a.type for a in report.anomalies)))

@@ -15,7 +15,8 @@ import pytest
 
 import repro.sim
 from repro.harness.testbed import Testbed
-from repro.kv.distsender import DistSender
+from repro.kv.distsender import DistSender, _Batch
+from repro.kv.range import Range
 from repro.sim.network import FaultPlane, Network
 from repro.sql import Engine, Session
 from repro.txn import EpochOccProtocol, TransactionCoordinator
@@ -43,6 +44,37 @@ def params(fn):
     (Session.run_txn_co, ["self", "txn_body", "parent_span"]),
     (Testbed.second_coordinator, ["self"]),
     (DistSender.__init__, ["self", "cluster"]),
+    # One request per range, whatever its size: one key is a batch of
+    # one.  ``read`` stays one key: its NEAREST routing picks a replica
+    # per key, and its LEASEHOLDER routing is ``_leaseholder_read``.
+    (Range.serve_read,
+     ["self", "keys", "ts", "txn_id", "uncertainty_limit",
+      "allow_server_side_bump", "span", "deadline_ms"]),
+    (Range.serve_write,
+     ["self", "items", "ts", "txn_id", "anchor_node_id", "span",
+      "deadline_ms", "commit", "can_forward", "expect_absent", "pipelined",
+      "txn_span"]),
+    (Range.serve_resolve_intent,
+     ["self", "keys", "txn_id", "commit_ts", "span"]),
+    (DistSender.read,
+     ["self", "gateway", "token", "key", "ts", "txn_id",
+      "uncertainty_limit", "routing", "allow_server_side_bump", "span",
+      "deadline_ms"]),
+    (DistSender._leaseholder_read,
+     ["self", "gateway", "token", "keys", "ts", "txn_id",
+      "uncertainty_limit", "allow_server_side_bump", "span",
+      "deadline_ms"]),
+    (DistSender.write,
+     ["self", "gateway", "token", "items", "ts", "txn_id", "anchor_node_id",
+      "span", "deadline_ms", "commit", "can_forward", "expect_absent",
+      "pipelined"]),
+    (DistSender.resolve_intent,
+     ["self", "gateway", "token", "keys", "txn_id", "commit_ts", "span"]),
+    (DistSender.resolve, ["self", "token", "key"]),
+    (DistSender._leaseholder_call,
+     ["self", "gateway", "token", "handler", "span", "op", "deadline_ms",
+      "keys", "record_load"]),
+    (_Batch.__init__, ["self", "ds", "requests", "handler"]),
 ], ids=lambda value: getattr(value, "__qualname__", None))
 def test_signature(fn, expected):
     assert params(fn) == expected
@@ -66,3 +98,11 @@ def test_one_form_per_fault():
         assert not hasattr(Network, name), name
     assert not hasattr(Network, "revive_node")
     assert not hasattr(repro.sim, "quorum_of")
+
+
+def test_one_serve_method_per_verb():
+    for name in ("serve_read_batch", "serve_write_batch"):
+        assert not hasattr(Range, name), name
+    for name, member in vars(DistSender).items():
+        if inspect.isfunction(member):
+            assert "more_keys" not in params(member), name

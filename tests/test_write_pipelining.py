@@ -30,8 +30,8 @@ TXN = 7
 
 def pipelined_write(bed, rng, key="k", value="v"):
     gateway = bed.gateway(HOME)
-    return bed.ds.write(gateway, rng, key, gateway.clock.now(), value, TXN,
-                        -1, pipelined=True)
+    return bed.ds.write(gateway, rng, [(key, value)], gateway.clock.now(),
+                        TXN, -1, pipelined=True)
 
 
 def prove(bed, *writes):
@@ -457,14 +457,13 @@ class TestNeverPipelined:
     def test_an_epoch_occ_apply(self, monkeypatch):
         bed, rng = make_bed()
         asked = []
-        for name in ("serve_write", "serve_write_batch"):
-            serve = getattr(Range, name)
+        serve = Range.serve_write
 
-            def spying(self, *args, _serve=serve, **kwargs):
-                asked.append(kwargs.get("pipelined", False))
-                return _serve(self, *args, **kwargs)
+        def spying(self, *args, **kwargs):
+            asked.append(kwargs.get("pipelined", False))
+            return serve(self, *args, **kwargs)
 
-            monkeypatch.setattr(Range, name, spying)
+        monkeypatch.setattr(Range, "serve_write", spying)
         coord = TransactionCoordinator(bed.cluster, protocol="epoch-occ")
 
         def txn_fn(txn):
