@@ -7,36 +7,39 @@ reads fetch the latest committed version and are remembered in a read
 set, writes buffer locally and touch no locks — and commit by
 submitting to a cluster-wide :class:`EpochService` that batches
 submissions into fixed-width epochs.  When an epoch's boundary passes,
-the service:
+the service **orders** it — replicates the epoch's transaction order
+through Raft (:class:`~repro.kv.commands.EpochOrderCommand`) so the
+decision survives coordinator failure — and then starts every
+transaction's commit, from the transaction's own gateway:
 
-1. **orders** — replicates the epoch's transaction order through Raft
-   (:class:`~repro.kv.commands.EpochOrderCommand`) so the decision
-   survives coordinator failure;
-2. **validates** — serially, in the decided order, re-reads each
-   transaction's read set (every distinct key once, one request per
-   range); any key whose latest version changed since execution aborts
-   the transaction with a retryable
+1. **waits** for the earlier-ordered commits it conflicts with, and
+   only those (Calvin-style deterministic scheduling over a per-key
+   table: a key it reads waits on that key's last writer, a key it
+   writes on the last writer and every reader since);
+2. **validates** — re-reads its read set (every distinct key once, one
+   request per range); any key whose latest version changed since
+   execution aborts the transaction with a retryable
    :class:`~repro.errors.TransactionValidationError`;
 3. **applies** — lays the survivor's writes as intents (one request
    and one Raft entry per range), picks a commit timestamp above every
-   intent timestamp *and* every earlier commit (so MVCC version order
-   equals the decided serial order), and resolves the intents before
-   acknowledging.
+   intent timestamp *and* every earlier commit, and resolves the
+   intents before acknowledging.
 
-Within an epoch, transactions are partitioned into key-overlap
-conflict groups: groups touch disjoint keys, so they commit in
-parallel, while each group validates and applies strictly in the
-decided order against latest-committed state.  Epochs are barriers
-(epoch *n*+1 starts only after every group of epoch *n* finished), so
-the committed transactions remain equivalent to their serial execution
-in epoch order: conflict-serializable by construction.  The client-visible latency cost is **epoch wait** — the
-time from commit submission to acknowledgement (epoch remainder +
-ordering Raft round + validation/apply) — the protocol's analog of the
-CRDB pipeline's commit wait, exported as ``txn.epoch_wait_ms``.
+Epochs order; keys wait.  Conflicting transactions commit in decided
+order, each taking its timestamp after its predecessors finished, so
+per-key version order equals the decided order and commit-timestamp
+order is a topological order of the conflict graph; transactions that
+share no key commute and run in parallel, across epochs too: the
+committed transactions are conflict-serializable by construction.
+The client-visible latency cost is **epoch wait** — the time from
+commit submission to acknowledgement (epoch remainder + ordering Raft
+round + conflicting predecessors + validation/apply) — the protocol's
+analog of the CRDB pipeline's commit wait, exported as
+``txn.epoch_wait_ms``.
 Future-time commit timestamps (GLOBAL ranges) additionally hold the
 acknowledgement until the gateway clock passes them, preserving the
-real-time recency guarantee commit wait provides; that wait runs off
-the serial path so it never stalls later epochs.
+real-time recency guarantee commit wait provides; the transaction's
+keys are free before that wait, so it never stalls a later commit.
 
 Intents exist only inside the apply window, so lock-table waiters
 interoperate with CRDB-protocol transactions sharing the cluster: a
@@ -48,6 +51,7 @@ wait-or-push path.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..errors import (
@@ -61,7 +65,7 @@ from ..kv.commands import TxnStatus
 from ..kv.distsender import ReadRouting
 from ..obs import DETACHED
 from ..sim.clock import TS_MAX, TS_ZERO, Timestamp
-from ..sim.core import Future, all_of
+from ..sim.core import Future, settle_all
 from .protocol import TxnProtocol
 
 __all__ = ["EpochOccProtocol", "EpochService", "EpochTransaction"]
@@ -86,7 +90,8 @@ class _BufferedRead:
 
 class EpochService:
     """Cluster-wide epoch sequencer: batches commit submissions into
-    fixed-width epochs and commits each epoch serially.
+    fixed-width epochs, orders the epochs serially and commits each
+    transaction once its conflicting predecessors have finished.
 
     One service per cluster (shared by every epoch-OCC coordinator on
     it, so the decided order covers all of them); created lazily by
@@ -96,21 +101,19 @@ class EpochService:
 
     What a commit costs, per step, with the ``bench/`` ``tpcc_epoch``
     counts per repetition (122 transactions, 105 of them writers; seed
-    0; EXPERIMENTS.md "Round 8") as before → after per-range batching:
+    0; EXPERIMENTS.md "Round 8" and "Round 13"), all sent from the
+    transaction's gateway:
 
     * HOT: **validate** — one leaseholder RPC per range holding a
-      distinct read-set key, no Raft: 1638 read-set entries are 1178
-      distinct keys on 608 (transaction, range) pairs, so 1638 → 608
-      RPCs (13.4 → 5.0 per transaction).
+      distinct read-set key, no Raft: 608 RPCs (5.0 per transaction).
     * HOT: **apply** — one RPC *and one Raft entry* per range written
       (a one-key group is a plain ``PutIntentCommand``, a larger one a
-      ``BatchCommand``): 852 → 479 of each (8.1 → 4.6 per writer).
-    * HOT: **resolve** — still one RPC and one Raft entry per key, 852
-      of each: ``DistSender.resolve_intents`` is the CRDB pipeline's
-      too, and batching it moves every CRDB-protocol fingerprint
-      (ROADMAP item 4(e)).
-    * **order** — one RPC and one Raft entry per *epoch* with a writer
-      (81), shared by the whole batch.
+      ``BatchCommand``): 479 of each (4.6 per writer).
+    * HOT: **resolve** — one RPC and one Raft entry per range written,
+      479 of each, through ``DistSender.resolve_intents``.
+    * **order** — one RPC and one Raft entry per *epoch* with a writer,
+      shared by the whole batch and sent from the anchor range's
+      leaseholder: the one serial step.
     """
 
     #: Commit-time read-set validation.  Off only in the verify
@@ -118,6 +121,12 @@ class EpochService:
     #: every submission blindly, and the checker must convict the
     #: resulting lost updates.
     validate = True
+
+    #: Commits wait for the earlier-ordered commits they conflict with.
+    #: Off only in the verify harness's ``occ-unordered`` ablation: every
+    #: ordered transaction then validates and applies at once, and the
+    #: checker must convict the races between conflicting ones.
+    order_conflicts = True
 
     #: Epoch width.  Short enough that epoch wait stays well under a WAN
     #: commit round trip; long enough that concurrent transactions
@@ -132,11 +141,15 @@ class EpochService:
         self._pending: Dict[int, List[Tuple["EpochTransaction", Future]]] = {}
         #: Highest epoch whose boundary has passed (sealed).
         self._sealed_through = -1
-        #: Sealed, not-yet-committed epochs, drained strictly in order.
+        #: Sealed, not-yet-ordered epochs, drained strictly in order.
         self._queue: deque = deque()
         self._draining = False
+        #: The per-key table: (span, key) -> [last writer, {readers
+        #: since: None}], each a running commit's completion future,
+        #: claimed in decided order and emptied as commits finish.
+        self._keys: Dict[Tuple[Any, Any], list] = {}
         #: High-water commit timestamp: every commit lands above it, so
-        #: along any conflict chain (same keys — always one group, in
+        #: along any conflict chain (same keys, committed in decided
         #: order) MVCC version order equals the decided serial order.
         self._last_commit_ts: Timestamp = TS_ZERO
         #: Every ordering decision, as decided: [(epoch, (txn_id, ...))].
@@ -180,44 +193,31 @@ class EpochService:
             self.sim.spawn(self._drain(), name="epoch-service")
 
     def _drain(self) -> Generator:
-        """Commit sealed epochs strictly in order, one at a time — the
-        serial schedule the serializability argument rests on."""
+        """Order sealed epochs strictly in sequence, one at a time, and
+        start each transaction's commit as soon as it is ordered."""
         try:
             while self._queue:
                 epoch, batch = self._queue.popleft()
-                yield from self._commit_epoch(epoch, batch)
+                yield from self._order_epoch(epoch, batch)
         finally:
             self._draining = False
 
     # -- the epoch pipeline --------------------------------------------------
 
-    def _commit_epoch(self, epoch: int, batch) -> Generator:
+    def _order_epoch(self, epoch: int, batch) -> Generator:
         txn_ids = tuple(txn.txn_id for txn, _ack in batch)
         self.order_log.append((epoch, txn_ids))
-        # Fallback RPC origin: the first submitter's gateway (alive at
-        # submission — a fixed service home could sit in a blacked-out
-        # region).  Write epochs re-home below.
-        origin = batch[0][0].gateway
         # Replicate the ordering decision before acting on it.  Anchored
-        # on the first writer's first-write range; an all-read epoch
-        # decides nothing durable (nothing to recover).
-        anchor = None
-        for txn, _ack in batch:
-            if txn.write_buffer:
-                token, key = next(iter(txn.write_buffer))
-                anchor = (token, key)
-                break
+        # on the first writer's first-write range and sent from that
+        # range's leaseholder (the first submitter's gateway when there
+        # is none), so the serial drain pays a quorum round per epoch,
+        # not a WAN round trip; an all-read epoch decides nothing
+        # durable (nothing to recover).
+        anchor = next((next(iter(txn.write_buffer)) for txn, _ack in batch
+                       if txn.write_buffer), None)
         if anchor is not None:
-            # The epoch sequencer runs *at the data*: ordering,
-            # validation and apply originate from the anchor range's
-            # leaseholder node, so the serial commit pipeline pays
-            # quorum rounds, not gateway WAN round trips.  (After a
-            # partition the stale leaseholder fails retryably until the
-            # lease — and with it the service origin — moves.)
-            leaseholder = self.ds.resolve(anchor[0],
-                                          anchor[1]).leaseholder_node
-            if leaseholder is not None:
-                origin = leaseholder
+            origin = (self.ds.resolve(*anchor).leaseholder_node
+                      or batch[0][0].gateway)
             # The ordering RPC belongs to the whole batch: a detached
             # root, traced when any transaction in the batch is.
             traced = any(txn.span for txn, _ack in batch)
@@ -229,77 +229,101 @@ class EpochService:
                     txn.abort_reason = "retry"
                     ack.reject(err)
                 return
-        for txn, _ack in batch:
+        for txn, ack in batch:
             txn.seq = self._seq
             self._seq += 1
-        # Key-disjoint conflict groups commute, so they commit in
-        # parallel; within a group the decided order is strictly serial.
-        # The epoch itself is still a barrier — the next epoch's
-        # validation reads start only after every group has finished.
-        groups = self._conflict_groups(batch)
-        if len(groups) == 1:
-            yield from self._commit_group(origin, groups[0])
-        else:
-            procs = [self.sim.spawn(self._commit_group(origin, group),
-                                    name=f"epoch-{epoch}-g{index}")
-                     for index, group in enumerate(groups)]
-            yield all_of(self.sim, procs)
+            done = Future(self.sim)
+            self.sim.spawn(self._commit_one(txn, ack, self._claim(txn, done),
+                                            done),
+                           name=f"epoch-commit-{txn.txn_id}")
 
-    @staticmethod
-    def _conflict_groups(batch) -> List[list]:
-        """Partition the epoch's transactions into key-overlap groups
-        (union-find over read-set ∪ write-buffer keys), each group in
-        epoch order.  Transactions that share no key — directly or
-        transitively — can never invalidate each other's reads, so the
-        parallel schedule is equivalent to the decided serial one."""
-        parent = list(range(len(batch)))
+    def _claim(self, txn: "EpochTransaction", done: Future) -> List[Future]:
+        """Enter ``txn`` in the per-key table, in decided order, and
+        return the still-running earlier commits it must wait for: a key
+        it only reads waits on that key's last writer, a key it writes
+        on the last writer and every reader since."""
+        if not self.order_conflicts:
+            return []
+        deps: Dict[Future, None] = {}
+        keys, writes = self._keys, txn.write_buffer
+        for keyspan, key, _observed in txn.read_set:
+            if (keyspan, key) not in writes:
+                entry = keys.setdefault((keyspan, key), [None, {}])
+                if entry[0] is not None:
+                    deps[entry[0]] = None
+                entry[1][done] = None
+        for item in writes:
+            entry = keys.get(item)
+            if entry is not None:
+                if entry[0] is not None:
+                    deps[entry[0]] = None
+                deps.update(entry[1])
+            keys[item] = [done, {}]
+        return list(deps)
 
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+    def _release(self, txn: "EpochTransaction", done: Future) -> None:
+        """Mark ``txn``'s commit finished and take it out of the per-key
+        table; a key no running commit holds leaves the table."""
+        done.resolve()
+        keys = self._keys
+        for item in chain(txn.write_buffer,
+                          ((keyspan, key) for keyspan, key, _observed
+                           in txn.read_set)):
+            entry = keys.get(item)
+            if entry is not None:
+                if entry[0] is done:
+                    entry[0] = None
+                entry[1].pop(done, None)
+                if entry[0] is None and not entry[1]:
+                    del keys[item]
 
-        owner: Dict[Any, int] = {}
-        for index, (txn, _ack) in enumerate(batch):
-            keys = {(keyspan, key) for keyspan, key, _obs in txn.read_set}
-            keys.update(txn.write_buffer)
-            for item in keys:
-                prev = owner.get(item)
-                if prev is None:
-                    owner[item] = index
-                else:
-                    ra, rb = find(prev), find(index)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-        buckets: Dict[int, list] = {}
-        order: List[int] = []
-        for index, entry in enumerate(batch):
-            root = find(index)
-            if root not in buckets:
-                buckets[root] = []
-                order.append(root)
-            buckets[root].append(entry)
-        return [buckets[root] for root in order]
+    def _commit_one(self, txn: "EpochTransaction", ack: Future,
+                    deps: List[Future], done: Future) -> Generator:
+        """Wait for the conflicting earlier commits to finish — finish,
+        not succeed: a failed commit rejects its ack and frees its keys —
+        then validate, apply and resolve from the transaction's own
+        gateway.  Its keys are free before any commit wait."""
+        try:
+            if deps:
+                yield settle_all(self.sim, deps)
+            commit_ts = yield from self._commit(txn, ack)
+        finally:
+            self._release(txn, done)
+        if commit_ts is not None:
+            yield from self._ack_after_wait(txn, ack, commit_ts)
 
-    def _commit_group(self, origin, group) -> Generator:
-        for txn, ack in group:
-            yield from self._commit_one(origin, txn, ack)
+    def _ack_after_wait(self, txn: "EpochTransaction", ack: Future,
+                        commit_ts: Timestamp) -> Generator:
+        """Acknowledge at the gateway.  A future-time commit timestamp
+        (GLOBAL ranges) holds the ack until the gateway clock passes it —
+        the recency obligation commit wait discharges in the CRDB
+        pipeline."""
+        clock = txn.gateway.clock
+        if commit_ts.physical > clock.physical_now():
+            yield clock.wait_until(commit_ts)
+        stats = txn.coordinator.stats
+        stats.c_epoch_waits.value += 1
+        waited = self.sim.now - txn.submitted_at_ms
+        stats.c_epoch_wait_ms_total.value += waited
+        self._h_epoch_wait.observe(waited)
+        ack.resolve(commit_ts)
 
-    def _commit_one(self, origin, txn: "EpochTransaction",
-                    ack: Future) -> Generator:
+    def _commit(self, txn: "EpochTransaction",
+                ack: Future) -> Generator:
+        """Validate and apply; the commit timestamp, or None once
+        ``ack`` is rejected."""
         if txn.status != TxnStatus.PENDING:
             ack.reject(TransactionAbortedError(
                 f"txn {txn.txn_id} no longer pending at its epoch"))
-            return
+            return None
         # 1. Validate: every read-set version must still be the latest.
         if self.validate and txn.read_set:
             try:
-                conflict = yield from self._validate(origin, txn)
+                conflict = yield from self._validate(txn)
             except _EPOCH_RETRYABLE as err:
                 txn.abort_reason = "retry"
                 ack.reject(err)
-                return
+                return None
             if conflict is not None:
                 token, key, observed_ts, current_ts = conflict
                 stats = txn.coordinator.stats
@@ -311,7 +335,7 @@ class EpochService:
                 ack.reject(TransactionValidationError(
                     txn.txn_id, key=key, observed_ts=observed_ts,
                     current_ts=current_ts))
-                return
+                return None
         # 2. Apply: lay intents, fix the commit timestamp, resolve.
         if not txn.write_buffer:
             commit_ts = self._last_commit_ts
@@ -322,21 +346,18 @@ class EpochService:
                 commit_ts = txn.read_ts
             txn.commit_ts = commit_ts
             txn.status = TxnStatus.COMMITTED
-            self.sim.spawn(self._ack_after_wait(txn, ack, commit_ts, origin),
-                           name=f"epoch-ack-{txn.txn_id}")
-            return
+            return commit_ts
         try:
-            commit_ts = yield from self._apply(origin, txn)
+            commit_ts = yield from self._apply(txn)
         except _EPOCH_RETRYABLE as err:
             txn.abort_reason = "retry"
             ack.reject(err)
-            return
+            return None
         if commit_ts > self._last_commit_ts:
             self._last_commit_ts = commit_ts
-        self.sim.spawn(self._ack_after_wait(txn, ack, commit_ts, origin),
-                       name=f"epoch-ack-{txn.txn_id}")
+        return commit_ts
 
-    def _validate(self, origin, txn: "EpochTransaction") -> Generator:
+    def _validate(self, txn: "EpochTransaction") -> Generator:
         """Re-read the read set (latest committed) — each distinct key
         once, one RPC per range — and judge every observation against
         it; returns the first conflicting entry ``(keyspan, key,
@@ -346,8 +367,9 @@ class EpochService:
         self._c_validation_reads.inc(len(entries))
         distinct = list(dict.fromkeys(
             (keyspan, key) for keyspan, key, _observed in entries))
+        gateway = txn.gateway
         outcomes = yield self.ds.read_batch(
-            origin, distinct, origin.clock.now(), txn_id=txn.txn_id,
+            gateway, distinct, gateway.clock.now(), txn_id=txn.txn_id,
             uncertainty_limit=TS_MAX, allow_server_side_bump=True,
             span=txn.span)
         current: Dict[Tuple[Any, Any], Optional[Timestamp]] = {}
@@ -361,7 +383,7 @@ class EpochService:
                 return (keyspan, key, observed_ts, current_ts)
         return None
 
-    def _apply(self, origin, txn: "EpochTransaction") -> Generator:
+    def _apply(self, txn: "EpochTransaction") -> Generator:
         """Lay the write buffer as intents — one RPC and one Raft entry
         per range — commit above every earlier commit, and resolve
         before acknowledging (so the next serial step — and every
@@ -371,8 +393,9 @@ class EpochService:
         anchor = self.ds.resolve(items[0][0], items[0][1])
         txn.anchor = anchor
         anchor_node = anchor.leaseholder_node_id or -1
+        gateway = txn.gateway
         outcomes = yield self.ds.write_batch(
-            origin, items, origin.clock.now(), txn.txn_id,
+            gateway, items, gateway.clock.now(), txn.txn_id,
             anchor_node_id=anchor_node, span=txn.span)
         first_error: Optional[BaseException] = None
         commit_ts = self._last_commit_ts.next()
@@ -395,7 +418,7 @@ class EpochService:
             txn.status = TxnStatus.ABORTED
             if laid:
                 try:
-                    yield self.ds.resolve_intents(origin, laid, txn.txn_id,
+                    yield self.ds.resolve_intents(gateway, laid, txn.txn_id,
                                                   None, span=txn.span)
                 except _EPOCH_RETRYABLE:
                     pass  # orphans recovered by waiter pushes
@@ -405,7 +428,7 @@ class EpochService:
         # lock-table pushes consult the registry and may resolve for us.
         txn.status = TxnStatus.COMMITTED
         try:
-            yield self.ds.resolve_intents(origin, laid, txn.txn_id,
+            yield self.ds.resolve_intents(gateway, laid, txn.txn_id,
                                           commit_ts, span=txn.span)
         except _EPOCH_RETRYABLE:
             # The transaction is durably committed the instant its
@@ -417,28 +440,6 @@ class EpochService:
             # resolve them to the committed values.
             pass
         return commit_ts
-
-    def _ack_after_wait(self, txn: "EpochTransaction", ack: Future,
-                        commit_ts: Timestamp, origin) -> Generator:
-        """Acknowledge off the serial path.  The notification hop from
-        the service origin back to the submitting gateway is charged
-        explicitly (the decision is durable, so only latency — not
-        delivery — is modelled).  A future-time commit timestamp
-        (GLOBAL ranges) then holds the ack until the gateway clock
-        passes it — the recency obligation commit wait discharges in
-        the CRDB pipeline — without stalling later epochs."""
-        if origin.node_id != txn.gateway.node_id:
-            yield self.sim.sleep(self.cluster.network.one_way_latency(
-                origin, txn.gateway))
-        clock = txn.gateway.clock
-        if commit_ts.physical > clock.physical_now():
-            yield clock.wait_until(commit_ts)
-        stats = txn.coordinator.stats
-        stats.c_epoch_waits.value += 1
-        waited = self.sim.now - txn.submitted_at_ms
-        stats.c_epoch_wait_ms_total.value += waited
-        self._h_epoch_wait.observe(waited)
-        ack.resolve(commit_ts)
 
 
 class EpochTransaction:
@@ -466,7 +467,7 @@ class EpochTransaction:
         #: Both are keyed on the routing token's *span*, never the token
         #: object: a Range and its TableSpan address the same keys, and
         #: a key reached through both must be one key to the buffer and
-        #: to the service's conflict groups.
+        #: to the service's per-key table.
         self.write_buffer: Dict[Tuple[Any, Any], Any] = {}
         self.anchor = None
         self.status = TxnStatus.PENDING

@@ -618,6 +618,11 @@ class VerifyHarness(Testbed):
         committed the same way)."""
         self.cluster.epoch_service.validate = False
 
+    def _unorder_conflicts(self) -> None:
+        """Epoch-OCC starts every ordered commit at once, however it
+        conflicts with the earlier ones still running."""
+        self.cluster.epoch_service.order_conflicts = False
+
     def _drop_commit_records(self) -> None:
         """One-phase entries carry no commit record, and the lost-reply
         probe runs first so the damage is certain."""
@@ -828,6 +833,16 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         # The races may also surface as a diverged final audit.
         # Duplicate writes or garbage reads would mean the protocol
         # machinery, not just validation, is broken.
+        verdict=_convicts(_WRITE_RACES, "final-state-divergence")),
+    "occ-unordered": VerifyScenario(
+        "The epoch-OCC ordering ablation: flaky-wan with commits no "
+        "longer waiting for the earlier-ordered commits they conflict "
+        "with, so two of them validate against the same state and both "
+        "apply; passes iff the checker convicts the write-write races — "
+        "proof the decided order is earned by the per-key waits, not by "
+        "the epochs alone.",
+        CHAOS["flaky-wan"].faults,
+        setup=VerifyHarness._unorder_conflicts, protocol="epoch-occ",
         verdict=_convicts(_WRITE_RACES, "final-state-divergence")),
     "one-phase-reapply": VerifyScenario(
         "The one-phase-commit honest-falsification ablation: flaky-wan "

@@ -6,8 +6,9 @@ schedules rather than hand-picked interleavings:
 * **Total order** — the epoch service's replicated ordering decisions
   form a total order consistent with what clients observe: epochs in
   the order log strictly increase, no transaction is ordered twice,
-  commit timestamps respect epoch order, and no commit is ever
-  acknowledged before its epoch's boundary has passed.
+  commit timestamps respect the decided order between transactions
+  that share a key, and no commit is ever acknowledged before its
+  epoch's boundary has passed.
 * **Exact validation** — an interleaved writer aborts a transaction
   *iff* it wrote into the transaction's read set.  Both directions
   matter: missing aborts are lost updates, spurious aborts are a
@@ -25,7 +26,8 @@ from repro.cluster import standard_cluster
 from repro.errors import (RangeUnavailableError, TransactionRetryError,
                           TransactionValidationError)
 from repro.placement import SurvivalGoal, provision_range, zone_config_for_home
-from repro.sim import all_of
+from repro.sim import Future, all_of
+from repro.sim.clock import TS_MAX
 from repro.txn import EpochOccProtocol, TransactionCoordinator
 from repro.txn.epoch import EpochService
 from repro.verify import HistoryRecorder
@@ -98,21 +100,69 @@ class TestEpochTotalOrder:
 
         epoch_of = {txn_id: epoch for epoch, ids in service.order_log
                     for txn_id in ids}
+        position = {txn_id: index for index, txn_id in enumerate(ordered_ids)}
         history = recorder.finalize()
         committed = [t for t in history.txns if t.status == "committed"
                      and t.txn_id in epoch_of]
         # Every client op eventually committed (retries allowed).
         assert sum(1 for t in history.txns
                    if t.status == "committed") == len(ops)
-        # Commit timestamps respect epoch order, and nothing acks
-        # before its epoch's boundary has passed (the epoch wait).
+        # Nothing acks before its epoch's boundary has passed (the epoch
+        # wait), and commit timestamps follow the decided order between
+        # transactions that share a key (disjoint ones commute).
         for txn in committed:
             boundary = (epoch_of[txn.txn_id] + 1) * INTERVAL_MS
             assert txn.end_ms >= boundary
+        keys_of = {t.txn_id: {op.key for op in t.ops} for t in committed}
         for first in committed:
             for second in committed:
-                if epoch_of[first.txn_id] < epoch_of[second.txn_id]:
+                if position[first.txn_id] < position[second.txn_id] \
+                        and keys_of[first.txn_id] & keys_of[second.txn_id]:
                     assert first.commit_ts < second.commit_ts
+        # The per-key table holds running commits only.
+        assert service._keys == {}
+
+
+class TestKeysWaitEpochsDoNot:
+    def test_a_disjoint_later_epoch_overtakes_a_slow_one(self):
+        """A far-region transaction reads "a" and writes "c": slow, its
+        validate, apply and resolve each cross the WAN.  A home-region
+        write to "b" ordered in a later epoch acknowledges first — no
+        epoch barrier — while a home-region write to "a" in that later
+        epoch waits for the slow reader to finish and commits above it
+        (started at once, it commits first and below the reader)."""
+        cluster, coord, rng = build(0)
+        sim = cluster.sim
+        submitted = Future(sim)
+        acked = {}
+
+        def slow():
+            txn = coord.begin(cluster.gateway_for_region("asia-northeast1",
+                                                         0))
+            yield from txn.read(rng, "a")
+            yield from txn.write(rng, "c", "slow")
+            submitted.resolve()
+            yield from txn.commit()
+            acked["slow"] = (txn.epoch, sim.now, txn.commit_ts)
+
+        def home(name, key):
+            yield submitted
+            yield sim.sleep(INTERVAL_MS)
+            txn = coord.begin(cluster.gateway_for_region(HOME, 0))
+            yield from txn.write(rng, key, name)
+            yield from txn.commit()
+            acked[name] = (txn.epoch, sim.now, txn.commit_ts)
+
+        run_clients(sim, [sim.spawn(slow()),
+                          sim.spawn(home("disjoint", "b")),
+                          sim.spawn(home("conflicting", "a"))])
+
+        slow, disjoint, conflicting = (acked[name] for name in (
+            "slow", "disjoint", "conflicting"))
+        assert slow[0] < disjoint[0] == conflicting[0]
+        assert disjoint[1] < slow[1] < conflicting[1]
+        assert slow[2] < conflicting[2]
+        assert cluster.epoch_service._keys == {}
 
 
 class TestValidationIsExact:
@@ -225,28 +275,34 @@ class TestEpochWaitUnderClockFaults:
 
 
 def read_value(cluster, rng, key):
-    """The committed value on the leaseholder (no transaction)."""
+    """The latest committed value on the leaseholder (no transaction).
+    Not at the leaseholder's clock: a commit is acknowledged once the
+    *gateway* clock passes its timestamp, and after a split the owning
+    leaseholder's clock may still be below it."""
     owner = rng.span.descriptor_for_key(key).rng
     store = owner.leaseholder_replica.store
-    return store.get(key, owner.leaseholder_node.clock.now()).value
+    return store.get(key, TS_MAX).value
 
 
 class TestTokensAreKeyedOnTheirSpan:
     """A Range and its TableSpan address the same keys (the PR 16 token
     contract), so a key reached through both must be ONE key to the
-    write buffer, the read set and the service's conflict groups."""
+    write buffer, the read set and the service's per-key table."""
 
-    def test_two_tokens_one_conflict_group(self):
+    def test_two_tokens_one_key_one_dependency(self):
         cluster, coord, rng = build(0)
+        sim = cluster.sim
         gateway = cluster.gateway_for_region(HOME, 0)
         t1, t2 = coord.begin(gateway), coord.begin(gateway)
-        run_clients(cluster.sim, [
-            cluster.sim.spawn(t1.write(rng, "k", 1)),
-            cluster.sim.spawn(t2.write(rng.span, "k", 2))])
-        batch = [(t1, None), (t2, None)]
-        groups = cluster.epoch_service._conflict_groups(batch)
-        assert [[txn for txn, _ack in group] for group in groups] == [
-            [t1, t2]]
+        run_clients(sim, [sim.spawn(t1.write(rng, "k", 1)),
+                          sim.spawn(t2.write(rng.span, "k", 2))])
+        service = cluster.epoch_service
+        first, second = Future(sim), Future(sim)
+        assert service._claim(t1, first) == []
+        assert service._claim(t2, second) == [first]
+        service._release(t1, first)
+        service._release(t2, second)
+        assert service._keys == {}
 
     def test_read_through_one_token_sees_write_through_the_other(self):
         cluster, coord, rng = build(0)

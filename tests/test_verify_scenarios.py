@@ -18,6 +18,7 @@ from repro.verify import SCENARIOS, VerifyHarness, run_verify
 ABLATIONS = {
     "clock-jump-nofence": (pytest.mark.clock, range(3)),
     "occ-novalidate": (pytest.mark.verify_occ, range(5)),
+    "occ-unordered": (pytest.mark.verify_occ, range(5)),
     "one-phase-reapply": (pytest.mark.verify, range(5)),
     "cput-blind": (pytest.mark.verify, range(5)),
     "pipeline-unproven": (pytest.mark.verify, range(5)),
@@ -30,8 +31,8 @@ FAULT_ROWS = ["region-blackout", "rolling-zones", "flaky-wan",
               "gray-follower", "asym-partition", "crash-restart",
               "split-merge"]
 CLOCK_ROWS = ["clock-drift", "clock-jump", "clock-jump-nofence"]
-FORCED_ROWS = ["occ-novalidate", "one-phase-reapply", "cput-blind",
-               "pipeline-unproven"]
+FORCED_ROWS = ["occ-novalidate", "occ-unordered", "one-phase-reapply",
+               "cput-blind", "pipeline-unproven"]
 
 
 class TestShape:
@@ -88,6 +89,7 @@ class TestLookup:
 class TestForcedBackend:
     @pytest.mark.parametrize("name, protocol", [
         ("occ-novalidate", "crdb"),
+        ("occ-unordered", "crdb"),
         ("one-phase-reapply", "epoch-occ"),
         ("cput-blind", "epoch-occ")])
     def test_run_verify_refuses_another_backend(self, name, protocol):
