@@ -3,13 +3,14 @@
 An alternative :class:`~repro.txn.protocol.TxnProtocol` backend in the
 style of epoch-based OCC systems (Mao et al.; GeoGauss — see
 PAPERS.md): transactions execute *optimistically* at their gateway —
-reads fetch the latest committed version and are remembered in a read
-set, writes buffer locally and touch no locks — and commit by
-submitting to a cluster-wide :class:`EpochService` that batches
-submissions into fixed-width epochs.  When an epoch's boundary passes,
-the service **orders** it — replicates the epoch's transaction order
-through Raft (:class:`~repro.kv.commands.EpochOrderCommand`) so the
-decision survives coordinator failure — and then starts every
+reads fetch the latest committed version from the leaseholder (a GLOBAL
+table's present-time version from the gateway's own replica) and are
+remembered in a read set, writes buffer locally and touch no locks —
+and commit by submitting to a cluster-wide :class:`EpochService` that
+batches submissions into fixed-width epochs.  When an epoch's boundary
+passes, the service **orders** it — replicates the epoch's transaction
+order through Raft (:class:`~repro.kv.commands.EpochOrderCommand`) so
+the decision survives coordinator failure — and then starts every
 transaction's commit, from the transaction's own gateway:
 
 1. **waits** for the earlier-ordered commits it conflicts with, and
@@ -65,7 +66,7 @@ from ..kv.commands import TxnStatus
 from ..kv.distsender import ReadRouting
 from ..obs import DETACHED
 from ..sim.clock import TS_MAX, TS_ZERO, Timestamp
-from ..sim.core import Future, settle_all
+from ..sim.core import Future, all_of, settle_all
 from .protocol import TxnProtocol
 
 __all__ = ["EpochOccProtocol", "EpochService", "EpochTransaction"]
@@ -443,8 +444,9 @@ class EpochService:
 
 
 class EpochTransaction:
-    """One optimistic attempt: reads latest committed state, buffers
-    writes locally, commits through the cluster's epoch service."""
+    """One optimistic attempt: reads committed state where it is
+    cheapest, buffers writes locally, commits through the cluster's
+    epoch service."""
 
     def __init__(self, coordinator, gateway, txn_id: int,
                  service: EpochService, parent_span=None):
@@ -485,14 +487,25 @@ class EpochTransaction:
 
     # -- reads ---------------------------------------------------------------
 
+    def _read_window(self, routing: str) -> Tuple[Timestamp, Timestamp]:
+        """``(ts, uncertainty_limit)`` for a read routed ``routing``:
+        ``LEASEHOLDER`` reads the latest version; ``NEAREST`` (GLOBAL
+        tables) is a present-time read with the CRDB pipeline's window,
+        which a GLOBAL range's followers have closed (they close more
+        than ``max_offset`` ahead), so the gateway's replica serves it."""
+        clock = self.gateway.clock
+        now = clock.now()
+        if routing == ReadRouting.NEAREST:
+            return now, Timestamp(now.physical + clock.max_offset,
+                                  now.logical)
+        return now, TS_MAX
+
     def read(self, rng, key: Any,
              routing: str = ReadRouting.LEASEHOLDER) -> Generator:
-        """Optimistic read: latest committed version of ``key``.
-
-        Always served by the leaseholder (an unbounded read timestamp
-        can never be closed on a follower); the observed version joins
-        the read set for commit-time validation.
-        """
+        """Optimistic read of ``key`` in :meth:`_read_window`.  The
+        observed version joins the read set; validation re-reads it at
+        the leaseholder and aborts the attempt unless it is still the
+        latest, so where it was served moves only latency."""
         keyspan = rng.span
         buffered = self.write_buffer.get((keyspan, key))
         if buffered is not None or (keyspan, key) in self.write_buffer:
@@ -501,11 +514,12 @@ class EpochTransaction:
             if recorder is not None:
                 recorder.on_read(self, keyspan, key, result)
             return buffered
+        ts, limit = self._read_window(routing)
         result, _effective_ts = yield self._ds.read(
-            self.gateway, keyspan, key, self.gateway.clock.now(),
-            txn_id=self.txn_id, uncertainty_limit=TS_MAX,
-            routing=ReadRouting.LEASEHOLDER, allow_server_side_bump=True,
-            span=self.span, deadline_ms=self.deadline_ms)
+            self.gateway, keyspan, key, ts, txn_id=self.txn_id,
+            uncertainty_limit=limit, routing=routing,
+            allow_server_side_bump=True, span=self.span,
+            deadline_ms=self.deadline_ms)
         self.read_set.append((keyspan, key, result.ts))
         recorder = self.coordinator.recorder
         if recorder is not None:
@@ -514,8 +528,8 @@ class EpochTransaction:
 
     def read_batch(self, requests: List[Tuple[Any, Any]],
                    routing: str = ReadRouting.LEASEHOLDER) -> Generator:
-        """Read several keys (latest committed versions), one RPC per
-        range."""
+        """Read several keys as :meth:`read` does: ``LEASEHOLDER`` one
+        RPC per range, ``NEAREST`` one concurrent read per key."""
         values: List[Any] = [None] * len(requests)
         slots: List[int] = []
         fetch: List[Tuple[Any, Any]] = []
@@ -531,11 +545,19 @@ class EpochTransaction:
                 slots.append(index)
                 fetch.append((keyspan, key))
         if fetch:
-            outcomes = yield self._ds.read_batch(
-                self.gateway, fetch, self.gateway.clock.now(),
-                txn_id=self.txn_id, uncertainty_limit=TS_MAX,
-                allow_server_side_bump=True, span=self.span,
-                deadline_ms=self.deadline_ms)
+            ts, limit = self._read_window(routing)
+            if routing == ReadRouting.NEAREST:
+                outcomes = yield all_of(self.coordinator.sim, [
+                    self._ds.read(self.gateway, keyspan, key, ts,
+                                  txn_id=self.txn_id, uncertainty_limit=limit,
+                                  routing=routing, allow_server_side_bump=True,
+                                  span=self.span, deadline_ms=self.deadline_ms)
+                    for keyspan, key in fetch])
+            else:
+                outcomes = yield self._ds.read_batch(
+                    self.gateway, fetch, ts, txn_id=self.txn_id,
+                    uncertainty_limit=limit, allow_server_side_bump=True,
+                    span=self.span, deadline_ms=self.deadline_ms)
             for index, (keyspan, key), outcome in zip(slots, fetch,
                                                       outcomes):
                 if isinstance(outcome, BaseException):

@@ -216,7 +216,11 @@ class VerifyHarness(Testbed):
             f"{rng.name}/{key}": {"kind": kind,
                                   "global": rng.name == "glob"}
             for rng, key, kind in self.keys}
-        self._strong_routing = ReadRouting.LEASEHOLDER
+        #: How the strong clients route their reads, per range name:
+        #: the leaseholder everywhere, unless a row's setup says
+        #: otherwise (:meth:`_read_global_nearest`).
+        self.routing = {name: ReadRouting.LEASEHOLDER
+                        for name in self.ranges}
         #: Set by the ``overload`` scenario: per-txn deadline for the
         #: recorded clients (None = no deadline) and foreground-shed
         #: accounting.
@@ -237,19 +241,18 @@ class VerifyHarness(Testbed):
         insert — with values unique to ``label`` and ``sequence``."""
         def txn_fn(txn):
             for step, (table, key, _kind, action) in enumerate(plan, 1):
+                routing = self.routing[table.name]
                 if action == "read":
-                    yield from txn.read(table, key,
-                                        routing=self._strong_routing)
+                    yield from txn.read(table, key, routing=routing)
                     continue
                 sequence[0] += 1
                 value = f"{label}:{sequence[0]}"
                 if action == "append":
-                    current = yield from txn.read(
-                        table, key, routing=self._strong_routing)
+                    current = yield from txn.read(table, key,
+                                                  routing=routing)
                     value = list(current or []) + [value]
                 elif action == "rmw":
-                    yield from txn.read(table, key,
-                                        routing=self._strong_routing)
+                    yield from txn.read(table, key, routing=routing)
                 # A plan that ends in a write ends in its commit; an
                 # insert-if-absent step is a conditional put.
                 yield from txn.write(table, key, value,
@@ -348,7 +351,7 @@ class VerifyHarness(Testbed):
 
             def txn_fn(txn, table=table, key=key):
                 yield from txn.read(table, key,
-                                    routing=self._strong_routing)
+                                    routing=self.routing[table.name])
 
             yield from self.attempt(gateway, txn_fn, max_attempts=6,
                                     label=label)
@@ -603,6 +606,14 @@ class VerifyHarness(Testbed):
         self.enable_repair((self.ranges[name], self.configs[name])
                            for name in sorted(self.ranges))
 
+    # -- read routing -------------------------------------------------------
+
+    def _read_global_nearest(self) -> None:
+        """The strong clients read the GLOBAL range the way SQL does:
+        routed to the nearest replica, which serves a present-time read
+        locally (its closed timestamps lead present time)."""
+        self.routing["glob"] = ReadRouting.NEAREST
+
     # -- ablation off-switches ----------------------------------------------
 
     def _undefend_clock(self) -> None:
@@ -794,6 +805,13 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         "The nemesis is the keyspace itself: forced splits and merges "
         "reshape the primary range under the live workload.",
         setup=VerifyHarness._start_split_merge, sweeps=_BOTH),
+    "global-nearest": VerifyScenario(
+        "flaky-wan with the GLOBAL range read the way SQL reads a GLOBAL "
+        "table: routed to the nearest replica, a present-time read its "
+        "local follower serves — every such read must still be the "
+        "latest committed version.",
+        CHAOS["flaky-wan"].faults,
+        setup=VerifyHarness._read_global_nearest, sweeps=_BOTH),
     "overload": VerifyScenario(
         "A load nemesis, not a fault schedule: admission control is "
         "installed and open-loop background load saturates the home "

@@ -27,9 +27,9 @@ ABLATIONS = {
 #: Small enough for tier-1, large enough to commit something.
 SMALL = dict(clients_per_region=1, ops_per_client=2, stale_ops=1)
 
-FAULT_ROWS = ["region-blackout", "rolling-zones", "flaky-wan",
-              "gray-follower", "asym-partition", "crash-restart",
-              "split-merge"]
+CHAOS_ROWS = ["region-blackout", "rolling-zones", "flaky-wan",
+              "gray-follower", "asym-partition", "crash-restart"]
+FAULT_ROWS = CHAOS_ROWS + ["split-merge", "global-nearest"]
 CLOCK_ROWS = ["clock-drift", "clock-jump", "clock-jump-nofence"]
 FORCED_ROWS = ["occ-novalidate", "occ-unordered", "one-phase-reapply",
                "cput-blind", "pipeline-unproven"]
@@ -57,7 +57,7 @@ class TestShape:
                 if row.verdict is not None] == list(ABLATIONS)
 
     def test_chaos_derived_rows_reuse_the_chaos_schedule_and_doc(self):
-        for name in FAULT_ROWS[:-1] + ["clock-drift"]:
+        for name in CHAOS_ROWS + ["clock-drift"]:
             assert SCENARIOS[name].doc == CHAOS[name].doc
 
 
