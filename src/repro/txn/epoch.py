@@ -7,11 +7,13 @@ reads fetch the latest committed version from the leaseholder (a GLOBAL
 table's present-time version from the gateway's own replica) and are
 remembered in a read set, writes buffer locally and touch no locks —
 and commit by submitting to a cluster-wide :class:`EpochService` that
-batches submissions into fixed-width epochs.  When an epoch's boundary
-passes, the service **orders** it — replicates the epoch's transaction
-order through Raft (:class:`~repro.kv.commands.EpochOrderCommand`) so
-the decision survives coordinator failure — and then starts every
-transaction's commit, from the transaction's own gateway:
+groups submissions into batches (group commit: a batch, or *epoch*, is
+whatever arrived while the previous order round was in flight — on an
+idle service, one submission, at once).  The service **orders** each
+batch — replicates its transaction order through Raft
+(:class:`~repro.kv.commands.EpochOrderCommand`) so the decision
+survives coordinator failure — and then starts every transaction's
+commit, from the transaction's own gateway:
 
 1. **waits** for the earlier-ordered commits it conflicts with, and
    only those (Calvin-style deterministic scheduling over a per-key
@@ -33,8 +35,9 @@ order is a topological order of the conflict graph; transactions that
 share no key commute and run in parallel, across epochs too: the
 committed transactions are conflict-serializable by construction.
 The client-visible latency cost is **epoch wait** — the time from
-commit submission to acknowledgement (epoch remainder + ordering Raft
-round + conflicting predecessors + validation/apply) — the protocol's
+commit submission to acknowledgement (the rest of an order round in
+flight + its batch's ordering Raft round + conflicting predecessors +
+validation/apply) — the protocol's
 analog of the CRDB pipeline's commit wait, exported as
 ``txn.epoch_wait_ms``.
 Future-time commit timestamps (GLOBAL ranges) additionally hold the
@@ -51,7 +54,6 @@ wait-or-push path.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -59,6 +61,7 @@ from ..errors import (
     ConditionFailedError,
     RangeUnavailableError,
     TransactionAbortedError,
+    TransactionRetryError,
     TransactionValidationError,
 )
 from ..sim.network import NetworkUnavailableError
@@ -72,9 +75,10 @@ from .protocol import TxnProtocol
 __all__ = ["EpochOccProtocol", "EpochService", "EpochTransaction"]
 
 #: Errors that abort an epoch step retryably (the client resubmits into
-#: a later epoch).
+#: a later batch) — a leaseholder refusing a step, say a clock-outlier
+#: rejection, included.
 _EPOCH_RETRYABLE = (NetworkUnavailableError, RangeUnavailableError,
-                    TransactionAbortedError)
+                    TransactionAbortedError, TransactionRetryError)
 
 
 class _BufferedRead:
@@ -90,15 +94,18 @@ class _BufferedRead:
 
 
 class EpochService:
-    """Cluster-wide epoch sequencer: batches commit submissions into
-    fixed-width epochs, orders the epochs serially and commits each
-    transaction once its conflicting predecessors have finished.
+    """Cluster-wide epoch sequencer: groups commit submissions into
+    batches, orders the batches serially and commits each transaction
+    once its conflicting predecessors have finished.
 
     One service per cluster (shared by every epoch-OCC coordinator on
     it, so the decided order covers all of them); created lazily by
     :class:`EpochOccProtocol` on first use and attached to the cluster.
-    Epoch boundaries are scheduled on demand — an idle service has no
-    ticker process, so simulations still drain.
+    A batch seals as soon as the order round before it is done:
+    submissions made at one instant, or while a round is in flight,
+    share the next round, and an idle service orders a lone
+    transaction at once.  The drain process runs only while there is
+    something to order, so simulations still drain.
 
     What a commit costs, per step, with the ``bench/`` ``tpcc_epoch``
     counts per repetition (122 transactions, 105 of them writers; seed
@@ -112,7 +119,7 @@ class EpochService:
       ``BatchCommand``): 479 of each (4.6 per writer).
     * HOT: **resolve** — one RPC and one Raft entry per range written,
       479 of each, through ``DistSender.resolve_intents``.
-    * **order** — one RPC and one Raft entry per *epoch* with a writer,
+    * **order** — one RPC and one Raft entry per *batch* with a writer,
       shared by the whole batch and sent from the anchor range's
       leaseholder: the one serial step.
     """
@@ -129,21 +136,13 @@ class EpochService:
     #: checker must convict the races between conflicting ones.
     order_conflicts = True
 
-    #: Epoch width.  Short enough that epoch wait stays well under a WAN
-    #: commit round trip; long enough that concurrent transactions
-    #: actually share epochs (the batching the protocol banks on).
-    INTERVAL_MS = 25.0
-
     def __init__(self, cluster, distsender):
         self.cluster = cluster
         self.sim = cluster.sim
         self.ds = distsender
-        #: epoch -> [(txn, ack future)] awaiting that epoch's boundary.
-        self._pending: Dict[int, List[Tuple["EpochTransaction", Future]]] = {}
-        #: Highest epoch whose boundary has passed (sealed).
-        self._sealed_through = -1
-        #: Sealed, not-yet-ordered epochs, drained strictly in order.
-        self._queue: deque = deque()
+        #: The open batch: [(txn, ack future)] awaiting the next order
+        #: round.
+        self._open: List[Tuple["EpochTransaction", Future]] = []
         self._draining = False
         #: The per-key table: (span, key) -> [last writer, {readers
         #: since: None}], each a running commit's completion future,
@@ -153,7 +152,8 @@ class EpochService:
         #: along any conflict chain (same keys, committed in decided
         #: order) MVCC version order equals the decided serial order.
         self._last_commit_ts: Timestamp = TS_ZERO
-        #: Every ordering decision, as decided: [(epoch, (txn_id, ...))].
+        #: Every ordering decision, as decided: [(epoch, (txn_id, ...))],
+        #: a batch's epoch being its index here.
         self.order_log: List[Tuple[int, Tuple[int, ...]]] = []
         self._seq = 0
         registry = self.sim.obs.registry
@@ -164,41 +164,33 @@ class EpochService:
     # -- submission ----------------------------------------------------------
 
     def submit(self, txn: "EpochTransaction") -> Future:
-        """Enqueue a finished transaction for its epoch; resolves with
+        """Add a finished transaction to the open batch; resolves with
         the commit timestamp, or rejects (validation conflict, fault)."""
-        now = self.sim.now
-        epoch = int(now // self.INTERVAL_MS)
-        if epoch <= self._sealed_through:
-            epoch = self._sealed_through + 1
-        bucket = self._pending.get(epoch)
-        if bucket is None:
-            bucket = self._pending[epoch] = []
-            boundary = (epoch + 1) * self.INTERVAL_MS
-            self.sim.call_after(max(boundary - now, 0.0), self._seal, epoch)
         ack = Future(self.sim)
-        txn.epoch = epoch
-        txn.submitted_at_ms = now
-        bucket.append((txn, ack))
-        return ack
-
-    def _seal(self, epoch: int) -> None:
-        if epoch > self._sealed_through:
-            self._sealed_through = epoch
-        batch = self._pending.pop(epoch, [])
-        if not batch:
-            return
-        self._c_epochs.inc()
-        self._queue.append((epoch, batch))
+        txn.submitted_at_ms = self.sim.now
+        self._open.append((txn, ack))
         if not self._draining:
             self._draining = True
             self.sim.spawn(self._drain(), name="epoch-service")
+        return ack
+
+    def _seal(self) -> Tuple[int, List[Tuple["EpochTransaction", Future]]]:
+        """Close the open batch and number it: batch *n* is the *n*-th
+        ordering decision."""
+        batch, self._open = self._open, []
+        epoch = len(self.order_log)
+        for txn, _ack in batch:
+            txn.epoch = epoch
+        self._c_epochs.inc()
+        return epoch, batch
 
     def _drain(self) -> Generator:
-        """Order sealed epochs strictly in sequence, one at a time, and
-        start each transaction's commit as soon as it is ordered."""
+        """Order batches strictly in sequence, one at a time — each one
+        what arrived while the round before it was in flight — and start
+        each transaction's commit as soon as it is ordered."""
         try:
-            while self._queue:
-                epoch, batch = self._queue.popleft()
+            while self._open:
+                epoch, batch = self._seal()
                 yield from self._order_epoch(epoch, batch)
         finally:
             self._draining = False
@@ -476,7 +468,7 @@ class EpochTransaction:
         self.commit_ts: Optional[Timestamp] = None
         self.deadline_ms: Optional[float] = None
         self.abort_reason: Optional[str] = None
-        #: Assigned at submission / ordering (property-test surface).
+        #: Assigned at seal / ordering (property-test surface).
         self.epoch: Optional[int] = None
         self.seq: Optional[int] = None
         self.submitted_at_ms: Optional[float] = None

@@ -1,48 +1,48 @@
 """Property-based tests (hypothesis) for the epoch-OCC backend.
 
-Three protocol-level guarantees, each explored over randomized
+Protocol-level guarantees, the first three explored over randomized
 schedules rather than hand-picked interleavings:
 
 * **Total order** — the epoch service's replicated ordering decisions
-  form a total order consistent with what clients observe: epochs in
-  the order log strictly increase, no transaction is ordered twice,
-  commit timestamps respect the decided order between transactions
-  that share a key, and no commit is ever acknowledged before its
-  epoch's boundary has passed.
+  form a total order consistent with what clients observe: batches are
+  numbered 0, 1, 2, … in the order log, no transaction is ordered
+  twice, commit timestamps respect the decided order between
+  transactions that share a key, and no commit is ever acknowledged
+  before its batch's order entry has applied at the anchor leaseholder.
 * **Exact validation** — an interleaved writer aborts a transaction
   *iff* it wrote into the transaction's read set.  Both directions
   matter: missing aborts are lost updates, spurious aborts are a
   liveness bug the differential sweep would never catch.
-* **Epoch wait under clock faults** — the boundary discipline is
-  simulator-time (epochs are a property of the service, not of any
-  node's clock), so drifting gateway clocks never let an ack slip out
-  before the submission's epoch is sealed.
+* **Epoch wait under clock faults** — ordering is a property of the
+  service, not of any node's clock, so drifting gateway clocks never
+  let an ack precede its batch's ordering.
+* **Order on arrival** — a batch seals as soon as the order round
+  before it is done: a lone writer is ordered at once, and what arrives
+  during a round shares the next one.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import standard_cluster
-from repro.errors import (RangeUnavailableError, TransactionRetryError,
-                          TransactionValidationError)
+from repro.cluster import install_clock_monitor, standard_cluster
+from repro.errors import (ClockOutlierRejectedError, RangeUnavailableError,
+                          TransactionRetryError, TransactionValidationError)
+from repro.kv.commands import EpochOrderCommand
 from repro.placement import SurvivalGoal, provision_range, zone_config_for_home
 from repro.sim import Future, all_of
 from repro.sim.clock import TS_MAX
 from repro.txn import EpochOccProtocol, TransactionCoordinator
-from repro.txn.epoch import EpochService
 from repro.verify import HistoryRecorder
 
 REGIONS = ["us-east1", "europe-west2", "asia-northeast1"]
 HOME = "us-east1"
 KEYS = ["a", "b", "c", "d"]
-INTERVAL_MS = EpochService.INTERVAL_MS
 
 
-def build(seed: int):
+def build(seed: int, goal: SurvivalGoal = SurvivalGoal.REGION):
     cluster = standard_cluster(REGIONS, seed=seed)
     coord = TransactionCoordinator(cluster, protocol=EpochOccProtocol())
-    config = zone_config_for_home(HOME, cluster.regions(),
-                                  SurvivalGoal.REGION)
+    config = zone_config_for_home(HOME, cluster.regions(), goal)
     rng = provision_range(cluster, config, name="occ",
                           side_transport_interval_ms=100.0)
     rng.bulk_ingest([(key, 0) for key in KEYS],
@@ -78,22 +78,32 @@ class TestEpochTotalOrder:
         sim = cluster.sim
         recorder = HistoryRecorder(sim)
         coord.recorder = recorder
+        acked = []
 
         def client(region_index, key_index, delay):
             yield sim.sleep(delay)
+            attempts = []
+
+            def txn_fn(txn):
+                attempts.append(txn)
+                yield from _increment(coord, rng, KEYS[key_index])(txn)
+
             yield from coord.run(
                 cluster.gateway_for_region(REGIONS[region_index], 0),
-                _increment(coord, rng, KEYS[key_index]), max_attempts=8)
+                txn_fn, max_attempts=8)
+            # What the anchor leaseholder has applied at the ack.
+            txn = attempts[-1]
+            decided = rng.leaseholder_replica.epoch_orders.get(txn.epoch)
+            acked.append((txn.txn_id, decided))
 
         run_clients(sim, [sim.spawn(client(*op)) for op in ops])
 
         service = cluster.epoch_service
         assert service is not None
-        # The order log is a total order: epochs strictly increase and
-        # no transaction is ordered twice.
+        # The order log is a total order: batches are numbered 0, 1, 2,
+        # ... and no transaction is ordered twice.
         epochs = [epoch for epoch, _ids in service.order_log]
-        assert epochs == sorted(epochs)
-        assert len(epochs) == len(set(epochs))
+        assert epochs == list(range(len(epochs)))
         ordered_ids = [txn_id for _epoch, ids in service.order_log
                        for txn_id in ids]
         assert len(ordered_ids) == len(set(ordered_ids))
@@ -107,12 +117,13 @@ class TestEpochTotalOrder:
         # Every client op eventually committed (retries allowed).
         assert sum(1 for t in history.txns
                    if t.status == "committed") == len(ops)
-        # Nothing acks before its epoch's boundary has passed (the epoch
-        # wait), and commit timestamps follow the decided order between
-        # transactions that share a key (disjoint ones commute).
-        for txn in committed:
-            boundary = (epoch_of[txn.txn_id] + 1) * INTERVAL_MS
-            assert txn.end_ms >= boundary
+        # Nothing acks before its batch's order entry has applied at the
+        # anchor leaseholder, and commit timestamps follow the decided
+        # order between transactions that share a key (disjoint ones
+        # commute).
+        assert len(acked) == len(ops)
+        for txn_id, decided in acked:
+            assert decided is not None and txn_id in decided
         keys_of = {t.txn_id: {op.key for op in t.ops} for t in committed}
         for first in committed:
             for second in committed:
@@ -130,7 +141,9 @@ class TestKeysWaitEpochsDoNot:
         write to "b" ordered in a later epoch acknowledges first — no
         epoch barrier — while a home-region write to "a" in that later
         epoch waits for the slow reader to finish and commits above it
-        (started at once, it commits first and below the reader)."""
+        (started at once, it commits first and below the reader).  Any
+        later submission is a later epoch: the slow one's batch sealed
+        as it arrived."""
         cluster, coord, rng = build(0)
         sim = cluster.sim
         submitted = Future(sim)
@@ -147,7 +160,7 @@ class TestKeysWaitEpochsDoNot:
 
         def home(name, key):
             yield submitted
-            yield sim.sleep(INTERVAL_MS)
+            yield sim.sleep(1.0)
             txn = coord.begin(cluster.gateway_for_region(HOME, 0))
             yield from txn.write(rng, key, name)
             yield from txn.commit()
@@ -233,10 +246,11 @@ class TestEpochWaitUnderClockFaults:
                          st.floats(min_value=0.0, max_value=150.0,
                                    allow_nan=False)),
                min_size=1, max_size=6))
-    def test_no_ack_before_epoch_boundary(self, seed, drifts, ops):
-        """Epoch boundaries are simulator-time: per-region clock drift
-        (±4%) must never produce an acknowledgement that precedes the
-        submission's sealed epoch boundary."""
+    def test_no_ack_before_its_batch_is_ordered(self, seed, drifts, ops):
+        """Per-region clock drift (±4%) must never produce an
+        acknowledgement that precedes its batch's ordering: the order
+        entry has applied at the anchor leaseholder, after the
+        submission, by the time the client sees the ack."""
         cluster, coord, rng = build(seed)
         sim = cluster.sim
         # Drift one node per region (gateways included) — the epoch
@@ -244,6 +258,16 @@ class TestEpochWaitUnderClockFaults:
         for region_index, rate in enumerate(drifts):
             node = cluster.gateway_for_region(REGIONS[region_index], 0)
             cluster.clock.set_drift(node.node_id, rate)
+        ordered_at = {}
+        replica = rng.leaseholder_replica
+        apply = replica.apply
+
+        def timed_apply(command):
+            if isinstance(command, EpochOrderCommand):
+                ordered_at.setdefault(command.epoch, sim.now)
+            apply(command)
+
+        replica.apply = timed_apply
         acks = []
 
         def client(region_index, key_index, delay):
@@ -263,12 +287,80 @@ class TestEpochWaitUnderClockFaults:
 
         assert acks, "no transaction committed under drift"
         for submitted, epoch, acked in acks:
-            boundary = (epoch + 1) * INTERVAL_MS
-            assert submitted <= boundary
-            # The ack always waits out the epoch remainder (and then
-            # ordering/validation/apply), in sim time, drift or not.
-            assert acked >= boundary
-            assert acked - submitted >= boundary - submitted
+            assert submitted <= ordered_at[epoch] <= acked
+
+
+class TestOrderOnArrival:
+    def test_a_lone_writer_on_an_idle_service_is_ordered_at_once(self):
+        """A home-region increment on a ZONE-survival range: order,
+        validate, apply and resolve are each a home-region round, and
+        nothing waits for company or a boundary."""
+        cluster, coord, rng = build(0, SurvivalGoal.ZONE)
+        sim = cluster.sim
+        txn = coord.begin(cluster.gateway_for_region(HOME, 0))
+
+        def body():
+            yield sim.sleep(100.0)
+            value = yield from txn.read(rng, "a")
+            yield from txn.write(rng, "a", value + 1)
+            yield from txn.commit()
+
+        sim.run_until_future(sim.spawn(body()))
+        assert sim.now - txn.submitted_at_ms < 10.0
+        assert cluster.epoch_service.order_log == [(0, (txn.txn_id,))]
+
+    def test_arrivals_during_a_round_share_the_next_order_entry(self):
+        """One writer submits on an idle service; three more submit 1 ms
+        later, while its order round (a REGION-survival quorum, so a WAN
+        round) is in flight: they are the next batch, one entry."""
+        cluster, coord, rng = build(0)
+        sim = cluster.sim
+
+        def writer(key, delay):
+            yield sim.sleep(delay)
+            txn = coord.begin(cluster.gateway_for_region(HOME, 0))
+            yield from txn.write(rng, key, key)
+            yield from txn.commit()
+            return txn.txn_id
+
+        first = sim.spawn(writer("a", 100.0))
+        rest = [sim.spawn(writer(key, 101.0)) for key in KEYS[1:]]
+        run_clients(sim, [first] + rest)
+        batches = [(0, (first.value,)), (1, tuple(p.value for p in rest))]
+        assert cluster.epoch_service.order_log == batches
+        assert rng.leaseholder_replica.epoch_orders == dict(batches)
+
+
+class TestRetryableCommitSteps:
+    @pytest.mark.parametrize("reads", [True, False],
+                             ids=["validate", "apply"])
+    def test_a_clock_outlier_rejection_aborts_retryably(self, reads):
+        """The gateway's clock jumps +2000 ms between execution and
+        commit: the leaseholder (another node) rejects the first commit
+        step sent at the jumped clock — validation's read, or a blind
+        write's apply — and the ack rejects retryably with the per-key
+        table left empty."""
+        cluster, coord, rng = build(0)
+        install_clock_monitor(cluster)
+        sim = cluster.sim
+        gateway = cluster.gateway_for_region("europe-west2", 0)
+        assert gateway.node_id != rng.leaseholder_node_id
+        txn = coord.begin(gateway)
+
+        def body():
+            if reads:
+                yield from txn.read(rng, "a")
+            yield from txn.write(rng, "a", "x")
+            cluster.clock.jump(gateway.node_id, 2000.0)
+            try:
+                yield from txn.commit()
+            except TransactionRetryError as err:
+                return err
+
+        error = sim.run_until_future(sim.spawn(body()))
+        assert isinstance(error, ClockOutlierRejectedError)
+        assert txn.abort_reason == "retry"
+        assert cluster.epoch_service._keys == {}
 
 
 # -- the batched commit pipeline (one RPC / one Raft entry per range) --------

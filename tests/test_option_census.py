@@ -82,7 +82,6 @@ def test_signature(fn, expected):
 
 def test_fixed_settings_are_class_attributes():
     assert TransactionCoordinator.spanner_style_commit_wait is False
-    assert EpochService.INTERVAL_MS == 25.0
 
 
 def test_session_has_no_unset_fields():
