@@ -15,6 +15,7 @@ from ..sim.clock import ClockModel
 from ..sim.core import Simulator
 from ..sim.network import LatencyModel, Network
 from ..storage.locktable import WaitGraph
+from ..txn.protocol import resolve_protocol
 from .locality import Locality
 from .node import Node
 
@@ -27,8 +28,7 @@ class Cluster:
     def __init__(self, sim: Simulator, network: Network,
                  max_clock_offset: float = 250.0,
                  skew_fraction: float = 0.5, seed: int = 0,
-                 raft_coalesce_ms: Optional[float] = None,
-                 txn_protocol=None):
+                 raft_coalesce_ms: Optional[float] = None):
         self.sim = sim
         self.network = network
         self.seed = seed
@@ -59,12 +59,11 @@ class Cluster:
         #: admission control is disabled and every gated path is a
         #: single attribute check — installed via ``install_admission``.
         self.admission = None
-        #: Cluster-default transaction protocol: anything
-        #: :func:`repro.txn.protocol.resolve_protocol` accepts ("crdb",
-        #: "epoch-occ", a TxnProtocol instance, or None for the CRDB
-        #: default).  Coordinators built without an explicit ``protocol``
-        #: inherit this.
-        self.txn_protocol = txn_protocol
+        #: The cluster's one transaction backend (a
+        #: :class:`~repro.txn.protocol.TxnProtocol`), shared by every
+        #: coordinator on it; ``None`` until ``standard_cluster`` or the
+        #: first coordinator chooses it.
+        self.txn_protocol = None
         #: Shared epoch-OCC sequencer (``repro.txn.epoch``); created
         #: lazily by the first epoch-OCC coordinator on this cluster.
         self.epoch_service = None
@@ -190,7 +189,8 @@ def standard_cluster(regions: Sequence[str],
                      trace_sample_every: int = 1,
                      raft_coalesce_ms: Optional[float] = None,
                      txn_protocol=None) -> Cluster:
-    """Build the paper's standard layout: one node per zone per region."""
+    """Build the paper's standard layout: one node per zone per region.
+    ``txn_protocol`` names the cluster's transaction backend."""
     sim = Simulator(obs_enabled=obs_enabled,
                     trace_sample_every=trace_sample_every)
     latency = LatencyModel(rtt_matrix=rtt_matrix, seed=seed,
@@ -198,8 +198,9 @@ def standard_cluster(regions: Sequence[str],
     network = Network(sim, latency, seed=seed)
     cluster = Cluster(sim, network, max_clock_offset=max_clock_offset,
                       skew_fraction=skew_fraction, seed=seed,
-                      raft_coalesce_ms=raft_coalesce_ms,
-                      txn_protocol=txn_protocol)
+                      raft_coalesce_ms=raft_coalesce_ms)
+    if txn_protocol is not None:
+        cluster.txn_protocol = resolve_protocol(txn_protocol)
     for region in regions:
         for i in range(nodes_per_region):
             zone = f"{region}-{chr(ord('a') + (i % zones_per_region))}"

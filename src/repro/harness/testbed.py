@@ -87,11 +87,12 @@ class Testbed:
         self.seed = seed
         self.regions = list(regions)
         self.home = self.regions[0]
-        self.cluster = standard_cluster(self.regions, seed=seed,
-                                        obs_enabled=obs_enabled)
         # protocol=None keeps the CRDB default; "epoch-occ" runs the
         # same schedules against the optimistic backend.
-        self.coord = TransactionCoordinator(self.cluster, protocol=protocol)
+        self.cluster = standard_cluster(self.regions, seed=seed,
+                                        obs_enabled=obs_enabled,
+                                        txn_protocol=protocol)
+        self.coord = TransactionCoordinator(self.cluster)
         self.ds = self.coord.distsender
         self.rng = random.Random(seed if rng_seed is None else rng_seed)
         self.clock_monitor = None
@@ -122,12 +123,6 @@ class Testbed:
             retransmit_interval_ms=(RETRANSMIT_INTERVAL_MS if retransmit
                                     else None),
             **policy)
-
-    def second_coordinator(self) -> TransactionCoordinator:
-        """Another coordinator on the same cluster and protocol (e.g.
-        for unrecorded background load)."""
-        return TransactionCoordinator(self.cluster,
-                                      protocol=self.coord.protocol)
 
     def enable_clock_monitor(self) -> None:
         self.clock_monitor = install_clock_monitor(self.cluster)

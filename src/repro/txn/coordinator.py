@@ -14,8 +14,7 @@ and deadline accounting, stats, and history recording — and delegates
   read/write sets, epoch-batched commit behind a Raft-replicated
   per-epoch ordering decision, validation-based aborts, epoch-wait.
 
-The protocol is chosen per cluster (``Cluster(txn_protocol=...)``) or
-per coordinator (``TransactionCoordinator(protocol=...)``).
+A coordinator runs its cluster's one backend.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from typing import Callable, Generator, Optional
 
 from ..errors import (
     AmbiguousCommitError,
+    ConfigurationError,
     DeadlineExceededError,
     RangeUnavailableError,
     TransactionAbortedError,
@@ -99,15 +99,22 @@ class TransactionCoordinator:
     prove_writes = True
 
     def __init__(self, cluster, protocol=None):
+        # ``protocol`` may only name the cluster's backend, or choose it
+        # on a cluster that has none yet (None: CRDB) — the commit
+        # micro-benchmark names epoch-OCC on a default cluster.
+        if cluster.txn_protocol is None:
+            cluster.txn_protocol = resolve_protocol(protocol)
+        elif protocol not in (None, cluster.txn_protocol.name):
+            raise ConfigurationError(
+                f"cluster runs {cluster.txn_protocol.name!r}, "
+                f"not {protocol!r}")
         self.cluster = cluster
         self.sim = cluster.sim
         self.distsender = DistSender(cluster)
         self.stats = TxnStats(cluster.sim.obs.registry)
         self.tracer = cluster.sim.obs.tracer
-        #: The transaction backend; defaults to the cluster's configured
-        #: protocol (``Cluster(txn_protocol=...)``), else CRDB.
-        self.protocol: TxnProtocol = resolve_protocol(
-            cluster.txn_protocol if protocol is None else protocol)
+        #: The cluster's transaction backend, shared by its coordinators.
+        self.protocol: TxnProtocol = cluster.txn_protocol
         #: Optional :class:`repro.verify.HistoryRecorder`; when set,
         #: every read/write/outcome is captured for anomaly checking.
         self.recorder = None

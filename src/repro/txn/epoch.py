@@ -45,10 +45,8 @@ acknowledgement until the gateway clock passes them, preserving the
 real-time recency guarantee commit wait provides; the transaction's
 keys are free before that wait, so it never stalls a later commit.
 
-Intents exist only inside the apply window, so lock-table waiters
-interoperate with CRDB-protocol transactions sharing the cluster: a
-pending epoch transaction is pushed through the same txn-registry
-machinery, and mixed-protocol conflicts resolve through the ordinary
+Intents exist only inside the apply window; a lock-table waiter
+pushes a pending epoch transaction through the ordinary txn-registry
 wait-or-push path.
 """
 
@@ -636,8 +634,8 @@ class EpochTransaction:
 
 
 class EpochOccProtocol(TxnProtocol):
-    """Epoch-batched OCC backend, selectable via
-    ``Cluster(txn_protocol="epoch-occ")``."""
+    """Epoch-batched OCC backend: a cluster's, via
+    ``standard_cluster(txn_protocol="epoch-occ")``."""
 
     name = "epoch-occ"
     wait_kind = "epoch-wait"

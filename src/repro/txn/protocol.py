@@ -27,22 +27,17 @@ anything retryable must be a :class:`~repro.errors.TransactionRetryError`
 accounting can tell them apart) or
 :class:`~repro.errors.TransactionAbortedError`.
 
-Protocols are selectable per cluster (``Cluster(txn_protocol=...)`` /
-``standard_cluster(txn_protocol=...)``) or per coordinator
-(``TransactionCoordinator(protocol=...)``); each accepts a name, a
-:class:`TxnProtocol` instance, or a protocol class.
+A cluster runs one protocol: ``standard_cluster(txn_protocol=...)``
+names it, and every coordinator on the cluster shares that instance.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..errors import ConfigurationError
 
 __all__ = ["TxnProtocol", "PROTOCOL_NAMES", "resolve_protocol"]
 
-#: Canonical names accepted by :func:`resolve_protocol` (aliases are
-#: normalized: underscores become dashes, matching is case-insensitive).
+#: The names :func:`resolve_protocol` accepts.
 PROTOCOL_NAMES = ("crdb", "epoch-occ")
 
 
@@ -63,28 +58,15 @@ class TxnProtocol:
         return f"{type(self).__name__}({self.name!r})"
 
 
-def resolve_protocol(spec=None) -> TxnProtocol:
-    """Resolve ``spec`` to a :class:`TxnProtocol` instance.
-
-    Accepts ``None`` (the CRDB default), a protocol name from
-    :data:`PROTOCOL_NAMES`, a :class:`TxnProtocol` instance (returned
-    as-is), or a protocol class (instantiated).
-    Imports lazily so the backends stay import-cycle-free.
-    """
-    if isinstance(spec, TxnProtocol):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, TxnProtocol):
-        return spec()
-    if spec is None:
-        spec = "crdb"
-    if isinstance(spec, str):
-        name = spec.strip().lower().replace("_", "-")
-        if name in ("", "crdb", "default"):
-            from .crdb import CrdbProtocol
-            return CrdbProtocol()
-        if name in ("epoch-occ", "epoch", "occ"):
-            from .epoch import EpochOccProtocol
-            return EpochOccProtocol()
+def resolve_protocol(name=None) -> TxnProtocol:
+    """A new instance of the backend called ``name`` (None: CRDB).
+    Imports lazily so the backends stay import-cycle-free."""
+    if name in (None, "crdb"):
+        from .crdb import CrdbProtocol
+        return CrdbProtocol()
+    if name == "epoch-occ":
+        from .epoch import EpochOccProtocol
+        return EpochOccProtocol()
     raise ConfigurationError(
-        f"unknown transaction protocol {spec!r} "
+        f"unknown transaction protocol {name!r} "
         f"(expected one of {', '.join(PROTOCOL_NAMES)})")

@@ -35,6 +35,7 @@ from ..errors import (ConditionFailedError, DeadlineExceededError,
 from ..harness.testbed import OK, RETRYABLE, Testbed
 from ..kv.distsender import ReadRouting
 from ..sim.clock import Timestamp
+from ..txn import TransactionCoordinator
 from ..workloads.zipf import ZipfGenerator
 from .checker import VerifyReport, check
 from .history import VerifyHistory
@@ -177,8 +178,7 @@ class VerifyHarness(Testbed):
     def __init__(self, seed: int, protocol=None):
         super().__init__(seed, protocol=protocol,
                          rng_seed=(seed << 5) ^ 0x5EED)
-        #: The resolved backend instance (a differential run is pure:
-        #: one protocol end to end, background load included).
+        #: The cluster's backend (background load runs it too).
         self.protocol = self.coord.protocol
         self.recorder = HistoryRecorder(self.cluster.sim)
         self.coord.recorder = self.recorder
@@ -487,7 +487,7 @@ class VerifyHarness(Testbed):
         self.txn_deadline_ms = OVERLOAD_TXN_DEADLINE_MS
         # Unrecorded coordinator for the background load: its txns must
         # not enter the verified history (they touch only bg* keys).
-        self._bg_coord = self.second_coordinator()
+        self._bg_coord = TransactionCoordinator(self.cluster)
         end_ms = self.sim.now + OVERLOAD_WINDOW_MS
         for index, region in enumerate(self.regions):
             self.sim.spawn(self._bg_arrivals(region, index, end_ms),

@@ -27,11 +27,12 @@ class KVTestBed:
                  max_clock_offset=250.0, skew_fraction=0.5,
                  jitter_fraction=0.0, goal=SurvivalGoal.ZONE, seed=0,
                  spanner_style_commit_wait=False,
-                 side_transport_interval_ms=100.0):
+                 side_transport_interval_ms=100.0, txn_protocol=None):
         self.cluster = standard_cluster(
             regions, nodes_per_region=nodes_per_region,
             max_clock_offset=max_clock_offset, skew_fraction=skew_fraction,
-            jitter_fraction=jitter_fraction, seed=seed)
+            jitter_fraction=jitter_fraction, seed=seed,
+            txn_protocol=txn_protocol)
         self.goal = goal
         self.side_transport_interval_ms = side_transport_interval_ms
         self.coord = TransactionCoordinator(self.cluster)

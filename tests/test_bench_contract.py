@@ -8,6 +8,7 @@ keeps the contract in tier-1.
 """
 
 import importlib
+import math
 
 from bench import trace
 from bench.workloads import WORKLOADS
@@ -33,6 +34,15 @@ def test_expected_shims_are_shim_names():
 
 def test_micro_benchmarks_import():
     importlib.import_module("bench.micro")
+
+
+def test_micro_benchmarks_run():
+    # Importing proves nothing about the calls a micro-benchmark makes
+    # into the program; three iterations of each do.
+    micro = importlib.import_module("bench.micro")
+    for name, (_unit, measure) in micro.METRICS.items():
+        value = measure(n=3)
+        assert math.isfinite(value) and value > 0, name
 
 
 def test_process_caches_the_benchmark_resets_exist():

@@ -16,7 +16,6 @@ from repro.errors import ConditionFailedError, UniqueViolationError
 from repro.kv.commands import BatchCommand, PutIntentCommand
 from repro.sim.clock import Timestamp
 from repro.sim.core import settle_all
-from repro.txn import TransactionCoordinator
 from repro.verify import HistoryRecorder, check
 
 from .kv_util import REGIONS3, KVTestBed
@@ -319,8 +318,7 @@ class TestEpochOcc:
     into: it reads (into the read set) and buffers, as before."""
 
     def test_condition_is_a_read_set_entry(self):
-        bed, rng = make_bed()
-        coord = TransactionCoordinator(bed.cluster, protocol="epoch-occ")
+        bed, rng = make_bed(txn_protocol="epoch-occ")
         seen = {}
 
         def txn_fn(txn):
@@ -329,13 +327,13 @@ class TestEpochOcc:
             seen["buffer"] = list(txn.write_buffer.values())
 
         bed.sim.run_until_future(bed.sim.spawn(
-            coord.run(bed.gateway(HOME), txn_fn)))
+            bed.coord.run(bed.gateway(HOME), txn_fn)))
         assert seen == {"reads": ["new"], "buffer": ["mine"]}
 
         def duplicate(txn):
             yield from txn.write_batch([(rng, "k", 1)], expect_absent=True)
 
-        process = bed.sim.spawn(coord.run(bed.gateway(HOME), duplicate))
+        process = bed.sim.spawn(bed.coord.run(bed.gateway(HOME), duplicate))
         bed.sim.run_until_future(settle_all(bed.sim, [process]))
         assert isinstance(process.error, ConditionFailedError)
 

@@ -20,7 +20,7 @@ from repro.kv.distsender import ReadRouting
 from repro.placement import SurvivalGoal, provision_range, zone_config_for_home
 from repro.sim import all_of
 from repro.sim.clock import TS_MAX
-from repro.txn import EpochOccProtocol, TransactionCoordinator
+from repro.txn import TransactionCoordinator
 
 from .sql_util import connect, movr_engine
 
@@ -33,10 +33,10 @@ class Bed:
     homed in ``HOME``, each holding one initial key."""
 
     def __init__(self, seed: int = 0):
-        self.cluster = standard_cluster(REGIONS, seed=seed)
+        self.cluster = standard_cluster(REGIONS, seed=seed,
+                                        txn_protocol="epoch-occ")
         self.sim = self.cluster.sim
-        self.coord = TransactionCoordinator(self.cluster,
-                                            protocol=EpochOccProtocol())
+        self.coord = TransactionCoordinator(self.cluster)
         self.ds = self.coord.distsender
         config = zone_config_for_home(HOME, self.cluster.regions(),
                                       SurvivalGoal.ZONE)

@@ -31,7 +31,7 @@ from repro.kv.commands import EpochOrderCommand
 from repro.placement import SurvivalGoal, provision_range, zone_config_for_home
 from repro.sim import Future, all_of
 from repro.sim.clock import TS_MAX
-from repro.txn import EpochOccProtocol, TransactionCoordinator
+from repro.txn import TransactionCoordinator
 from repro.verify import HistoryRecorder
 
 REGIONS = ["us-east1", "europe-west2", "asia-northeast1"]
@@ -40,8 +40,8 @@ KEYS = ["a", "b", "c", "d"]
 
 
 def build(seed: int, goal: SurvivalGoal = SurvivalGoal.REGION):
-    cluster = standard_cluster(REGIONS, seed=seed)
-    coord = TransactionCoordinator(cluster, protocol=EpochOccProtocol())
+    cluster = standard_cluster(REGIONS, seed=seed, txn_protocol="epoch-occ")
+    coord = TransactionCoordinator(cluster)
     config = zone_config_for_home(HOME, cluster.regions(), goal)
     rng = provision_range(cluster, config, name="occ",
                           side_transport_interval_ms=100.0)
@@ -494,8 +494,9 @@ class TestBatchedValidation:
 
 class TestBatchedApply:
     def two_ranges(self, seed=0):
-        cluster = standard_cluster(REGIONS, seed=seed)
-        coord = TransactionCoordinator(cluster, protocol=EpochOccProtocol())
+        cluster = standard_cluster(REGIONS, seed=seed,
+                                   txn_protocol="epoch-occ")
+        coord = TransactionCoordinator(cluster)
         ranges = []
         for home, name in ((HOME, "healthy"), ("europe-west2", "doomed")):
             config = zone_config_for_home(home, cluster.regions(),

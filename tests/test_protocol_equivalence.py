@@ -1,13 +1,14 @@
-"""The CrdbProtocol extraction is a pure refactor.
+"""The CrdbProtocol extraction is a pure refactor, and a cluster runs
+one backend.
 
 Pulling the lease/intent/parallel-commit pipeline out of the
 coordinator and behind the :class:`~repro.txn.protocol.TxnProtocol`
-interface must not change a single simulated event: a coordinator
-built with the default (``protocol=None``) and one built with an
-explicit ``"crdb"`` spec must produce byte-identical histories and
-chaos reports.  (The committed bench goldens in ``tests/goldens/`` and
-``REBALANCE_golden.json`` pin the default path itself — this file pins
-default == explicit.)
+interface must not change a single simulated event: a run that names
+no backend and one that names ``"crdb"`` must produce byte-identical
+histories and chaos reports.  (The committed bench goldens in
+``tests/goldens/`` and ``REBALANCE_golden.json`` pin the default path
+itself — this file pins default == explicit.)  Every coordinator on a
+cluster runs the cluster's one backend instance.
 """
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.chaos import run_scenario
 from repro.cluster import standard_cluster
 from repro.errors import ConfigurationError
+from repro.harness.testbed import Testbed
 from repro.txn import (
     CrdbProtocol,
     EpochOccProtocol,
@@ -35,26 +37,12 @@ class TestResolveProtocol:
         assert isinstance(resolve_protocol(None), CrdbProtocol)
         assert resolve_protocol(None).name == "crdb"
 
-    @pytest.mark.parametrize("spec", ["crdb", "CRDB", "default", ""])
-    def test_crdb_aliases(self, spec):
-        assert isinstance(resolve_protocol(spec), CrdbProtocol)
-
-    @pytest.mark.parametrize("spec", ["epoch-occ", "epoch_occ", "occ",
-                                      "epoch"])
-    def test_occ_aliases(self, spec):
-        assert isinstance(resolve_protocol(spec), EpochOccProtocol)
-
-    def test_instance_passes_through(self):
-        configured = EpochOccProtocol()
-        assert resolve_protocol(configured) is configured
-
-    def test_class_is_instantiated(self):
-        assert isinstance(resolve_protocol(EpochOccProtocol),
-                          EpochOccProtocol)
-
     def test_unknown_name_raises(self):
-        with pytest.raises(ConfigurationError):
-            resolve_protocol("two-phase-locking")
+        # Only the two names: no aliases, no class, no instance.
+        for spec in ("two-phase-locking", "CRDB", "default", "", "occ",
+                     "epoch_occ", CrdbProtocol(), EpochOccProtocol):
+            with pytest.raises(ConfigurationError):
+                resolve_protocol(spec)
 
     def test_coordinator_default_protocol(self):
         cluster = standard_cluster(["us-east1"], seed=0)
@@ -85,12 +73,35 @@ class TestDefaultEqualsExplicitCrdb:
                                 txn_protocol="crdb")
         assert default.to_json() == explicit.to_json()
 
-    def test_protocol_instance_matches_name(self):
-        by_name = run_verify(None, seed=1, protocol="crdb",
-                             **VERIFY_KWARGS)
-        by_instance = run_verify(None, seed=1, protocol=CrdbProtocol(),
-                                 **VERIFY_KWARGS)
-        assert by_name.history.dumps() == by_instance.history.dumps()
+
+
+class TestOneBackendPerCluster:
+    """A cluster runs one backend, whichever coordinator asks."""
+
+    @pytest.mark.parametrize("ours, other", [("crdb", "epoch-occ"),
+                                             ("epoch-occ", "crdb")])
+    def test_naming_another_backend_raises(self, ours, other):
+        bed = Testbed(0, protocol=ours)
+        with pytest.raises(ConfigurationError):
+            TransactionCoordinator(bed.cluster, protocol=other)
+        assert TransactionCoordinator(
+            bed.cluster, protocol=ours).protocol is bed.coord.protocol
+
+    @pytest.mark.parametrize("name", ["crdb", "epoch-occ"])
+    def test_coordinators_share_the_instance(self, name):
+        cluster = standard_cluster(["us-east1"], seed=0, txn_protocol=name)
+        first = TransactionCoordinator(cluster)
+        second = TransactionCoordinator(cluster)
+        assert first.protocol is second.protocol is cluster.txn_protocol
+        assert first.protocol.name == name
+
+    def test_first_coordinator_chooses_on_a_default_cluster(self):
+        cluster = standard_cluster(["us-east1"], seed=0)
+        assert cluster.txn_protocol is None
+        chooser = TransactionCoordinator(cluster, protocol="epoch-occ")
+        later = TransactionCoordinator(cluster)
+        assert isinstance(later.protocol, EpochOccProtocol)
+        assert later.protocol is chooser.protocol
 
 
 class TestOverloadScenarioGuards:

@@ -17,7 +17,6 @@ from repro.errors import ConditionFailedError, TransactionRetryError
 from repro.kv.commands import BatchCommand, SetTxnRecordCommand
 from repro.kv.range import Range
 from repro.placement.goals import SurvivalGoal
-from repro.txn import TransactionCoordinator
 from repro.verify import VerifyHarness, check
 
 from . import test_one_phase_commit as one_phase
@@ -455,7 +454,7 @@ class TestNeverPipelined:
         assert proofs == []
 
     def test_an_epoch_occ_apply(self, monkeypatch):
-        bed, rng = make_bed()
+        bed, rng = make_bed(txn_protocol="epoch-occ")
         asked = []
         serve = Range.serve_write
 
@@ -464,14 +463,13 @@ class TestNeverPipelined:
             return serve(self, *args, **kwargs)
 
         monkeypatch.setattr(Range, "serve_write", spying)
-        coord = TransactionCoordinator(bed.cluster, protocol="epoch-occ")
 
         def txn_fn(txn):
             yield from txn.write(rng, "k", "a")
             yield from txn.write(rng, "other", "b")
 
         bed.sim.run_until_future(bed.sim.spawn(
-            coord.run(bed.gateway(HOME), txn_fn)))
+            bed.coord.run(bed.gateway(HOME), txn_fn)))
         assert asked and not any(asked)
         assert versions(rng, "k")[-1][1] == "a"
 
