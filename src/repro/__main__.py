@@ -6,13 +6,12 @@ Usage::
     python -m repro table1 | fig3 | fig4a | fig4b | fig4c | fig5 | fig6
                     | table2 | ablations | clockskew   [--quick]
     python -m repro all [--quick]
-    python -m repro chaos <scenario|all|list> [--seed N | --seeds K]
-                    [--protocol epoch-occ] [--parallel N] [--json]
-    python -m repro verify [--scenario NAME|none|all|clock|list]
+    python -m repro verify [--scenario NAME|none|all|clock|repair|list]
                     [--seed N | --seeds K] [--protocol epoch-occ]
                     [--parallel N] [--json] [--dump FILE]
     python -m repro verify --check history.json
-    python -m repro repair [--scenario NAME] [--seed N]
+    python -m repro overload <scenario|all|list> [--seed N | --seeds K]
+                    [--parallel N] [--json]
     python -m repro rebalance [--seed N | --seeds K] [--json]
                     [--update-golden | --no-golden]
     python -m repro protocols [--seed N | --seeds K] [--json]
@@ -24,7 +23,7 @@ Usage::
                     [--seed N] [--json]
     python -m repro metrics [--workload movr|kv | --scenario NAME]
                     [--seed N] [--prefix NAME] [--json]
-    python -m repro sweep [--kinds chaos,verify,scale] [--scenarios a,b]
+    python -m repro sweep [--kinds verify,overload,scale] [--scenarios a,b]
                     [--seeds K] [--parallel N] [--json] [--out FILE]
 
 The verbs, their scenarios and their flags all come from
@@ -52,8 +51,7 @@ from .harness.scale import render_scale, run_scale
 from .harness.tracing import run_traced_workload
 from .obs import (containment_violations, critical_path, render_tree,
                   spans_named)
-from .obs.report import Summary
-from .verify import VerifyHistory, check
+from .verify import SCENARIOS, VerifyHarness, VerifyHistory, check
 
 __all__ = ["main", "build_parser"]
 
@@ -88,7 +86,7 @@ def _list_main(_exp, _args) -> int:
     return 0
 
 
-# -- chaos / verify ----------------------------------------------------------
+# -- verify / overload -------------------------------------------------------
 
 
 def _farmed(title: str, jobs, workers: int, as_json: bool,
@@ -172,46 +170,6 @@ def _verify_main(exp: Experiment, args) -> int:
     return 0 if report.ok else 1
 
 
-def _repair_main(exp: Experiment, args) -> int:
-    seed = args.seed or 0
-    names = [args.scenario] if args.scenario else list(exp.scenarios)
-    ok = True
-    for name in names:
-        result = exp.run(name, seed, None)
-        harness = result.harness
-        liveness = harness.liveness
-        metrics = harness.repair_queue.metrics
-        guard = harness.range.group.config_guard
-        print(f"repair scenario {name!r} (seed={seed}) — "
-              f"{result.duration_ms:.0f}ms sim")
-        print("  liveness transitions:")
-        if liveness.transitions:
-            for when, node_id, old, new in liveness.transitions:
-                print(f"    t={when:8.1f}ms  n{node_id}: {old} -> {new}")
-        else:
-            print("    (none)")
-        print("  repair actions:")
-        for kind in sorted(set(metrics.actions) | set(metrics.failures)):
-            done = metrics.actions.get(kind, 0)
-            failed = metrics.failures.get(kind, 0)
-            print(f"    {kind:28s} done={done} failed={failed}")
-        if not metrics.actions and not metrics.failures:
-            print("    (none)")
-        ttr = Summary(metrics.time_to_repair_ms)
-        print(f"  time-to-repair: n={ttr.count} p50={ttr.p50:.0f}ms "
-              f"max={ttr.max:.0f}ms (detection-to-healthy, scan-quantized)")
-        print(f"  scans={metrics.scans} "
-              f"under-replicated={metrics.under_replicated_ranges} "
-              f"config-changes={guard.changes} "
-              f"max-inflight-changes={guard.max_inflight}")
-        verdict = "OK" if result.ok else "INVARIANT VIOLATIONS"
-        print("  invariants:")
-        print(result.report.render())
-        print(f"  => {verdict}\n")
-        ok = ok and result.ok
-    return 0 if ok else 1
-
-
 # -- golden-checked suites ---------------------------------------------------
 
 
@@ -271,14 +229,14 @@ def _observed_run(args):
     (title, seed, Observability) with the run's spans and metrics."""
     seed = args.seed or 0
     if args.scenario is not None:
-        chaos = REGISTRY["chaos"]
-        if args.scenario not in chaos.scenarios:
+        if args.scenario not in SCENARIOS:
             print(f"unknown scenario {args.scenario!r} "
-                  f"(try: {', '.join(chaos.scenarios)})", file=sys.stderr)
+                  f"(try: {', '.join(SCENARIOS)})", file=sys.stderr)
             raise SystemExit(2)
-        result = chaos.run(args.scenario, seed, None)
-        return (f"chaos scenario {args.scenario!r}", seed,
-                result.harness.sim.obs)
+        harness = VerifyHarness(seed,
+                                protocol=SCENARIOS[args.scenario].protocol)
+        harness.run(scenario=args.scenario)
+        return (f"verify scenario {args.scenario!r}", seed, harness.sim.obs)
     engine = run_traced_workload(args.workload, seed=seed)
     return f"workload {args.workload!r}", seed, engine.cluster.sim.obs
 
@@ -371,7 +329,6 @@ _STYLES = {
     "paper": _paper_main,
     "scenarios": _scenario_main,
     "verify": _verify_main,
-    "repair": _repair_main,
     "suite": _suite_main,
     "scale": _scale_main,
     "trace": _trace_main,
@@ -390,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the paper's evaluation tables and figures, "
-                    "and run the chaos / verify / golden-checked "
+                    "and run the verify / overload / golden-checked "
                     "experiments built around them.")
     verbs = parser.add_subparsers(dest="verb", metavar="VERB", required=True)
     verbs.add_parser(

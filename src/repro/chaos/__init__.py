@@ -1,46 +1,17 @@
-"""Chaos engineering: nemesis fault orchestration + invariant checking.
+"""Chaos engineering: nemesis fault orchestration.
 
 A :class:`~repro.chaos.nemesis.Nemesis` runs a declarative schedule of
 timed fault events (inject at t, heal at t') against a cluster's
-:class:`~repro.sim.network.FaultPlane` while seeded clients record an
-operation :class:`~repro.chaos.invariants.History`.  Afterwards the
-invariant checker audits the history against the database's final
-state, Jepsen-style: no lost acknowledged writes, no dirty reads, and
-bounded indeterminacy for ambiguous commits.
-
-Built-in scenarios live in :mod:`repro.chaos.scenarios` and run via
-``python -m repro chaos <scenario>``.
+:class:`~repro.sim.network.FaultPlane`.  The schedules themselves are
+built by :mod:`repro.chaos.faults`; each is the nemesis of a
+:data:`repro.verify.SCENARIOS` row, whose harness runs the clients and
+whose Elle-style checker judges the history
+(``python -m repro verify --scenario <name>``).  The overload scenarios
+(:mod:`repro.chaos.overload`) have load, not faults, as their nemesis
+and run as ``python -m repro overload <name>``.
 """
 
-from .invariants import (
-    FAIL,
-    INDETERMINATE,
-    History,
-    InvariantReport,
-    OK,
-    OpRecord,
-    ScenarioResult,
-    availability_timeline,
-    check_history,
-    render_timeline,
-)
+from .faults import build_faults
 from .nemesis import FaultEvent, Nemesis
-from .scenarios import ChaosHarness, SCENARIOS, run_scenario
 
-__all__ = [
-    "FAIL",
-    "INDETERMINATE",
-    "OK",
-    "History",
-    "InvariantReport",
-    "OpRecord",
-    "availability_timeline",
-    "check_history",
-    "render_timeline",
-    "ChaosHarness",
-    "FaultEvent",
-    "Nemesis",
-    "SCENARIOS",
-    "ScenarioResult",
-    "run_scenario",
-]
+__all__ = ["FaultEvent", "Nemesis", "build_faults"]

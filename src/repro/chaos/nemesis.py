@@ -35,7 +35,8 @@ class Nemesis:
     """Arms fault events on the simulator and tracks what is active.
 
     The timeline (``(time_ms, "inject"|"heal", name)`` tuples) feeds the
-    chaos report so availability dips can be correlated with faults.
+    availability timeline a verify run renders, so availability dips can
+    be correlated with faults.
     """
 
     def __init__(self, cluster, events: List[FaultEvent]):

@@ -1,4 +1,4 @@
-"""Overload chaos scenarios: graceful degradation under saturation.
+"""Overload scenarios: graceful degradation under saturation.
 
 Unlike the fault-injection scenarios, the nemesis here is *load*: an
 open-loop Poisson arrival process offering 2-4x the store evaluation
@@ -25,20 +25,20 @@ subsystem exists to provide:
 
 Everything is deterministic from the seed; these scenarios back the
 acceptance gates that ``python -m repro scale`` sweeps continuously.
+Run one with ``python -m repro overload <scenario|all|list>``.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict, List, Tuple
 
 from ..harness.openloop import OpenLoopConfig, OpenLoopHarness
 from ..harness.scale import COLLAPSE_CEILING, GOODPUT_FLOOR
 from ..obs import nearest_rank
-from .invariants import (FAIL, OK, History, InvariantReport, OpRecord,
-                         ScenarioResult)
 
-__all__ = ["overload_global", "overload_hot_region",
-           "GOODPUT_FLOOR", "COLLAPSE_CEILING", "PROBE_BOUND_MS"]
+__all__ = ["SCENARIOS", "overload_global", "overload_hot_region",
+           "render_overload", "GOODPUT_FLOOR", "COLLAPSE_CEILING",
+           "PROBE_BOUND_MS"]
 
 #: A post-drain probe slower than this indicates residual livelock
 #: (the unloaded baseline read is single-digit milliseconds).
@@ -51,19 +51,6 @@ ON_DURATION_MS = 1000.0
 OFF_DURATION_MS = 1500.0
 HOT_REGION = "us-east1"
 HOT_WEIGHT = 4.0
-
-
-def _history_from(harness: OpenLoopHarness) -> History:
-    """Convert the harness's per-request records into a History."""
-    history = History()
-    for rec in harness.records:
-        good = rec["status"] == "good"
-        history.record(OpRecord(
-            client=rec["client"], kind=rec["kind"], key=rec["key"],
-            start_ms=rec["start_ms"], end_ms=rec["end_ms"],
-            status=OK if good else FAIL,
-            error="" if good else str(rec["status"])))
-    return history
 
 
 def _probe_all(harness: OpenLoopHarness) -> Dict[str, float]:
@@ -80,14 +67,45 @@ def _probe_all(harness: OpenLoopHarness) -> Dict[str, float]:
             for region, proc in procs.items()}
 
 
-def _check(report: InvariantReport, ok: bool, text: str) -> None:
-    if ok:
-        report.checks_run.append(text)
-    else:
-        report.violations.append(text)
+def _document(name: str, seed: int, checks: List[Tuple[bool, str]],
+              harness: OpenLoopHarness, load: str, duration_ms: float,
+              stats: Dict[str, Any]) -> Dict[str, Any]:
+    """The run's JSON document: ``checks`` are (held, statement) pairs,
+    and ``load`` runs from the harness's load start to its end."""
+    return {
+        "scenario": name,
+        "seed": seed,
+        "ok": all(held for held, _text in checks),
+        "duration_ms": round(duration_ms, 1),
+        "stats": stats,
+        "checks_run": [text for held, text in checks if held],
+        "violations": [text for held, text in checks if not held],
+        "nemesis_timeline": [
+            {"at_ms": round(harness.load_start_ms, 1), "action": "inject",
+             "fault": load},
+            {"at_ms": round(harness.load_end_ms, 1), "action": "heal",
+             "fault": "arrivals stop"}],
+    }
 
 
-def overload_global(seed: int = 0) -> ScenarioResult:
+def render_overload(doc: Dict[str, Any]) -> str:
+    lines = [
+        f"overload scenario {doc['scenario']!r} (seed={doc['seed']}) — "
+        f"{doc['duration_ms']:.0f}ms sim",
+        "  stats: " + ", ".join(
+            f"{key}={value}" for key, value in sorted(doc["stats"].items())),
+        "  load: " + "; ".join(
+            f"{event['action']} {event['fault']} at {event['at_ms']:.0f}ms"
+            for event in doc["nemesis_timeline"]),
+        "invariants:",
+    ]
+    lines += [f"  [pass] {text}" for text in doc["checks_run"]]
+    lines += [f"  [FAIL] {text}" for text in doc["violations"]]
+    lines.append("  => " + ("OK" if doc["ok"] else "INVARIANT VIOLATIONS"))
+    return "\n".join(lines)
+
+
+def overload_global(seed: int = 0) -> Dict[str, Any]:
     """4x global saturation with admission on, plus the ablation.
 
     Three deterministic runs: a 1x reference (measures capacity), the
@@ -98,7 +116,7 @@ def overload_global(seed: int = 0) -> ScenarioResult:
 
     on_harness = OpenLoopHarness(OpenLoopConfig(
         load_multiplier=PEAK_MULTIPLIER, duration_ms=ON_DURATION_MS,
-        seed=seed), record_ops=True)
+        seed=seed))
     on = on_harness.run()
     probes = _probe_all(on_harness)
 
@@ -112,26 +130,21 @@ def overload_global(seed: int = 0) -> ScenarioResult:
     deadline_ms = on.config.deadline_ms
     worst_probe = max(probes.values())
 
-    report = InvariantReport()
-    _check(report, goodput_ratio >= GOODPUT_FLOOR,
-           f"goodput holds at {PEAK_MULTIPLIER:g}x load: "
-           f"{on.goodput_per_s:.0f}/s is {goodput_ratio:.0%} of capacity "
-           f"{capacity:.0f}/s (floor {GOODPUT_FLOOR:.0%})")
-    _check(report, on.p99_ms <= deadline_ms,
-           f"admitted p99 bounded: {on.p99_ms:.1f}ms <= "
-           f"deadline {deadline_ms:.0f}ms")
-    _check(report, worst_probe <= PROBE_BOUND_MS,
-           f"no livelock after load drop: worst recovery probe "
-           f"{worst_probe:.1f}ms <= {PROBE_BOUND_MS:.0f}ms")
-    _check(report, collapse_ratio < COLLAPSE_CEILING,
-           f"congestion collapse without admission: "
-           f"{off.goodput_per_s:.0f}/s is {collapse_ratio:.0%} of capacity "
-           f"(ceiling {COLLAPSE_CEILING:.0%})")
-
-    timeline = [
-        (on_harness.load_start_ms, "inject",
-         f"open-loop {PEAK_MULTIPLIER:g}x saturation ({on.users} users)"),
-        (on_harness.load_end_ms, "heal", "arrivals stop"),
+    checks = [
+        (goodput_ratio >= GOODPUT_FLOOR,
+         f"goodput holds at {PEAK_MULTIPLIER:g}x load: "
+         f"{on.goodput_per_s:.0f}/s is {goodput_ratio:.0%} of capacity "
+         f"{capacity:.0f}/s (floor {GOODPUT_FLOOR:.0%})"),
+        (on.p99_ms <= deadline_ms,
+         f"admitted p99 bounded: {on.p99_ms:.1f}ms <= "
+         f"deadline {deadline_ms:.0f}ms"),
+        (worst_probe <= PROBE_BOUND_MS,
+         f"no livelock after load drop: worst recovery probe "
+         f"{worst_probe:.1f}ms <= {PROBE_BOUND_MS:.0f}ms"),
+        (collapse_ratio < COLLAPSE_CEILING,
+         f"congestion collapse without admission: "
+         f"{off.goodput_per_s:.0f}/s is {collapse_ratio:.0%} of capacity "
+         f"(ceiling {COLLAPSE_CEILING:.0%})"),
     ]
     stats = {
         "capacity_per_s": round(capacity, 1),
@@ -146,15 +159,13 @@ def overload_global(seed: int = 0) -> ScenarioResult:
         "no_admission_goodput_per_s": round(off.goodput_per_s, 1),
         "collapse_ratio": round(collapse_ratio, 3),
     }
-    return ScenarioResult(
-        name="overload-global", seed=seed,
-        history=_history_from(on_harness), report=report,
-        nemesis_timeline=timeline, final_values={},
-        duration_ms=on.duration_ms, stats=stats,
-        metrics_snapshot=on_harness.sim.obs.registry.snapshot())
+    return _document(
+        "overload-global", seed, checks, on_harness,
+        f"open-loop {PEAK_MULTIPLIER:g}x saturation ({on.users} users)",
+        on.duration_ms, stats)
 
 
-def overload_hot_region(seed: int = 0) -> ScenarioResult:
+def overload_hot_region(seed: int = 0) -> Dict[str, Any]:
     """One region at 4x capacity while the others run at 1x.
 
     The hot region must degrade gracefully (goodput pinned near its
@@ -165,7 +176,7 @@ def overload_hot_region(seed: int = 0) -> ScenarioResult:
     config = OpenLoopConfig(
         region_weights={HOT_REGION: HOT_WEIGHT},
         duration_ms=ON_DURATION_MS, seed=seed)
-    harness = OpenLoopHarness(config, record_ops=True)
+    harness = OpenLoopHarness(config)
     result = harness.run()
     probes = _probe_all(harness)
 
@@ -183,24 +194,19 @@ def overload_hot_region(seed: int = 0) -> ScenarioResult:
     cold_bound_ms = deadline_ms / 2.0
     worst_probe = max(probes.values())
 
-    report = InvariantReport()
-    _check(report, hot_goodput >= GOODPUT_FLOOR * admit_rate,
-           f"hot region goodput holds: {hot_goodput:.0f}/s >= "
-           f"{GOODPUT_FLOOR:.0%} of its {admit_rate:.0f}/s admit rate")
-    _check(report, hot_p99 <= deadline_ms,
-           f"hot region admitted p99 bounded: {hot_p99:.1f}ms <= "
-           f"deadline {deadline_ms:.0f}ms")
-    _check(report, worst_cold_p99 <= cold_bound_ms,
-           f"overload stays isolated: worst cold-region p99 "
-           f"{worst_cold_p99:.1f}ms <= {cold_bound_ms:.0f}ms")
-    _check(report, worst_probe <= PROBE_BOUND_MS,
-           f"no livelock after load drop: worst recovery probe "
-           f"{worst_probe:.1f}ms <= {PROBE_BOUND_MS:.0f}ms")
-
-    timeline = [
-        (harness.load_start_ms, "inject",
-         f"hot region {HOT_REGION} at {HOT_WEIGHT:g}x"),
-        (harness.load_end_ms, "heal", "arrivals stop"),
+    checks = [
+        (hot_goodput >= GOODPUT_FLOOR * admit_rate,
+         f"hot region goodput holds: {hot_goodput:.0f}/s >= "
+         f"{GOODPUT_FLOOR:.0%} of its {admit_rate:.0f}/s admit rate"),
+        (hot_p99 <= deadline_ms,
+         f"hot region admitted p99 bounded: {hot_p99:.1f}ms <= "
+         f"deadline {deadline_ms:.0f}ms"),
+        (worst_cold_p99 <= cold_bound_ms,
+         f"overload stays isolated: worst cold-region p99 "
+         f"{worst_cold_p99:.1f}ms <= {cold_bound_ms:.0f}ms"),
+        (worst_probe <= PROBE_BOUND_MS,
+         f"no livelock after load drop: worst recovery probe "
+         f"{worst_probe:.1f}ms <= {PROBE_BOUND_MS:.0f}ms"),
     ]
     stats = {
         "hot_goodput_per_s": round(hot_goodput, 1),
@@ -212,9 +218,12 @@ def overload_hot_region(seed: int = 0) -> ScenarioResult:
         "goodput_per_s": round(result.goodput_per_s, 1),
         "probe_worst_ms": round(worst_probe, 2),
     }
-    return ScenarioResult(
-        name="overload-hot-region", seed=seed,
-        history=_history_from(harness), report=report,
-        nemesis_timeline=timeline, final_values={},
-        duration_ms=result.duration_ms, stats=stats,
-        metrics_snapshot=harness.sim.obs.registry.snapshot())
+    return _document(
+        "overload-hot-region", seed, checks, harness,
+        f"hot region {HOT_REGION} at {HOT_WEIGHT:g}x",
+        result.duration_ms, stats)
+
+
+#: Scenario name -> seed -> the run's document, in listing order.
+SCENARIOS = {"overload-global": overload_global,
+             "overload-hot-region": overload_hot_region}

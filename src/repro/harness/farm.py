@@ -1,7 +1,7 @@
 """Process-parallel sweep farm: seeds x scenarios x configs.
 
-Every farmable experiment in :mod:`repro.harness.registry` (chaos,
-verify, scale) is deterministic from its (kind, scenario, seed,
+Every farmable experiment in :mod:`repro.harness.registry` (verify,
+overload, scale) is deterministic from its (kind, scenario, seed,
 protocol) coordinates and shares nothing with its siblings, so a sweep
 is embarrassingly parallel.  This module fans a job list across
 ``multiprocessing`` workers and merges the results into one
@@ -142,7 +142,7 @@ def sweep_jobs(kinds: Iterable[str], scenarios: Optional[List[str]],
     return jobs
 
 
-def run_sweep(kinds: Iterable[str] = ("chaos", "verify"),
+def run_sweep(kinds: Iterable[str] = ("verify", "overload"),
               scenarios: Optional[List[str]] = None,
               seeds: Iterable[int] = (0,),
               workers: Optional[int] = None) -> Dict[str, Any]:

@@ -208,18 +208,10 @@ class OpenLoopResult:
 
 
 class OpenLoopHarness(Testbed):
-    """Cluster + per-region REGIONAL ranges + Poisson load.
+    """Cluster + per-region REGIONAL ranges + Poisson load."""
 
-    ``record_ops=True`` additionally keeps one plain-dict record per
-    request (client/kind/key/start/end/status/error) for the chaos
-    scenarios' Jepsen-style histories and timelines.
-    """
-
-    def __init__(self, config: Optional[OpenLoopConfig] = None,
-                 record_ops: bool = False):
+    def __init__(self, config: Optional[OpenLoopConfig] = None):
         self.config = config or OpenLoopConfig()
-        self.record_ops = record_ops
-        self.records: List[Dict[str, object]] = []
         cfg = self.config
         if not 0.0 <= cfg.diurnal_amplitude <= 1.0:
             raise ValueError("diurnal_amplitude must be within [0, 1]")
@@ -282,17 +274,14 @@ class OpenLoopHarness(Testbed):
                 "open", region, priority=priority, deadline_ms=deadline)
         except AdmissionRejectedError:
             stats.rejected += 1
-            self._record(region, "admit", "-", start_ms, "rejected")
             return
         except DeadlineExceededError:
             stats.shed += 1
-            self._record(region, "admit", "-", start_ms, "shed")
             return
         key = f"k{self._zipfs[region].next()}"
         is_write = rng.random() < cfg.write_fraction
         target = self.ranges[region]
         value = f"{region}:{stats.offered}"
-        kind = "write" if is_write else "read"
 
         def txn_fn(txn):
             if is_write:
@@ -306,37 +295,18 @@ class OpenLoopHarness(Testbed):
                 deadline_ms=deadline, tenant="open")
         except DeadlineExceededError:
             stats.shed += 1
-            self._record(region, kind, key, start_ms, "shed")
             return
         except OverloadError:
             stats.overloaded += 1
-            self._record(region, kind, key, start_ms, "overloaded")
             return
         if status != OK:
             stats.failed += 1
-            self._record(region, kind, key, start_ms, "failed")
             return
         latency = self.sim.now - start_ms
         stats.completed += 1
         stats.latencies.append(latency)
         if latency <= cfg.deadline_ms:
             stats.good += 1
-            self._record(region, kind, key, start_ms, "good")
-        else:
-            self._record(region, kind, key, start_ms, "late")
-
-    def _record(self, region: str, kind: str, key: str, start_ms: float,
-                status: str) -> None:
-        if not self.record_ops:
-            return
-        self.records.append({
-            "client": f"open-{region}",
-            "kind": kind,
-            "key": key,
-            "start_ms": start_ms,
-            "end_ms": self.sim.now,
-            "status": status,
-        })
 
     def _arrivals(self, region: str, end_ms: float):
         """Poisson arrivals; with a diurnal amplitude, inhomogeneous by

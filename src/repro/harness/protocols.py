@@ -34,7 +34,7 @@ import hashlib
 import random
 from typing import Dict, Generator, List
 
-from ..chaos.scenarios import build_faults
+from ..chaos import build_faults
 from ..obs.report import Summary
 from .golden import repo_path
 from .testbed import FAIL, HOME, INDETERMINATE, OK, Testbed
@@ -106,7 +106,7 @@ class _ProtocolRun(Testbed):
     # -- the run -----------------------------------------------------------
 
     def run(self) -> Dict:
-        # The chaos partition-leaseholder schedule, held mid-run.
+        # The partition-leaseholder schedule, held mid-run.
         self.start_nemesis(build_faults(
             "partition-leaseholder", self,
             at_ms=PARTITION_AT_MS, heal_at_ms=HEAL_AT_MS))

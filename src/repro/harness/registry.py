@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, FrozenSet, Mapping, Optional,
                     Sequence, Tuple)
 
-from .. import chaos, verify
-from ..chaos.scenarios import SCENARIOS, run_scenario
+from .. import verify
+from ..chaos import overload
 from . import experiments as paper
 from . import protocols, rebalance, scale
 
@@ -171,11 +171,7 @@ _PAPER = (
 
 # -- scenario experiments ----------------------------------------------------
 
-_CHAOS_DOCS = {name: SCENARIOS[name].doc for name in sorted(SCENARIOS)}
-_CHAOS_FIXED = frozenset(name for name, row in SCENARIOS.items()
-                         if row.runner is not None)
 _VERIFY = verify.SCENARIOS
-_REPAIR = ("kill-node-repair", "region-loss-repair")
 
 _SCENARIO_FLAGS = ("seed", "seeds", "json", "parallel", "protocol")
 _GOLDEN_FLAGS = ("seed", "seeds", "json", "update-golden", "no-golden")
@@ -183,7 +179,7 @@ _OBSERVE_ARGS: Tuple[Argument, ...] = (
     (("--workload",), dict(default="movr", choices=["movr", "kv"],
                            help="traced workload to run (default movr)")),
     (("--scenario",), dict(default=None, metavar="NAME",
-                           help="observe a chaos scenario instead of a "
+                           help="observe a verify scenario instead of a "
                                 "workload")),
 )
 
@@ -193,20 +189,18 @@ def _scale_run(_scenario, seed, _protocol) -> DocResult:
     return DocResult(doc, bool(doc["gates"]["ok"]), scale.render_scale)
 
 
+def _overload_run(name, seed, protocol) -> DocResult:
+    if protocol is not None:
+        raise ValueError(
+            "overload scenarios drive the open-loop harness and do not "
+            "support a protocol override")
+    doc = overload.SCENARIOS[name](seed)
+    return DocResult(doc, doc["ok"], overload.render_overload)
+
+
 _EXPERIMENTS = tuple(
     Experiment(name, doc, "paper", flags=("quick",), tables=tables)
     for name, doc, tables in _PAPER) + (
-    Experiment(
-        "chaos", chaos.__doc__, "scenarios", flags=_SCENARIO_FLAGS,
-        arguments=((("scenario",),
-                    dict(help="scenario name, 'all', or 'list'")),),
-        scenarios=_CHAOS_DOCS,
-        sweep=lambda protocol: [n for n in _CHAOS_DOCS
-                                if protocol is None
-                                or n not in _CHAOS_FIXED],
-        fixed_protocol=_CHAOS_FIXED,
-        run=lambda name, seed, protocol: run_scenario(
-            name, seed, txn_protocol=protocol)),
     Experiment(
         "verify", verify.__doc__, "verify", flags=_SCENARIO_FLAGS,
         arguments=(
@@ -214,8 +208,9 @@ _EXPERIMENTS = tuple(
              dict(default="none",
                   help="scenario name, 'none' (fault-free), 'all' (the "
                        "verify sweep set; with --protocol epoch-occ the "
-                       "differential OCC sweep set), 'clock' (the three "
-                       "clock-fault scenarios), or 'list'")),
+                       "differential OCC sweep set), 'clock' (the "
+                       "clock-fault scenarios), 'repair' (the permanent "
+                       "losses the replicate queue repairs), or 'list'")),
             (("--dump",),
              dict(metavar="FILE", default=None,
                   help="write the recorded history of the first "
@@ -230,23 +225,22 @@ _EXPERIMENTS = tuple(
         scenarios={name: row.doc for name, row in _VERIFY.items()},
         sweep=lambda protocol: [n for n, row in _VERIFY.items()
                                 if (protocol or "crdb") in row.sweeps],
-        groups={"clock": [n for n, row in _VERIFY.items()
-                          if "clock" in row.sweeps]},
+        groups={group: [n for n, row in _VERIFY.items()
+                        if group in row.sweeps]
+                for group in ("clock", "repair")},
         fixed_protocol=frozenset(n for n, row in _VERIFY.items()
                                  if row.protocol is not None),
         run=lambda name, seed, protocol: verify.run_verify(
             name, seed, protocol=protocol)),
     Experiment(
-        "repair",
-        "Run the self-healing scenarios and report store liveness "
-        "transitions, repair actions, and time-to-repair.",
-        "repair", flags=("seed",),
-        arguments=((("--scenario",),
-                    dict(default=None, choices=list(_REPAIR),
-                         help="run only this repair scenario "
-                              "(default both)")),),
-        scenarios={name: SCENARIOS[name].doc for name in _REPAIR},
-        run=lambda name, seed, protocol: run_scenario(name, seed)),
+        "overload", overload.__doc__, "scenarios", flags=_SCENARIO_FLAGS,
+        arguments=((("scenario",),
+                    dict(help="scenario name, 'all', or 'list'")),),
+        scenarios={name: run.__doc__
+                   for name, run in overload.SCENARIOS.items()},
+        sweep=lambda protocol: [] if protocol else list(overload.SCENARIOS),
+        fixed_protocol=frozenset(overload.SCENARIOS),
+        run=_overload_run),
     Experiment(
         "rebalance", rebalance.__doc__, "suite", flags=_GOLDEN_FLAGS,
         golden=Golden(rebalance.GOLDEN_PATH, rebalance.GOLDEN_SEEDS,
@@ -277,12 +271,12 @@ _EXPERIMENTS = tuple(
                       scale.render_scale_suite)),
     Experiment(
         "trace",
-        "Run a deterministic workload (or chaos scenario) and render "
+        "Run a deterministic workload (or verify scenario) and render "
         "its span tree, critical path, and commit-wait breakdown.",
         "trace", flags=("seed", "json"), arguments=_OBSERVE_ARGS),
     Experiment(
         "metrics",
-        "Run a deterministic workload (or chaos scenario) and print "
+        "Run a deterministic workload (or verify scenario) and print "
         "the unified metrics registry snapshot.",
         "metrics", flags=("seed", "json"),
         arguments=_OBSERVE_ARGS + (
@@ -298,9 +292,9 @@ _EXPERIMENTS = tuple(
         "sweep", flags=("seeds", "parallel", "json"),
         arguments=(
             (("--kinds",),
-             dict(default="chaos,verify",
+             dict(default="verify,overload",
                   help="comma-separated farmable experiments (default "
-                       "chaos,verify)")),
+                       "verify,overload)")),
             (("--scenarios",),
              dict(default=None, metavar="NAMES",
                   help="comma-separated scenario names (default: every "

@@ -1,6 +1,6 @@
 """The experiment spine: how a run is assembled, driven, healed, judged.
 
-Every seeded experiment in this repo — the chaos scenarios, the
+Every seeded experiment in this repo — the fault scenarios of the
 consistency verifier, the protocol head-to-head, the rebalance
 lifecycle, the open-loop saturation runs — is the same recipe with a
 different workload and fault: build the standard three-region cluster
@@ -9,7 +9,9 @@ switch on the clock monitor / liveness + repair / rebalancing, run a
 pool of clients to completion under a :class:`~repro.chaos.nemesis
 .Nemesis`, heal, settle, and strong-read the final state from every
 region.  :class:`Testbed` is that recipe, written once; the harnesses
-subclass it and add only their workload and their verdict.
+subclass it and add only their workload and their verdict, and
+:class:`~repro.verify.VerifyHarness` is the one that runs every fault
+scenario (a row of :data:`repro.verify.SCENARIOS`).
 
 The constants below are the single definition of what "chaos-grade"
 provisioning and the compressed-clock liveness cadence mean.
@@ -21,6 +23,7 @@ import random
 from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
                     Tuple)
 
+from ..chaos.nemesis import Nemesis
 from ..cluster import StoreLiveness, install_clock_monitor, standard_cluster
 from ..errors import (
     AmbiguousCommitError,
@@ -201,8 +204,6 @@ class Testbed:
 
     def start_nemesis(self, events: List, base_ms: Optional[float] = None):
         """Arm ``events`` relative to ``base_ms`` (default: now)."""
-        # Imported here: repro.chaos builds its scenarios on this module.
-        from ..chaos.nemesis import Nemesis
         nemesis = Nemesis(self.cluster, events)
         nemesis.schedule(base_ms=base_ms)
         return nemesis

@@ -11,13 +11,16 @@ the paper describes:
   some rows' leaseholders are always remote for some clients);
 * ``glob``    — GLOBAL (future-time closed timestamps + commit wait).
 
-A run executes one row of :data:`SCENARIOS`: a nemesis (a chaos fault
-schedule — the same builders ``repro.chaos.SCENARIOS`` uses — or a
-verifier-only one: load, a reshaping keyspace, a clock jump) and, for an
+A run executes one row of :data:`SCENARIOS` — the one table of fault
+scenarios: a nemesis (a fault schedule from :mod:`repro.chaos.faults`,
+or one that is not: load, a reshaping keyspace, a clock jump), what the
+row switches on (repair, rebalancing, the clock monitor) and, for an
 ablation, one safety mechanism switched off.  It records everything
 through :class:`~repro.verify.recorder.HistoryRecorder`, ends with a
 cross-region strong audit, and hands the frozen history to the pure
-checkers.  Everything is deterministic from ``(scenario, seed)``.
+checkers; the row's ``audit`` then checks what the history cannot show
+(the keyspace's structure, placement after repair, clock fences).
+Everything is deterministic from ``(scenario, seed)``.
 """
 
 from __future__ import annotations
@@ -28,17 +31,18 @@ from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..admission import AdmissionConfig, install_admission
+from ..chaos import faults
 from ..chaos.nemesis import FaultEvent
-from ..chaos.scenarios import SCENARIOS as CHAOS
 from ..errors import (ConditionFailedError, DeadlineExceededError,
                       OverloadError, StaleReadBoundError)
 from ..harness.testbed import OK, RETRYABLE, Testbed
 from ..kv.distsender import ReadRouting
+from ..placement import placement_violations
 from ..sim.clock import Timestamp
 from ..txn import TransactionCoordinator
 from ..workloads.zipf import ZipfGenerator
 from .checker import VerifyReport, check
-from .history import VerifyHistory
+from .history import ABORTED, COMMITTED, INDETERMINATE, VerifyHistory
 from .recorder import HistoryRecorder
 
 __all__ = ["VerifyHarness", "VerifyResult", "VerifyScenario", "SCENARIOS",
@@ -89,6 +93,42 @@ CLOSED_TS_LAG_MS = 400.0
 
 STALE_RETRYABLE = RETRYABLE + (StaleReadBoundError,)
 
+#: Width of one row of the availability timeline :meth:`VerifyResult.render`
+#: prints.
+TIMELINE_BUCKET_MS = 250.0
+
+
+def _audit_structure(harness) -> List[str]:
+    """Every row's audit: the keyspace's structural audit and, where a
+    repair queue ran, every range's placement against its zone config
+    (constraints, diversity, lease) on the nodes that are left."""
+    violations = harness.cluster.keyspace.violations()
+    if harness.repair_queue is not None:
+        for name in sorted(harness.ranges):
+            for rng in harness.ranges[name].span.ranges():
+                violations += placement_violations(
+                    rng, harness.configs[name], harness.cluster,
+                    harness.liveness)
+    return violations
+
+
+def _fences(expected: bool) -> Callable[[Any], List[str]]:
+    """The structural audit, plus: the clock monitor fenced a node iff
+    ``expected`` — a beyond-bound fault must fence its victim, and
+    in-contract skew must fence no one."""
+    def audit(harness) -> List[str]:
+        violations = _audit_structure(harness)
+        fenced = sorted({node for _when, node, _worst
+                         in harness.clock_monitor.fence_events})
+        if expected and not fenced:
+            violations.append("clock: no node self-fenced despite a "
+                              "beyond-bound clock fault")
+        elif fenced and not expected:
+            violations.append(f"clock: unexpected self-fence of node(s) "
+                              f"{fenced} under in-bounds clock faults")
+        return violations
+    return audit
+
 
 @dataclass(frozen=True)
 class VerifyScenario:
@@ -114,9 +154,12 @@ class VerifyScenario:
     #: None: the run must be anomaly-free.
     verdict: Optional[Verdict] = None
     #: Which sweeps list the row: "crdb" / "epoch-occ" (``verify
-    #: --scenario all`` and the farm, per backend) and "clock"
-    #: (``verify --scenario clock``).
+    #: --scenario all`` and the farm, per backend), "clock" and "repair"
+    #: (``verify --scenario clock|repair``).
     sweeps: Tuple[str, ...] = ()
+    #: harness -> violations, after the final heal: what the history
+    #: cannot show.  The run is ok only if it returns none.
+    audit: Callable[[Any], List[str]] = _audit_structure
 
 
 @dataclass
@@ -132,9 +175,16 @@ class VerifyResult:
     #: The row's :attr:`VerifyScenario.verdict` (None: the run must be
     #: anomaly-free).
     verdict: Optional[Verdict] = None
+    #: What the row's :attr:`VerifyScenario.audit` found.
+    audit: List[str] = field(default_factory=list)
+    #: ``(at_ms, action, what)``: the nemesis's injects and heals, clock
+    #: fences and liveness transitions (text only: :meth:`render`).
+    timeline: List[Tuple[float, str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
+        if self.audit:
+            return False
         if self.verdict is None:
             return self.report.ok
         allowed, required = self.verdict
@@ -149,6 +199,7 @@ class VerifyResult:
             "expect_anomalies": self.verdict is not None,
             "duration_ms": round(self.duration_ms, 1),
             "stats": dict(self.stats),
+            "audit": list(self.audit),
             "report": self.report.to_json(),
         }
 
@@ -160,8 +211,13 @@ class VerifyResult:
             "  stats: " + ", ".join(
                 f"{key}={value}"
                 for key, value in sorted(self.stats.items())),
+            "timeline:",
+            self._render_timeline(),
             self.report.render(),
+            f"audit: {'OK' if not self.audit else 'VIOLATIONS'} "
+            f"({len(self.audit)} violations)",
         ]
+        lines += [f"  !! {violation}" for violation in self.audit]
         if self.verdict is not None:
             lines.append(
                 "  ablation verdict: " +
@@ -169,6 +225,41 @@ class VerifyResult:
                  if self.ok else
                  "FAIL — the expected anomalies were not detected "
                  "(or disallowed ones appeared)"))
+        return "\n".join(lines)
+
+    def _render_timeline(self) -> str:
+        """Availability per :data:`TIMELINE_BUCKET_MS` of transaction
+        end time — committed, aborted and indeterminate attempts and the
+        committed ones' mean latency — with the timeline's events marked
+        on the bucket they fall in."""
+        buckets: Dict[int, List[Any]] = {}
+        for txn in self.history.txns:
+            if txn.end_ms is not None:
+                buckets.setdefault(int(txn.end_ms // TIMELINE_BUCKET_MS),
+                                   []).append(txn)
+        marks: Dict[int, List[str]] = {}
+        for when, action, what in self.timeline:
+            marks.setdefault(int(when // TIMELINE_BUCKET_MS), []).append(
+                f"{action} {what}")
+        lines = ["  t(ms)     ok abrt amb  mean-lat  events"]
+        for index in sorted(buckets):
+            counts = {COMMITTED: 0, ABORTED: 0, INDETERMINATE: 0}
+            latencies = []
+            for txn in buckets[index]:
+                counts[txn.status] += 1
+                if txn.status == COMMITTED:
+                    latencies.append(txn.end_ms - txn.begin_ms)
+            ok, aborted = counts[COMMITTED], counts[ABORTED]
+            mean = sum(latencies) / len(latencies) if latencies else 0.0
+            bar = "#" * min(ok, 30) + "x" * min(aborted, 10)
+            note = "; ".join(marks.pop(index, []))
+            lines.append(
+                f"  {index * TIMELINE_BUCKET_MS:8.0f} {ok:4d} {aborted:4d} "
+                f"{counts[INDETERMINATE]:3d} {mean:8.1f}ms  {bar}"
+                f"{('  <- ' + note) if note else ''}")
+        for index in sorted(marks):
+            lines.append(f"  {index * TIMELINE_BUCKET_MS:8.0f}  (no txns)"
+                         f"          <- {'; '.join(marks[index])}")
         return "\n".join(lines)
 
 
@@ -184,8 +275,8 @@ class VerifyHarness(Testbed):
         self.coord.recorder = self.recorder
         self.recorder.meta["protocol"] = self.protocol.name
         secondary = next(r for r in self.regions if r != self.home)
-        #: Zone config per range name (the clock-jump scenario's repair
-        #: queue needs them to manage the ranges).
+        #: Zone config per range name (a repair queue manages the ranges
+        #: by them, and the audit checks their placement against them).
         self.configs: Dict[str, Any] = {}
 
         def make_range(name: str, range_home: str,
@@ -230,8 +321,9 @@ class VerifyHarness(Testbed):
         self._bg_coord = None
         self._bg_stats = {"offered": 0, "rejected": 0, "shed": 0,
                           "failed": 0, "completed": 0}
-        #: The ``split-merge`` scenario's driver process.
-        self.split_merge = None
+        #: Whether something reshapes the primary range's span (the
+        #: split-merge driver, or a rebalance queue).
+        self.elastic = False
 
     # -- strong transactional clients ---------------------------------------
 
@@ -547,9 +639,20 @@ class VerifyHarness(Testbed):
 
     def _start_split_merge(self) -> None:
         """Start :meth:`_split_merge_driver` for the next 6 s."""
-        self.split_merge = self.sim.spawn(
-            self._split_merge_driver(self.sim.now + 6000.0),
-            name="split-merge-driver")
+        self.elastic = True
+        self.sim.spawn(self._split_merge_driver(self.sim.now + 6000.0),
+                       name="split-merge-driver")
+
+    def _split_under_load(self) -> None:
+        """A rebalance queue manages the primary range's span, with
+        thresholds scaled to a handful of hot keys: the range
+        size-splits at once (more than two keys) and the hot keys drive
+        load splits during the run."""
+        self.elastic = True
+        self.enable_rebalance(
+            self.range, self.configs["reg-us"],
+            split_max_keys=2, split_qps=8.0, merge_qps=0.5,
+            merge_patience=3, replica_moves=False)
 
     def _split_merge_driver(self, end_ms: float):
         """The keyspace nemesis: force a split at every workload key
@@ -603,6 +706,13 @@ class VerifyHarness(Testbed):
         heartbeats carry the clock readings the monitor measures with,
         and the replicate queue repairs around a fenced victim."""
         self.enable_clock_monitor()
+        self._repair_every_range()
+
+    # -- self-healing ---------------------------------------------------------
+
+    def _repair_every_range(self) -> None:
+        """Store liveness plus a replicate queue managing all three
+        ranges by their zone configs."""
         self.enable_repair((self.ranges[name], self.configs[name])
                            for name in sorted(self.ranges))
 
@@ -737,6 +847,7 @@ class VerifyHarness(Testbed):
 
         history = self.recorder.finalize()
         report = check(history)
+        audit = row.audit(self)
         stats = {
             "txns_recorded": len(history.txns),
             "failovers": self.range.failovers,
@@ -750,23 +861,56 @@ class VerifyHarness(Testbed):
             stats["fg_shed"] = self._fg_shed
             for key in sorted(self._bg_stats):
                 stats[f"bg_{key}"] = self._bg_stats[key]
-        if self.split_merge is not None:
+        if self.elastic:
             keyspace = self.cluster.keyspace
             stats["keyspace_splits"] = keyspace.splits
             stats["keyspace_merges"] = keyspace.merges
             stats["final_ranges"] = len(self.range.span.descriptors)
             stats["range_cache_invalidations"] = \
                 self.ds.range_cache_invalidations
+        timeline = list(nemesis.timeline) if nemesis is not None else []
         if self.clock_monitor is not None:
             stats["clock_fences"] = len(self.clock_monitor.fence_events)
             stats["clock_outliers"] = len(
                 self.clock_monitor.outlier_detections)
-            if self.repair_queue is not None:
-                stats["repair_actions"] = \
-                    self.repair_queue.metrics.total_actions()
+            timeline += [(when, "fence",
+                          f"clock-outlier:n{node_id} ({worst:.0f}ms)")
+                         for when, node_id, worst
+                         in self.clock_monitor.fence_events]
+        if self.repair_queue is not None:
+            stats.update(self._repair_stats())
+            timeline += [(when, "liveness", f"n{node_id} {old} -> {new}")
+                         for when, node_id, old, new
+                         in self.liveness.transitions]
+        timeline.sort(key=lambda event: event[0])
         return VerifyResult(scenario=name, seed=self.seed, history=history,
                             report=report, duration_ms=duration, stats=stats,
-                            verdict=row.verdict)
+                            verdict=row.verdict, audit=audit,
+                            timeline=timeline)
+
+    def _repair_stats(self) -> Dict[str, Any]:
+        """What the repair queue did: actions in total and per kind,
+        failed attempts, ranges left under-replicated, membership
+        changes (and the most ever in flight on one range), liveness
+        transitions, and the slowest repair."""
+        metrics = self.repair_queue.metrics
+        guards = [rng.group.config_guard for table in self.ranges.values()
+                  for rng in table.span.ranges()]
+        stats = {
+            "repair_actions": metrics.total_actions(),
+            "repair_failures": sum(metrics.failures.values()),
+            "under_replicated": metrics.under_replicated_ranges,
+            "config_changes": sum(guard.changes for guard in guards),
+            "max_inflight_changes": max(guard.max_inflight
+                                        for guard in guards),
+            "liveness_transitions": len(self.liveness.transitions),
+        }
+        for kind, done in sorted(metrics.actions.items()):
+            stats[f"repair_{kind}"] = done
+        if metrics.time_to_repair_ms:
+            stats["time_to_repair_ms"] = round(
+                max(metrics.time_to_repair_ms), 1)
+        return stats
 
 
 # -- the scenario table ------------------------------------------------------
@@ -787,20 +931,59 @@ _WRITE_RACES = frozenset({
     "G0", "G1c", "G-single", "G2",
 })
 
-#: Rows the CRDB-protocol and the epoch-OCC sweeps both run: the six
-#: heal-everything chaos schedules and the reshaping keyspace (the two
-#: chaos *-repair scenarios permanently lose nodes and have their own
-#: tier-2 sweep), on identical nemesis timelines per backend.
+#: Rows the CRDB-protocol and the epoch-OCC sweeps both run: the seven
+#: heal-everything fault schedules and the reshaping keyspace, on
+#: identical nemesis timelines per backend.  The rows that lose nodes
+#: for good, reshape under a rebalance queue or fault a clock run on
+#: CRDB only, and have their own groups.
 _BOTH = ("crdb", "epoch-occ")
 _CLOCK = ("crdb", "clock")
+_REPAIR = ("crdb", "repair")
 
 #: Every verify scenario, in listing order (``verify --scenario list``).
 SCENARIOS: Dict[str, VerifyScenario] = {
     "none": VerifyScenario("Fault-free run of the randomized workload."),
-    **{name: VerifyScenario(CHAOS[name].doc, CHAOS[name].faults,
-                            sweeps=_BOTH)
-       for name in ("region-blackout", "rolling-zones", "flaky-wan",
-                    "gray-follower", "asym-partition", "crash-restart")},
+    "region-blackout": VerifyScenario(
+        """The home region (leaseholder included) goes dark, then returns.
+
+        SURVIVE REGION FAILURE + automatic lease failover must keep the
+        database available from the surviving regions with no operator
+        action, and the healed region must catch back up.""",
+        faults.blackout_faults, sweeps=_BOTH),
+    "rolling-zones": VerifyScenario(
+        """One zone per region crash-restarts in a rolling wave.""",
+        faults.rolling_zone_faults, sweeps=_BOTH),
+    "flaky-wan": VerifyScenario(
+        """The home<->Europe WAN link drops 25% of packets and triples
+        latency for a window; retries + Raft retransmission ride it
+        out.""",
+        faults.flaky_wan_faults, sweeps=_BOTH),
+    "gray-follower": VerifyScenario(
+        """A non-leaseholder voter goes gray (20x slower, still up);
+        nearest reads route through/around it without consistency
+        loss.""",
+        faults.gray_follower_faults, sweeps=_BOTH),
+    "asym-partition": VerifyScenario(
+        """Europe can't reach the home region but the home region can
+        reach Europe (one-way cut) — the classic gray failure; replies
+        must not sneak through the cut direction.""",
+        faults.asym_partition_faults, sweeps=_BOTH),
+    "crash-restart": VerifyScenario(
+        """A follower crashes mid-run and restarts with its Raft log
+        intact; it must catch up (resync) rather than diverge or stall
+        the range.""",
+        faults.crash_restart_faults, sweeps=_BOTH),
+    "partition-leaseholder": VerifyScenario(
+        """The node holding the lease is symmetrically partitioned from
+        every peer (it stays up).
+
+        The lease must fail over (the old leaseholder cannot heartbeat
+        its liveness), the deposed node must not serve split-brain
+        reads or ack writes into the void, and on heal it rejoins as a
+        follower and catches up.  The protocol-matrix CI job runs this
+        under both transaction backends — for epoch-OCC the partition
+        additionally races the epoch service's ordering/apply RPCs.""",
+        faults.partition_leaseholder_faults, sweeps=_BOTH),
     "split-merge": VerifyScenario(
         "The nemesis is the keyspace itself: forced splits and merges "
         "reshape the primary range under the live workload.",
@@ -810,20 +993,62 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         "table: routed to the nearest replica, a present-time read its "
         "local follower serves — every such read must still be the "
         "latest committed version.",
-        CHAOS["flaky-wan"].faults,
+        faults.flaky_wan_faults,
         setup=VerifyHarness._read_global_nearest, sweeps=_BOTH),
+    "split-under-fire": VerifyScenario(
+        """Hot-key load splits the range while its leaseholder crashes.
+
+        The rebalance queue manages the chaos range's span: it
+        size-splits the seeded keyspace immediately and keeps
+        load-splitting the hot keys while the nemesis crashes the node
+        holding the initial lease mid-split.  Every acked write must
+        survive, and the span's descriptors must still tile the
+        keyspace afterwards — no key may ever be left unowned or
+        doubly-owned by the split/merge machinery racing lease failover
+        and repair.""",
+        faults.split_under_fire_faults,
+        setup=VerifyHarness._split_under_load, sweeps=("crdb",)),
     "overload": VerifyScenario(
         "A load nemesis, not a fault schedule: admission control is "
         "installed and open-loop background load saturates the home "
         "store while the recorded clients run with deadlines — "
         "shedding must never break serializability.",
         setup=VerifyHarness._start_overload, sweeps=("crdb",)),
+    "kill-node-repair": VerifyScenario(
+        """A non-leaseholder voter dies *permanently* — no heal ever
+        comes.
+
+        Store liveness must walk it LIVE -> SUSPECT -> DEAD, and the
+        replicate queue must re-replicate its voter slot onto a
+        constraint-satisfying, diversity-maximizing survivor through
+        the safe learner -> snapshot -> promote pipeline, with zero
+        lost acked writes.""",
+        faults.kill_node_faults, setup=VerifyHarness._repair_every_range,
+        restart_dead=False, sweeps=_REPAIR),
+    "region-loss-repair": VerifyScenario(
+        """The home region (leaseholder included) is lost *permanently*.
+
+        The lease must fail over to a survivor, and the repair queue
+        must rebuild full REGION-survivable replication on the two
+        remaining regions — back to 5 constraint- and
+        diversity-satisfying voters — within ``time_until_store_dead``
+        + a few repair intervals, with zero lost acked writes.  The
+        final audit reads only in the surviving regions; the home
+        region's clients fail fast once their gateways are gone.""",
+        faults.region_loss_faults, setup=VerifyHarness._repair_every_range,
+        restart_dead=False, sweeps=_REPAIR),
     "clock-drift": VerifyScenario(
-        CHAOS["clock-drift"].doc,
-        # The chaos schedule, held for the verifier's longer run.
-        partial(CHAOS["clock-drift"].faults, heal_at_ms=2000.0),
+        """Two voters drift at +-3%/s, within the max-offset contract.
+
+        The monitor measures the drift (exported via the per-node
+        ``clock.offset_measured`` gauge) but must NOT fence anyone: the
+        uncertainty machinery absorbs in-contract skew by design, and a
+        monitor that fences healthy nodes is itself an availability
+        bug.""",
+        # The schedule held for the verifier's longer run.
+        partial(faults.clock_drift_faults, heal_at_ms=2000.0),
         setup=VerifyHarness.enable_clock_monitor, probes=True,
-        sweeps=_CLOCK),
+        sweeps=_CLOCK, audit=_fences(False)),
     "clock-jump": VerifyScenario(
         "A writer gateway's clock steps beyond the max-offset contract "
         "with the full defense on (serve-side rejection + "
@@ -833,6 +1058,27 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         # The fenced victim stays down: the point is that the replicate
         # queue repairs around it, not that a restart saves the day.
         restart_dead=False),
+    "clock-jump-fence": VerifyScenario(
+        """A voter's clock steps +800 ms, beyond the 250 ms contract,
+        and never heals.
+
+        The node must self-fence from its own peer measurements (it
+        sees every peer ~800 ms behind; healthy nodes see only it as an
+        outlier), store liveness must walk it to DEAD, and the
+        replicate queue must repair its voter slot — the clock-outlier
+        node is treated exactly like a dead one, because for
+        correctness purposes it is.""",
+        faults.clock_jump_faults, setup=VerifyHarness._defend_clock,
+        probes=True, restart_dead=False, sweeps=_CLOCK, audit=_fences(True)),
+    "clock-freeze-lease": VerifyScenario(
+        """The leaseholder's clock freezes solid.
+
+        Peers march ahead at 1 ms/ms, so its measured offsets grow
+        until it fences itself and the lease fails over to a healthy
+        voter; the heal step-syncs the clock so the end-of-run restart
+        rejoins it cleanly.""",
+        faults.clock_freeze_faults, setup=VerifyHarness.enable_clock_monitor,
+        probes=True, sweeps=_CLOCK, audit=_fences(True)),
     "clock-jump-nofence": VerifyScenario(
         "The honest ablation: the identical jump with the defense "
         "disabled; passes iff the checker reports the real-time / "
@@ -859,7 +1105,7 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         "apply; passes iff the checker convicts the write-write races — "
         "proof the decided order is earned by the per-key waits, not by "
         "the epochs alone.",
-        CHAOS["flaky-wan"].faults,
+        faults.flaky_wan_faults,
         setup=VerifyHarness._unorder_conflicts, protocol="epoch-occ",
         verdict=_convicts(_WRITE_RACES, "final-state-divergence")),
     "one-phase-reapply": VerifyScenario(
@@ -869,7 +1115,7 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         "passes iff the checker convicts the duplicate / lost-update "
         "anomalies — proof the sweep's clean verdicts under message "
         "loss are earned by the record, not by checker blindness.",
-        CHAOS["flaky-wan"].faults,
+        faults.flaky_wan_faults,
         setup=VerifyHarness._drop_commit_records, protocol="crdb",
         # A write that lands twice is a duplicate element, or a second
         # version burying what committed between; the damage may also
@@ -883,7 +1129,7 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         "a key succeed; passes iff the checker convicts the second "
         "(two transactions read the key absent and wrote it) — proof "
         "an INSERT's uniqueness is earned by the check, not assumed.",
-        CHAOS["flaky-wan"].faults,
+        faults.flaky_wan_faults,
         setup=VerifyHarness._skip_condition_checks, inserters=2,
         protocol="crdb",
         verdict=_convicts({"lost-update", "G-single", "G2"})),

@@ -467,10 +467,10 @@ class TestOverloadDeterminism:
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", ["overload-global", "overload-hot-region"])
 def test_overload_chaos_scenarios(name, seed):
-    from repro.chaos import run_scenario
+    from repro.harness.registry import REGISTRY
 
-    result = run_scenario(name, seed)
-    assert result.ok, f"{name} seed={seed}\n{result.report.render()}"
+    result = REGISTRY["overload"].run(name, seed, None)
+    assert result.ok, f"{name} seed={seed}\n{result.render()}"
 
 
 @pytest.mark.overload

@@ -60,19 +60,20 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv", [
         ["not-an-experiment"], ["bench"], [],
-        ["repair", "--scenario", "not-a-scenario"],
-        ["scale", "--update-baseline"]])
+        ["repair", "--scenario", "kill-node-repair"],
+        ["scale", "--update-baseline"],
+        ["chaos", "crash-restart"]])
     def test_usage_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["chaos", "not-a-scenario"],
+        ["overload", "not-a-scenario"],
         ["verify", "--scenario", "not-a-scenario"],
-        ["chaos", "overload-global", "--protocol", "epoch-occ"],
+        ["overload", "overload-global", "--protocol", "epoch-occ"],
         ["sweep", "--kinds", "rebalance"],
-        ["sweep", "--kinds", "chaos", "--scenarios", "not-a-scenario"]])
+        ["sweep", "--kinds", "verify", "--scenarios", "not-a-scenario"]])
     def test_unknown_scenario_or_kind_exits_2(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err
@@ -111,57 +112,59 @@ class TestCIWorkflow:
 
 
 class TestChaosCLI:
+    """Fault scenarios through the CLI: every one is a verify row."""
+
     def test_list_scenarios(self, capsys):
-        assert main(["chaos", "list"]) == 0
-        assert capsys.readouterr().out.split() == \
-            list(REGISTRY["chaos"].scenarios)
         assert main(["verify", "--scenario", "list"]) == 0
         assert capsys.readouterr().out.split() == \
             list(REGISTRY["verify"].scenarios)
+        assert main(["overload", "list"]) == 0
+        assert capsys.readouterr().out.split() == \
+            list(REGISTRY["overload"].scenarios)
 
     def test_clean_run_exits_zero(self, capsys):
-        assert main(["chaos", "crash-restart", "--seed", "0"]) == 0
+        assert main(["verify", "--scenario", "crash-restart",
+                     "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "[pass]" in out
+        assert "verify: OK" in out and "audit: OK" in out
 
     def test_json_report_is_machine_readable(self, capsys):
-        assert main(["chaos", "kill-node-repair", "--seed", "0",
-                     "--json"]) == 0
+        assert main(["verify", "--scenario", "kill-node-repair",
+                     "--seed", "0", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
         (run,) = report["runs"]
         assert run["scenario"] == "kill-node-repair"
         assert run["seed"] == 0
-        assert run["ops"]["total"] == (run["ops"]["ok"] + run["ops"]["fail"]
-                                       + run["ops"]["indeterminate"])
-        assert run["violations"] == []
+        assert run["report"]["anomalies"] == []
+        assert run["audit"] == []
         assert run["stats"]["repair_actions"] >= 1
         assert run["stats"]["max_inflight_changes"] == 1
         assert isinstance(run["wall_s"], float)
-        assert any(e["action"] == "inject" for e in run["nemesis_timeline"])
 
     def test_seed_flags(self, capsys):
         """--seeds K>1 wins, then --seed N, then the verb's default."""
-        assert main(["chaos", "crash-restart", "--seeds", "2",
-                     "--json"]) == 0
+        assert main(["verify", "--scenario", "crash-restart",
+                     "--seeds", "2", "--json"]) == 0
         runs = json.loads(capsys.readouterr().out)["runs"]
         assert [run["seed"] for run in runs] == [0, 1]
-        assert main(["chaos", "crash-restart", "--seed", "3",
-                     "--json"]) == 0
+        assert main(["verify", "--scenario", "crash-restart",
+                     "--seed", "3", "--json"]) == 0
         (run,) = json.loads(capsys.readouterr().out)["runs"]
         assert run["seed"] == 3
 
 
 class TestRepairCLI:
     def test_repair_report(self, capsys):
-        assert main(["repair", "--scenario", "kill-node-repair",
-                     "--seed", "0"]) == 0
+        assert main(["verify", "--scenario", "repair", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "liveness transitions" in out
-        assert "replace_dead_voter" in out
-        assert "time-to-repair" in out
-        assert "max-inflight-changes=1" in out
-        assert "=> OK" in out
+        for name in ("kill-node-repair", "region-loss-repair"):
+            assert f"verify scenario {name!r}" in out
+        assert "liveness n" in out and "-> dead" in out
+        assert "repair_replace_dead_voter=" in out
+        assert "time_to_repair_ms=" in out
+        assert "max_inflight_changes=1" in out
+        assert "audit: OK" in out
 
 
 class TestRegionEnum:

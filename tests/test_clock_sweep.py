@@ -1,4 +1,4 @@
-"""Tier-2 clock-fault sweep: chaos scenarios + the fencing ablation.
+"""Tier-2 clock-fault sweep: the clock rows + the fencing ablation.
 
 Run with ``pytest -m clock``.  The sweep is the honest-falsification
 half of the clock-safety subsystem: the *identical* beyond-bound clock
@@ -11,7 +11,6 @@ fenced runs prove nothing.
 
 import pytest
 
-from repro.chaos import run_scenario
 from repro.verify import run_verify
 
 pytestmark = pytest.mark.clock
@@ -25,7 +24,7 @@ CHAOS_CLOCK_SCENARIOS = [
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", CHAOS_CLOCK_SCENARIOS)
 def test_chaos_clock_scenarios_hold_invariants(name, seed):
-    result = run_scenario(name, seed)
+    result = run_verify(name, seed=seed)
     assert result.ok, f"{name} seed={seed}\n{result.render()}"
     if name == "clock-drift":
         # In-contract drift must never trip the fence.

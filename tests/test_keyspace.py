@@ -496,13 +496,16 @@ class TestStructuralAudit:
                    for line in bed.keyspace.violations())
 
     def test_every_chaos_scenario_runs_the_audit(self, monkeypatch):
-        from repro.chaos import run_scenario
         from repro.kv.keyspace import Keyspace
+        from repro.verify import run_verify
         monkeypatch.setattr(Keyspace, "violations",
                             lambda self: ["keyspace: planted"])
-        result = run_scenario("crash-restart", seed=0)
-        assert "keyspace: planted" in result.report.violations
+        result = run_verify("crash-restart", seed=0, clients_per_region=1,
+                            ops_per_client=2, stale_ops=1)
+        assert result.report.ok
+        assert result.audit == ["keyspace: planted"]
         assert not result.ok
+        assert result.to_json()["audit"] == ["keyspace: planted"]
 
 
 class TestSqlOverASplit:

@@ -3,7 +3,7 @@ end-to-end acceptance criteria of the tracing PR.
 
 Covers the unit behaviour of ``repro.obs`` (label canonicalisation,
 kind collisions, snapshots/diffs, histogram caps, span lifecycle) and
-the integration bars: every RPC in a chaos scenario is attributable to
+the integration bars: every RPC in a fault scenario is attributable to
 a root span, the movr trace contains an explicit commit-wait span for
 the GLOBAL-table write with child-within-parent containment, and two
 same-seed runs serialize byte-identical traces and metrics.
@@ -14,7 +14,6 @@ import pathlib
 
 import pytest
 
-from repro.chaos import run_scenario
 from repro.harness.runner import build_engine
 from repro.harness.tracing import (DEFAULT_REGIONS, run_traced_workload,
                                    trace_roots)
@@ -27,6 +26,7 @@ from repro.obs import (
     render_tree,
     spans_named,
 )
+from repro.verify import VerifyHarness
 
 
 class TestMetricsRegistry:
@@ -394,8 +394,9 @@ class TestDeterminism:
 
 class TestChaosAttribution:
     def test_chaos_rpcs_attributable_and_metrics_snapshot_present(self):
-        result = run_scenario("crash-restart", seed=0)
-        tracer = result.harness.sim.obs.tracer
+        harness = VerifyHarness(0)
+        harness.run(scenario="crash-restart")
+        tracer = harness.sim.obs.tracer
         attempts = [s for s in tracer.spans() if s.name == "rpc.attempt"]
         assert attempts, "chaos scenario issued no traced RPCs"
         root_set = set(map(id, tracer.roots))
@@ -403,9 +404,8 @@ class TestChaosAttribution:
             assert attempt.parent is not None, \
                 f"orphan rpc.attempt #{attempt.span_id}"
             assert id(attempt.root()) in root_set
-        # The scenario result carries the registry snapshot for sweeps.
-        snap = result.metrics_snapshot
-        assert snap is not None
+        # The registry saw the nemesis and the transactions.
+        snap = harness.sim.obs.registry.snapshot()
         assert any(k.startswith("nemesis.events{action=inject")
                    for k in snap["counters"])
         assert any(k.startswith("txn.") for k in snap["counters"])

@@ -9,6 +9,7 @@ unnoticed.  The transaction backend is chosen per cluster
 every coordinator on it runs that backend.
 """
 
+import dataclasses
 import inspect
 
 import pytest
@@ -21,6 +22,7 @@ from repro.sql import Engine, Session
 from repro.txn import (EpochOccProtocol, TransactionCoordinator,
                        resolve_protocol)
 from repro.txn.epoch import EpochService
+from repro.verify import VerifyHarness, VerifyScenario
 
 from .sql_util import make_engine
 
@@ -78,9 +80,19 @@ def params(fn):
      ["self", "gateway", "token", "handler", "span", "op", "deadline_ms",
       "keys", "record_load"]),
     (_Batch.__init__, ["self", "ds", "requests", "handler"]),
+    # The one harness that runs a nemesis: a row of the scenario table
+    # says everything else (see test_verify_scenario_fields).
+    (VerifyHarness.__init__, ["self", "seed", "protocol"]),
 ], ids=lambda value: getattr(value, "__qualname__", None))
 def test_signature(fn, expected):
     assert params(fn) == expected
+
+
+def test_verify_scenario_fields():
+    """What a fault scenario may set: one row of repro.verify.SCENARIOS."""
+    assert [f.name for f in dataclasses.fields(VerifyScenario)] == [
+        "doc", "faults", "setup", "probes", "inserters", "restart_dead",
+        "protocol", "verdict", "sweeps", "audit"]
 
 
 def test_fixed_settings_are_class_attributes():

@@ -5,7 +5,7 @@ Pulling the lease/intent/parallel-commit pipeline out of the
 coordinator and behind the :class:`~repro.txn.protocol.TxnProtocol`
 interface must not change a single simulated event: a run that names
 no backend and one that names ``"crdb"`` must produce byte-identical
-histories and chaos reports.  (The committed bench goldens in
+histories and reports under a nemesis.  (The committed bench goldens in
 ``tests/goldens/`` and ``REBALANCE_golden.json`` pin the default path
 itself — this file pins default == explicit.)  Every coordinator on a
 cluster runs the cluster's one backend instance.
@@ -13,9 +13,9 @@ cluster runs the cluster's one backend instance.
 
 import pytest
 
-from repro.chaos import run_scenario
 from repro.cluster import standard_cluster
 from repro.errors import ConfigurationError
+from repro.harness.registry import REGISTRY
 from repro.harness.testbed import Testbed
 from repro.txn import (
     CrdbProtocol,
@@ -68,10 +68,11 @@ class TestDefaultEqualsExplicitCrdb:
         assert default.history.dumps() == explicit.history.dumps()
 
     def test_chaos_report_identical(self):
-        default = run_scenario("partition-leaseholder", 0)
-        explicit = run_scenario("partition-leaseholder", 0,
-                                txn_protocol="crdb")
+        default = run_verify("partition-leaseholder", 0, **VERIFY_KWARGS)
+        explicit = run_verify("partition-leaseholder", 0, protocol="crdb",
+                              **VERIFY_KWARGS)
         assert default.to_json() == explicit.to_json()
+        assert default.render() == explicit.render()
 
 
 
@@ -109,4 +110,4 @@ class TestOverloadScenarioGuards:
                                       "overload-hot-region"])
     def test_overload_rejects_protocol_override(self, name):
         with pytest.raises(ValueError):
-            run_scenario(name, 0, txn_protocol="epoch-occ")
+            REGISTRY["overload"].run(name, 0, "epoch-occ")

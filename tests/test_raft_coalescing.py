@@ -10,7 +10,7 @@ fault injection exercises the unbatched protocol.
 
 import pytest
 
-from repro.chaos.scenarios import ChaosHarness
+from repro.verify import VerifyHarness
 from repro.cluster import standard_cluster
 from repro.errors import RangeUnavailableError
 from repro.kv.range import Range
@@ -161,12 +161,13 @@ class TestBatchStraddlingTruncation:
 
 class TestCoalescingConfiguration:
     def test_chaos_provisioning_leaves_coalescing_off(self):
-        """Chaos scenarios must exercise the unbatched protocol: fault
+        """Fault scenarios must exercise the unbatched protocol: fault
         injection counts and reorders individual messages, and the
         sweeps' expected outputs predate coalescing."""
-        harness = ChaosHarness(seed=0)
+        harness = VerifyHarness(seed=0)
         assert harness.cluster.raft_coalesce_ms is None
-        assert harness.range.group.coalesce_ms is None
+        for rng in harness.ranges.values():
+            assert rng.group.coalesce_ms is None
 
     def test_cluster_window_threads_to_provisioned_ranges(self):
         cluster = standard_cluster(["us-east1"], nodes_per_region=3,

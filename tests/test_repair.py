@@ -1,5 +1,5 @@
 """Replicate-queue tests: planning priorities, end-to-end self-healing,
-and the repair chaos scenarios.
+and the verify rows that lose nodes for good.
 
 Quick single-seed runs are tier 1; the multi-seed repair sweep is
 marked ``repair`` and deselected by default (``pytest -m repair``).
@@ -7,7 +7,6 @@ marked ``repair`` and deselected by default (``pytest -m repair``).
 
 import pytest
 
-from repro.chaos import run_scenario
 from repro.cluster import LivenessStatus, StoreLiveness
 from repro.placement import (
     RepairActionKind,
@@ -16,6 +15,7 @@ from repro.placement import (
     placement_violations,
     zone_config_for_home,
 )
+from repro.verify import VerifyHarness, run_verify
 
 from .kv_util import REGIONS3, KVTestBed
 
@@ -136,19 +136,19 @@ class TestEndToEndRepair:
 
 class TestRepairScenarios:
     def test_kill_node_repair_heals_and_keeps_invariants(self):
-        result = run_scenario("kill-node-repair", seed=0)
-        assert result.ok, result.report.render()
+        result = run_verify("kill-node-repair", seed=0)
+        assert result.ok, result.render()
         assert result.stats["repair_actions"] >= 1
         assert result.stats["under_replicated"] == 0
         assert result.stats["max_inflight_changes"] == 1
         assert result.stats["liveness_transitions"] >= 2  # suspect, dead
-        assert any("placement" in c for c in result.report.checks_run)
+        assert result.audit == []
 
     def test_region_loss_repair_restores_full_replication(self):
-        result = run_scenario("region-loss-repair", seed=0)
-        assert result.ok, result.report.render()
-        # Two of the five voters lived in the lost region.
-        harness = result.harness
+        harness = VerifyHarness(0)
+        result = harness.run(scenario="region-loss-repair")
+        assert result.ok, result.render()
+        # Two of each range's five voters lived in the lost region.
         actions = harness.repair_queue.metrics.actions
         assert actions.get(RepairActionKind.REPLACE_DEAD_VOTER, 0) >= 2
         assert result.stats["under_replicated"] == 0
@@ -159,14 +159,15 @@ class TestRepairScenarios:
         assert result.stats["time_to_repair_ms"] <= budget
 
     def test_repair_scenario_reports_are_deterministic(self):
-        first = run_scenario("kill-node-repair", seed=2)
-        second = run_scenario("kill-node-repair", seed=2)
-        assert first.to_json() == second.to_json()
+        first, second = VerifyHarness(2), VerifyHarness(2)
+        report_a = first.run(scenario="kill-node-repair")
+        report_b = second.run(scenario="kill-node-repair")
+        assert report_a.to_json() == report_b.to_json()
+        assert report_a.history.dumps() == report_b.history.dumps()
         # The observability spine is part of the determinism contract:
         # same seed must yield byte-identical metrics snapshots and
         # trace trees (span IDs included).
-        obs_a = first.harness.sim.obs
-        obs_b = second.harness.sim.obs
+        obs_a, obs_b = first.sim.obs, second.sim.obs
         assert obs_a.registry.to_json() == obs_b.registry.to_json()
         assert obs_a.tracer.to_json() == obs_b.tracer.to_json()
         ids_a = [s.span_id for s in obs_a.tracer.spans()]
@@ -179,7 +180,7 @@ class TestRepairScenarios:
 @pytest.mark.parametrize("seed", range(5))
 def test_repair_sweep(name, seed):
     """Multi-seed self-healing sweep (the PR's acceptance bar)."""
-    result = run_scenario(name, seed)
-    assert result.ok, f"{name} seed={seed}\n{result.report.render()}"
+    result = run_verify(name, seed=seed)
+    assert result.ok, f"{name} seed={seed}\n{result.render()}"
     assert result.stats["repair_actions"] >= 1
     assert result.stats["max_inflight_changes"] == 1

@@ -4,8 +4,7 @@ tail every harness shares."""
 
 import pytest
 
-from repro.chaos import ChaosHarness, FaultEvent
-from repro.chaos import invariants
+from repro.chaos import FaultEvent
 from repro.errors import (
     AmbiguousCommitError,
     DeadlineExceededError,
@@ -100,19 +99,14 @@ class TestAttemptClassifier:
         with pytest.raises(RuntimeError, match="coordinator bug"):
             run_rebalance(0)
 
-    def test_outcome_vocabulary_is_the_history_checkers(self):
-        assert (invariants.OK, invariants.FAIL, invariants.INDETERMINATE) \
-            == (OK, FAIL, INDETERMINATE)
-
 
 class TestHardening:
     @pytest.mark.parametrize("build, retransmit", [
-        (lambda: ChaosHarness(0), True),
         (lambda: VerifyHarness(0), True),
         (lambda: _ProtocolRun(0, "crdb"), True),
         (lambda: _RebalanceRun(0), True),
         (lambda: OpenLoopHarness(), False),
-    ], ids=["chaos", "verify", "protocols", "rebalance", "openloop"])
+    ], ids=["verify", "protocols", "rebalance", "openloop"])
     def test_every_harness_range_gets_the_constants(self, monkeypatch,
                                                     build, retransmit):
         calls = []

@@ -1,17 +1,21 @@
 """The verify scenario table: what the registry derives from it, how a
-name is looked up, which backend a row runs on, and — tier-2, one case
-per ablation row and seed — that every ablation is convicted.
+name is looked up, which backend a row runs on, what a row's audit
+convicts, and — tier-2, one case per ablation row and seed — that every
+ablation is convicted.
 
 Adding an ablation is one :data:`repro.verify.SCENARIOS` row plus one
 :data:`ABLATIONS` entry (its tier-2 marker and seed range); the shape
 test fails until both exist.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.__main__ import main
-from repro.chaos import SCENARIOS as CHAOS
+from repro.chaos import faults
 from repro.harness.registry import REGISTRY
+from repro.sim.clock import ClockModel
 from repro.verify import SCENARIOS, VerifyHarness, run_verify
 
 #: Every row with a verdict: its tier-2 marker and seed range.
@@ -28,9 +32,13 @@ ABLATIONS = {
 SMALL = dict(clients_per_region=1, ops_per_client=2, stale_ops=1)
 
 CHAOS_ROWS = ["region-blackout", "rolling-zones", "flaky-wan",
-              "gray-follower", "asym-partition", "crash-restart"]
+              "gray-follower", "asym-partition", "crash-restart",
+              "partition-leaseholder"]
 FAULT_ROWS = CHAOS_ROWS + ["split-merge", "global-nearest"]
-CLOCK_ROWS = ["clock-drift", "clock-jump", "clock-jump-nofence"]
+CRDB_ROWS = ["split-under-fire", "overload"]
+REPAIR_ROWS = ["kill-node-repair", "region-loss-repair"]
+CLOCK_ROWS = ["clock-drift", "clock-jump", "clock-jump-fence",
+              "clock-freeze-lease", "clock-jump-nofence"]
 FORCED_ROWS = ["occ-novalidate", "occ-unordered", "one-phase-reapply",
                "cput-blind", "pipeline-unproven"]
 
@@ -39,11 +47,14 @@ class TestShape:
     def test_registry_derives_the_lists_it_held_before_the_table(self):
         exp = REGISTRY["verify"]
         assert list(exp.scenarios) == (
-            ["none"] + FAULT_ROWS + ["overload"] + CLOCK_ROWS + FORCED_ROWS)
-        assert list(exp.sweep(None)) == FAULT_ROWS + ["overload"] + CLOCK_ROWS
+            ["none"] + FAULT_ROWS + CRDB_ROWS + REPAIR_ROWS + CLOCK_ROWS
+            + FORCED_ROWS)
+        assert list(exp.sweep(None)) == \
+            FAULT_ROWS + CRDB_ROWS + REPAIR_ROWS + CLOCK_ROWS
         assert list(exp.sweep("epoch-occ")) == FAULT_ROWS
-        assert list(exp.groups) == ["clock"]
+        assert list(exp.groups) == ["clock", "repair"]
         assert list(exp.groups["clock"]) == CLOCK_ROWS
+        assert list(exp.groups["repair"]) == REPAIR_ROWS
         assert exp.fixed_protocol == frozenset(FORCED_ROWS)
 
     def test_every_row_has_a_doc_and_a_consistent_verdict(self):
@@ -56,9 +67,20 @@ class TestShape:
         assert [name for name, row in SCENARIOS.items()
                 if row.verdict is not None] == list(ABLATIONS)
 
-    def test_chaos_derived_rows_reuse_the_chaos_schedule_and_doc(self):
-        for name in CHAOS_ROWS + ["clock-drift"]:
-            assert SCENARIOS[name].doc == CHAOS[name].doc
+    def test_every_fault_builder_is_a_rows_nemesis(self):
+        """repro.chaos builds schedules and nothing else: each builder is
+        some row's ``faults`` (the protocols head-to-head reaches its
+        partition through the partition-leaseholder row), and a row's
+        schedule is a chaos builder or one of the harness's own."""
+        builders = {getattr(faults, name) for name in faults.__all__
+                    if name != "build_faults"}
+        used = {getattr(row.faults, "func", row.faults)
+                for row in SCENARIOS.values() if row.faults is not None}
+        assert builders <= used, sorted(b.__name__ for b in builders - used)
+        assert {fn.__module__ for fn in used} == {
+            "repro.chaos.faults", "repro.verify.generator"}
+        assert SCENARIOS["partition-leaseholder"].faults is \
+            faults.partition_leaseholder_faults
 
 
 class TestLookup:
@@ -80,10 +102,47 @@ class TestLookup:
         with pytest.raises(KeyError, match="choose from .*'crash-restart'"):
             run("not-a-scenario")
 
-    @pytest.mark.parametrize("name", sorted(set(CHAOS) - set(SCENARIOS)))
-    def test_chaos_only_names_are_not_verify_scenarios(self, name):
-        with pytest.raises(KeyError, match="unknown verify scenario"):
-            run_verify(name)
+
+class TestAudit:
+    """A row's audit judges what the history cannot show; any violation
+    fails the run, whatever the checker says."""
+
+    def test_a_fence_fails_the_in_contract_drift_row(self, monkeypatch):
+        # Drift a hundred times the row's rate: far outside the
+        # max-offset contract, so the monitor fences a victim.
+        real = ClockModel.set_drift
+        monkeypatch.setattr(ClockModel, "set_drift",
+                            lambda self, node, rate:
+                            real(self, node, rate * 100.0))
+        result = run_verify("clock-drift", seed=0, **SMALL)
+        assert result.stats["clock_fences"] >= 1
+        assert result.audit and "unexpected self-fence" in result.audit[0]
+        assert not result.ok
+
+    @pytest.mark.parametrize("name, fenced, verdict", [
+        ("clock-drift", [], []),
+        ("clock-drift", [(300.0, 4, 900.0)],
+         ["clock: unexpected self-fence of node(s) [4] under in-bounds "
+          "clock faults"]),
+        ("clock-jump-fence", [(300.0, 4, 900.0)], []),
+        ("clock-jump-fence", [],
+         ["clock: no node self-fenced despite a beyond-bound clock fault"]),
+        ("clock-freeze-lease", [],
+         ["clock: no node self-fenced despite a beyond-bound clock "
+          "fault"])])
+    def test_fence_expectations(self, name, fenced, verdict):
+        harness = VerifyHarness(0)
+        harness.enable_clock_monitor()
+        harness.clock_monitor.fence_events.extend(fenced)
+        assert SCENARIOS[name].audit(harness) == verdict
+
+    def test_a_violation_fails_a_clean_run(self):
+        result = run_verify("none", seed=0, **SMALL)
+        assert result.ok and result.audit == []
+        planted = dataclasses.replace(result, audit=["planted"])
+        assert planted.report.ok and not planted.ok
+        assert planted.to_json()["audit"] == ["planted"]
+        assert "!! planted" in planted.render()
 
 
 class TestForcedBackend:
