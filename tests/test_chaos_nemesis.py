@@ -10,13 +10,89 @@ excluded by default — run it with ``pytest -m chaos`` or
 
 import pytest
 
-from repro.verify import VerifyHarness, run_verify
+from repro.sim.clock import Timestamp
+from repro.verify import (RecordedOp, RecordedTxn, VerifyHarness,
+                          VerifyHistory, check, run_verify)
 
 #: The rows whose fault schedules only the counter harness ran before
 #: the verify table took them over.
 NEMESIS_ROWS = ["partition-leaseholder", "kill-node-repair",
                 "region-loss-repair", "split-under-fire",
                 "clock-jump-fence", "clock-freeze-lease"]
+
+
+def _op(kind, key, value, version_ms):
+    return RecordedOp(kind=kind, key=key, value=value,
+                      version_ts=Timestamp(float(version_ms), 0),
+                      at_ms=float(version_ms))
+
+
+def _txn(txn_id, ops, begin_ms, end_ms, mode="strong", requested_ms=None):
+    return RecordedTxn(
+        txn_id=txn_id, label=f"c{txn_id}", region="us-east1", mode=mode,
+        status="committed", begin_ms=begin_ms, end_ms=end_ms,
+        commit_ts=Timestamp(float(end_ms), 0) if mode == "strong" else None,
+        requested_ts=None if requested_ms is None
+        else Timestamp(float(requested_ms), 0), ops=ops)
+
+
+def _judge(txns, kind="register", final=None):
+    """Check a nemesis-shaped history of one key with the checker every
+    fault row is judged by."""
+    meta = {"scenario": "hand-crafted", "seed": 0,
+            "keys": {"t/k": {"kind": kind, "global": False}}}
+    return check(VerifyHistory(txns=txns, meta=meta, final=final or {}))
+
+
+def _types(report):
+    return {anomaly.type for anomaly in report.anomalies}
+
+
+def _init_and_write():
+    """The initial value, then a client's write of "c1:1" acked at
+    t=10 ms."""
+    return [_txn(0, [_op("w", "t/k", "init", 0)], 0.0, 0.0),
+            _txn(1, [_op("w", "t/k", "c1:1", 10)], 5.0, 10.0)]
+
+
+class TestInvariantChecker:
+    """The invariants a fault row must keep, as the checker sees them
+    in the history the verify clients record."""
+
+    def test_clean_history_passes(self):
+        report = _judge(_init_and_write() + [
+            _txn(2, [_op("r", "t/k", "c1:1", 10)], 20.0, 30.0)],
+            final={"t/k": "c1:1"})
+        assert report.ok, report.render()
+
+    def test_lost_write_detected(self):
+        appends = [
+            _txn(0, [_op("w", "t/k", [], 0)], 0.0, 0.0),
+            _txn(1, [_op("r", "t/k", [], 0), _op("w", "t/k", ["a"], 10)],
+                 5.0, 10.0),
+            _txn(2, [_op("r", "t/k", ["a"], 10),
+                     _op("w", "t/k", ["a", "b"], 20)], 15.0, 20.0)]
+        report = _judge(appends, kind="list", final={"t/k": ["a"]})
+        assert not report.ok
+        assert "lost-write" in _types(report)
+
+    def test_dirty_read_detected(self):
+        init, write = _init_and_write()
+        write.status, write.commit_ts = "aborted", None
+        report = _judge([init, write,
+                         _txn(2, [_op("r", "t/k", "c1:1", 10)], 20.0, 30.0)])
+        assert "G1a" in _types(report)
+
+    def test_stale_strong_read_detected(self):
+        report = _judge(_init_and_write() + [
+            _txn(2, [_op("r", "t/k", "init", 0)], 20.0, 30.0)])
+        assert "stale-strong-read" in _types(report)
+
+    def test_stale_read_exempt_from_recency(self):
+        stale = _txn(-1, [_op("r", "t/k", "init", 0)], 20.0, 30.0,
+                     mode="exact", requested_ms=5)
+        report = _judge(_init_and_write() + [stale])
+        assert report.ok, report.render()
 
 
 class TestScenariosQuick:

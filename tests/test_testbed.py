@@ -20,7 +20,7 @@ from repro.harness.rebalance import _RebalanceRun, run_rebalance
 from repro.harness.testbed import FAIL, INDETERMINATE, OK, Testbed
 from repro.sim.network import NetworkUnavailableError
 from repro.txn import TransactionCoordinator
-from repro.verify import VerifyHarness
+from repro.verify import VerifyHarness, history
 
 
 def provisioned(seed=0):
@@ -98,6 +98,11 @@ class TestAttemptClassifier:
         monkeypatch.setattr(TransactionCoordinator, "run", broken_run)
         with pytest.raises(RuntimeError, match="coordinator bug"):
             run_rebalance(0)
+
+    def test_outcome_vocabulary_is_the_history_checkers(self):
+        """An ambiguous commit has one name in the classifier and in the
+        history the checker judges."""
+        assert INDETERMINATE == history.INDETERMINATE
 
 
 class TestHardening:

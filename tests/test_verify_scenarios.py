@@ -14,6 +14,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.chaos import faults
+from repro.chaos.overload import SCENARIOS as OVERLOAD
 from repro.harness.registry import REGISTRY
 from repro.sim.clock import ClockModel
 from repro.verify import SCENARIOS, VerifyHarness, run_verify
@@ -101,6 +102,13 @@ class TestLookup:
     def test_unknown_name_names_the_choices(self, run):
         with pytest.raises(KeyError, match="choose from .*'crash-restart'"):
             run("not-a-scenario")
+
+    @pytest.mark.parametrize("name", sorted(set(OVERLOAD) - set(SCENARIOS)))
+    def test_chaos_only_names_are_not_verify_scenarios(self, name):
+        """The overload scenarios live in repro.chaos and run under the
+        ``overload`` verb; the verify lookup refuses them."""
+        with pytest.raises(KeyError, match="unknown verify scenario"):
+            run_verify(name)
 
 
 class TestAudit:
