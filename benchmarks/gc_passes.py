@@ -16,12 +16,19 @@ prints, per repetition, the generation 0/1/2 passes in set-up and in the
 timed region.  A generation-0 pass happens every 700 net allocations of
 container objects, so the counts are a direct read of how many objects
 the region allocates and keeps.
+
+    python3 benchmarks/gc_passes.py --workload tpcc --compare ../parent
+
+also runs the same script in another checkout (here ``../parent``) and
+prints its placement under each of this checkout's rows, so a change's
+reading of ``ops_per_s`` can be told apart from a collection that moved.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,17 +78,41 @@ def count_passes(name: str, seed: int, reps: int):
     return rows
 
 
+def placement(row) -> str:
+    return (f"set-up {row['setup']}  timed {row['timed']}  "
+            f"closing calibration {row['after']}")
+
+
+def compared_rows(checkout: str, args) -> list:
+    """The per-repetition placements this script prints when run in
+    ``checkout`` with the same workload, seed and repetitions."""
+    script = Path(checkout).resolve() / "benchmarks" / "gc_passes.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "--workload", args.workload,
+         "--seed", str(args.seed), "--reps", str(args.reps)],
+        capture_output=True, text=True, check=True).stdout
+    return [line.split(": ", 1)[1] for line in out.splitlines()
+            if line.startswith("  rep ")]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="kv", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--reps", type=int, default=3)
+    parser.add_argument("--compare", metavar="PATH",
+                        help="another checkout to run beside this one")
     args = parser.parse_args()
+    rows = [placement(row) for row in count_passes(
+        args.workload, args.seed, args.reps)]
+    other = compared_rows(args.compare, args) if args.compare else None
     print(f"{args.workload} seed={args.seed}: generation 0/1/2 passes")
-    for rep, row in enumerate(count_passes(args.workload, args.seed,
-                                           args.reps)):
-        print(f"  rep {rep}: set-up {row['setup']}  timed {row['timed']}  "
-              f"closing calibration {row['after']}")
+    for rep, row in enumerate(rows):
+        if other is None:
+            print(f"  rep {rep}: {row}")
+        else:
+            print(f"  rep {rep}: this  {row}\n"
+                  f"         other {other[rep]}")
 
 
 if __name__ == "__main__":
