@@ -20,6 +20,7 @@ from typing import (Any, Generator, Iterable, List, Optional, Sequence,
 
 from ..errors import (
     ClockFencedError,
+    DatabaseError,
     DeadlineExceededError,
     FollowerReadNotAvailableError,
     RangeKeyMismatchError,
@@ -27,7 +28,7 @@ from ..errors import (
     WriteIntentError,
 )
 from ..sim.clock import Timestamp
-from ..sim.core import Future, all_of, with_timeout
+from ..sim.core import Future, all_of
 from ..sim.network import (NetworkUnavailableError, RequestNotSentError,
                            RpcTimeoutError)
 from ..sim.retry import ExponentialBackoff
@@ -44,9 +45,10 @@ class ReadRouting:
     NEAREST = "nearest"
 
 
-def _value_generator(fn) -> Generator:
-    """Wrap a synchronous callable as a zero-yield coroutine."""
-    result = fn()
+def _value_generator(fn, *args) -> Generator:
+    """Run ``fn(*args)`` as a zero-yield coroutine: an RPC handler for a
+    synchronous replica call."""
+    result = fn(*args)
     return result
     yield  # pragma: no cover
 
@@ -193,7 +195,7 @@ class DistSender:
         #: gateway node_id -> interned retry-process name (avoids an
         #: f-string per RPC on the hot path).
         self._retry_names: dict = {}
-        #: dst node_id -> lazy RpcTimeoutError factory for with_timeout
+        #: dst node_id -> lazy RpcTimeoutError factory for an RPC deadline
         #: (timeouts almost never fire; don't build the exception per RPC).
         self._timeout_factories: dict = {}
         #: Counters for tests/ablations, backed by registry instruments
@@ -397,143 +399,148 @@ class DistSender:
         (``kv.read``, ...; child of ``span``) with one ``rpc.attempt``
         child per try, tagged with breaker, backoff and failover decisions.
         """
-        sim = self.cluster.sim
-        tracer = self._tracer
-        key = keys[0] if keys else None
-        many = len(keys) > 1
-
-        def attempts() -> Generator:
-            rng = self.resolve(token, key)
-            if record_load:
-                load = rng.descriptor.load
-                region = gateway.locality.region
-                for each in keys:
-                    load.record(sim.now, key=each, region=region)
-            # ``span`` is 0 for an untraced request (skip the calls) and
-            # None for a caller with no trace context (a client entry).
-            op_span = (tracer.start(
-                op, span, ("range", rng.name, "keys", len(keys)) if many
-                else ("range", rng.name))
-                if span != 0 else 0)
-            try:
-                # Constructed lazily: the zero-retry fast path never
-                # draws a backoff delay, so skip the allocation.
-                backoff = None
-                last_error: Optional[BaseException] = None
-                # The failure of an attempt that may have reached the
-                # range (and may yet take effect): what the call fails
-                # with, whatever the later attempts ran into.
-                in_doubt: Optional[BaseException] = None
-                for attempt in range(self.RPC_MAX_ATTEMPTS):
-                    if attempt:
-                        # Attempt 0 reuses the resolve above — nothing
-                        # can have moved before the first yield.
-                        rng = self.resolve(token, key)
-                    if deadline_ms is not None and sim.now >= deadline_ms:
-                        # Nobody is waiting for this answer anymore:
-                        # drop the RPC instead of spending an attempt
-                        # (and server capacity) past the deadline.
-                        self._c_deadline_drops.inc()
-                        tracer.tag(op_span, "error", "deadline_exceeded")
-                        raise DeadlineExceededError(op, deadline_ms,
-                                                    sim.now)
-                    if self.network.node_is_dead(gateway.node_id):
-                        # The client's own gateway store is down: fail fast
-                        # instead of blaming (and failing over) a healthy
-                        # leaseholder for our local outage.
-                        tracer.tag(op_span, "error", "gateway_down")
-                        raise in_doubt or RequestNotSentError(
-                            f"gateway node {gateway.node_id} is down")
-                    dst = rng.leaseholder_node
-                    breaker = self.breakers.for_node(dst.node_id)
-                    attempt_span = op_span and tracer.start(
-                        "rpc.attempt", op_span,
-                        ("attempt", attempt + 1, "dst", dst.node_id))
-                    if not breaker.allow(sim.now):
-                        # Known-bad leaseholder: try to move the lease right
-                        # away rather than burning a timeout on it.
-                        tracer.tag(attempt_span, "breaker", "open")
-                        if rng.maybe_failover(from_node=gateway,
-                                              force=True):
-                            self._c_failovers.inc()
-                            tracer.finish(attempt_span, "failover", True)
-                            continue
-                        last_error = RequestNotSentError(
-                            f"node {dst.node_id}: circuit breaker open")
-                        backoff = backoff or self._new_backoff()
-                        yield sim.sleep(self._backoff_delay(
-                            backoff, attempt_span, op, deadline_ms))
-                        continue
-                    call = self.network.call(
-                        gateway, dst,
-                        lambda _rng=rng, _span=attempt_span: handler(_rng,
-                                                                     _span),
-                        payload_size=len(keys) or 1, span=attempt_span)
-                    timeout_ms = self.RPC_TIMEOUT_MS
-                    if deadline_ms is not None:
-                        timeout_ms = min(timeout_ms, deadline_ms - sim.now)
-                    call = with_timeout(
-                        sim, call, timeout_ms,
-                        self._timeout_error_factory(dst.node_id))
-                    try:
-                        value = yield call
-                    except (NetworkUnavailableError, ClockFencedError) as err:
-                        # ClockFencedError: the leaseholder refused to
-                        # serve because it clock-fenced itself — treat
-                        # exactly like node death: fail the lease over
-                        # to a healthy voter and retry there.
-                        breaker.record_failure(sim.now)
-                        last_error = err
-                        if not isinstance(err, (RequestNotSentError,
-                                                ClockFencedError)):
-                            in_doubt = err
-                        self._c_retries.inc()
-                        tracer.tag(attempt_span, "error",
-                                   type(err).__name__)
-                        if rng.maybe_failover(
-                                from_node=gateway,
-                                force=(breaker.is_open
-                                       or isinstance(err, ClockFencedError))):
-                            self._c_failovers.inc()
-                            tracer.tag(attempt_span, "failover", True)
-                        backoff = backoff or self._new_backoff()
-                        yield sim.sleep(self._backoff_delay(
-                            backoff, attempt_span, op, deadline_ms))
-                        continue
-                    except RangeKeyMismatchError as err:
-                        # The contacted range no longer owns the key — a
-                        # split/merge won the race.  Not a failure of the
-                        # node (it answered), so the breaker records
-                        # success; invalidate the descriptor cache and
-                        # re-resolve immediately, no backoff.
-                        breaker.record_success()
-                        last_error = err
-                        self._c_retries.inc()
-                        tracer.finish(attempt_span, "error",
-                                      "range_key_mismatch")
-                        self._invalidate_token(token)
-                        if many:
-                            raise
-                        continue
-                    except Exception as err:
-                        # The node answered; the failure is application-level.
-                        breaker.record_success()
-                        tracer.finish(attempt_span, "error",
-                                      type(err).__name__)
-                        raise
-                    breaker.record_success()
-                    if attempt_span:
-                        tracer.finish(attempt_span)
-                    return value
-                raise in_doubt or last_error
-            finally:
-                if op_span:
-                    tracer.finish(op_span)
         names = self._retry_names
         name = names.get(gateway.node_id)
         if name is None:
             name = names[gateway.node_id] = f"rpc-retry@{gateway.node_id}"
-        return sim.spawn(attempts(), name=name)
+        return self.cluster.sim.spawn(
+            self._attempts(gateway, token, handler, span, op, deadline_ms,
+                           keys, record_load), name=name)
+
+    def _attempts(self, gateway, token, handler, span, op: str,
+                  deadline_ms: Optional[float], keys: Sequence[Any],
+                  record_load: bool) -> Generator:
+        """:meth:`_leaseholder_call`'s attempt loop: a method, so a call
+        builds no function or closure cells."""
+        sim = self.cluster.sim
+        tracer = self._tracer
+        key = keys[0] if keys else None
+        many = len(keys) > 1
+        rng = self.resolve(token, key)
+        if record_load:
+            load = rng.descriptor.load
+            region = gateway.locality.region
+            for each in keys:
+                load.record(sim.now, key=each, region=region)
+        # ``span`` is 0 for an untraced request (skip the calls) and
+        # None for a caller with no trace context (a client entry).
+        op_span = (tracer.start(
+            op, span, ("range", rng.name, "keys", len(keys)) if many
+            else ("range", rng.name))
+            if span != 0 else 0)
+        try:
+            # Constructed lazily: the zero-retry fast path never
+            # draws a backoff delay, so skip the allocation.
+            backoff = None
+            last_error: Optional[BaseException] = None
+            # The failure of an attempt that may have reached the
+            # range (and may yet take effect): what the call fails
+            # with, whatever the later attempts ran into.
+            in_doubt: Optional[BaseException] = None
+            for attempt in range(self.RPC_MAX_ATTEMPTS):
+                if attempt:
+                    # Attempt 0 reuses the resolve above — nothing
+                    # can have moved before the first yield.
+                    rng = self.resolve(token, key)
+                if deadline_ms is not None and sim.now >= deadline_ms:
+                    # Nobody is waiting for this answer anymore:
+                    # drop the RPC instead of spending an attempt
+                    # (and server capacity) past the deadline.
+                    self._c_deadline_drops.inc()
+                    tracer.tag(op_span, "error", "deadline_exceeded")
+                    raise DeadlineExceededError(op, deadline_ms,
+                                                sim.now)
+                if self.network.node_is_dead(gateway.node_id):
+                    # The client's own gateway store is down: fail fast
+                    # instead of blaming (and failing over) a healthy
+                    # leaseholder for our local outage.
+                    tracer.tag(op_span, "error", "gateway_down")
+                    raise in_doubt or RequestNotSentError(
+                        f"gateway node {gateway.node_id} is down")
+                dst = rng.leaseholder_node
+                breaker = self.breakers.for_node(dst.node_id)
+                attempt_span = op_span and tracer.start(
+                    "rpc.attempt", op_span,
+                    ("attempt", attempt + 1, "dst", dst.node_id))
+                if not breaker.allow(sim.now):
+                    # Known-bad leaseholder: try to move the lease right
+                    # away rather than burning a timeout on it.
+                    tracer.tag(attempt_span, "breaker", "open")
+                    if rng.maybe_failover(from_node=gateway,
+                                          force=True):
+                        self._c_failovers.inc()
+                        tracer.finish(attempt_span, "failover", True)
+                        continue
+                    last_error = RequestNotSentError(
+                        f"node {dst.node_id}: circuit breaker open")
+                    backoff = backoff or self._new_backoff()
+                    yield sim.sleep(self._backoff_delay(
+                        backoff, attempt_span, op, deadline_ms))
+                    continue
+                timeout_ms = self.RPC_TIMEOUT_MS
+                if deadline_ms is not None:
+                    timeout_ms = min(timeout_ms, deadline_ms - sim.now)
+                try:
+                    value = yield self.network.call(
+                        gateway, dst, handler, rng, attempt_span,
+                        payload_size=len(keys) or 1, span=attempt_span,
+                        timeout_ms=timeout_ms,
+                        timeout_error=self._timeout_error_factory(
+                            dst.node_id))
+                except (NetworkUnavailableError, ClockFencedError) as err:
+                    # ClockFencedError: the leaseholder refused to
+                    # serve because it clock-fenced itself — treat
+                    # exactly like node death: fail the lease over
+                    # to a healthy voter and retry there.
+                    breaker.record_failure(sim.now)
+                    last_error = err
+                    if not isinstance(err, (RequestNotSentError,
+                                            ClockFencedError)):
+                        in_doubt = err
+                    self._c_retries.inc()
+                    tracer.tag(attempt_span, "error",
+                               type(err).__name__)
+                    if rng.maybe_failover(
+                            from_node=gateway,
+                            force=(breaker.is_open
+                                   or isinstance(err, ClockFencedError))):
+                        self._c_failovers.inc()
+                        tracer.tag(attempt_span, "failover", True)
+                    backoff = backoff or self._new_backoff()
+                    yield sim.sleep(self._backoff_delay(
+                        backoff, attempt_span, op, deadline_ms))
+                    continue
+                except RangeKeyMismatchError as err:
+                    # The contacted range no longer owns the key — a
+                    # split/merge won the race.  Not a failure of the
+                    # node (it answered), so the breaker records
+                    # success; invalidate the descriptor cache and
+                    # re-resolve immediately, no backoff.
+                    breaker.record_success()
+                    last_error = err
+                    self._c_retries.inc()
+                    tracer.finish(attempt_span, "error",
+                                  "range_key_mismatch")
+                    self._invalidate_token(token)
+                    if many:
+                        raise
+                    continue
+                except DatabaseError as err:
+                    # The node answered; the failure is application-level.
+                    # Anything else is a bug, not an answer: it propagates
+                    # with the breaker and the span left as they were.
+                    breaker.record_success()
+                    tracer.finish(attempt_span, "error",
+                                  type(err).__name__)
+                    raise
+                breaker.record_success()
+                if attempt_span:
+                    tracer.finish(attempt_span)
+                return value
+            raise in_doubt or last_error
+        finally:
+            if op_span:
+                tracer.finish(op_span)
 
     # -- reads -------------------------------------------------------------------
 
@@ -597,11 +604,8 @@ class DistSender:
             ("range", replica.range.name, "replica", replica.node.node_id))
         attempt = self.network.call(
             gateway, replica.node,
-            lambda: _value_generator(lambda: replica.follower_read(
-                key, ts, txn_id=txn_id,
-                uncertainty_limit=uncertainty_limit,
-                allow_server_side_bump=allow_server_side_bump)),
-            span=follower_span)
+            _value_generator, replica.follower_read, key, ts, txn_id,
+            uncertainty_limit, allow_server_side_bump, span=follower_span)
 
         def on_done(fut: Future) -> None:
             error = fut.error
@@ -685,7 +689,7 @@ class DistSender:
         result = Future(self.cluster.sim)
         attempt = self.network.call(
             gateway, replica.node,
-            lambda: _value_generator(negotiate_and_read), span=read_span)
+            _value_generator, negotiate_and_read, span=read_span)
 
         def on_done(fut: Future) -> None:
             error = fut.error
@@ -731,8 +735,7 @@ class DistSender:
             replica = self.nearest_replica(gateway, self.resolve(token, key))
             futures.append(self.network.call(
                 gateway, replica.node,
-                lambda replica=replica, key=key: _value_generator(
-                    lambda: replica.max_servable_ts(key)),
+                _value_generator, replica.max_servable_ts, key,
                 span=negotiate_span))
         result = Future(self.cluster.sim)
         gathered = all_of(self.cluster.sim, futures)

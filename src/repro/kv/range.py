@@ -184,18 +184,11 @@ class Range:
             snap_span = tracer.start(
                 "raft.snapshot", DETACHED,
                 ("range", self.name, "to", node_id, "entries", entries))
-
-            def install() -> Generator:
-                # Runs on the joining node after the request arrives;
-                # the sleep models streaming + sideloading the snapshot.
-                yield self.sim.sleep(transfer_ms)
-                replica.install(source)
-                return self.group.install_snapshot(node_id)
-
             try:
-                yield self.cluster.network.call(leader_node, node, install,
-                                                payload_size=max(1, entries),
-                                                span=snap_span)
+                yield self.cluster.network.call(
+                    leader_node, node, self._install_snapshot, replica,
+                    source, transfer_ms, payload_size=max(1, entries),
+                    span=snap_span)
                 yield from self._wait_caught_up(node_id)
             finally:
                 tracer.finish(snap_span)
@@ -215,6 +208,14 @@ class Range:
             raise
         finally:
             guard.release(self.sim.now)
+
+    def _install_snapshot(self, replica: Replica, source: Replica,
+                          transfer_ms: float) -> Generator:
+        """RPC handler on the joining node, once the request arrives: the
+        sleep models streaming + sideloading the snapshot."""
+        yield self.sim.sleep(transfer_ms)
+        replica.install(source)
+        return self.group.install_snapshot(replica.node.node_id)
 
     def _wait_caught_up(self, node_id: int,
                         timeout_ms: Optional[float] = None) -> Generator:

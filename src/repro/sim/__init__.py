@@ -8,7 +8,6 @@ from .core import (
     Simulator,
     all_of,
     any_of,
-    with_timeout,
 )
 from .network import (
     FaultPlane,
@@ -34,7 +33,6 @@ __all__ = [
     "Simulator",
     "all_of",
     "any_of",
-    "with_timeout",
     "ExponentialBackoff",
     "FaultPlane",
     "LatencyModel",

@@ -35,7 +35,6 @@ __all__ = [
     "all_of",
     "settle_all",
     "any_of",
-    "with_timeout",
 ]
 
 
@@ -215,10 +214,10 @@ class Simulator:
       delay arithmetic, past-check or handle: ``openloop``, ``tpcc``.
     * HOT: ``cancel`` leaves a tombstone (``fn = None``), skipped and
       not counted on dispatch; :meth:`_compact` sweeps them once they
-      outnumber live entries.  Every RPC deadline (:func:`with_timeout`)
-      and Raft proposal timeout is cancelled when what it guards
-      settles, so the heap holds the ~150 live timers and not ~2000
-      parked guards: ``tpcc_epoch``, ``movr``, ``openloop``.
+      outnumber live entries.  Every RPC deadline (``Network.call``'s
+      ``timeout_ms``) and Raft proposal timeout is cancelled when what it
+      guards settles, so the heap holds the ~150 live timers and not
+      ~2000 parked guards: ``tpcc_epoch``, ``movr``, ``openloop``.
     * An event drops ``fn``/``args`` as it is dispatched, before the
       call: finished processes and their results die by refcount, not
       in the cyclic collector (``tests/test_gc_garbage.py``), and
@@ -521,39 +520,3 @@ def any_of(sim: Simulator, futures: Iterable[Future]) -> Future:
         fut.add_callback(make_callback(i))
     return result
 
-
-def with_timeout(sim: Simulator, future: Future, delay_ms: float,
-                 error) -> Future:
-    """Mirror ``future`` unless ``delay_ms`` elapses first.
-
-    The returned future resolves/rejects with ``future``'s outcome, or
-    rejects with ``error`` at the deadline.  ``error`` may be an
-    exception instance, or a zero-argument callable returning one —
-    deadlines almost never fire, so hot callers pass a factory to avoid
-    building an exception (and formatting its message) per call.  A
-    late outcome on the inner future is consumed silently (the caller
-    has already moved on) — this is the per-RPC timeout primitive for
-    hardened client paths.
-
-    The deadline dies with what it guards: when ``future`` settles first
-    its timer is cancelled, so ``on_deadline`` never runs, is never
-    counted as an event, and pins nothing until the deadline passes.
-    """
-    result = Future(sim)
-
-    def on_done(fut: Future) -> None:
-        if result._done:
-            return  # the deadline won; nobody is waiting any more
-        sim.cancel(deadline)
-        if fut._error is not None:
-            result.reject(fut._error)
-        else:
-            result.resolve(fut._value)
-
-    def on_deadline() -> None:
-        result.reject(error if isinstance(error, BaseException)
-                      else error())
-
-    deadline = sim.call_after(delay_ms, on_deadline)
-    future.add_callback(on_done)
-    return result

@@ -27,7 +27,7 @@ import random
 from functools import cache
 from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple, Union
 
-from .core import Future, Process, Simulator
+from .core import Future, Process, SimulationError, Simulator
 
 __all__ = [
     "TABLE1_RTT_MS",
@@ -36,6 +36,7 @@ __all__ = [
     "LatencyModel",
     "Network",
     "NetworkUnavailableError",
+    "RpcFuture",
     "RpcTimeoutError",
     "synthetic_rtt_matrix",
 ]
@@ -316,6 +317,51 @@ class LatencyModel:
         return base * (1.0 + self._rng.uniform(0.0, self.jitter_fraction))
 
 
+class RpcFuture(Future):
+    """The one future of a :meth:`Network.call`; it carries the RPC's
+    deadline.  The network completes it by calling it (the reply event, a
+    fault-plane rejection, the loss timer), which cancels the deadline.
+    A deadline that fires first rejects it with the caller's error, and
+    what the network delivers after that is dropped.  Any other second
+    completion raises :class:`SimulationError`.  :meth:`_reply` is the
+    handler process's callback at the destination: no closure per RPC.
+    """
+
+    __slots__ = ("_net", "_src", "_dst", "_span", "_deadline")
+
+    def __init__(self, net: "Network", src, dst, span) -> None:
+        super().__init__(net.sim)
+        self._net = net
+        self._src = src
+        self._dst = dst
+        self._span = span
+        #: The armed deadline event; still set once it has fired, which
+        #: is how a late outcome knows it is late.
+        self._deadline = None
+
+    def __call__(self, value=None, error=None) -> None:
+        deadline = self._deadline
+        if deadline is not None:
+            if self._done:
+                return  # the deadline fired first: drop the late outcome
+            self._deadline = None
+            self.sim.cancel(deadline)
+        Future.__call__(self, value, error)
+
+    def _complete(self, value, error) -> None:
+        # ``resolve`` / ``reject``: only the network's outcomes may be late.
+        if self._done:
+            raise SimulationError("future resolved twice")
+        self(value, error)
+
+    def _expire(self, error) -> None:
+        Future.__call__(self, None, error if isinstance(error, BaseException)
+                        else error())
+
+    def _reply(self, process: Process) -> None:
+        self._net._send_reply(process, self)
+
+
 class Network:
     """Message fabric connecting cluster nodes.
 
@@ -472,84 +518,92 @@ class Network:
             dst.locality.region, dst.locality.zone) + self.PROCESSING_MS
         return base * self.faults.latency_factor(src, dst)
 
-    def call(self, src, dst, handler: Callable[[], Generator],
-             payload_size: int = 1, span: int = 0) -> Future:
+    def call(self, src, dst, handler: Callable[..., Generator], *args,
+             payload_size: int = 1, span: int = 0,
+             timeout_ms: Optional[float] = None,
+             timeout_error=None) -> "RpcFuture":
         """RPC from node ``src`` to node ``dst``.
 
-        ``handler`` is a zero-argument callable returning a generator; it
-        runs *on the destination* (in sim terms: after the request has
-        been delivered).  The returned future resolves with the handler's
+        ``handler(*args)`` returns a generator; it runs *on the
+        destination* (in sim terms: after the request has been
+        delivered).  The returned future resolves with the handler's
         return value after the reply propagates back, or rejects if the
         handler raises or the destination is unreachable.
+
+        ``timeout_ms`` arms the RPC's deadline: if nothing has landed by
+        then, the future rejects with ``timeout_error``, an exception or
+        a zero-argument factory for one (hot callers pass a factory:
+        deadlines almost never fire).  See :class:`RpcFuture`.
 
         ``span``, when a nonzero span id, gets per-hop latency
         attribution tags (``req_ms`` / ``reply_ms``) so a trace shows how
         much of an RPC was wire time versus handler time.
         """
-        fut = Future(self.sim)
-        faults = self.faults
-        if faults.active:
-            # Fault checks only run when some fault is installed; with a
-            # clean plane they could only return "deliver normally".
-            if faults.blocked(src, dst):
-                self._drop("unreachable")
-                self._tag(span, "net", "unreachable")
-                self.sim._call_soon(
-                    fut.reject,
-                    RequestNotSentError(f"node {dst.node_id} unreachable from {src.node_id}"))
-                return fut
-            if faults.should_drop(src, dst):
-                # Request lost in flight: the caller only learns via timeout.
-                self._drop("request_loss")
-                self._tag(span, "net", "request_lost")
-                self.sim.call_after(self.LOSS_TIMEOUT_MS, self._reject_if_pending,
-                                    fut, RpcTimeoutError(
-                                        f"request to node {dst.node_id} lost"))
-                return fut
-        self._c_sent.value += 1  # inc(), minus a frame per message
-        entry = self._hop_cache.get((src.node_id, dst.node_id))
-        if entry is None:
-            entry = self._make_hop_entry(src, dst)
-        pair = entry[2]
-        self.bytes_by_region_pair[pair] = (
-            self.bytes_by_region_pair.get(pair, 0) + payload_size)
-        request_delay = self._entry_delay(entry, src, dst)
-        if span:
-            self._tag(span, "req_ms", request_delay)
-        self._schedule(request_delay, self._deliver_request,
-                       src, dst, handler, fut, span, entry[3])
-        return fut
-
-    def _deliver_request(self, src, dst, handler, fut: Future, span,
-                         rpc_name: str) -> None:
+        fut = RpcFuture(self, src, dst, span)
+        # Fault checks only run when some fault is installed; with a
+        # clean plane they could only return "deliver normally".
         faults = self.faults
         if faults.active and faults.blocked(src, dst):
-            self._drop("died_in_flight")
-            fut.reject(NetworkUnavailableError(
-                f"node {dst.node_id} died in flight"))
-            return
-        process = self.sim.spawn(handler(), name=rpc_name)
-        process.add_callback(
-            lambda process: self._send_reply(process, src, dst, fut, span))
+            # The rejection is already on its way: no deadline to arm.
+            self._drop("unreachable")
+            self._tag(span, "net", "unreachable")
+            self.sim._call_soon(fut, None, RequestNotSentError(
+                f"node {dst.node_id} unreachable from {src.node_id}"))
+            return fut
+        if faults.active and faults.should_drop(src, dst):
+            # Request lost in flight: the caller only learns via timeout.
+            self._drop("request_loss")
+            self._tag(span, "net", "request_lost")
+            self.sim.call_after(
+                self.LOSS_TIMEOUT_MS, fut, None,
+                RpcTimeoutError(f"request to node {dst.node_id} lost"))
+        else:
+            self._c_sent.value += 1  # inc(), minus a frame per message
+            entry = self._hop_cache.get((src.node_id, dst.node_id))
+            if entry is None:
+                entry = self._make_hop_entry(src, dst)
+            pair = entry[2]
+            self.bytes_by_region_pair[pair] = (
+                self.bytes_by_region_pair.get(pair, 0) + payload_size)
+            request_delay = self._entry_delay(entry, src, dst)
+            if span:
+                self._tag(span, "req_ms", request_delay)
+            self._schedule(request_delay, self._deliver_request,
+                           fut, handler, args, entry[3])
+        if timeout_ms is not None:
+            fut._deadline = self._schedule(timeout_ms, fut._expire,
+                                           timeout_error)
+        return fut
 
-    def _send_reply(self, process: Process, src, dst, fut: Future,
-                    span) -> None:
+    def _deliver_request(self, fut: "RpcFuture", handler, args,
+                         rpc_name: str) -> None:
+        faults = self.faults
+        if faults.active and faults.blocked(fut._src, fut._dst):
+            self._drop("died_in_flight")
+            fut(None, NetworkUnavailableError(
+                f"node {fut._dst.node_id} died in flight"))
+            return
+        self.sim.spawn(handler(*args), name=rpc_name).add_callback(
+            fut._reply)
+
+    def _send_reply(self, process: Process, fut: "RpcFuture") -> None:
         # The handler ran on the destination; re-check the *reply*
         # direction — a partition or node death during handler
         # execution must not deliver the answer.  (The handler's
         # side effects, e.g. a laid intent, stand: that asymmetry
         # is what ambiguous-commit handling exists for.)
+        src, dst = fut._src, fut._dst
         faults = self.faults
         if faults.active:
             if faults.blocked(dst, src):
                 self._drop("reply_blocked")
-                self.sim._call_soon(fut.reject, NetworkUnavailableError(
+                self.sim._call_soon(fut, None, NetworkUnavailableError(
                     f"reply from node {dst.node_id} undeliverable"))
                 return
             if faults.should_drop(dst, src):
                 self._drop("reply_loss")
                 self.sim.call_after(
-                    self.LOSS_TIMEOUT_MS, self._reject_if_pending, fut,
+                    self.LOSS_TIMEOUT_MS, fut, None,
                     RpcTimeoutError(f"reply from node {dst.node_id} lost"))
                 return
         self._c_sent.value += 1  # inc(), minus a frame per message
@@ -557,18 +611,13 @@ class Network:
         if entry is None:
             entry = self._make_hop_entry(dst, src)
         reply_delay = self._entry_delay(entry, dst, src)
-        if span:
-            self._tag(span, "reply_ms", reply_delay)
+        if fut._span:
+            self._tag(fut._span, "reply_ms", reply_delay)
         error = process.error
         if error is not None:
             self._schedule(reply_delay, fut, None, error)
         else:
             self._schedule(reply_delay, fut, process._value)
-
-    @staticmethod
-    def _reject_if_pending(fut: Future, error: BaseException) -> None:
-        if not fut.done:
-            fut.reject(error)
 
     def send(self, src, dst, callback: Callable[..., None], *args,
              after_ms: float = 0.0) -> None:

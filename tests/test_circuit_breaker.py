@@ -1,9 +1,14 @@
 """Circuit-breaker unit tests: trip/cooldown/probe lifecycle, the
 HALF_OPEN single-probe rule under concurrency, and reset-on-restart."""
 
+import pytest
+
 from repro.cluster import standard_cluster
+from repro.errors import DatabaseError
 from repro.kv.circuit import BreakerSet, BreakerState, CircuitBreaker
 from repro.kv.distsender import DistSender
+
+from .kv_util import KVTestBed
 
 REGIONS3 = ["us-east1", "europe-west2", "asia-northeast1"]
 
@@ -105,3 +110,31 @@ class TestReset:
         cluster.network.restart_node(victim)
         assert breaker.state == BreakerState.CLOSED
         assert breaker.allow(3.0)
+
+
+class TestProgrammingErrorsAreNotAnswers:
+    def test_a_handler_bug_surfaces_and_leaves_the_breaker_alone(self):
+        """Only a ``DatabaseError`` is the node answering: a serve path
+        that raises ``TypeError`` is a bug, so it records no breaker
+        success and surfaces from the run past a client that handles
+        database errors."""
+        bed = KVTestBed(regions=REGIONS3)
+        rng = bed.make_range("us-east1")
+        gateway = bed.gateway("us-east1")
+        breaker = bed.ds.breakers.for_node(rng.leaseholder_node.node_id)
+        breaker.record_failure(bed.sim.now)
+
+        def buggy(_rng, _span):
+            raise TypeError("bug in a serve path")
+            yield  # pragma: no cover
+
+        def client():
+            try:
+                yield bed.ds._leaseholder_call(gateway, rng, buggy)
+            except DatabaseError:
+                return "answered"
+
+        process = bed.sim.spawn(client())
+        with pytest.raises(TypeError, match="bug in a serve path"):
+            bed.sim.run_until_future(process, limit=bed.sim.now + 1_000.0)
+        assert breaker.consecutive_failures == 1

@@ -63,9 +63,10 @@ def count_calls(cluster):
     sizes = []
     call = cluster.network.call
 
-    def counting(src, dst, handler, payload_size=1, span=0):
+    def counting(src, dst, handler, *args, payload_size=1, **kwargs):
         sizes.append(payload_size)
-        return call(src, dst, handler, payload_size=payload_size, span=span)
+        return call(src, dst, handler, *args, payload_size=payload_size,
+                    **kwargs)
 
     cluster.network.call = counting
     return sizes

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.cluster import Cluster, Locality, standard_cluster
-from repro.sim.core import Simulator
+from repro.sim.core import SimulationError, Simulator
 from repro.sim.network import (
     LatencyModel,
     Network,
     NetworkUnavailableError,
+    RequestNotSentError,
     TABLE1_REGIONS,
     TABLE1_RTT_MS,
     synthetic_rtt_matrix,
@@ -183,6 +184,124 @@ class TestRPC:
         cluster.network.send(east, west, lambda: None)
         cluster.sim.run()
         assert cluster.network.messages_sent == 1
+
+
+class _Deadline(Exception):
+    pass
+
+
+def _live_timers(sim):
+    return [event for event in sim._heap if event[2] is not None]
+
+
+def _answer(value=None):
+    return value
+    yield  # pragma: no cover
+
+
+class TestRpcDeadline:
+    """``Network.call(timeout_ms=...)``: the RPC's one future carries its
+    own deadline, and the deadline dies with what it guards."""
+
+    def test_reply_first_cancels_the_deadline(self):
+        """The deadline becomes a tombstone: it never runs, is never
+        counted and leaves no live timer in the heap."""
+        cluster, east, west = _two_node_cluster()
+        sim = cluster.sim
+        built = []
+
+        def factory():
+            built.append(sim.now)
+            return _Deadline()
+
+        fut = cluster.network.call(east, west, _answer, "reply",
+                                   timeout_ms=5_000.0, timeout_error=factory)
+        assert sim.run_until_future(fut) == "reply"
+        assert 63.0 <= sim.now <= 64.0
+        assert _live_timers(sim) == []
+        assert sim._tombstones == 1 and len(sim._heap) == 1
+        now = sim.now
+        sim.run()
+        assert sim.now == now  # the tombstone did not even advance the clock
+        assert built == []
+        assert sim._tombstones == 0
+        # The delivery, the handler's one step and the reply: no deadline.
+        assert sim.events_processed == 3
+
+    def test_fault_rejection_cancels_the_deadline(self):
+        """A blocked link that kills the request in flight rejects the
+        future and cancels its deadline too."""
+        cluster, east, west = _two_node_cluster()
+        sim = cluster.sim
+        fut = cluster.network.call(east, west, lambda: iter(()),
+                                   timeout_ms=50.0, timeout_error=_Deadline())
+        isolate_region(cluster, "us-west1")
+        with pytest.raises(NetworkUnavailableError):
+            sim.run_until_future(fut)
+        assert _live_timers(sim) == []
+        sim.run()
+        assert sim.events_processed == 1  # the delivery, and nothing else
+        assert sim.now < 50.0
+
+    def test_rejected_at_send_parks_nothing(self):
+        cluster, east, west = _two_node_cluster()
+        sim = cluster.sim
+        isolate_region(cluster, "us-west1")
+        fut = cluster.network.call(east, west, lambda: iter(()),
+                                   timeout_ms=50.0, timeout_error=_Deadline())
+        assert sim._heap == []
+        with pytest.raises(RequestNotSentError):
+            sim.run_until_future(fut)
+        sim.run()
+        assert sim.events_processed == 1 and sim.now == 0.0
+        assert sim._tombstones == 0
+
+    @pytest.mark.parametrize("error", [_Deadline("instance"),
+                                       lambda: _Deadline("factory")])
+    def test_deadline_first_rejects_and_drops_the_late_reply(self, error):
+        cluster, east, west = _two_node_cluster()
+        sim = cluster.sim
+        served = []
+
+        def handler(outcome):
+            served.append(sim.now)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+            yield  # pragma: no cover
+
+        futures = [cluster.network.call(east, west, handler, outcome,
+                                        timeout_ms=3.0, timeout_error=error)
+                   for outcome in ("late", KeyError("late"))]
+        sim.run(until=3.0)
+        for fut in futures:
+            assert isinstance(fut.error, _Deadline)
+        sim.run()  # the late replies land at ~63 ms and are dropped
+        assert len(served) == 2  # the handlers still ran at the destination
+        assert sim.now > 63.0
+        assert sim._tombstones == 0
+        # Per call: the deadline, the delivery, the handler's step and
+        # the reply.
+        assert sim.events_processed == 8
+
+    def test_a_second_completion_that_is_not_a_late_reply_raises(self):
+        cluster, east, west = _two_node_cluster()
+        sim = cluster.sim
+        answered = cluster.network.call(east, west, _answer,
+                                        timeout_ms=5_000.0,
+                                        timeout_error=_Deadline())
+        expired = cluster.network.call(east, west, _answer,
+                                       timeout_ms=3.0,
+                                       timeout_error=_Deadline())
+        sim.run()
+        assert answered.done and answered.error is None
+        assert isinstance(expired.error, _Deadline)
+        with pytest.raises(SimulationError):
+            answered.resolve("again")
+        with pytest.raises(SimulationError):
+            answered(None, KeyError("again"))  # no deadline fired
+        with pytest.raises(SimulationError):
+            expired.reject(KeyError("again"))
 
 
 class TestClusterTopology:

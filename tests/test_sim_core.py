@@ -8,7 +8,6 @@ from repro.sim.core import (
     Simulator,
     all_of,
     any_of,
-    with_timeout,
 )
 
 
@@ -261,64 +260,3 @@ def test_timeout_future_rejects():
             return sim.now
 
     assert sim.run_process(main()) == 2.0
-
-
-class _Deadline(Exception):
-    pass
-
-
-def test_with_timeout_inner_first_cancels_the_deadline():
-    """The guard dies with what it guards: the deadline becomes a
-    tombstone, ``on_deadline`` never runs and is never counted."""
-    sim = Simulator()
-    built = []
-
-    def factory():
-        built.append(sim.now)
-        return _Deadline()
-
-    guarded = with_timeout(sim, sim.sleep(2.0), 5_000.0, factory)
-    assert sim.run_until_future(guarded) is None
-    assert sim.now == 2.0
-    assert sim._tombstones == 1 and len(sim._heap) == 1
-    sim.run()
-    assert sim.now == 2.0  # the tombstone did not even advance the clock
-    assert built == []
-    assert sim._tombstones == 0
-    assert sim.events_processed == 1  # the sleep, and nothing else
-
-
-def test_with_timeout_mirrors_an_inner_rejection():
-    sim = Simulator()
-    guarded = with_timeout(sim, sim.timeout(1.0, KeyError("inner")), 50.0,
-                           _Deadline())
-    with pytest.raises(KeyError):
-        sim.run_until_future(guarded)
-    sim.run()
-    assert sim.events_processed == 1
-
-
-def test_with_timeout_already_done_inner_parks_nothing():
-    sim = Simulator()
-    inner = Future(sim)
-    inner.resolve("ready")
-    guarded = with_timeout(sim, inner, 50.0, _Deadline())
-    assert guarded.value == "ready"
-    sim.run()
-    assert sim.events_processed == 0 and sim.now == 0.0
-
-
-@pytest.mark.parametrize("error", [_Deadline("instance"),
-                                   lambda: _Deadline("factory")])
-def test_with_timeout_deadline_first_rejects_and_eats_the_late_outcome(error):
-    sim = Simulator()
-    late_ok, late_err = sim.sleep(9.0), sim.timeout(9.0, KeyError("late"))
-    guarded = [with_timeout(sim, late_ok, 3.0, error),
-               with_timeout(sim, late_err, 3.0, error)]
-    sim.run(until=3.0)
-    for fut in guarded:
-        assert isinstance(fut.error, _Deadline)
-    sim.run()  # the late outcomes arrive at t=9 and are consumed silently
-    assert late_ok.done and isinstance(late_err.error, KeyError)
-    assert sim._tombstones == 0
-    assert sim.events_processed == 4
