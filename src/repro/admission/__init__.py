@@ -2,12 +2,12 @@
 
 CRDB-style backpressure threaded through every layer of the stack:
 
-- :class:`TokenBucket` — deterministic rate/burst accounting on sim time.
-- :class:`AdmissionQueue` — SQL-gateway admission with per-tenant/
-  per-region token buckets, priority/FIFO ordering and bounded depth.
-- :class:`StoreWorkQueue` — per-store slot model gating KV command
-  evaluation so a hot leaseholder queues (and sheds expired work)
-  instead of melting.
+- :class:`WorkQueue` — one (priority, FIFO) queue of waiters in front
+  of a granter, shedding waiters whose deadline passes first.  At the
+  SQL gateway a :class:`TokenBucket` grants at a sustained rate per
+  (tenant, region) and the queue's depth is bounded; at a store a
+  :class:`SlotGranter` grants evaluation slots, so a hot leaseholder
+  queues (and sheds expired work) instead of melting.
 - :class:`RetryBudget` — per-tenant retry throttling so retry storms
   cannot turn a transient overload into a metastable failure.
 - :class:`AdmissionController` — the per-cluster facade wiring the
@@ -16,16 +16,15 @@ CRDB-style backpressure threaded through every layer of the stack:
 """
 
 from .tokens import TokenBucket
-from .queue import AdmissionQueue, Priority
-from .store_queue import StoreWorkQueue
+from .queue import Priority, SlotGranter, WorkQueue
 from .retry_budget import RetryBudget
 from .controller import AdmissionConfig, AdmissionController, install_admission
 
 __all__ = [
     "TokenBucket",
-    "AdmissionQueue",
+    "WorkQueue",
+    "SlotGranter",
     "Priority",
-    "StoreWorkQueue",
     "RetryBudget",
     "AdmissionConfig",
     "AdmissionController",

@@ -10,12 +10,12 @@ control are byte-identical (the hot paths do one ``is None`` check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .queue import AdmissionQueue, Priority
+from .queue import (GATEWAY_METRICS, STORE_METRICS, Priority, SlotGranter,
+                    WorkQueue)
 from .retry_budget import RetryBudget
-from .store_queue import StoreWorkQueue
 from .tokens import TokenBucket
 
 __all__ = ["AdmissionConfig", "AdmissionController", "install_admission"]
@@ -31,25 +31,16 @@ class AdmissionConfig:
     burst: float = 32.0
     #: Bounded gateway queue depth; arrivals beyond it are rejected.
     max_queue_depth: int = 64
-    #: "priority" (HIGH < NORMAL < LOW, FIFO within a class) or "fifo".
-    ordering: str = "priority"
-    #: Per-tenant rate overrides (tenant -> rate_per_s).
-    tenant_rates: Dict[str, float] = field(default_factory=dict)
     #: Per-store evaluation slots and per-op service time: the store's
     #: sustained capacity is ``slots * 1000 / service_ms`` ops/s.
     store_slots: int = 2
     store_service_ms: float = 1.0
-    #: Bounded store queue depth (None = unbounded, deadline-shed only).
-    store_max_depth: Optional[int] = None
-    #: Retry-budget sizing (gRPC-style: each success deposits a credit).
-    retry_budget_tokens: float = 10.0
-    retry_success_credit: float = 0.1
-    #: Protection switches.  The store work queues always model the
-    #: store's evaluation capacity; these gate the *protections* on top
-    #: of it, so an "admission disabled" ablation faces the same
-    #: capacity with no backpressure (the congestion-collapse baseline).
-    gateway_enabled: bool = True
-    retry_budget_enabled: bool = True
+    #: The store work queues always model the store's evaluation
+    #: capacity; this switches the *protections* on top of it (gateway
+    #: queues and retry budgets), so an "admission disabled" ablation
+    #: faces the same capacity with no backpressure (the
+    #: congestion-collapse baseline).
+    protections: bool = True
 
 
 class AdmissionController:
@@ -60,23 +51,22 @@ class AdmissionController:
         self.sim = cluster.sim
         self.config = config or AdmissionConfig()
         self.registry = cluster.sim.obs.registry
-        self._queues: Dict[Tuple[str, str], AdmissionQueue] = {}
-        self._store_queues: Dict[int, StoreWorkQueue] = {}
+        self._queues: Dict[Tuple[str, str], WorkQueue] = {}
+        self._store_queues: Dict[int, WorkQueue] = {}
         self._budgets: Dict[str, RetryBudget] = {}
 
     # -- gateway admission -------------------------------------------------
 
-    def queue_for(self, tenant: str, region: str) -> AdmissionQueue:
+    def queue_for(self, tenant: str, region: str) -> WorkQueue:
         key = (tenant, region)
         queue = self._queues.get(key)
         if queue is None:
             cfg = self.config
-            rate = cfg.tenant_rates.get(tenant, cfg.rate_per_s)
-            bucket = TokenBucket(rate, cfg.burst, now_ms=self.sim.now)
-            queue = AdmissionQueue(self.sim, f"{tenant}/{region}", bucket,
-                                   max_depth=cfg.max_queue_depth,
-                                   ordering=cfg.ordering,
-                                   registry=self.registry)
+            name = f"{tenant}/{region}"
+            bucket = TokenBucket(cfg.rate_per_s, cfg.burst, now_ms=self.sim.now)
+            queue = WorkQueue(self.sim, bucket, name, "admission",
+                              GATEWAY_METRICS, max_depth=cfg.max_queue_depth,
+                              registry=self.registry, queue=name)
             self._queues[key] = queue
         return queue
 
@@ -87,7 +77,7 @@ class AdmissionController:
 
         Returns the queue wait in ms; raises ``AdmissionRejectedError``
         or ``DeadlineExceededError`` when the request is shed."""
-        if not self.config.gateway_enabled:
+        if not self.config.protections:
             return 0.0
         wait_ms = yield self.queue_for(tenant, region).admit(
             priority=priority, deadline_ms=deadline_ms)
@@ -95,37 +85,38 @@ class AdmissionController:
 
     # -- store work queues -------------------------------------------------
 
-    def store_queue(self, node_id: int) -> StoreWorkQueue:
+    def queue_for_store(self, node_id: int) -> WorkQueue:
         queue = self._store_queues.get(node_id)
         if queue is None:
-            cfg = self.config
-            queue = StoreWorkQueue(self.sim, node_id, slots=cfg.store_slots,
-                                   service_ms=cfg.store_service_ms,
-                                   max_depth=cfg.store_max_depth,
-                                   registry=self.registry)
+            slots = SlotGranter(self.config.store_slots, self.registry.gauge(
+                "store.slots_busy", node=node_id))
+            where = f"store[{node_id}]"
+            queue = WorkQueue(self.sim, slots, where, where, STORE_METRICS,
+                              registry=self.registry, node=node_id)
             self._store_queues[node_id] = queue
         return queue
 
-    def store_work(self, node_id: int, deadline_ms: Optional[float] = None,
-                   priority: int = Priority.NORMAL,
-                   service_ms: Optional[float] = None):
-        """Coroutine: run one gated unit of store work (``yield from``)."""
-        yield from self.store_queue(node_id).work(
-            service_ms=service_ms, deadline_ms=deadline_ms,
-            priority=priority)
+    def store_work(self, node_id: int, deadline_ms: Optional[float] = None):
+        """Coroutine: run one gated unit of store work (``yield from``):
+        wait for an evaluation slot, hold it for ``store_service_ms``,
+        release it.  Raises :class:`DeadlineExceededError` if the
+        deadline passes while queued."""
+        queue = self.queue_for_store(node_id)
+        yield queue.admit(deadline_ms=deadline_ms)
+        try:
+            yield self.sim.sleep(self.config.store_service_ms)
+        finally:
+            queue.release()
 
     # -- retry budgets -----------------------------------------------------
 
     def retry_budget(self, tenant: str = "default"
                      ) -> Optional[RetryBudget]:
-        if not self.config.retry_budget_enabled:
+        if not self.config.protections:
             return None
         budget = self._budgets.get(tenant)
         if budget is None:
-            cfg = self.config
-            budget = RetryBudget(max_tokens=cfg.retry_budget_tokens,
-                                 success_credit=cfg.retry_success_credit,
-                                 tenant=tenant, registry=self.registry)
+            budget = RetryBudget(tenant=tenant, registry=self.registry)
             self._budgets[tenant] = budget
         return budget
 

@@ -15,16 +15,17 @@ class TokenBucket:
 
     All times are simulator milliseconds.  Tokens may be fractional;
     ``try_take`` only succeeds when the full amount is available (no
-    debt), which keeps rejection decisions crisp and testable.
+    debt), which keeps rejection decisions crisp and testable.  The
+    granter of every gateway :class:`~repro.admission.queue.WorkQueue`.
     """
 
     def __init__(self, rate_per_s: float, burst: float,
-                 now_ms: float = 0.0, initial: float = None):
+                 now_ms: float = 0.0):
         if rate_per_s <= 0:
             raise ValueError("rate_per_s must be positive")
         self.rate_per_s = rate_per_s
         self.burst = burst
-        self._tokens = burst if initial is None else min(initial, burst)
+        self._tokens = burst
         self._last_ms = now_ms
 
     def _refill(self, now_ms: float) -> None:
@@ -35,11 +36,6 @@ class TokenBucket:
             self._tokens + (now_ms - self._last_ms) * self.rate_per_s / 1000.0)
         self._last_ms = now_ms
 
-    def available(self, now_ms: float) -> float:
-        """Tokens available at ``now_ms`` (refills as a side effect)."""
-        self._refill(now_ms)
-        return self._tokens
-
     def try_take(self, now_ms: float, n: float = 1.0) -> bool:
         """Take ``n`` tokens if fully available; False otherwise."""
         self._refill(now_ms)
@@ -47,10 +43,6 @@ class TokenBucket:
             return False
         self._tokens -= n
         return True
-
-    def give(self, n: float = 1.0) -> None:
-        """Return tokens (e.g. for work shed before it consumed capacity)."""
-        self._tokens = min(self.burst, self._tokens + n)
 
     def time_until(self, n: float, now_ms: float) -> float:
         """Milliseconds until ``n`` tokens will be available (0 if now)."""

@@ -227,8 +227,7 @@ class OpenLoopHarness(Testbed):
             max_queue_depth=cfg.max_queue_depth,
             store_slots=cfg.store_slots,
             store_service_ms=cfg.store_service_ms,
-            gateway_enabled=cfg.admission,
-            retry_budget_enabled=cfg.admission,
+            protections=cfg.admission,
         ))
         # One ZONE-survivable REGIONAL range per region: local quorum,
         # so the leaseholder store — not WAN latency — is the capacity

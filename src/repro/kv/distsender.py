@@ -224,10 +224,6 @@ class DistSender:
         return int(self._c_retries.value)
 
     @property
-    def failovers_triggered(self) -> int:
-        return int(self._c_failovers.value)
-
-    @property
     def range_cache_hits(self) -> int:
         return int(self._c_cache_hit.value)
 

@@ -2,9 +2,8 @@
 
 CockroachDB's allocator does more than repair broken placements — it
 keeps the keyspace *elastic*: ranges split when they get too big or too
-hot, cold neighbours merge back, and leases (and, where the zone config
-leaves slack, replicas) migrate toward the regions actually generating
-the load ("follow the workload").  :class:`RebalanceQueue` extends
+hot, cold neighbours merge back, and leases migrate toward the regions
+actually generating the load ("follow the workload").  :class:`RebalanceQueue` extends
 :class:`~repro.placement.repair.ReplicateQueue` with exactly those
 decisions, driven by the per-range load tracking on
 :class:`~repro.kv.keyspace.RangeDescriptor`:
@@ -20,10 +19,7 @@ decisions, driven by the per-range load tracking on
   in :meth:`~repro.kv.keyspace.Keyspace.can_merge`;
 * **lease moves** — when one region drives a dominant share of a
   range's traffic and the zone config expresses no explicit lease
-  preference, the lease transfers to a live, log-complete voter there;
-* **replica moves** — when the dominant region holds no voter at all
-  and some region has more voters than its constraints require, a
-  surplus voter is relocated through the safe learner pipeline.
+  preference, the lease transfers to a live, log-complete voter there.
 
 Repair always wins: the inherited scan runs first, ranges with an
 in-flight repair chain (or any in-flight membership change) are left
@@ -34,14 +30,11 @@ ping-pong a lease between regions.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..cluster.liveness import LivenessStatus
-from ..errors import ConfigurationError, RangeUnavailableError
+from ..errors import RangeUnavailableError
 from ..kv.keyspace import encode_key
-from ..raft.group import ReplicaType
-from ..raft.membership import ConfigChangeError
-from ..sim.network import NetworkUnavailableError
 from .allocator import Allocator
 from .repair import ReplicateQueue
 from .zoneconfig import ZoneConfig
@@ -71,8 +64,7 @@ class RebalanceQueue(ReplicateQueue):
                  split_qps: float = SPLIT_QPS,
                  merge_qps: float = MERGE_QPS,
                  merge_patience: int = MERGE_PATIENCE,
-                 lease_cooldown_ms: float = LEASE_COOLDOWN_MS,
-                 replica_moves: bool = True):
+                 lease_cooldown_ms: float = LEASE_COOLDOWN_MS):
         super().__init__(cluster, liveness, interval_ms)
         # Load-aware allocator: prefer nodes with low leaseholder QPS,
         # breaking ties by replica count like the default signal.
@@ -82,7 +74,6 @@ class RebalanceQueue(ReplicateQueue):
         self.merge_qps = merge_qps
         self.merge_patience = merge_patience
         self.lease_cooldown_ms = lease_cooldown_ms
-        self.replica_moves = replica_moves
         #: span id -> (TableSpan, ZoneConfig)
         self._spans: Dict[int, Tuple[object, ZoneConfig]] = {}
         #: span id -> range_ids this queue manages on the span's behalf.
@@ -264,63 +255,4 @@ class RebalanceQueue(ReplicateQueue):
             self._last_lease_move[rng.range_id] = self.sim.now
             self._counter("rebalance.lease_moves", region=region).inc()
             return 1
-        if self.replica_moves:
-            return self._maybe_move_replica(config, rng, region)
         return 0
-
-    def _maybe_move_replica(self, config: ZoneConfig, rng,
-                            region: str) -> int:
-        """Relocate a surplus voter into the dominant region.
-
-        Only fires when it provably keeps the zone config satisfied: the
-        victim comes from a region holding strictly more live voters
-        than its constraint requires, so constraint counts never drop
-        below target, and the learner pipeline keeps quorum safe.
-        """
-        voters = rng.group.voters()
-        by_region: Dict[str, List] = {}
-        for peer in voters:
-            by_region.setdefault(peer.node.locality.region, []).append(peer)
-        victim = None
-        for victim_region in sorted(
-                by_region, key=lambda r: (-len(by_region[r]), r)):
-            surplus = (len(by_region[victim_region])
-                       - config.constraints.get(victim_region, 0))
-            if victim_region == region or surplus <= 0:
-                continue
-            pool = [p for p in by_region[victim_region]
-                    if p.node.node_id != rng.leaseholder_node_id
-                    and self._status(p.node) == LivenessStatus.LIVE]
-            if pool:
-                victim = min(pool, key=lambda p: p.node.node_id)
-                break
-        if victim is None:
-            return 0
-        member_ids = set(rng.group.peers)
-        targets = [n for n in self.cluster.nodes_in_region(region)
-                   if n.node_id not in member_ids
-                   and self.liveness.aggregate_status(n.node_id)
-                   == LivenessStatus.LIVE]
-        if not targets:
-            return 0
-        target = min(targets, key=lambda n: (self._node_load(n), n.node_id))
-        self._busy.add(rng.range_id)
-        self._last_lease_move[rng.range_id] = self.sim.now
-        self.sim.spawn(
-            self._move_replica(rng, victim.node.node_id, target, region),
-            name=f"rebalance-{rng.name}")
-        return 1
-
-    def _move_replica(self, rng, victim_id: int, target,
-                      region: str) -> Generator:
-        try:
-            yield from rng.add_replica_safely(target, ReplicaType.VOTER)
-            rng.remove_replica_safely(victim_id)
-        except (ConfigChangeError, ConfigurationError,
-                RangeUnavailableError, NetworkUnavailableError):
-            self._counter("rebalance.replica_move_failures").inc()
-            return None
-        finally:
-            self._busy.discard(rng.range_id)
-        self._counter("rebalance.replica_moves", region=region).inc()
-        return None

@@ -131,11 +131,6 @@ class _KeyHistory:
             return None
         return Version(self.ts_at(idx - 1), self.values[idx - 1])
 
-    def newest(self) -> Optional[Version]:
-        if not self.phys:
-            return None
-        return Version(self.ts_at(len(self.phys) - 1), self.values[-1])
-
     def any_in_interval(self, lo: Timestamp, hi: Timestamp) -> Optional[Version]:
         """Newest committed version with ``lo < ts <= hi``, if any."""
         idx = self.bisect_at_or_below(hi)

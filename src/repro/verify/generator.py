@@ -652,7 +652,7 @@ class VerifyHarness(Testbed):
         self.enable_rebalance(
             self.range, self.configs["reg-us"],
             split_max_keys=2, split_qps=8.0, merge_qps=0.5,
-            merge_patience=3, replica_moves=False)
+            merge_patience=3)
 
     def _split_merge_driver(self, end_ms: float):
         """The keyspace nemesis: force a split at every workload key

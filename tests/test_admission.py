@@ -1,10 +1,11 @@
 """Admission control & overload protection.
 
-Tier-1: unit tests for the token bucket, the gateway admission queue
-(priority/FIFO ordering, bounded depth, deadline shedding), the store
-work queue, the retry budget, deadline propagation through the
-coordinator and DistSender, and golden determinism fingerprints for a
-small open-loop overload run at seeds {0, 1, 2}.
+Tier-1: unit tests for the token bucket, the work queue in front of
+each granter (priority ordering, bounded depth and deadline shedding at
+the gateway; evaluation slots at the store), the retry budget, deadline
+propagation through the coordinator and DistSender, and golden
+determinism fingerprints for a small open-loop overload run at seeds
+{0, 1, 2}.
 
 Tier-2 (``pytest -m overload``): the full overload chaos scenarios and
 the quick scale-curve gates.
@@ -13,15 +14,15 @@ the quick scale-curve gates.
 import json
 import pathlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.admission import (
     AdmissionConfig,
-    AdmissionQueue,
+    AdmissionController,
     Priority,
     RetryBudget,
-    StoreWorkQueue,
     TokenBucket,
     install_admission,
 )
@@ -48,27 +49,35 @@ GOLDEN_CONFIG = dict(load_multiplier=4.0, duration_ms=600.0)
 # -- token bucket ------------------------------------------------------------
 
 
+def drained(rate_per_s, burst):
+    """A bucket whose burst was spent at time 0."""
+    bucket = TokenBucket(rate_per_s=rate_per_s, burst=burst)
+    assert bucket.try_take(0.0, n=burst)
+    return bucket
+
+
 class TestTokenBucket:
     def test_starts_full_and_burst_caps_refill(self):
         bucket = TokenBucket(rate_per_s=100.0, burst=10.0)
-        assert bucket.available(0.0) == pytest.approx(10.0)
+        assert bucket.time_until(10.0, 0.0) == 0.0
         for _ in range(10):
             assert bucket.try_take(0.0)
         assert not bucket.try_take(0.0)
         # 10 tokens replenish in 100ms at 100/s; an hour of idleness
         # still caps at the burst.
-        assert bucket.available(100.0) == pytest.approx(10.0)
-        assert bucket.available(3_600_000.0) == pytest.approx(10.0)
+        assert bucket.time_until(10.0, 100.0) == 0.0
+        assert bucket.time_until(10.1, 3_600_000.0) == pytest.approx(1.0)
 
     def test_refill_rate_math(self):
-        bucket = TokenBucket(rate_per_s=1000.0, burst=50.0, initial=0.0)
+        bucket = drained(rate_per_s=1000.0, burst=50.0)
         # 1000/s == 1 per ms.
-        assert bucket.available(7.0) == pytest.approx(7.0)
+        assert bucket.time_until(8.0, 7.0) == pytest.approx(1.0)
         assert bucket.try_take(7.0, n=5.0)
-        assert bucket.available(7.0) == pytest.approx(2.0)
+        assert not bucket.try_take(7.0, n=3.0)
+        assert bucket.try_take(7.0, n=2.0)
 
     def test_time_until_deficit(self):
-        bucket = TokenBucket(rate_per_s=100.0, burst=4.0, initial=0.0)
+        bucket = drained(rate_per_s=100.0, burst=4.0)
         # Needs 1 token at 100/s => 10ms.
         assert bucket.time_until(1.0, 0.0) == pytest.approx(10.0)
         assert bucket.time_until(1.0, 5.0) == pytest.approx(5.0)
@@ -99,22 +108,29 @@ def _admit(sim, queue, priority=Priority.NORMAL, deadline_ms=None):
     return slot
 
 
-class TestAdmissionQueue:
-    def make(self, sim, rate=100.0, burst=1.0, depth=4, ordering="priority"):
-        bucket = TokenBucket(rate_per_s=rate, burst=burst, initial=1.0)
-        return AdmissionQueue(sim, "t/r", bucket, max_depth=depth,
-                              ordering=ordering)
+def admission(sim, **config):
+    """A controller whose queues run on ``sim`` alone."""
+    return AdmissionController(SimpleNamespace(sim=sim),
+                               AdmissionConfig(**config))
 
+
+def gateway_queue(sim, rate=100.0, burst=1.0, depth=4):
+    """The ``t/r`` gateway queue."""
+    return admission(sim, rate_per_s=rate, burst=burst,
+                     max_queue_depth=depth).queue_for("t", "r")
+
+
+class TestAdmissionQueue:
     def test_fast_path_no_wait(self):
         sim = Simulator()
-        queue = self.make(sim)
+        queue = gateway_queue(sim)
         slot = _admit(sim, queue)
         sim.run()
         assert slot["wait_ms"] == 0.0
 
     def test_priority_ordering(self):
         sim = Simulator()
-        queue = self.make(sim, rate=100.0, burst=1.0)
+        queue = gateway_queue(sim, rate=100.0, burst=1.0)
         first = _admit(sim, queue)                       # takes the token
         low = _admit(sim, queue, priority=Priority.LOW)
         norm = _admit(sim, queue, priority=Priority.NORMAL)
@@ -125,18 +141,9 @@ class TestAdmissionQueue:
         # regardless of arrival order.
         assert high["at"] < norm["at"] < low["at"]
 
-    def test_fifo_ordering(self):
-        sim = Simulator()
-        queue = self.make(sim, ordering="fifo")
-        _admit(sim, queue)                               # takes the token
-        low = _admit(sim, queue, priority=Priority.LOW)
-        high = _admit(sim, queue, priority=Priority.HIGH)
-        sim.run()
-        assert low["at"] < high["at"]
-
     def test_bounded_depth_rejects(self):
         sim = Simulator()
-        queue = self.make(sim, rate=1.0, depth=2)
+        queue = gateway_queue(sim, rate=1.0, depth=2)
         _admit(sim, queue)                               # token holder
         waiters = [_admit(sim, queue) for _ in range(2)]
         overflow = _admit(sim, queue)
@@ -146,10 +153,30 @@ class TestAdmissionQueue:
         assert all("error" not in w or w.get("wait_ms") is not None
                    for w in waiters)
 
+    def test_expired_waiter_leaves_the_depth_bound(self):
+        """A waiter shed at its deadline stops counting toward the
+        bound at once, not when the pump reaches its heap entry."""
+        sim = Simulator()
+        queue = gateway_queue(sim, rate=10.0, burst=1.0, depth=2)
+        gauge = sim.obs.registry.gauge("admission.queue_depth", queue="t/r")
+        _admit(sim, queue)                               # takes the token
+        held = _admit(sim, queue, priority=Priority.HIGH)
+        shed = _admit(sim, queue, priority=Priority.LOW, deadline_ms=5.0)
+        sim.run(until=10.0)
+        assert isinstance(shed["error"], DeadlineExceededError)
+        assert gauge.value == 1
+        arrival = _admit(sim, queue)
+        sim.run(until=10.0)
+        assert "error" not in arrival
+        assert gauge.value == 2
+        sim.run()
+        assert held["at"] < arrival["at"]
+        assert arrival["wait_ms"] == pytest.approx(190.0)
+
     def test_deadline_shed_while_queued(self):
         sim = Simulator()
         # 1 token/s: the queue drains far too slowly for a 20ms deadline.
-        queue = self.make(sim, rate=1.0, burst=1.0)
+        queue = gateway_queue(sim, rate=1.0, burst=1.0)
         _admit(sim, queue)                               # token holder
         shed = _admit(sim, queue, deadline_ms=20.0)
         sim.run(until=100.0)
@@ -158,7 +185,7 @@ class TestAdmissionQueue:
 
     def test_admitted_wait_matches_refill(self):
         sim = Simulator()
-        queue = self.make(sim, rate=100.0, burst=1.0)
+        queue = gateway_queue(sim, rate=100.0, burst=1.0)
         _admit(sim, queue)
         waiter = _admit(sim, queue)
         sim.run()
@@ -169,13 +196,12 @@ class TestAdmissionQueue:
 
 
 class TestStoreWorkQueue:
-    def run_work(self, sim, queue, service_ms=None, deadline_ms=None):
+    def run_work(self, sim, controller, deadline_ms=None):
         slot = {}
 
         def co():
             try:
-                yield from queue.work(service_ms=service_ms,
-                                      deadline_ms=deadline_ms)
+                yield from controller.store_work(1, deadline_ms=deadline_ms)
             except Exception as err:  # noqa: BLE001
                 slot["error"] = err
             slot["at"] = sim.now
@@ -185,23 +211,18 @@ class TestStoreWorkQueue:
 
     def test_slots_serialize_excess_work(self):
         sim = Simulator()
-        queue = StoreWorkQueue(sim, node_id=1, slots=2, service_ms=10.0)
-        slots = [self.run_work(sim, queue) for _ in range(4)]
+        controller = admission(sim, store_slots=2, store_service_ms=10.0)
+        slots = [self.run_work(sim, controller) for _ in range(4)]
         sim.run()
         # 2 slots x 10ms: two finish at 10ms, two queue and finish at 20ms.
         assert sorted(s["at"] for s in slots) == [10.0, 10.0, 20.0, 20.0]
 
-    def test_capacity_property(self):
-        sim = Simulator()
-        queue = StoreWorkQueue(sim, node_id=1, slots=2, service_ms=2.0)
-        assert queue.capacity_per_s == pytest.approx(1000.0)
-
     def test_expired_work_shed_before_service(self):
         sim = Simulator()
-        queue = StoreWorkQueue(sim, node_id=1, slots=1, service_ms=50.0)
-        self.run_work(sim, queue)                    # occupies the slot
-        shed = self.run_work(sim, queue, deadline_ms=25.0)
-        ok = self.run_work(sim, queue, deadline_ms=500.0)
+        controller = admission(sim, store_slots=1, store_service_ms=50.0)
+        self.run_work(sim, controller)                # occupies the slot
+        shed = self.run_work(sim, controller, deadline_ms=25.0)
+        ok = self.run_work(sim, controller, deadline_ms=500.0)
         sim.run()
         assert isinstance(shed["error"], DeadlineExceededError)
         # Shedding the expired waiter must not wedge the queue.
@@ -224,9 +245,7 @@ class TestDepthGaugeIsALiveCount:
     def test_admission_queue(self, seed):
         rng = random.Random(seed)
         sim = Simulator()
-        queue = AdmissionQueue(
-            sim, "t/r", TokenBucket(rate_per_s=200.0, burst=2.0),
-            max_depth=8, registry=sim.obs.registry)
+        queue = gateway_queue(sim, rate=200.0, burst=2.0, depth=8)
         gauge = sim.obs.registry.gauge("admission.queue_depth", queue="t/r")
         peak = 0
         for _ in range(300):
@@ -237,11 +256,7 @@ class TestDepthGaugeIsALiveCount:
                 assert queue._live == self.recount(queue)
             sim.run(until=sim.now + rng.uniform(0.0, 12.0))  # expire, pump
             live = self.recount(queue)
-            assert queue._live == live
-            # _pump and _expire publish the live count; a queued admit()
-            # the heap's length (expired waiters the pump has not
-            # reached yet included), as it always did.
-            assert gauge.value in (live, len(queue._waiters))
+            assert queue._live == live == gauge.value
             peak = max(peak, live)
         sim.run()
         assert peak > 1, "the sequence must actually queue"
@@ -251,26 +266,26 @@ class TestDepthGaugeIsALiveCount:
     def test_store_work_queue(self, seed):
         rng = random.Random(seed)
         sim = Simulator()
-        queue = StoreWorkQueue(sim, node_id=1, slots=2, service_ms=3.0,
-                               registry=sim.obs.registry)
+        controller = admission(sim, store_slots=2, store_service_ms=3.0)
+        queue = controller.queue_for_store(1)
         gauge = sim.obs.registry.gauge("store.queue_depth", node=1)
         peak = 0
         for _ in range(300):
             for _ in range(rng.randrange(4)):
                 deadline = (sim.now + rng.uniform(1.0, 15.0)
                             if rng.random() < 0.6 else None)
-                sim.spawn(self.work(queue, deadline))
+                sim.spawn(self.work(controller, deadline))
             sim.run(until=sim.now + rng.uniform(0.0, 6.0))
-            assert queue.queued == self.recount(queue) == gauge.value
-            peak = max(peak, queue.queued)
+            assert queue._live == self.recount(queue) == gauge.value
+            peak = max(peak, queue._live)
         sim.run()
         assert peak > 1, "the sequence must actually queue"
-        assert queue.queued == self.recount(queue) == gauge.value == 0
+        assert queue._live == self.recount(queue) == gauge.value == 0
 
     @staticmethod
-    def work(queue, deadline_ms):
+    def work(controller, deadline_ms):
         try:
-            yield from queue.work(deadline_ms=deadline_ms)
+            yield from controller.store_work(1, deadline_ms=deadline_ms)
         except DeadlineExceededError:
             pass
 
@@ -383,7 +398,7 @@ class TestControllerWiring:
     def test_gateway_disabled_skips_queueing(self):
         bed = KVTestBed(regions=REGIONS3)
         controller = install_admission(bed.cluster, AdmissionConfig(
-            gateway_enabled=False, retry_budget_enabled=False))
+            protections=False))
         assert bed.cluster.admission is controller
 
         def co():

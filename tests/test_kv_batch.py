@@ -227,8 +227,7 @@ class TestMessageBudget:
 
     def test_reads_count_keys_and_pay_admission_per_key(self):
         bed, span = make_bed()
-        install_admission(bed.cluster, AdmissionConfig(
-            gateway_enabled=False, retry_budget_enabled=False))
+        install_admission(bed.cluster, AdmissionConfig(protections=False))
         gateway = bed.gateway(HOME)
         run(bed, bed.ds.read_batch(
             gateway, [(span, key) for key in range(4)],
@@ -364,8 +363,7 @@ class TestNoLatchLeak:
         bed, span = make_bed()
         rng = span.anchor
         install_admission(bed.cluster, AdmissionConfig(
-            gateway_enabled=False, retry_budget_enabled=False,
-            store_slots=1, store_service_ms=1.0))
+            protections=False, store_slots=1, store_service_ms=1.0))
         gateway = bed.gateway(HOME)
         # The request reaches the leaseholder ~0.5 ms in; five units of
         # 1 ms each cannot finish inside 3 ms.

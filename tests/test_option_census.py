@@ -14,9 +14,13 @@ import inspect
 
 import pytest
 
+import repro.admission
 import repro.sim
+from repro.admission import (AdmissionConfig, AdmissionController,
+                             TokenBucket, WorkQueue)
 from repro.kv.distsender import DistSender, _Batch
 from repro.kv.range import Range
+from repro.placement.rebalance import RebalanceQueue
 from repro.sim.network import FaultPlane, Network
 from repro.sql import Engine, Session
 from repro.txn import (EpochOccProtocol, TransactionCoordinator,
@@ -83,6 +87,18 @@ def params(fn):
     # The one harness that runs a nemesis: a row of the scenario table
     # says everything else (see test_verify_scenario_fields).
     (VerifyHarness.__init__, ["self", "seed", "protocol"]),
+    # One admission queue in front of either granter: the gateway's
+    # token bucket or a store's evaluation slots.  A store unit is
+    # always NORMAL priority and costs store_service_ms.
+    (WorkQueue.__init__,
+     ["self", "sim", "granter", "name", "op", "metrics", "max_depth",
+      "registry", "labels"]),
+    (WorkQueue.admit, ["self", "priority", "deadline_ms"]),
+    (TokenBucket.__init__, ["self", "rate_per_s", "burst", "now_ms"]),
+    (AdmissionController.store_work, ["self", "node_id", "deadline_ms"]),
+    (RebalanceQueue.__init__,
+     ["self", "cluster", "liveness", "interval_ms", "split_max_keys",
+      "split_qps", "merge_qps", "merge_patience", "lease_cooldown_ms"]),
 ], ids=lambda value: getattr(value, "__qualname__", None))
 def test_signature(fn, expected):
     assert params(fn) == expected
@@ -93,6 +109,21 @@ def test_verify_scenario_fields():
     assert [f.name for f in dataclasses.fields(VerifyScenario)] == [
         "doc", "faults", "setup", "probes", "inserters", "restart_dead",
         "protocol", "verdict", "sweeps", "audit"]
+
+
+def test_admission_config_fields():
+    """One protections switch: every caller turned the gateway queues
+    and the retry budgets on or off together."""
+    assert [f.name for f in dataclasses.fields(AdmissionConfig)] == [
+        "rate_per_s", "burst", "max_queue_depth", "store_slots",
+        "store_service_ms", "protections"]
+
+
+def test_one_admission_queue():
+    for name in ("AdmissionQueue", "StoreWorkQueue"):
+        assert not hasattr(repro.admission, name), name
+    for name in ("give", "available"):
+        assert not hasattr(TokenBucket, name), name
 
 
 def test_fixed_settings_are_class_attributes():

@@ -59,6 +59,22 @@ class TestExplain:
         assert any("uniqueness-check" in line and "email" in line
                    for line in lines)
 
+    @pytest.mark.parametrize("sql, los, plan", [
+        ("SELECT * FROM users WHERE id = 1", False,
+         "fan-out-read users@primary "
+         "partitions=us-east1,us-west1,europe-west2 key=(1,)"),
+        ("SELECT * FROM promo_codes WHERE code IN ('a', 'b')", True,
+         "multi-point-read promo_codes@primary@default 2 keys"),
+        ("SELECT * FROM users WHERE id IN (1, 2)", False,
+         "fan-out-read users@primary 2 keys "
+         "partitions=us-east1,us-west1,europe-west2"),
+    ], ids=["FanoutPointRead", "MultiPointRead", "FanoutMultiRead"])
+    def test_explain_names_the_plan(self, sql, los, plan):
+        engine, session = movr_engine()
+        users = engine.catalog.database("movr").table("users")
+        users.locality_optimized_search = los
+        assert session.execute(f"EXPLAIN {sql}") == [plan]
+
     def test_explain_for_update_notes_lock(self):
         engine, session = movr_engine()
         lines = session.execute(
@@ -134,6 +150,43 @@ class TestSelectForUpdate:
         assert rows == [{"name": "c3"}]
         # Lock-first RMW serializes via the lock queue, not via retries.
         assert engine.coordinator.stats.aborted_retries == before
+
+
+    def test_epoch_occ_validation_catches_intervening_writer(self):
+        """Under epoch OCC FOR UPDATE takes no lock: the read joins the
+        read set, so a writer that commits between the read and the
+        commit fails the transaction's validation, and the retry reads
+        the writer's value."""
+        engine, session = movr_engine(txn_protocol="epoch-occ")
+        session.execute("INSERT INTO users (id, email, name) "
+                        "VALUES (1, 'a@x', 'A')")
+        sim = engine.cluster.sim
+        stats = engine.coordinator.stats
+        aborts_before = stats.validation_aborts
+        seen = []
+
+        def rmw(handle):
+            rows = yield from handle.execute(
+                "SELECT name FROM users WHERE id = 1 FOR UPDATE")
+            seen.append(rows[0]["name"])
+            yield sim.sleep(30.0)
+            yield from handle.execute(
+                f"UPDATE users SET name = '{rows[0]['name']}+' "
+                f"WHERE id = 1")
+
+        def blind():
+            yield sim.sleep(5.0)  # between rmw's read and its commit
+            yield from connect(engine, "us-east1", index=1).run_txn_co(
+                lambda handle: handle.execute(
+                    "UPDATE users SET name = 'blind' WHERE id = 1"))
+
+        writer = sim.spawn(blind())
+        sim.run_until_future(sim.spawn(session.run_txn_co(rmw)))
+        sim.run_until_future(writer)
+        assert stats.validation_aborts == aborts_before + 1
+        assert seen == ["A", "blind"]
+        rows = session.execute("SELECT name FROM users WHERE id = 1")
+        assert rows == [{"name": "blind+"}]
 
 
 class TestFollowerReadFallback:
