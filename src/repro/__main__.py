@@ -10,8 +10,6 @@ Usage::
                     [--seed N | --seeds K] [--protocol epoch-occ]
                     [--parallel N] [--json] [--dump FILE]
     python -m repro verify --check history.json
-    python -m repro overload <scenario|all|list> [--seed N | --seeds K]
-                    [--parallel N] [--json]
     python -m repro rebalance [--seed N | --seeds K] [--json]
                     [--update-golden | --no-golden]
     python -m repro protocols [--seed N | --seeds K] [--json]
@@ -23,7 +21,7 @@ Usage::
                     [--seed N] [--json]
     python -m repro metrics [--workload movr|kv | --scenario NAME]
                     [--seed N] [--prefix NAME] [--json]
-    python -m repro sweep [--kinds verify,overload,scale] [--scenarios a,b]
+    python -m repro sweep [--kinds verify,scale] [--scenarios a,b]
                     [--seeds K] [--parallel N] [--json] [--out FILE]
 
 The verbs, their scenarios and their flags all come from
@@ -86,7 +84,7 @@ def _list_main(_exp, _args) -> int:
     return 0
 
 
-# -- verify / overload -------------------------------------------------------
+# -- verify ------------------------------------------------------------------
 
 
 def _farmed(title: str, jobs, workers: int, as_json: bool,
@@ -327,7 +325,6 @@ def _sweep_main(_exp, args) -> int:
 #: ``Experiment.style`` -> the handler that drives that CLI shape.
 _STYLES = {
     "paper": _paper_main,
-    "scenarios": _scenario_main,
     "verify": _verify_main,
     "suite": _suite_main,
     "scale": _scale_main,
@@ -347,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the paper's evaluation tables and figures, "
-                    "and run the verify / overload / golden-checked "
+                    "and run the verify and golden-checked "
                     "experiments built around them.")
     verbs = parser.add_subparsers(dest="verb", metavar="VERB", required=True)
     verbs.add_parser(

@@ -6,9 +6,7 @@ timed fault events (inject at t, heal at t') against a cluster's
 built by :mod:`repro.chaos.faults`; each is the nemesis of a
 :data:`repro.verify.SCENARIOS` row, whose harness runs the clients and
 whose Elle-style checker judges the history
-(``python -m repro verify --scenario <name>``).  The overload scenarios
-(:mod:`repro.chaos.overload`) have load, not faults, as their nemesis
-and run as ``python -m repro overload <name>``.
+(``python -m repro verify --scenario <name>``).
 """
 
 from .faults import build_faults

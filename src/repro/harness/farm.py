@@ -1,7 +1,7 @@
 """Process-parallel sweep farm: seeds x scenarios x configs.
 
 Every farmable experiment in :mod:`repro.harness.registry` (verify,
-overload, scale) is deterministic from its (kind, scenario, seed,
+scale) is deterministic from its (kind, scenario, seed,
 protocol) coordinates and shares nothing with its siblings, so a sweep
 is embarrassingly parallel.  This module fans a job list across
 ``multiprocessing`` workers and merges the results into one
@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterable, List, Optional
 from .registry import FARMABLE, Experiment
 
 __all__ = ["run_job", "run_farm", "merge_results", "sweep_jobs",
-           "run_sweep", "render_sweep", "dumps_sweep", "default_workers"]
+           "render_sweep", "dumps_sweep", "default_workers"]
 
 #: Keys scrubbed from worker results before merging: anything here is
 #: nondeterministic (wall clock, process identity) and would break the
@@ -140,15 +140,6 @@ def sweep_jobs(kinds: Iterable[str], scenarios: Optional[List[str]],
                     job["protocol"] = protocol
                 jobs.append(job)
     return jobs
-
-
-def run_sweep(kinds: Iterable[str] = ("verify", "overload"),
-              scenarios: Optional[List[str]] = None,
-              seeds: Iterable[int] = (0,),
-              workers: Optional[int] = None) -> Dict[str, Any]:
-    """Build, farm, and merge a sweep; the one-call API behind the CLI."""
-    jobs = sweep_jobs(kinds, scenarios, seeds)
-    return merge_results(run_farm(jobs, workers=workers))
 
 
 def render_sweep(doc: Dict[str, Any]) -> str:

@@ -32,7 +32,7 @@ from ..workloads.zipf import ZipfGenerator
 from .testbed import OK, REGIONS, Testbed
 
 __all__ = ["OpenLoopConfig", "OpenLoopHarness", "OpenLoopResult",
-           "RegionStats", "run_openloop"]
+           "RegionStats"]
 
 
 @dataclass
@@ -381,7 +381,3 @@ class OpenLoopHarness(Testbed):
             config=cfg, per_region=self.stats,
             duration_ms=cfg.duration_ms,
             events=sim.events_processed, sim_ms=sim.now)
-
-
-def run_openloop(config: Optional[OpenLoopConfig] = None) -> OpenLoopResult:
-    return OpenLoopHarness(config).run()

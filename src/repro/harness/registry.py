@@ -21,7 +21,6 @@ from typing import (Any, Callable, Dict, FrozenSet, Mapping, Optional,
                     Sequence, Tuple)
 
 from .. import verify
-from ..chaos import overload
 from . import experiments as paper
 from . import protocols, rebalance, scale
 
@@ -184,18 +183,13 @@ _OBSERVE_ARGS: Tuple[Argument, ...] = (
 )
 
 
-def _scale_run(_scenario, seed, _protocol) -> DocResult:
-    doc = scale.run_scale(seed=seed, quick=True)
-    return DocResult(doc, bool(doc["gates"]["ok"]), scale.render_scale)
-
-
-def _overload_run(name, seed, protocol) -> DocResult:
+def _scale_run(_scenario, seed, protocol) -> DocResult:
     if protocol is not None:
         raise ValueError(
-            "overload scenarios drive the open-loop harness and do not "
+            "the scale curve drives the open-loop harness and does not "
             "support a protocol override")
-    doc = overload.SCENARIOS[name](seed)
-    return DocResult(doc, doc["ok"], overload.render_overload)
+    doc = scale.run_scale(seed=seed, quick=True)
+    return DocResult(doc, bool(doc["gates"]["ok"]), scale.render_scale)
 
 
 _EXPERIMENTS = tuple(
@@ -233,15 +227,6 @@ _EXPERIMENTS = tuple(
         run=lambda name, seed, protocol: verify.run_verify(
             name, seed, protocol=protocol)),
     Experiment(
-        "overload", overload.__doc__, "scenarios", flags=_SCENARIO_FLAGS,
-        arguments=((("scenario",),
-                    dict(help="scenario name, 'all', or 'list'")),),
-        scenarios={name: run.__doc__
-                   for name, run in overload.SCENARIOS.items()},
-        sweep=lambda protocol: [] if protocol else list(overload.SCENARIOS),
-        fixed_protocol=frozenset(overload.SCENARIOS),
-        run=_overload_run),
-    Experiment(
         "rebalance", rebalance.__doc__, "suite", flags=_GOLDEN_FLAGS,
         golden=Golden(rebalance.GOLDEN_PATH, rebalance.GOLDEN_SEEDS,
                       rebalance.run_rebalance_suite,
@@ -264,7 +249,7 @@ _EXPERIMENTS = tuple(
                               "any mismatch or a failed "
                               "graceful-degradation gate)")),),
         scenarios={"scale-curve": "One quick users-vs-goodput curve."},
-        sweep=lambda protocol: ["scale-curve"],
+        sweep=lambda protocol: [] if protocol else ["scale-curve"],
         run=_scale_run,
         golden=Golden(scale.GOLDEN_PATH, scale.GOLDEN_SEEDS,
                       scale.run_scale_suite, scale.golden_entries,
@@ -292,9 +277,9 @@ _EXPERIMENTS = tuple(
         "sweep", flags=("seeds", "parallel", "json"),
         arguments=(
             (("--kinds",),
-             dict(default="verify,overload",
+             dict(default="verify,scale",
                   help="comma-separated farmable experiments (default "
-                       "verify,overload)")),
+                       "verify,scale)")),
             (("--scenarios",),
              dict(default=None, metavar="NAMES",
                   help="comma-separated scenario names (default: every "

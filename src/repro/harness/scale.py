@@ -1,15 +1,27 @@
 """The users-vs-p50/p99/goodput scale-curve experiment.
 
-Sweeps the open-loop load multiplier with admission control on, plus a
-congestion-collapse baseline (same offered load and store capacity,
-protections off), and evaluates the graceful-degradation gates the
-overload chaos scenarios assert:
+Load is the nemesis here.  The sweep runs the open-loop harness over
+the load multipliers with admission control on, plus three more legs:
+a congestion-collapse baseline (the peak offered load against the same
+store capacity, protections off), a diurnal leg (1x load under a
+follow-the-sun sinusoid) and a hot-region leg (us-east1 at 4x while
+the other regions stay at 1x).  Every leg with admission on is probed
+after it drains: one protected read per region.  Seven
+graceful-degradation gates judge the legs:
 
 * at the peak (4x) multiplier, goodput stays >= 80% of the measured
   capacity (the best goodput seen anywhere on the admission-on curve);
-* admitted-request p99 stays within the request deadline;
+* admitted-request p99 at the peak stays within the request deadline;
 * without admission the same load demonstrably collapses (goodput
-  under 50% of capacity).
+  under 50% of capacity);
+* no livelock after the load drops: every post-drain probe completes
+  within 100 ms (metastable failures, such as retry storms that outlive
+  their trigger, would fail it);
+* the hot region's goodput stays >= 80% of its gateway admit rate;
+* the hot region's admitted p99 stays within the deadline;
+* the overload stays isolated: every cold region's p99 stays under half
+  the deadline, because gateways, stores and retry budgets are
+  per-region.
 
 Everything is deterministic from the seed, so ``SCALE_results.json``
 at the repo root pins the quick (smoke) sweep *exactly*, per seed; CI's
@@ -22,12 +34,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .golden import repo_path
-from .openloop import OpenLoopConfig, run_openloop
+from .openloop import OpenLoopConfig, OpenLoopHarness
 
 __all__ = ["run_scale", "render_scale", "run_scale_suite",
            "render_scale_suite", "golden_entries",
            "DEFAULT_MULTIPLIERS", "QUICK_MULTIPLIERS", "GOLDEN_PATH",
-           "GOLDEN_SEEDS"]
+           "GOLDEN_SEEDS", "GATES"]
 
 DEFAULT_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0)
 QUICK_MULTIPLIERS = (1.0, 4.0)
@@ -40,10 +52,12 @@ QUICK_DURATION_MS = 1500.0
 GOLDEN_PATH = repo_path("SCALE_results.json")
 GOLDEN_SEEDS = (0,)
 
-#: Graceful-degradation gate thresholds (asserted here and by the
-#: overload chaos scenarios).
+#: Graceful-degradation gate thresholds.
 GOODPUT_FLOOR = 0.80
 COLLAPSE_CEILING = 0.50
+#: A post-drain probe slower than this indicates residual livelock
+#: (the unloaded baseline read is single-digit milliseconds).
+PROBE_BOUND_MS = 100.0
 
 #: The diurnal curve point: 1x offered load modulated by a +/-60%
 #: sinusoid with two "days" per arrival window, seeded per-region
@@ -51,13 +65,34 @@ COLLAPSE_CEILING = 0.50
 #: within the deadline through the regional peaks.
 DIURNAL_AMPLITUDE = 0.6
 
+#: The hot-region leg: this region at this weight, the others at 1x.
+HOT_REGION = "us-east1"
+HOT_WEIGHT = 4.0
 
-def _point(multiplier: float, admission: bool, seed: int,
-           duration_ms: float) -> Dict:
-    result = run_openloop(OpenLoopConfig(
-        load_multiplier=multiplier, admission=admission,
-        duration_ms=duration_ms, seed=seed))
-    return result.to_json()
+#: The seven pass/fail entries of a document's ``gates``; ``ok`` is
+#: their AND.
+GATES = ("goodput_holds", "p99_bounded", "collapses_without_admission",
+         "no_livelock", "hot_region_goodput_holds",
+         "hot_region_p99_bounded", "overload_isolated")
+
+
+def _leg(config: OpenLoopConfig) -> Dict:
+    """One open-loop run's document.  A leg with admission on is then
+    probed once it has drained, one protected read per region; the
+    slowest probe is its ``probe_worst_ms`` (``inf`` when one never
+    completed — the livelock signature)."""
+    harness = OpenLoopHarness(config)
+    doc = harness.run().to_json()
+    if config.admission:
+        sim = harness.sim
+        probes = [sim.spawn(harness.probe(region),
+                            name=f"recovery-probe-{region}")
+                  for region in config.regions]
+        sim.run(until=sim.now + 10.0 * PROBE_BOUND_MS)
+        doc["probe_worst_ms"] = round(max(
+            probe.value if probe.done else float("inf")
+            for probe in probes), 2)
+    return doc
 
 
 def run_scale(seed: int = 0, quick: bool = False,
@@ -68,19 +103,33 @@ def run_scale(seed: int = 0, quick: bool = False,
                            else DEFAULT_MULTIPLIERS)
     duration_ms = QUICK_DURATION_MS if quick else FULL_DURATION_MS
     config = OpenLoopConfig()
-    curve = [_point(m, True, seed, duration_ms) for m in multipliers]
+    curve = [_leg(OpenLoopConfig(load_multiplier=m, duration_ms=duration_ms,
+                                 seed=seed))
+             for m in multipliers]
     peak_multiplier = multipliers[-1]
-    no_admission = _point(peak_multiplier, False, seed, duration_ms)
-    diurnal = run_openloop(OpenLoopConfig(
-        load_multiplier=1.0, admission=True, duration_ms=duration_ms,
-        seed=seed, diurnal_amplitude=DIURNAL_AMPLITUDE,
-        diurnal_period_ms=duration_ms / 2.0)).to_json()
+    no_admission = _leg(OpenLoopConfig(
+        load_multiplier=peak_multiplier, admission=False,
+        duration_ms=duration_ms, seed=seed))
+    diurnal = _leg(OpenLoopConfig(
+        duration_ms=duration_ms, seed=seed,
+        diurnal_amplitude=DIURNAL_AMPLITUDE,
+        diurnal_period_ms=duration_ms / 2.0))
+    hot_leg = _leg(OpenLoopConfig(
+        region_weights={HOT_REGION: HOT_WEIGHT}, duration_ms=duration_ms,
+        seed=seed))
 
     capacity = max(point["goodput_per_s"] for point in curve)
     peak = curve[-1]
     goodput_ratio = (peak["goodput_per_s"] / capacity) if capacity else 0.0
     collapse_ratio = ((no_admission["goodput_per_s"] / capacity)
                       if capacity else 0.0)
+    hot = hot_leg["regions"][HOT_REGION]
+    hot_goodput = round(hot["good"] * 1000.0 / duration_ms, 1)
+    worst_cold_p99 = max(stats["p99_ms"]
+                         for region, stats in hot_leg["regions"].items()
+                         if region != HOT_REGION)
+    probe_worst = max(leg["probe_worst_ms"]
+                      for leg in curve + [diurnal, hot_leg])
     gates = {
         "capacity_per_s": capacity,
         "peak_multiplier": peak_multiplier,
@@ -91,9 +140,14 @@ def run_scale(seed: int = 0, quick: bool = False,
         "no_admission_goodput_per_s": no_admission["goodput_per_s"],
         "collapse_ratio": round(collapse_ratio, 3),
         "collapses_without_admission": collapse_ratio < COLLAPSE_CEILING,
+        "probe_worst_ms": probe_worst,
+        "no_livelock": probe_worst <= PROBE_BOUND_MS,
+        "hot_region_goodput_holds":
+            hot_goodput >= GOODPUT_FLOOR * config.admit_rate_per_s,
+        "hot_region_p99_bounded": hot["p99_ms"] <= config.deadline_ms,
+        "overload_isolated": worst_cold_p99 <= config.deadline_ms / 2.0,
     }
-    gates["ok"] = (gates["goodput_holds"] and gates["p99_bounded"]
-                   and gates["collapses_without_admission"])
+    gates["ok"] = all(gates[name] for name in GATES)
     return {
         "seed": seed,
         "quick": quick,
@@ -106,6 +160,10 @@ def run_scale(seed: int = 0, quick: bool = False,
         "diurnal": {"amplitude": DIURNAL_AMPLITUDE,
                     "period_ms": duration_ms / 2.0,
                     "point": diurnal},
+        "hot_region": {"region": HOT_REGION, "weight": HOT_WEIGHT,
+                       "goodput_per_s": hot_goodput,
+                       "worst_cold_p99_ms": worst_cold_p99,
+                       "point": hot_leg},
         "gates": gates,
     }
 
@@ -135,16 +193,34 @@ def render_scale(doc: Dict) -> str:
         f"offered={point['offered']} good={point['good']} "
         f"goodput={point['goodput_per_s']:.1f}/s "
         f"p50={point['p50_ms']:.2f}ms p99={point['p99_ms']:.2f}ms")
+    hot = doc["hot_region"]
+    region = hot["point"]["regions"][hot["region"]]
+    lines.append(
+        f"  hot region {hot['region']} {hot['weight']:g}x: "
+        f"offered={region['offered']} good={region['good']} "
+        f"goodput={hot['goodput_per_s']:.1f}/s "
+        f"p99={region['p99_ms']:.2f}ms; "
+        f"worst cold p99={hot['worst_cold_p99_ms']:.2f}ms")
     gates = doc["gates"]
+
+    def verdict(name: str, passed: str = "pass") -> str:
+        return f"[{passed if gates[name] else 'FAIL'}]"
+
     lines.append(
         f"  capacity={gates['capacity_per_s']:.1f}/s  "
         f"goodput@{gates['peak_multiplier']:g}x="
         f"{gates['goodput_ratio_at_peak']:.0%} "
-        f"[{'pass' if gates['goodput_holds'] else 'FAIL'}]  "
+        f"{verdict('goodput_holds')}  "
         f"p99@peak={gates['p99_at_peak_ms']:.1f}ms "
-        f"[{'pass' if gates['p99_bounded'] else 'FAIL'}]  "
+        f"{verdict('p99_bounded')}  "
         f"no-admission={gates['collapse_ratio']:.0%} of capacity "
-        f"[{'collapses' if gates['collapses_without_admission'] else 'FAIL'}]")
+        f"{verdict('collapses_without_admission', 'collapses')}")
+    lines.append(
+        f"  worst probe={gates['probe_worst_ms']:.1f}ms "
+        f"{verdict('no_livelock')}  "
+        f"hot goodput {verdict('hot_region_goodput_holds')}  "
+        f"hot p99 {verdict('hot_region_p99_bounded')}  "
+        f"cold p99 {verdict('overload_isolated', 'isolated')}")
     lines.append(f"  => {'OK' if gates['ok'] else 'GATE FAILURES'}")
     return "\n".join(lines)
 

@@ -104,10 +104,6 @@ class RepairMetrics:
     def failures(self) -> Dict[str, int]:
         return self._by_kind("repair.failures")
 
-    @property
-    def scans(self) -> int:
-        return int(self.registry.counter("repair.scans").value)
-
     #: Gauge: ranges whose live voter count is below target (last scan).
     @property
     def under_replicated_ranges(self) -> int:

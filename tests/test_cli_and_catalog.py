@@ -62,16 +62,18 @@ class TestCLI:
         ["not-an-experiment"], ["bench"], [],
         ["repair", "--scenario", "kill-node-repair"],
         ["scale", "--update-baseline"],
-        ["chaos", "crash-restart"]])
+        ["chaos", "crash-restart"],
+        ["overload", "all"],
+        ["scale", "--protocol", "epoch-occ"]])
     def test_usage_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["overload", "not-a-scenario"],
+        ["sweep", "--kinds", "overload"],
         ["verify", "--scenario", "not-a-scenario"],
-        ["overload", "overload-global", "--protocol", "epoch-occ"],
+        ["verify", "--scenario", "overload-global"],
         ["sweep", "--kinds", "rebalance"],
         ["sweep", "--kinds", "verify", "--scenarios", "not-a-scenario"]])
     def test_unknown_scenario_or_kind_exits_2(self, argv, capsys):
@@ -118,9 +120,6 @@ class TestChaosCLI:
         assert main(["verify", "--scenario", "list"]) == 0
         assert capsys.readouterr().out.split() == \
             list(REGISTRY["verify"].scenarios)
-        assert main(["overload", "list"]) == 0
-        assert capsys.readouterr().out.split() == \
-            list(REGISTRY["overload"].scenarios)
 
     def test_clean_run_exits_zero(self, capsys):
         assert main(["verify", "--scenario", "crash-restart",

@@ -69,15 +69,14 @@ class TestJobExpansion:
             for seed in (0, 1, 2)}
 
     def test_sweep_jobs_default_is_each_kinds_sweep_set(self):
-        from repro.chaos.overload import SCENARIOS as OVERLOAD
         from repro.verify import SCENARIOS as VERIFY
-        jobs = sweep_jobs(["verify", "overload"], None, [0])
-        assert [j["scenario"] for j in jobs if j["kind"] == "overload"] == \
-            list(OVERLOAD)
+        jobs = sweep_jobs(["verify", "scale"], None, [0])
+        assert [j["scenario"] for j in jobs if j["kind"] == "scale"] == \
+            ["scale-curve"]
         assert [j["scenario"] for j in jobs if j["kind"] == "verify"] == \
             [name for name, row in VERIFY.items() if "crdb" in row.sweeps]
-        # The overload runs take no backend: an epoch-OCC sweep skips them.
-        assert sweep_jobs(["overload"], None, [0], protocol="epoch-occ") \
+        # The scale curve takes no backend: an epoch-OCC sweep skips it.
+        assert sweep_jobs(["scale"], None, [0], protocol="epoch-occ") \
             == []
 
     def test_sweep_jobs_protocol_rides_on_every_job(self):

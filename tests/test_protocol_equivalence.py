@@ -105,9 +105,9 @@ class TestOneBackendPerCluster:
         assert later.protocol is chooser.protocol
 
 
-class TestOverloadScenarioGuards:
-    @pytest.mark.parametrize("name", ["overload-global",
-                                      "overload-hot-region"])
-    def test_overload_rejects_protocol_override(self, name):
+class TestScaleGuards:
+    def test_scale_rejects_protocol_override(self):
+        # The open-loop harness takes no backend: a scale job under a
+        # protocol override must not run CRDB under the override's name.
         with pytest.raises(ValueError):
-            REGISTRY["overload"].run(name, 0, "epoch-occ")
+            REGISTRY["scale"].run("scale-curve", 0, "epoch-occ")
