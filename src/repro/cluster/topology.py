@@ -51,9 +51,14 @@ class Cluster:
         self.nodes: List[Node] = []
         #: Shared wait-for graph for cross-range deadlock detection.
         self.wait_graph = WaitGraph()
-        #: txn_id -> live Transaction object; the authoritative status
+        #: txn_id -> Transaction, from ``TransactionCoordinator.begin``
+        #: until its protocol knows its last intent is resolved
+        #: (``TransactionCoordinator.forget``); the authoritative status
         #: consulted by lock pushes (stands in for CRDB's txn records +
-        #: coordinator heartbeats).
+        #: coordinator heartbeats, which CRDB garbage-collects once the
+        #: intents are resolved).  What stays is a transaction that is
+        #: still running, whose commit is ambiguous, or whose cleanup
+        #: failed.
         self.txn_registry: Dict[int, object] = {}
         #: Admission controller (``repro.admission``); ``None`` means
         #: admission control is disabled and every gated path is a
@@ -80,9 +85,11 @@ class Cluster:
     def txn_status(self, txn_id: int):
         """Authoritative transaction state for pushes.
 
-        Returns None if unknown, else ``(final, commit_ts)`` where
-        ``final`` is True for committed/aborted transactions and
-        ``commit_ts`` is the commit timestamp (None if aborted/pending).
+        Returns None if unknown — never registered, or finished and
+        forgotten once its intents were resolved — else ``(final,
+        commit_ts)`` where ``final`` is True for committed/aborted
+        transactions and ``commit_ts`` is the commit timestamp (None if
+        aborted/pending).
         """
         txn = self.txn_registry.get(txn_id)
         if txn is None:

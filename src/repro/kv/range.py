@@ -485,7 +485,11 @@ class Range:
         resolution was lost to a node failure), the waiter resolves the
         intent itself and proceeds.  Status lookups go through the
         cluster's transaction registry — the simulation stand-in for
-        CRDB's txn records + heartbeats."""
+        CRDB's txn records + heartbeats.  A holder the registry does not
+        know is finished with every intent it knew of resolved (a
+        transaction leaves the registry only then), so this intent is a
+        stray — a write that landed after its transaction's cleanup —
+        and the waiter aborts it."""
         from ..sim.core import any_of
         tracer = self.sim.obs.tracer
         wait_span = tracer.start(
@@ -501,9 +505,7 @@ class Range:
                 if index == 0:
                     return None
                 status = self.cluster.txn_status(holder_txn_id)
-                if status is None:
-                    continue
-                final, commit_ts = status
+                final, commit_ts = status or (True, None)
                 if not final:
                     continue  # holder still pending: keep waiting
                 # Push succeeded: resolve the orphaned intent ourselves.

@@ -97,6 +97,12 @@ class TransactionCoordinator:
     #: Off only in the verify harness's ``pipeline-unproven`` ablation,
     #: for one instance.
     prove_writes = True
+    #: A transaction leaves the registry only once its last intent is
+    #: resolved.  Off only in the verify harness's
+    #: ``forget-before-resolve`` ablation, for one instance: a CRDB
+    #: transaction is then forgotten at its client ack, and a pusher
+    #: takes its unresolved intents for strays and aborts them.
+    resolve_before_forget = True
 
     def __init__(self, cluster, protocol=None):
         # ``protocol`` may only name the cluster's backend, or choose it
@@ -148,11 +154,20 @@ class TransactionCoordinator:
         txn.deadline_ms = deadline_ms
         self.stats.c_begun.value += 1
         # Registered so lock-table pushes can learn this transaction's
-        # fate even if its intent resolution is lost to a failure.
+        # fate even if its intent resolution is lost to a failure; its
+        # protocol forgets it once nothing is left to resolve.
         self.cluster.txn_registry[txn.txn_id] = txn
         if self.recorder is not None:
             self.recorder.on_begin(txn, gateway, label)
         return txn
+
+    def forget(self, txn) -> None:
+        """Take a finished ``txn`` out of the registry: its last intent
+        is resolved (or it never laid one), so no pusher needs its
+        status.  A pusher meeting one of its intents after this — a
+        write that landed after the cleanup — takes it for a stray and
+        aborts it."""
+        self.cluster.txn_registry.pop(txn.txn_id, None)
 
     def run(self, gateway, txn_fn: Callable[[Transaction], Generator],
             max_attempts: int = 100, parent_span=None,
@@ -244,9 +259,10 @@ class TransactionCoordinator:
             f"transaction gave up after {max_attempts} attempts: {last_error}")
 
     def rollback_best_effort(self, txn) -> Generator:
-        """Roll back, tolerating unreachable ranges (dead leaseholders):
-        abandoned intents are recovered by waiter pushes via the
-        transaction registry."""
+        """Roll back, tolerating unreachable ranges (dead leaseholders).
+        A rollback that reached every range forgets the transaction; one
+        that did not leaves it registered as ABORTED, so waiter pushes
+        abort the intents it abandoned."""
         try:
             yield from txn.rollback()
         except (NetworkUnavailableError, RangeUnavailableError):

@@ -83,8 +83,8 @@ class Transaction:
 
     #: The pipelined writes the commit must prove, keyed by span and
     #: key (a split since the write must not split the entry): (token,
-    #: key, the latest value written).  Made at the first one: the
-    #: registry keeps every transaction.
+    #: key, the latest value written).  Made at the first one: most
+    #: transactions pipeline nothing.
     pipelined: Optional[Dict[Tuple[Any, Any], Tuple[Any, Any, Any]]] = None
 
     def __init__(self, coordinator, gateway, txn_id: int, parent_span=None):
@@ -459,6 +459,7 @@ class Transaction:
             if not self.write_set and self.commit_ts is None:
                 self.status = TxnStatus.COMMITTED
                 self.commit_ts = self.read_ts
+                self.coordinator.forget(self)  # it laid no intent
                 yield from self._commit_wait_if_needed(
                     self.observed_future_ts, commit_span)
                 self._record_outcome("commit")
@@ -524,6 +525,8 @@ class Transaction:
                 yield from self._commit_wait_if_needed(wait_target,
                                                        commit_span)
             self._record_outcome("commit")
+            if not self.coordinator.resolve_before_forget:
+                self.coordinator.forget(self)  # the ablation: at the ack
             return commit_ts
         finally:
             tracer.finish(commit_span, "status", self.status)
@@ -620,16 +623,21 @@ class Transaction:
                                        commit_ts, span=cleanup_span)
         if spans:
             fut.add_callback(self._cleanup_done)
+        else:
+            self.coordinator.forget(self)
 
     def _cleanup_done(self, fut) -> None:
-        """Nobody waits on cleanup: count the failures that leave
-        recoverable orphans, crash the run on anything else."""
+        """Nobody waits on cleanup: forget the transaction once every
+        intent is resolved, count the failures that leave recoverable
+        orphans (it stays registered for their pushers), crash the run
+        on anything else."""
         error = fut._error
         if self._cleanup_span:
             self.coordinator.tracer.finish(
                 self._cleanup_span, "error",
                 None if error is None else type(error).__name__)
         if error is None:
+            self.coordinator.forget(self)
             return
         if isinstance(error, _CLEANUP_BENIGN):
             self.coordinator.sim.obs.registry.counter(
@@ -657,7 +665,9 @@ class Transaction:
         coordinator.tracer.finish(wait_span, "waited_ms", waited)
 
     def rollback(self) -> Generator:
-        """Abort: mark the record aborted and clean up intents."""
+        """Abort: mark the record aborted and clean up intents, then
+        forget the transaction.  A failure on the way raises and leaves
+        it registered, ABORTED, for waiter pushes."""
         if self.status != TxnStatus.PENDING:
             return
         self.status = TxnStatus.ABORTED
@@ -669,6 +679,7 @@ class Transaction:
                 None, span=self.span, resolve_keys=local_keys)
             yield self._ds.resolve_intents(self.gateway, elsewhere,
                                            self.txn_id, None, span=self.span)
+        self.coordinator.forget(self)
 
 
 class CrdbProtocol(TxnProtocol):

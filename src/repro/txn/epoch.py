@@ -46,8 +46,9 @@ real-time recency guarantee commit wait provides; the transaction's
 keys are free before that wait, so it never stalls a later commit.
 
 Intents exist only inside the apply window; a lock-table waiter
-pushes a pending epoch transaction through the ordinary txn-registry
-wait-or-push path.
+pushes an epoch transaction through the ordinary txn-registry
+wait-or-push path, and the transaction leaves the registry once its
+intents are resolved (a failed resolve keeps it there for the pushers).
 """
 
 from __future__ import annotations
@@ -337,6 +338,7 @@ class EpochService:
                 commit_ts = txn.read_ts
             txn.commit_ts = commit_ts
             txn.status = TxnStatus.COMMITTED
+            txn.coordinator.forget(txn)  # it laid no intent
             return commit_ts
         try:
             commit_ts = yield from self._apply(txn)
@@ -405,18 +407,21 @@ class EpochService:
                 recorder.on_write(txn, keyspan, key, value, written_ts)
         if first_error is not None:
             # Partial apply: abort cleanly — resolve whatever intents
-            # landed, then resubmit from scratch.
+            # landed, forget the transaction, then resubmit from scratch.
             txn.status = TxnStatus.ABORTED
-            if laid:
-                try:
+            try:
+                if laid:
                     yield self.ds.resolve_intents(gateway, laid, txn.txn_id,
                                                   None, span=txn.span)
-                except _EPOCH_RETRYABLE:
-                    pass  # orphans recovered by waiter pushes
+            except _EPOCH_RETRYABLE:
+                pass  # registered, ABORTED: waiter pushes abort the orphans
+            else:
+                txn.coordinator.forget(txn)
             raise first_error
         txn.commit_ts = commit_ts
         # COMMITTED before resolution, exactly like the CRDB pipeline:
-        # lock-table pushes consult the registry and may resolve for us.
+        # lock-table pushes consult the registry and may resolve for us
+        # until our own resolve succeeds and forgets the transaction.
         txn.status = TxnStatus.COMMITTED
         try:
             yield self.ds.resolve_intents(gateway, laid, txn.txn_id,
@@ -427,9 +432,12 @@ class EpochService:
             # landing mid-epoch) must NOT surface as a retryable abort,
             # or the client re-runs an applied transaction (a phantom
             # double-apply the counter audit convicts).  Leave the
-            # orphan intents: waiter pushes consult the registry and
-            # resolve them to the committed values.
+            # orphan intents and the transaction registered: waiter
+            # pushes consult the registry and resolve them to the
+            # committed values.
             pass
+        else:
+            txn.coordinator.forget(txn)
         return commit_ts
 
 
@@ -622,10 +630,12 @@ class EpochTransaction:
     def rollback(self) -> Generator:
         """Abort before (or after a failed) submission.  Purely local:
         no intents exist outside the epoch apply window, and a failed
-        apply already cleaned up after itself."""
+        apply already cleaned up after itself — so the transaction
+        leaves the registry at once."""
         if self.status != TxnStatus.PENDING:
             return
         self.status = TxnStatus.ABORTED
+        self.coordinator.forget(self)
         recorder = self.coordinator.recorder
         if recorder is not None:
             recorder.on_abort(self)

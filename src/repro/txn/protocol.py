@@ -20,6 +20,12 @@ workload generators drive:
 * coroutines: ``read``, ``read_batch``, ``locking_read``, ``write``,
   ``write_batch``, ``delete``, ``commit``, ``rollback``.
 
+The coordinator registers a handle in ``begin``; the handle calls
+``coordinator.forget(handle)`` once its last intent is known resolved
+(or it laid none), and never before — a pusher takes a holder the
+registry does not know for finished and resolved, and aborts its
+intent.  An ambiguous commit, or a failed cleanup, stays registered.
+
 Failures raised out of the handle follow the shared error taxonomy:
 anything retryable must be a :class:`~repro.errors.TransactionRetryError`
 (validation conflicts use the

@@ -532,6 +532,39 @@ class VerifyHarness(Testbed):
         yield writer
         yield from self.attempt(leader, after_fn, label="probe-after")
 
+    # -- orphaned intent probe (forget-before-resolve) ----------------------
+
+    def forget_probe(self, key: str = "r1"):
+        """The push the ``forget-before-resolve`` ablation is about, made
+        certain: a home-region transaction writes its anchor on the home
+        range and a register on the far one, and from its commit on every
+        message from the home region to the far one is dropped, so the
+        far intent's resolve cannot land.  A far-region read-modify-write
+        of the register then waits on that intent and pushes its holder.
+        Registered until its cleanup succeeds, the holder is found
+        committed and the intent resolved to its value; forgotten at the
+        ack, it is taken for finished and resolved, and the intent — a
+        committed write — is aborted."""
+        faults = self.cluster.network.faults
+        far_region = next(r for r in self.regions if r != self.home)
+        home, far = self.range, self.ranges["reg-eu"]
+
+        def write_fn(txn):
+            yield from txn.write(home, "r0", f"probe-anchor:{txn.txn_id}")
+            yield from txn.write(far, key, f"probe-orphan:{txn.txn_id}")
+            faults.set_loss(self.home, far_region, 1.0, bidirectional=False)
+
+        def rmw_fn(txn):
+            yield from txn.read(far, key)
+            yield from txn.write(far, key, f"probe-push:{txn.txn_id}",
+                                 commit=True)
+
+        yield from self.attempt(self.cluster.gateway_for_region(self.home),
+                                write_fn, label="probe-orphan")
+        yield from self.attempt(self.cluster.gateway_for_region(far_region),
+                                rmw_fn, label="probe-push")
+        faults.set_loss(self.home, far_region, 0.0, bidirectional=False)
+
     # -- stale readers ------------------------------------------------------
 
     def stale_client(self, label: str, region: str, gateway_index: int,
@@ -761,6 +794,13 @@ class VerifyHarness(Testbed):
         lost-write probe runs first so the damage is certain."""
         self.coord.prove_writes = False
         self.run_clients([self.pipeline_probe()])
+
+    def _forget_at_ack(self) -> None:
+        """CRDB transactions leave the registry at their client ack, not
+        once their intents are resolved, and the orphaned-intent probe
+        runs first so the damage is certain."""
+        self.coord.resolve_before_forget = False
+        self.run_clients([self.forget_probe()])
 
     # -- the run ------------------------------------------------------------
 
@@ -1143,6 +1183,18 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         setup=VerifyHarness._skip_write_proofs, protocol="crdb",
         # Two appends that read the same list: the lost one and the next.
         verdict=_convicts(_WRITE_RACES)),
+    "forget-before-resolve": VerifyScenario(
+        "The transaction-registry ablation: a CRDB transaction is "
+        "forgotten at its client ack instead of once its intents are "
+        "resolved, and a probe orphans one (the far range's resolve is "
+        "dropped); the pusher that meets it takes it for a stray and "
+        "aborts a committed write; passes iff the checker convicts the "
+        "write that vanished — proof a finished transaction leaves the "
+        "registry only when no pusher can need it.",
+        setup=VerifyHarness._forget_at_ack, protocol="crdb",
+        # The aborted write, and every append that read the list without
+        # it; the damage may also reach the final audit.
+        verdict=_convicts(_WRITE_RACES, "final-state-divergence")),
 }
 
 

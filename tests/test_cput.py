@@ -47,12 +47,18 @@ class TestOneRequest:
         bed, rng = make_bed()
         calls = count_calls(bed.cluster)
         before = rng.group.commit_index
-        bed.run_txn(HOME, insert(rng, "mine"))
+        txns = []
+
+        def txn_fn(txn):
+            txns.append(txn)
+            yield from insert(rng, "mine")(txn)
+
+        bed.run_txn(HOME, txn_fn)
         bed.settle(50.0)
         assert calls == [1, 1, 1]  # the put; its proof; the resolve
         put, _resolve = commands_since(rng, before)
         assert type(put) is PutIntentCommand
-        assert bed.cluster.txn_registry[1].read_set == []
+        assert txns[0].read_set == []
         assert versions(rng, "new") == [(put.ts, "mine")]
 
     def test_live_value_is_one_rpc_and_no_raft_entry(self):

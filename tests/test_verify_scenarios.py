@@ -26,6 +26,7 @@ ABLATIONS = {
     "one-phase-reapply": (pytest.mark.verify, range(5)),
     "cput-blind": (pytest.mark.verify, range(5)),
     "pipeline-unproven": (pytest.mark.verify, range(5)),
+    "forget-before-resolve": (pytest.mark.verify, range(5)),
 }
 
 #: Small enough for tier-1, large enough to commit something.
@@ -40,7 +41,7 @@ REPAIR_ROWS = ["kill-node-repair", "region-loss-repair"]
 CLOCK_ROWS = ["clock-drift", "clock-jump", "clock-jump-fence",
               "clock-freeze-lease", "clock-jump-nofence"]
 FORCED_ROWS = ["occ-novalidate", "occ-unordered", "one-phase-reapply",
-               "cput-blind", "pipeline-unproven"]
+               "cput-blind", "pipeline-unproven", "forget-before-resolve"]
 
 
 class TestShape:

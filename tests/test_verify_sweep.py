@@ -59,6 +59,26 @@ def test_the_probe_that_convicts_is_clean_with_the_guard_on(seed):
     assert harness.coord.stats.one_phase_commits >= 2
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_orphan_that_convicts_is_clean_with_the_registry_on(seed):
+    """The ``forget-before-resolve`` orphaned-intent schedule against the
+    shipped registry: the transaction stays registered while its resolve
+    is dropped, so the pusher finds it committed and reads its write."""
+    harness = VerifyHarness(seed)
+    harness._init_keys()
+    harness.sim.run(until=harness.sim.now + 600.0)
+    harness.run_clients([harness.forget_probe()])
+    harness.heal_and_settle()
+    harness.recorder.final = harness._audit()
+    history = harness.recorder.finalize()
+    report = check(history)
+    assert report.ok, report.render()
+    (orphan,) = [t for t in history.txns if t.label == "probe-orphan"]
+    (push,) = [t for t in history.txns if t.label == "probe-push"]
+    assert orphan.status == push.status == "committed"
+    assert push.reads()[0].value == f"probe-orphan:{orphan.txn_id}"
+
+
 @pytest.mark.parametrize("scenario", ["flaky-wan", "split-merge",
                                       "crash-restart"])
 @pytest.mark.parametrize("seed", SEEDS)
