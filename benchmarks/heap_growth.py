@@ -16,7 +16,14 @@ prints, per repetition:
 * traced bytes kept per op — what ``tracemalloc`` (started with the
   timed region) still holds after that collection, over the operations;
 * the transactions left in ``Cluster.txn_registry`` at the end of the
-  run, summed over the repetition's clusters.
+  run, summed over the repetition's clusters;
+
+and, once, the process's peak resident set (``ru_maxrss``, the figure
+``bench/run.py`` reports as ``peak_rss_mb``) at three points: after the
+imports, after the first repetition's set-up (both before
+``tracemalloc`` starts) and at the end.  The first is the fixed cost of
+the interpreter and the imported modules, so ``peak_rss_mb`` reads as
+that plus growth; the last includes ``tracemalloc``'s own bookkeeping.
 
 ``tracemalloc`` slows the run several times over, so the host-time
 metrics of ``bench/run.py`` mean nothing here; the simulation itself is
@@ -32,10 +39,15 @@ from __future__ import annotations
 
 import argparse
 import gc
+import resource
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def census(root: Path, name: str, seed: int, reps: int):
@@ -44,11 +56,13 @@ def census(root: Path, name: str, seed: int, reps: int):
     from bench.workloads import WORKLOADS
     from repro.cluster.topology import Cluster
 
+    rss = {"after imports": peak_rss_mb()}
     workload = WORKLOADS[name](1.0)
     rows = []
     run = workload.run
 
     def counted_run(state, inputs, mark, lap):
+        rss.setdefault("after set-up", peak_rss_mb())
         gc.collect()
         objects = len(gc.get_objects())
         tracemalloc.start()
@@ -72,7 +86,8 @@ def census(root: Path, name: str, seed: int, reps: int):
     workload.run = counted_run
     for rep in range(reps):
         bench_run.run_rep(workload, seed * 1000 + rep)
-    return rows
+    rss["at the end"] = peak_rss_mb()
+    return rows, rss
 
 
 def render(row) -> str:
@@ -81,16 +96,20 @@ def render(row) -> str:
             f"registry {row['registry']}")
 
 
+def render_rss(rss) -> str:
+    return "  ".join(f"{point} {mb:.2f} MB" for point, mb in rss.items())
+
+
 def compared_rows(checkout: str, args) -> list:
     """The rows this script prints when run over ``checkout``'s code with
-    the same workload, seed and repetitions."""
+    the same workload, seed and repetitions (the peak-RSS row last)."""
     out = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()),
          "--workload", args.workload, "--seed", str(args.seed),
          "--reps", str(args.reps), "--root", checkout],
         capture_output=True, text=True, check=True).stdout
     return [line.split(": ", 1)[1] for line in out.splitlines()
-            if line.startswith("  rep ")]
+            if line.startswith(("  rep ", "  peak RSS"))]
 
 
 def main() -> None:
@@ -105,16 +124,18 @@ def main() -> None:
                         help="the checkout whose code runs (default: this "
                              "script's)")
     args = parser.parse_args()
-    rows = [render(row) for row in census(
-        Path(args.root).resolve(), args.workload, args.seed, args.reps)]
+    rows, rss = census(
+        Path(args.root).resolve(), args.workload, args.seed, args.reps)
+    labels = [f"rep {rep}" for rep in range(len(rows))] + ["peak RSS"]
+    rows = [render(row) for row in rows] + [render_rss(rss)]
     other = compared_rows(args.compare, args) if args.compare else None
     print(f"{args.workload} seed={args.seed}: kept by the timed region")
-    for rep, row in enumerate(rows):
+    for i, (label, row) in enumerate(zip(labels, rows)):
         if other is None:
-            print(f"  rep {rep}: {row}")
+            print(f"  {label}: {row}")
         else:
-            print(f"  rep {rep}: this  {row}\n"
-                  f"         other {other[rep]}")
+            print(f"  {label}: this  {row}\n"
+                  f"  {' ' * len(label)}  other {other[i]}")
 
 
 if __name__ == "__main__":

@@ -47,9 +47,6 @@ class Fig6Point:
     def tpmc_per_warehouse(self) -> float:
         return self.tpmc / self.warehouses if self.warehouses else 0.0
 
-    def latency(self, region: str) -> Summary:
-        return Summary(self.recorder.samples("new_order", region))
-
 
 @dataclass
 class Fig6Result:

@@ -7,11 +7,11 @@ are identified by a name plus a label set; the registry is the single
 point of truth, so a chaos scenario, a fig3–fig6 experiment and the
 ``python -m repro metrics`` CLI all read the same numbers.
 
-This module is deliberately dependency-free (no numpy, no imports from
-``repro.sim``) so the simulator core can own a registry without an
-import cycle.  Everything here is deterministic: snapshots iterate
-instruments in sorted key order and values derive purely from what was
-recorded, so two same-seed runs serialize byte-identically.
+This module imports nothing from ``repro.sim``, so the simulator core
+can own a registry without an import cycle.  Everything here is
+deterministic: snapshots iterate instruments in sorted key order and
+values derive purely from what was recorded, so two same-seed runs
+serialize byte-identically.
 """
 
 from __future__ import annotations

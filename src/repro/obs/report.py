@@ -5,16 +5,15 @@ percentile summaries, CDFs and the result tables the paper reports.
 :class:`~repro.obs.metrics.Histogram` instruments, one per label tuple,
 whose raw samples back :class:`Summary` and :func:`cdf_points` exactly;
 attached to the simulation's shared registry, the same numbers show up
-in ``python -m repro metrics``.  The one module of :mod:`repro.obs` that
-needs numpy, so the package does not import it: ``import repro.obs``
-(and with it the simulator core) stays numpy-free.
+in ``python -m repro metrics``.  Percentiles interpolate linearly between
+the two nearest ranks (Hyndman and Fan's definition 7, the usual
+default of numeric libraries).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .metrics import Histogram, MetricsRegistry
 
@@ -27,14 +26,14 @@ class Summary:
     def __init__(self, samples: Sequence[float]):
         self.count = len(samples)
         if self.count:
-            array = np.asarray(samples, dtype=float)
-            self.mean = float(array.mean())
-            self.p50 = float(np.percentile(array, 50))
-            self.p90 = float(np.percentile(array, 90))
-            self.p95 = float(np.percentile(array, 95))
-            self.p99 = float(np.percentile(array, 99))
-            self.max = float(array.max())
-            self.min = float(array.min())
+            ordered = sorted(map(float, samples))
+            self.mean = math.fsum(ordered) / self.count
+            self.p50 = _percentile(ordered, 50)
+            self.p90 = _percentile(ordered, 90)
+            self.p95 = _percentile(ordered, 95)
+            self.p99 = _percentile(ordered, 99)
+            self.max = ordered[-1]
+            self.min = ordered[0]
         else:
             self.mean = self.p50 = self.p90 = self.p95 = self.p99 = 0.0
             self.max = self.min = 0.0
@@ -49,15 +48,36 @@ class Summary:
                 f"p90={self.p90:.1f} p99={self.p99:.1f} max={self.max:.1f})")
 
 
+def _percentile(ordered: List[float], q: float) -> float:
+    """The ``q``-th percentile of sorted ``ordered``, interpolated
+    linearly between the two nearest ranks.  Past the midpoint it
+    interpolates down from the upper rank, which rounds as the usual
+    vectorised implementations do."""
+    index = (len(ordered) - 1) * (q / 100)
+    lo = math.floor(index)
+    frac = index - lo
+    a = ordered[lo]
+    b = ordered[min(lo + 1, len(ordered) - 1)]
+    if frac >= 0.5:
+        return b - (b - a) * (1 - frac)
+    return a + (b - a) * frac
+
+
 def cdf_points(samples: Sequence[float],
                points: int = 200) -> List[Tuple[float, float]]:
-    """(latency, cumulative fraction) pairs for plotting CDFs (Fig 5)."""
+    """(latency, cumulative fraction) pairs for plotting CDFs (Fig 5):
+    ``min(points, n)`` evenly spaced ranks from the first to the last."""
     if not samples:
         return []
-    array = np.sort(np.asarray(samples, dtype=float))
-    n = len(array)
-    indices = np.unique(np.linspace(0, n - 1, min(points, n)).astype(int))
-    return [(float(array[i]), float((i + 1) / n)) for i in indices]
+    ordered = sorted(map(float, samples))
+    n = len(ordered)
+    k = min(points, n)
+    if k == 1:
+        indices = [0]
+    else:
+        step = (n - 1) / (k - 1)
+        indices = sorted({int(i * step) for i in range(k - 1)} | {n - 1})
+    return [(ordered[i], (i + 1) / n) for i in indices]
 
 
 class LatencyRecorder:

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
-from typing import List
-
-import numpy as np
 
 __all__ = ["ZipfGenerator", "UniformGenerator"]
 
@@ -22,9 +21,10 @@ class ZipfGenerator:
             raise ValueError("n must be positive")
         self.n = n
         self.theta = theta
-        weights = 1.0 / np.power(np.arange(1, n + 1, dtype=float), theta)
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
+        cdf = list(itertools.accumulate(
+            1.0 / float(k) ** theta for k in range(1, n + 1)))
+        total = cdf[-1]
+        self._cdf = [c / total for c in cdf]
         self._rng = random.Random(seed)
         # YCSB scrambles ranks so hot keys are spread over the keyspace.
         self._permutation = list(range(n))
@@ -32,7 +32,7 @@ class ZipfGenerator:
 
     def next(self) -> int:
         u = self._rng.random()
-        rank = int(np.searchsorted(self._cdf, u))
+        rank = bisect.bisect_left(self._cdf, u)
         return self._permutation[min(rank, self.n - 1)]
 
 

@@ -195,9 +195,9 @@ class TestResultTable:
 
 class TestOneMetricsPackage:
     """``repro.metrics`` and ``repro.obs.noop`` are gone — nothing
-    re-exports their names from the old paths — and the registry half of
-    ``repro.obs`` still imports without numpy (only ``repro.obs.report``
-    needs it)."""
+    re-exports their names from the old paths — and every module of
+    ``repro`` imports on the standard library alone: none pulls numpy
+    in."""
 
     @pytest.mark.parametrize("module", [
         "repro.metrics", "repro.metrics.histogram", "repro.metrics.results",
@@ -207,9 +207,13 @@ class TestOneMetricsPackage:
             importlib.import_module(module)
 
     def test_kernel_and_registry_import_without_numpy(self):
-        code = ("import sys, repro.obs, repro.sim.core; "
-                "assert hasattr(repro.obs, 'MetricsRegistry'); "
-                "assert not hasattr(repro.obs, 'NoopMetricsRegistry'); "
+        code = ("import importlib, pkgutil, sys, repro, repro.obs\n"
+                "assert hasattr(repro.obs, 'MetricsRegistry')\n"
+                "assert not hasattr(repro.obs, 'NoopMetricsRegistry')\n"
+                "for module in pkgutil.walk_packages(repro.__path__, "
+                "'repro.'):\n"
+                "    importlib.import_module(module.name)\n"
+                "assert 'repro.obs.report' in sys.modules\n"
                 "sys.exit('numpy' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", code],
                                 capture_output=True, text=True)

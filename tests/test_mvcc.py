@@ -76,6 +76,15 @@ class TestIntents:
         with pytest.raises(WriteIntentError):
             store.get("k", ts(10), txn_id=1)
 
+    def test_foreign_intent_at_read_ts_conflicts(self):
+        # The boundary is inclusive: an intent exactly at the read
+        # timestamp may commit there, so the reader must not skip it.
+        store = MVCCStore()
+        store.put_committed("k", ts(1), "old")
+        store.put_intent("k", ts(10), "theirs", txn_id=2)
+        with pytest.raises(WriteIntentError):
+            store.get("k", ts(10), txn_id=1)
+
     def test_foreign_intent_above_read_invisible(self):
         store = MVCCStore()
         store.put_committed("k", ts(1), "old")
@@ -200,6 +209,13 @@ class TestChangedInInterval:
     def test_foreign_intent_counts(self):
         store = MVCCStore()
         store.put_intent("k", ts(7), "v", txn_id=2)
+        assert store.changed_in_interval("k", ts(5), ts(10), txn_id=1)
+
+    def test_foreign_intent_at_hi_counts(self):
+        # hi is inclusive for intents as for committed versions.
+        store = MVCCStore()
+        store.put_committed("k", ts(5), "v")
+        store.put_intent("k", ts(10), "w", txn_id=2)
         assert store.changed_in_interval("k", ts(5), ts(10), txn_id=1)
 
     def test_own_intent_ignored(self):
