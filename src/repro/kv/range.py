@@ -269,11 +269,14 @@ class Range:
     def transfer_lease(self, node_id: int) -> None:
         """Move the lease (and Raft leadership) to another voter.
 
-        The incoming leaseholder starts a fresh timestamp cache whose
-        low-water mark covers every read the old lease could have served.
+        The lease moves with the leadership: at once when the target's
+        log is caught up, otherwise once the entries it misses reach it
+        by message (:meth:`RaftGroup.transfer_leadership`).  Until then
+        the old leaseholder keeps serving.  The incoming leaseholder
+        starts a fresh timestamp cache whose low-water mark covers every
+        read the old lease could have served.
         """
-        self.group.transfer_leadership(node_id)
-        self._install_lease(node_id)
+        self.group.transfer_leadership(node_id, on_lead=self._install_lease)
 
     def _install_lease(self, node_id: int) -> None:
         self.leaseholder_node_id = node_id

@@ -8,17 +8,22 @@ CockroachDB:
   acknowledged — learners (non-voting replicas, paper §5.2) receive the
   log but never count toward quorum and therefore never affect write
   latency.
-* Followers apply an entry only once they know it is committed; the
-  leader broadcasts commit-index advances, so the time for an entry to
-  apply on the furthest follower is the paper's ``L_replicate``.
+* Followers apply an entry only once they know it is committed.  No
+  message exists for that alone: every append carries the leader's
+  commit index at send time (etcd's ``MsgApp``), and an idle range's
+  followers learn it from the closed-timestamp side transport.  So the
+  paper's ``L_replicate`` — the time for an entry to apply on the
+  furthest follower — is the one-way delay of the next message the
+  leader sends that follower after the commit.
 * Each entry carries a closed timestamp; a follower's local closed
   timestamp is the maximum over applied entries, optionally refreshed by
   an idle-range side-transport heartbeat.
 
 Leadership is stable (no randomized election timers): the placement
-layer assigns leadership/leases explicitly, and failover is modelled by
-``transfer_leadership``.  This keeps experiments deterministic while
-still letting failure tests exercise quorum loss and recovery.
+layer assigns leadership/leases explicitly, a cooperative handoff is
+``transfer_leadership`` and failover is ``fail_over``.  This keeps
+experiments deterministic while still letting failure tests exercise
+quorum loss and recovery.
 """
 
 from __future__ import annotations
@@ -134,13 +139,16 @@ def _inflight_record(sim: Simulator, entry: Entry,
 class RaftGroup:
     """Replication state machine for a single Range.
 
-    What one proposal costs per follower — three messages, each one
-    kernel event — and the ``bench/`` workload that pays for each
-    (numbers: EXPERIMENTS.md "Round 7"):
+    What one proposal costs per follower — at most two messages, each
+    one kernel event — and the ``bench/`` workload that pays for each
+    (numbers: EXPERIMENTS.md "Round 7" and "Round 24"):
 
     * HOT: one **append** (``_send_append`` → ``_deliver_append``), to
-      voters and learners alike: ``kv``, ``tpcc`` (4 of their 10
-      messages per proposal).
+      voters and learners alike: ``kv``, ``tpcc`` (4 of their 6
+      messages per proposal).  It carries the leader's send-time
+      ``commit_index`` and the entry at it (``_last_committed``); the
+      follower adopts that commit index once its log holds that exact
+      entry, the rule ``_learn_commit`` applies.
     * HOT: one **ack** (``_send_ack`` → ``_on_ack``) from a follower
       that lands the entry while it is still uncommitted — in practice
       the voters inside the quorum race only.  An append that lands at
@@ -149,10 +157,11 @@ class RaftGroup:
       an ack could change.  The follower's disk append rides on the
       ack's flight (``Network.send(after_ms=)``) instead of a timer that
       then sends: ``kv``, ``tpcc`` (2 per proposal), ``verify_sweep``.
-    * HOT: one **commit update** (``_send_commit_update`` →
-      ``_learn_commit``), what lets a follower apply; its arrival at
-      the furthest follower is the paper's ``L_replicate``: ``kv``,
-      ``tpcc``, ``movr`` (GLOBAL tables).
+    * No **commit update** per committed entry.  A follower learns an
+      entry committed from the next append after it, or, on an idle
+      range, from the side-transport tick — which is how a GLOBAL
+      table's followers (``movr``) learn it.  ``resync_peer`` still
+      sends one after the entries it re-sends.
     * Beside them the leader's own disk append is one timer
       (``propose`` → ``_on_ack``), and the ``proposal_timeout_ms`` guard
       is cancelled when the proposal settles: ``verify_sweep``,
@@ -163,8 +172,7 @@ class RaftGroup:
       intent and then its resolution, and every other transaction one
       resolve entry per range, not per key — ``kv`` 1.02 → 0.51
       proposals per operation, ``openloop`` 0.36 → 0.18, ``tpcc`` 15.2 →
-      12.1, ``tpcc_epoch`` 11.8 → 8.7 (EXPERIMENTS.md "Round 10").  Still
-      10 messages per proposal; the lever left is proposing less.
+      12.1, ``tpcc_epoch`` 11.8 → 8.7 (EXPERIMENTS.md "Round 10").
     * Nor once for a commit record and again to resolve the intents
       beside it: a multi-range commit's record entry resolves its own
       range's intents (``Range.serve_txn_record(resolve_keys=)``) —
@@ -178,6 +186,9 @@ class RaftGroup:
 
     #: Simulated local storage append latency per entry (ms).
     DISK_APPEND_MS = 0.25
+    #: A cooperative transfer whose target has not caught up by then is
+    #: abandoned: the old leader keeps leading (ms).
+    TRANSFER_TIMEOUT_MS = 1000.0
 
     def __init__(self, sim: Simulator, network, range_id: int,
                  apply_fn: Callable[[Any, Any], None],
@@ -216,6 +227,13 @@ class RaftGroup:
         self._last_committed: Optional[Entry] = None
         #: One-at-a-time membership-change enforcement.
         self.config_guard = ConfigChangeGuard(range_id)
+        #: A pending cooperative transfer, ``(target node id, on_lead,
+        #: abandon timer)``; None when none is.  See
+        #: :meth:`transfer_leadership`.
+        self._transfer: Optional[tuple] = None
+        #: Proposals made while a transfer is pending, ``(command,
+        #: closed_ts, span, future)``: the next leader proposes them.
+        self._deferred: List[tuple] = []
         #: Set by :meth:`start_retransmission`; remembered so an elastic
         #: split can start the child's group with the same hardening.
         self._retransmit_interval_ms: Optional[float] = None
@@ -362,19 +380,90 @@ class RaftGroup:
                    if not self.network.node_is_dead(p.node.node_id))
         return live >= quorum
 
-    def set_leader(self, node_id: int) -> None:
-        if node_id not in self.peers:
+    def _electable(self, node_id: int) -> PeerState:
+        """The peer on ``node_id``, if it is a voter and so may lead."""
+        peer = self.peers.get(node_id)
+        if peer is None:
             raise RangeUnavailableError(
                 f"r{self.range_id}: node {node_id} is not a member")
-        if self.peers[node_id].replica_type != ReplicaType.VOTER:
+        if peer.replica_type != ReplicaType.VOTER:
             raise RangeUnavailableError(
                 f"r{self.range_id}: non-voter {node_id} cannot lead")
+        return peer
+
+    def set_leader(self, node_id: int) -> None:
+        self._electable(node_id)
         self.leader_node_id = node_id
 
-    def transfer_leadership(self, node_id: int) -> None:
-        """Move leadership (used for lease transfers and failover)."""
+    def transfer_leadership(self, node_id: int,
+                            on_lead: Optional[Callable[[int], None]] = None
+                            ) -> None:
+        """Cooperatively hand leadership to the voter ``node_id``.
+
+        As in etcd's leadership transfer, the target leads only once its
+        log holds the leader's last entry.  A target that lags is sent
+        what it misses (``resync_peer``) and takes over when that lands;
+        until then the old leader keeps leading, and proposals wait in
+        ``_deferred`` for the new leader.  Were the target to lead at
+        once, it would stage the next proposal on its own, shorter tail,
+        whose predecessor never matches, and every later proposal would
+        stall.  ``on_lead(node_id)`` runs when the target takes over —
+        at once when it is caught up, or when the old leader is dead and
+        can send nothing.  A target still behind after
+        ``TRANSFER_TIMEOUT_MS`` is given up on.
+        """
+        target = self._electable(node_id)
+        self._end_transfer()
+        leader = self.peers.get(self.leader_node_id)
+        if (leader is None or leader is target or self._holds_tail(target)
+                or self.network.node_is_dead(leader.node.node_id)):
+            self._lead(target, on_lead)
+            return
+        self._transfer = (node_id, on_lead, self.sim.call_after(
+            self.TRANSFER_TIMEOUT_MS, self._abandon_transfer))
+        self.resync_peer(node_id)
+
+    def _holds_tail(self, peer: PeerState) -> bool:
+        """Does ``peer``'s log end in the leader's last entry?"""
+        llog = self.peers[self.leader_node_id].log
+        if not llog:
+            return True
+        tail = llog[-1]
+        plog = peer.log
+        return (plog[-1].index if plog else 0) >= tail.index and (
+            plog[tail.index - 1] is tail)
+
+    def _end_transfer(self) -> None:
+        if self._transfer is not None:
+            self.sim.cancel(self._transfer[2])
+            self._transfer = None
+
+    def _lead(self, peer: PeerState,
+              on_lead: Optional[Callable[[int], None]]) -> None:
+        """Make the caught-up ``peer`` leader at a new term, then hand it
+        the proposals that waited for it."""
+        self._end_transfer()
         self.term += 1
-        self.set_leader(node_id)
+        node_id = peer.node.node_id
+        self.leader_node_id = node_id
+        # It holds every entry the old leader held, so every committed
+        # one: the commit index moves with the leadership.
+        if self.commit_index > peer.known_commit_index:
+            peer.known_commit_index = self.commit_index
+        self._apply_ready(peer)
+        if on_lead is not None:
+            on_lead(node_id)
+        self._propose_deferred()
+
+    def _propose_deferred(self) -> None:
+        deferred, self._deferred = self._deferred, []
+        for command, closed_ts, span, fut in deferred:
+            self.propose(command, closed_ts, span).add_callback(
+                lambda done, fut=fut: fut(done._value, done._error))
+
+    def _abandon_transfer(self) -> None:
+        self._transfer = None
+        self._propose_deferred()
 
     def fail_over(self, node_id: Optional[int] = None) -> int:
         """Elect a new leader after losing the old one.
@@ -408,6 +497,12 @@ class RaftGroup:
                                                  -p.node.node_id))
         self.term += 1
         self.leader_node_id = candidate.node.node_id
+        self._end_transfer()
+        for _command, _closed_ts, _span, fut in self._deferred:
+            fut.reject(RangeUnavailableError(
+                f"r{self.range_id}: proposal dropped in failover to node "
+                f"{candidate.node.node_id}"))
+        self._deferred = []
         # Proposals the new leader does not hold — by index, or by a
         # *different* entry at the same index (a divergent branch won) —
         # were never committed (commit requires a quorum, and the new
@@ -567,6 +662,10 @@ class RaftGroup:
             fut = Future(self.sim)
             fut.reject(RangeUnavailableError(f"r{self.range_id}: leader dead"))
             return fut
+        if self._transfer is not None:
+            fut = Future(self.sim)
+            self._deferred.append((command, closed_ts, span, fut))
+            return fut
         entry = Entry(index=self._next_index, term=self.term,
                       command=command, closed_ts=closed_ts)
         self._next_index += 1
@@ -688,6 +787,11 @@ class RaftGroup:
         if batch is None:
             return
         leader, peer = batch["leader"], batch["peer"]
+        commit = batch["commit"]
+        if batch["appends"] and (commit is None
+                                 or self.commit_index > commit[0]):
+            # The commit index rides on the appends, as uncoalesced.
+            batch["commit"] = (self.commit_index, self._last_committed)
         self.sim.obs.registry.counter("raft.coalesced_batches",
                                       range=self.range_id).inc()
         self.network.send(leader.node, peer.node, self._deliver_batch,
@@ -722,6 +826,9 @@ class RaftGroup:
         commit = batch["commit"]
         if commit is not None:
             self._learn_commit(peer, commit[0], commit[1])
+        transfer = self._transfer
+        if transfer is not None and transfer[0] == peer.node.node_id:
+            self._maybe_take_over(peer)
         closed = batch["closed"]
         if closed is not None:
             self._deliver_closed_ts(peer, *closed)
@@ -747,28 +854,39 @@ class RaftGroup:
             self._outbox_for(leader, peer)["appends"].append(
                 (entry, prev, self.term))
             return
-        # Send-time state (the message's term and claimed sender) rides
-        # as args; delivery-time state (current term/leader) is read in
-        # _deliver_append.  No closure on the hot path.
+        # Send-time state (the message's term, claimed sender and commit
+        # index) rides as args; delivery-time state (current term/leader)
+        # is read in _deliver_append.  No closure on the hot path.
         self.network.send(leader.node, peer.node, self._deliver_append,
-                          peer, entry, prev, self.term, leader.node.node_id)
+                          peer, entry, prev, self.term, leader.node.node_id,
+                          self.commit_index, self._last_committed)
 
     def _deliver_append(self, peer: PeerState, entry: Entry,
                         prev: Optional[Entry], msg_term: int,
-                        from_node_id: int) -> None:
+                        from_node_id: int, commit: int,
+                        commit_entry: Optional[Entry]) -> None:
         log = peer.log
         before = log[-1].index if log else 0
         peer.stage(entry, prev, authoritative=(
             msg_term == self.term
             and self.leader_node_id == from_node_id))
+        after = log[-1].index if log else 0
+        # The sender's commit index, under _learn_commit's rule: only a
+        # log that holds the committed entry itself may adopt it.
+        if (commit > peer.known_commit_index and after >= commit
+                and log[commit - 1] is commit_entry):
+            peer.known_commit_index = commit
         self._apply_ready(peer)
+        transfer = self._transfer
+        if transfer is not None and transfer[0] == peer.node.node_id:
+            self._maybe_take_over(peer)
         # Ack whatever actually landed in the log — never a
         # merely-staged entry, whose prefix the peer does not yet have
         # durably — but only what is still uncommitted: ``_inflight``
         # holds no index at or below the commit index, so an ack for
         # one (a learner an ocean away, a resync of committed history)
-        # could not change any state.
-        after = log[-1].index if log else 0
+        # could not change any state.  (This reads the group's commit
+        # index, not the message's: ROADMAP 6(c).)
         committed = self.commit_index
         if after > before:
             for index in range(max(before, committed) + 1, after + 1):
@@ -778,6 +896,12 @@ class RaftGroup:
             # Duplicate delivery (retransmission): the original ack
             # may have been lost — re-ack.
             self._send_ack(peer, entry.index, entry.term)
+
+    def _maybe_take_over(self, peer: PeerState) -> None:
+        """A pending transfer's target received entries: it leads once
+        it holds the leader's last entry."""
+        if self._holds_tail(peer):
+            self._lead(peer, self._transfer[1])
 
     def _send_ack(self, peer: PeerState, index: int,
                   term: Optional[int] = None) -> None:
@@ -867,11 +991,8 @@ class RaftGroup:
                     self._settle(inflight, RangeUnavailableError(
                         f"r{self.range_id}: proposal {index} superseded "
                         f"after failover"))
-            # Broadcast the new commit index (enables follower application).
-            for peer in self.peers.values():
-                if peer.node.node_id == leader.node.node_id:
-                    continue
-                self._send_commit_update(leader, peer, index)
+            # No message of its own: followers learn the new commit index
+            # from the next append (or side-transport tick) they receive.
             nxt = self._inflight.get(index + 1)
             if nxt is None:
                 break

@@ -624,10 +624,10 @@ class Network:
         """One-way, fire-and-forget message (e.g. Raft appends).
 
         The delay computation is ``_entry_delay`` inlined: this is the
-        single hottest network entry point (every Raft append, ack,
-        commit update and heartbeat), and the two wrapper frames cost
-        more than the work itself.  ``callback(*args)`` runs at the
-        destination after one-way latency — passing args here instead
+        single hottest network entry point (every Raft append and ack,
+        side-transport message and heartbeat), and the two wrapper
+        frames cost more than the work itself.  ``callback(*args)`` runs
+        at the destination after one-way latency — passing args here instead
         of closing over them saves a closure allocation per message on
         the Raft paths.  The delivery is one ordinary timer event whose
         cancellation handle is dropped: nothing cancels a message once

@@ -10,6 +10,17 @@ REGIONS5 = ["us-east1", "us-west1", "europe-west2", "asia-northeast1",
 REGIONS3 = ["us-east1", "europe-west2", "asia-northeast1"]
 
 
+def learn_commit(sim, *rngs, limit_ms=1000.0):
+    """Run until every replica of ``rngs`` knows its range's commit
+    index.  A follower learns an entry committed from the next append or
+    side-transport tick that reaches it, not at the commit itself."""
+    deadline = sim.now + limit_ms
+    while any(peer.known_commit_index < rng.group.commit_index
+              for rng in rngs for peer in rng.group.peers.values()):
+        assert sim.now < deadline, "a follower never learned the commit"
+        sim.run(until=sim.now + 5.0)
+
+
 def isolate_region(cluster, region, heal=False):
     """Cut (``heal=True``: restore) every link between ``region`` and
     the cluster's other regions, in both directions."""

@@ -331,8 +331,8 @@ class TestClockMonitor:
 
 class TestClockPiggyback:
     """Every one-way message carries its sender's clock reading: Raft
-    appends, acks and commit updates, the side transport and liveness
-    heartbeats alike."""
+    appends and acks, the side transport and liveness heartbeats
+    alike."""
 
     def _drive(self, bed):
         """One bare Raft proposal, one side-transport tick (at 1500 ms)
@@ -356,10 +356,10 @@ class TestClockPiggyback:
         sent = net.messages_sent
         observed = registry.value("clock.observations")
         self._drive(bed)
-        # 4 appends + 2 acks + 4 commit updates, 4 side-transport
-        # messages, 72 heartbeats.
-        assert net.messages_sent - sent == 86
-        assert registry.value("clock.observations") - observed == 86
+        # 4 appends + 2 acks, 4 side-transport messages (which also
+        # carry the commit index), 72 heartbeats.
+        assert net.messages_sent - sent == 82
+        assert registry.value("clock.observations") - observed == 82
 
     def test_no_monitor_no_readings(self):
         bed = KVTestBed(regions=REGIONS3, side_transport_interval_ms=1500.0)

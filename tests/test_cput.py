@@ -18,7 +18,7 @@ from repro.sim.clock import Timestamp
 from repro.sim.core import settle_all
 from repro.verify import HistoryRecorder, check
 
-from .kv_util import REGIONS3, KVTestBed
+from .kv_util import REGIONS3, KVTestBed, learn_commit
 from .sql_util import make_engine
 from .test_kv_batch import count_calls
 from .test_one_phase_commit import (FAR, HOME, commands_since, make_bed,
@@ -33,8 +33,10 @@ def insert(rng, value, key="new", commit=False):
 
 
 def assert_untouched(rng, key="new"):
-    """A refused conditional put left nothing on any replica."""
+    """A refused conditional put left nothing on any replica, once each
+    has learned the commit index."""
     assert rng.lock_table.is_quiescent()
+    learn_commit(rng.sim, rng)
     for replica in rng.replicas.values():
         assert replica.store.intent_for(key) is None
 

@@ -32,7 +32,7 @@ from repro.kv.distsender import _Batch
 from repro.placement import SurvivalGoal, provision_range, zone_config_for_home
 from repro.sim.core import settle_all
 
-from .kv_util import REGIONS3, KVTestBed
+from .kv_util import REGIONS3, KVTestBed, learn_commit
 from .test_raft import count_sends
 
 HOME = "us-east1"
@@ -179,7 +179,7 @@ class TestBatchedEqualsPerKey:
 
 
 class TestMessageBudget:
-    def test_k_key_write_is_one_rpc_one_proposal_ten_messages(self):
+    def test_k_key_write_is_one_rpc_one_proposal_six_messages(self):
         k = 5
         bed, span = make_bed()
         rng = span.anchor
@@ -193,8 +193,9 @@ class TestMessageBudget:
         bed.settle(100.0)  # the learners are a WAN hop away
         assert len(stamps) == k
         # One request carrying k keys (bytes_by_region_pair stays a
-        # per-key count), one Raft entry, and the PR 17 budget for it:
-        # 4 appends + 2 acks inside the quorum race + 4 commit updates.
+        # per-key count), one Raft entry, and its budget: 4 appends + 2
+        # acks inside the quorum race.  No commit update: the followers
+        # learn the commit index from the side-transport tick.
         assert calls == [k]
         assert rng.group.commit_index == proposals_before + 1
         entry = rng.group.leader.log[-1]
@@ -203,9 +204,9 @@ class TestMessageBudget:
             [PutIntentCommand] * k)
         raft = [kind for kind, *_rest in sent
                 if kind in ("_deliver_append", "_on_ack", "_learn_commit")]
-        assert sorted(raft) == (["_deliver_append"] * 4 + ["_learn_commit"] * 4
-                                + ["_on_ack"] * 2)
-        # All five replicas applied all k.
+        assert sorted(raft) == ["_deliver_append"] * 4 + ["_on_ack"] * 2
+        # All five replicas applied all k, once they learn it committed.
+        learn_commit(bed.sim, rng)
         for replica in rng.replicas.values():
             for key in range(k):
                 intent = replica.store.intent_for(key)
@@ -260,7 +261,7 @@ class TestSplitRace:
         # could never fit burned no retry budget.
         assert bed.ds.rpc_retries == 1
         assert len(self.attempts(bed)) == 3
-        bed.settle(100.0)
+        learn_commit(bed.sim, *(d.rng for d in span.descriptors))
         for key in range(N_KEYS):
             owner = span.descriptor_for_key(key).rng
             for replica in owner.replicas.values():
@@ -427,7 +428,7 @@ class TestResolveGroups:
         before = [d.rng.group.commit_index for d in span.descriptors]
         run(bed, bed.ds.resolve_intents(
             gateway, [(span, key) for key in keys], 9, commit_ts))
-        bed.settle(100.0)
+        learn_commit(bed.sim, *(d.rng for d in span.descriptors))
         assert calls == [3, 3]
         assert bed.ds.resolve_batches == 2
         for descriptor, index in zip(span.descriptors, before):
@@ -471,7 +472,7 @@ class TestResolveGroups:
         before = span.anchor.group.commit_index
         run(bed, bed.ds.resolve_intents(
             gateway, [(span, key) for key in keys], 9, None))
-        bed.settle(100.0)
+        learn_commit(bed.sim, span.anchor)
         rng = span.anchor
         assert rng.group.commit_index == before + 1
         assert rng.lock_table.is_quiescent()
@@ -506,7 +507,7 @@ class TestResolveGroups:
         bed.cluster.keyspace.split(span.descriptors[0], 5, trigger="test")
         run(bed, future)
         assert bed.ds.rpc_retries == 1  # one bounce, then one per owner
-        bed.settle(100.0)
+        learn_commit(bed.sim, *(d.rng for d in span.descriptors))
         for key in keys:
             owner = span.descriptor_for_key(key).rng
             assert owner.lock_table.holder_of(key) is None

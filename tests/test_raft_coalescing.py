@@ -104,6 +104,24 @@ class TestHeartbeatCarriesCommit:
         assert applied[follower.node.node_id] == []
 
 
+    def test_a_batch_of_appends_carries_the_commit_index(self):
+        """No commit update per entry: the next batch holding an append
+        tells the follower what had committed when it was flushed."""
+        cluster = one_region_cluster()
+        group, applied = build_group(cluster, cluster.nodes, coalesce_ms=2.0)
+        group.propose(("cmd", 0), TS_ZERO)
+        cluster.sim.run()
+        assert group.commit_index == 1
+        followers = [p for p in group.peers.values()
+                     if p.node.node_id != group.leader_node_id]
+        assert all(p.known_commit_index == 0 for p in followers)
+        group.propose(("cmd", 1), TS_ZERO)
+        cluster.sim.run()
+        for peer in followers:
+            assert peer.known_commit_index == 1
+            assert applied[peer.node.node_id] == [("cmd", 0)]
+
+
 class TestBatchStraddlingTruncation:
     def test_stale_batch_cannot_resurrect_truncated_suffix(self):
         """An old leader's append sits in a coalescing window while a
@@ -134,6 +152,9 @@ class TestBatchStraddlingTruncation:
         new_entry = f_new.value
         assert new_entry.index == 2 and new_entry.term == group.term
         assert group.commit_index == 2
+        # The followers learn commit index 2 from the next heartbeat.
+        group.broadcast_closed_ts(ts(500.0))
+        cluster.sim.run()
         for peer in group.peers.values():
             assert [e.command for e in peer.log] == [("a",), ("new",)]
             assert peer.log[1] is new_entry
