@@ -232,7 +232,8 @@ def _observed_run(args):
                   f"(try: {', '.join(SCENARIOS)})", file=sys.stderr)
             raise SystemExit(2)
         harness = VerifyHarness(seed,
-                                protocol=SCENARIOS[args.scenario].protocol)
+                                protocol=SCENARIOS[args.scenario].protocol,
+                                obs_enabled=True)
         harness.run(scenario=args.scenario)
         return (f"verify scenario {args.scenario!r}", seed, harness.sim.obs)
     engine = run_traced_workload(args.workload, seed=seed)

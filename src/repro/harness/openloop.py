@@ -78,7 +78,7 @@ class OpenLoopConfig:
     store_slots: int = 2
     store_service_ms: float = 2.0
     seed: int = 0
-    obs_enabled: bool = True
+    obs_enabled: bool = False
 
     @property
     def store_capacity_per_s(self) -> float:

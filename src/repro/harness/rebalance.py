@@ -63,7 +63,9 @@ class _RebalanceRun(Testbed):
     """One deterministic run."""
 
     def __init__(self, seed: int):
-        super().__init__(seed)
+        # The golden's metrics_hash covers the whole registry, the
+        # per-message distributions included.
+        super().__init__(seed, obs_enabled=True)
         # One voter pinned home, the rest placed by diversity, and no
         # lease preference — leaving follow-the-workload free to move
         # the lease.

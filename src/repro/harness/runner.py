@@ -21,7 +21,7 @@ def build_engine(regions: Sequence[str], nodes_per_region: int = 3,
                  side_transport_interval_ms: float = 100.0,
                  closed_ts_lag_ms: Optional[float] = None,
                  seed: int = 0,
-                 obs_enabled: bool = True,
+                 obs_enabled: bool = False,
                  trace_sample_every: int = 1,
                  raft_coalesce_ms: Optional[float] = None) -> Engine:
     """A cluster + engine with the evaluation's standard knobs.

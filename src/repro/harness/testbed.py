@@ -86,7 +86,7 @@ class Testbed:
 
     def __init__(self, seed: int, regions: Iterable[str] = REGIONS,
                  protocol=None, rng_seed: Optional[int] = None,
-                 obs_enabled: bool = True):
+                 obs_enabled: bool = False):
         self.seed = seed
         self.regions = list(regions)
         self.home = self.regions[0]

@@ -37,7 +37,7 @@ def run_traced_workload(workload: str = "movr", seed: int = 0,
                         regions: Optional[Sequence[str]] = None) -> Engine:
     """Run ``workload`` to completion; returns the engine (with trace)."""
     regions = list(regions or DEFAULT_REGIONS)
-    engine = build_engine(regions, seed=seed)
+    engine = build_engine(regions, seed=seed, obs_enabled=True)
     if workload == "movr":
         _run_movr(engine, regions)
     elif workload == "kv":
@@ -167,7 +167,7 @@ _CLIENT_POOLS = {"kv": _kv_clients, "movr": _movr_clients,
 
 
 def run_fixed_workload(workload: str, seed: int = 0,
-                       obs_enabled: bool = True, scale: float = 1.0
+                       obs_enabled: bool = False, scale: float = 1.0
                        ) -> Tuple[Engine, LatencyRecorder]:
     """One complete fixed-seed run; returns (engine, recorder)."""
     if workload not in FIXED_WORKLOADS:

@@ -266,9 +266,10 @@ class VerifyResult:
 class VerifyHarness(Testbed):
     """Cluster + three localized ranges + recorder + seeded clients."""
 
-    def __init__(self, seed: int, protocol=None):
+    def __init__(self, seed: int, protocol=None, obs_enabled: bool = False):
         super().__init__(seed, protocol=protocol,
-                         rng_seed=(seed << 5) ^ 0x5EED)
+                         rng_seed=(seed << 5) ^ 0x5EED,
+                         obs_enabled=obs_enabled)
         #: The cluster's backend (background load runs it too).
         self.protocol = self.coord.protocol
         self.recorder = HistoryRecorder(self.cluster.sim)

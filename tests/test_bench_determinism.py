@@ -28,6 +28,7 @@ from repro.harness.tracing import (DEFAULT_REGIONS, run_fixed_workload,
                                    run_tpcc_clients)
 from repro.obs.report import LatencyRecorder
 from repro.sql.session import Engine
+from repro.verify import VerifyHarness
 
 from .test_admission import GOLDEN_CONFIG as OPENLOOP_GOLDEN_CONFIG
 
@@ -107,7 +108,8 @@ def run_fingerprint(workload, seed, scale):
         assert (seed, scale) == (0, 0.15)
         engine, recorder = run_small_tpcc("epoch-occ", True)
     else:
-        engine, recorder = run_fixed_workload(workload, seed, scale=scale)
+        engine, recorder = run_fixed_workload(workload, seed,
+                                              obs_enabled=True, scale=scale)
     sim = engine.cluster.sim
     summary = recorder.summary()
     tracer = sim.obs.tracer
@@ -201,6 +203,25 @@ class TestObsEquivalence:
             harness.run()
             sims.append(harness.sim)
         assert_registry_parity(*sims)
+
+    @pytest.mark.parametrize("scenario", ["crash-restart", "asym-partition"])
+    def test_verify_scenario_identical_across_obs_modes(self, scenario):
+        """Under faults too: crashes and restarts (crash-restart), lease
+        failovers and DistSender retries (asym-partition) take the same
+        course whether or not anyone records them, so a verify run's
+        spans can be rebuilt later with ``repro trace --scenario S
+        --seed N``."""
+        runs = []
+        for obs_enabled in (True, False):
+            harness = VerifyHarness(1, obs_enabled=obs_enabled)
+            runs.append((harness, harness.run(scenario=scenario)))
+        (on, on_result), (off, off_result) = runs
+        assert on_result.to_json() == off_result.to_json()
+        assert on_result.history.dumps() == off_result.history.dumps()
+        assert on.sim.events_processed == off.sim.events_processed
+        assert on.sim.obs.tracer.roots
+        assert off.sim.obs.tracer.roots == []
+        assert_registry_parity(on.sim, off.sim)
 
 
 class TestGoldenSnapshots:

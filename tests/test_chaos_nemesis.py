@@ -127,7 +127,7 @@ class TestScenariosQuick:
 
 
 def _observed(name, seed):
-    harness = VerifyHarness(seed)
+    harness = VerifyHarness(seed, obs_enabled=True)
     return harness, harness.run(scenario=name)
 
 
@@ -147,6 +147,7 @@ class TestDeterminism:
         assert first.render() == second.render()
         obs_a, obs_b = first_harness.sim.obs, second_harness.sim.obs
         assert obs_a.registry.to_json() == obs_b.registry.to_json()
+        assert obs_a.tracer.roots, "two empty traces prove nothing"
         assert obs_a.tracer.to_json() == obs_b.tracer.to_json()
 
     def test_different_seeds_diverge(self):

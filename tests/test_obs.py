@@ -288,7 +288,7 @@ class TestSampling:
     REQUESTS = 11
 
     def _run(self, sample_every):
-        engine = build_engine(DEFAULT_REGIONS, seed=0,
+        engine = build_engine(DEFAULT_REGIONS, seed=0, obs_enabled=True,
                               trace_sample_every=sample_every)
         others = ", ".join(f'"{r}"' for r in DEFAULT_REGIONS[1:])
         home = engine.connect(DEFAULT_REGIONS[0])
@@ -394,7 +394,7 @@ class TestDeterminism:
 
 class TestChaosAttribution:
     def test_chaos_rpcs_attributable_and_metrics_snapshot_present(self):
-        harness = VerifyHarness(0)
+        harness = VerifyHarness(0, obs_enabled=True)
         harness.run(scenario="crash-restart")
         tracer = harness.sim.obs.tracer
         attempts = [s for s in tracer.spans() if s.name == "rpc.attempt"]

@@ -183,7 +183,8 @@ class TestPerOpCostCounters:
 
     @staticmethod
     def _counts():
-        engine, recorder = run_fixed_workload("kv", 0, scale=0.25)
+        engine, recorder = run_fixed_workload("kv", 0, obs_enabled=True,
+                                              scale=0.25)
         obs = engine.cluster.sim.obs
         assert obs.tracer.dropped_roots == 0
         registry = obs.registry

@@ -86,7 +86,9 @@ def params(fn):
     (_Batch.__init__, ["self", "ds", "requests", "handler"]),
     # The one harness that runs a nemesis: a row of the scenario table
     # says everything else (see test_verify_scenario_fields).
-    (VerifyHarness.__init__, ["self", "seed", "protocol"]),
+    # obs_enabled: `repro trace/metrics --scenario` read the spans and
+    # samples; the bench, `repro verify` and the farm do not.
+    (VerifyHarness.__init__, ["self", "seed", "protocol", "obs_enabled"]),
     # One admission queue in front of either granter: the gateway's
     # token bucket or a store's evaluation slots.  A store unit is
     # always NORMAL priority and costs store_service_ms.

@@ -159,7 +159,8 @@ class TestRepairScenarios:
         assert result.stats["time_to_repair_ms"] <= budget
 
     def test_repair_scenario_reports_are_deterministic(self):
-        first, second = VerifyHarness(2), VerifyHarness(2)
+        first, second = (VerifyHarness(2, obs_enabled=True),
+                         VerifyHarness(2, obs_enabled=True))
         report_a = first.run(scenario="kill-node-repair")
         report_b = second.run(scenario="kill-node-repair")
         assert report_a.to_json() == report_b.to_json()
@@ -169,6 +170,7 @@ class TestRepairScenarios:
         # trace trees (span IDs included).
         obs_a, obs_b = first.sim.obs, second.sim.obs
         assert obs_a.registry.to_json() == obs_b.registry.to_json()
+        assert obs_a.tracer.roots, "two empty traces prove nothing"
         assert obs_a.tracer.to_json() == obs_b.tracer.to_json()
         ids_a = [s.span_id for s in obs_a.tracer.spans()]
         ids_b = [s.span_id for s in obs_b.tracer.spans()]
