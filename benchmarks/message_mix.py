@@ -11,6 +11,12 @@ prints, per repetition, per operation:
 * the one-way messages (``Network.send``) by kind: Raft append, ack and
   commit update, the closed-timestamp side transport, and any other
   handler under its own name (liveness heartbeats, coalesced batches);
+* the side transport's *range entries* per op and per tick: the ranges
+  its messages name.  A per-range message (one update per range, as
+  before the per-policy streams) names every range it carries; a
+  per-policy stream names only the ranges whose table entry changed
+  since the stream's previous message — the rest ride their policy's
+  one closed timestamp;
 * the RPCs (``Network.call``), one per call whatever its reply, by the
   method they run;
 * the kernel events dispatched (``Simulator.events_processed``), the
@@ -44,33 +50,73 @@ KINDS = {
 }
 
 
+#: Handlers of the per-node-pair side transport, by qualified name prefix.
+SIDE_TRANSPORT = ("SideTransport.", "ClosedTsReceiver.")
+
+
 def kind_of(callback) -> str:
     name = getattr(callback, "__name__", type(callback).__name__)
     qualname = getattr(callback, "__qualname__", name)
-    if qualname.startswith("SideTransport."):
+    if qualname.startswith(SIDE_TRANSPORT):
         return "side transport"
     return KINDS.get(name, qualname)
+
+
+def range_entries(callback, args, last_tables: dict) -> int:
+    """How many ranges one side-transport message names.  A per-range
+    update (``_deliver_closed_ts``) names one; a per-node-pair message
+    whose payload is a list of updates names each; a per-policy stream
+    message ``(frame, table)`` names the table entries that changed
+    since the stream's previous message (``last_tables`` is keyed by the
+    stream's receiver)."""
+    if getattr(callback, "__name__", "") == "_deliver_closed_ts":
+        return 1
+    if len(args) == 1:
+        return len(args[0])
+    _frame, table = args
+    receiver = callback.__self__
+    last = last_tables.get(receiver, {})
+    last_tables[receiver] = table
+    return sum(1 for range_id, entry in table.items()
+               if last.get(range_id) is not entry)
 
 
 def census(root: Path, name: str, seed: int, reps: int):
     sys.path.insert(0, str(root))
     from bench import run as bench_run  # puts the checkout's src/ on the path
     from bench.workloads import WORKLOADS
+    from repro.kv.sidetransport import SideTransport
     from repro.sim.core import Simulator
     from repro.sim.network import Network
 
     sends: Counter = Counter()
     calls: Counter = Counter()
+    #: side-transport range entries and ticks
+    side: Counter = Counter()
+    last_tables: dict = {}
     sims: list = []
     counting = [False]
     send, call, init = Network.send, Network.call, Simulator.__init__
+    tick = SideTransport._tick
 
     # Patched before any cluster exists, so no component can hold a
     # bound method of the unpatched functions.
     def counted_send(self, src, dst, callback, *args, **kwargs):
+        kind = kind_of(callback)
+        if kind == "side transport":
+            # Tracked from the first message on, so the first one of the
+            # timed region is judged against the one before it.
+            entries = range_entries(callback, args, last_tables)
+            if counting[0]:
+                side["entries"] += entries
         if counting[0]:
-            sends[kind_of(callback)] += 1
+            sends[kind] += 1
         return send(self, src, dst, callback, *args, **kwargs)
+
+    def counted_tick(self):
+        if counting[0]:
+            side["ticks"] += 1
+        return tick(self)
 
     def counted_call(self, src, dst, handler, *args, **kwargs):
         if counting[0]:
@@ -86,6 +132,7 @@ def census(root: Path, name: str, seed: int, reps: int):
 
     Network.send, Network.call = counted_send, counted_call
     Simulator.__init__ = registered_init
+    SideTransport._tick = counted_tick
 
     workload = WORKLOADS[name](1.0)
     rows = []
@@ -94,6 +141,7 @@ def census(root: Path, name: str, seed: int, reps: int):
     def counted_run(state, inputs, mark, lap):
         sends.clear()
         calls.clear()
+        side.clear()
         events = {id(sim): sim.events_processed for sim in sims}
         counting[0] = True
         try:
@@ -105,6 +153,8 @@ def census(root: Path, name: str, seed: int, reps: int):
             "ops": result.ops,
             "sends": {k: v / ops for k, v in sends.items()},
             "calls": {k: v / ops for k, v in calls.items()},
+            "entries": side["entries"] / ops,
+            "entries_per_tick": side["entries"] / max(1, side["ticks"]),
             "events": sum(sim.events_processed - events.get(id(sim), 0)
                           for sim in sims) / ops,
         })
@@ -127,6 +177,9 @@ def render(row) -> list:
              ("one-way per op", f"{sum(sends.values()):.2f}")]
     for kind in ("append", "ack", "commit update", "side transport"):
         lines.append((f"  {kind}", f"{sends.get(kind, 0.0):.2f}"))
+    lines.append(("    range entries per op", f"{row['entries']:.2f}"))
+    lines.append(("    range entries per tick",
+                  f"{row['entries_per_tick']:.2f}"))
     for kind, value in sorted(sends.items(), key=lambda kv: (-kv[1], kv[0])):
         if kind not in KINDS.values():
             lines.append((f"  {kind}", f"{value:.2f}"))

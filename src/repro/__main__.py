@@ -252,11 +252,12 @@ def _trace_main(_exp, args) -> int:
     for root in roots:
         print(render_tree(root))
 
-    slowest = max(roots, key=lambda r: (r.duration_ms, -r.span_id))
-    print(f"critical path (slowest root, "
-          f"{slowest.duration_ms:.3f}ms total):")
-    for span in critical_path(slowest):
-        print(f"  {span.name} #{span.span_id} {span.duration_ms:.3f}ms")
+    if roots:
+        slowest = max(roots, key=lambda r: (r.duration_ms, -r.span_id))
+        print(f"critical path (slowest root, "
+              f"{slowest.duration_ms:.3f}ms total):")
+        for span in critical_path(slowest):
+            print(f"  {span.name} #{span.span_id} {span.duration_ms:.3f}ms")
 
     waits = [s for r in roots for s in spans_named(r, "txn.commit_wait")]
     txns = [s for r in roots for s in spans_named(r, "txn")]

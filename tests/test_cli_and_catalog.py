@@ -46,6 +46,23 @@ class TestCLI:
         for verb in ["list", "all"] + list(REGISTRY):
             assert re.search(rf"\b{verb}\b", cli.__doc__), verb
 
+    def test_trace_of_a_run_with_no_root_spans(self, monkeypatch, capsys):
+        import argparse
+
+        import repro.__main__ as cli
+        from repro.harness.tracing import run_fixed_workload
+        engine, _recorder = run_fixed_workload("kv", 0, False, 0.05)
+        obs = engine.cluster.sim.obs
+        assert obs.tracer.roots == []
+        monkeypatch.setattr(cli, "_observed_run",
+                            lambda args: ("workload 'kv'", 0, obs))
+        args = argparse.Namespace(json=False)
+        assert cli._trace_main(None, args) == 0
+        out = capsys.readouterr().out
+        assert "0 root spans" in out
+        assert "critical path" not in out
+        assert "(no commit waits)" in out
+
     def test_table1_runs(self, capsys):
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
