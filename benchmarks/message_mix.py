@@ -20,7 +20,13 @@ prints, per repetition, per operation:
 * the RPCs (``Network.call``), one per call whatever its reply, by the
   method they run;
 * the kernel events dispatched (``Simulator.events_processed``), the
-  figure ``bench/run.py --trace 1`` reports as ``sim.core.events_per_op``.
+  figure ``bench/run.py --trace 1`` reports as ``sim.core.events_per_op``,
+  and the same events by the callback each one ran: its qualified name
+  (``RaftGroup._deliver_append``), a process resume under its
+  generator's (``Range.serve_write``), a future fired by a timer under
+  its class (``Future``, ``RpcFuture``).  The census wraps every
+  scheduled callback in a counter, so a cancelled event, which is never
+  dispatched, is never counted, and the rows sum to the events per op.
 
 A send dropped by a fault still counts: it is what the sender paid for.
 The counters cost a dictionary update per message, so the host-time
@@ -30,12 +36,14 @@ unchanged.
     python3 benchmarks/message_mix.py --workload tpcc --compare ../parent
 
 also runs this script over another checkout's code (here ``../parent``)
-and prints its row under each of this checkout's.
+and prints its value beside each of this checkout's; a row only the
+other checkout has follows under ``only in other``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import subprocess
 import sys
 from collections import Counter
@@ -81,6 +89,33 @@ def range_entries(callback, args, last_tables: dict) -> int:
                if last.get(range_id) is not entry)
 
 
+def callback_name(fn) -> str:
+    """What an event's callback is counted under (see the docstring)."""
+    owner = getattr(fn, "__self__", None)
+    generator = getattr(owner, "_generator", None)
+    if generator is not None and getattr(fn, "__name__", "") == "_step":
+        return generator.__qualname__
+    fn = getattr(fn, "func", fn)  # a functools.partial: what it calls
+    return getattr(fn, "__qualname__", type(fn).__name__)
+
+
+class Counted:
+    """An event's callback, counted under its name when it fires."""
+
+    __slots__ = ("fn", "name", "tally")
+
+    def __init__(self, fn, tally):
+        self.fn = fn
+        self.name = callback_name(fn)
+        self.tally = tally
+
+    def __call__(self, *args):
+        tally = self.tally
+        if tally[0]:
+            tally[1][self.name] += 1
+        return self.fn(*args)
+
+
 def census(root: Path, name: str, seed: int, reps: int):
     sys.path.insert(0, str(root))
     from bench import run as bench_run  # puts the checkout's src/ on the path
@@ -96,7 +131,11 @@ def census(root: Path, name: str, seed: int, reps: int):
     last_tables: dict = {}
     sims: list = []
     counting = [False]
+    #: [counting, events by callback]: read by every Counted.
+    tally = [False, Counter()]
     send, call, init = Network.send, Network.call, Simulator.__init__
+    call_at, call_after = Simulator.call_at, Simulator.call_after
+    call_soon = Simulator._call_soon
     tick = SideTransport._tick
 
     # Patched before any cluster exists, so no component can hold a
@@ -113,6 +152,7 @@ def census(root: Path, name: str, seed: int, reps: int):
             sends[kind] += 1
         return send(self, src, dst, callback, *args, **kwargs)
 
+    @functools.wraps(tick)
     def counted_tick(self):
         if counting[0]:
             side["ticks"] += 1
@@ -130,8 +170,20 @@ def census(root: Path, name: str, seed: int, reps: int):
         init(self, *args, **kwargs)
         sims.append(self)
 
+    def counted_call_at(self, when, fn, *args):
+        return call_at(self, when, Counted(fn, tally), *args)
+
+    def counted_call_after(self, delay, fn, *args):
+        return call_after(self, delay, Counted(fn, tally), *args)
+
+    def counted_call_soon(self, fn, *args):
+        return call_soon(self, Counted(fn, tally), *args)
+
     Network.send, Network.call = counted_send, counted_call
     Simulator.__init__ = registered_init
+    Simulator.call_at, Simulator.call_after = (counted_call_at,
+                                               counted_call_after)
+    Simulator._call_soon = counted_call_soon
     SideTransport._tick = counted_tick
 
     workload = WORKLOADS[name](1.0)
@@ -142,12 +194,13 @@ def census(root: Path, name: str, seed: int, reps: int):
         sends.clear()
         calls.clear()
         side.clear()
+        tally[1].clear()
         events = {id(sim): sim.events_processed for sim in sims}
-        counting[0] = True
+        counting[0] = tally[0] = True
         try:
             result = run(state, inputs, mark, lap)
         finally:
-            counting[0] = False
+            counting[0] = tally[0] = False
         ops = max(1, result.ops)
         rows.append({
             "ops": result.ops,
@@ -157,6 +210,7 @@ def census(root: Path, name: str, seed: int, reps: int):
             "entries_per_tick": side["entries"] / max(1, side["ticks"]),
             "events": sum(sim.events_processed - events.get(id(sim), 0)
                           for sim in sims) / ops,
+            "by_callback": {k: v / ops for k, v in tally[1].items()},
         })
         sims.clear()
         return result
@@ -186,6 +240,12 @@ def render(row) -> list:
     lines.append(("RPCs per op", f"{sum(calls.values()):.2f}"))
     for method, value in sorted(calls.items(), key=lambda kv: (-kv[1], kv[0])):
         lines.append((f"  {method}", f"{value:.2f}"))
+    by_callback = row["by_callback"]
+    lines.append(("events per op by callback",
+                  f"{sum(by_callback.values()):.2f}"))
+    for callback, value in sorted(by_callback.items(),
+                                  key=lambda kv: (-kv[1], kv[0])):
+        lines.append((f"  {callback}", f"{value:.2f}"))
     return lines
 
 
@@ -225,11 +285,20 @@ def main() -> None:
     print(f"{args.workload} seed={args.seed}: messages of the timed region")
     for rep, row in enumerate(rows):
         print(f"  rep {rep}:")
+        shown = set()
         for label, value in render(row):
             line = f"    {label:<44} {value:>8}"
             if other is not None:
-                line += f"   other {other.get((f'rep {rep}', '    ' + label), '-'):>8}"
+                key = (f"rep {rep}", "    " + label)
+                shown.add(key)
+                line += f"   other {other.get(key, '-'):>8}"
             print(line)
+        only = [(key[1], value) for key, value in (other or {}).items()
+                if key[0] == f"rep {rep}" and key not in shown]
+        if only:
+            print("    only in other:")
+            for label, value in only:
+                print(f"    {label[4:]:<44} {'-':>8}   other {value:>8}")
 
 
 if __name__ == "__main__":

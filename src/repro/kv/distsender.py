@@ -144,6 +144,206 @@ class _Batch:
             self.result.resolve(outcomes)
 
 
+class _LeaseholderCall(Future):
+    """One :meth:`DistSender._leaseholder_call`, and the future of its
+    outcome: the attempt loop as callbacks, so an RPC costs no process.
+    :meth:`_send` runs attempts until one is in flight (its outcome comes
+    to :meth:`_on_outcome`) or backs off (a timer calls :meth:`_next`);
+    what it raises ends the call.  A first attempt's failure rejects one
+    ready event later, as a spawned process's first step does, so the
+    caller can attach a waiter.  Bound-method callbacks, as in
+    :class:`_Batch`: a finished call dies by refcount."""
+
+    __slots__ = ("ds", "gateway", "token", "handler", "op", "deadline_ms",
+                 "keys", "rng", "op_span", "attempt", "attempt_span",
+                 "breaker", "backoff", "last_error", "in_doubt")
+
+    def __init__(self, ds: "DistSender", gateway, token, handler, span,
+                 op: str, deadline_ms: Optional[float],
+                 keys: Sequence[Any], record_load: bool):
+        sim = ds.cluster.sim
+        Future.__init__(self, sim)
+        self.ds = ds
+        self.gateway = gateway
+        self.token = token
+        self.handler = handler
+        self.op = op
+        self.deadline_ms = deadline_ms
+        self.keys = keys
+        rng = self.rng = ds.resolve(token, keys[0] if keys else None)
+        if record_load:
+            load = rng.descriptor.load
+            region = gateway.locality.region
+            for each in keys:
+                load.record(sim.now, key=each, region=region)
+        # ``span`` is 0 for an untraced request (skip the calls) and
+        # None for a caller with no trace context (a client entry).
+        self.op_span = (ds._tracer.start(
+            op, span, ("range", rng.name, "keys", len(keys))
+            if len(keys) > 1 else ("range", rng.name))
+            if span != 0 else 0)
+        self.attempt = 0
+        # Constructed lazily: the zero-retry fast path never draws a
+        # backoff delay, so skip the allocation.
+        self.backoff = None
+        self.last_error: Optional[BaseException] = None
+        # The failure of an attempt that may have reached the range (and
+        # may yet take effect): what the call fails with, whatever the
+        # later attempts ran into.
+        self.in_doubt: Optional[BaseException] = None
+        try:
+            self._send()
+        except (DatabaseError, NetworkUnavailableError) as err:
+            self._finish_op()
+            sim._call_soon(sim._reject, self, err)
+
+    def _send(self) -> None:
+        ds = self.ds
+        sim = ds.cluster.sim
+        tracer = ds._tracer
+        gateway = self.gateway
+        deadline_ms = self.deadline_ms
+        while self.attempt < ds.RPC_MAX_ATTEMPTS:
+            if self.attempt:
+                # Attempt 0 reuses the constructor's resolve.
+                keys = self.keys
+                self.rng = ds.resolve(self.token, keys[0] if keys else None)
+            rng = self.rng
+            if deadline_ms is not None and sim.now >= deadline_ms:
+                # Nobody is waiting for this answer anymore: drop the RPC
+                # instead of spending an attempt (and server capacity)
+                # past the deadline.
+                ds._c_deadline_drops.inc()
+                tracer.tag(self.op_span, "error", "deadline_exceeded")
+                raise DeadlineExceededError(self.op, deadline_ms, sim.now)
+            if ds.network.node_is_dead(gateway.node_id):
+                # The client's own gateway store is down: fail fast
+                # instead of blaming (and failing over) a healthy
+                # leaseholder for our local outage.
+                tracer.tag(self.op_span, "error", "gateway_down")
+                raise self.in_doubt or RequestNotSentError(
+                    f"gateway node {gateway.node_id} is down")
+            dst = rng.leaseholder_node
+            breaker = self.breaker = ds.breakers.for_node(dst.node_id)
+            attempt_span = self.attempt_span = self.op_span and tracer.start(
+                "rpc.attempt", self.op_span,
+                ("attempt", self.attempt + 1, "dst", dst.node_id))
+            if not breaker.allow(sim.now):
+                # Known-bad leaseholder: try to move the lease right away
+                # rather than burning a timeout on it.
+                tracer.tag(attempt_span, "breaker", "open")
+                if rng.maybe_failover(from_node=gateway, force=True):
+                    ds._c_failovers.inc()
+                    tracer.finish(attempt_span, "failover", True)
+                    self.attempt += 1
+                    continue
+                self.last_error = RequestNotSentError(
+                    f"node {dst.node_id}: circuit breaker open")
+                self._back_off()
+                return
+            timeout_ms = ds.RPC_TIMEOUT_MS
+            if deadline_ms is not None:
+                timeout_ms = min(timeout_ms, deadline_ms - sim.now)
+            ds.network.call(
+                gateway, dst, self.handler, rng, attempt_span,
+                payload_size=len(self.keys) or 1, span=attempt_span,
+                timeout_ms=timeout_ms,
+                timeout_error=ds._timeout_error_factory(dst.node_id),
+            ).add_callback(self._on_outcome)
+            return
+        raise self.in_doubt or self.last_error
+
+    def _next(self) -> None:
+        self.attempt += 1
+        try:
+            self._send()
+        except (DatabaseError, NetworkUnavailableError) as err:
+            self._fail(err)
+
+    def _back_off(self) -> None:
+        """Close the attempt's span and retry after a seeded delay — or
+        drop the call: a retry whose backoff outlasts the deadline used
+        to sleep it in full and fire anyway, long after the client had
+        given up."""
+        ds = self.ds
+        sim = ds.cluster.sim
+        if self.backoff is None:
+            self.backoff = ExponentialBackoff(rng=ds._retry_rng,
+                                              base_ms=10.0, max_ms=400.0)
+        delay = self.backoff.next_delay()
+        deadline_ms = self.deadline_ms
+        if deadline_ms is not None and sim.now + delay >= deadline_ms:
+            ds._c_deadline_drops.inc()
+            ds._tracer.finish(self.attempt_span, "error", "deadline_exceeded")
+            raise DeadlineExceededError(self.op, deadline_ms, sim.now)
+        ds._tracer.finish(self.attempt_span, "backoff_ms", delay)
+        sim.call_after(delay, self._next)
+
+    def _on_outcome(self, fut: Future) -> None:
+        error = fut._error
+        breaker = self.breaker
+        tracer = self.ds._tracer
+        attempt_span = self.attempt_span
+        if error is None:
+            breaker.record_success()
+            if attempt_span:
+                tracer.finish(attempt_span)
+            self._finish_op()
+            self._complete(fut._value, None)
+            return
+        ds = self.ds
+        if isinstance(error, (NetworkUnavailableError, ClockFencedError)):
+            # ClockFencedError: the leaseholder refused to serve because
+            # it clock-fenced itself — treat exactly like node death:
+            # fail the lease over to a healthy voter and retry there.
+            breaker.record_failure(ds.cluster.sim.now)
+            self.last_error = error
+            if not isinstance(error, (RequestNotSentError,
+                                      ClockFencedError)):
+                self.in_doubt = error
+            ds._c_retries.inc()
+            tracer.tag(attempt_span, "error", type(error).__name__)
+            if self.rng.maybe_failover(
+                    from_node=self.gateway,
+                    force=(breaker.is_open
+                           or isinstance(error, ClockFencedError))):
+                ds._c_failovers.inc()
+                tracer.tag(attempt_span, "failover", True)
+            try:
+                self._back_off()
+            except DeadlineExceededError as err:
+                self._fail(err)
+            return
+        if isinstance(error, RangeKeyMismatchError):
+            # The contacted range no longer owns the key — a split/merge
+            # won the race.  Not a failure of the node (it answered), so
+            # the breaker records success; invalidate the descriptor
+            # cache and re-resolve immediately, no backoff.
+            breaker.record_success()
+            self.last_error = error
+            ds._c_retries.inc()
+            tracer.finish(attempt_span, "error", "range_key_mismatch")
+            ds._invalidate_token(self.token)
+            if len(self.keys) > 1:
+                self._fail(error)
+            else:
+                self._next()
+            return
+        if isinstance(error, DatabaseError):
+            # The node answered; the failure is application-level.
+            breaker.record_success()
+            tracer.finish(attempt_span, "error", type(error).__name__)
+        self._fail(error)
+
+    def _finish_op(self) -> None:
+        if self.op_span:
+            self.ds._tracer.finish(self.op_span)
+
+    def _fail(self, error: BaseException) -> None:
+        self._finish_op()
+        self.ds.cluster.sim._reject(self, error)
+
+
 class DistSender:
     """Per-cluster request router (stateless; one instance is shared)."""
 
@@ -192,9 +392,6 @@ class DistSender:
         #: subscription (meta-range gossip) or by a RangeKeyMismatch
         #: bounce from the old owner.
         self._span_cache: dict = {}
-        #: gateway node_id -> interned retry-process name (avoids an
-        #: f-string per RPC on the hot path).
-        self._retry_names: dict = {}
         #: dst node_id -> lazy RpcTimeoutError factory for an RPC deadline
         #: (timeouts almost never fire; don't build the exception per RPC).
         self._timeout_factories: dict = {}
@@ -348,25 +545,6 @@ class DistSender:
 
     # -- hardened leaseholder RPC ----------------------------------------------
 
-    def _new_backoff(self) -> ExponentialBackoff:
-        return ExponentialBackoff(rng=self._retry_rng,
-                                  base_ms=10.0, max_ms=400.0)
-
-    def _backoff_delay(self, backoff: ExponentialBackoff, attempt_span,
-                       op: str, deadline_ms: Optional[float]) -> float:
-        """Close ``attempt_span`` and return the seeded delay before the
-        next attempt — or drop the call: a retry whose backoff outlasts
-        the deadline used to sleep it in full and fire anyway, long
-        after the client had given up."""
-        sim = self.cluster.sim
-        delay = backoff.next_delay()
-        if deadline_ms is not None and sim.now + delay >= deadline_ms:
-            self._c_deadline_drops.inc()
-            self._tracer.finish(attempt_span, "error", "deadline_exceeded")
-            raise DeadlineExceededError(op, deadline_ms, sim.now)
-        self._tracer.finish(attempt_span, "backoff_ms", delay)
-        return delay
-
     def _leaseholder_call(self, gateway, token, handler,
                           span=None, op: str = "kv.rpc",
                           deadline_ms: Optional[float] = None,
@@ -394,149 +572,10 @@ class DistSender:
         serve-side coroutine.  The call is traced as a span named ``op``
         (``kv.read``, ...; child of ``span``) with one ``rpc.attempt``
         child per try, tagged with breaker, backoff and failover decisions.
+        The first attempt is sent before this returns.
         """
-        names = self._retry_names
-        name = names.get(gateway.node_id)
-        if name is None:
-            name = names[gateway.node_id] = f"rpc-retry@{gateway.node_id}"
-        return self.cluster.sim.spawn(
-            self._attempts(gateway, token, handler, span, op, deadline_ms,
-                           keys, record_load), name=name)
-
-    def _attempts(self, gateway, token, handler, span, op: str,
-                  deadline_ms: Optional[float], keys: Sequence[Any],
-                  record_load: bool) -> Generator:
-        """:meth:`_leaseholder_call`'s attempt loop: a method, so a call
-        builds no function or closure cells."""
-        sim = self.cluster.sim
-        tracer = self._tracer
-        key = keys[0] if keys else None
-        many = len(keys) > 1
-        rng = self.resolve(token, key)
-        if record_load:
-            load = rng.descriptor.load
-            region = gateway.locality.region
-            for each in keys:
-                load.record(sim.now, key=each, region=region)
-        # ``span`` is 0 for an untraced request (skip the calls) and
-        # None for a caller with no trace context (a client entry).
-        op_span = (tracer.start(
-            op, span, ("range", rng.name, "keys", len(keys)) if many
-            else ("range", rng.name))
-            if span != 0 else 0)
-        try:
-            # Constructed lazily: the zero-retry fast path never
-            # draws a backoff delay, so skip the allocation.
-            backoff = None
-            last_error: Optional[BaseException] = None
-            # The failure of an attempt that may have reached the
-            # range (and may yet take effect): what the call fails
-            # with, whatever the later attempts ran into.
-            in_doubt: Optional[BaseException] = None
-            for attempt in range(self.RPC_MAX_ATTEMPTS):
-                if attempt:
-                    # Attempt 0 reuses the resolve above — nothing
-                    # can have moved before the first yield.
-                    rng = self.resolve(token, key)
-                if deadline_ms is not None and sim.now >= deadline_ms:
-                    # Nobody is waiting for this answer anymore:
-                    # drop the RPC instead of spending an attempt
-                    # (and server capacity) past the deadline.
-                    self._c_deadline_drops.inc()
-                    tracer.tag(op_span, "error", "deadline_exceeded")
-                    raise DeadlineExceededError(op, deadline_ms,
-                                                sim.now)
-                if self.network.node_is_dead(gateway.node_id):
-                    # The client's own gateway store is down: fail fast
-                    # instead of blaming (and failing over) a healthy
-                    # leaseholder for our local outage.
-                    tracer.tag(op_span, "error", "gateway_down")
-                    raise in_doubt or RequestNotSentError(
-                        f"gateway node {gateway.node_id} is down")
-                dst = rng.leaseholder_node
-                breaker = self.breakers.for_node(dst.node_id)
-                attempt_span = op_span and tracer.start(
-                    "rpc.attempt", op_span,
-                    ("attempt", attempt + 1, "dst", dst.node_id))
-                if not breaker.allow(sim.now):
-                    # Known-bad leaseholder: try to move the lease right
-                    # away rather than burning a timeout on it.
-                    tracer.tag(attempt_span, "breaker", "open")
-                    if rng.maybe_failover(from_node=gateway,
-                                          force=True):
-                        self._c_failovers.inc()
-                        tracer.finish(attempt_span, "failover", True)
-                        continue
-                    last_error = RequestNotSentError(
-                        f"node {dst.node_id}: circuit breaker open")
-                    backoff = backoff or self._new_backoff()
-                    yield sim.sleep(self._backoff_delay(
-                        backoff, attempt_span, op, deadline_ms))
-                    continue
-                timeout_ms = self.RPC_TIMEOUT_MS
-                if deadline_ms is not None:
-                    timeout_ms = min(timeout_ms, deadline_ms - sim.now)
-                try:
-                    value = yield self.network.call(
-                        gateway, dst, handler, rng, attempt_span,
-                        payload_size=len(keys) or 1, span=attempt_span,
-                        timeout_ms=timeout_ms,
-                        timeout_error=self._timeout_error_factory(
-                            dst.node_id))
-                except (NetworkUnavailableError, ClockFencedError) as err:
-                    # ClockFencedError: the leaseholder refused to
-                    # serve because it clock-fenced itself — treat
-                    # exactly like node death: fail the lease over
-                    # to a healthy voter and retry there.
-                    breaker.record_failure(sim.now)
-                    last_error = err
-                    if not isinstance(err, (RequestNotSentError,
-                                            ClockFencedError)):
-                        in_doubt = err
-                    self._c_retries.inc()
-                    tracer.tag(attempt_span, "error",
-                               type(err).__name__)
-                    if rng.maybe_failover(
-                            from_node=gateway,
-                            force=(breaker.is_open
-                                   or isinstance(err, ClockFencedError))):
-                        self._c_failovers.inc()
-                        tracer.tag(attempt_span, "failover", True)
-                    backoff = backoff or self._new_backoff()
-                    yield sim.sleep(self._backoff_delay(
-                        backoff, attempt_span, op, deadline_ms))
-                    continue
-                except RangeKeyMismatchError as err:
-                    # The contacted range no longer owns the key — a
-                    # split/merge won the race.  Not a failure of the
-                    # node (it answered), so the breaker records
-                    # success; invalidate the descriptor cache and
-                    # re-resolve immediately, no backoff.
-                    breaker.record_success()
-                    last_error = err
-                    self._c_retries.inc()
-                    tracer.finish(attempt_span, "error",
-                                  "range_key_mismatch")
-                    self._invalidate_token(token)
-                    if many:
-                        raise
-                    continue
-                except DatabaseError as err:
-                    # The node answered; the failure is application-level.
-                    # Anything else is a bug, not an answer: it propagates
-                    # with the breaker and the span left as they were.
-                    breaker.record_success()
-                    tracer.finish(attempt_span, "error",
-                                  type(err).__name__)
-                    raise
-                breaker.record_success()
-                if attempt_span:
-                    tracer.finish(attempt_span)
-                return value
-            raise in_doubt or last_error
-        finally:
-            if op_span:
-                tracer.finish(op_span)
+        return _LeaseholderCall(self, gateway, token, handler, span, op,
+                                deadline_ms, keys, record_load)
 
     # -- reads -------------------------------------------------------------------
 

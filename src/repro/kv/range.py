@@ -25,9 +25,11 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from ..errors import (
     ConditionFailedError,
+    DatabaseError,
     RangeKeyMismatchError,
     RangeUnavailableError,
     ReadWithinUncertaintyIntervalError,
+    TransactionAbortedError,
     TransactionRetryError,
     WriteIntentError,
     WriteTooOldError,
@@ -36,6 +38,7 @@ from ..obs import DETACHED
 from ..raft.group import RaftGroup, ReplicaType
 from ..raft.membership import ConfigChangeError
 from ..sim.clock import TS_ZERO, Timestamp
+from ..sim.network import NetworkUnavailableError
 from ..storage.locktable import LockTable
 from ..storage.mvcc import ReadResult
 from ..storage.tscache import TimestampCache
@@ -198,9 +201,11 @@ class Range:
                 # entry when it joins the electorate.
                 self.group.promote_learner(node_id)
             return replica
-        except BaseException:
-            # Roll back the half-added learner directly (the guard is
-            # still held, so the guarded remove path cannot be used).
+        except (DatabaseError, NetworkUnavailableError):
+            # A refused change, a lost snapshot RPC or a learner that
+            # never caught up: roll back the half-added learner directly
+            # (the guard is still held, so the guarded remove path cannot
+            # be used).  A bug propagates as it is.
             self.replicas.pop(node_id, None)
             self.group.peers.pop(node_id, None)
             node.remove_replica(self.range_id)
@@ -644,6 +649,17 @@ class Range:
                 return ts
             yield from self._wait_or_push(key, txn_id, blocker, span=span)
 
+    def _refuse_aborted(self, txn_id: int) -> None:
+        """CRDB's abort span: no intent for a transaction already rolled
+        back.  A request that outlived its client (an RPC attempt that
+        timed out while it waited on a lock) would otherwise lay one
+        after the rollback's resolution was proposed; that resolution
+        releases the key, another writer evaluates, and two intents meet
+        at apply (crash-restart seed 236)."""
+        if self.cluster.txn_status(txn_id) == (True, None):
+            raise TransactionAbortedError(
+                f"txn {txn_id} is aborted: {self.name} lays no intent")
+
     def _latch_write(self, key: Any, ts: Timestamp, txn_id: int) -> Timestamp:
         """Lift an evaluated write above the timestamp cache and the
         closed-timestamp target, and latch the key for the duration of
@@ -712,6 +728,7 @@ class Range:
                 continue
             yield from self._wait_or_push(key, txn_id, blocker, span=span)
             index = 0
+        self._refuse_aborted(txn_id)
         commands = []
         for index, (key, value) in enumerate(items):
             stamps[index] = self._latch_write(key, stamps[index], txn_id)
@@ -758,6 +775,7 @@ class Range:
         if self.pipelined:
             yield from self._await_pipelined(txn_id, key)
         ts = yield from self._await_write(key, ts, txn_id, span=span)
+        self._refuse_aborted(txn_id)
         ts = self._latch_write(key, ts, txn_id)
         # Latest committed value (what the lock protects).
         newest = self.leaseholder_replica.store.get(key, ts, txn_id=txn_id)

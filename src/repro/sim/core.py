@@ -159,16 +159,10 @@ class Process(Future):
         except Exception as exc:  # noqa: BLE001 - deliberate catch-all boundary
             self._generator = self._gen_send = None
             self._resume = self._step_cb = None
-            had_waiters = bool(self._callbacks)
-            self.reject(exc)
-            if not had_waiters:
-                self.sim._crash(exc)
+            self.sim._reject(self, exc)
             return
         if not isinstance(target, Future):
-            self._generator = self._gen_send = None
-            self._resume = self._step_cb = None
-            self.reject(SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must yield Futures"))
+            self._yielded_non_future(target)
             return
         if target._done:
             self._on_target_done(target)
@@ -178,6 +172,12 @@ class Process(Future):
                 target._callbacks = [self._resume]
             else:
                 callbacks.append(self._resume)
+
+    def _yielded_non_future(self, target: Any) -> None:
+        self._generator = self._gen_send = None
+        self._resume = self._step_cb = None
+        self.reject(SimulationError(
+            f"process {self.name!r} yielded {target!r}; processes must yield Futures"))
 
     def _on_target_done(self, fut: Future) -> None:
         if fut._error is not None:
@@ -212,6 +212,11 @@ class Simulator:
       delays) skip the O(log n) heap: ``tpcc_epoch``, ``openloop``, ``kv``.
     * HOT: ``_call_soon`` — the process-resume path, once per yield, no
       delay arithmetic, past-check or handle: ``openloop``, ``tpcc``.
+    * HOT: :meth:`spawn` runs the first step itself, so a process costs
+      an event only where it waits and one that returns at once costs
+      none: every RPC's ``Range.serve_*`` handler (a read or pipelined
+      write answers without waiting), ``tpcc``, ``kv``, ``movr``
+      (EXPERIMENTS.md "Round 27").
     * HOT: ``cancel`` leaves a tombstone (``fn = None``), skipped and
       not counted on dispatch; :meth:`_compact` sweeps them once they
       outnumber live entries.  Every RPC deadline (``Network.call``'s
@@ -336,10 +341,32 @@ class Simulator:
         self.call_after(delay, fut, None, error)
         return fut
 
-    def spawn(self, generator: Generator, name: str = "") -> Process:
-        """Start a new process running ``generator``."""
+    def spawn(self, generator: Generator, name: str = "") -> Future:
+        """Start ``generator``, running its first step now (as asyncio's
+        eager task factory does).  One that returns at once costs no event
+        and is an already-resolved :class:`Future`; one that yields is a
+        :class:`Process` waiting on its target, resumed through
+        :meth:`_call_soon` so no generator is re-entered.  A first step
+        that raises rejects one ready event later, so the spawner can
+        attach a waiter; unwaited, it surfaces from :meth:`run`."""
+        try:
+            target = generator.send(None)
+        except StopIteration as stop:
+            done = Future(self)
+            done._done = True
+            done._value = stop.value
+            return done
+        except Exception as exc:  # noqa: BLE001 - the process boundary
+            failed = Future(self)
+            self._call_soon(self._reject, failed, exc)
+            return failed
         process = Process(self, generator, name)
-        self._call_soon(process._step_cb, None, None)
+        if not isinstance(target, Future):
+            process._yielded_non_future(target)
+        elif target._done:
+            process._on_target_done(target)
+        else:
+            target.add_callback(process._resume)
         return process
 
     # -- execution -------------------------------------------------------
@@ -438,6 +465,13 @@ class Simulator:
             raise SimulationError(
                 f"future not resolved by simulated time {limit}")
         raise SimulationError("event heap drained before future resolved")
+
+    def _reject(self, future: Future, error: BaseException) -> None:
+        """Reject ``future``; with nobody waiting on it, crash the run."""
+        had_waiters = bool(future._callbacks)
+        future.reject(error)
+        if not had_waiters:
+            self._crash(error)
 
     def _crash(self, error: BaseException) -> None:
         # Recorded rather than raised so the failure surfaces from run()

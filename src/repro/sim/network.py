@@ -404,7 +404,7 @@ class Network:
             lambda reason: registry.counter("net.drops", reason=reason))
         self.bytes_by_region_pair: Dict[Tuple[str, str], int] = {}
         #: Per-(src_node, dst_node) hop cache: (rtt/2 or None for
-        #: loopback, per-link histogram, region pair, rpc process name).
+        #: loopback, per-link histogram, region pair).
         #: Localities and the RTT matrix are fixed for a cluster's
         #: lifetime, so entries never invalidate; only fault state is
         #: re-checked per message (via ``faults.active``).
@@ -435,7 +435,7 @@ class Network:
         message: half-RTT, the hop histogram (resolved once instead of a
         label f-string + registry lookup per message; ``None`` with
         observability off — one of the two distributions the mode
-        gates), region pair, and the destination's RPC process name."""
+        gates) and region pair."""
         src_loc, dst_loc = src.locality, dst.locality
         if self.sim.obs.enabled:
             hist = self.sim.obs.registry.histogram(
@@ -447,8 +447,7 @@ class Network:
         half = (None if src.node_id == dst.node_id else
                 self.latency.rtt(src_loc.region, src_loc.zone,
                                  dst_loc.region, dst_loc.zone) / 2.0)
-        entry = (half, hist, (src_loc.region, dst_loc.region),
-                 f"rpc@{dst.node_id}")
+        entry = (half, hist, (src_loc.region, dst_loc.region))
         self._hop_cache[(src.node_id, dst.node_id)] = entry
         return entry
 
@@ -569,22 +568,20 @@ class Network:
             if span:
                 self._tag(span, "req_ms", request_delay)
             self._schedule(request_delay, self._deliver_request,
-                           fut, handler, args, entry[3])
+                           fut, handler, args)
         if timeout_ms is not None:
             fut._deadline = self._schedule(timeout_ms, fut._expire,
                                            timeout_error)
         return fut
 
-    def _deliver_request(self, fut: "RpcFuture", handler, args,
-                         rpc_name: str) -> None:
+    def _deliver_request(self, fut: "RpcFuture", handler, args) -> None:
         faults = self.faults
         if faults.active and faults.blocked(fut._src, fut._dst):
             self._drop("died_in_flight")
             fut(None, NetworkUnavailableError(
                 f"node {fut._dst.node_id} died in flight"))
             return
-        self.sim.spawn(handler(*args), name=rpc_name).add_callback(
-            fut._reply)
+        self.sim.spawn(handler(*args)).add_callback(fut._reply)
 
     def _send_reply(self, process: Process, fut: "RpcFuture") -> None:
         # The handler ran on the destination; re-check the *reply*

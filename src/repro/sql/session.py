@@ -26,10 +26,12 @@ import random
 import re
 from typing import Any, Callable, Generator, List, Optional
 
-from ..errors import SchemaError, SqlSyntaxError, StaleReadBoundError
+from ..errors import (DatabaseError, SchemaError, SqlSyntaxError,
+                      StaleReadBoundError)
 from ..kv.distsender import ReadRouting
 from ..sim.clock import Timestamp
 from ..sim.core import all_of
+from ..sim.network import NetworkUnavailableError
 from ..txn.coordinator import TransactionCoordinator
 from . import ast
 from .catalog import Catalog, Database
@@ -336,10 +338,11 @@ class Session:
             handle = TxnHandle(self, self._open_txn)
             try:
                 result = yield from handle.execute_stmt(stmt)
-            except Exception:
+            except (DatabaseError, NetworkUnavailableError):
                 # The statement's error is what the client must see: an
                 # unreachable anchor range fails the rollback too, and
-                # its intents are left to the waiters' pushes.
+                # its intents are left to the waiters' pushes.  A bug
+                # propagates with the transaction left open.
                 txn, self._open_txn = self._open_txn, None
                 yield from self.engine.coordinator.rollback_best_effort(txn)
                 tracer.finish(txn.span, "status", txn.status)
@@ -371,7 +374,7 @@ class Session:
             if isinstance(stmt, ast.Commit):
                 try:
                     commit_ts = yield from txn.commit()
-                except Exception:
+                except (DatabaseError, NetworkUnavailableError):
                     yield from self.engine.coordinator.rollback_best_effort(
                         txn)
                     raise

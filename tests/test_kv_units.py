@@ -8,7 +8,8 @@ import pytest
 
 import repro
 from repro.cluster import standard_cluster
-from repro.errors import FollowerReadNotAvailableError, RangeUnavailableError
+from repro.errors import (FollowerReadNotAvailableError,
+                          RangeUnavailableError, TransactionAbortedError)
 from repro.harness.openloop import OpenLoopConfig, OpenLoopHarness
 from repro.harness.tracing import DEFAULT_REGIONS, run_tpcc_clients
 from repro.kv.closedts import (
@@ -27,6 +28,7 @@ from repro.obs.report import LatencyRecorder
 from repro.sim.clock import Timestamp
 from repro.sql.session import Engine
 from repro.txn.coordinator import TransactionCoordinator
+from repro.verify import VerifyHarness
 
 from .kv_util import KVTestBed, REGIONS3, REGIONS5
 
@@ -324,6 +326,33 @@ class TestTxnRegistryStatus:
         assert home.leaseholder_replica.store.intent_for("k") is None
         assert bed.do_read(HOME, home, "k")[0] == "next"
         assert bed.cluster.txn_registry == {}
+
+
+class TestAbortedTransactionsLayNoIntent:
+    """A request of a transaction already rolled back is refused at the
+    leaseholder (CRDB's abort span).  It happens when an RPC attempt
+    times out while its request waits on a lock: the client retries,
+    finishes and rolls back, and the first request, still queued on the
+    server, evaluates after the rollback's resolution was proposed."""
+
+    def test_a_write_of_an_aborted_transaction_is_refused(self):
+        bed = KVTestBed(regions=REGIONS3)
+        rng = bed.make_range(HOME)
+        txn = bed.coord.begin(bed.gateway(HOME))
+        txn.status = TxnStatus.ABORTED
+        with pytest.raises(TransactionAbortedError):
+            bed.sim.run_until_future(bed.ds.write(
+                bed.gateway(HOME), rng, (("k", "late"),), txn.write_ts,
+                txn.txn_id, anchor_node_id=rng.leaseholder_node_id))
+        assert rng.leaseholder_replica.store.intent_for("k") is None
+        assert rng.lock_table.is_quiescent()
+
+    def test_the_crash_restart_replay(self):
+        """crash-restart seed 236 (a stale attempt's intent met the next
+        writer's at apply: ``WriteIntentError`` out of the run)."""
+        result = VerifyHarness(236).run(scenario="crash-restart",
+                                        ops_per_client=8, stale_ops=6)
+        assert result.ok
 
 
 class TestRegistryDrains:

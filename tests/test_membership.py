@@ -80,6 +80,22 @@ class TestSafeAddPipeline:
         assert rng.group.peers[joiner.node_id].replica_type == \
             ReplicaType.NON_VOTER
 
+    def test_a_bug_is_not_rolled_back_as_a_failed_change(self, monkeypatch):
+        """Only a refused change, a lost snapshot RPC or a learner that
+        never caught up rolls the learner back; a bug surfaces from the
+        run as it is, and the guard is still released."""
+        bed, rng = make_bed()
+        joiner = spare_nodes(bed, rng)[0]
+
+        def add_learner(node):
+            raise TypeError("bug in a membership change")
+
+        monkeypatch.setattr(rng.group, "add_learner", add_learner)
+        with pytest.raises(TypeError, match="bug in a membership change"):
+            run_coroutine(bed, rng.add_replica_safely(joiner))
+        assert joiner.node_id in rng.replicas
+        assert rng.group.config_guard.in_flight is None
+
     def test_overlapping_change_raises_not_queues(self):
         bed, rng = make_bed()
         first, second = spare_nodes(bed, rng)[:2]

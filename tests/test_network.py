@@ -225,8 +225,9 @@ class TestRpcDeadline:
         assert sim.now == now  # the tombstone did not even advance the clock
         assert built == []
         assert sim._tombstones == 0
-        # The delivery, the handler's one step and the reply: no deadline.
-        assert sim.events_processed == 3
+        # The delivery (the handler's one step runs inside it: spawn is
+        # eager) and the reply: no deadline.
+        assert sim.events_processed == 2
 
     def test_fault_rejection_cancels_the_deadline(self):
         """A blocked link that kills the request in flight rejects the
@@ -280,9 +281,10 @@ class TestRpcDeadline:
         assert len(served) == 2  # the handlers still ran at the destination
         assert sim.now > 63.0
         assert sim._tombstones == 0
-        # Per call: the deadline, the delivery, the handler's step and
-        # the reply.
-        assert sim.events_processed == 8
+        # Per call: the deadline, the delivery (the handler's first step
+        # runs inside it) and the reply; the raising handler adds the
+        # event that rejects its process, one ready event after the step.
+        assert sim.events_processed == 7
 
     def test_a_second_completion_that_is_not_a_late_reply_raises(self):
         cluster, east, west = _two_node_cluster()

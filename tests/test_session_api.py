@@ -4,7 +4,10 @@ IN-list queries, statement counting."""
 import pytest
 
 from repro.errors import SchemaError, SqlSyntaxError
+from repro.sql.executor import Executor
 from repro.sql.session import parse_interval_ms
+from repro.txn.coordinator import TransactionCoordinator
+from repro.txn.crdb import Transaction
 
 from .sql_util import REGIONS3, connect, make_engine, movr_engine
 
@@ -24,6 +27,69 @@ class TestIntervalParsing:
     def test_invalid(self, text):
         with pytest.raises(SqlSyntaxError):
             parse_interval_ms(text)
+
+
+class TestProgrammingErrorsSurface:
+    """A bug in a statement is not a database outcome: it surfaces from
+    the run.  Inside an explicit transaction and at its COMMIT nothing
+    handles it as a failed statement (no rollback).  An auto-commit
+    statement's body runs under ``TransactionCoordinator.run``, which
+    rolls back whatever the body raises (an application's own exception
+    is how it gives up) and raises it again."""
+
+    @staticmethod
+    def spy_rollbacks(monkeypatch):
+        rollbacks = []
+        rollback = TransactionCoordinator.rollback_best_effort
+
+        def spying(self, txn):
+            rollbacks.append(txn.txn_id)
+            return rollback(self, txn)
+
+        monkeypatch.setattr(TransactionCoordinator, "rollback_best_effort",
+                            spying)
+        return rollbacks
+
+    @staticmethod
+    def buggy_select(monkeypatch):
+        def select(self, txn, stmt):
+            raise TypeError("bug in a statement")
+            yield  # pragma: no cover
+
+        monkeypatch.setattr(Executor, "select", select)
+
+    def test_an_auto_commit_statement(self, monkeypatch):
+        _engine, session = movr_engine()
+        rollbacks = self.spy_rollbacks(monkeypatch)
+        self.buggy_select(monkeypatch)
+        with pytest.raises(TypeError, match="bug in a statement"):
+            session.execute("SELECT * FROM users WHERE id = 1")
+        assert len(rollbacks) == 1
+
+    def test_a_statement_in_an_explicit_transaction(self, monkeypatch):
+        _engine, session = movr_engine()
+        rollbacks = self.spy_rollbacks(monkeypatch)
+        session.execute("BEGIN")
+        self.buggy_select(monkeypatch)
+        with pytest.raises(TypeError, match="bug in a statement"):
+            session.execute("SELECT * FROM users WHERE id = 1")
+        assert rollbacks == [] and session._open_txn is not None
+
+    def test_a_commit(self, monkeypatch):
+        _engine, session = movr_engine()
+        rollbacks = self.spy_rollbacks(monkeypatch)
+        session.execute("BEGIN")
+        session.execute(
+            "INSERT INTO users (id, email, name) VALUES (1, 'a@x', 'a')")
+
+        def commit(self):
+            raise TypeError("bug in a commit")
+            yield  # pragma: no cover
+
+        monkeypatch.setattr(Transaction, "commit", commit)
+        with pytest.raises(TypeError, match="bug in a commit"):
+            session.execute("COMMIT")
+        assert rollbacks == []
 
 
 class TestSessionErrors:

@@ -260,3 +260,101 @@ def test_timeout_future_rejects():
             return sim.now
 
     assert sim.run_process(main()) == 2.0
+
+
+class TestEagerSpawn:
+    """``Simulator.spawn`` runs the generator's first step before it
+    returns: a process pays an event only where it waits."""
+
+    def test_the_first_step_runs_before_spawn_returns(self):
+        sim = Simulator()
+        steps = []
+
+        def proc():
+            steps.append("first")
+            yield sim.sleep(1.0)
+            steps.append("second")
+
+        process = sim.spawn(proc())
+        assert steps == ["first"] and not process.done
+        sim.run()
+        assert steps == ["first", "second"] and process.done
+
+    def test_an_immediate_return_is_a_done_future_and_costs_no_event(self):
+        sim = Simulator()
+
+        def proc():
+            return "at once"
+            yield  # pragma: no cover
+
+        future = sim.spawn(proc())
+        assert type(future) is Future
+        assert future.done and future.value == "at once"
+        sim.run()
+        assert sim.events_processed == 0
+
+    def test_a_first_step_failure_reaches_a_waiter_attached_after_spawn(self):
+        sim = Simulator()
+
+        def child():
+            raise KeyError("first step")
+            yield  # pragma: no cover
+
+        def parent():
+            failed = sim.spawn(child())
+            assert not failed.done  # rejected one ready event later
+            try:
+                yield failed
+            except KeyError:
+                return "handled"
+            return "unhandled"
+
+        assert sim.run_process(parent()) == "handled"
+
+    def test_an_unwaited_first_step_failure_surfaces_from_run(self):
+        sim = Simulator()
+
+        def child():
+            raise ValueError("nobody waits")
+            yield  # pragma: no cover
+
+        sim.spawn(child())
+        with pytest.raises(ValueError, match="nobody waits"):
+            sim.run()
+
+    def test_a_spawn_inside_a_step_never_reenters_the_parent(self):
+        """The child's first step resolves what the parent waits on next;
+        the parent resumes through the ready queue, after its own step
+        has returned, not from inside the child."""
+        sim = Simulator()
+        trail = []
+        signal = Future(sim)
+
+        def child():
+            trail.append("child first step")
+            signal.resolve("from child")
+            trail.append("child resolved")
+            yield sim.sleep(1.0)
+
+        def parent():
+            trail.append("parent before spawn")
+            sim.spawn(child())
+            trail.append("parent after spawn")
+            value = yield signal
+            trail.append(f"parent resumed with {value}")
+            return value
+
+        assert sim.run_process(parent()) == "from child"
+        assert trail == ["parent before spawn", "child first step",
+                         "child resolved", "parent after spawn",
+                         "parent resumed with from child"]
+
+    def test_run_process_on_a_generator_that_never_yields(self):
+        sim = Simulator()
+
+        def proc():
+            return 42
+            yield  # pragma: no cover
+
+        assert sim.run_process(proc()) == 42
+        assert sim.events_processed == 0
