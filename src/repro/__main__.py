@@ -17,6 +17,8 @@ Usage::
     python -m repro scale [--seed N] [--quick] [--json]
     python -m repro scale --seeds K [--parallel N] [--json]
     python -m repro scale --smoke [--update-golden | --no-golden]
+    python -m repro costs [--seed N | --seeds K] [--json]
+                    [--update-golden | --no-golden]
     python -m repro trace [--workload movr|kv | --scenario NAME]
                     [--seed N] [--json]
     python -m repro metrics [--workload movr|kv | --scenario NAME]
@@ -28,9 +30,9 @@ The verbs, their scenarios and their flags all come from
 :mod:`repro.harness.registry`; ``python -m repro <verb> --help`` prints
 each verb's description.  Exit status: 0 ok, 1 a violated invariant /
 failed gate / golden mismatch, 2 a usage error (unknown verb or
-scenario).  The three golden-checked verbs (``rebalance``,
-``protocols``, ``scale --smoke``) only read their committed file
-unless ``--update-golden`` is given.
+scenario).  The four golden-checked verbs (``rebalance``,
+``protocols``, ``scale --smoke``, ``costs``) only read their committed
+file unless ``--update-golden`` is given.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def _suite_main(exp: Experiment, args) -> int:
             print("GOLDEN FINGERPRINT MISMATCHES:")
             for failure in failures:
                 print(f"  {failure}")
-        elif not args.no_golden:
+        elif not args.no_golden and entries:
             print("fingerprints match committed golden")
     return 0 if suite["ok"] and not failures else 1
 

@@ -6,8 +6,6 @@ transaction retries, intent resolution, and uncertainty restarts.
 
 from __future__ import annotations
 
-from typing import Optional
-
 __all__ = [
     "DatabaseError",
     "ConfigurationError",
@@ -21,7 +19,6 @@ __all__ = [
     "AmbiguousCommitError",
     "RangeUnavailableError",
     "RangeKeyMismatchError",
-    "NotLeaseholderError",
     "FollowerReadNotAvailableError",
     "StaleReadBoundError",
     "UniqueViolationError",
@@ -162,15 +159,6 @@ class RangeKeyMismatchError(TransactionRetryError):
         self.range_id = range_id
         self.key = key
         self.generation = generation
-
-
-class NotLeaseholderError(DatabaseError):
-    """The replica contacted does not hold the lease; retry at the holder."""
-
-    def __init__(self, range_id: int, leaseholder_node: Optional[int]):
-        super().__init__(f"r{range_id}: not leaseholder")
-        self.range_id = range_id
-        self.leaseholder_node = leaseholder_node
 
 
 class FollowerReadNotAvailableError(DatabaseError):

@@ -22,7 +22,7 @@ from typing import (Any, Callable, Dict, FrozenSet, Mapping, Optional,
 
 from .. import verify
 from . import experiments as paper
-from . import protocols, rebalance, scale
+from . import costs, protocols, rebalance, scale
 
 __all__ = ["Experiment", "Golden", "DocResult", "REGISTRY", "FARMABLE",
            "FLAGS", "summary"]
@@ -254,6 +254,11 @@ _EXPERIMENTS = tuple(
         golden=Golden(scale.GOLDEN_PATH, scale.GOLDEN_SEEDS,
                       scale.run_scale_suite, scale.golden_entries,
                       scale.render_scale_suite)),
+    Experiment(
+        "costs", costs.__doc__, "suite", flags=_GOLDEN_FLAGS,
+        golden=Golden(costs.GOLDEN_PATH, costs.GOLDEN_SEEDS,
+                      costs.run_costs_suite, costs.golden_entries,
+                      costs.render_costs)),
     Experiment(
         "trace",
         "Run a deterministic workload (or verify scenario) and render "

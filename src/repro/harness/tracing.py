@@ -10,16 +10,18 @@ read, and a remote-region read of the GLOBAL table (served from a
 nearby replica).
 
 :func:`run_fixed_workload` runs the fixed-seed kv / movr / tpcc client
-pools the determinism goldens (``tests/goldens/``) and the
-observability-cost tests pin: the same seed and scale always simulate
-the same events, with observability on or off.  (Throughput is measured
-by ``bench/``, not here.)
+pools, and :func:`run_small_tpcc` six TPC-C transactions per client
+under either backend; the cost ledger (:mod:`repro.harness.costs`)
+pins what each costs.  The same seed and scale always simulate the same
+events, with observability on or off.  (Throughput is measured by
+``bench/``, not here.)
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from ..cluster import standard_cluster
 from ..obs.report import LatencyRecorder
 from ..sql.session import Engine
 from ..workloads.movr import new_multi_region_schema_ddl
@@ -28,7 +30,8 @@ from ..workloads.ycsb import YCSBOptions, YCSBWorkload
 from .runner import build_engine, run_clients, sessions_per_region
 
 __all__ = ["DEFAULT_REGIONS", "FIXED_WORKLOADS", "run_traced_workload",
-           "run_fixed_workload", "run_tpcc_clients", "trace_roots"]
+           "run_fixed_workload", "run_small_tpcc", "run_tpcc_clients",
+           "trace_roots"]
 
 DEFAULT_REGIONS = ["us-east1", "us-west1", "europe-west2"]
 
@@ -178,4 +181,17 @@ def run_fixed_workload(workload: str, seed: int = 0,
                           obs_enabled=obs_enabled)
     recorder = LatencyRecorder(engine.cluster.sim.obs.registry)
     _CLIENT_POOLS[workload](engine, DEFAULT_REGIONS, n_ops, recorder, seed)
+    return engine, recorder
+
+
+def run_small_tpcc(protocol: str, obs_enabled: bool = False, seed: int = 0
+                   ) -> Tuple[Engine, LatencyRecorder]:
+    """Six TPC-C transactions per client under ``protocol``."""
+    cluster = standard_cluster(
+        DEFAULT_REGIONS, max_clock_offset=250.0, skew_fraction=0.05,
+        jitter_fraction=0.02, seed=seed, obs_enabled=obs_enabled,
+        txn_protocol=protocol)
+    engine = Engine(cluster, seed=seed)
+    recorder = LatencyRecorder(cluster.sim.obs.registry)
+    run_tpcc_clients(engine, DEFAULT_REGIONS, 6, recorder, seed)
     return engine, recorder

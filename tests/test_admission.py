@@ -3,9 +3,10 @@
 Tier-1: unit tests for the token bucket, the work queue in front of
 each granter (priority ordering, bounded depth and deadline shedding at
 the gateway; evaluation slots at the store), the retry budget, deadline
-propagation through the coordinator and DistSender, and golden
-determinism fingerprints for a small open-loop overload run at seeds
-{0, 1, 2}.
+propagation through the coordinator and DistSender, and a small
+open-loop overload run that observability leaves unchanged (its
+fingerprints at seeds {0, 1, 2} are rows of the cost ledger,
+``python -m repro costs``).
 
 Tier-2 (``pytest -m overload``): every gate of the quick scale curve
 (including its hot-region leg and post-drain probes) on seeds {0, 1, 2},
@@ -13,7 +14,6 @@ and serializability under shedding.
 """
 
 import json
-import pathlib
 import random
 from types import SimpleNamespace
 
@@ -34,18 +34,9 @@ from repro.errors import (
     OverloadError,
     RetryBudgetExhaustedError,
 )
-from repro.harness.openloop import OpenLoopConfig, OpenLoopHarness
 from repro.sim.core import Simulator
 
 from .kv_util import KVTestBed, REGIONS3
-
-GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
-
-#: Small-but-representative overload run for the determinism goldens:
-#: 4x offered load, admission on, short window.
-GOLDEN_SEEDS = (0, 1, 2)
-GOLDEN_CONFIG = dict(load_multiplier=4.0, duration_ms=600.0)
-
 
 # -- token bucket ------------------------------------------------------------
 
@@ -423,42 +414,13 @@ class TestControllerWiring:
         assert totals["rejected"] == 0
 
 
-# -- determinism goldens -----------------------------------------------------
-
-
-def overload_fingerprint(seed):
-    config = OpenLoopConfig(seed=seed, **GOLDEN_CONFIG)
-    result = OpenLoopHarness(config).run()
-    return {"seed": seed, **result.fingerprint()}
-
-
-def regen_goldens():
-    """Rewrite the overload determinism goldens.  Run as
-    ``PYTHONPATH=src python -c "from tests.test_admission import
-    regen_goldens; regen_goldens()"`` from the repo root after an
-    *intentional* behaviour change, and commit the diff with it."""
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for seed in GOLDEN_SEEDS:
-        path = GOLDEN_DIR / f"overload_seed{seed}.json"
-        path.write_text(json.dumps(overload_fingerprint(seed), indent=2)
-                        + "\n")
+# -- determinism ------------------------------------------------------------
 
 
 class TestOverloadDeterminism:
-    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
-    def test_fingerprint_matches_golden(self, seed):
-        golden = json.loads(
-            (GOLDEN_DIR / f"overload_seed{seed}.json").read_text())
-        assert overload_fingerprint(seed) == golden, (
-            "overload fingerprint drifted; if the behaviour change is "
-            "intentional, regenerate with test_admission.regen_goldens()")
-
-    def test_obs_off_is_behavior_identical(self):
-        on = OpenLoopHarness(OpenLoopConfig(
-            seed=0, obs_enabled=True, **GOLDEN_CONFIG))
-        off = OpenLoopHarness(OpenLoopConfig(
-            seed=0, obs_enabled=False, **GOLDEN_CONFIG))
-        with_obs, without = on.run(), off.run()
+    def test_obs_off_is_behavior_identical(self, overload_obs_modes):
+        (on, with_obs), (off, without) = (overload_obs_modes[True],
+                                          overload_obs_modes[False])
         assert with_obs.fingerprint() == without.fingerprint()
 
         # ...and every counter-backed reading agrees with the result

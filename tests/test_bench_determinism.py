@@ -1,45 +1,25 @@
 """Determinism guarantees behind every measured run.
 
 Two properties make numbers comparable across PRs (``bench/`` asserts
-the same per repetition), and both are pinned here:
+the same per repetition), and both are checked here:
 
 * **Observability equivalence** — running with observability off is a
   pure fast path: for a fixed seed it must produce byte-identical
   latency samples and final replica state to a fully-instrumented run,
   and the same counters, gauges and per-operation histograms — the mode
   drops the span ring and two per-event distributions, nothing else.
-* **Golden snapshots** — a fixed seed and scale always simulates the
-  same events.  The goldens in ``tests/goldens/`` freeze event counts,
-  simulated time, op counts, latency percentiles and the exact cost
-  counts (network messages, Raft proposals, RPC attempts — so events
-  per op and messages per proposal are gated per seed); any engine
-  change that shifts them is changing *behaviour*, not just speed, and
-  must regenerate the goldens deliberately (see :func:`regen_goldens`).
+* **Repeatability** — a fixed seed and scale always simulates the same
+  events, in one process as in another.  What those events cost (event
+  and message counts, simulated time, op counts, latency percentiles)
+  is pinned once, in the cost ledger (``python -m repro costs``,
+  ``COSTS_golden.json``); here two runs in one process must agree.
 """
-
-import json
-import pathlib
 
 import pytest
 
-from repro.cluster import standard_cluster
-from repro.harness.openloop import OpenLoopConfig, OpenLoopHarness
-from repro.harness.tracing import (DEFAULT_REGIONS, run_fixed_workload,
-                                   run_tpcc_clients)
-from repro.obs.report import LatencyRecorder
-from repro.sql.session import Engine
+from repro.harness.costs import run_row
+from repro.harness.tracing import run_fixed_workload, run_small_tpcc
 from repro.verify import VerifyHarness
-
-from .test_admission import GOLDEN_CONFIG as OPENLOOP_GOLDEN_CONFIG
-
-GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
-
-#: (workload, seed, scale) — small enough to run in a few seconds,
-#: large enough to traverse every hot path the benchmarks exercise.
-#: ``tpcc_epoch`` is :func:`run_small_tpcc` under epoch-OCC (6 of the 40
-#: transactions per client, hence 0.15).
-GOLDEN_CONFIGS = [("kv", 0, 0.25), ("movr", 0, 0.2), ("tpcc", 0, 0.25),
-                  ("tpcc_epoch", 0, 0.15)]
 
 
 def state_digest(engine):
@@ -63,18 +43,6 @@ def state_digest(engine):
     return rows
 
 
-def run_small_tpcc(protocol, obs_enabled):
-    """Six TPC-C transactions per client under ``protocol``, seed 0."""
-    cluster = standard_cluster(
-        DEFAULT_REGIONS, max_clock_offset=250.0, skew_fraction=0.05,
-        jitter_fraction=0.02, seed=0, obs_enabled=obs_enabled,
-        txn_protocol=protocol)
-    engine = Engine(cluster, seed=0)
-    recorder = LatencyRecorder(cluster.sim.obs.registry)
-    run_tpcc_clients(engine, DEFAULT_REGIONS, 6, recorder, 0)
-    return engine, recorder
-
-
 #: The whole of what ``obs_enabled=False`` leaves out of the registry
 #: (``repro.obs`` has the definition; the span ring is the other half).
 GATED_DISTRIBUTIONS = {"net.hop_ms", "raft.commit_ms"}
@@ -96,52 +64,6 @@ def assert_registry_parity(on_sim, off_sim):
     assert off["histograms"], "per-operation histograms must survive"
     for key, summary in off["histograms"].items():
         assert on["histograms"][key] == summary, key
-
-
-def run_fingerprint(workload, seed, scale):
-    """One obs-on run (``rpc_attempts`` counts spans; the registry
-    counts read the same with obs off) boiled down to what must repeat
-    exactly, cost counts included: ``events / ops`` and
-    ``messages_sent / raft_proposals`` are the whole-run (set-up and
-    load too) forms of the ledger's events/op and msgs/proposal."""
-    if workload == "tpcc_epoch":
-        assert (seed, scale) == (0, 0.15)
-        engine, recorder = run_small_tpcc("epoch-occ", True)
-    else:
-        engine, recorder = run_fixed_workload(workload, seed,
-                                              obs_enabled=True, scale=scale)
-    sim = engine.cluster.sim
-    summary = recorder.summary()
-    tracer = sim.obs.tracer
-    assert tracer.dropped_roots == 0  # or rpc_attempts undercounts
-    return {
-        "workload": workload,
-        "seed": seed,
-        "scale": scale,
-        "events": sim.events_processed,
-        "sim_ms": round(sim.now, 3),
-        "ops": recorder.total_ops(),
-        "latency_p50_ms": round(summary.p50, 3),
-        "latency_p99_ms": round(summary.p99, 3),
-        "messages_sent": engine.cluster.network.messages_sent,
-        "raft_proposals": int(sum(
-            c.value for c in sim.obs.registry.instruments("raft.proposals"))),
-        "rpc_attempts": sum(1 for span in tracer.spans()
-                            if span.name == "rpc.attempt"),
-    }
-
-
-def regen_goldens():
-    """Rewrite every golden snapshot from the current engine.  Run as
-    ``PYTHONPATH=src python -c "from tests.test_bench_determinism import
-    regen_goldens; regen_goldens()"`` from the repo root after an
-    *intentional* behaviour change, and commit the diff with it."""
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for workload, seed, scale in GOLDEN_CONFIGS:
-        path = GOLDEN_DIR / f"{workload}_seed{seed}.json"
-        path.write_text(
-            json.dumps(run_fingerprint(workload, seed, scale), indent=2)
-            + "\n")
 
 
 class TestObsEquivalence:
@@ -192,17 +114,13 @@ class TestObsEquivalence:
         assert_registry_parity(full_engine.cluster.sim,
                                off_engine.cluster.sim)
 
-    def test_openloop_registry_identical_across_obs_modes(self):
+    def test_openloop_registry_identical_across_obs_modes(
+            self, overload_obs_modes):
         """Admission queues, store work queues and retry budgets count
         the same in both modes (their fingerprints are compared in
         ``test_admission.py``)."""
-        sims = []
-        for obs_enabled in (True, False):
-            harness = OpenLoopHarness(OpenLoopConfig(
-                seed=0, obs_enabled=obs_enabled, **OPENLOOP_GOLDEN_CONFIG))
-            harness.run()
-            sims.append(harness.sim)
-        assert_registry_parity(*sims)
+        assert_registry_parity(overload_obs_modes[True][0].sim,
+                               overload_obs_modes[False][0].sim)
 
     @pytest.mark.parametrize("scenario", ["crash-restart", "asym-partition"])
     def test_verify_scenario_identical_across_obs_modes(self, scenario):
@@ -225,117 +143,11 @@ class TestObsEquivalence:
 
 
 class TestGoldenSnapshots:
-    @pytest.mark.parametrize("workload,seed,scale", GOLDEN_CONFIGS)
-    def test_matches_golden(self, workload, seed, scale):
-        path = GOLDEN_DIR / f"{workload}_seed{seed}.json"
-        expected = json.loads(path.read_text())
-        got = run_fingerprint(workload, seed, scale)
-        assert got == expected, (
-            f"fixed-seed {workload} run diverged from {path.name}; if the "
-            f"behaviour change is intentional, regenerate the goldens "
-            f"(see regen_goldens) and commit them")
-
     def test_repeat_runs_are_identical(self):
         """Two runs in one process agree exactly — no hidden global
         state (module-level RNG, caches keyed on id()) leaks between
-        engine instances."""
-        assert (run_fingerprint("kv", 0, 0.25)
-                == run_fingerprint("kv", 0, 0.25))
-
-
-class TestKernelPins:
-    """Event count and final clock, exact, for one obs-off run per
-    protocol: a kernel change that adds, drops or reorders a single
-    event moves these.  Re-pin only with the reason the *simulation*
-    changed written down.
-
-    ISSUE 17 re-pinned all three (18659 / 22217 / 27896 events at every
-    commit from 49df7f1, the last with the timer wheel, to PR 16): RPC
-    deadlines and proposal timeouts are cancelled instead of firing, a
-    follower's ack is one event instead of timer + message and is not
-    sent for a committed index, and the side transport ships per node
-    pair — fewer events and fewer jitter draws, so every later message
-    draws a different jitter (the clocks move by under 0.03%).
-
-    ISSUE 18 re-pinned epoch-occ only (18308 events, clock
-    9570.279946425457 at PR 17): the epoch pipeline sends one RPC / one
-    Raft entry per range — validation re-reads each distinct key once
-    and apply lays one batch per range, so fewer events and fewer jitter
-    draws (the clock moves by 0.26%).  kv and crdb execute exactly the
-    events they did.
-
-    ISSUE 22 re-pinned all three (15042 / 14986 / 14429 events at PR 21):
-    kv's 327 auto-commit UPDATEs commit one-phase — one RPC and one Raft
-    entry each where there were two, 5459 events fewer — and every
-    multi-key transaction of both TPC-C runs resolves its intents with
-    one RPC and one entry per range instead of one per key (crdb -2089
-    events, epoch-occ -2213).  Fewer messages draw fewer jitters, so the
-    clocks move by under 0.3%.
-
-    Write pipelining re-pinned crdb only (11551 events, clock
-    7450.612061859593 before): a home-region intent is answered at its
-    proposal and proven at commit, one proof RPC per range not holding
-    the record — more events and messages (+268), a shorter run (the
-    clock moves by -0.8%).  kv (one-phase) and epoch-occ (its apply is
-    never pipelined) execute exactly the events they did.
-
-    Key-level epoch ordering re-pinned epoch-occ only (12216 events,
-    clock 9570.460837694352 before): a commit waits for the earlier
-    commits it conflicts with instead of the whole previous epoch, and
-    validates and applies from its own gateway with no notification hop
-    — the same requests, issued sooner, so a shorter run (the clock
-    moves by -5.2%) and 291 fewer events.  kv and crdb execute exactly
-    the events they did.
-
-    Follower-served GLOBAL reads re-pinned epoch-occ only (11925 events,
-    clock 9070.368223692114 before): an epoch-OCC read the executor
-    routes NEAREST (the GLOBAL ``item`` rows) is a present-time read the
-    gateway's own follower serves instead of a WAN round trip to the
-    leaseholder — fewer messages and a shorter run (the clock moves by
-    -15.9%), 749 fewer events.  kv and crdb execute exactly the events
-    they did.
-
-    Batches that seal on arrival re-pinned epoch-occ only (11176 events,
-    clock 7632.438998542715 before): the epoch service orders a batch
-    as soon as the order round before it is done instead of at a 25 ms
-    boundary, so a commit no longer waits out the rest of its epoch —
-    one order entry per writer where a few shared one (+10 proposals,
-    +96 events) and a shorter run (the clock moves by -1.2%).  kv and
-    crdb execute exactly the events they did.
-
-    The commit index riding on the append re-pinned all three (9583 /
-    11819 / 11272 events, clocks 2458.8795100993366 / 7388.122057696038
-    / 7543.218957748096 before): no dedicated commit update per
-    committed entry and follower, so kv -1259, crdb -1602 and epoch-occ
-    -1163 events, and fewer jitter draws (the clocks move by under
-    0.02%).
-
-    A process only where something waits re-pinned all three events
-    (8324 / 10217 / 10109 before) and no clock: a spawned process's
-    first step runs inside ``spawn`` and a leaseholder call's attempts
-    are callbacks, not a process.  Per callback, kv loses 1860
-    ``DistSender._attempts`` resumes, 930 first steps of
-    ``Range.serve_*`` and 6 client starts; crdb 1677 ``_attempts``, 839
-    serve first steps, 73 ``_value_generator`` and 6 client starts;
-    epoch-occ 1860 ``_attempts``, 930 serve first steps, 73
-    ``_value_generator``, 36 ``_commit_one`` and 29 ``_drain`` first
-    steps and 6 client starts.  The same messages leave at the
-    same instants in the same order: no jitter draw moves."""
-
-    def test_kv(self):
-        engine, _ = run_fixed_workload("kv", 0, False, 0.25)
-        sim = engine.cluster.sim
-        assert (sim.events_processed, sim.now) == (5528, 2458.9232818731434)
-
-    # Explicit ids: the default id embeds the pinned values, so every
-    # re-pin would rename the test.
-    @pytest.mark.parametrize("protocol,events,now", [
-        ("crdb", 7622, 7388.056027717833),
-        ("epoch-occ", 7175, 7544.540711327268)], ids=["crdb", "epoch-occ"])
-    def test_tpcc(self, protocol, events, now):
-        engine, _ = run_small_tpcc(protocol, False)
-        sim = engine.cluster.sim
-        assert (sim.events_processed, sim.now) == (events, now)
+        engine instances: every field of the ledger's kv row repeats."""
+        assert run_row("kv", 0) == run_row("kv", 0)
 
 
 class TestCommitPathPins:
@@ -478,7 +290,8 @@ class TestParseCounts:
     #: workload -> (parse calls, full lex+parse runs, DML shapes, DDL texts)
     EXPECTED = {"movr": (368, 10, 2, 8), "tpcc": (836, 25, 15, 10)}
 
-    @pytest.mark.parametrize("workload,seed,scale", GOLDEN_CONFIGS[1:3])
+    @pytest.mark.parametrize("workload,seed,scale",
+                             [("movr", 0, 0.2), ("tpcc", 0, 0.25)])
     def test_full_parses_equal_distinct_shapes(self, workload, seed, scale,
                                                monkeypatch):
         from repro.sql import parser, session

@@ -22,7 +22,7 @@ GOLDEN_CHECKED = [name for name, exp in REGISTRY.items()
 
 
 def test_the_golden_checked_experiments():
-    assert GOLDEN_CHECKED == ["rebalance", "protocols", "scale"]
+    assert GOLDEN_CHECKED == ["rebalance", "protocols", "scale", "costs"]
 
 
 @pytest.mark.parametrize("name", GOLDEN_CHECKED)
@@ -39,6 +39,32 @@ def test_committed_golden_matches_and_is_only_read(name, capsys):
         f"the behaviour change is intentional, re-run with "
         f"--update-golden and say why in CHANGES.md\n" + out[-3000:])
     assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+
+
+def test_ledger_names_what_moved(monkeypatch):
+    """Put back a commit update per committed entry and follower (the
+    message every append now makes redundant): the cost ledger's kv row
+    fails, and the report names the message kind that moved and the
+    callback that paid for it."""
+    from repro.harness.costs import run_row
+    from repro.raft.group import RaftGroup
+    advance = RaftGroup._advance_commit
+
+    def advance_and_announce(group, index):
+        advance(group, index)
+        leader = group.leader
+        for committed in range(index, group.commit_index + 1):
+            for peer in group.peers.values():
+                if peer is not leader:
+                    group._send_commit_update(leader, peer, committed)
+
+    monkeypatch.setattr(RaftGroup, "_advance_commit", advance_and_announce)
+    failures = golden.check(REGISTRY["costs"].golden.path,
+                            {("kv/0",): run_row("kv", 0)})
+    moved = {line.split(":")[0] for line in failures}
+    assert {"kv/0/messages/commit update",
+            "kv/0/events_by_callback/RaftGroup._learn_commit"} <= moved, \
+        "\n".join(failures)
 
 
 class TestGoldenHelper:

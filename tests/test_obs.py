@@ -10,7 +10,6 @@ same-seed runs serialize byte-identical traces and metrics.
 """
 
 import json
-import pathlib
 
 import pytest
 
@@ -354,27 +353,6 @@ class TestSampling:
     @staticmethod
     def _count(shape):
         return 1 + sum(TestSampling._count(c) for c in shape[1])
-
-
-class TestExportPinning:
-    """The export format is pinned to what the pre-ring tracer printed
-    (captured from ``python -m repro trace|metrics --workload movr
-    --json`` on the parent commit): span ids, tag keys, rounding, child
-    order."""
-
-    GOLDENS = pathlib.Path(__file__).parent / "goldens"
-
-    @pytest.fixture(scope="class")
-    def obs(self):
-        return run_traced_workload("movr", seed=0).cluster.sim.obs
-
-    def test_trace_json_is_byte_identical(self, obs):
-        golden = (self.GOLDENS / "trace_movr_seed0.json").read_text()
-        assert obs.tracer.to_json() + "\n" == golden
-
-    def test_metrics_json_is_byte_identical(self, obs):
-        golden = (self.GOLDENS / "metrics_movr_seed0.json").read_text()
-        assert obs.registry.to_json() + "\n" == golden
 
 
 class TestDeterminism:

@@ -1,19 +1,20 @@
 """What observability costs, pinned without a wall clock.
 
-Three deterministic properties stand in for "cheap enough to leave on":
+Deterministic properties stand in for "cheap enough to leave on":
 
 * recording spans creates nothing the cyclic garbage collector has to
   track, so a traced run's heap does not grow a forest of span objects;
 * the span ring is bounded: past capacity the oldest *whole* trees go,
-  and a stale id can never write into the slot's new owner;
-* the instrumentation a kv operation executes (spans, counter events,
-  histogram observations) is an exact per-seed count, so a new
-  hot-path span or metric shows up as a diff here (ROADMAP item 1c).
+  and a stale id can never write into the slot's new owner.
+
+The instrumentation each pinned run executes (spans, counter events,
+histogram observations) is an exact count in the cost ledger
+(``python -m repro costs``), so a new hot-path span or metric shows up
+as a diff there.
 """
 
 import gc
 
-from repro.harness.tracing import run_fixed_workload
 from repro.obs import DETACHED, Tracer
 
 
@@ -144,62 +145,3 @@ class TestRingWrap:
             want = sorted(s for s, r in root_of.items() if r == root.span_id)
             assert sorted(s.span_id for s in root.walk()) == want
         assert sum(1 for _ in tracer.spans()) <= 16 * max_roots
-
-
-class TestPerOpCostCounters:
-    """Exact instrumentation counts for the kv benchmark at scale 0.25,
-    seed 0 (schema, load and 600 client operations).  Regenerate by
-    printing ``self._counts()`` after an *intentional* change and say
-    in the PR which span or metric moved them.  (ISSUE 16: +2240
-    counter events = ``distsender.range_cache_hit`` 2237 + ``_miss`` 3,
-    now counted on every cluster, not only under span tokens.  ISSUE 17:
-    ``net.messages_sent`` 10419 -> 9206 (-1213, and one ``net.hop_ms``
-    observation each) — acks for committed entries and per-range
-    side-transport messages are no longer sent — and
-    ``mvcc.intents_resolved`` +1 (one more follower applied a resolution
-    before the run ended); spans unchanged.  ISSUE 21: observations
-    9866 -> 10466, exactly the 600 ``latency_ms`` samples —
-    ``run_fixed_workload`` now records into the run's shared registry,
-    not a private one; spans and counter events unchanged.  ISSUE 22:
-    327 of the 328 UPDATEs commit one-phase, so each loses its
-    background ``txn.cleanup`` root with the ``kv.resolve_intent`` RPC,
-    ``rpc.attempt``, ``raft.propose`` and four ``raft.append`` spans
-    under it (spans 7920 -> 5308), the messages of that second Raft
-    round and their ``net.hop_ms`` / ``raft.commit_ms`` samples
-    (``net.messages_sent`` 9206 -> 5294; observations 10466 -> 6225) and
-    its ``raft.proposals`` / ``distsender`` counts; new counters
-    ``txn.one_phase_commits`` 327, ``txn.one_phase_fallbacks`` 1.
-    Followers apply on read: counter events 14046 -> 11534, exactly
-    ``mvcc.intents_laid`` and ``mvcc.intents_resolved`` 1584 -> 328
-    each — the leaseholders' applications; no follower's state is read
-    in this run, so none applies its queue.  The commit index rides on
-    the append: ``net.messages_sent`` 5294 -> 3978 and as many
-    ``net.hop_ms`` observations fewer (6225 -> 4909), exactly the 329
-    proposals' four commit updates each (counter events 11534 ->
-    10218); spans unchanged.)"""
-
-    PINNED = {"ops": 600, "spans": 5308, "counter_events": 10218,
-              "observations": 4909}
-
-    @staticmethod
-    def _counts():
-        engine, recorder = run_fixed_workload("kv", 0, obs_enabled=True,
-                                              scale=0.25)
-        obs = engine.cluster.sim.obs
-        assert obs.tracer.dropped_roots == 0
-        registry = obs.registry
-        return {
-            "ops": recorder.total_ops(),
-            "spans": sum(1 for _ in obs.tracer.spans()),
-            # Event counters only: *_ms_total accumulate durations.
-            "counter_events": int(sum(
-                c.value for c in registry.instruments(kind="counter")
-                if not c.name.endswith("_ms_total"))),
-            "observations": sum(
-                h.count for h in registry.instruments(kind="histogram")),
-        }
-
-    def test_counts_match_pinned(self):
-        counts = self._counts()
-        per_op = {k: round(v / counts["ops"], 2) for k, v in counts.items()}
-        assert counts == self.PINNED, f"per op: {per_op}"

@@ -5,9 +5,9 @@ Pulling the lease/intent/parallel-commit pipeline out of the
 coordinator and behind the :class:`~repro.txn.protocol.TxnProtocol`
 interface must not change a single simulated event: a run that names
 no backend and one that names ``"crdb"`` must produce byte-identical
-histories and reports under a nemesis.  (The committed bench goldens in
-``tests/goldens/`` and ``REBALANCE_golden.json`` pin the default path
-itself — this file pins default == explicit.)  Every coordinator on a
+histories and reports under a nemesis.  (The cost ledger,
+``COSTS_golden.json``, and ``REBALANCE_golden.json`` pin the default
+path itself — this file pins default == explicit.)  Every coordinator on a
 cluster runs the cluster's one backend instance.
 """
 

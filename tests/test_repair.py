@@ -5,6 +5,8 @@ Quick single-seed runs are tier 1; the multi-seed repair sweep is
 marked ``repair`` and deselected by default (``pytest -m repair``).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import LivenessStatus, StoreLiveness
@@ -73,6 +75,42 @@ class TestPlanning:
         actions = queue.plan(rng, config)
         assert actions
         assert actions[0].kind == RepairActionKind.TRANSFER_LEASE
+
+    def test_one_voter_fewer_sheds_least_diverse_never_the_lease(self):
+        """Voters 1, 2 (us-east1), 4, 5 (europe-west2) and 7
+        (asia-northeast1): only 7 has no voter beside it in its region,
+        so it is the most diverse.  A zone config one voter smaller sheds
+        one of the others, ties broken by node id, and never the
+        leaseholder, wherever the lease is."""
+        bed, rng, config, queue = make_repair_bed()
+        queue.liveness.start()
+        bed.sim.run(until=bed.sim.now + 500.0)
+        smaller = dataclasses.replace(config, num_replicas=4, num_voters=4,
+                                      voter_constraints={})
+        regions = {p.node.node_id: p.node.locality.region
+                   for p in rng.group.voters()}
+        assert regions == {1: "us-east1", 2: "us-east1", 4: "europe-west2",
+                           5: "europe-west2", 7: "asia-northeast1"}
+        assert rng.leaseholder_node_id == 1
+
+        def planned_victim():
+            (action,) = queue.plan(rng, smaller)
+            assert action.kind == RepairActionKind.DOWN_REPLICATE
+            return action.node_id
+
+        assert planned_victim() == 2
+        rng.transfer_lease(2)
+        bed.sim.run(until=bed.sim.now + 100.0)
+        assert rng.leaseholder_node_id == 2
+        assert planned_victim() == 1
+
+        queue.manage(rng, smaller)
+        queue.start()
+        bed.sim.run(until=bed.sim.now + 1000.0)
+        assert rng.leaseholder_node_id == 2
+        assert sorted(p.node.node_id for p in rng.group.voters()) == \
+            [2, 4, 5, 7]
+        assert queue.plan(rng, smaller) == []
 
 
 class TestEndToEndRepair:
