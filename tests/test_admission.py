@@ -4,9 +4,9 @@ Tier-1: unit tests for the token bucket, the work queue in front of
 each granter (priority ordering, bounded depth and deadline shedding at
 the gateway; evaluation slots at the store), the retry budget, deadline
 propagation through the coordinator and DistSender, and a small
-open-loop overload run that observability leaves unchanged (its
-fingerprints at seeds {0, 1, 2} are rows of the cost ledger,
-``python -m repro costs``).
+open-loop overload run that observability leaves unchanged and whose
+fingerprints at seeds {0, 1, 2} match the cost ledger's
+(``python -m repro costs``).
 
 Tier-2 (``pytest -m overload``): every gate of the quick scale curve
 (including its hot-region leg and post-drain probes) on seeds {0, 1, 2},
@@ -34,6 +34,7 @@ from repro.errors import (
     OverloadError,
     RetryBudgetExhaustedError,
 )
+from repro.harness.costs import GOLDEN_SEEDS
 from repro.sim.core import Simulator
 
 from .kv_util import KVTestBed, REGIONS3
@@ -418,6 +419,12 @@ class TestControllerWiring:
 
 
 class TestOverloadDeterminism:
+    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+    def test_fingerprint_matches_golden(self, seed, cost_ledger):
+        """The open-loop result's fingerprint: the ledger's
+        ``overload/<seed>/fingerprint``."""
+        cost_ledger.assert_matches("overload", seed, "fingerprint")
+
     def test_obs_off_is_behavior_identical(self, overload_obs_modes):
         (on, with_obs), (off, without) = (overload_obs_modes[True],
                                           overload_obs_modes[False])

@@ -12,7 +12,8 @@ the same per repetition), and both are checked here:
   events, in one process as in another.  What those events cost (event
   and message counts, simulated time, op counts, latency percentiles)
   is pinned once, in the cost ledger (``python -m repro costs``,
-  ``COSTS_golden.json``); here two runs in one process must agree.
+  ``COSTS_golden.json``); here the snapshots and kernel pins compare
+  with it, and two runs in one process must agree.
 """
 
 import pytest
@@ -142,12 +143,50 @@ class TestObsEquivalence:
         assert_registry_parity(on.sim, off.sim)
 
 
+#: The fixed-seed snapshots, ``(workload, seed, scale)``, by the cost
+#: ledger row that holds them.  ``tpcc_epoch`` is :func:`run_small_tpcc`
+#: under epoch-OCC (6 of the 40 transactions per client, hence 0.15).
+SNAPSHOT_ROWS = {("kv", 0, 0.25): "kv", ("movr", 0, 0.2): "movr",
+                 ("tpcc", 0, 0.25): "tpcc",
+                 ("tpcc_epoch", 0, 0.15): "small-tpcc-epoch-occ"}
+
+
 class TestGoldenSnapshots:
-    def test_repeat_runs_are_identical(self):
+    @pytest.mark.parametrize("workload,seed,scale", list(SNAPSHOT_ROWS))
+    def test_matches_golden(self, workload, seed, scale, cost_ledger):
+        """A fixed seed and scale always simulates the same events: the
+        event count, simulated time, op count, latency percentiles and
+        cost counts (network messages, Raft proposals, RPC attempts, so
+        events per op and messages per proposal are gated per seed) of
+        one obs-on run equal the ledger row's, with no span tree
+        dropped (or ``rpc_attempts`` undercounts)."""
+        cost_ledger.assert_matches(
+            SNAPSHOT_ROWS[workload, seed, scale], seed, "events", "clock",
+            "ops", "latency_p50_ms", "latency_p99_ms", "messages_sent",
+            "raft_proposals", "rpc_attempts", "dropped_roots")
+
+    def test_repeat_runs_are_identical(self, cost_ledger):
         """Two runs in one process agree exactly — no hidden global
         state (module-level RNG, caches keyed on id()) leaks between
         engine instances: every field of the ledger's kv row repeats."""
-        assert run_row("kv", 0) == run_row("kv", 0)
+        assert run_row("kv", 0) == cost_ledger.row("kv", 0)
+
+
+class TestKernelPins:
+    """Event count and final clock, exact, per protocol: a kernel change
+    that adds, drops or reorders a single event moves these.  They are
+    the ``events`` and ``clock`` of the ledger's ``kv/0``,
+    ``small-tpcc-crdb/0`` and ``small-tpcc-epoch-occ/0`` (obs-off runs
+    execute the same events: :class:`TestObsEquivalence`); CHANGES.md
+    has the history of every re-pin."""
+
+    def test_kv(self, cost_ledger):
+        cost_ledger.assert_matches("kv", 0, "events", "clock")
+
+    @pytest.mark.parametrize("protocol", ["crdb", "epoch-occ"])
+    def test_tpcc(self, protocol, cost_ledger):
+        cost_ledger.assert_matches(f"small-tpcc-{protocol}", 0, "events",
+                                   "clock")
 
 
 class TestCommitPathPins:

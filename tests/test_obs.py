@@ -355,6 +355,19 @@ class TestSampling:
         return 1 + sum(TestSampling._count(c) for c in shape[1])
 
 
+class TestExportPinning:
+    """The export format is pinned to what the pre-ring tracer printed
+    (``python -m repro trace|metrics --workload movr --json``): span
+    ids, tag keys, rounding, child order.  The ledger's ``trace-movr/0``
+    holds the sha256 of each export, ``to_json()`` plus a newline."""
+
+    def test_trace_json_is_byte_identical(self, cost_ledger):
+        cost_ledger.assert_matches("trace-movr", 0, "trace_sha256")
+
+    def test_metrics_json_is_byte_identical(self, cost_ledger):
+        cost_ledger.assert_matches("trace-movr", 0, "metrics_sha256")
+
+
 class TestDeterminism:
     def test_same_seed_trace_and_metrics_are_byte_identical(self):
         first = run_traced_workload("movr", seed=3)

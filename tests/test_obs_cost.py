@@ -10,7 +10,7 @@ Deterministic properties stand in for "cheap enough to leave on":
 The instrumentation each pinned run executes (spans, counter events,
 histogram observations) is an exact count in the cost ledger
 (``python -m repro costs``), so a new hot-path span or metric shows up
-as a diff there.
+as a diff there; the kv row's counts are compared here too.
 """
 
 import gc
@@ -145,3 +145,14 @@ class TestRingWrap:
             want = sorted(s for s, r in root_of.items() if r == root.span_id)
             assert sorted(s.span_id for s in root.walk()) == want
         assert sum(1 for _ in tracer.spans()) <= 16 * max_roots
+
+
+class TestPerOpCostCounters:
+    """Exact instrumentation counts for the kv benchmark at scale 0.25,
+    seed 0 (schema, load and 600 client operations): the ledger's
+    ``kv/0`` row, with the ring dropping no tree (or the span count
+    undercounts)."""
+
+    def test_counts_match_pinned(self, cost_ledger):
+        cost_ledger.assert_matches("kv", 0, "ops", "spans", "counter_events",
+                                   "observations", "dropped_roots")
