@@ -32,7 +32,10 @@ PACKAGE = SRC / "repro"
 
 
 class CallRecorder:
-    """pytest plugin: every code object entered during the session."""
+    """Every code object entered between :meth:`start` and :meth:`stop`.
+    Started before pytest imports anything, so what ``repro`` runs at
+    import time (the suite's conftest imports it before the session
+    starts) counts as called."""
 
     def __init__(self):
         self.codes = set()
@@ -41,11 +44,11 @@ class CallRecorder:
         if event == "call":
             self.codes.add(frame.f_code)
 
-    def pytest_sessionstart(self, session):
+    def start(self):
         threading.setprofile(self._profile)
         sys.setprofile(self._profile)
 
-    def pytest_sessionfinish(self, session, exitstatus):
+    def stop(self):
         sys.setprofile(None)
         threading.setprofile(None)
 
@@ -109,8 +112,11 @@ def main(argv=None) -> int:
     import pytest
 
     recorder = CallRecorder()
-    status = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args],
-                         plugins=[recorder])
+    recorder.start()
+    try:
+        status = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
+    finally:
+        recorder.stop()
     dead = never_called(recorder.called())
     rows = [f"{lines:5d}  {path}:{first}  {name}"
             for path, first, name, lines in dead]

@@ -24,10 +24,11 @@ ops and latency p50/p99 where a recorder counts them; the messages the
 network carried (one-way messages by handler kind, RPCs by method, the
 side transport's range entries); Raft proposals; counter events and
 histogram observations; the kernel events by the callback each one ran;
-and, where observability is on, RPC attempts and the spans recorded (in
-all and by name).  A change that moves one message shows in the
-mismatch report under the kind that moved, and the per-callback rows
-say which code paid for it.
+where observability is on, RPC attempts and the spans recorded (in
+all and by name); and, where SQL ran, parse calls, full parses and
+the DML shapes and DDL texts cached (from an empty cache).  A change
+that moves one message shows in the mismatch report under the kind
+that moved, and the per-callback rows say which code paid for it.
 
 :func:`counting` is also what ``benchmarks/message_mix.py`` counts
 with, over a benchmark repetition instead of a whole run.
@@ -44,6 +45,7 @@ from typing import Any, Callable, Dict, Iterator, Sequence, Tuple
 from ..kv.sidetransport import SideTransport
 from ..sim.core import Simulator
 from ..sim.network import Network
+from ..sql import parser, session
 from .golden import repo_path
 from .openloop import OpenLoopConfig, OpenLoopHarness
 from .tracing import run_fixed_workload, run_small_tpcc, run_traced_workload
@@ -87,15 +89,12 @@ def kind_of(callback) -> str:
 
 def range_entries(callback, args, last_tables: dict) -> int:
     """How many ranges one side-transport message names.  A per-range
-    update (``_deliver_closed_ts``) names one; a per-node-pair message
-    whose payload is a list of updates names each; a per-policy stream
+    update (``_deliver_closed_ts``) names one; a per-policy stream
     message ``(frame, table)`` names the table entries that changed
     since the stream's previous message (``last_tables`` is keyed by the
     stream's receiver)."""
     if getattr(callback, "__name__", "") == "_deliver_closed_ts":
         return 1
-    if len(args) == 1:
-        return len(args[0])
     _frame, table = args
     receiver = callback.__self__
     last = last_tables.get(receiver, {})
@@ -131,11 +130,14 @@ class Tally:
         #: Ranges the side transport's messages name, and its ticks.
         self.range_entries = 0
         self.ticks = 0
+        #: SQL front-end calls: ``parse``, and ``tokenize`` (a full parse).
+        self.parser: Counter = Counter()
 
     def clear(self) -> None:
         self.sends.clear()
         self.calls.clear()
         self.by_callback.clear()
+        self.parser.clear()
         self.range_entries = self.ticks = 0
 
 
@@ -163,18 +165,19 @@ def counting(on: bool = True) -> Iterator[Tally]:
 
     Patches ``Network.send`` / ``Network.call``, the kernel's three
     scheduling entry points and ``SideTransport._tick`` at class level,
-    and restores them on exit whatever happens.  Enter it before any
-    cluster is built: a component that bound one of them earlier is not
-    seen.  A send dropped by a
-    fault still counts (it is what the sender paid for), and a cancelled
-    event, never dispatched, never does.  The simulation itself is
-    unchanged."""
+    and the SQL parser's ``parse`` (the parser's and the session's) and
+    ``tokenize``, and restores them on exit whatever happens.  Enter it
+    before any cluster is built: a component that bound one of them
+    earlier is not seen.  A send dropped by a fault still counts (it is
+    what the sender paid for), and a cancelled event, never dispatched,
+    never does.  The simulation itself is unchanged."""
     tally = Tally(on)
     last_tables: dict = {}
     send, call = Network.send, Network.call
     call_at, call_after = Simulator.call_at, Simulator.call_after
     call_soon = Simulator._call_soon
     tick = SideTransport._tick
+    sql_front_end = parser.parse, session.parse, parser.tokenize
 
     def counted_send(self, src, dst, callback, *args, **kwargs):
         kind = kind_of(callback)
@@ -202,6 +205,13 @@ def counting(on: bool = True) -> Iterator[Tally]:
             tally.calls[method.split(".<locals>", 1)[0]] += 1
         return call(self, src, dst, handler, *args, **kwargs)
 
+    def counted_sql(fn):
+        def counted(sql):
+            if tally.on:
+                tally.parser[fn.__name__] += 1
+            return fn(sql)
+        return counted
+
     def counted_call_at(self, when, fn, *args):
         return call_at(self, when, Counted(fn, tally), *args)
 
@@ -216,6 +226,8 @@ def counting(on: bool = True) -> Iterator[Tally]:
                                                counted_call_after)
     Simulator._call_soon = counted_call_soon
     SideTransport._tick = counted_tick
+    parser.parse = session.parse = counted_sql(parser.parse)
+    parser.tokenize = counted_sql(parser.tokenize)
     try:
         yield tally
     finally:
@@ -223,6 +235,7 @@ def counting(on: bool = True) -> Iterator[Tally]:
         Simulator.call_at, Simulator.call_after = call_at, call_after
         Simulator._call_soon = call_soon
         SideTransport._tick = tick
+        parser.parse, session.parse, parser.tokenize = sql_front_end
 
 
 # -- the rows ----------------------------------------------------------------
@@ -271,6 +284,7 @@ ROWS: Dict[str, Tuple[Tuple[int, ...], Callable[[int], Tuple]]] = {
 
 def run_row(config: str, seed: int) -> Dict[str, Any]:
     """One ledger row: run ``config`` at ``seed`` under :func:`counting`."""
+    parser._PARSE_CACHE.clear()
     with counting() as tally:
         cluster, own = ROWS[config][1](seed)
     sim = cluster.sim
@@ -303,6 +317,12 @@ def run_row(config: str, seed: int) -> Dict[str, Any]:
             # above undercount.
             "dropped_roots": obs.tracer.dropped_roots,
         })
+    if tally.parser:
+        # The cache keys DML by shape (a tuple), DDL by text.
+        shapes = sum(isinstance(key, tuple) for key in parser._PARSE_CACHE)
+        row.update(parse_calls=tally.parser["parse"],
+                   full_parses=tally.parser["tokenize"], dml_shapes=shapes,
+                   ddl_texts=len(parser._PARSE_CACHE) - shapes)
     return row
 
 

@@ -19,20 +19,15 @@ dumped file:
 """
 
 from .checker import Anomaly, VerifyReport, check
-from .generator import (
-    SCENARIOS,
-    VerifyHarness,
-    VerifyResult,
-    VerifyScenario,
-    run_verify,
-)
+from .generator import (SCENARIOS, Ablation, VerifyHarness, VerifyResult,
+                        VerifyScenario, run_verify)
 from .history import RecordedOp, RecordedTxn, VerifyHistory
 from .recorder import HistoryRecorder
 
 __all__ = [
     "Anomaly", "VerifyReport", "check",
-    "VerifyHarness", "VerifyResult", "VerifyScenario", "SCENARIOS",
-    "run_verify",
+    "Ablation", "VerifyHarness", "VerifyResult", "VerifyScenario",
+    "SCENARIOS", "run_verify",
     "RecordedOp", "RecordedTxn", "VerifyHistory",
     "HistoryRecorder",
 ]

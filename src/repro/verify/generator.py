@@ -28,7 +28,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from operator import attrgetter
+from typing import (Any, Callable, Dict, FrozenSet, Generator, List,
+                    Optional, Tuple)
 
 from ..admission import AdmissionConfig, install_admission
 from ..chaos import faults
@@ -45,8 +47,8 @@ from .checker import VerifyReport, check
 from .history import ABORTED, COMMITTED, INDETERMINATE, VerifyHistory
 from .recorder import HistoryRecorder
 
-__all__ = ["VerifyHarness", "VerifyResult", "VerifyScenario", "SCENARIOS",
-           "run_verify"]
+__all__ = ["Ablation", "VerifyHarness", "VerifyResult", "VerifyScenario",
+           "SCENARIOS", "run_verify"]
 
 #: Fresh keys (on the primary REGIONAL range) the insert clients race
 #: for; never initialised, never touched by the other clients.
@@ -131,6 +133,33 @@ def _fences(expected: bool) -> Callable[[Any], List[str]]:
 
 
 @dataclass(frozen=True)
+class Ablation:
+    """An ablation row's ``setup``, as data: run ``before`` (what the row
+    switches on), set ``attribute`` — a class attribute, default True —
+    False on each instance ``target`` names on the harness (a dotted
+    path; a dict names its values), then run to completion the client
+    ``probe(harness)`` returns: the damage that makes conviction certain."""
+
+    target: str
+    attribute: str
+    before: Optional[Callable[[Any], None]] = None
+    probe: Optional[Callable[[Any], Generator]] = None
+
+    def owners(self, harness) -> List[Any]:
+        """The instances ``target`` names on ``harness``."""
+        found = attrgetter(self.target)(harness)
+        return list(found.values()) if isinstance(found, dict) else [found]
+
+    def __call__(self, harness) -> None:
+        if self.before is not None:
+            self.before(harness)
+        for owner in self.owners(harness):
+            setattr(owner, self.attribute, False)
+        if self.probe is not None:
+            harness.run_clients([self.probe(harness)])
+
+
+@dataclass(frozen=True)
 class VerifyScenario:
     """One row of :data:`SCENARIOS`: the nemesis, what the run switches
     on (or, for an ablation, off), and how the run is judged."""
@@ -140,8 +169,7 @@ class VerifyScenario:
     faults: Optional[Callable[[Any], List[FaultEvent]]] = None
     #: harness -> None, after the initial settle and before the nemesis:
     #: a nemesis that is not a fault schedule, the clock monitor, or an
-    #: ablation's off-switch (plus the probe that makes its damage
-    #: certain).
+    #: :class:`Ablation` (the row's verdict then says what it convicts).
     setup: Optional[Callable[[Any], None]] = None
     #: Recency probe clients run beside the regular ones.
     probes: bool = False
@@ -450,7 +478,7 @@ class VerifyHarness(Testbed):
                                     label=label)
             yield self.sim.sleep(rng.uniform(*think_ms))
 
-    # -- re-send probe (one-phase-reapply) ----------------------------------
+    # -- ablation probes: the directed damage an Ablation's probe runs ------
 
     def reapply_probe(self, key: str = "r1"):
         """The lost reply the ``one-phase-reapply`` ablation is about,
@@ -486,8 +514,6 @@ class VerifyHarness(Testbed):
                                 rmw_fn, label="probe-over")
         faults.set_loss(self.home, far, 0.0, bidirectional=False)
         yield writer
-
-    # -- lost pipelined write probe (pipeline-unproven) ---------------------
 
     def pipeline_probe(self, key: str = "l0"):
         """The lost write the ``pipeline-unproven`` ablation is about,
@@ -532,8 +558,6 @@ class VerifyHarness(Testbed):
             faults.heal_link(leader.node_id, node_id)
         yield writer
         yield from self.attempt(leader, after_fn, label="probe-after")
-
-    # -- orphaned intent probe (forget-before-resolve) ----------------------
 
     def forget_probe(self, key: str = "r1"):
         """The push the ``forget-before-resolve`` ablation is about, made
@@ -757,51 +781,6 @@ class VerifyHarness(Testbed):
         routed to the nearest replica, which serves a present-time read
         locally (its closed timestamps lead present time)."""
         self.routing["glob"] = ReadRouting.NEAREST
-
-    # -- ablation off-switches ----------------------------------------------
-
-    def _undefend_clock(self) -> None:
-        """The identical setup with fencing off: offsets are still
-        measured and exported — the monitor differs *only* in not
-        acting."""
-        self._defend_clock()
-        self.clock_monitor.fence_enabled = False
-
-    def _skip_validation(self) -> None:
-        """Epoch-OCC commits every submission without re-reading its
-        read set (the init keys' transactions read nothing, so they
-        committed the same way)."""
-        self.cluster.epoch_service.validate = False
-
-    def _unorder_conflicts(self) -> None:
-        """Epoch-OCC starts every ordered commit at once, however it
-        conflicts with the earlier ones still running."""
-        self.cluster.epoch_service.order_conflicts = False
-
-    def _drop_commit_records(self) -> None:
-        """One-phase entries carry no commit record, and the lost-reply
-        probe runs first so the damage is certain."""
-        for rng in self.ranges.values():
-            rng.commit_marker = False
-        self.run_clients([self.reapply_probe()])
-
-    def _skip_condition_checks(self) -> None:
-        """Leaseholders apply conditional puts without their check."""
-        for rng in self.ranges.values():
-            rng.check_condition = False
-
-    def _skip_write_proofs(self) -> None:
-        """Commits skip the proof of their pipelined writes, and the
-        lost-write probe runs first so the damage is certain."""
-        self.coord.prove_writes = False
-        self.run_clients([self.pipeline_probe()])
-
-    def _forget_at_ack(self) -> None:
-        """CRDB transactions leave the registry at their client ack, not
-        once their intents are resolved, and the orphaned-intent probe
-        runs first so the damage is certain."""
-        self.coord.resolve_before_forget = False
-        self.run_clients([self.forget_probe()])
 
     # -- the run ------------------------------------------------------------
 
@@ -1124,8 +1103,9 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         "The honest ablation: the identical jump with the defense "
         "disabled; passes iff the checker reports the real-time / "
         "staleness anomalies the undefended jump really causes.",
-        VerifyHarness._clock_jump, setup=VerifyHarness._undefend_clock,
-        probes=True, sweeps=_CLOCK,
+        VerifyHarness._clock_jump, probes=True, sweeps=_CLOCK,
+        setup=Ablation("clock_monitor", "fence_enabled",
+                       before=VerifyHarness._defend_clock),
         verdict=_convicts(REALTIME_ANOMALY_TYPES)),
     "occ-novalidate": VerifyScenario(
         "The epoch-OCC honest-falsification ablation: the identical "
@@ -1134,7 +1114,8 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         "write-write races (lost updates / write cycles) — proof the "
         "differential sweep's clean verdicts are earned by validation, "
         "not by checker blindness.",
-        setup=VerifyHarness._skip_validation, protocol="epoch-occ",
+        setup=Ablation("cluster.epoch_service", "validate"),
+        protocol="epoch-occ",
         # The races may also surface as a diverged final audit.
         # Duplicate writes or garbage reads would mean the protocol
         # machinery, not just validation, is broken.
@@ -1146,8 +1127,8 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         "apply; passes iff the checker convicts the write-write races — "
         "proof the decided order is earned by the per-key waits, not by "
         "the epochs alone.",
-        faults.flaky_wan_faults,
-        setup=VerifyHarness._unorder_conflicts, protocol="epoch-occ",
+        faults.flaky_wan_faults, protocol="epoch-occ",
+        setup=Ablation("cluster.epoch_service", "order_conflicts"),
         verdict=_convicts(_WRITE_RACES, "final-state-divergence")),
     "one-phase-reapply": VerifyScenario(
         "The one-phase-commit honest-falsification ablation: flaky-wan "
@@ -1157,7 +1138,8 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         "anomalies — proof the sweep's clean verdicts under message "
         "loss are earned by the record, not by checker blindness.",
         faults.flaky_wan_faults,
-        setup=VerifyHarness._drop_commit_records, protocol="crdb",
+        setup=Ablation("ranges", "commit_marker",
+                       probe=VerifyHarness.reapply_probe), protocol="crdb",
         # A write that lands twice is a duplicate element, or a second
         # version burying what committed between; the damage may also
         # reach the final audit.
@@ -1171,7 +1153,7 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         "(two transactions read the key absent and wrote it) — proof "
         "an INSERT's uniqueness is earned by the check, not assumed.",
         faults.flaky_wan_faults,
-        setup=VerifyHarness._skip_condition_checks, inserters=2,
+        setup=Ablation("ranges", "check_condition"), inserters=2,
         protocol="crdb",
         verdict=_convicts({"lost-update", "G-single", "G2"})),
     "pipeline-unproven": VerifyScenario(
@@ -1181,7 +1163,8 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         "times out, then a failover); passes iff the checker convicts "
         "the committed transaction missing its write — proof a "
         "pipelined write is earned by the proof, not assumed.",
-        setup=VerifyHarness._skip_write_proofs, protocol="crdb",
+        setup=Ablation("coord", "prove_writes",
+                       probe=VerifyHarness.pipeline_probe), protocol="crdb",
         # Two appends that read the same list: the lost one and the next.
         verdict=_convicts(_WRITE_RACES)),
     "forget-before-resolve": VerifyScenario(
@@ -1192,7 +1175,8 @@ SCENARIOS: Dict[str, VerifyScenario] = {
         "aborts a committed write; passes iff the checker convicts the "
         "write that vanished — proof a finished transaction leaves the "
         "registry only when no pusher can need it.",
-        setup=VerifyHarness._forget_at_ack, protocol="crdb",
+        setup=Ablation("coord", "resolve_before_forget",
+                       probe=VerifyHarness.forget_probe), protocol="crdb",
         # The aborted write, and every append that read the list without
         # it; the damage may also reach the final audit.
         verdict=_convicts(_WRITE_RACES, "final-state-divergence")),

@@ -324,34 +324,16 @@ class TestGuardTimersDieWithWhatTheyGuard:
 class TestParseCounts:
     """Exact front-end gates (ROADMAP 1c): ``parse`` runs once per SQL
     text, but lexing + parsing only once per distinct *shape* (plus once
-    per DDL text) — not once per statement."""
-
-    #: workload -> (parse calls, full lex+parse runs, DML shapes, DDL texts)
-    EXPECTED = {"movr": (368, 10, 2, 8), "tpcc": (836, 25, 15, 10)}
+    per DDL text) — not once per statement.  The counts are the ledger
+    row's ``parse_calls``, ``full_parses``, ``dml_shapes`` and
+    ``ddl_texts``."""
 
     @pytest.mark.parametrize("workload,seed,scale",
                              [("movr", 0, 0.2), ("tpcc", 0, 0.25)])
     def test_full_parses_equal_distinct_shapes(self, workload, seed, scale,
-                                               monkeypatch):
-        from repro.sql import parser, session
-        calls = {"parse": 0, "full": 0}
-
-        def counted(name, fn):
-            def wrapper(sql):
-                calls[name] += 1
-                return fn(sql)
-            return wrapper
-
-        parse = counted("parse", parser.parse)
-        monkeypatch.setattr(parser, "parse", parse)    # parse_one's
-        monkeypatch.setattr(session, "parse", parse)   # Session.execute's
-        # ``parse`` lexes exactly when it must parse in full.
-        monkeypatch.setattr(parser, "tokenize",
-                            counted("full", parser.tokenize))
-        parser._PARSE_CACHE.clear()
-        run_fixed_workload(workload, seed, scale=scale)
-        shapes = sum(isinstance(key, tuple) for key in parser._PARSE_CACHE)
-        texts = sum(isinstance(key, str) for key in parser._PARSE_CACHE)
-        assert (calls["parse"], calls["full"], shapes, texts) == \
-            self.EXPECTED[workload]
-        assert calls["full"] == shapes + texts
+                                               cost_ledger):
+        config = SNAPSHOT_ROWS[workload, seed, scale]
+        cost_ledger.assert_matches(config, seed, "parse_calls",
+                                   "full_parses", "dml_shapes", "ddl_texts")
+        row = cost_ledger.row(config, seed)
+        assert row["full_parses"] == row["dml_shapes"] + row["ddl_texts"]

@@ -1,33 +1,48 @@
 """The verify scenario table: what the registry derives from it, how a
 name is looked up, which backend a row runs on, what a row's audit
-convicts, and — tier-2, one case per ablation row and seed — that every
-ablation is convicted.
+convicts, how an ablation names its off-switch, and — tier-2, one case
+per ablation row and seed — that every ablation is convicted.
 
-Adding an ablation is one :data:`repro.verify.SCENARIOS` row plus one
-:data:`ABLATIONS` entry (its tier-2 marker and seed range); the shape
-test fails until both exist.
+Adding an ablation is one class attribute, default True, on the
+mechanism's owner plus one :data:`repro.verify.SCENARIOS` row whose
+``setup`` is an :class:`~repro.verify.Ablation` naming it and whose
+``verdict`` says what the checker must convict.  Nothing here lists the
+ablations: :data:`ABLATIONS` derives each verdict row's tier-2 marker
+and seeds from the row, and the switch tests read the rows.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import main
 from repro.chaos import faults
 from repro.harness.registry import REGISTRY
 from repro.sim.clock import ClockModel
-from repro.verify import SCENARIOS, VerifyHarness, run_verify
+from repro.verify import SCENARIOS, Ablation, VerifyHarness, run_verify
+
+
+def _tier2(row):
+    """A verdict row's tier-2 marker and seeds: a clock-sweep row runs
+    under ``clock`` on 3 seeds, an epoch-OCC row under ``verify_occ``
+    and any other under ``verify``, on 5."""
+    if "clock" in row.sweeps:
+        return pytest.mark.clock, range(3)
+    if row.protocol == "epoch-occ":
+        return pytest.mark.verify_occ, range(5)
+    return pytest.mark.verify, range(5)
+
 
 #: Every row with a verdict: its tier-2 marker and seed range.
-ABLATIONS = {
-    "clock-jump-nofence": (pytest.mark.clock, range(3)),
-    "occ-novalidate": (pytest.mark.verify_occ, range(5)),
-    "occ-unordered": (pytest.mark.verify_occ, range(5)),
-    "one-phase-reapply": (pytest.mark.verify, range(5)),
-    "cput-blind": (pytest.mark.verify, range(5)),
-    "pipeline-unproven": (pytest.mark.verify, range(5)),
-    "forget-before-resolve": (pytest.mark.verify, range(5)),
-}
+ABLATIONS = {name: _tier2(row) for name, row in SCENARIOS.items()
+             if row.verdict is not None}
+
+#: Every ablation row's off-switch, by row name.
+SWITCHES = {name: row.setup for name, row in SCENARIOS.items()
+            if isinstance(row.setup, Ablation)}
 
 #: Small enough for tier-1, large enough to commit something.
 SMALL = dict(clients_per_region=1, ops_per_client=2, stale_ops=1)
@@ -38,10 +53,17 @@ CHAOS_ROWS = ["region-blackout", "rolling-zones", "flaky-wan",
 FAULT_ROWS = CHAOS_ROWS + ["split-merge", "global-nearest"]
 CRDB_ROWS = ["split-under-fire", "overload"]
 REPAIR_ROWS = ["kill-node-repair", "region-loss-repair"]
+#: The clock rows that are not ablations; the clock sweep's ablations
+#: follow them.
 CLOCK_ROWS = ["clock-drift", "clock-jump", "clock-jump-fence",
-              "clock-freeze-lease", "clock-jump-nofence"]
-FORCED_ROWS = ["occ-novalidate", "occ-unordered", "one-phase-reapply",
-               "cput-blind", "pipeline-unproven", "forget-before-resolve"]
+              "clock-freeze-lease"]
+CLOCK_ABLATIONS = [name for name in ABLATIONS
+                   if "clock" in SCENARIOS[name].sweeps]
+#: The rows that force a backend: every ablation of one pipeline's
+#: mechanism.
+FORCED_ROWS = [name for name in ABLATIONS
+               if SCENARIOS[name].protocol is not None]
+OTHER_BACKEND = {"crdb": "epoch-occ", "epoch-occ": "crdb"}
 
 
 class TestShape:
@@ -49,12 +71,13 @@ class TestShape:
         exp = REGISTRY["verify"]
         assert list(exp.scenarios) == (
             ["none"] + FAULT_ROWS + CRDB_ROWS + REPAIR_ROWS + CLOCK_ROWS
-            + FORCED_ROWS)
+            + list(ABLATIONS))
         assert list(exp.sweep(None)) == \
-            FAULT_ROWS + CRDB_ROWS + REPAIR_ROWS + CLOCK_ROWS
+            FAULT_ROWS + CRDB_ROWS + REPAIR_ROWS + CLOCK_ROWS \
+            + CLOCK_ABLATIONS
         assert list(exp.sweep("epoch-occ")) == FAULT_ROWS
         assert list(exp.groups) == ["clock", "repair"]
-        assert list(exp.groups["clock"]) == CLOCK_ROWS
+        assert list(exp.groups["clock"]) == CLOCK_ROWS + CLOCK_ABLATIONS
         assert list(exp.groups["repair"]) == REPAIR_ROWS
         assert exp.fixed_protocol == frozenset(FORCED_ROWS)
 
@@ -65,8 +88,6 @@ class TestShape:
             if row.verdict is not None:
                 allowed, required = row.verdict
                 assert required and required <= allowed, name
-        assert [name for name, row in SCENARIOS.items()
-                if row.verdict is not None] == list(ABLATIONS)
 
     def test_every_fault_builder_is_a_rows_nemesis(self):
         """repro.chaos builds schedules and nothing else: each builder is
@@ -82,6 +103,70 @@ class TestShape:
             "repro.chaos.faults", "repro.verify.generator"}
         assert SCENARIOS["partition-leaseholder"].faults is \
             faults.partition_leaseholder_faults
+
+
+class TestAblations:
+    """An ablation's off-switch is data: a row's :class:`Ablation` names
+    its owner and attribute, and nothing outside the verifier switches a
+    mechanism off."""
+
+    def test_every_ablation_has_a_verdict_and_every_verdict_an_ablation(
+            self):
+        assert SWITCHES
+        assert list(SWITCHES) == list(ABLATIONS)
+
+    @pytest.mark.parametrize("name", list(SWITCHES))
+    def test_each_switch_is_a_class_attribute_on_by_default(self, name):
+        switch = SWITCHES[name]
+        harness = VerifyHarness(
+            0, protocol=SCENARIOS[name].protocol or "crdb")
+        harness._init_keys()  # as a run does first: epoch-OCC's service
+        if switch.before is not None:
+            switch.before(harness)
+        owners = switch.owners(harness)
+        assert owners, name
+        for owner in owners:
+            assert getattr(type(owner), switch.attribute) is True, (
+                type(owner).__name__, switch.attribute)
+            assert switch.attribute not in vars(owner), name
+            assert getattr(owner, switch.attribute) is True
+
+    def test_no_switch_is_turned_off_outside_the_verifier(self):
+        """The tier-1 form of CI's "One verify scenario table" gate: no
+        ``<switch> = False`` (or ``setattr`` of one to False) in
+        ``src/repro`` outside ``verify/``."""
+        attributes = {switch.attribute for switch in SWITCHES.values()}
+        package = Path(repro.__file__).parent
+        found = []
+        for path in sorted(package.rglob("*.py")):
+            if package / "verify" in path.parents:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Assign):
+                    names = [getattr(t, "attr", getattr(t, "id", None))
+                             for t in node.targets]
+                    value = node.value
+                elif (isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "setattr"
+                      and len(node.args) == 3):
+                    names = [getattr(node.args[1], "value", None)]
+                    value = node.args[2]
+                else:
+                    continue
+                if (attributes.intersection(names)
+                        and isinstance(value, ast.Constant)
+                        and value.value is False):
+                    found.append(f"{path.relative_to(package)}:"
+                                 f"{node.lineno}")
+        assert found == []
+
+    def test_a_rows_setup_switches_its_mechanism_off(self):
+        fresh, ablated = VerifyHarness(0), VerifyHarness(0)
+        SCENARIOS["cput-blind"].setup(ablated)
+        assert [rng.check_condition for rng in fresh.ranges.values()] \
+            == [True] * 3
+        assert [rng.check_condition for rng in ablated.ranges.values()] \
+            == [False] * 3
 
 
 class TestLookup:
@@ -148,10 +233,8 @@ class TestAudit:
 
 class TestForcedBackend:
     @pytest.mark.parametrize("name, protocol", [
-        ("occ-novalidate", "crdb"),
-        ("occ-unordered", "crdb"),
-        ("one-phase-reapply", "epoch-occ"),
-        ("cput-blind", "epoch-occ")])
+        (name, OTHER_BACKEND[SCENARIOS[name].protocol])
+        for name in FORCED_ROWS])
     def test_run_verify_refuses_another_backend(self, name, protocol):
         with pytest.raises(ValueError, match="runs on"):
             run_verify(name, protocol=protocol)
