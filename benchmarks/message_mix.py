@@ -17,6 +17,9 @@ prints, per repetition, per operation:
   per-policy stream names only the ranges whose table entry changed
   since the stream's previous message — the rest ride their policy's
   one closed timestamp;
+* the side transport's *table entries* per message: the ranges each
+  message carries, changed or not (a per-range message carries one),
+  which is what its receiver delivers;
 * the RPCs (``Network.call``), one per call whatever its reply, by the
   method they run;
 * the kernel events dispatched, by the callback each one ran: its
@@ -80,6 +83,8 @@ def census(name: str, seed: int, reps: int):
                 "calls": {k: v / ops for k, v in tally.calls.items()},
                 "entries": tally.range_entries / ops,
                 "entries_per_tick": tally.range_entries / max(1, tally.ticks),
+                "table_per_message": tally.table_entries / max(
+                    1, tally.sends["side transport"]),
                 "by_callback": {k: v / ops
                                 for k, v in tally.by_callback.items()},
             })
@@ -104,6 +109,8 @@ def render(row) -> list:
     lines.append(("    range entries per op", f"{row['entries']:.2f}"))
     lines.append(("    range entries per tick",
                   f"{row['entries_per_tick']:.2f}"))
+    lines.append(("    table entries per message",
+                  f"{row['table_per_message']:.2f}"))
     for kind, value in sorted(sends.items(), key=lambda kv: (-kv[1], kv[0])):
         if kind not in KINDS.values():
             lines.append((f"  {kind}", f"{value:.2f}"))

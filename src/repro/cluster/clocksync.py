@@ -212,13 +212,12 @@ class ClockMonitor:
             self._c_rejected.inc()
             raise ClockOutlierRejectedError(node.node_id, ts.physical, local)
 
-    def accepts_closed_ts(self, node, closed_ts, ranges: int = 1) -> bool:
+    def accepts_closed_ts(self, node, closed_ts) -> bool:
         """Follower-side guard on incoming closed timestamps: refuse
         non-synthetic targets only an out-of-contract leaseholder clock
         could have produced (see
-        :func:`repro.kv.closedts.closed_ts_within_contract`).  One
-        verdict covers ``ranges`` ranges offered the same timestamp; a
-        refusal counts each of them in ``clock.closed_ts_rejected``."""
+        :func:`repro.kv.closedts.closed_ts_within_contract`).  A refusal
+        counts one in ``clock.closed_ts_rejected``."""
         if not self.fence_enabled:
             return True
         if closed_ts_within_contract(closed_ts, node.clock.physical_now(),
@@ -226,7 +225,7 @@ class ClockMonitor:
                                      self.REQUEST_SLACK_MS):
             return True
         self._registry.counter("clock.closed_ts_rejected",
-                               node=node.node_id).inc(ranges)
+                               node=node.node_id).inc()
         return False
 
     # -- lifecycle ----------------------------------------------------------

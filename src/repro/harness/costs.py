@@ -127,8 +127,9 @@ class Tally:
         self.calls: Counter = Counter()
         #: Kernel events by :func:`callback_name`.
         self.by_callback: Counter = Counter()
-        #: Ranges the side transport's messages name, and its ticks.
-        self.range_entries = 0
+        #: Ranges the side transport's messages name, the entries they
+        #: carry (a per-range update carries one), and its ticks.
+        self.range_entries = self.table_entries = 0
         self.ticks = 0
         #: SQL front-end calls: ``parse``, and ``tokenize`` (a full parse).
         self.parser: Counter = Counter()
@@ -138,7 +139,7 @@ class Tally:
         self.calls.clear()
         self.by_callback.clear()
         self.parser.clear()
-        self.range_entries = self.ticks = 0
+        self.range_entries = self.table_entries = self.ticks = 0
 
 
 class Counted:
@@ -187,6 +188,7 @@ def counting(on: bool = True) -> Iterator[Tally]:
             entries = range_entries(callback, args, last_tables)
             if tally.on:
                 tally.range_entries += entries
+                tally.table_entries += len(args[1]) if len(args) == 2 else 1
         if tally.on:
             tally.sends[kind] += 1
         return send(self, src, dst, callback, *args, **kwargs)

@@ -395,8 +395,7 @@ class DistSender:
         #: dst node_id -> lazy RpcTimeoutError factory for an RPC deadline
         #: (timeouts almost never fire; don't build the exception per RPC).
         self._timeout_factories: dict = {}
-        #: Counters for tests/ablations, backed by registry instruments
-        #: (read through the int properties below).
+        #: Counters, read through ``registry.value(name)``.
         self._c_fallbacks = registry.counter("distsender.follower_read_fallbacks")
         self._c_follower_served = registry.counter("distsender.follower_reads_served")
         self._c_retries = registry.counter("distsender.rpc_retries")
@@ -407,34 +406,6 @@ class DistSender:
         self._c_cache_inval = registry.counter(
             "distsender.range_cache_invalidation")
         self._c_resolve_batches = registry.counter("kv.resolve_batches")
-
-    @property
-    def follower_read_fallbacks(self) -> int:
-        return int(self._c_fallbacks.value)
-
-    @property
-    def follower_reads_served(self) -> int:
-        return int(self._c_follower_served.value)
-
-    @property
-    def rpc_retries(self) -> int:
-        return int(self._c_retries.value)
-
-    @property
-    def range_cache_hits(self) -> int:
-        return int(self._c_cache_hit.value)
-
-    @property
-    def range_cache_misses(self) -> int:
-        return int(self._c_cache_miss.value)
-
-    @property
-    def range_cache_invalidations(self) -> int:
-        return int(self._c_cache_inval.value)
-
-    @property
-    def resolve_batches(self) -> int:
-        return int(self._c_resolve_batches.value)
 
     # -- span-keyed descriptor resolution --------------------------------------
 

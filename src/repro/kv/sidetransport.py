@@ -22,13 +22,14 @@ the stream.  The table is copied on write, so every message holds the
 table as of its tick.
 
 Receiver.  The follower node's :class:`~repro.raft.group.ClosedTsReceiver`
-compares each message's table with the last one it was delivered:
-changed entries go through ``RaftGroup._deliver_closed_ts`` (the
-per-range delivery); a follower that has applied its entry's commit
-index advances by one comparison against its slot's target, one that
-has not is re-delivered on every later message until it has.  An idle
-cluster's tick so costs one HLC reading per node, a few comparisons per
-range, one message per stream and one comparison per follower.
+keeps no state: every entry of every message goes through
+``RaftGroup._deliver_closed_ts`` (the per-range delivery) with the
+larger of its own timestamp and its slot's target.  An idle cluster's
+tick so costs one HLC reading per node, a few comparisons per range and
+one message per stream on the sender, and one per-range delivery per
+follower replica on the receivers.  The streams the benchmark runs
+carry one to two ranges a message, too few for remembering the last
+table (to skip unchanged entries) to be worth its code.
 
 The messages — which pairs, in which order (the order in which a walk of
 the ranges in registration order first meets each pair), at which
@@ -59,11 +60,9 @@ class _Frame:
     the previous tick's (``before``) and whether each rose since
     (``rose``), indexed by slot; None where a slot did not ship."""
 
-    __slots__ = ("tick", "targets", "before", "rose")
+    __slots__ = ("targets", "before", "rose")
 
-    def __init__(self, tick: int, previous: Optional["_Frame"],
-                 slots: int):
-        self.tick = tick
+    def __init__(self, previous: Optional["_Frame"], slots: int):
         self.targets: list = [None] * slots
         before = previous.targets if previous is not None else []
         self.before = before + [None] * (slots - len(before))
@@ -135,7 +134,6 @@ class SideTransport:
         self._slots: Dict[tuple, int] = {}
         #: (leader node id, follower node id) -> stream
         self._streams: Dict[Tuple[int, int], _Stream] = {}
-        self._ticks = 0
         self._frame: Optional[_Frame] = None
         # The layout: extended by registrations, rebuilt when a range
         # moves.
@@ -277,8 +275,7 @@ class SideTransport:
             # start a fresh ticker.
             del self.cluster.side_transports[self.interval_ms]
             return
-        self._ticks += 1
-        frame = _Frame(self._ticks, self._frame, len(self._slots))
+        frame = _Frame(self._frame, len(self._slots))
         self._frame = frame
         targets, before, rose = frame.targets, frame.before, frame.rose
         # One HLC reading per leaseholder node, one target per slot.

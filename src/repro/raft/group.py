@@ -1089,23 +1089,8 @@ class RaftGroup:
 
 #: ``_clock_guard(network)``: the follower-side guard on incoming closed
 #: timestamps (``ClockMonitor.accepts_closed_ts``), None when no monitor
-#: is installed.  Read once per side-transport message.
+#: is installed.  Read once per closed timestamp a follower would take.
 _clock_guard = attrgetter("clock_monitor")
-
-
-def _deliver_entry(entry: tuple, targets: list) -> Optional[Timestamp]:
-    """One range's per-range delivery: the entry's commit index and the
-    range's target at the message's tick, the larger of the entry's own
-    timestamp and its slot's target.  Returns the timestamp delivered,
-    or None when the follower has left its group."""
-    group, peer, slot, ts, commit, committed = entry
-    if group.peers.get(peer.node.node_id) is not peer:
-        return None
-    target = targets[slot]
-    if ts is not target and target > ts:
-        ts = target
-    group._deliver_closed_ts(peer, ts, commit, committed)
-    return ts
 
 
 class ClosedTsReceiver:
@@ -1116,116 +1101,27 @@ class ClosedTsReceiver:
     A message carries its tick's *frame* — one target per slot, a slot
     being a (leaseholder node, policy) pair — and the stream's *table*,
     ``{range id: (group, peer, slot, ts, commit index, last committed
-    entry)}`` as of each range's last explicit entry.  The receiver
-    keeps the last table it was delivered, its *subscribed* followers
-    ``{range id: (slot, peers, node_id, peer)}`` and its *pending*
-    entries ``{range id: entry}``:
-
-    * an entry the last table lacked goes through
-      :meth:`RaftGroup._deliver_closed_ts` (the per-range delivery, with
-      the larger of the entry's timestamp and its slot's target) and is
-      then filed: subscribed if its follower has applied the entry's
-      commit index and holds the timestamp delivered, pending if not;
-    * a pending entry is re-delivered the same way on every message
-      until its follower is filed as subscribed;
-    * a subscribed follower advances by one comparison against its
-      slot's target; the clock guard judges each target once per message
-      and a refusal counts each follower it would have raised;
-    * a follower that left its group since (``peers.get(node_id) is not
-      peer``) is skipped;
-    * a message overtaken by a later one on the stream delivers its whole
-      table through ``_deliver_closed_ts`` and leaves the state alone.
-
-    Each follower so ends every message where the per-range delivery of
-    every range in the table would have left it.
+    entry)}`` as of each range's last explicit entry.  Every entry takes
+    the per-range delivery, :meth:`RaftGroup._deliver_closed_ts`, with
+    the larger of its own timestamp and its slot's target; a follower
+    that left its group since (``peers.get(node_id) is not peer``) is
+    skipped.  The receiver keeps no state, so a message overtaken by a
+    later one on the stream needs no rule of its own: the per-range
+    delivery never lowers a closed timestamp.
     """
 
-    __slots__ = ("network", "node", "tick", "table", "subscribed",
-                 "pending")
+    __slots__ = ("network", "node")
 
     def __init__(self, network, node):
         self.network = network
         self.node = node
-        self.tick = 0
-        self.table: dict = {}
-        self.subscribed: dict = {}
-        self.pending: dict = {}
 
     def deliver(self, frame, table: dict) -> None:
         targets = frame.targets
-        if frame.tick < self.tick:
-            for entry in table.values():
-                _deliver_entry(entry, targets)
-            return
-        self.tick = frame.tick
-        # Entries delivered one by one end at or above their slot's
-        # target, so the comparison pass below skips them.
-        pending = self.pending
-        if pending:
-            for range_id, entry in list(pending.items()):
-                if table.get(range_id) is entry:
-                    del pending[range_id]
-                    self._settle(range_id, entry, targets)
-        last = self.table
-        if table is not last:
-            joined = 0
-            for range_id, entry in table.items():
-                before = last.get(range_id)
-                if before is not entry:
-                    if before is None:
-                        joined += 1
-                    elif pending:
-                        pending.pop(range_id, None)
-                    self._settle(range_id, entry, targets)
-            if len(last) + joined > len(table):  # some ranges left
-                for range_id in last:
-                    if range_id not in table:
-                        pending.pop(range_id, None)
-                        self.subscribed.pop(range_id, None)
-            self.table = table
-        # ``before`` holds each slot's previous target and ``rose``
-        # whether it rose since: a follower still holding the previous
-        # target is below the new one exactly when it rose, so the
-        # comparison is mostly an identity test.
-        before, rose = frame.before, frame.rose
-        guard = _clock_guard(self.network)
-        if guard is None:
-            for slot, peers, node_id, peer in self.subscribed.values():
-                closed = peer.closed_ts
-                if ((rose[slot] if closed is before[slot]
-                     else targets[slot] > closed)
-                        and peers.get(node_id) is peer):
-                    peer.closed_ts = targets[slot]
-            return
-        due: Dict[int, list] = {}
-        for slot, peers, node_id, peer in self.subscribed.values():
-            closed = peer.closed_ts
-            if ((rose[slot] if closed is before[slot]
-                 else targets[slot] > closed)
-                    and peers.get(node_id) is peer):
-                due.setdefault(slot, []).append(peer)
-        for slot, raised in due.items():
-            ts = targets[slot]
-            if guard.accepts_closed_ts(self.node, ts, len(raised)):
-                for peer in raised:
-                    peer.closed_ts = ts
-
-    def _settle(self, range_id: int, entry: tuple, targets: list) -> None:
-        """Deliver one entry through ``_deliver_closed_ts``, then file it:
-        subscribed if its follower, still a member, has applied the
-        entry's commit index and holds the timestamp delivered (from then
-        on its slot's target alone can raise it), pending otherwise."""
-        ts = _deliver_entry(entry, targets)
-        if ts is not None:
-            group, peer, slot, _ts, commit, _committed = entry
-            closed = peer.closed_ts
-            if (peer.applied_index >= commit
-                    and (closed is ts or closed >= ts)):
-                follower = self.subscribed.get(range_id)
-                if (follower is None or follower[0] != slot
-                        or follower[3] is not peer):
-                    self.subscribed[range_id] = (slot, group.peers,
-                                                 peer.node.node_id, peer)
-                return
-        self.subscribed.pop(range_id, None)
-        self.pending[range_id] = entry
+        for group, peer, slot, ts, commit, committed in table.values():
+            if group.peers.get(peer.node.node_id) is not peer:
+                continue
+            target = targets[slot]
+            if ts is not target and target > ts:
+                ts = target
+            group._deliver_closed_ts(peer, ts, commit, committed)

@@ -868,10 +868,11 @@ class VerifyHarness(Testbed):
         history = self.recorder.finalize()
         report = check(history)
         audit = row.audit(self)
+        registry = self.sim.obs.registry
         stats = {
             "txns_recorded": len(history.txns),
             "failovers": self.range.failovers,
-            "rpc_retries": self.ds.rpc_retries,
+            "rpc_retries": int(registry.value("distsender.rpc_retries")),
             "messages_dropped": self.cluster.network.messages_dropped,
             "ambiguous_commits": self.coord.stats.ambiguous_commits,
             "txn_retries": self.coord.stats.aborted_retries,
@@ -886,8 +887,8 @@ class VerifyHarness(Testbed):
             stats["keyspace_splits"] = keyspace.splits
             stats["keyspace_merges"] = keyspace.merges
             stats["final_ranges"] = len(self.range.span.descriptors)
-            stats["range_cache_invalidations"] = \
-                self.ds.range_cache_invalidations
+            stats["range_cache_invalidations"] = int(registry.value(
+                "distsender.range_cache_invalidation"))
         timeline = list(nemesis.timeline) if nemesis is not None else []
         if self.clock_monitor is not None:
             stats["clock_fences"] = len(self.clock_monitor.fence_events)

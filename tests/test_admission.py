@@ -435,7 +435,8 @@ class TestOverloadDeterminism:
         def readings(harness):
             network = harness.cluster.network
             return (harness.cluster.admission.totals(),
-                    harness.coord.stats.committed, harness.ds.rpc_retries,
+                    harness.coord.stats.committed,
+                    harness.sim.obs.registry.value("distsender.rpc_retries"),
                     network.messages_sent, network.messages_dropped)
 
         assert readings(off) == readings(on)

@@ -210,7 +210,7 @@ class TestCommitPathPins:
         assert updates == 328
         assert (stats.one_phase_commits, stats.one_phase_fallbacks) == (327, 1)
         assert self._counter(sim, "raft.proposals") == updates + 1
-        assert engine.coordinator.distsender.resolve_batches == 0
+        assert self._counter(sim, "kv.resolve_batches") == 0
 
     def test_tpcc_resolve_entries_equal_txn_range_pairs(self, monkeypatch):
         """A multi-range commit's record entry resolves the anchor

@@ -201,7 +201,7 @@ class TestResentRequest:
                 if node_id != group.leader_node_id:
                     group.resync_peer(node_id)
         bed.settle(300.0)
-        assert bed.ds.rpc_retries >= 1
+        assert bed.sim.obs.registry.value("distsender.rpc_retries") >= 1
         assert bed.coord.stats.begun == 1
         for replica in owner.replicas.values():
             assert versions(owner, "new", replica) == [(commit_ts, "once")]

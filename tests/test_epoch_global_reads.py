@@ -25,6 +25,7 @@ from repro.txn import TransactionCoordinator
 from .sql_util import connect, movr_engine
 
 REGIONS = ["us-east1", "europe-west2", "asia-northeast1"]
+SERVED = "distsender.follower_reads_served"
 HOME, FAR = "us-east1", "europe-west2"
 
 
@@ -63,17 +64,18 @@ class TestNearestReadIsLocal:
     def test_global_read_is_follower_served_and_regional_is_not(self):
         bed = Bed()
         sim = bed.sim
+        registry = sim.obs.registry
         observed = {}
 
         def txn_fn(txn):
             for name, rng, key, routing in (
                     ("glob", bed.glob, "g", ReadRouting.NEAREST),
                     ("reg", bed.reg, "r", ReadRouting.LEASEHOLDER)):
-                served = bed.ds.follower_reads_served
+                served = registry.value(SERVED)
                 start = sim.now
                 value = yield from txn.read(rng, key, routing=routing)
                 observed[name] = (value, sim.now - start,
-                                  bed.ds.follower_reads_served - served)
+                                  registry.value(SERVED) - served)
 
         bed.run(bed.coord.run(bed.far, txn_fn))
         value, latency, served = observed["glob"]
@@ -94,6 +96,7 @@ class TestFutureObservation:
         gateway clock passes T."""
         bed = Bed()
         sim = bed.sim
+        registry = sim.obs.registry
         clock = bed.far.clock
         follower = bed.ds.nearest_replica(bed.far, bed.glob)
         assert not follower.is_leaseholder
@@ -118,14 +121,14 @@ class TestFutureObservation:
             observed["latency"] = sim.now - start
             observed["read_set"] = list(txn.read_set)
 
-        served = bed.ds.follower_reads_served
+        served = registry.value(SERVED)
         [(_none, commit_ts)] = bed.run(bed.coord.run(bed.far, reader))
         acked_at = clock.physical_now()
         sim.run_until_future(writing)
         assert observed["start"] < written_ts.physical
         assert observed["value"] == "v1"
         assert observed["latency"] < 10.0
-        assert bed.ds.follower_reads_served - served == 1
+        assert registry.value(SERVED) - served == 1
         assert [ts for _span, _key, ts in observed["read_set"]] == [
             written_ts]
         assert commit_ts == written_ts
@@ -141,6 +144,7 @@ class TestValidationMakesFollowerReadsSafe:
         aborts and the copied value."""
         bed = Bed()
         sim = bed.sim
+        registry = sim.obs.registry
         seen = []
 
         def overwrite(txn):
@@ -160,13 +164,13 @@ class TestValidationMakesFollowerReadsSafe:
             result = yield from bed.coord.run(bed.far, copy)
             return result
 
-        served = bed.ds.follower_reads_served
+        served = registry.value(SERVED)
         procs = [sim.spawn(bed.coord.run(bed.home, overwrite)),
                  sim.spawn(copier())]
         sim.run(until=sim.now + 0.5)  # the epoch service now exists
         bed.cluster.epoch_service.validate = validate
         sim.run_until_future(all_of(sim, procs))
-        assert bed.ds.follower_reads_served > served
+        assert registry.value(SERVED) > served
 
         def audit(txn):
             value = yield from txn.read(bed.reg, "r")
@@ -201,8 +205,8 @@ class TestSqlReadBatch:
         session.execute(
             "INSERT INTO users (id, email, name) VALUES (1, 'x@y', 'x')")
         sim = engine.cluster.sim
+        registry = sim.obs.registry
         sim.run(until=sim.now + 1000.0)
-        ds = engine.coordinator.distsender
         far = connect(engine, FAR)
         observed = {}
 
@@ -213,11 +217,11 @@ class TestSqlReadBatch:
                     ("scan", "SELECT code FROM promo_codes"),
                     ("unique", "SELECT name FROM users "
                                "WHERE email = 'x@y'")):
-                served = ds.follower_reads_served
+                served = registry.value(SERVED)
                 start = sim.now
                 rows = yield from handle.execute(sql)
                 observed[name] = (rows, sim.now - start,
-                                  ds.follower_reads_served - served)
+                                  registry.value(SERVED) - served)
 
         sim.run_until_future(sim.spawn(far.run_txn_co(body)))
         codes = [{"code": code} for code in "abc"]

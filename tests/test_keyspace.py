@@ -194,20 +194,25 @@ class TestDistSenderSpanCache:
     def test_miss_then_hits_then_invalidation_on_split(self):
         bed = _ElasticBed()
         bed.seed(["a", "b", "c", "d"])
-        assert bed.ds.range_cache_misses == 0
+        registry = bed.sim.obs.registry
+
+        def cache(outcome):
+            return registry.value(f"distsender.range_cache_{outcome}")
+
+        assert cache("miss") == 0
         bed.do_read("us-east1", bed.span, "a")
-        first_misses = bed.ds.range_cache_misses
+        first_misses = cache("miss")
         assert first_misses >= 1
-        hits_before = bed.ds.range_cache_hits
+        hits_before = cache("hit")
         bed.do_read("us-east1", bed.span, "b")
-        assert bed.ds.range_cache_hits > hits_before
-        assert bed.ds.range_cache_misses == first_misses
+        assert cache("hit") > hits_before
+        assert cache("miss") == first_misses
         # A split bumps the span generation and notifies subscribers:
         # the snapshot is dropped and the next resolve re-misses.
         bed.keyspace.split(bed.span.descriptors[0], "c", trigger="test")
-        assert bed.ds.range_cache_invalidations >= 1
+        assert cache("invalidation") >= 1
         bed.do_read("us-east1", bed.span, "d")
-        assert bed.ds.range_cache_misses > first_misses
+        assert cache("miss") > first_misses
 
     def test_stale_cache_bounce_reroutes_to_new_owner(self):
         """A client that cached the pre-split descriptor map must be
@@ -347,6 +352,35 @@ class TestRebalanceQueue:
 
 
 class TestLoadAwareAllocator:
+    def test_queue_prefers_the_node_whose_leases_carry_less_qps(self):
+        """Two candidates equally diverse from the survivor, each hosting
+        one replica: the rebalance queue's allocator adds the one whose
+        leaseholders serve less traffic, not the lower node id."""
+        bed = _QueueBed(split_qps=1000.0)
+        rng = bed.range
+        hot = rng.leaseholder_node
+        cool = next(bed.cluster.node_by_id(node_id)
+                    for node_id in sorted(rng.replicas)
+                    if node_id > hot.node_id)
+        survivor = next(
+            n for n in bed.cluster.nodes
+            if n.locality.region not in (hot.locality.region,
+                                         cool.locality.region))
+        assert cool.locality.region != hot.locality.region
+        assert hot.node_id < cool.node_id  # the id alone would pick hot
+        assert len(hot.replicas) == len(cool.replicas) == 1
+        load = bed.span.descriptors[0].load
+        for i in range(50):
+            load.record(i * 10.0, key="k000", region=hot.locality.region)
+        bed.sim.run(until=1000.0)  # the window closes: 50 QPS on hot
+        assert bed.queue._node_load(hot) > bed.queue._node_load(cool)
+        others = [n.node_id for n in bed.cluster.nodes
+                  if n not in (hot, cool)]
+        pick = bed.queue.allocator.pick_addition(
+            ZoneConfig(num_replicas=3, num_voters=3), [survivor],
+            exclude_ids=others)
+        assert pick is cool
+
     def test_load_fn_breaks_replica_count_ties(self):
         cluster = standard_cluster(REGIONS3, seed=0)
         hot = cluster.nodes_in_region("us-east1")[0].node_id

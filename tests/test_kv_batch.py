@@ -259,7 +259,7 @@ class TestSplitRace:
         assert not any(isinstance(s, BaseException) for s in stamps)
         # One bounce, then one attempt per new owner: the group that
         # could never fit burned no retry budget.
-        assert bed.ds.rpc_retries == 1
+        assert bed.sim.obs.registry.value("distsender.rpc_retries") == 1
         assert len(self.attempts(bed)) == 3
         learn_commit(bed.sim, *(d.rng for d in span.descriptors))
         for key in range(N_KEYS):
@@ -279,7 +279,7 @@ class TestSplitRace:
         outcomes = run(bed, future)
         assert [result.value for result, _ts in outcomes] == [
             f"v{key}" for key in range(N_KEYS)]
-        assert bed.ds.rpc_retries == 1
+        assert bed.sim.obs.registry.value("distsender.rpc_retries") == 1
 
     def test_merge_folds_two_groups_into_the_survivor(self):
         bed, span = make_bed(splits=(4,))
@@ -430,7 +430,7 @@ class TestResolveGroups:
             gateway, [(span, key) for key in keys], 9, commit_ts))
         learn_commit(bed.sim, *(d.rng for d in span.descriptors))
         assert calls == [3, 3]
-        assert bed.ds.resolve_batches == 2
+        assert bed.sim.obs.registry.value("kv.resolve_batches") == 2
         for descriptor, index in zip(span.descriptors, before):
             rng = descriptor.rng
             assert rng.group.commit_index == index + 1
@@ -451,7 +451,8 @@ class TestResolveGroups:
         calls = count_calls(bed.cluster)
         run(bed, bed.ds.resolve_intents(
             gateway, [(span, 0), (span, 5)], 9, commit_ts))
-        assert calls == [1, 1] and bed.ds.resolve_batches == 0
+        assert calls == [1, 1]
+        assert bed.sim.obs.registry.value("kv.resolve_batches") == 0
         for descriptor in span.descriptors:
             command = descriptor.rng.group.leader.log[-1].command
             assert type(command) is ResolveIntentCommand
@@ -506,7 +507,8 @@ class TestResolveGroups:
             gateway, [(span, key) for key in keys], 9, commit_ts)
         bed.cluster.keyspace.split(span.descriptors[0], 5, trigger="test")
         run(bed, future)
-        assert bed.ds.rpc_retries == 1  # one bounce, then one per owner
+        # One bounce, then one per owner.
+        assert bed.sim.obs.registry.value("distsender.rpc_retries") == 1
         learn_commit(bed.sim, *(d.rng for d in span.descriptors))
         for key in keys:
             owner = span.descriptor_for_key(key).rng

@@ -25,7 +25,8 @@ from repro.kv.commands import (
 )
 from repro.kv.replica import Replica
 from repro.sim.core import settle_all
-from repro.verify import VerifyHarness, check
+from repro.verify import HistoryRecorder, VerifyHarness, check
+from repro.verify.history import INDETERMINATE
 
 from .kv_util import REGIONS3, KVTestBed
 from .sql_util import make_engine
@@ -101,7 +102,7 @@ class TestOneConsensusRound:
                 command.commands[0].ts, 1)
         stats = bed.coord.stats
         assert (stats.one_phase_commits, stats.one_phase_fallbacks) == (1, 0)
-        assert bed.ds.resolve_batches == 0
+        assert bed.sim.obs.registry.value("kv.resolve_batches") == 0
         # One consensus round after the read, not two.
         unmarked_bed, unmarked = make_bed()
         _result, two_phase = unmarked_bed.run_txn(HOME, rmw(unmarked,
@@ -356,7 +357,8 @@ class TestAtMostOnce:
                 if node_id != group.leader_node_id:
                     group.resync_peer(node_id)
         bed.settle(300.0)
-        assert bed.ds.rpc_retries >= 1  # it really was re-sent
+        # It really was re-sent.
+        assert bed.sim.obs.registry.value("distsender.rpc_retries") >= 1
         assert runs == [1]
         for replica in owner.replicas.values():
             assert versions(owner, "k", replica) == applied
@@ -441,7 +443,8 @@ class TestAtMostOnce:
         bed.sim.run_until_future(settle_all(bed.sim, [process]))
         assert isinstance(process.error, AmbiguousCommitError)
         assert runs == [1]
-        assert bed.ds.rpc_retries == bed.ds.RPC_MAX_ATTEMPTS
+        assert (bed.sim.obs.registry.value("distsender.rpc_retries")
+                == bed.ds.RPC_MAX_ATTEMPTS)
         assert bed.coord.stats.ambiguous_commits == 1
         assert bed.cluster.txn_registry[1].status == TxnStatus.ABORTED
 
@@ -485,6 +488,39 @@ class TestRecordResolvesItsRange:
             if fail is not None:
                 raise fail
         return txn_fn
+
+    def test_a_lost_record_is_recorded_indeterminate(self):
+        """A record write that never arrives leaves the commit in doubt.
+        The recorder hears it when the client does: indeterminate at the
+        commit timestamp it may have applied at, ended at that instant
+        (``finalize``'s fallback for a transaction never acknowledged
+        sets neither)."""
+        bed, rng, far = self.make()
+        recorder = bed.coord.recorder = HistoryRecorder(bed.sim)
+        txns, heard = [], []
+
+        def txn_fn(txn):
+            txns.append(txn)
+            yield from txn.write(rng, "k", "a")  # the anchor, at HOME
+            yield from txn.write(far, "f", "c")
+            # From here on every request from FAR to HOME dies in flight.
+            bed.cluster.network.faults.set_loss(FAR, HOME, 1.0,
+                                                bidirectional=False)
+
+        def client():
+            try:
+                yield from bed.coord.run(bed.gateway(FAR), txn_fn)
+            except AmbiguousCommitError:
+                heard.append(bed.sim.now)
+
+        bed.sim.run_until_future(bed.sim.spawn(client()))
+        assert bed.coord.stats.ambiguous_commits == 1
+        (txn,), (at,) = txns, heard
+        (record,) = recorder.finalize().txns
+        assert record.status == INDETERMINATE
+        assert record.commit_ts is not None
+        assert record.commit_ts == txn.commit_ts
+        assert record.begin_ms < record.end_ms == at
 
     def test_record_and_local_resolves_are_one_entry(self):
         bed, rng, far = self.make()
@@ -566,7 +602,7 @@ class TestRecordResolvesItsRange:
         faults.set_loss(HOME, FAR, 0.0, bidirectional=False)
         _result, commit_ts = bed.sim.run_until_future(process)
         bed.settle(300.0)
-        assert bed.ds.rpc_retries >= 1
+        assert bed.sim.obs.registry.value("distsender.rpc_retries") >= 1
         assert versions(rng, "k") == applied
         assert applied[-1] == (commit_ts, "a")
         assert versions(far, "f")[-1] == (commit_ts, "c")

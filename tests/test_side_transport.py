@@ -223,11 +223,11 @@ class TestMembershipOfTheTick:
 
 
 class TestPerPolicyStream:
-    """After the first tick an idle range is one comparison per follower:
-    what the stream must keep exact while it names ranges only when they
-    join, leave, commit or run ahead of their policy."""
+    """The sender names a range only when it joins, leaves, commits or
+    runs ahead of its policy; the receiver keeps no state and delivers
+    every entry of every message: what the stream must keep exact."""
 
-    def test_idle_ticks_deliver_no_range_and_read_no_range_target(
+    def test_idle_ticks_read_no_range_target_and_deliver_each_entry(
             self, monkeypatch):
         bed = KVTestBed(regions=REGIONS3)
         ranges = [bed.make_range("us-east1", closed_ts_lag_ms=0.0)
@@ -246,7 +246,7 @@ class TestPerPolicyStream:
         monkeypatch.setattr(RaftGroup, "_deliver_closed_ts", counted_deliver)
         monkeypatch.setattr(Range, "closed_target", counted_target)
         bed.settle(INTERVAL_MS + 90.0)  # the first tick, delivered
-        # The first tick names every range: one delivery per follower.
+        # Every tick delivers each table entry: one per follower replica.
         assert calls == {"deliver": 7 * 4, "target": 0}
         calls["deliver"] = 0
         seen = [[p.closed_ts.physical for p in followers(r)] for r in ranges]
@@ -258,7 +258,10 @@ class TestPerPolicyStream:
                 assert after == pytest.approx(
                     [t + INTERVAL_MS for t in before])
             seen = now
-        assert calls == {"deliver": 0, "target": 0}
+        assert calls == {"deliver": 3 * 7 * 4, "target": 0}
+
+    def test_receiver_keeps_no_state(self):
+        assert ClosedTsReceiver.__slots__ == ("network", "node")
 
     def test_follower_behind_at_its_first_entry_advances_once_caught_up(
             self):
@@ -266,7 +269,7 @@ class TestPerPolicyStream:
         rng = bed.make_range("us-east1", closed_ts_lag_ms=0.0)
         lagging = rng.group.non_voters()[0]
         lag_id = lagging.node.node_id
-        bed.settle(INTERVAL_MS + 80.0)  # subscribed at the first tick
+        bed.settle(INTERVAL_MS + 80.0)  # delivered at the first tick
         network = bed.cluster.network
         send = network.send
         dropping = [True]
@@ -295,10 +298,10 @@ class TestPerPolicyStream:
         assert lagging.applied_index == commit
         # Caught up: its entries' closed timestamps, not yet the tick's.
         assert lagging.closed_ts < min(p.closed_ts for p in others)
-        bed.settle(80.0)  # the next tick re-checks it
+        bed.settle(80.0)  # the next tick delivers it the slot's target
         assert lagging.closed_ts == max(p.closed_ts for p in others)
         caught = lagging.closed_ts
-        bed.settle(INTERVAL_MS)  # ...and from then on it is subscribed
+        bed.settle(INTERVAL_MS)  # ...and every tick after it
         assert lagging.closed_ts.physical == pytest.approx(
             caught.physical + INTERVAL_MS)
 
@@ -312,7 +315,7 @@ class TestPerPolicyStream:
                     if p.node.node_id != old)
         assert far in stays.group.peers
         ticks = sends_by_tick(bed)
-        bed.settle(2 * INTERVAL_MS + 50.0)  # both subscribed on old -> far
+        bed.settle(2 * INTERVAL_MS + 50.0)  # both ride old -> far
         moved.transfer_lease(new)
         bed.settle(2 * INTERVAL_MS)
         for tick, msgs in sorted(ticks.items()):
@@ -331,9 +334,9 @@ class TestPerPolicyStream:
         rng = bed.make_range("us-east1", closed_ts_lag_ms=0.0)
         learner = rng.group.non_voters()[0]
         node = learner.node
-        bed.settle(INTERVAL_MS + 80.0)  # subscribed at the first tick
-        subscribed = learner.closed_ts
-        assert subscribed > TS_ZERO
+        bed.settle(INTERVAL_MS + 80.0)  # delivered at the first tick
+        delivered = learner.closed_ts
+        assert delivered > TS_ZERO
         bed.settle(20.0)  # the second tick fires; its messages fly
         rng.remove_replica(node)
         rng.add_replica(node, ReplicaType.NON_VOTER)
@@ -341,7 +344,7 @@ class TestPerPolicyStream:
         assert rejoined is not learner
         copied = rejoined.closed_ts
         bed.settle(80.0)  # past every delivery, before the next tick
-        assert learner.closed_ts == subscribed  # the orphan stays put
+        assert learner.closed_ts == delivered  # the orphan stays put
         assert rejoined.closed_ts is copied  # not through the old entry
         bed.settle(INTERVAL_MS)  # the next tick names the new peer
         assert rejoined.closed_ts.physical == pytest.approx(
@@ -353,13 +356,13 @@ class TestPerPolicyStream:
                   for _ in range(3)]
         (leaseholder,) = {r.leaseholder_node_id for r in ranges}
         monitor = install_clock_monitor(bed.cluster)
-        bed.settle(INTERVAL_MS + 80.0)  # subscribed at the first tick
+        bed.settle(INTERVAL_MS + 80.0)  # delivered at the first tick
         judged = []
         accepts = monitor.accepts_closed_ts
 
-        def counted(node, ts, ranges=1):
-            judged.append(ranges)
-            return accepts(node, ts, ranges)
+        def counted(node, ts):
+            judged.append(node.node_id)
+            return accepts(node, ts)
 
         monitor.accepts_closed_ts = counted
         registry = bed.sim.obs.registry
@@ -381,10 +384,10 @@ class TestPerPolicyStream:
         bed.settle(INTERVAL_MS)  # one tick of out-of-contract targets
         assert all(p.closed_ts == before[id(p)]
                    for r in ranges for p in followers(r))
-        # One verdict per message (its ranges share one slot), and the
-        # refusal counts every follower replica it would have raised.
-        assert sorted(judged) == sorted(shared.values())
-        assert rejected() == sum(shared.values()) == 3 * 4
+        # One verdict per follower replica, each refusal counted once.
+        assert sorted(judged) == sorted(
+            n for n, count in shared.items() for _ in range(count))
+        assert len(judged) == rejected() == sum(shared.values()) == 3 * 4
 
     def test_refused_first_entry_is_retried_and_counted_once_a_tick(self):
         bed = KVTestBed(regions=REGIONS3)
@@ -403,8 +406,8 @@ class TestPerPolicyStream:
 
         for tick in (1, 2):
             bed.settle(INTERVAL_MS + (80.0 if tick == 1 else 0.0))
-            # Every range's entry is refused at every follower and stays
-            # pending: re-delivered, and counted, once per tick.
+            # Every range's entry is refused at every follower: delivered
+            # again, and counted, once per tick.
             assert rejected() == tick * len(pairs) == tick * 12
             assert all(p.closed_ts == TS_ZERO for _r, p in pairs)
 
@@ -440,6 +443,7 @@ class TestPerPolicyStream:
         watched = [r.group.peers[far.node_id] for r in ranges]
         network = bed.cluster.network
         send = network.send
+        landed = []
 
         def late(src, dst, callback, *args, **kwargs):
             if (bed.sim.now == 3 * INTERVAL_MS and dst is far
@@ -447,6 +451,11 @@ class TestPerPolicyStream:
                     is ClosedTsReceiver.deliver):
                 # The tick at 300 reaches ``far`` after the one at 400.
                 kwargs["after_ms"] = INTERVAL_MS + 20.0
+                deliver_late = callback
+
+                def callback(*a):
+                    landed.append(bed.sim.now)
+                    deliver_late(*a)
             send(src, dst, callback, *args, **kwargs)
 
         network.send = late
@@ -466,7 +475,9 @@ class TestPerPolicyStream:
             assert all(b >= a for a, b in zip(earlier, later))
         # The late message delivered both ranges one by one — the old
         # targets, which raise nothing — and the stream went on.
-        overtaken = [c for c in calls if c[0] > 4 * INTERVAL_MS
+        (instant,) = landed
+        assert instant > 4 * INTERVAL_MS + 20.0
+        overtaken = [c for c in calls if c[0] == instant
                      and c[1] == far.node_id]
         assert len(overtaken) == 2
         assert all(ts < p.closed_ts for (_t, _n, ts), p

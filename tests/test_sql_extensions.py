@@ -210,7 +210,8 @@ class TestFollowerReadFallback:
         process = sim.spawn(_read(ds, gateway, rng, "k", target))
         assert sim.run_until_future(process) == "v"
         assert sim.now - start >= 80.0, "the fallback pays the WAN RTT"
-        assert ds.follower_read_fallbacks == 1
+        assert sim.obs.registry.value(
+            "distsender.follower_read_fallbacks") == 1
 
 
 def _read(ds, gateway, rng, key, ts):

@@ -55,7 +55,7 @@ def test_the_probe_that_convicts_is_clean_with_the_guard_on(seed):
     history = harness.recorder.finalize()
     report = check(history)
     assert report.ok, report.render()
-    assert harness.ds.rpc_retries >= 1
+    assert harness.sim.obs.registry.value("distsender.rpc_retries") >= 1
     assert harness.coord.stats.one_phase_commits >= 2
 
 
