@@ -22,6 +22,9 @@ prints, per repetition, per operation:
   which is what its receiver delivers;
 * the RPCs (``Network.call``), one per call whatever its reply, by the
   method they run;
+* the Raft retransmission ticker's ticks per op and the groups each
+  tick visits (only those not quiesced), for runs provisioned with
+  retransmission;
 * the kernel events dispatched, by the callback each one ran: its
   qualified name (``RaftGroup._deliver_append``), a process resume
   under its generator's (``Range.serve_write``), a future fired by a
@@ -59,6 +62,30 @@ sys.path.insert(0, str(ROOT))
 from bench import run as bench_run  # noqa: E402  (puts src/ on the path)
 from bench.workloads import WORKLOADS  # noqa: E402
 from repro.harness.costs import KINDS, counting  # noqa: E402
+from repro.raft.group import RaftGroup  # noqa: E402
+
+#: The retransmission ticker's events, as the kernel census names them.
+TICK = "RetransmitTicker._tick"
+
+
+def count_visits(tally):
+    """Patch ``RaftGroup._retransmit``, the retransmission ticker's visit
+    to one group, to count into ``visits[0]`` while ``tally.on``;
+    returns ``(visits, restore)``."""
+    visits = [0]
+    visit = RaftGroup._retransmit
+
+    def counted(self):
+        if tally.on:
+            visits[0] += 1
+        return visit(self)
+
+    RaftGroup._retransmit = counted
+
+    def restore():
+        RaftGroup._retransmit = visit
+
+    return visits, restore
 
 
 def census(name: str, seed: int, reps: int):
@@ -66,11 +93,13 @@ def census(name: str, seed: int, reps: int):
     # Installed before any cluster exists, so no component can hold a
     # bound method of the unpatched functions.
     with counting(on=False) as tally:
+        visits, restore = count_visits(tally)
         workload = WORKLOADS[name](1.0)
         run = workload.run
 
         def counted_run(state, inputs, mark, lap):
             tally.clear()
+            visits[0] = 0
             tally.on = True
             try:
                 result = run(state, inputs, mark, lap)
@@ -87,12 +116,18 @@ def census(name: str, seed: int, reps: int):
                     1, tally.sends["side transport"]),
                 "by_callback": {k: v / ops
                                 for k, v in tally.by_callback.items()},
+                "retransmit_ticks": tally.by_callback[TICK] / ops,
+                "visits_per_tick": visits[0] / max(
+                    1, tally.by_callback[TICK]),
             })
             return result
 
         workload.run = counted_run
-        for rep in range(reps):
-            bench_run.run_rep(workload, seed * 1000 + rep)
+        try:
+            for rep in range(reps):
+                bench_run.run_rep(workload, seed * 1000 + rep)
+        finally:
+            restore()
     return rows
 
 
@@ -114,6 +149,10 @@ def render(row) -> list:
     for kind, value in sorted(sends.items(), key=lambda kv: (-kv[1], kv[0])):
         if kind not in KINDS.values():
             lines.append((f"  {kind}", f"{value:.2f}"))
+    lines.append(("retransmission ticks per op",
+                  f"{row['retransmit_ticks']:.2f}"))
+    lines.append(("  groups visited per tick",
+                  f"{row['visits_per_tick']:.2f}"))
     lines.append(("RPCs per op", f"{sum(calls.values()):.2f}"))
     for method, value in sorted(calls.items(), key=lambda kv: (-kv[1], kv[0])):
         lines.append((f"  {method}", f"{value:.2f}"))

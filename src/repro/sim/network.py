@@ -415,6 +415,10 @@ class Network:
         #: While set, :meth:`send` piggybacks the sender's clock reading
         #: on every one-way message; RPCs carry none.
         self.clock_monitor = None
+        #: interval ms -> the Raft retransmission ticker every group on
+        #: this network retransmits behind
+        #: (``repro.raft.group.RetransmitTicker``).
+        self.raft_tickers: Dict[float, object] = {}
 
     @property
     def messages_sent(self) -> int:

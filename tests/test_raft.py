@@ -7,9 +7,12 @@ import pytest
 
 from repro.cluster import standard_cluster
 from repro.errors import RangeUnavailableError
+from repro.placement import SurvivalGoal, provision_range, zone_config_for_home
 from repro.raft import group as group_module
 from repro.raft.group import RaftGroup, ReplicaType
 from repro.sim.clock import Timestamp, TS_ZERO
+
+from .kv_util import REGIONS3, KVTestBed
 
 
 def ts(physical, logical=0, synthetic=False):
@@ -562,3 +565,288 @@ class TestMessageBudget:
         assert [s[0] for s in sent if other.node_id not in s[1:3]] == [
             "_deliver_append", "_on_ack"]
         assert fut.done and group.commit_index == 1
+
+
+def record_acks(group):
+    """Record every ``_on_ack`` the group runs as (sim ms, index, node
+    id); timers and ack messages bind ``group._on_ack`` when they are
+    made, so the wrapper sees every one made from here on."""
+    seen = []
+    on_ack = group._on_ack
+
+    def recording(index, from_node_id, term=None):
+        seen.append((group.sim.now, index, from_node_id))
+        on_ack(index, from_node_id, term)
+
+    group._on_ack = recording
+    return seen
+
+
+def commit_times(group):
+    """index -> the sim ms its proposal resolved, filled as it runs."""
+    times = {}
+    propose = group.propose
+
+    def proposing(command, closed_ts, span=None):
+        fut = propose(command, closed_ts, span)
+        index = group._next_index - 1
+        fut.add_callback(lambda f: times.setdefault(index, group.sim.now))
+        return fut
+
+    group.propose = proposing
+    return times
+
+
+class TestLeaderDiskAck:
+    """The leader's own disk ack costs no event where it cannot decide a
+    commit.  A follower's ack needs a hop out and a hop back, each at
+    least ``Network.PROCESSING_MS``, and the follower's own disk append
+    rides on the way back: it always lands after the leader's append is
+    durable, so with more than one vote needed the leader's ack counts
+    at once."""
+
+    LAYOUTS = {
+        "same-zone": dict(regions=["us-east1"], nodes_per_region=3,
+                          zones_per_region=1),
+        "cross-zone": dict(regions=["us-east1"], nodes_per_region=3),
+        "wan": dict(regions=["us-east1", "us-west1", "europe-west2"],
+                    nodes_per_region=1, zones_per_region=1),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("jitter", [0.0, 0.02, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_follower_ack_lands_after_the_leader_append(
+            self, layout, jitter, seed):
+        cluster = standard_cluster(jitter_fraction=jitter, seed=seed,
+                                   **self.LAYOUTS[layout])
+        sim = cluster.sim
+        group, _applied = build_group(cluster, cluster.nodes)
+        acks = record_acks(group)
+        proposed = {}
+        for i in range(24):
+            # Bursts of three, then a gap: pipelined and lone proposals.
+            group.propose(("cmd", i), TS_ZERO)
+            proposed[group._next_index - 1] = sim.now
+            if i % 3 == 2:
+                sim.run(until=sim.now + 0.07 * (i + 1))
+        sim.run()
+        assert group.commit_index == 24
+        leader = group.leader_node_id
+        assert all(node != leader for _t, _i, node in acks)
+        followers = [(t, i) for t, i, _node in acks]
+        assert {i for _t, i in followers} == set(proposed)
+        assert all(t > proposed[i] + RaftGroup.DISK_APPEND_MS
+                   for t, i in followers)
+
+    def test_a_quorum_of_one_commits_when_its_append_is_durable(self):
+        cluster = one_region_cluster()
+        group, _applied = build_group(cluster, cluster.nodes[:1],
+                                      learners=cluster.nodes[1:])
+        acks = record_acks(group)
+        times = commit_times(group)
+        group.propose(("cmd",), TS_ZERO)
+        cluster.sim.run()
+        assert times == {1: RaftGroup.DISK_APPEND_MS}
+        assert acks[0] == (RaftGroup.DISK_APPEND_MS, 1,
+                           group.leader_node_id)
+
+    def test_a_failover_re_drive_counts_the_new_leaders_copy(self):
+        """The heir holds the entry but its ack never reached the dead
+        leader, and the third voter never got it: the heir's own durable
+        copy, one disk append after the failover, is the second vote."""
+        cluster = one_region_cluster()
+        group, _applied = build_group(cluster, cluster.nodes)
+        old, heir, third = cluster.nodes
+        faults = cluster.network.faults
+        faults.cut_link(old.node_id, third.node_id)
+        faults.cut_link(heir.node_id, old.node_id)
+        times = commit_times(group)
+        group.propose(("cmd",), TS_ZERO)
+        cluster.sim.run()
+        assert group.commit_index == 0
+        assert group.peers[heir.node_id].last_index == 1
+        cluster.network.crash_node(old.node_id)
+        acks = record_acks(group)
+        at = cluster.sim.now
+        assert group.fail_over(heir.node_id) == heir.node_id
+        cluster.sim.run(until=at + RaftGroup.DISK_APPEND_MS)
+        assert (at + RaftGroup.DISK_APPEND_MS, 1, heir.node_id) in acks
+        assert times == {1: at + RaftGroup.DISK_APPEND_MS}
+
+    @pytest.mark.parametrize("shrink", ["remove_peer", "demote_voter"])
+    def test_a_voter_leaving_before_the_append_is_durable(self, shrink):
+        """Two voters, and the follower leaves 0.1 ms into the leader's
+        disk append: the proposal still commits when that append is
+        durable, as it would have with the leader's own timer."""
+        cluster = one_region_cluster(2)
+        group, _applied = build_group(cluster, cluster.nodes)
+        follower = cluster.nodes[1].node_id
+        times = commit_times(group)
+        group.propose(("cmd",), TS_ZERO)
+        cluster.sim.run(until=0.1)
+        getattr(group, shrink)(follower)
+        cluster.sim.run()
+        assert times == {1: RaftGroup.DISK_APPEND_MS}
+
+
+class TestQuiescence:
+    """A chaos-provisioned group retransmits behind its cluster's one
+    ticker and leaves it once idle; whatever can make a peer lag wakes
+    it again, so quiescing strands no peer."""
+
+    INTERVAL = 150.0
+
+    def bed(self):
+        bed = KVTestBed(regions=REGIONS3, seed=0)
+        config = zone_config_for_home("us-east1", bed.cluster.regions(),
+                                      SurvivalGoal.ZONE)
+        rngs = [provision_range(
+            bed.cluster, config, name=f"r{i}",
+            side_transport_interval_ms=100.0, proposal_timeout_ms=1000.0,
+            retransmit_interval_ms=self.INTERVAL) for i in range(3)]
+        for rng in rngs:
+            bed.do_write("us-east1", rng, "k", 0)
+        bed.settle(2 * self.INTERVAL)
+        assert all(self.quiesced(rng) for rng in rngs)
+        return bed, rngs
+
+    @staticmethod
+    def quiesced(rng):
+        return rng.group._quiesced_on is not None
+
+    @staticmethod
+    def visits(monkeypatch):
+        """Range ids of the groups each tick visits, in order."""
+        seen = []
+        visit = RaftGroup._retransmit
+
+        def counted(group):
+            seen.append(group.range_id)
+            return visit(group)
+
+        monkeypatch.setattr(RaftGroup, "_retransmit", counted)
+        return seen
+
+    @staticmethod
+    def follower(rng):
+        return next(p.node.node_id for p in rng.group.voters()
+                    if p.node.node_id != rng.leaseholder_node_id)
+
+    def test_an_idle_window_visits_no_group_and_arms_no_timer(
+            self, monkeypatch):
+        bed, rngs = self.bed()
+        (ticker,) = bed.cluster.network.raft_tickers.values()
+        assert not ticker._awake and not ticker._armed
+        seen = self.visits(monkeypatch)
+        armed = []
+
+        def recording(schedule):
+            def record(at, fn, *args):
+                armed.append(fn)
+                return schedule(at, fn, *args)
+            return record
+
+        for name in ("call_at", "call_after"):
+            monkeypatch.setattr(bed.sim, name,
+                                recording(getattr(bed.sim, name)))
+        bed.settle(10_000.0)
+        assert seen == []
+        # Only the side transport ticks: no retransmission timer, and
+        # nothing any group armed for itself.
+        assert {getattr(fn, "__qualname__", "") for fn in armed} == {
+            "SideTransport._tick"}
+        assert all(self.quiesced(rng) for rng in rngs)
+
+    def test_a_dropped_append_reaches_its_follower_after_the_heal(self):
+        bed, (rng, *_others) = self.bed()
+        group, faults = rng.group, bed.cluster.network.faults
+        leader, lagging = rng.leaseholder_node_id, self.follower(rng)
+        faults.cut_link(leader, lagging)
+        bed.do_write("us-east1", rng, "k", 1)
+        assert not self.quiesced(rng)
+        bed.settle(3 * self.INTERVAL)
+        assert group.peers[lagging].last_index < group.leader.last_index
+        assert not self.quiesced(rng)  # a live peer lags
+        faults.heal_link(leader, lagging)
+        flight = bed.cluster.network.one_way_latency(
+            group.leader.node, group.peers[lagging].node)
+        bed.settle(self.INTERVAL + flight)
+        peer = group.peers[lagging]
+        assert peer.last_index == group.leader.last_index
+        assert peer.log[-1] is group.leader.log[-1]
+
+    def test_a_lost_ack_still_commits(self):
+        bed, (rng, *_others) = self.bed()
+        group, faults = rng.group, bed.cluster.network.faults
+        leader = rng.leaseholder_node_id
+        voters = [p.node.node_id for p in group.voters()
+                  if p.node.node_id != leader]
+        for voter in voters:
+            faults.cut_link(voter, leader)
+        fut = group.propose(("noop",), group.leader.closed_ts)
+        bed.settle(2 * self.INTERVAL)
+        assert not fut.done
+        assert group.commit_index == group.leader.last_index - 1
+        assert all(group.peers[v].last_index == group.leader.last_index
+                   for v in voters)
+        for voter in voters:
+            faults.heal_link(voter, leader)
+        bed.settle(self.INTERVAL + 100.0)
+        assert fut.done and group.commit_index == group.leader.last_index
+
+    def test_a_follower_dead_while_quiesced_catches_up_on_restart(self):
+        bed, (rng, *_others) = self.bed()
+        group, cluster = rng.group, bed.cluster
+        dead = self.follower(rng)
+        cluster.crash_node(dead)
+        for value in (1, 2):
+            bed.do_write("us-east1", rng, "k", value)
+        bed.settle(2 * self.INTERVAL)
+        assert self.quiesced(rng)  # a dead peer keeps no group awake
+        assert group.peers[dead].last_index < group.leader.last_index
+        cluster.restart_node(dead)
+        assert not self.quiesced(rng)
+        bed.settle(2 * self.INTERVAL)
+        peer = group.peers[dead]
+        assert peer.log[-1] is group.leader.log[-1]
+        assert peer.applied_index == group.leader.applied_index
+        assert self.quiesced(rng)
+
+    def test_add_peer_fail_over_and_transfer_wake_the_group(
+            self, monkeypatch):
+        bed, (rng, *_others) = self.bed()
+        group, cluster = rng.group, bed.cluster
+        seen = self.visits(monkeypatch)
+        outsider = next(n for n in cluster.nodes
+                        if n.node_id not in group.peers)
+        group.add_peer(outsider, ReplicaType.NON_VOTER)
+        assert not self.quiesced(rng)
+        bed.settle(2 * self.INTERVAL)
+        assert seen.count(rng.range_id) == 1 and self.quiesced(rng)
+
+        heir = self.follower(rng)
+        rng.transfer_lease(heir)
+        assert rng.leaseholder_node_id == heir and not self.quiesced(rng)
+        bed.settle(2 * self.INTERVAL)
+        assert seen.count(rng.range_id) == 2 and self.quiesced(rng)
+
+        cluster.crash_node(heir)
+        rng.failover_lease()
+        assert not self.quiesced(rng)
+        bed.settle(2 * self.INTERVAL)
+        assert seen.count(rng.range_id) == 3 and self.quiesced(rng)
+
+    def test_a_merged_away_range_goes_quiet(self, monkeypatch):
+        bed, (rng, *_others) = self.bed()
+        keyspace = bed.cluster.keyspace
+        right = keyspace.split(rng.descriptor, "m", trigger="test")
+        assert right.rng.group._retransmit_interval_ms == self.INTERVAL
+        bed.do_write("us-east1", rng.span, "z", 1)
+        left, right = rng.span.descriptors
+        keyspace.merge(left, right)
+        bed.settle(2 * self.INTERVAL)
+        assert self.quiesced(right.rng)
+        seen = self.visits(monkeypatch)
+        bed.settle(5_000.0)
+        assert right.rng.range_id not in seen
