@@ -1,8 +1,8 @@
 """Which messages a benchmark repetition's timed region sends, by kind.
 
 ``bench/run.py --trace 1`` reports messages per op as one number.  This
-script splits it, from outside ``bench/``, by patching ``Network.send``
-and ``Network.call``:
+script splits it, from outside ``bench/``, through the kernel's observer
+slot, which ``Network.send`` and ``Network.call`` report to:
 
     python3 benchmarks/message_mix.py --workload tpcc --seed 0 --reps 1
 
@@ -28,9 +28,9 @@ prints, per repetition, per operation:
 * the kernel events dispatched, by the callback each one ran: its
   qualified name (``RaftGroup._deliver_append``), a process resume
   under its generator's (``Range.serve_write``), a future fired by a
-  timer under its class (``Future``, ``RpcFuture``).  The census wraps
-  every scheduled callback in a counter, so a cancelled event, which is
-  never dispatched, is never counted, and the rows sum to
+  timer under its class (``Future``, ``RpcFuture``).  The kernel reports
+  each event as it dispatches it, so a cancelled event, which is never
+  dispatched, is never counted, and the rows sum to
   ``Simulator.events_processed``, the figure ``bench/run.py --trace 1``
   reports as ``sim.core.events_per_op`` (the cost ledger, ``python -m
   repro costs``, holds both for each of its runs).
@@ -54,6 +54,7 @@ from __future__ import annotations
 import argparse
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,16 +69,15 @@ from repro.raft.group import RaftGroup  # noqa: E402
 TICK = "RetransmitTicker._tick"
 
 
-def count_visits(tally):
+def count_visits():
     """Patch ``RaftGroup._retransmit``, the retransmission ticker's visit
-    to one group, to count into ``visits[0]`` while ``tally.on``;
-    returns ``(visits, restore)``."""
+    to one group, to count into ``visits[0]``; returns
+    ``(visits, restore)``."""
     visits = [0]
     visit = RaftGroup._retransmit
 
     def counted(self):
-        if tally.on:
-            visits[0] += 1
+        visits[0] += 1
         return visit(self)
 
     RaftGroup._retransmit = counted
@@ -90,35 +90,37 @@ def count_visits(tally):
 
 def census(name: str, seed: int, reps: int):
     rows = []
-    # Installed before any cluster exists, so no component can hold a
-    # bound method of the unpatched functions.
-    with counting(on=False) as tally:
-        visits, restore = count_visits(tally)
-        workload = WORKLOADS[name](1.0)
-        run = workload.run
+    workload = WORKLOADS[name](1.0)
+    run = workload.run
+    # Counting from set-up on, so each side-transport stream's first
+    # message of the timed region is judged against the one before it;
+    # a row is what the timed region added.
+    with counting() as tally:
+        visits, restore = count_visits()
 
         def counted_run(state, inputs, mark, lap):
-            tally.clear()
-            visits[0] = 0
-            tally.on = True
-            try:
-                result = run(state, inputs, mark, lap)
-            finally:
-                tally.on = False
+            sends, calls = Counter(tally.sends), Counter(tally.calls)
+            by_callback = tally.by_callback
+            entries, tables = tally.range_entries, tally.table_entries
+            visited = visits[0]
+            result = run(state, inputs, mark, lap)
             ops = max(1, result.ops)
+            sends = tally.sends - sends
+            events = tally.by_callback - by_callback
+            ticks = events[TICK]
             rows.append({
                 "ops": result.ops,
-                "sends": {k: v / ops for k, v in tally.sends.items()},
-                "calls": {k: v / ops for k, v in tally.calls.items()},
-                "entries": tally.range_entries / ops,
-                "entries_per_tick": tally.range_entries / max(1, tally.ticks),
-                "table_per_message": tally.table_entries / max(
-                    1, tally.sends["side transport"]),
-                "by_callback": {k: v / ops
-                                for k, v in tally.by_callback.items()},
-                "retransmit_ticks": tally.by_callback[TICK] / ops,
-                "visits_per_tick": visits[0] / max(
-                    1, tally.by_callback[TICK]),
+                "sends": {k: v / ops for k, v in sends.items()},
+                "calls": {k: v / ops
+                          for k, v in (tally.calls - calls).items()},
+                "entries": (tally.range_entries - entries) / ops,
+                "entries_per_tick": (tally.range_entries - entries) / max(
+                    1, events["SideTransport._tick"]),
+                "table_per_message": (tally.table_entries - tables) / max(
+                    1, sends["side transport"]),
+                "by_callback": {k: v / ops for k, v in events.items()},
+                "retransmit_ticks": ticks / ops,
+                "visits_per_tick": (visits[0] - visited) / max(1, ticks),
             })
             return result
 

@@ -36,21 +36,19 @@ with, over a benchmark repetition instead of a whole run.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from collections import Counter
 from contextlib import contextmanager
+from types import MethodType
 from typing import Any, Callable, Dict, Iterator, Sequence, Tuple
 
-from ..kv.sidetransport import SideTransport
-from ..sim.core import Simulator
-from ..sim.network import Network
+from ..sim.core import Future, Process, Simulator
 from ..sql import parser, session
 from .golden import repo_path
 from .openloop import OpenLoopConfig, OpenLoopHarness
 from .tracing import run_fixed_workload, run_small_tpcc, run_traced_workload
 
-__all__ = ["counting", "Tally", "Counted", "kind_of", "callback_name",
+__all__ = ["counting", "Tally", "kind_of", "callback_name",
            "range_entries", "KINDS", "OVERLOAD_CONFIG", "ROWS", "run_row",
            "run_costs_suite", "golden_entries", "render_costs",
            "GOLDEN_PATH", "GOLDEN_SEEDS"]
@@ -99,8 +97,14 @@ def range_entries(callback, args, last_tables: dict) -> int:
     receiver = callback.__self__
     last = last_tables.get(receiver, {})
     last_tables[receiver] = table
+    if last is table:  # copy-on-write: an idle stream resends its table
+        return 0
     return sum(1 for range_id, entry in table.items()
                if last.get(range_id) is not entry)
+
+
+#: A process resume: the event is the process's bound ``_step``.
+_RESUME = Process._step
 
 
 def callback_name(fn) -> str:
@@ -108,135 +112,94 @@ def callback_name(fn) -> str:
     name (``RaftGroup._deliver_append``), a process resume under its
     generator's (``Range.serve_write``), a future fired by a timer under
     its class (``Future``, ``RpcFuture``)."""
-    owner = getattr(fn, "__self__", None)
-    generator = getattr(owner, "_generator", None)
-    if generator is not None and getattr(fn, "__name__", "") == "_step":
-        return generator.__qualname__
+    if type(fn) is MethodType:
+        if fn.__func__ is _RESUME:
+            return fn.__self__._generator.__qualname__
+        return fn.__func__.__qualname__
+    if isinstance(fn, Future):
+        return type(fn).__name__
     fn = getattr(fn, "func", fn)  # a functools.partial: what it calls
     return getattr(fn, "__qualname__", type(fn).__name__)
 
 
 class Tally:
-    """What :func:`counting` saw while ``on``."""
+    """What :func:`counting` saw: the observer it puts in the kernel's
+    slot (:attr:`Simulator.observer <repro.sim.core.Simulator.observer>`).
+    Every event pays for it, so a bound method is counted under its
+    function and named on reading."""
 
-    def __init__(self, on: bool = True):
-        self.on = on
+    def __init__(self):
         #: One-way messages (``Network.send``) by :func:`kind_of`.
         self.sends: Counter = Counter()
         #: RPCs (``Network.call``), one per call, by the method they run.
         self.calls: Counter = Counter()
-        #: Kernel events by :func:`callback_name`.
-        self.by_callback: Counter = Counter()
-        #: Ranges the side transport's messages name, the entries they
-        #: carry (a per-range update carries one), and its ticks.
+        #: Ranges the side transport's messages name, and the entries
+        #: they carry (a per-range update carries one).
         self.range_entries = self.table_entries = 0
-        self.ticks = 0
         #: SQL front-end calls: ``parse``, and ``tokenize`` (a full parse).
         self.parser: Counter = Counter()
+        self._events: dict = {}  # function or name -> events
+        self._last_tables: dict = {}  # for range_entries
 
-    def clear(self) -> None:
-        self.sends.clear()
-        self.calls.clear()
-        self.by_callback.clear()
-        self.parser.clear()
-        self.range_entries = self.table_entries = self.ticks = 0
+    @property
+    def by_callback(self) -> Counter:
+        """Kernel events by :func:`callback_name`; the side transport's
+        ticks are ``by_callback["SideTransport._tick"]``."""
+        named: Counter = Counter()
+        for key, count in self._events.items():
+            named[key if type(key) is str else key.__qualname__] += count
+        return named
 
+    def event(self, fn) -> None:
+        if type(fn) is MethodType and fn.__func__ is not _RESUME:
+            key = fn.__func__
+        else:
+            key = callback_name(fn)
+        counts = self._events
+        counts[key] = counts.get(key, 0) + 1
 
-class Counted:
-    """An event's callback, counted under its name when it fires."""
+    def send(self, callback, args) -> None:
+        kind = kind_of(callback)
+        if kind == "side transport":
+            self.range_entries += range_entries(callback, args,
+                                                self._last_tables)
+            self.table_entries += len(args[1]) if len(args) == 2 else 1
+        self.sends[kind] += 1
 
-    __slots__ = ("fn", "name", "tally")
-
-    def __init__(self, fn, tally: Tally):
-        self.fn = fn
-        self.name = callback_name(fn)
-        self.tally = tally
-
-    def __call__(self, *args):
-        tally = self.tally
-        if tally.on:
-            tally.by_callback[self.name] += 1
-        return self.fn(*args)
+    def call(self, handler) -> None:
+        # A handler written as a lambda inside a DistSender method is
+        # reported under that method.
+        method = getattr(handler, "__qualname__", None) or repr(handler)
+        self.calls[method.split(".<locals>", 1)[0]] += 1
 
 
 @contextmanager
-def counting(on: bool = True) -> Iterator[Tally]:
+def counting() -> Iterator[Tally]:
     """Count every message and kernel event into the yielded
-    :class:`Tally` while its ``on`` is true.
-
-    Patches ``Network.send`` / ``Network.call``, the kernel's three
-    scheduling entry points and ``SideTransport._tick`` at class level,
+    :class:`Tally`, which sits in the kernel's observer slot until exit,
     and the SQL parser's ``parse`` (the parser's and the session's) and
-    ``tokenize``, and restores them on exit whatever happens.  Enter it
-    before any cluster is built: a component that bound one of them
-    earlier is not seen.  A send dropped by a fault still counts (it is
-    what the sender paid for), and a cancelled event, never dispatched,
-    never does.  The simulation itself is unchanged."""
-    tally = Tally(on)
-    last_tables: dict = {}
-    send, call = Network.send, Network.call
-    call_at, call_after = Simulator.call_at, Simulator.call_after
-    call_soon = Simulator._call_soon
-    tick = SideTransport._tick
+    ``tokenize``, patched as module globals and restored on exit
+    whatever happens.  It may be entered before or after a cluster is
+    built (outside a ``run``): events already queued count when they
+    fire.  A send dropped by a fault still counts (it is what the sender
+    paid for), and a cancelled event, never dispatched, never does.  The
+    simulation itself is unchanged."""
+    tally = Tally()
     sql_front_end = parser.parse, session.parse, parser.tokenize
-
-    def counted_send(self, src, dst, callback, *args, **kwargs):
-        kind = kind_of(callback)
-        if kind == "side transport":
-            # Tracked from the first message on, so the first one
-            # counted is judged against the one before it.
-            entries = range_entries(callback, args, last_tables)
-            if tally.on:
-                tally.range_entries += entries
-                tally.table_entries += len(args[1]) if len(args) == 2 else 1
-        if tally.on:
-            tally.sends[kind] += 1
-        return send(self, src, dst, callback, *args, **kwargs)
-
-    @functools.wraps(tick)  # its events count as SideTransport._tick
-    def counted_tick(self):
-        if tally.on:
-            tally.ticks += 1
-        return tick(self)
-
-    def counted_call(self, src, dst, handler, *args, **kwargs):
-        if tally.on:
-            # A handler written as a lambda inside a DistSender method
-            # is reported under that method.
-            method = getattr(handler, "__qualname__", repr(handler))
-            tally.calls[method.split(".<locals>", 1)[0]] += 1
-        return call(self, src, dst, handler, *args, **kwargs)
 
     def counted_sql(fn):
         def counted(sql):
-            if tally.on:
-                tally.parser[fn.__name__] += 1
+            tally.parser[fn.__name__] += 1
             return fn(sql)
         return counted
 
-    def counted_call_at(self, when, fn, *args):
-        return call_at(self, when, Counted(fn, tally), *args)
-
-    def counted_call_after(self, delay, fn, *args):
-        return call_after(self, delay, Counted(fn, tally), *args)
-
-    def counted_call_soon(self, fn, *args):
-        return call_soon(self, Counted(fn, tally), *args)
-
-    Network.send, Network.call = counted_send, counted_call
-    Simulator.call_at, Simulator.call_after = (counted_call_at,
-                                               counted_call_after)
-    Simulator._call_soon = counted_call_soon
-    SideTransport._tick = counted_tick
+    previous = Simulator.observe(tally)
     parser.parse = session.parse = counted_sql(parser.parse)
     parser.tokenize = counted_sql(parser.tokenize)
     try:
         yield tally
     finally:
-        Network.send, Network.call = send, call
-        Simulator.call_at, Simulator.call_after = call_at, call_after
-        Simulator._call_soon = call_soon
-        SideTransport._tick = tick
+        Simulator.observe(previous)
         parser.parse, session.parse, parser.tokenize = sql_front_end
 
 
@@ -310,7 +273,7 @@ def run_row(config: str, seed: int) -> Dict[str, Any]:
         "events_by_callback": dict(tally.by_callback),
     }
     if obs.enabled:
-        spans = Counter(span.name for span in obs.tracer.spans())
+        spans = obs.tracer.span_counts()
         row.update({
             "rpc_attempts": spans["rpc.attempt"],
             "spans": sum(spans.values()),

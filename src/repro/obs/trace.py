@@ -25,7 +25,7 @@ rather than a Simulator so ``repro.sim.core`` can import this module.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from typing import Callable, Dict, Iterator, List, Optional
 
 __all__ = ["DETACHED", "Span", "Tracer", "render_tree", "critical_path",
@@ -243,6 +243,18 @@ class Tracer:
                 parent.children.append(span)
         self._views = views
         return out
+
+    def span_counts(self) -> Counter:
+        """Retained spans by name, as :meth:`spans` yields them, counted
+        from the columns without building the views."""
+        counts: Counter = Counter()
+        kept = set()  # not the stragglers of a tree whose root was dropped
+        for sid in range(self._low, self._next):
+            slot = sid % self._cap
+            if not self._parent[slot] or self._parent[slot] in kept:
+                kept.add(sid)
+                counts[self._name[slot]] += 1
+        return counts
 
     def spans(self) -> Iterator[Span]:
         """Every retained span, all trees, creation order within a tree."""

@@ -231,6 +231,19 @@ class Simulator:
       does nothing.
     """
 
+    #: The one observer slot (docs/API.md): ``None``, or an object whose
+    #: ``event(fn)`` sees each event's callback as it is dispatched and
+    #: whose ``send`` / ``call`` see each ``Network`` message on entry.
+    #: Class-level, so it sees simulators built before it was filled.
+    observer: Any = None
+
+    @classmethod
+    def observe(cls, observer: Any) -> Any:
+        """Fill (or, with ``None``, empty) the slot; returns what it
+        held.  A dispatch loop reads it once, as it starts."""
+        previous, cls.observer = cls.observer, observer
+        return previous
+
     def __init__(self, obs_enabled: bool = True,
                  trace_sample_every: int = 1):
         self._now = 0.0
@@ -382,6 +395,7 @@ class Simulator:
         ready = self._ready
         heappop = heapq.heappop
         popleft = ready.popleft
+        observer = self.observer
         processed = 0
         try:
             while True:
@@ -423,6 +437,8 @@ class Simulator:
                 args = event[3]
                 event[2] = None
                 event[3] = ()
+                if observer is not None:
+                    observer.event(fn)
                 fn(*args)
         finally:
             self.events_processed += processed

@@ -542,6 +542,8 @@ class Network:
         attribution tags (``req_ms`` / ``reply_ms``) so a trace shows how
         much of an RPC was wire time versus handler time.
         """
+        if self.sim.observer is not None:  # see Simulator.observer
+            self.sim.observer.call(handler)
         fut = RpcFuture(self, src, dst, span)
         # Fault checks only run when some fault is installed; with a
         # clean plane they could only return "deliver normally".
@@ -645,6 +647,8 @@ class Network:
         which the monitor folds in at the destination before
         ``callback`` runs.
         """
+        if self.sim.observer is not None:  # see Simulator.observer
+            self.sim.observer.send(callback, args)
         faults = self.faults
         if faults.active and (faults.blocked(src, dst)
                               or faults.should_drop(src, dst)):

@@ -90,6 +90,8 @@ class TestRingWrap:
         # writes and children — none of which reach an export.
         tracer.finish(tracer.start(name, straggler), "late", True)
         assert tracer.to_json() == before
+        # Counted from the columns, the spans are the ones exported.
+        assert tracer.span_counts() == {name: 59}
 
         # A live id from before the wrap still works.
         clock["now"] = 9.0
